@@ -12,41 +12,14 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_catalog, Conformance};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
+use authdb_core::adversary::Tamper;
+use authdb_core::da::{DataAggregator, SigningMode};
 use authdb_core::qs::QueryServer;
-use authdb_core::record::Schema;
 use authdb_core::verify::Verifier;
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn print_catalog(label: &str, results: &[Conformance]) -> bool {
-    println!("\nTamper catalog under {label}:");
-    println!(
-        "{:<26} | {:>9} | {:<40} | {:>4}",
-        "strategy", "honest ok", "tampered answer rejected with", "pass"
-    );
-    println!("{:-<26}-+-{:->9}-+-{:-<40}-+-{:->4}", "", "", "", "");
-    let mut all_ok = true;
-    for c in results {
-        let rejection = match &c.outcome {
-            Ok(_) => "ACCEPTED (soundness hole!)".to_string(),
-            Err(e) => format!("{e:?}"),
-        };
-        let ok = c.ok();
-        all_ok &= ok;
-        println!(
-            "{:<26} | {:>9} | {:<40} | {:>4}",
-            c.tamper.name(),
-            if c.honest_ok { "yes" } else { "NO" },
-            rejection,
-            if ok { "ok" } else { "FAIL" },
-        );
-    }
-    all_ok
-}
 
 fn main() {
     banner(
@@ -55,8 +28,8 @@ fn main() {
     );
 
     // ---- Part 1: the tamper catalog ----
-    let mock_ok = print_catalog("Mock (structural)", &run_catalog(SchemeKind::Mock));
-    let bas_ok = print_catalog("BAS (real BLS/BN254)", &run_catalog(SchemeKind::Bas));
+    let mock_ok = print_catalog::<Tamper>("Single-server", SchemeKind::Mock);
+    let bas_ok = print_catalog::<Tamper>("Single-server", SchemeKind::Bas);
 
     // ---- Part 2: batched verification throughput ----
     let k = 16usize;
@@ -66,16 +39,8 @@ fn main() {
         "\nBatched verification: {k} answers of ~{} records each, N = {n} (BAS)",
         span + 1
     );
-    let schema = Schema::new(2, 64);
-    let cfg = DaConfig {
-        schema,
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
-    };
+    let cfg = chained_cfg(SchemeKind::Bas);
+    let schema = cfg.schema;
     let mut rng = StdRng::seed_from_u64(20);
     let mut da = DataAggregator::new(cfg, &mut rng);
     let t = Instant::now();

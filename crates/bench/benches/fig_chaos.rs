@@ -21,10 +21,8 @@
 
 use std::time::{Duration, Instant};
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs};
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs};
 use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
@@ -41,18 +39,6 @@ const SHARDS: i64 = 4;
 const QUERIES: usize = 60;
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
 const MAX_RETRIES: usize = 2;
-
-fn cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
-    }
-}
 
 fn client_config() -> ClientConfig {
     ClientConfig {
@@ -176,7 +162,7 @@ fn main() {
     let span = N * KEY_STRIDE;
     let splits: Vec<i64> = (1..SHARDS).map(|i| i * span / SHARDS).collect();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut sa = ShardedAggregator::new(cfg(), splits, &mut rng);
+    let mut sa = ShardedAggregator::new(chained_cfg(SchemeKind::Mock), splits, &mut rng);
     let boots = sa.bootstrap(
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),

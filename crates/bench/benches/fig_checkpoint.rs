@@ -23,16 +23,21 @@
 //! the checkpointed answers are asserted to stay ≤ 96 attached summaries
 //! and to keep verifying at every H.
 //!
+//! Part 3 (adversary): the checkpoint tamper catalog — forged digest,
+//! wrong-epoch replay, gap-straddling cut, chain-break bootstrap — under
+//! Mock and real BAS; every strategy must be rejected with its pinned
+//! `VerifyError` while the honest answer or bundle is accepted.
+//!
 //! Acceptance bar: constant bootstrap-bundle bytes across N = 10²..10⁵,
 //! pinned view == walked view, retained summaries ≤ 96 across H = 10²..10⁵,
-//! and every checkpoint-anchored answer verifies.
+//! every checkpoint-anchored answer verifies, and the catalog fully rejects.
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, fmt_time};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time, print_catalog};
+use authdb_core::adversary::CheckpointTamper;
 use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
 use authdb_core::qs::QueryServer;
-use authdb_core::record::Schema;
 use authdb_core::shard::{EpochBootstrap, EpochTransition, RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
@@ -53,14 +58,10 @@ const REPS: usize = 32;
 
 fn cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 10,
         // Recertification out of frame: the subject is history length.
         rho_prime: u64::MAX / 4,
         buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..chained_cfg(SchemeKind::Mock)
     }
 }
 
@@ -253,9 +254,13 @@ fn main() {
     );
     epoch_chain();
     summary_log();
+    let mock_ok = print_catalog::<CheckpointTamper>("Checkpoint", SchemeKind::Mock);
+    let bas_ok = print_catalog::<CheckpointTamper>("Checkpoint", SchemeKind::Bas);
+    assert!(mock_ok, "checkpoint catalog must fully reject under Mock");
+    assert!(bas_ok, "checkpoint catalog must fully reject under BAS");
     println!(
         "\nAcceptance holds: constant bundle bytes and pinned==walked across \
          N=10^2..10^5; resident summaries <= {FLAT_BOUND} across H=10^2..10^5; \
-         every checkpoint-anchored answer verified."
+         every checkpoint-anchored answer verified; every checkpoint tamper rejected."
     );
 }

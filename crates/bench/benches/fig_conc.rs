@@ -40,10 +40,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time};
+use authdb_core::da::DaConfig;
 use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
@@ -68,14 +67,10 @@ const CONNS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 fn mock_cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         // Summaries out of frame: the subject is transport concurrency.
         rho: 1_000_000,
         rho_prime: 1_000_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
+        ..chained_cfg(SchemeKind::Mock)
     }
 }
 

@@ -25,10 +25,9 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, fmt_time};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time};
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::qs::{QsOptions, QueryServer};
-use authdb_core::record::Schema;
 use authdb_crypto::signer::SchemeKind;
 use authdb_wire::WireEncode;
 use rand::rngs::StdRng;
@@ -49,14 +48,11 @@ const UPDATE_EVERY: usize = 8;
 
 fn cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         // Summaries out of frame: the subject is proof-construction CPU.
         rho: 1_000_000,
         rho_prime: 1_000_000,
         buffer_pages: 8192,
-        fill: 2.0 / 3.0,
+        ..chained_cfg(SchemeKind::Mock)
     }
 }
 

@@ -19,11 +19,8 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::da::DaConfig;
-use authdb_core::da::SigningMode;
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time};
 use authdb_core::qs::{QsOptions, SelectionAnswer};
-use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
@@ -37,18 +34,6 @@ const KEY_STRIDE: i64 = 10;
 const NUM_ATTRS: usize = 2;
 /// Compressed BAS signature bytes (the codec adds its one-byte scheme tag).
 const SIG_LEN: usize = 33;
-
-fn bas_cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(NUM_ATTRS, 64),
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
-    }
-}
 
 /// The fig_shard query set: seam-straddling selections plus one mid-shard.
 fn queries() -> Vec<(i64, i64)> {
@@ -67,7 +52,7 @@ fn sharded_system(shards: i64) -> (ShardedAggregator, ShardedQueryServer, Verifi
     let span = N * KEY_STRIDE;
     let splits: Vec<i64> = (1..shards).map(|i| i * span / shards).collect();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut sa = ShardedAggregator::new(bas_cfg(), splits, &mut rng);
+    let mut sa = ShardedAggregator::new(chained_cfg(SchemeKind::Bas), splits, &mut rng);
     let boots = sa.bootstrap(
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),

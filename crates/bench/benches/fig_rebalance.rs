@@ -21,11 +21,9 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_rebalance_catalog, RebalanceConformance};
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
+use authdb_core::adversary::RebalanceTamper;
 use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
 use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
@@ -34,49 +32,11 @@ use rand::SeedableRng;
 
 const KEY_STRIDE: i64 = 10;
 
-fn bas_cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
-    }
-}
-
-fn print_catalog(label: &str, results: &[RebalanceConformance]) -> bool {
-    println!("\nRebalancing tamper catalog under {label}:");
-    println!(
-        "{:<20} | {:>9} | {:<44} | {:>4}",
-        "strategy", "honest ok", "tampered artifact rejected with", "pass"
-    );
-    println!("{:-<20}-+-{:->9}-+-{:-<44}-+-{:->4}", "", "", "", "");
-    let mut all_ok = true;
-    for c in results {
-        let rejection = match &c.outcome {
-            Ok(_) => "ACCEPTED (epoch soundness hole!)".to_string(),
-            Err(e) => format!("{e:?}"),
-        };
-        let ok = c.ok();
-        all_ok &= ok;
-        println!(
-            "{:<20} | {:>9} | {:<44} | {:>4}",
-            c.tamper.name(),
-            if c.honest_ok { "yes" } else { "NO" },
-            rejection,
-            if ok { "ok" } else { "FAIL" },
-        );
-    }
-    all_ok
-}
-
 /// Build a 2-shard BAS deployment with `n` records split down the middle.
 fn two_shard_system(n: i64) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
     let span = n * KEY_STRIDE;
     let mut rng = StdRng::seed_from_u64(42);
-    let mut sa = ShardedAggregator::new(bas_cfg(), vec![span / 2], &mut rng);
+    let mut sa = ShardedAggregator::new(chained_cfg(SchemeKind::Bas), vec![span / 2], &mut rng);
     let boots = sa.bootstrap(
         (0..n).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
@@ -100,14 +60,8 @@ fn main() {
     );
 
     // ---- Part 1: the rebalancing catalog ----
-    let mock_ok = print_catalog(
-        "Mock (structural)",
-        &run_rebalance_catalog(SchemeKind::Mock),
-    );
-    let bas_ok = print_catalog(
-        "BAS (real BLS/BN254)",
-        &run_rebalance_catalog(SchemeKind::Bas),
-    );
+    let mock_ok = print_catalog::<RebalanceTamper>("Rebalancing", SchemeKind::Mock);
+    let bas_ok = print_catalog::<RebalanceTamper>("Rebalancing", SchemeKind::Bas);
 
     // ---- Part 2: handoff cost vs shard size ----
     println!(

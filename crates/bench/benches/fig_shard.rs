@@ -20,11 +20,10 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
-use authdb_core::adversary::{run_shard_catalog, ShardConformance};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
+use authdb_core::adversary::ShardTamper;
+use authdb_core::da::{DataAggregator, SigningMode};
 use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions, QueryServer};
-use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::sigcache::RefreshStrategy;
 use authdb_core::verify::{EpochView, Verifier};
@@ -34,44 +33,6 @@ use rand::SeedableRng;
 
 const N: i64 = 2_048;
 const KEY_STRIDE: i64 = 10;
-
-fn print_catalog(label: &str, results: &[ShardConformance]) -> bool {
-    println!("\nCross-shard tamper catalog under {label}:");
-    println!(
-        "{:<22} | {:>9} | {:<44} | {:>4}",
-        "strategy", "honest ok", "tampered fan-out rejected with", "pass"
-    );
-    println!("{:-<22}-+-{:->9}-+-{:-<44}-+-{:->4}", "", "", "", "");
-    let mut all_ok = true;
-    for c in results {
-        let rejection = match &c.outcome {
-            Ok(_) => "ACCEPTED (seam soundness hole!)".to_string(),
-            Err(e) => format!("{e:?}"),
-        };
-        let ok = c.ok();
-        all_ok &= ok;
-        println!(
-            "{:<22} | {:>9} | {:<44} | {:>4}",
-            c.tamper.name(),
-            if c.honest_ok { "yes" } else { "NO" },
-            rejection,
-            if ok { "ok" } else { "FAIL" },
-        );
-    }
-    all_ok
-}
-
-fn bas_cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
-    }
-}
 
 /// Seam-straddling queries (plus one mid-shard), fixed across shard counts.
 fn queries() -> Vec<(i64, i64)> {
@@ -91,7 +52,7 @@ fn sharded_system(shards: i64) -> (ShardedAggregator, ShardedQueryServer, Verifi
     let span = N * KEY_STRIDE;
     let splits: Vec<i64> = (1..shards).map(|i| i * span / shards).collect();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut sa = ShardedAggregator::new(bas_cfg(), splits, &mut rng);
+    let mut sa = ShardedAggregator::new(chained_cfg(SchemeKind::Bas), splits, &mut rng);
     let boots = sa.bootstrap(
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
@@ -114,8 +75,8 @@ fn main() {
     );
 
     // ---- Part 1: the cross-shard catalog ----
-    let mock_ok = print_catalog("Mock (structural)", &run_shard_catalog(SchemeKind::Mock));
-    let bas_ok = print_catalog("BAS (real BLS/BN254)", &run_shard_catalog(SchemeKind::Bas));
+    let mock_ok = print_catalog::<ShardTamper>("Cross-shard", SchemeKind::Mock);
+    let bas_ok = print_catalog::<ShardTamper>("Cross-shard", SchemeKind::Bas);
 
     // ---- Part 2: shard-count scaling ----
     println!("\nShard scaling: N = {N} BAS records, 8 seam-straddling queries");
@@ -174,7 +135,7 @@ fn main() {
          drawn from the uniform cardinality model"
     );
     let mut rng = StdRng::seed_from_u64(77);
-    let mut da = DataAggregator::new(bas_cfg(), &mut rng);
+    let mut da = DataAggregator::new(chained_cfg(SchemeKind::Bas), &mut rng);
     let boot = da.bootstrap(
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),

@@ -12,6 +12,11 @@
 
 use std::time::Instant;
 
+use authdb_core::adversary::{run_catalog, Strategy};
+use authdb_core::da::{DaConfig, SigningMode};
+use authdb_core::record::Schema;
+use authdb_crypto::signer::SchemeKind;
+
 /// Records for database-scale experiments.
 pub fn env_n() -> usize {
     if full_scale() {
@@ -40,6 +45,56 @@ pub fn full_scale() -> bool {
     std::env::var("AUTHDB_FULL")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// The deployment the networked and sharded figures share: two-attribute
+/// 64-byte records, chained signing, ρ = 10, ρ′ = 100 000, a 4096-page
+/// pool, fill 2/3. Figures that differ override single fields with
+/// struct-update syntax.
+pub fn chained_cfg(scheme: SchemeKind) -> DaConfig {
+    DaConfig {
+        schema: Schema::new(2, 64),
+        scheme,
+        mode: SigningMode::Chained,
+        rho: 10,
+        rho_prime: 100_000,
+        buffer_pages: 4096,
+        fill: 2.0 / 3.0,
+    }
+}
+
+/// Run tamper catalog `T` under `scheme` and print one row per strategy:
+/// whether the honest counterpart was accepted and what the tampered
+/// artifact was rejected with. Returns whether every row passed.
+pub fn print_catalog<T: Strategy>(what: &str, scheme: SchemeKind) -> bool {
+    let label = match scheme {
+        SchemeKind::Mock => "Mock (structural)",
+        SchemeKind::Bas => "BAS (real BLS/BN254)",
+        SchemeKind::CondensedRsa => "condensed RSA",
+    };
+    println!("\n{what} tamper catalog under {label}:");
+    println!(
+        "{:<26} | {:>9} | {:<44} | {:>4}",
+        "strategy", "honest ok", "tampered artifact rejected with", "pass"
+    );
+    println!("{:-<26}-+-{:->9}-+-{:-<44}-+-{:->4}", "", "", "", "");
+    let mut all_ok = true;
+    for c in run_catalog::<T>(scheme) {
+        let rejection = match &c.outcome {
+            Ok(_) => "ACCEPTED (soundness hole!)".to_string(),
+            Err(e) => format!("{e:?}"),
+        };
+        let ok = c.ok();
+        all_ok &= ok;
+        println!(
+            "{:<26} | {:>9} | {:<44} | {:>4}",
+            c.tamper.name(),
+            if c.honest_ok { "yes" } else { "NO" },
+            rejection,
+            if ok { "ok" } else { "FAIL" },
+        );
+    }
+    all_ok
 }
 
 /// Print a header banner for a bench.

@@ -7,29 +7,29 @@
 //! ships — dropping, injecting, and reordering records, substituting stale
 //! versions, widening boundary keys, forging and replaying gap proofs,
 //! withholding and reordering summaries, truncating bitmaps, and replaying
-//! empty-table proofs. Each strategy declares which [`VerifyError`] the
-//! verifier must reject it with, and [`run_catalog`] drives a scripted
-//! scenario per strategy, checking both that the tampered answer is
-//! rejected *with the expected error* and that the honest answer to the
-//! same query still verifies.
+//! empty-table proofs.
 //!
-//! The catalog runs in the unit-test suite (fast, `Mock` scheme) and in the
-//! `fig_adv` bench scenario (also under real BAS crypto), so every future
+//! Every catalog is one [`Strategy`] impl: each strategy declares which
+//! [`VerifyError`] the verifier must reject it with and runs its own
+//! scripted scenario, and [`run_catalog`] drives them all, reporting per
+//! strategy a [`Conformance`] — whether the tampered artifact was rejected
+//! *with the expected error* and whether the honest answer to the same
+//! query still verified. The catalogs run in the unit-test suite (fast,
+//! `Mock` scheme) and in the `fig_adv` / `fig_shard` / `fig_rebalance` /
+//! `fig_checkpoint` bench scenarios (also under real BAS crypto), so every
 //! verifier change is regression-checked against the full attack surface.
 //!
-//! Sharded deployments get their own catalog: a [`MaliciousShardedServer`]
-//! applies one [`ShardTamper`] — seam splice, shard withholding, seam
-//! widening, stale-shard replay, cross-shard summary swap — to a fanned-out
-//! answer, and [`run_shard_catalog`] checks each is rejected with its
-//! pinned error while the honest fan-out verifies. The `fig_shard` bench
-//! replays this catalog under Mock and real BAS.
-//!
-//! Certified checkpoints open a third surface: history the verifier can no
-//! longer replay and must trust to a signed cut. The [`CheckpointTamper`]
-//! catalog — forged covered-window digest, wrong-epoch map replay,
-//! gap-straddling cut, chain-break bootstrap — is driven by
-//! [`run_checkpoint_catalog`] against both checkpoint-anchored answers and
-//! client-bootstrap bundles.
+//! * [`Tamper`] — a single server doctoring selections and projections.
+//! * [`ShardTamper`] — a [`MaliciousShardedServer`] attacking a fanned-out
+//!   answer: seam splice, shard withholding, seam widening, stale-shard
+//!   replay, cross-shard summary swap.
+//! * [`RebalanceTamper`] — two genuinely-certified partitions existing at
+//!   once: stale-epoch replay, handoff forgery, split brain, broken
+//!   transition chain.
+//! * [`CheckpointTamper`] — history the verifier can no longer replay and
+//!   must trust to a signed cut: forged covered-window digest, wrong-epoch
+//!   map replay, gap-straddling cut, chain-break bootstrap, against both
+//!   checkpoint-anchored answers and client-bootstrap bundles.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,6 +41,59 @@ use crate::qs::{ProjectionAnswer, QsOptions, QueryServer, SelectionAnswer};
 use crate::record::{Schema, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
 use crate::verify::{EpochView, Verifier, VerifyError, VerifyReport};
+
+/// One catalog of attack strategies: what each is called, which rejection
+/// pins it, and the scripted scenario that plays it against the verifier.
+pub trait Strategy: Copy + 'static {
+    /// Every strategy, in catalog order.
+    const CATALOG: &'static [Self];
+
+    /// Short printable name.
+    fn name(self) -> &'static str;
+
+    /// Whether `err` is the rejection this strategy must produce.
+    fn expects(self, err: &VerifyError) -> bool;
+
+    /// Play the strategy's scenario under `scheme`.
+    fn run(self, scheme: SchemeKind) -> Conformance<Self>;
+}
+
+/// Outcome of one catalog entry.
+pub struct Conformance<T> {
+    /// The strategy exercised.
+    pub tamper: T,
+    /// Whether the honest counterpart (answer, transition or bootstrap
+    /// bundle) was accepted.
+    pub honest_ok: bool,
+    /// What the verifier said about the tampered artifact.
+    pub outcome: Result<VerifyReport, VerifyError>,
+}
+
+impl<T: Strategy> Conformance<T> {
+    /// Tampered artifact rejected with the expected error AND the honest
+    /// counterpart accepted.
+    pub fn ok(&self) -> bool {
+        self.honest_ok
+            && match &self.outcome {
+                Ok(_) => false,
+                Err(e) => self.tamper.expects(e),
+            }
+    }
+}
+
+/// Run every strategy of catalog `T` under `scheme`, one outcome per
+/// strategy. Used by the unit-test conformance suite and the bench
+/// scenarios.
+pub fn run_catalog<T: Strategy>(scheme: SchemeKind) -> Vec<Conformance<T>> {
+    T::CATALOG.iter().map(|&t| t.run(scheme)).collect()
+}
+
+/// The report a view-level check (epoch advance, client bootstrap) stands
+/// in for: those accept or reject without touching records.
+const NO_RECORDS: VerifyReport = VerifyReport {
+    max_staleness: 0,
+    records: 0,
+};
 
 /// One way a malicious query server can doctor an answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,9 +135,8 @@ pub enum Tamper {
     StaleProjection,
 }
 
-impl Tamper {
-    /// Every strategy, in catalog order.
-    pub const CATALOG: [Tamper; 16] = [
+impl Strategy for Tamper {
+    const CATALOG: &'static [Tamper] = &[
         Tamper::DropRecord,
         Tamper::InjectRecord,
         Tamper::ReorderRecords,
@@ -103,8 +155,7 @@ impl Tamper {
         Tamper::StaleProjection,
     ];
 
-    /// Short printable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Tamper::DropRecord => "drop-record",
             Tamper::InjectRecord => "inject-record",
@@ -125,8 +176,7 @@ impl Tamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             Tamper::DropRecord
@@ -150,10 +200,14 @@ impl Tamper {
         }
     }
 
-    /// Whether the strategy tampers with projection answers (the rest work
-    /// on selections).
-    pub fn targets_projection(self) -> bool {
-        matches!(self, Tamper::ForgeProjectionValue | Tamper::StaleProjection)
+    fn run(self, scheme: SchemeKind) -> Conformance<Tamper> {
+        match self {
+            Tamper::ForgeProjectionValue | Tamper::StaleProjection => {
+                projection_scenario(scheme, self)
+            }
+            Tamper::ReplayVacancy => vacancy_scenario(scheme, self),
+            _ => selection_scenario(scheme, self),
+        }
     }
 }
 
@@ -309,28 +363,6 @@ impl MaliciousServer {
     }
 }
 
-/// Outcome of one catalog entry.
-pub struct Conformance {
-    /// The strategy exercised.
-    pub tamper: Tamper,
-    /// Whether the honest answer to the same query verified.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered answer.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl Conformance {
-    /// Tampered answer rejected with the expected error AND honest answer
-    /// accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
-    }
-}
-
 fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
     DaConfig {
         schema: Schema::new(2, 64),
@@ -343,12 +375,13 @@ fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
     }
 }
 
+/// An unsharded deployment of `n` records (keys `i·10`): DA, honest server
+/// and verifier.
 fn system(
     scheme: SchemeKind,
     mode: SigningMode,
     n: i64,
-    tamper: Tamper,
-) -> (DataAggregator, MaliciousServer, Verifier) {
+) -> (DataAggregator, QueryServer, Verifier) {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut da = DataAggregator::new(cfg(scheme, mode), &mut rng);
     let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
@@ -361,31 +394,42 @@ fn system(
         2.0 / 3.0,
     );
     let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+    (da, qs, v)
+}
+
+/// [`system`] with the server under `tamper`'s control.
+fn malicious_system(
+    scheme: SchemeKind,
+    mode: SigningMode,
+    n: i64,
+    tamper: Tamper,
+) -> (DataAggregator, MaliciousServer, Verifier) {
+    let (da, qs, v) = system(scheme, mode, n);
     let mal = MaliciousServer::new(qs, da.config().schema, tamper);
     (da, mal, v)
 }
 
 /// Drive the shared three-period timeline: summary at t=12, an update to
 /// rid 23 (key 230) at t=14, summaries at t=24 and t=34.
-fn run_timeline(da: &mut DataAggregator, mal: &mut MaliciousServer) {
+fn run_timeline(da: &mut DataAggregator, qs: &mut QueryServer) {
     da.advance_clock(12);
     let (s1, _) = da.maybe_publish_summary().expect("period 0 closes");
-    mal.inner_mut().add_summary(s1);
+    qs.add_summary(s1);
     da.advance_clock(2);
     for m in da.update_record(23, vec![230, 777]) {
-        mal.inner_mut().apply(&m);
+        qs.apply(&m);
     }
     da.advance_clock(10);
     let (s2, _) = da.maybe_publish_summary().expect("period 1 closes");
-    mal.inner_mut().add_summary(s2);
+    qs.add_summary(s2);
     da.advance_clock(10);
     let (s3, _) = da.maybe_publish_summary().expect("period 2 closes");
-    mal.inner_mut().add_summary(s3);
+    qs.add_summary(s3);
 }
 
 /// Run one selection-catalog scenario.
-fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut da, mut mal, v) = system(scheme, SigningMode::Chained, 40, tamper);
+fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::Chained, 40, tamper);
     // The query each strategy answers (and is judged against).
     let (lo, hi) = match tamper {
         Tamper::ForgeGapKeys => (101, 109),
@@ -399,7 +443,7 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
         Tamper::ReplayGapElsewhere => mal.capture_selection(101, 109),
         _ => {}
     }
-    run_timeline(&mut da, &mut mal);
+    run_timeline(&mut da, mal.inner_mut());
     let now = da.now();
     let tampered = mal.select_range(lo, hi);
     let outcome = v.verify_selection(lo, hi, &tampered, now, true);
@@ -413,8 +457,8 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
 }
 
 /// Run the empty-table replay scenario.
-fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut da, mut mal, v) = system(scheme, SigningMode::Chained, 0, tamper);
+fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::Chained, 0, tamper);
     // Hoard the pre-insert vacancy answer...
     mal.capture_selection(0, 100);
     // ...then the world moves on: an insert lands and is summarized.
@@ -438,12 +482,12 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
 }
 
 /// Run one projection-catalog scenario.
-fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut da, mut mal, v) = system(scheme, SigningMode::PerAttribute, 40, tamper);
+fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::PerAttribute, 40, tamper);
     if tamper == Tamper::StaleProjection {
         mal.capture_projection(100, 300, &[0, 1]);
     }
-    run_timeline(&mut da, &mut mal);
+    run_timeline(&mut da, mal.inner_mut());
     let now = da.now();
     let tampered = mal.project(100, 300, &[0, 1]);
     let outcome = v.verify_projection(&tampered, now, true);
@@ -454,24 +498,6 @@ fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
         honest_ok,
         outcome,
     }
-}
-
-/// Run every catalog strategy under `scheme`, returning one outcome per
-/// strategy. Used by the unit-test conformance suite and the `fig_adv`
-/// bench scenario.
-pub fn run_catalog(scheme: SchemeKind) -> Vec<Conformance> {
-    Tamper::CATALOG
-        .iter()
-        .map(|&t| {
-            if t.targets_projection() {
-                projection_scenario(scheme, t)
-            } else if t == Tamper::ReplayVacancy {
-                vacancy_scenario(scheme, t)
-            } else {
-                selection_scenario(scheme, t)
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -499,9 +525,8 @@ pub enum ShardTamper {
     SummarySwap,
 }
 
-impl ShardTamper {
-    /// Every cross-shard strategy, in catalog order.
-    pub const CATALOG: [ShardTamper; 5] = [
+impl Strategy for ShardTamper {
+    const CATALOG: &'static [ShardTamper] = &[
         ShardTamper::SeamSplice,
         ShardTamper::ShardWithhold,
         ShardTamper::SeamWiden,
@@ -509,8 +534,7 @@ impl ShardTamper {
         ShardTamper::SummarySwap,
     ];
 
-    /// Short printable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ShardTamper::SeamSplice => "seam-splice",
             ShardTamper::ShardWithhold => "shard-withhold",
@@ -520,8 +544,7 @@ impl ShardTamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             // The moved record's key is outside the receiving shard's
@@ -532,6 +555,10 @@ impl ShardTamper {
             ShardTamper::StaleShardReplay => matches!(err, Stale { .. }),
             ShardTamper::SummarySwap => matches!(err, ShardMismatch { .. }),
         }
+    }
+
+    fn run(self, scheme: SchemeKind) -> Conformance<ShardTamper> {
+        shard_scenario(scheme, self)
     }
 }
 
@@ -635,32 +662,9 @@ impl MaliciousShardedServer {
     }
 }
 
-/// Outcome of one cross-shard catalog entry.
-pub struct ShardConformance {
-    /// The strategy exercised.
-    pub tamper: ShardTamper,
-    /// Whether the honest fan-out to the same query verified.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered answer.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl ShardConformance {
-    /// Tampered answer rejected with the expected error AND honest answer
-    /// accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
-    }
-}
-
-/// Run one cross-shard scenario: two shards split at key 200, a query
-/// straddling the seam, and the shared three-period timeline with an
-/// update landing in shard 1.
-fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
+/// The two-shard deployment (40 records, keys `i·10`, split at key 200)
+/// the sharded scenarios share, with the rng that keyed it.
+fn sharded_system(scheme: SchemeKind) -> (StdRng, ShardedAggregator, ShardedQueryServer, Verifier) {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
     let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
@@ -672,6 +676,39 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
         &QsOptions::default(),
     );
     let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    (rng, sa, sqs, v)
+}
+
+/// Advance the DA by `dt` and forward whatever summaries fall due.
+fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
+    sa.advance_clock(dt);
+    for (s, summary, recerts) in sa.maybe_publish_summaries() {
+        sqs.add_summary(s, summary);
+        for m in recerts {
+            sqs.apply(s, &m);
+        }
+    }
+}
+
+/// The shared three-period timeline, sharded: summaries at t=12, an update
+/// to shard 1's record with key 250 (local rid 5) at t=14, summaries at
+/// t=24 and t=34.
+fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
+    tick_and_publish(sa, sqs, 12);
+    sa.advance_clock(2);
+    let (_, msgs) = sa.update_record(1, 5, vec![250, 777]);
+    for (s, m) in msgs {
+        sqs.apply(s, &m);
+    }
+    tick_and_publish(sa, sqs, 10);
+    tick_and_publish(sa, sqs, 10);
+}
+
+/// Run one cross-shard scenario: two shards split at key 200, a query
+/// straddling the seam, and the shared three-period timeline with an
+/// update landing in shard 1.
+fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardTamper> {
+    let (mut rng, mut sa, sqs, v) = sharded_system(scheme);
     let mut mal = MaliciousShardedServer::new(sqs, tamper);
     let (lo, hi) = (150, 250);
     // Replays hoard the pre-update fan-out.
@@ -681,29 +718,7 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
     ) {
         mal.capture(lo, hi);
     }
-    // Timeline: summary at t=12, an update to shard 1's record with key
-    // 250 (local rid 5) at t=14, summaries at t=24 and t=34.
-    sa.advance_clock(12);
-    for (s, summary, recerts) in sa.maybe_publish_summaries() {
-        mal.inner_mut().add_summary(s, summary);
-        for m in recerts {
-            mal.inner_mut().apply(s, &m);
-        }
-    }
-    sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(1, 5, vec![250, 777]);
-    for (s, m) in msgs {
-        mal.inner_mut().apply(s, &m);
-    }
-    for dt in [10, 10] {
-        sa.advance_clock(dt);
-        for (s, summary, recerts) in sa.maybe_publish_summaries() {
-            mal.inner_mut().add_summary(s, summary);
-            for m in recerts {
-                mal.inner_mut().apply(s, &m);
-            }
-        }
-    }
+    run_sharded_timeline(&mut sa, mal.inner_mut());
     let now = sa.now();
     let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
     let tampered = mal.select_range(lo, hi);
@@ -712,21 +727,11 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> ShardConformance {
     let honest_ok = v
         .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
         .is_ok();
-    ShardConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
     }
-}
-
-/// Run every cross-shard strategy under `scheme`, one outcome per
-/// strategy. Used by the unit-test conformance suite and the `fig_shard`
-/// bench scenario.
-pub fn run_shard_catalog(scheme: SchemeKind) -> Vec<ShardConformance> {
-    ShardTamper::CATALOG
-        .iter()
-        .map(|&t| shard_scenario(scheme, t))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -755,17 +760,15 @@ pub enum RebalanceTamper {
     TransitionBreak,
 }
 
-impl RebalanceTamper {
-    /// Every rebalancing strategy, in catalog order.
-    pub const CATALOG: [RebalanceTamper; 4] = [
+impl Strategy for RebalanceTamper {
+    const CATALOG: &'static [RebalanceTamper] = &[
         RebalanceTamper::StaleEpochReplay,
         RebalanceTamper::HandoffForgery,
         RebalanceTamper::SplitBrain,
         RebalanceTamper::TransitionBreak,
     ];
 
-    /// Short printable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             RebalanceTamper::StaleEpochReplay => "stale-epoch-replay",
             RebalanceTamper::HandoffForgery => "handoff-forgery",
@@ -774,8 +777,7 @@ impl RebalanceTamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             RebalanceTamper::StaleEpochReplay => matches!(err, StaleEpoch { .. }),
@@ -785,27 +787,9 @@ impl RebalanceTamper {
             RebalanceTamper::TransitionBreak => matches!(err, BrokenTransition),
         }
     }
-}
 
-/// Outcome of one rebalancing catalog entry.
-pub struct RebalanceConformance {
-    /// The strategy exercised.
-    pub tamper: RebalanceTamper,
-    /// Whether the honest answer (or honest transition) was accepted.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered artifact.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl RebalanceConformance {
-    /// Tampered artifact rejected with the expected error AND the honest
-    /// counterpart accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
+    fn run(self, scheme: SchemeKind) -> Conformance<RebalanceTamper> {
+        rebalance_scenario(scheme, self)
     }
 }
 
@@ -813,42 +797,12 @@ impl RebalanceConformance {
 /// the shared three-period timeline, then the DA splits shard 1 at key 300
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
-fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceConformance {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
-    let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance<RebalanceTamper> {
+    let (mut rng, mut sa, sqs, v) = sharded_system(scheme);
     let pp = sa.public_params();
     let mut view = EpochView::genesis(sa.map(), &pp).expect("genesis view");
     // The shared timeline: summaries exist, an update lands in shard 1.
-    sa.advance_clock(12);
-    for (s, summary, recerts) in sa.maybe_publish_summaries() {
-        sqs.add_summary(s, summary);
-        for m in recerts {
-            sqs.apply(s, &m);
-        }
-    }
-    sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(1, 5, vec![250, 777]);
-    for (s, m) in msgs {
-        sqs.apply(s, &m);
-    }
-    for dt in [10, 10] {
-        sa.advance_clock(dt);
-        for (s, summary, recerts) in sa.maybe_publish_summaries() {
-            sqs.add_summary(s, summary);
-            for m in recerts {
-                sqs.apply(s, &m);
-            }
-        }
-    }
+    run_sharded_timeline(&mut sa, &sqs);
     // Epoch-1 state the attacker hoards on the eve of the transition: a
     // seam-straddling answer (with the epoch-1 summary streams attached)
     // and the pre-split shard's answer spanning what will become the new
@@ -864,12 +818,9 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceC
         // whose parent hash does not extend the pinned map.
         let mut forged = rb.transition.clone();
         forged.parent_hash[0] ^= 0xFF;
-        let outcome = view.advance(&forged, &pp).map(|()| VerifyReport {
-            max_staleness: 0,
-            records: 0,
-        });
+        let outcome = view.advance(&forged, &pp).map(|()| NO_RECORDS);
         let honest_ok = view.advance(&rb.transition, &pp).is_ok();
-        return RebalanceConformance {
+        return Conformance {
             tamper,
             honest_ok,
             outcome,
@@ -915,21 +866,11 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> RebalanceC
     let honest_ok = v
         .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
         .is_ok();
-    RebalanceConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
     }
-}
-
-/// Run every rebalancing strategy under `scheme`, one outcome per
-/// strategy. Used by the unit-test conformance suite and the
-/// `fig_rebalance` bench scenario.
-pub fn run_rebalance_catalog(scheme: SchemeKind) -> Vec<RebalanceConformance> {
-    RebalanceTamper::CATALOG
-        .iter()
-        .map(|&t| rebalance_scenario(scheme, t))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -959,17 +900,15 @@ pub enum CheckpointTamper {
     ChainBreakBootstrap,
 }
 
-impl CheckpointTamper {
-    /// Every checkpoint strategy, in catalog order.
-    pub const CATALOG: [CheckpointTamper; 4] = [
+impl Strategy for CheckpointTamper {
+    const CATALOG: &'static [CheckpointTamper] = &[
         CheckpointTamper::ForgedDigest,
         CheckpointTamper::WrongEpochReplay,
         CheckpointTamper::GapStraddlingCut,
         CheckpointTamper::ChainBreakBootstrap,
     ];
 
-    /// Short printable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             CheckpointTamper::ForgedDigest => "forged-digest",
             CheckpointTamper::WrongEpochReplay => "wrong-epoch-replay",
@@ -978,8 +917,7 @@ impl CheckpointTamper {
         }
     }
 
-    /// Whether `err` is the rejection this strategy must produce.
-    pub fn expects(self, err: &VerifyError) -> bool {
+    fn expects(self, err: &VerifyError) -> bool {
         use VerifyError::*;
         match self {
             CheckpointTamper::ForgedDigest
@@ -989,35 +927,17 @@ impl CheckpointTamper {
         }
     }
 
-    /// Whether the strategy attacks the client-bootstrap bundle (the rest
-    /// doctor checkpoint-anchored answers).
-    pub fn targets_bootstrap(self) -> bool {
-        matches!(
-            self,
-            CheckpointTamper::WrongEpochReplay | CheckpointTamper::ChainBreakBootstrap
-        )
-    }
-}
-
-/// Outcome of one checkpoint catalog entry.
-pub struct CheckpointConformance {
-    /// The strategy exercised.
-    pub tamper: CheckpointTamper,
-    /// Whether the honest answer (or honest bootstrap bundle) was accepted.
-    pub honest_ok: bool,
-    /// What the verifier said about the tampered artifact.
-    pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl CheckpointConformance {
-    /// Tampered artifact rejected with the expected error AND the honest
-    /// counterpart accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
+    /// Bundle strategies attack the client-bootstrap bundle; the rest
+    /// doctor checkpoint-anchored answers.
+    fn run(self, scheme: SchemeKind) -> Conformance<CheckpointTamper> {
+        match self {
+            CheckpointTamper::WrongEpochReplay | CheckpointTamper::ChainBreakBootstrap => {
+                checkpoint_bootstrap_scenario(scheme, self)
             }
+            CheckpointTamper::ForgedDigest | CheckpointTamper::GapStraddlingCut => {
+                checkpoint_answer_scenario(scheme, self)
+            }
+        }
     }
 }
 
@@ -1028,34 +948,9 @@ impl CheckpointConformance {
 fn checkpoint_answer_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
-) -> CheckpointConformance {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let mut da = DataAggregator::new(cfg(scheme, SigningMode::Chained), &mut rng);
-    let boot = da.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
-    let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
-    // Timeline: summary at t=12, an update to rid 23 (key 230) at t=14,
-    // summaries at t=24 and t=34.
-    da.advance_clock(12);
-    let (s1, _) = da.maybe_publish_summary().expect("period 0 closes");
-    qs.add_summary(s1);
-    da.advance_clock(2);
-    for m in da.update_record(23, vec![230, 777]) {
-        qs.apply(&m);
-    }
-    da.advance_clock(10);
-    let (s2, _) = da.maybe_publish_summary().expect("period 1 closes");
-    qs.add_summary(s2);
-    da.advance_clock(10);
-    let (s3, _) = da.maybe_publish_summary().expect("period 2 closes");
-    qs.add_summary(s3);
+) -> Conformance<CheckpointTamper> {
+    let (mut da, mut qs, v) = system(scheme, SigningMode::Chained, 40);
+    run_timeline(&mut da, &mut qs);
     let ckpt = da.checkpoint_summaries(2).expect("compactable");
     qs.apply_checkpoint(ckpt);
     let now = da.now();
@@ -1076,7 +971,7 @@ fn checkpoint_answer_scenario(
         _ => unreachable!("bootstrap tampers do not doctor answers"),
     }
     let outcome = v.verify_selection(100, 300, &tampered, now, true);
-    CheckpointConformance {
+    Conformance {
         tamper,
         honest_ok,
         outcome,
@@ -1090,17 +985,8 @@ fn checkpoint_answer_scenario(
 fn checkpoint_bootstrap_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
-) -> CheckpointConformance {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
-    let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+) -> Conformance<CheckpointTamper> {
+    let (_, mut sa, sqs, _) = sharded_system(scheme);
     let pp = sa.public_params();
     let genesis_map = sa.map().clone();
     let rb1 = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);
@@ -1115,106 +1001,95 @@ fn checkpoint_bootstrap_scenario(
         CheckpointTamper::ChainBreakBootstrap => tampered.transition = Some(rb1.transition.clone()),
         _ => unreachable!("answer tampers do not doctor bootstrap bundles"),
     }
-    let outcome = EpochView::from_bootstrap(&tampered, &pp).map(|_| VerifyReport {
-        max_staleness: 0,
-        records: 0,
-    });
-    CheckpointConformance {
+    let outcome = EpochView::from_bootstrap(&tampered, &pp).map(|_| NO_RECORDS);
+    Conformance {
         tamper,
         honest_ok,
         outcome,
     }
 }
 
-/// Run every checkpoint strategy under `scheme`, one outcome per strategy.
-/// Used by the unit-test conformance suite and the `fig_checkpoint` bench
-/// scenario.
-pub fn run_checkpoint_catalog(scheme: SchemeKind) -> Vec<CheckpointConformance> {
-    CheckpointTamper::CATALOG
-        .iter()
-        .map(|&t| {
-            if t.targets_bootstrap() {
-                checkpoint_bootstrap_scenario(scheme, t)
-            } else {
-                checkpoint_answer_scenario(scheme, t)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn catalog_rejects_every_tamper_mock() {
-        for c in run_catalog(SchemeKind::Mock) {
-            assert!(
-                c.honest_ok,
-                "{}: honest answer must verify",
-                c.tamper.name()
-            );
+    /// Every listed strategy: honest counterpart accepted, tampered
+    /// artifact rejected with the strategy's pinned error.
+    fn assert_conforms<T: Strategy>(scheme: SchemeKind, strategies: &[T]) {
+        for &t in strategies {
+            let c = t.run(scheme);
+            let name = t.name();
+            assert!(c.honest_ok, "{name} under {scheme:?}: honest rejected");
             match &c.outcome {
-                Ok(_) => panic!("{}: tampered answer verified", c.tamper.name()),
+                Ok(_) => panic!("{name} under {scheme:?}: tampered artifact accepted"),
                 Err(e) => assert!(
-                    c.tamper.expects(e),
-                    "{}: rejected with unexpected error {:?}",
-                    c.tamper.name(),
-                    e
+                    t.expects(e),
+                    "{name} under {scheme:?}: rejected with unexpected error {e:?}"
                 ),
             }
         }
     }
 
-    #[test]
-    fn catalog_names_are_unique() {
-        let mut names: Vec<&str> = Tamper::CATALOG.iter().map(|t| t.name()).collect();
+    fn assert_unique_names<T: Strategy>() {
+        let mut names: Vec<&str> = T::CATALOG.iter().map(|t| t.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), Tamper::CATALOG.len());
+        assert_eq!(names.len(), T::CATALOG.len());
+    }
+
+    #[test]
+    fn catalog_rejects_every_tamper_mock() {
+        assert_conforms(SchemeKind::Mock, Tamper::CATALOG);
+    }
+
+    #[test]
+    fn shard_catalog_rejects_every_tamper_mock() {
+        assert_conforms(SchemeKind::Mock, ShardTamper::CATALOG);
+    }
+
+    #[test]
+    fn rebalance_catalog_rejects_every_tamper_mock() {
+        assert_conforms(SchemeKind::Mock, RebalanceTamper::CATALOG);
+    }
+
+    #[test]
+    fn checkpoint_catalog_rejects_every_tamper_mock() {
+        assert_conforms(SchemeKind::Mock, CheckpointTamper::CATALOG);
+    }
+
+    #[test]
+    fn catalog_names_are_unique() {
+        assert_unique_names::<Tamper>();
+    }
+
+    #[test]
+    fn shard_catalog_names_are_unique() {
+        assert_unique_names::<ShardTamper>();
+    }
+
+    #[test]
+    fn rebalance_catalog_names_are_unique() {
+        assert_unique_names::<RebalanceTamper>();
+    }
+
+    #[test]
+    fn checkpoint_catalog_names_are_unique() {
+        assert_unique_names::<CheckpointTamper>();
     }
 
     #[test]
     fn spot_check_with_bas_scheme() {
         // Full crypto for a representative slice of the catalog: content
         // forgery, staleness, and summary withholding.
-        for t in [
-            Tamper::InjectRecord,
-            Tamper::StaleVersion,
-            Tamper::WithholdSummarySuffix,
-            Tamper::WithholdSummaryPrefix,
-        ] {
-            let c = selection_scenario(SchemeKind::Bas, t);
-            assert!(c.ok(), "{} under BAS: {:?}", t.name(), c.outcome.err());
-        }
-    }
-
-    #[test]
-    fn shard_catalog_rejects_every_tamper_mock() {
-        for c in run_shard_catalog(SchemeKind::Mock) {
-            assert!(
-                c.honest_ok,
-                "{}: honest fan-out must verify",
-                c.tamper.name()
-            );
-            match &c.outcome {
-                Ok(_) => panic!("{}: tampered fan-out verified", c.tamper.name()),
-                Err(e) => assert!(
-                    c.tamper.expects(e),
-                    "{}: rejected with unexpected error {:?}",
-                    c.tamper.name(),
-                    e
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn shard_catalog_names_are_unique() {
-        let mut names: Vec<&str> = ShardTamper::CATALOG.iter().map(|t| t.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ShardTamper::CATALOG.len());
+        assert_conforms(
+            SchemeKind::Bas,
+            &[
+                Tamper::InjectRecord,
+                Tamper::StaleVersion,
+                Tamper::WithholdSummarySuffix,
+                Tamper::WithholdSummaryPrefix,
+            ],
+        );
     }
 
     #[test]
@@ -1222,84 +1097,10 @@ mod tests {
         // Full crypto for the two strategies whose rejection depends on
         // signed content (the seam fence and the freshness domain); the
         // rest are structural and scheme-independent.
-        for t in [ShardTamper::SeamWiden, ShardTamper::StaleShardReplay] {
-            let c = shard_scenario(SchemeKind::Bas, t);
-            assert!(c.ok(), "{} under BAS: {:?}", t.name(), c.outcome.err());
-        }
-    }
-
-    #[test]
-    fn rebalance_catalog_rejects_every_tamper_mock() {
-        for c in run_rebalance_catalog(SchemeKind::Mock) {
-            assert!(
-                c.honest_ok,
-                "{}: honest answer/transition must be accepted",
-                c.tamper.name()
-            );
-            match &c.outcome {
-                Ok(_) => panic!("{}: tampered artifact accepted", c.tamper.name()),
-                Err(e) => assert!(
-                    c.tamper.expects(e),
-                    "{}: rejected with unexpected error {:?}",
-                    c.tamper.name(),
-                    e
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn rebalance_catalog_names_are_unique() {
-        let mut names: Vec<&str> = RebalanceTamper::CATALOG.iter().map(|t| t.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), RebalanceTamper::CATALOG.len());
-    }
-
-    #[test]
-    fn checkpoint_catalog_rejects_every_tamper_mock() {
-        for c in run_checkpoint_catalog(SchemeKind::Mock) {
-            assert!(
-                c.honest_ok,
-                "{}: honest answer/bundle must be accepted",
-                c.tamper.name()
-            );
-            match &c.outcome {
-                Ok(_) => panic!("{}: tampered artifact accepted", c.tamper.name()),
-                Err(e) => assert!(
-                    c.tamper.expects(e),
-                    "{}: rejected with unexpected error {:?}",
-                    c.tamper.name(),
-                    e
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn checkpoint_catalog_names_are_unique() {
-        let mut names: Vec<&str> = CheckpointTamper::CATALOG.iter().map(|t| t.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), CheckpointTamper::CATALOG.len());
-    }
-
-    #[test]
-    fn checkpoint_spot_check_with_bas_scheme() {
-        // Full crypto for the two strategies whose rejection depends on a
-        // checkpoint signature actually covering its content; the replay
-        // and gap strategies are structural and scheme-independent.
-        for t in [
-            CheckpointTamper::ForgedDigest,
-            CheckpointTamper::ChainBreakBootstrap,
-        ] {
-            let c = if t.targets_bootstrap() {
-                checkpoint_bootstrap_scenario(SchemeKind::Bas, t)
-            } else {
-                checkpoint_answer_scenario(SchemeKind::Bas, t)
-            };
-            assert!(c.ok(), "{} under BAS: {:?}", t.name(), c.outcome.err());
-        }
+        assert_conforms(
+            SchemeKind::Bas,
+            &[ShardTamper::SeamWiden, ShardTamper::StaleShardReplay],
+        );
     }
 
     #[test]
@@ -1307,12 +1108,26 @@ mod tests {
         // Full crypto for the two strategies whose rejection depends on
         // signed content: the transition chain's signature and the
         // epoch-bound summary stream.
-        for t in [
-            RebalanceTamper::TransitionBreak,
-            RebalanceTamper::SplitBrain,
-        ] {
-            let c = rebalance_scenario(SchemeKind::Bas, t);
-            assert!(c.ok(), "{} under BAS: {:?}", t.name(), c.outcome.err());
-        }
+        assert_conforms(
+            SchemeKind::Bas,
+            &[
+                RebalanceTamper::TransitionBreak,
+                RebalanceTamper::SplitBrain,
+            ],
+        );
+    }
+
+    #[test]
+    fn checkpoint_spot_check_with_bas_scheme() {
+        // Full crypto for the two strategies whose rejection depends on a
+        // checkpoint signature actually covering its content; the replay
+        // and gap strategies are structural and scheme-independent.
+        assert_conforms(
+            SchemeKind::Bas,
+            &[
+                CheckpointTamper::ForgedDigest,
+                CheckpointTamper::ChainBreakBootstrap,
+            ],
+        );
     }
 }

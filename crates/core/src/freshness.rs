@@ -26,8 +26,9 @@
 //!
 //! The same machinery covers the degenerate empty relation: the DA mints an
 //! [`EmptyTableProof`] whenever the table becomes (or bootstraps) empty, and
-//! [`check_vacancy`] treats *any* post-proof marking as evidence the claim
-//! is out of date — an empty table can only change by insertion.
+//! [`DecodedSummaries::check_vacancy`] treats *any* post-proof marking as
+//! evidence the claim is out of date — an empty table can only change by
+//! insertion.
 //!
 //! # Checkpoints and log compaction
 //!
@@ -177,7 +178,8 @@ impl UpdateSummary {
 /// record chain of Section 3.3 degenerated to the single gap `(−∞, +∞)`.
 /// Minted by the DA at an empty bootstrap and re-minted whenever a delete
 /// empties the table; superseded by any later insertion, which the client
-/// detects through the update summaries ([`check_vacancy`]).
+/// detects through the update summaries
+/// ([`DecodedSummaries::check_vacancy`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EmptyTableProof {
     /// Which map epoch the claim belongs to (0 for unsharded). Bound into
@@ -364,83 +366,13 @@ pub enum Freshness {
     Indeterminate,
 }
 
-/// Check one record's freshness against verified summaries.
-///
-/// `summaries` must be sorted by `seq`, signature-verified by the caller,
-/// and cover every period from the one containing `record_ts` through the
-/// latest; `rho` is the publication period and `now` the client's clock.
-/// The latest summary must itself be recent (younger than 2ρ), otherwise
-/// the server may be withholding the summaries that would expose a newer
-/// version and the check is [`Freshness::Indeterminate`].
-///
-/// To check many records against one attached set, decode the bitmaps once
-/// via [`DecodedSummaries`] instead of calling this in a loop.
+/// An attached summary set with every bitmap decompressed **once**, for
+/// checking many records of the same answer: per-record checks then cost
+/// O(bitmap lookups) instead of re-decompressing each summary per record.
 ///
 /// Generic over how the summaries are held (`&[UpdateSummary]`,
 /// `&[Arc<UpdateSummary>]`, …) so callers never materialize a deep copy of
 /// an answer's summary set just to check it.
-pub fn check_freshness<S: Borrow<UpdateSummary>>(
-    rid: u64,
-    record_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-) -> Freshness {
-    check_freshness_anchored(rid, record_ts, summaries, rho, now, 0)
-}
-
-/// [`check_freshness`] with an explicit anchor seq: a run starting at
-/// `anchor_seq` counts as anchored even when its first period does not
-/// cover `record_ts`. Callers pass `checkpoint.through_seq + 1` after
-/// validating a [`SummaryCheckpoint`] (whose coverage of the full prefix
-/// `0..=through_seq` is what justifies the anchor), or `0` for none.
-pub fn check_freshness_anchored<S: Borrow<UpdateSummary>>(
-    rid: u64,
-    record_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-) -> Freshness {
-    check_marks(record_ts, summaries, rho, now, anchor_seq, |i| {
-        summaries[i].borrow().bitmap().map(|b| b.get(rid as usize))
-    })
-}
-
-/// Check an [`EmptyTableProof`]'s currency against verified summaries.
-///
-/// While the table is empty no record can be modified or deleted, so *any*
-/// marking in a period that started at or after the proof's `ts` proves an
-/// insertion happened and the vacancy claim is out of date. The same
-/// anchoring, contiguity, and 2ρ-recency rules as [`check_freshness`]
-/// apply.
-pub fn check_vacancy<S: Borrow<UpdateSummary>>(
-    proof_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-) -> Freshness {
-    check_vacancy_anchored(proof_ts, summaries, rho, now, 0)
-}
-
-/// [`check_vacancy`] with an explicit anchor seq (see
-/// [`check_freshness_anchored`]).
-pub fn check_vacancy_anchored<S: Borrow<UpdateSummary>>(
-    proof_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-) -> Freshness {
-    check_marks(proof_ts, summaries, rho, now, anchor_seq, |i| {
-        summaries[i].borrow().bitmap().map(|b| b.ones() > 0)
-    })
-}
-
-/// An attached summary set with every bitmap decompressed **once**, for
-/// checking many records of the same answer: per-record checks then cost
-/// O(bitmap lookups) instead of re-decompressing each summary per record.
-/// Generic over the holding type like [`check_freshness`].
 pub struct DecodedSummaries<'a, S = UpdateSummary> {
     summaries: &'a [S],
     bitmaps: Vec<Option<Bitmap>>,
@@ -456,13 +388,22 @@ impl<'a, S: Borrow<UpdateSummary>> DecodedSummaries<'a, S> {
         }
     }
 
-    /// [`check_freshness`] against the pre-decoded bitmaps.
-    pub fn check_freshness(&self, rid: u64, record_ts: Tick, rho: Tick, now: Tick) -> Freshness {
-        self.check_freshness_anchored(rid, record_ts, rho, now, 0)
-    }
-
-    /// [`check_freshness_anchored`] against the pre-decoded bitmaps.
-    pub fn check_freshness_anchored(
+    /// Check one record's freshness against the summaries.
+    ///
+    /// The summaries must be sorted by `seq`, signature-verified by the
+    /// caller, and cover every period from the one containing `record_ts`
+    /// through the latest; `rho` is the publication period and `now` the
+    /// client's clock. The latest summary must itself be recent (younger
+    /// than 2ρ), otherwise the server may be withholding the summaries that
+    /// would expose a newer version and the check is
+    /// [`Freshness::Indeterminate`].
+    ///
+    /// A run starting at `anchor_seq` counts as anchored even when its
+    /// first period does not cover `record_ts`. Callers pass
+    /// `checkpoint.through_seq + 1` after validating a
+    /// [`SummaryCheckpoint`] (whose coverage of the full prefix
+    /// `0..=through_seq` is what justifies the anchor), or `0` for none.
+    pub fn check_freshness(
         &self,
         rid: u64,
         record_ts: Tick,
@@ -470,12 +411,24 @@ impl<'a, S: Borrow<UpdateSummary>> DecodedSummaries<'a, S> {
         now: Tick,
         anchor_seq: u64,
     ) -> Freshness {
-        check_marks(record_ts, self.summaries, rho, now, anchor_seq, |i| {
-            self.bitmaps
-                .get(i)
-                .and_then(Option::as_ref)
-                .map(|b| b.get(rid as usize))
-        })
+        self.check_marks(record_ts, rho, now, anchor_seq, |b| b.get(rid as usize))
+    }
+
+    /// Check an [`EmptyTableProof`]'s currency against the summaries.
+    ///
+    /// While the table is empty no record can be modified or deleted, so
+    /// *any* marking in a period that started at or after the proof's `ts`
+    /// proves an insertion happened and the vacancy claim is out of date.
+    /// The same anchoring (`anchor_seq` included), contiguity, and
+    /// 2ρ-recency rules as [`Self::check_freshness`] apply.
+    pub fn check_vacancy(
+        &self,
+        proof_ts: Tick,
+        rho: Tick,
+        now: Tick,
+        anchor_seq: u64,
+    ) -> Freshness {
+        self.check_marks(proof_ts, rho, now, anchor_seq, |b| b.ones() > 0)
     }
 
     /// The run's first summary — what anchoring is judged against, exposed
@@ -490,108 +443,86 @@ impl<'a, S: Borrow<UpdateSummary>> DecodedSummaries<'a, S> {
         self.summaries.is_empty()
     }
 
-    /// [`check_vacancy`] against the pre-decoded bitmaps.
-    pub fn check_vacancy(&self, proof_ts: Tick, rho: Tick, now: Tick) -> Freshness {
-        self.check_vacancy_anchored(proof_ts, rho, now, 0)
-    }
-
-    /// [`check_vacancy_anchored`] against the pre-decoded bitmaps.
-    pub fn check_vacancy_anchored(
+    /// Shared core of [`Self::check_freshness`] and [`Self::check_vacancy`]:
+    /// walk the summaries, demand seq-contiguity, anchored coverage of
+    /// `version_ts`'s period, and recency of the newest summary.
+    /// `exposes(bitmap)` reports whether a summary's bitmap invalidates the
+    /// version being checked. `anchor_seq` is an extra seq at which a run
+    /// counts as anchored (seq 0 always anchors).
+    fn check_marks(
         &self,
-        proof_ts: Tick,
+        version_ts: Tick,
         rho: Tick,
         now: Tick,
         anchor_seq: u64,
+        exposes: impl Fn(&Bitmap) -> bool,
     ) -> Freshness {
-        check_marks(proof_ts, self.summaries, rho, now, anchor_seq, |i| {
-            self.bitmaps
-                .get(i)
-                .and_then(Option::as_ref)
-                .map(|b| b.ones() > 0)
-        })
-    }
-}
-
-/// Shared core of [`check_freshness`] and [`check_vacancy`]: walk the
-/// summaries, demand seq-contiguity, anchored coverage of `version_ts`'s
-/// period, and recency of the newest summary. `exposed_at(i)` reports
-/// whether summary `i`'s bitmap invalidates the version being checked
-/// (`None` = malformed bitmap). `anchor_seq` is an extra seq at which a
-/// run counts as anchored — `checkpoint.through_seq + 1` when the caller
-/// validated a [`SummaryCheckpoint`], `0` otherwise (seq 0 always
-/// anchors).
-fn check_marks<S: Borrow<UpdateSummary>>(
-    version_ts: Tick,
-    summaries: &[S],
-    rho: Tick,
-    now: Tick,
-    anchor_seq: u64,
-    exposed_at: impl Fn(usize) -> Option<bool>,
-) -> Freshness {
-    let window = rho.saturating_mul(2);
-    let Some(latest) = summaries.last().map(Borrow::borrow) else {
-        // No summary at all is acceptable only in the first 2ρ of system
-        // life; past that, summaries must exist and their absence means the
-        // server withheld them.
-        if now >= window {
-            return Freshness::Indeterminate;
-        }
-        return Freshness::FreshWithin(now.saturating_sub(version_ts));
-    };
-    // Pass 1 — definitive staleness. A marking proves staleness exactly
-    // when this version *predates* the marked period. The DA guarantees
-    // post-bootstrap certification timestamps are strictly inside their
-    // period (never equal to a boundary), so `version_ts <= period_start`
-    // means the version existed before the period began and the marking is
-    // a newer event. Each summary is individually signed, so this verdict
-    // needs no contiguity or anchoring.
-    let mut malformed = false;
-    for (i, s) in summaries.iter().enumerate() {
-        let s = s.borrow();
-        if version_ts <= s.period_start {
-            match exposed_at(i) {
-                Some(true) => return Freshness::Stale { exposed_by: s.seq },
-                Some(false) => {}
-                None => malformed = true,
+        let summaries = self.summaries;
+        let window = rho.saturating_mul(2);
+        let Some(latest) = summaries.last().map(Borrow::borrow) else {
+            // No summary at all is acceptable only in the first 2ρ of system
+            // life; past that, summaries must exist and their absence means the
+            // server withheld them.
+            if now >= window {
+                return Freshness::Indeterminate;
+            }
+            return Freshness::FreshWithin(now.saturating_sub(version_ts));
+        };
+        // Pass 1 — definitive staleness. A marking proves staleness exactly
+        // when this version *predates* the marked period. The DA guarantees
+        // post-bootstrap certification timestamps are strictly inside their
+        // period (never equal to a boundary), so `version_ts <= period_start`
+        // means the version existed before the period began and the marking is
+        // a newer event. Each summary is individually signed, so this verdict
+        // needs no contiguity or anchoring.
+        let mut malformed = false;
+        for (s, bitmap) in summaries.iter().zip(&self.bitmaps) {
+            let s = s.borrow();
+            if version_ts <= s.period_start {
+                match bitmap.as_ref().map(&exposes) {
+                    Some(true) => return Freshness::Stale { exposed_by: s.seq },
+                    Some(false) => {}
+                    None => malformed = true,
+                }
             }
         }
+        // Pass 2 — a FRESH verdict needs the full discipline.
+        // Recency gate: a latest summary older than 2ρ proves nothing about the
+        // recent past — the server may be sitting on newer summaries that mark
+        // this version.
+        if now.saturating_sub(latest.ts) >= window {
+            return Freshness::Indeterminate;
+        }
+        if version_ts > latest.ts {
+            // Newer than the latest bitmap: fresh, worst case ct - version_ts,
+            // bounded by 2ρ via the gate above.
+            return Freshness::FreshWithin(now.saturating_sub(version_ts));
+        }
+        // Anchor: the run must start at or before the period containing
+        // version_ts. Contiguity + recency alone would let a server present a
+        // clean *recent suffix* while withholding the middle summary that marks
+        // this version stale (prefix withholding); anchoring the run's start
+        // closes that. seq 0 is the first summary ever published, so a run from
+        // seq 0 trivially covers everything before it.
+        let Some(first) = summaries.first().map(Borrow::borrow) else {
+            return Freshness::Indeterminate;
+        };
+        if !(first.period_start < version_ts || first.seq == 0 || first.seq == anchor_seq) {
+            return Freshness::Indeterminate;
+        }
+        // Contiguity: no withheld summary inside the run.
+        if summaries
+            .iter()
+            .zip(summaries.iter().skip(1))
+            .any(|(a, b)| b.borrow().seq != a.borrow().seq + 1)
+        {
+            return Freshness::Indeterminate;
+        }
+        if malformed {
+            return Freshness::Indeterminate;
+        }
+        Freshness::FreshWithin(now.saturating_sub(latest.ts))
     }
-    // Pass 2 — a FRESH verdict needs the full discipline.
-    // Recency gate: a latest summary older than 2ρ proves nothing about the
-    // recent past — the server may be sitting on newer summaries that mark
-    // this version.
-    if now.saturating_sub(latest.ts) >= window {
-        return Freshness::Indeterminate;
-    }
-    if version_ts > latest.ts {
-        // Newer than the latest bitmap: fresh, worst case ct - version_ts,
-        // bounded by 2ρ via the gate above.
-        return Freshness::FreshWithin(now.saturating_sub(version_ts));
-    }
-    // Anchor: the run must start at or before the period containing
-    // version_ts. Contiguity + recency alone would let a server present a
-    // clean *recent suffix* while withholding the middle summary that marks
-    // this version stale (prefix withholding); anchoring the run's start
-    // closes that. seq 0 is the first summary ever published, so a run from
-    // seq 0 trivially covers everything before it.
-    let Some(first) = summaries.first().map(Borrow::borrow) else {
-        return Freshness::Indeterminate;
-    };
-    if !(first.period_start < version_ts || first.seq == 0 || first.seq == anchor_seq) {
-        return Freshness::Indeterminate;
-    }
-    // Contiguity: no withheld summary inside the run.
-    if summaries
-        .iter()
-        .zip(summaries.iter().skip(1))
-        .any(|(a, b)| b.borrow().seq != a.borrow().seq + 1)
-    {
-        return Freshness::Indeterminate;
-    }
-    if malformed {
-        return Freshness::Indeterminate;
-    }
-    Freshness::FreshWithin(now.saturating_sub(latest.ts))
 }
 
 #[cfg(test)]
@@ -612,6 +543,22 @@ mod tests {
             b.set(rid as usize);
         }
         UpdateSummary::create(kp, 0, 0, seq, start, ts, &b)
+    }
+
+    /// One unanchored record check against a freshly decoded run.
+    fn check_freshness(
+        rid: u64,
+        record_ts: Tick,
+        sums: &[UpdateSummary],
+        rho: Tick,
+        now: Tick,
+    ) -> Freshness {
+        DecodedSummaries::new(sums).check_freshness(rid, record_ts, rho, now, 0)
+    }
+
+    /// One unanchored vacancy check against a freshly decoded run.
+    fn check_vacancy(proof_ts: Tick, sums: &[UpdateSummary], rho: Tick, now: Tick) -> Freshness {
+        DecodedSummaries::new(sums).check_vacancy(proof_ts, rho, now, 0)
     }
 
     #[test]
@@ -726,31 +673,46 @@ mod tests {
 
     #[test]
     fn decoded_summaries_match_direct_checks() {
+        // One decoded set reused across records — and one held by `Arc`,
+        // as answers ship it — decides exactly like a fresh decode per
+        // check.
         let kp = keypair();
         let sums = vec![
             summary(&kp, 0, 0, 10, &[7]),
             summary(&kp, 1, 10, 20, &[7]),
             summary(&kp, 2, 20, 30, &[99]),
         ];
+        let shared: Vec<_> = sums.iter().cloned().map(std::sync::Arc::new).collect();
         let decoded = DecodedSummaries::new(&sums);
+        let decoded_shared = DecodedSummaries::new(&shared);
         for rid in [7u64, 42, 99] {
             for ts in [5u64, 15, 25] {
+                let direct = check_freshness(rid, ts, &sums, 10, 31);
                 assert_eq!(
-                    decoded.check_freshness(rid, ts, 10, 31),
-                    check_freshness(rid, ts, &sums, 10, 31),
+                    decoded.check_freshness(rid, ts, 10, 31, 0),
+                    direct,
                     "rid {rid} ts {ts}"
+                );
+                assert_eq!(
+                    decoded_shared.check_freshness(rid, ts, 10, 31, 0),
+                    direct,
+                    "rid {rid} ts {ts} (Arc-held)"
                 );
             }
         }
         assert_eq!(
-            decoded.check_vacancy(5, 10, 31),
+            decoded.check_vacancy(5, 10, 31, 0),
             check_vacancy(5, &sums, 10, 31)
+        );
+        assert_eq!(
+            check_freshness(7, 5, &sums, 10, 31),
+            Freshness::Stale { exposed_by: 1 }
         );
     }
 
     #[test]
     fn no_summaries_yet() {
-        let f = check_freshness::<UpdateSummary>(7, 5, &[], 10, 8);
+        let f = check_freshness(7, 5, &[], 10, 8);
         assert_eq!(f, Freshness::FreshWithin(3));
     }
 
@@ -776,10 +738,7 @@ mod tests {
             Freshness::Indeterminate
         );
         // Withholding *every* summary is equally indeterminate past 2ρ.
-        assert_eq!(
-            check_freshness::<UpdateSummary>(7, 5, &[], 10, 33),
-            Freshness::Indeterminate
-        );
+        assert_eq!(check_freshness(7, 5, &[], 10, 33), Freshness::Indeterminate);
     }
 
     #[test]
@@ -880,33 +839,24 @@ mod tests {
             Freshness::Indeterminate
         );
         // With the checkpoint anchor (through_seq 1 → anchor 2) it decides.
+        let decoded = DecodedSummaries::new(&retained);
         assert!(matches!(
-            check_freshness_anchored(7, 5, &retained, 10, 42, 2),
+            decoded.check_freshness(7, 5, 10, 42, 2),
             Freshness::FreshWithin(_)
         ));
         // A run starting past the anchor is still a gap.
         assert_eq!(
-            check_freshness_anchored(7, 5, &retained[1..], 10, 42, 2),
+            DecodedSummaries::new(&retained[1..]).check_freshness(7, 5, 10, 42, 2),
             Freshness::Indeterminate
         );
         // Vacancy gets the same anchoring.
         assert!(matches!(
-            check_vacancy_anchored(5, &retained, 10, 42, 2),
+            decoded.check_vacancy(5, 10, 42, 2),
             Freshness::FreshWithin(_)
         ));
         assert_eq!(
             check_vacancy(5, &retained, 10, 42),
             Freshness::Indeterminate
-        );
-        // DecodedSummaries agrees with the direct checks.
-        let decoded = DecodedSummaries::new(&retained);
-        assert_eq!(
-            decoded.check_freshness_anchored(7, 5, 10, 42, 2),
-            check_freshness_anchored(7, 5, &retained, 10, 42, 2)
-        );
-        assert_eq!(
-            decoded.check_vacancy_anchored(5, 10, 42, 2),
-            check_vacancy_anchored(5, &retained, 10, 42, 2)
         );
     }
 

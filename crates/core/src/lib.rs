@@ -9,6 +9,9 @@
 //!   proofs (Section 3.1).
 //! * [`da`] — the trusted Data Aggregator: certification, chaining,
 //!   summaries, active renewal.
+//! * [`qs`] — the untrusted Query Server: one shard's replica, proof
+//!   construction for selections and projections.
+//! * [`join`] — authenticated equi-joins over two certified relations.
 //! * [`verify`] — the client-side verifier (threat model documented there),
 //!   including batched multi-answer verification.
 //! * [`adversary`] — the malicious-server conformance subsystem: a tamper
@@ -21,14 +24,15 @@
 //!   [`qs::QueryServer::select_range`] via [`qs::AggCacheConfig`].
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and
 //!   the QS request/response protocol (served over TCP by `authdb-net`).
-//! * [`locks`] — two-phase-locking lock manager (Section 5.1).
+//! * [`policy`] — the load-driven auto-rebalance policy (when to split or
+//!   merge shards).
+//! * [`embsys`] — the EMB− baseline system the paper compares against.
 
 pub mod adversary;
 pub mod da;
 pub mod embsys;
 pub mod freshness;
 pub mod join;
-pub mod locks;
 pub mod policy;
 pub mod qs;
 pub mod record;

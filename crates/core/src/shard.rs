@@ -102,7 +102,6 @@
 //! suite checks that a rebalancing deployment stays observably equivalent
 //! to a single server across random split/merge schedules.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -112,7 +111,6 @@ use authdb_crypto::signer::{Keypair, PublicParams, Signature};
 
 use crate::da::{Bootstrap, DaConfig, DataAggregator, SigningMode, UpdateMsg};
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
-use crate::locks::{LockManager, LockMode, WHOLE_INDEX};
 use crate::qs::{QsOptions, QueryError, QueryServer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 
@@ -1026,34 +1024,38 @@ struct EpochSnapshot {
 /// # Concurrency
 ///
 /// Every method takes `&self`; the server is meant to be shared across
-/// threads (`Arc<ShardedQueryServer>`) without an external lock:
+/// threads (`Arc<ShardedQueryServer>`) without an external lock. Two
+/// mechanisms order everything: the epoch snapshot pointer for readers and
+/// one writer gate (an `RwLock<()>`) for writers.
 ///
 /// * **Readers** ([`Self::select_range`], [`Self::select_shard`],
-///   [`Self::project`]) pin the current [`EpochSnapshot`] (one mutex lock to
-///   clone an `Arc`), build each per-shard tile under that shard's read
-///   lock, and re-check the snapshot pointer before returning. If an epoch
-///   transition landed mid-query the whole answer is rebuilt against the
-///   new snapshot — so a returned proof is always single-epoch and honest
-///   queries are never *rejected* by a concurrent rebalance, merely
-///   restarted.
-/// * **Writers** ([`Self::apply`], [`Self::add_summary`]) are ordered by
-///   the strict-2PL [`LockManager`]: shared on [`WHOLE_INDEX`] plus
-///   exclusive on their shard's resource, then the slot's write lock. They
-///   never touch the snapshot pointer — in-epoch updates are invisible to
-///   the fan-out structure.
-/// * **Rebalance** takes [`WHOLE_INDEX`] exclusively (draining in-flight
-///   writers, excluding new ones), validates the package against the
-///   pinned snapshot, retags survivor slots under their write locks, builds
-///   fresh slots for handed-off shards, and publishes the new epoch with
-///   one atomic `Arc` swap.
+///   [`Self::project`]) never touch the gate. They pin the current
+///   [`EpochSnapshot`] (one mutex lock to clone an `Arc`), build each
+///   per-shard tile under that shard's read lock, and re-check the snapshot
+///   pointer before returning. If an epoch transition landed mid-query the
+///   whole answer is rebuilt against the new snapshot — so a returned proof
+///   is always single-epoch and honest queries are never *rejected* by a
+///   concurrent rebalance, merely restarted.
+/// * **Writers** ([`Self::apply`], [`Self::add_summary`],
+///   [`Self::apply_checkpoint`]) hold the gate shared, then take their
+///   slot's write lock, which serialises one shard's writers while other
+///   shards' proceed. **Pin-after-gate:** a writer pins the snapshot only
+///   once it holds the gate. A shard index names a slot of the *live*
+///   epoch; pinned before the gate, it could resolve against an epoch a
+///   rebalance has since replaced and mutate a dissolved slot.
+/// * **Rebalance** ([`Self::apply_rebalance`]) holds the gate exclusively
+///   across validate → retag → publish: in-flight writers drain, new ones
+///   wait, and the snapshot it validates against is the one it replaces. It
+///   retags survivor slots under their write locks, builds fresh slots for
+///   handed-off shards, and publishes the new epoch with one atomic `Arc`
+///   swap.
 pub struct ShardedQueryServer {
     pp: PublicParams,
     schema: Schema,
     mode: SigningMode,
     opts: QsOptions,
     snapshot: Mutex<Arc<EpochSnapshot>>,
-    locks: LockManager,
-    next_txn: AtomicU64,
+    writers: RwLock<()>,
 }
 
 impl ShardedQueryServer {
@@ -1098,8 +1100,7 @@ impl ShardedQueryServer {
                 transitions: Vec::new(),
                 checkpoint: None,
             })),
-            locks: LockManager::new(),
-            next_txn: AtomicU64::new(1),
+            writers: RwLock::new(()),
         }
     }
 
@@ -1110,9 +1111,29 @@ impl ShardedQueryServer {
         self.snapshot.lock().clone()
     }
 
-    /// A fresh writer-transaction id for the 2PL lock manager.
-    fn txn(&self) -> u64 {
-        self.next_txn.fetch_add(1, Ordering::Relaxed)
+    /// Run `f` on one shard's replica as an in-epoch writer: gate shared,
+    /// snapshot pinned after the gate, slot write-locked.
+    fn write_shard<R>(&self, shard: usize, f: impl FnOnce(&mut QueryServer) -> R) -> R {
+        let _gate = self.writers.read();
+        let snap = self.current();
+        let mut qs = snap.shards[shard].qs.write();
+        f(&mut qs)
+    }
+
+    /// Build an answer against one pinned epoch, rebuilding it if an epoch
+    /// transition swapped the snapshot meanwhile, so whatever is returned is
+    /// single-epoch.
+    fn read_epoch<R>(
+        &self,
+        build: impl Fn(&EpochSnapshot) -> Result<R, QueryError>,
+    ) -> Result<R, QueryError> {
+        loop {
+            let snap = self.current();
+            let answer = build(&snap)?;
+            if Arc::ptr_eq(&snap, &self.current()) {
+                return Ok(answer);
+            }
+        }
     }
 
     /// The partition this server follows (a copy of the certified map —
@@ -1145,14 +1166,7 @@ impl ShardedQueryServer {
     /// whose freshness window reaches past the cut ship the checkpoint as
     /// their run anchor.
     pub fn apply_checkpoint(&self, shard: usize, ckpt: SummaryCheckpoint) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
-        self.current().shards[shard]
-            .qs
-            .write()
-            .apply_checkpoint(ckpt);
-        self.locks.release_all(txn);
+        self.write_shard(shard, |qs| qs.apply_checkpoint(ckpt));
     }
 
     /// Cross one epoch transition in place: validate the package's shape
@@ -1172,19 +1186,12 @@ impl ShardedQueryServer {
         if self.mode != SigningMode::Chained {
             return Err(QueryError::Unsupported);
         }
-        // An epoch transition is the one whole-index writer: take the root
-        // exclusively, draining in-flight per-shard writers and excluding
-        // new ones until the new snapshot is published. Readers are not
+        // An epoch transition is the one whole-index writer: the gate held
+        // exclusively drains in-flight per-shard writers and excludes new
+        // ones until the new snapshot is published. Readers are not
         // blocked — they keep serving the pinned epoch and restart if they
         // observe the swap mid-query.
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Exclusive);
-        let result = self.apply_rebalance_locked(rb);
-        self.locks.release_all(txn);
-        result
-    }
-
-    fn apply_rebalance_locked(&self, rb: &Rebalance) -> Result<(), QueryError> {
+        let _gate = self.writers.write();
         let snap = self.current();
         let Some(expected_splits) = rb.plan.apply_to(snap.map.splits()) else {
             return Err(QueryError::BadRebalance);
@@ -1288,26 +1295,16 @@ impl ShardedQueryServer {
         f(&self.current().shards[i].qs.read())
     }
 
-    /// Apply a routed update message. Writer ordering is the lock
-    /// manager's: shared on the root (so an epoch transition drains us),
-    /// exclusive on the shard's record of resources, strict-2PL released on
-    /// return.
+    /// Apply a routed update message. Writer ordering: the gate shared (so
+    /// an epoch transition drains us), then the shard's slot write lock.
     pub fn apply(&self, shard: usize, msg: &UpdateMsg) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
-        self.current().shards[shard].qs.write().apply(msg);
-        self.locks.release_all(txn);
+        self.write_shard(shard, |qs| qs.apply(msg));
     }
 
     /// Store a shard's newly published summary (same writer ordering as
     /// [`Self::apply`]).
     pub fn add_summary(&self, shard: usize, s: UpdateSummary) {
-        let txn = self.txn();
-        self.locks.acquire(txn, WHOLE_INDEX, LockMode::Shared);
-        self.locks.acquire(txn, shard as u64, LockMode::Exclusive);
-        self.current().shards[shard].qs.write().add_summary(s);
-        self.locks.release_all(txn);
+        self.write_shard(shard, |qs| qs.add_summary(s));
     }
 
     /// Proof-construction statistics aggregated across every shard, so a
@@ -1352,16 +1349,10 @@ impl ShardedQueryServer {
         hi: i64,
         attrs: &[usize],
     ) -> Result<crate::qs::ProjectionAnswer, QueryError> {
-        loop {
-            let snap = self.current();
-            if snap.shards.len() != 1 {
-                return Err(QueryError::Unsupported);
-            }
-            let answer = snap.shards[0].qs.read().project(lo, hi, attrs)?;
-            if Arc::ptr_eq(&snap, &self.current()) {
-                return Ok(answer);
-            }
-        }
+        self.read_epoch(|snap| match snap.shards.as_slice() {
+            [only] => only.qs.read().project(lo, hi, attrs),
+            _ => Err(QueryError::Unsupported),
+        })
     }
 
     /// Answer one shard's sub-range directly — the per-shard entry point a
@@ -1376,18 +1367,12 @@ impl ShardedQueryServer {
         lo: i64,
         hi: i64,
     ) -> Result<SelectionAnswer, QueryError> {
-        loop {
-            let snap = self.current();
-            if shard >= snap.shards.len() {
-                return Err(QueryError::UnknownShard {
-                    shard: shard as u64,
-                });
-            }
-            let answer = snap.shards[shard].qs.read().select_range(lo, hi)?;
-            if Arc::ptr_eq(&snap, &self.current()) {
-                return Ok(answer);
-            }
-        }
+        self.read_epoch(|snap| match snap.shards.get(shard) {
+            Some(slot) => slot.qs.read().select_range(lo, hi),
+            None => Err(QueryError::UnknownShard {
+                shard: shard as u64,
+            }),
+        })
     }
 
     /// Answer `lo <= Aind <= hi` by fanning out to every overlapping shard.
@@ -1399,8 +1384,7 @@ impl ShardedQueryServer {
     /// the whole fan-out restarts against the new epoch, so the stitched
     /// answer is always single-epoch.
     pub fn select_range(&self, lo: i64, hi: i64) -> Result<ShardedSelectionAnswer, QueryError> {
-        loop {
-            let snap = self.current();
+        self.read_epoch(|snap| {
             let mut parts = Vec::new();
             for (shard, (sub_lo, sub_hi)) in snap.map.overlapping(lo, hi) {
                 parts.push(ShardAnswer {
@@ -1408,15 +1392,11 @@ impl ShardedQueryServer {
                     answer: snap.shards[shard].qs.read().select_range(sub_lo, sub_hi)?,
                 });
             }
-            if Arc::ptr_eq(&snap, &self.current()) {
-                return Ok(ShardedSelectionAnswer {
-                    map: snap.map.clone(),
-                    parts,
-                });
-            }
-            // An epoch transition landed mid-query; rebuild the answer
-            // against the new snapshot.
-        }
+            Ok(ShardedSelectionAnswer {
+                map: snap.map.clone(),
+                parts,
+            })
+        })
     }
 }
 

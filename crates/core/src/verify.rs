@@ -88,7 +88,7 @@
 //! The conformance suites in [`crate::adversary`] exercise every row of
 //! all three tables against a [`crate::adversary::MaliciousServer`] /
 //! [`crate::adversary::MaliciousShardedServer`] (plus the rebalancing
-//! scenarios of `run_rebalance_catalog`).
+//! scenarios of [`crate::adversary::RebalanceTamper`]).
 //!
 //! Four disciplines here are machine-enforced by `authdb-lint` (rule
 //! reference in `crates/lint/src/lib.rs`): the claim pipeline is
@@ -118,7 +118,7 @@ use crate::freshness::{
 use crate::qs::{ProjectionAnswer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{
-    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardedSelectionAnswer,
+    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardScope, ShardedSelectionAnswer,
     GENESIS_EPOCH,
 };
 
@@ -553,31 +553,27 @@ impl Verifier {
         ckpt: Option<&SummaryCheckpoint>,
         now: Tick,
     ) -> Result<Tick, VerifyError> {
-        let Some(ckpt) = ckpt else {
-            return match decoded.check_freshness(rid, ts, self.rho, now) {
-                Freshness::FreshWithin(b) => Ok(b),
-                Freshness::Stale { exposed_by } => Err(VerifyError::Stale { rid, exposed_by }),
-                Freshness::Indeterminate => Err(VerifyError::FreshnessIndeterminate { rid }),
-            };
-        };
-        if ckpt.exposed_after(rid).is_some_and(|p| ts <= p) {
-            return Err(VerifyError::StaleCheckpoint { rid });
-        }
-        if decoded.is_empty() {
-            if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
-                return Err(VerifyError::FreshnessIndeterminate { rid });
+        let indeterminate = VerifyError::FreshnessIndeterminate { rid };
+        if let Some(ckpt) = ckpt {
+            if ckpt.exposed_after(rid).is_some_and(|p| ts <= p) {
+                return Err(VerifyError::StaleCheckpoint { rid });
             }
-            return Ok(now.saturating_sub(ts.max(ckpt.through_ts)));
+            if decoded.is_empty() {
+                if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
+                    return Err(indeterminate);
+                }
+                return Ok(now.saturating_sub(ts.max(ckpt.through_ts)));
+            }
         }
-        let anchor_seq = ckpt.through_seq + 1;
-        match decoded.check_freshness_anchored(rid, ts, self.rho, now, anchor_seq) {
+        let anchor_seq = ckpt.map_or(0, |c| c.through_seq + 1);
+        match decoded.check_freshness(rid, ts, self.rho, now, anchor_seq) {
             Freshness::FreshWithin(b) => Ok(b),
             Freshness::Stale { exposed_by } => Err(VerifyError::Stale { rid, exposed_by }),
-            Freshness::Indeterminate => Err(self.seam_or_indeterminate(
+            Freshness::Indeterminate => Err(seam_or_indeterminate(
                 ts,
                 decoded.first(),
-                anchor_seq,
-                VerifyError::FreshnessIndeterminate { rid },
+                ckpt,
+                indeterminate,
             )),
         }
     }
@@ -594,64 +590,37 @@ impl Verifier {
         ckpt: Option<&SummaryCheckpoint>,
         now: Tick,
     ) -> Result<Tick, VerifyError> {
-        let Some(ckpt) = ckpt else {
-            return match decoded.check_vacancy(proof_ts, self.rho, now) {
-                Freshness::FreshWithin(b) => Ok(b),
-                Freshness::Stale { exposed_by } => Err(VerifyError::StaleVacancy { exposed_by }),
-                Freshness::Indeterminate => Err(VerifyError::VacancyIndeterminate),
-            };
-        };
-        if ckpt.exposed_any().is_some_and(|p| proof_ts <= p) {
-            // Name the rid whose (latest) recorded insertion voided the
-            // claim — the compacted analogue of StaleVacancy's exposing seq.
-            let rid = ckpt
-                .exposure
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &e)| e)
-                .map(|(i, _)| i as u64)
-                .unwrap_or(0);
-            return Err(VerifyError::StaleCheckpoint { rid });
-        }
-        if decoded.is_empty() {
-            if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
-                return Err(VerifyError::VacancyIndeterminate);
+        if let Some(ckpt) = ckpt {
+            if ckpt.exposed_any().is_some_and(|p| proof_ts <= p) {
+                // Name the rid whose (latest) recorded insertion voided the
+                // claim — the compacted analogue of StaleVacancy's exposing
+                // seq.
+                let rid = ckpt
+                    .exposure
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(_, &e)| e)
+                    .map(|(i, _)| i as u64)
+                    .unwrap_or(0);
+                return Err(VerifyError::StaleCheckpoint { rid });
             }
-            return Ok(now.saturating_sub(proof_ts.max(ckpt.through_ts)));
+            if decoded.is_empty() {
+                if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
+                    return Err(VerifyError::VacancyIndeterminate);
+                }
+                return Ok(now.saturating_sub(proof_ts.max(ckpt.through_ts)));
+            }
         }
-        let anchor_seq = ckpt.through_seq + 1;
-        match decoded.check_vacancy_anchored(proof_ts, self.rho, now, anchor_seq) {
+        let anchor_seq = ckpt.map_or(0, |c| c.through_seq + 1);
+        match decoded.check_vacancy(proof_ts, self.rho, now, anchor_seq) {
             Freshness::FreshWithin(b) => Ok(b),
             Freshness::Stale { exposed_by } => Err(VerifyError::StaleVacancy { exposed_by }),
-            Freshness::Indeterminate => Err(self.seam_or_indeterminate(
+            Freshness::Indeterminate => Err(seam_or_indeterminate(
                 proof_ts,
                 decoded.first(),
-                anchor_seq,
+                ckpt,
                 VerifyError::VacancyIndeterminate,
             )),
-        }
-    }
-
-    /// Attribute a checkpoint-anchored Indeterminate verdict: if the run's
-    /// first summary fails every anchor clause (its period does not cover
-    /// `version_ts`, it is not seq 0, and it does not resume at the cut),
-    /// the seam between checkpoint and run is unproven — that is
-    /// [`VerifyError::CheckpointGap`], not plain recency withholding.
-    fn seam_or_indeterminate(
-        &self,
-        version_ts: Tick,
-        first: Option<&UpdateSummary>,
-        anchor_seq: u64,
-        fallback: VerifyError,
-    ) -> VerifyError {
-        match first {
-            Some(f) if !(f.period_start < version_ts || f.seq == 0 || f.seq == anchor_seq) => {
-                VerifyError::CheckpointGap {
-                    expected_seq: anchor_seq,
-                    found_seq: f.seq,
-                }
-            }
-            _ => fallback,
         }
     }
 
@@ -859,11 +828,28 @@ impl Verifier {
         check_fresh: bool,
     ) -> Result<VerifyReport, VerifyError> {
         let claim = self.analyze_selection(lo, hi, ans, now, check_fresh)?;
-        let refs: Vec<&[u8]> = claim.messages.iter().map(|m| m.as_slice()).collect();
-        if !self.pp.verify_aggregate(&refs, &claim.agg) {
+        if !claim.holds(&self.pp) {
             return Err(VerifyError::BadAggregate);
         }
         Ok(claim.report)
+    }
+
+    /// Fold every claim's aggregate into one random-linear-combination
+    /// multi-pairing (BAS; other schemes verify per claim). On a mismatch
+    /// each claim is re-checked on its own to localize the cheat: `Err` is
+    /// the index of the first claim whose aggregate fails.
+    fn fold_claims(&self, claims: &[AnswerClaim], rng: &mut impl rand::Rng) -> Result<(), usize> {
+        let batch: Vec<(&[Vec<u8>], &Signature)> = claims
+            .iter()
+            .map(|c| (c.messages.as_slice(), &c.agg))
+            .collect();
+        if self.pp.verify_aggregate_batch(&batch, rng) {
+            return Ok(());
+        }
+        claims
+            .iter()
+            .position(|c| !c.holds(&self.pp))
+            .map_or(Ok(()), Err)
     }
 
     /// Verify many selection answers at once, amortizing the pairing cost:
@@ -891,22 +877,11 @@ impl Verifier {
                 Err(error) => return Err(BatchFailure { index, error }),
             }
         }
-        let batch: Vec<(&[Vec<u8>], &Signature)> = claims
-            .iter()
-            .map(|c| (c.messages.as_slice(), &c.agg))
-            .collect();
-        if !self.pp.verify_aggregate_batch(&batch, rng) {
-            // Localize: the RLC says at least one aggregate is bad.
-            for (index, c) in claims.iter().enumerate() {
-                let refs: Vec<&[u8]> = c.messages.iter().map(|m| m.as_slice()).collect();
-                if !self.pp.verify_aggregate(&refs, &c.agg) {
-                    return Err(BatchFailure {
-                        index,
-                        error: VerifyError::BadAggregate,
-                    });
-                }
-            }
-        }
+        self.fold_claims(&claims, rng)
+            .map_err(|index| BatchFailure {
+                index,
+                error: VerifyError::BadAggregate,
+            })?;
         Ok(claims.into_iter().map(|c| c.report).collect())
     }
 
@@ -1057,28 +1032,17 @@ impl Verifier {
             // shard's own stream *in this epoch* — another shard's (or
             // another epoch's) genuinely-signed summaries say nothing
             // about this shard's rids under the pinned partition.
-            if a.summaries.iter().any(|s| s.epoch != scope.epoch) {
-                return Err(VerifyError::EpochMismatch { shard });
-            }
-            if a.summaries.iter().any(|s| s.shard != scope.shard) {
-                return Err(VerifyError::ShardMismatch { shard });
-            }
-            if let Some(v) = a.vacancy.as_ref() {
-                if v.epoch != scope.epoch {
-                    return Err(VerifyError::EpochMismatch { shard });
-                }
-                if v.shard != scope.shard {
-                    return Err(VerifyError::ShardMismatch { shard });
-                }
-            }
-            if let Some(c) = a.checkpoint.as_ref() {
-                if c.epoch != scope.epoch {
-                    return Err(VerifyError::EpochMismatch { shard });
-                }
-                if c.shard != scope.shard {
-                    return Err(VerifyError::ShardMismatch { shard });
-                }
-            }
+            domain_bound(
+                &scope,
+                shard,
+                a.summaries.iter().map(|s| (s.epoch, s.shard)),
+            )?;
+            domain_bound(&scope, shard, a.vacancy.iter().map(|v| (v.epoch, v.shard)))?;
+            domain_bound(
+                &scope,
+                shard,
+                a.checkpoint.iter().map(|c| (c.epoch, c.shard)),
+            )?;
             // Seam containment: the DA never signs a neighbour value
             // outside the fences, so a claimed boundary past them is a
             // forgery — caught here before any pairing work.
@@ -1096,19 +1060,8 @@ impl Verifier {
             });
             claims.push(claim);
         }
-        let batch: Vec<(&[Vec<u8>], &Signature)> = claims
-            .iter()
-            .map(|c| (c.messages.as_slice(), &c.agg))
-            .collect();
-        if !self.pp.verify_aggregate_batch(&batch, rng) {
-            // Localize: at least one shard's aggregate is bad.
-            for c in &claims {
-                let refs: Vec<&[u8]> = c.messages.iter().map(|m| m.as_slice()).collect();
-                if !self.pp.verify_aggregate(&refs, &c.agg) {
-                    return Err(VerifyError::BadAggregate);
-                }
-            }
-        }
+        self.fold_claims(&claims, rng)
+            .map_err(|_| VerifyError::BadAggregate)?;
         Ok(PartialVerdict { tiles, report })
     }
 
@@ -1171,6 +1124,56 @@ struct AnswerClaim {
     messages: Vec<Vec<u8>>,
     agg: Signature,
     report: VerifyReport,
+}
+
+impl AnswerClaim {
+    /// Whether the aggregate covers exactly the claimed messages.
+    fn holds(&self, pp: &PublicParams) -> bool {
+        let refs: Vec<&[u8]> = self.messages.iter().map(|m| m.as_slice()).collect();
+        pp.verify_aggregate(&refs, &self.agg)
+    }
+}
+
+/// Attribute an Indeterminate verdict. Without a checkpoint it is plain
+/// `fallback`. With one: if the run's first summary fails every anchor
+/// clause (its period does not cover `version_ts`, it is not seq 0, and it
+/// does not resume at the cut), the seam between checkpoint and run is
+/// unproven — that is [`VerifyError::CheckpointGap`], not plain recency
+/// withholding.
+fn seam_or_indeterminate(
+    version_ts: Tick,
+    first: Option<&UpdateSummary>,
+    ckpt: Option<&SummaryCheckpoint>,
+    fallback: VerifyError,
+) -> VerifyError {
+    let (Some(f), Some(ckpt)) = (first, ckpt) else {
+        return fallback;
+    };
+    let anchor_seq = ckpt.through_seq + 1;
+    if f.period_start < version_ts || f.seq == 0 || f.seq == anchor_seq {
+        return fallback;
+    }
+    VerifyError::CheckpointGap {
+        expected_seq: anchor_seq,
+        found_seq: f.seq,
+    }
+}
+
+/// The `(epoch, shard)` tags of one group of a part's freshness artifacts
+/// must all be `scope`'s own; a foreign epoch anywhere in the group
+/// outranks a foreign shard.
+fn domain_bound(
+    scope: &ShardScope,
+    shard: usize,
+    tags: impl Iterator<Item = (u64, u64)> + Clone,
+) -> Result<(), VerifyError> {
+    if tags.clone().any(|(epoch, _)| epoch != scope.epoch) {
+        return Err(VerifyError::EpochMismatch { shard });
+    }
+    if tags.into_iter().any(|(_, tag)| tag != scope.shard) {
+        return Err(VerifyError::ShardMismatch { shard });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

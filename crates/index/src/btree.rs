@@ -31,7 +31,7 @@
 //! re-decodes fresh bytes. There is no other write path. Concurrent use is
 //! safe because callers follow the workspace-wide discipline: writers take
 //! a tree exclusively (`&mut self` methods; the sharded server orders them
-//! via 2PL on the shard's `RwLock`), while concurrent readers only ever run
+//! through the shard's `RwLock`), while concurrent readers only ever run
 //! against a tree no writer holds — a reader can observe the cache, but
 //! never mid-mutation state, and invalidation happens-before any subsequent
 //! reader lock acquisition. Snapshot readers therefore cannot see a stale

@@ -39,8 +39,9 @@
 //!
 //! 1. **Per-shard snapshots** (`authdb_core::shard`). Readers pin an
 //!    immutable epoch snapshot (`Arc`) and build proofs against it; the
-//!    DA-side writer applies updates under per-shard 2PL and publishes a
-//!    certified rebalance by swapping the snapshot pointer once. A query
+//!    DA-side writer applies updates under the shard's write lock and
+//!    publishes a certified rebalance by swapping the snapshot pointer once
+//!    (one writer gate orders the two). A query
 //!    that straddles a swap restarts against the new epoch — honest
 //!    answers are never rejected, and every proof is single-epoch.
 //! 2. **Connection multiplexing** (`Request::Tagged`). A client pipelines

@@ -14,8 +14,8 @@
 //!    answer, and re-soliciting it blindly would let a tampering server
 //!    use "retry" as a second chance to be believed.
 //! 3. **Only idempotent requests are retried.** [`ResilientClient`]
-//!    exposes selections, projections, stats, epoch, and ping — not
-//!    `Rebalance`. A retried rebalance whose first attempt actually landed
+//!    exposes selections, projections, stats, epoch, checkpoint, and ping
+//!    — not `Rebalance`. A retried rebalance whose first attempt actually landed
 //!    would be refused as a stale epoch, but the restriction keeps the
 //!    reasoning local: nothing retried here mutates the server.
 //!
@@ -29,7 +29,7 @@
 use std::time::Duration;
 
 use authdb_core::qs::{ProjectionAnswer, QsStats, SelectionAnswer};
-use authdb_core::shard::{EpochTransition, ShardMap, ShardedSelectionAnswer};
+use authdb_core::shard::{EpochBootstrap, EpochTransition, ShardMap, ShardedSelectionAnswer};
 use authdb_wire::DEFAULT_MAX_FRAME_LEN;
 
 use crate::client::QsClient;
@@ -273,6 +273,12 @@ impl ResilientClient {
     /// The server's live epoch (map + transition chain from genesis).
     pub fn epoch(&mut self) -> Result<(ShardMap, Vec<EpochTransition>), NetError> {
         self.with_retries(|c| c.epoch())
+    }
+
+    /// The server's O(1) client-bootstrap bundle (live map, latest
+    /// transition, epoch checkpoint) for `EpochView::from_bootstrap`.
+    pub fn checkpoint(&mut self) -> Result<EpochBootstrap, NetError> {
+        self.with_retries(|c| c.checkpoint())
     }
 
     /// The target address string (re-resolved on every attempt: a failed

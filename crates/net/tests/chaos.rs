@@ -24,11 +24,12 @@ use rand::SeedableRng;
 use authdb_core::da::{DaConfig, SigningMode};
 use authdb_core::qs::QsOptions;
 use authdb_core::record::Schema;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{
-    ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions, ShardFanout,
+    ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions,
+    ResilientClient, ShardFanout,
 };
 
 fn cfg() -> DaConfig {
@@ -130,6 +131,31 @@ fn random_script(seed: u64, len: usize, chaos_pct: u64) -> (Vec<Fault>, bool) {
         })
         .collect();
     (script, corrupting)
+}
+
+/// A retrying client reaches PR 10's O(1) bootstrap: the first connection
+/// is refused, the retried `checkpoint()` bundle pins the live epoch.
+#[test]
+fn retried_checkpoint_bundle_bootstraps_the_live_epoch() {
+    let mut sys = build();
+    let rb = sys
+        .sa
+        .rebalance(RebalancePlan::Split { shard: 0, at: 50 }, 2);
+    sys.server
+        .with_server(|sqs| sqs.apply_rebalance(&rb))
+        .expect("honest rebalance applies");
+    sys.proxies[0].set_plan(FaultPlan::from_script(vec![Fault::RefuseConnect]));
+
+    let mut client = ResilientClient::new(sys.proxies[0].addr().to_string(), sys.config.clone());
+    let boot = client.checkpoint().expect("second attempt gets through");
+    assert_eq!(client.attempts(), 2, "one refused connect, one retry");
+    assert!(
+        boot.checkpoint.is_some(),
+        "past genesis the bundle is checkpointed"
+    );
+    let view = EpochView::from_bootstrap(&boot, &sys.sa.public_params()).expect("bundle verifies");
+    assert_eq!(view.epoch(), sys.sa.map().epoch());
+    assert_eq!(view.map_hash(), &sys.sa.map().hash());
 }
 
 proptest! {

@@ -1,16 +1,14 @@
-//! Real-thread concurrency tests: the lock-granularity asymmetry that the
-//! paper's throughput results rest on, exercised with actual threads and
-//! the 2PL lock manager — plus the end-to-end stress tests for the
-//! snapshot-concurrent sharded server: multiplexed TCP query streams
-//! racing live certified rebalances, and the load-driven auto-rebalancer
-//! splitting a hot shard under skew, with zero rejected honest answers.
+//! Real-thread concurrency tests: verified reads beside a live update
+//! stream, and the end-to-end stress tests for the snapshot-concurrent
+//! sharded server: multiplexed TCP query streams racing live certified
+//! rebalances, and the load-driven auto-rebalancer splitting a hot shard
+//! under skew, with zero rejected honest answers.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use authdb::core::locks::{LockManager, LockMode, WHOLE_INDEX};
 use parking_lot::{Mutex, RwLock};
 
 use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
@@ -23,76 +21,6 @@ use authdb::crypto::signer::SchemeKind;
 use authdb_net::{AutoRebalanceDriver, NetError, QsClient, QsServer, QsServerOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Simulated service time under a lock (stands in for digest propagation).
-const HOLD: Duration = Duration::from_micros(300);
-
-/// EMB--style locking: every update takes WHOLE_INDEX exclusively.
-/// BAS-style locking: updates lock only their record.
-/// Same offered work, wall-clock compared.
-#[test]
-fn record_level_locking_outscales_root_locking() {
-    let updates_per_thread = 60;
-    let threads = 4;
-
-    let run = |root_lock: bool| {
-        let lm = LockManager::new();
-        let done = Arc::new(AtomicU64::new(0));
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let lm = lm.clone();
-                let done = done.clone();
-                s.spawn(move || {
-                    for i in 0..updates_per_thread {
-                        let txn = (t * 1_000_000 + i) as u64;
-                        let resource = if root_lock {
-                            WHOLE_INDEX
-                        } else {
-                            (t * 1_000_000 + i) as u64 // distinct records
-                        };
-                        lm.acquire(txn, resource, LockMode::Exclusive);
-                        std::thread::sleep(HOLD);
-                        lm.release_all(txn);
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            done.load(Ordering::Relaxed),
-            (threads * updates_per_thread) as u64
-        );
-        start.elapsed()
-    };
-
-    let emb_style = run(true);
-    let bas_style = run(false);
-    // Root locking serializes all threads; record locking runs them in
-    // parallel. Demand at least a 2x separation (true value ~ threads).
-    assert!(
-        emb_style > bas_style.mul_f64(2.0),
-        "root-locked {emb_style:?} vs record-locked {bas_style:?}"
-    );
-}
-
-#[test]
-fn readers_proceed_during_record_level_updates() {
-    // Queries (shared on their records) are never blocked by updates to
-    // *other* records.
-    let lm = LockManager::new();
-    lm.acquire(1, 42, LockMode::Exclusive); // update in flight on record 42
-    let lm2 = lm.clone();
-    let t = std::thread::spawn(move || {
-        // Reader of records 0..10: must acquire instantly.
-        for r in 0..10 {
-            assert!(lm2.try_acquire_for(2, r, LockMode::Shared, Duration::from_millis(100)));
-        }
-        lm2.release_all(2);
-    });
-    t.join().unwrap();
-    lm.release_all(1);
-}
 
 #[test]
 fn concurrent_queries_verify_during_update_stream() {
