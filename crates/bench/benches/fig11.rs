@@ -10,14 +10,13 @@
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, full_scale};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::join::{
     execute_join, partition_certification_message, verify_join, viability, JoinMethod,
 };
 use authdb_core::qs::QueryServer;
 use authdb_core::record::Schema;
 use authdb_core::verify::Verifier;
-use authdb_crypto::signer::SchemeKind;
 use authdb_filters::partitioned::PartitionedFilters;
 use authdb_workload::tpce;
 use rand::rngs::StdRng;
@@ -36,24 +35,15 @@ fn build_s(i_b: usize, n_s: usize) -> JoinBed {
     let mut rng = StdRng::seed_from_u64(11);
     let cfg = DaConfig {
         schema,
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: 1,
         rho_prime: 1_000_000,
         buffer_pages: 32768,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut s_da = DataAggregator::new(cfg, &mut rng);
     let s_boot = s_da.bootstrap(tpce::s_rows(n_s, i_b), 4);
-    let s_qs = QueryServer::from_bootstrap(
-        s_da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &s_boot,
-        32768,
-        2.0 / 3.0,
-    );
-    let s_verifier = Verifier::new(s_da.public_params(), schema, 1);
+    let s_qs = s_da.replica(&s_boot);
+    let s_verifier = s_da.verifier();
     JoinBed {
         schema,
         s_da,
@@ -74,24 +64,15 @@ fn build_r(n_r: usize, i_b: usize, alpha: f64) -> RSide {
     let mut rng = StdRng::seed_from_u64(13);
     let cfg = DaConfig {
         schema,
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: 1,
         rho_prime: 1_000_000,
         buffer_pages: 8192,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut da = DataAggregator::new(cfg, &mut rng);
     let boot = da.bootstrap(tpce::r_rows(n_r, i_b, alpha, &mut rng), 4);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        8192,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 1);
+    let qs = da.replica(&boot);
+    let verifier = da.verifier();
     RSide { qs, verifier, n_r }
 }
 
@@ -123,6 +104,7 @@ fn one_join(
             0,
             hi,
             &ans,
+            0, // R is static: its DA's clock never leaves 0
         )
         .expect("join verifies");
         sizes[i] = ans.paper_vo_size(&bed.schema, 4);

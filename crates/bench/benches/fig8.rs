@@ -8,9 +8,7 @@
 //! bottoming out around ρ′ = 900 s at ρ = 1 s.
 
 use authdb_bench::{banner, csv_begin, csv_end, env_n, fmt_bytes};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb_core::record::Schema;
-use authdb_crypto::signer::SchemeKind;
+use authdb_core::da::{DaConfig, DataAggregator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,13 +27,10 @@ fn run_cell(n: usize, rho_seconds: f64, rho_prime_ratio: u64, upd_per_sec: f64) 
     let rho_ticks = (rho_seconds * ticks_per_sec) as u64;
     let rho_prime_ticks = rho_ticks * rho_prime_ratio;
     let cfg = DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: rho_ticks,
         rho_prime: rho_prime_ticks,
         buffer_pages: 8192,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(rho_prime_ratio + rho_ticks);
     let mut da = DataAggregator::new(cfg, &mut rng);

@@ -14,9 +14,7 @@ use std::time::Instant;
 
 use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
 use authdb_core::adversary::Tamper;
-use authdb_core::da::{DataAggregator, SigningMode};
-use authdb_core::qs::QueryServer;
-use authdb_core::verify::Verifier;
+use authdb_core::da::DataAggregator;
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +38,7 @@ fn main() {
         span + 1
     );
     let cfg = chained_cfg(SchemeKind::Bas);
-    let schema = cfg.schema;
+    let _schema = cfg.schema;
     let mut rng = StdRng::seed_from_u64(20);
     let mut da = DataAggregator::new(cfg, &mut rng);
     let t = Instant::now();
@@ -49,15 +47,8 @@ fn main() {
         "  bootstrap ({n} BLS signatures): {}",
         fmt_time(t.elapsed().as_secs_f64())
     );
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        4096,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 10);
+    let qs = da.replica(&boot);
+    let verifier = da.verifier();
 
     let queries: Vec<(i64, i64)> = (0..k as i64)
         .map(|i| {

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs};
 use authdb_core::qs::QsOptions;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{
@@ -167,15 +167,9 @@ fn main() {
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let verifier = sa.verifier();
+    let view = sa.epoch_view();
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
     let mut vrng = StdRng::seed_from_u64(77);
 

@@ -36,10 +36,9 @@ use std::time::Instant;
 
 use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time, print_catalog};
 use authdb_core::adversary::CheckpointTamper;
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb_core::qs::QueryServer;
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::shard::{EpochBootstrap, EpochTransition, RebalancePlan, ShardedAggregator};
-use authdb_core::verify::{EpochView, Verifier};
+use authdb_core::verify::EpochView;
 use authdb_crypto::signer::SchemeKind;
 use authdb_wire::WireEncode;
 use rand::rngs::StdRng;
@@ -151,20 +150,13 @@ fn summary_log() {
         let mut rng = StdRng::seed_from_u64(99);
         let mut da = DataAggregator::new(cfg(), &mut rng);
         let boot = da.bootstrap((0..256i64).map(|i| vec![i, i]).collect(), 2);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            SigningMode::Chained,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
+        let qs = da.replica(&boot);
         (da, qs)
     };
     let (mut da, mut qs) = mk(); // checkpointed
     let (mut fda, mut fqs) = mk(); // never-compacted twin
-    let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
-    let fv = Verifier::new(fda.public_params(), fda.config().schema, fda.config().rho);
+    let v = da.verifier();
+    let fv = fda.verifier();
     let mut period = 0usize;
     let mut max_retained = 0usize;
     for &h in &POINTS {
@@ -175,15 +167,11 @@ fn summary_log() {
             let key = rid as i64;
             for side in [(&mut da, &mut qs), (&mut fda, &mut fqs)] {
                 side.0.advance_clock(2);
-                for m in side.0.update_record(rid, vec![key, period as i64]) {
-                    side.1.apply(&m);
-                }
+                side.1
+                    .apply_all(&side.0.update_record(rid, vec![key, period as i64]));
                 side.0.advance_clock(8);
-                if let Some((s, recerts)) = side.0.maybe_publish_summary() {
-                    side.1.add_summary(s);
-                    for m in recerts {
-                        side.1.apply(&m);
-                    }
+                if let Some(closed) = side.0.maybe_publish_summary() {
+                    side.1.ingest(closed);
                 }
             }
             period += 1;

@@ -29,10 +29,10 @@
 //! classic request/response — the pre-refactor service discipline) is
 //! measured per transport. Acceptance bar: on the client link, 16
 //! connections must deliver at least 4× the serialized aggregate qps.
-//! (Companion numbers: `fig_net` measures the same stack serialized with
-//! BAS crypto and ~128-record answers at 0.26–0.54 ms/query; this bench
-//! uses Mock point lookups so the transport, not the signature scheme,
-//! is the subject.)
+//! (Companion numbers: the ledger's `point_bas` / `range_live_bas`
+//! workloads measure the same stack serialized with BAS crypto
+//! (`net.roundtrip_us`); this bench uses Mock point lookups so the
+//! transport, not the signature scheme, is the subject.)
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time};
 use authdb_core::da::DaConfig;
 use authdb_core::qs::QsOptions;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
@@ -83,16 +83,10 @@ fn system() -> (ShardedAggregator, QsServer, Verifier, EpochView) {
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let verifier = sa.verifier();
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    let view = sa.epoch_view();
     (sa, server, verifier, view)
 }
 

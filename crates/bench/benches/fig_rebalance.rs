@@ -41,15 +41,9 @@ fn two_shard_system(n: i64) -> (ShardedAggregator, ShardedQueryServer, Verifier,
         (0..n).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let v = sa.verifier();
+    let view = sa.epoch_view();
     (sa, sqs, v, view)
 }
 

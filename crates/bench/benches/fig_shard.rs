@@ -26,7 +26,7 @@ use authdb_core::da::{DataAggregator, SigningMode};
 use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions, QueryServer};
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::sigcache::RefreshStrategy;
-use authdb_core::verify::{EpochView, Verifier};
+use authdb_core::verify::Verifier;
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,14 +57,8 @@ fn sharded_system(shards: i64) -> (ShardedAggregator, ShardedQueryServer, Verifi
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let v = sa.verifier();
     (sa, sqs, v)
 }
 
@@ -91,7 +85,7 @@ fn main() {
     let mut answer_by_count = Vec::new();
     for &shards in &[1i64, 2, 4, 8] {
         let (sa, sqs, v) = sharded_system(shards);
-        let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+        let view = sa.epoch_view();
         let mut rng = StdRng::seed_from_u64(9);
 
         let t = Instant::now();
@@ -140,14 +134,7 @@ fn main() {
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let mut plain = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        4096,
-        2.0 / 3.0,
-    );
+    let mut plain = da.replica(&boot);
     let mut cached = QueryServer::with_options(
         da.public_params(),
         da.config().schema,

@@ -9,11 +9,10 @@
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, env_jobs, env_n, fmt_bytes, fmt_time};
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::embsys::{EmbAggregator, EmbServer, EmbVerifier};
 use authdb_core::qs::QueryServer;
 use authdb_core::record::Schema;
-use authdb_core::verify::Verifier;
 use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_index::emb::DigestKind;
 use rand::rngs::StdRng;
@@ -42,11 +41,10 @@ fn main() {
     let cfg = DaConfig {
         schema,
         scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
         rho: 1,
         rho_prime: 900,
         buffer_pages: 16384,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     println!("\nBootstrapping BAS system ({n} BLS signatures)...");
     let t = Instant::now();
@@ -56,15 +54,8 @@ fn main() {
         .collect();
     let boot = da.bootstrap(rows.clone(), jobs);
     println!("  DA certified in {}", fmt_time(t.elapsed().as_secs_f64()));
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        16384,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 1);
+    let mut qs = da.replica(&boot);
+    let verifier = da.verifier();
     let pp = da.public_params();
 
     let bas_cell =
@@ -89,9 +80,7 @@ fn main() {
                 let rid = rng.gen_range(0..n as u64);
                 let new_val = rng.gen_range(0..1_000_000);
                 let t = Instant::now();
-                for m in da.update_record(rid, vec![rid as i64, new_val, 0, 0]) {
-                    qs.apply(&m);
-                }
+                qs.apply_all(&da.update_record(rid, vec![rid as i64, new_val, 0, 0]));
                 update += t.elapsed().as_secs_f64();
             }
             Cell {

@@ -13,8 +13,7 @@
 use std::time::Instant;
 
 use authdb_core::adversary::{run_catalog, Strategy};
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::record::Schema;
+use authdb_core::da::DaConfig;
 use authdb_crypto::signer::SchemeKind;
 
 /// Records for database-scale experiments.
@@ -53,13 +52,10 @@ pub fn full_scale() -> bool {
 /// struct-update syntax.
 pub fn chained_cfg(scheme: SchemeKind) -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
         scheme,
-        mode: SigningMode::Chained,
-        rho: 10,
         rho_prime: 100_000,
         buffer_pages: 4096,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 

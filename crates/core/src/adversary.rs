@@ -30,6 +30,11 @@
 //!   must trust to a signed cut: forged covered-window digest, wrong-epoch
 //!   map replay, gap-straddling cut, chain-break bootstrap, against both
 //!   checkpoint-anchored answers and client-bootstrap bundles.
+//!
+//! The sharded scenarios run against one fixture — [`sharded_system`] driven
+//! by [`run_sharded_timeline`] — which is public so that `authdb-net`'s
+//! fault catalog and loopback tests attack the same deployment over TCP
+//! instead of rebuilding it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -365,13 +370,9 @@ impl MaliciousServer {
 
 fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
         scheme,
         mode,
-        rho: 10,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -385,15 +386,8 @@ fn system(
     let mut rng = StdRng::seed_from_u64(1337);
     let mut da = DataAggregator::new(cfg(scheme, mode), &mut rng);
     let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        mode,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
-    let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+    let qs = da.replica(&boot);
+    let v = da.verifier();
     (da, qs, v)
 }
 
@@ -413,18 +407,13 @@ fn malicious_system(
 /// rid 23 (key 230) at t=14, summaries at t=24 and t=34.
 fn run_timeline(da: &mut DataAggregator, qs: &mut QueryServer) {
     da.advance_clock(12);
-    let (s1, _) = da.maybe_publish_summary().expect("period 0 closes");
-    qs.add_summary(s1);
+    qs.ingest(da.maybe_publish_summary().expect("period 0 closes"));
     da.advance_clock(2);
-    for m in da.update_record(23, vec![230, 777]) {
-        qs.apply(&m);
-    }
+    qs.apply_all(&da.update_record(23, vec![230, 777]));
     da.advance_clock(10);
-    let (s2, _) = da.maybe_publish_summary().expect("period 1 closes");
-    qs.add_summary(s2);
+    qs.ingest(da.maybe_publish_summary().expect("period 1 closes"));
     da.advance_clock(10);
-    let (s3, _) = da.maybe_publish_summary().expect("period 2 closes");
-    qs.add_summary(s3);
+    qs.ingest(da.maybe_publish_summary().expect("period 2 closes"));
 }
 
 /// Run one selection-catalog scenario.
@@ -463,12 +452,10 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     mal.capture_selection(0, 100);
     // ...then the world moves on: an insert lands and is summarized.
     da.advance_clock(3);
-    for m in da.insert(vec![50, 1]) {
-        mal.inner_mut().apply(&m);
-    }
+    mal.inner_mut().apply_all(&da.insert(vec![50, 1]));
     da.advance_clock(9);
-    let (s1, _) = da.maybe_publish_summary().expect("period closes");
-    mal.inner_mut().add_summary(s1);
+    mal.inner_mut()
+        .ingest(da.maybe_publish_summary().expect("period closes"));
     let now = da.now();
     let tampered = mal.select_range(0, 100);
     let outcome = v.verify_selection(0, 100, &tampered, now, true);
@@ -662,44 +649,40 @@ impl MaliciousShardedServer {
     }
 }
 
-/// The two-shard deployment (40 records, keys `i·10`, split at key 200)
-/// the sharded scenarios share, with the rng that keyed it.
-fn sharded_system(scheme: SchemeKind) -> (StdRng, ShardedAggregator, ShardedQueryServer, Verifier) {
+/// The sharded deployment every scripted scenario shares — the catalogs
+/// here, `authdb-net`'s fault catalog, and its loopback tests: `n` records
+/// (keys `i·10`) in `shards` equal key ranges under [`DaConfig::small`]
+/// with `scheme`, keyed by a fixed seed, plus the DA's honest replica,
+/// verifier and genesis view.
+pub fn sharded_system(
+    scheme: SchemeKind,
+    shards: i64,
+    n: i64,
+) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
     let mut rng = StdRng::seed_from_u64(1337);
-    let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), vec![200], &mut rng);
-    let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
-    (rng, sa, sqs, v)
+    let splits = (1..shards).map(|i| i * n * 10 / shards).collect();
+    let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), splits, &mut rng);
+    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let (v, view) = (sa.verifier(), sa.epoch_view());
+    (sa, sqs, v, view)
 }
 
 /// Advance the DA by `dt` and forward whatever summaries fall due.
-fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
+pub fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
     sa.advance_clock(dt);
-    for (s, summary, recerts) in sa.maybe_publish_summaries() {
-        sqs.add_summary(s, summary);
-        for m in recerts {
-            sqs.apply(s, &m);
-        }
-    }
+    sqs.ingest(sa.maybe_publish_summaries());
 }
 
-/// The shared three-period timeline, sharded: summaries at t=12, an update
-/// to shard 1's record with key 250 (local rid 5) at t=14, summaries at
-/// t=24 and t=34.
-fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
+/// The shared three-period timeline, sharded: summaries at t=12; at t=14
+/// shard 1's second record (local rid 1) moves five keys up — a key change
+/// inside the shard that re-chains its neighbours; summaries at t=24 and
+/// t=34.
+pub fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
     tick_and_publish(sa, sqs, 12);
     sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(1, 5, vec![250, 777]);
-    for (s, m) in msgs {
-        sqs.apply(s, &m);
-    }
+    let (_, msgs) = sa.update_record(1, 1, vec![sa.map().splits()[0] + 15, 777]);
+    sqs.apply_all(&msgs);
     tick_and_publish(sa, sqs, 10);
     tick_and_publish(sa, sqs, 10);
 }
@@ -708,7 +691,8 @@ fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
 fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardTamper> {
-    let (mut rng, mut sa, sqs, v) = sharded_system(scheme);
+    let mut rng = StdRng::seed_from_u64(1337);
+    let (mut sa, sqs, v, view) = sharded_system(scheme, 2, 40);
     let mut mal = MaliciousShardedServer::new(sqs, tamper);
     let (lo, hi) = (150, 250);
     // Replays hoard the pre-update fan-out.
@@ -720,7 +704,6 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardT
     }
     run_sharded_timeline(&mut sa, mal.inner_mut());
     let now = sa.now();
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
     let tampered = mal.select_range(lo, hi);
     let outcome = v.verify_sharded_selection(lo, hi, &tampered, &view, now, true, &mut rng);
     let honest = mal.inner_mut().select_range(lo, hi).expect("chained mode");
@@ -798,9 +781,9 @@ impl Strategy for RebalanceTamper {
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
 fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance<RebalanceTamper> {
-    let (mut rng, mut sa, sqs, v) = sharded_system(scheme);
+    let mut rng = StdRng::seed_from_u64(1337);
+    let (mut sa, sqs, v, mut view) = sharded_system(scheme, 2, 40);
     let pp = sa.public_params();
-    let mut view = EpochView::genesis(sa.map(), &pp).expect("genesis view");
     // The shared timeline: summaries exist, an update lands in shard 1.
     run_sharded_timeline(&mut sa, &sqs);
     // Epoch-1 state the attacker hoards on the eve of the transition: a
@@ -986,7 +969,7 @@ fn checkpoint_bootstrap_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
 ) -> Conformance<CheckpointTamper> {
-    let (_, mut sa, sqs, _) = sharded_system(scheme);
+    let (mut sa, sqs, _, _) = sharded_system(scheme, 2, 40);
     let pp = sa.public_params();
     let genesis_map = sa.map().clone();
     let rb1 = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);

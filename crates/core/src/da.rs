@@ -42,8 +42,10 @@ use authdb_index::{new_asign, ASignTree};
 use authdb_storage::{BufferPool, Disk, HeapFile};
 
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
+use crate::qs::{QsOptions, QueryServer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::ShardScope;
+use crate::verify::Verifier;
 
 /// What the per-record signature binds (Section 3.2: "what exactly sn is
 /// computed on depends on the operations we want to support").
@@ -86,6 +88,22 @@ impl DaConfig {
             rho: 1,
             rho_prime: 900,
             buffer_pages: 4096,
+            fill: 2.0 / 3.0,
+        }
+    }
+
+    /// A small relation for tests, scenarios and benches: 64-byte records
+    /// with 2 attributes, Mock signatures, chained mode, ρ = 10,
+    /// ρ′ = 10 000, a 256-page pool. Deviate by struct update:
+    /// `DaConfig { scheme, ..DaConfig::small() }`.
+    pub fn small() -> Self {
+        DaConfig {
+            schema: Schema::new(2, 64),
+            scheme: SchemeKind::Mock,
+            mode: SigningMode::Chained,
+            rho: 10,
+            rho_prime: 10_000,
+            buffer_pages: 256,
             fill: 2.0 / 3.0,
         }
     }
@@ -239,6 +257,32 @@ impl DataAggregator {
     /// The configuration.
     pub fn config(&self) -> &DaConfig {
         &self.cfg
+    }
+
+    /// The query-server replica this aggregator's bootstrap output fits:
+    /// built under its public parameters, `schema`, `mode` and scope, with
+    /// the aggregator's own `buffer_pages` and `fill`.
+    /// [`QueryServer::with_options`] remains the way to deviate (a different
+    /// pool, the aggregate cache, the node cache).
+    pub fn replica(&self, boot: &Bootstrap) -> QueryServer {
+        QueryServer::with_options(
+            self.public_params(),
+            self.cfg.schema,
+            self.cfg.mode,
+            boot,
+            QsOptions {
+                buffer_pages: self.cfg.buffer_pages,
+                fill: self.cfg.fill,
+                scope: self.scope,
+                ..QsOptions::default()
+            },
+        )
+    }
+
+    /// The verifier a user of this aggregator's relation runs: its public
+    /// parameters, `schema` and ρ.
+    pub fn verifier(&self) -> Verifier {
+        Verifier::new(self.public_params(), self.cfg.schema, self.cfg.rho)
     }
 
     /// Current logical time.
@@ -972,13 +1016,8 @@ mod tests {
 
     fn small_cfg() -> DaConfig {
         DaConfig {
-            schema: Schema::new(2, 64),
-            scheme: SchemeKind::Mock,
-            mode: SigningMode::Chained,
-            rho: 10,
             rho_prime: 100,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
+            ..DaConfig::small()
         }
     }
 

@@ -21,7 +21,7 @@ use authdb_filters::partitioned::{PartitionedFilters, Probe};
 
 use crate::da::DataAggregator;
 use crate::qs::{GapProof, QueryServer, SelectionAnswer};
-use crate::record::{Record, Schema};
+use crate::record::{Record, Schema, Tick};
 use crate::verify::{Verifier, VerifyError};
 
 /// Which absence-proof mechanism the server uses.
@@ -321,7 +321,8 @@ pub fn execute_join(
     }
 }
 
-/// Client-side join verification.
+/// Client-side join verification at logical time `now`.
+#[allow(clippy::too_many_arguments)]
 pub fn verify_join(
     verifier_r: &Verifier,
     verifier_s_pp: &PublicParams,
@@ -330,9 +331,11 @@ pub fn verify_join(
     lo: i64,
     hi: i64,
     ans: &JoinAnswer,
+    now: Tick,
 ) -> Result<(), VerifyError> {
-    // 1. The R side is an ordinary authenticated selection.
-    verifier_r.verify_selection(lo, hi, &ans.r, 0, false)?;
+    // 1. The R side is an ordinary authenticated selection, freshness
+    //    included: its attached summaries expose a replayed R version.
+    verifier_r.verify_selection(lo, hi, &ans.r, now, true)?;
 
     // 2. Every distinct R.A value must have exactly one disposition.
     let mut values: Vec<i64> = ans.r.records.iter().map(|r| r.attrs[ans.attr_a]).collect();
@@ -513,9 +516,7 @@ pub mod viability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::{DaConfig, SigningMode};
-    use crate::record::Schema;
-    use authdb_crypto::signer::SchemeKind;
+    use crate::da::DaConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -523,32 +524,12 @@ mod tests {
     /// S: records with B = multiples of 3 in 0..120, two records per value.
     fn setup(method: JoinMethod) -> (QueryServer, Verifier, JoinPublisher, QueryServer, Verifier) {
         let mut rng = StdRng::seed_from_u64(41);
-        let r_cfg = DaConfig {
-            schema: Schema::new(2, 64),
-            scheme: SchemeKind::Mock,
-            mode: SigningMode::Chained,
-            rho: 10,
-            rho_prime: 1000,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
-        };
-        let mut r_da = DataAggregator::new(r_cfg.clone(), &mut rng);
+        let mut r_da = DataAggregator::new(DaConfig::small(), &mut rng);
         let r_boot = r_da.bootstrap((0..40).map(|i| vec![i, i * 2]).collect(), 2);
-        let r_qs = QueryServer::from_bootstrap(
-            r_da.public_params(),
-            r_cfg.schema,
-            SigningMode::Chained,
-            &r_boot,
-            256,
-            2.0 / 3.0,
-        );
-        let r_verifier = Verifier::new(r_da.public_params(), r_cfg.schema, 10);
+        let r_qs = r_da.replica(&r_boot);
+        let r_verifier = r_da.verifier();
 
-        let s_cfg = DaConfig {
-            schema: Schema::new(2, 64),
-            ..r_cfg
-        };
-        let mut s_da = DataAggregator::new(s_cfg.clone(), &mut rng);
+        let mut s_da = DataAggregator::new(DaConfig::small(), &mut rng);
         let s_rows: Vec<Vec<i64>> = (0..40)
             .flat_map(|i| {
                 let b = i * 3;
@@ -556,15 +537,8 @@ mod tests {
             })
             .collect();
         let s_boot = s_da.bootstrap(s_rows, 2);
-        let s_qs = QueryServer::from_bootstrap(
-            s_da.public_params(),
-            s_cfg.schema,
-            SigningMode::Chained,
-            &s_boot,
-            256,
-            2.0 / 3.0,
-        );
-        let s_verifier = Verifier::new(s_da.public_params(), s_cfg.schema, 10);
+        let s_qs = s_da.replica(&s_boot);
+        let s_verifier = s_da.verifier();
         let publisher = JoinPublisher::new(s_da, 8, 8.0);
         let _ = method;
         (r_qs, r_verifier, publisher, s_qs, s_verifier)
@@ -598,6 +572,7 @@ mod tests {
             0,
             39,
             ans,
+            0,
         )
     }
 
@@ -675,6 +650,54 @@ mod tests {
             verify(&ans, &r_v, &s_v, &schema),
             Err(VerifyError::BadAggregate)
         );
+    }
+
+    /// The R side's freshness is checked at the caller's `now`: an R server
+    /// replaying its pre-update answer two summaries later is exposed by
+    /// the summaries the answer must carry.
+    #[test]
+    fn replayed_r_version_rejected_as_stale() {
+        let (_, _, publisher, mut s_qs, s_v) = setup(JoinMethod::BloomFilter);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut r_da = DataAggregator::new(DaConfig::small(), &mut rng);
+        let r_boot = r_da.bootstrap((0..40).map(|i| vec![i, i * 2]).collect(), 2);
+        let mut r_qs = r_da.replica(&r_boot);
+        let r_v = r_da.verifier();
+        let hoarded = r_qs.select_range(0, 39).unwrap();
+        r_da.advance_clock(5);
+        r_qs.apply_all(&r_da.update_record(7, vec![7, 15]));
+        for _ in 0..2 {
+            r_da.advance_clock(10);
+            r_qs.ingest(r_da.maybe_publish_summary().expect("period closes"));
+        }
+        let now = r_da.now();
+        let schema = Schema::new(2, 64);
+        let mut check = |r_ans: SelectionAnswer| {
+            let ans = execute_join(
+                r_ans,
+                1,
+                &mut s_qs,
+                publisher.filters(),
+                publisher.partition_sigs(),
+                JoinMethod::BloomFilter,
+            );
+            verify_join(
+                &r_v,
+                s_v.public_params(),
+                &schema,
+                partition_certification_message,
+                0,
+                39,
+                &ans,
+                now,
+            )
+        };
+        check(r_qs.select_range(0, 39).unwrap()).expect("current R version joins");
+        // The client fetches the current summaries itself, so the replayer
+        // cannot avoid attaching them.
+        let mut replayed = hoarded;
+        replayed.summaries = r_qs.summaries().to_vec();
+        assert!(matches!(check(replayed), Err(VerifyError::Stale { .. })));
     }
 
     #[test]

@@ -487,29 +487,10 @@ pub struct QueryServer {
 }
 
 impl QueryServer {
-    /// Build a server replica from a DA bootstrap snapshot.
-    pub fn from_bootstrap(
-        pp: PublicParams,
-        schema: Schema,
-        mode: SigningMode,
-        boot: &Bootstrap,
-        buffer_pages: usize,
-        fill: f64,
-    ) -> Self {
-        Self::with_options(
-            pp,
-            schema,
-            mode,
-            boot,
-            QsOptions {
-                buffer_pages,
-                fill,
-                ..QsOptions::default()
-            },
-        )
-    }
-
-    /// Build a server replica with full control over scope and caching.
+    /// Build a server replica from a DA bootstrap snapshot, with full
+    /// control over pool, scope and caching.
+    /// [`DataAggregator::replica`](crate::da::DataAggregator::replica)
+    /// calls this with the DA's own parameters.
     pub fn with_options(
         pp: PublicParams,
         schema: Schema,
@@ -683,9 +664,25 @@ impl QueryServer {
         }
     }
 
+    /// Apply a batch of update messages in order — what the DA's `insert`,
+    /// `update_record`, `delete_record` and renewal calls return.
+    pub fn apply_all(&mut self, msgs: &[UpdateMsg]) {
+        for m in msgs {
+            self.apply(m);
+        }
+    }
+
     /// Store a newly published certified summary.
     pub fn add_summary(&mut self, s: UpdateSummary) {
         self.summaries.push(Arc::new(s));
+    }
+
+    /// Ingest one closed period as
+    /// [`maybe_publish_summary`](crate::da::DataAggregator::maybe_publish_summary)
+    /// returns it: store the summary, then apply its re-certifications.
+    pub fn ingest(&mut self, (summary, recerts): (UpdateSummary, Vec<UpdateMsg>)) {
+        self.add_summary(summary);
+        self.apply_all(&recerts);
     }
 
     /// The stored certified summaries, oldest first.
@@ -977,19 +974,13 @@ mod tests {
     use super::*;
     use crate::da::{DaConfig, DataAggregator};
     use crate::record::{KEY_NEG_INF, KEY_POS_INF};
-    use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn cfg(mode: SigningMode) -> DaConfig {
         DaConfig {
-            schema: Schema::new(2, 64),
-            scheme: SchemeKind::Mock,
             mode,
-            rho: 10,
-            rho_prime: 1000,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
+            ..DaConfig::small()
         }
     }
 
@@ -997,14 +988,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut da = DataAggregator::new(cfg(mode), &mut rng);
         let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            mode,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
+        let qs = da.replica(&boot);
         (da, qs)
     }
 
@@ -1057,17 +1041,13 @@ mod tests {
         let (mut da, mut qs) = system(1, SigningMode::Chained);
         assert!(qs.select_range(0, 100).unwrap().vacancy.is_none());
         da.advance_clock(3);
-        for m in da.delete_record(0) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.delete_record(0));
         let ans = qs.select_range(0, 100).unwrap();
         assert!(ans.gap.is_none());
         let vac = ans.vacancy.expect("delete emptied the table");
         assert_eq!(vac.ts, 3);
         da.advance_clock(1);
-        for m in da.insert(vec![55, 9]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.insert(vec![55, 9]));
         assert!(qs.select_range(200, 300).unwrap().vacancy.is_none());
         assert!(qs.select_range(200, 300).unwrap().gap.is_some());
     }
@@ -1076,9 +1056,7 @@ mod tests {
     fn updates_flow_to_answers() {
         let (mut da, mut qs) = system(50, SigningMode::Chained);
         da.advance_clock(5);
-        for m in da.update_record(25, vec![250, 4242]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(25, vec![250, 4242]));
         let ans = qs.select_range(250, 250).unwrap();
         assert_eq!(ans.records.len(), 1);
         assert_eq!(ans.records[0].attrs[1], 4242);
@@ -1089,14 +1067,10 @@ mod tests {
     fn inserts_and_deletes_flow() {
         let (mut da, mut qs) = system(50, SigningMode::Chained);
         da.advance_clock(1);
-        for m in da.insert(vec![255, 1]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.insert(vec![255, 1]));
         let ans = qs.select_range(255, 255).unwrap();
         assert_eq!(ans.records.len(), 1);
-        for m in da.delete_record(ans.records[0].rid) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.delete_record(ans.records[0].rid));
         let ans = qs.select_range(255, 255).unwrap();
         assert!(ans.records.is_empty());
     }
@@ -1105,15 +1079,11 @@ mod tests {
     fn summaries_attached_since_oldest_record() {
         let (mut da, mut qs) = system(20, SigningMode::Chained);
         da.advance_clock(15);
-        let (s, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(3);
-        for m in da.update_record(5, vec![50, 9]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(5, vec![50, 9]));
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         let ans = qs.select_range(0, 1000).unwrap();
         // Oldest record ts = 0, so both summaries attach.
         assert_eq!(ans.summaries.len(), 2);
@@ -1208,19 +1178,11 @@ mod tests {
             let (mut da, mut qs) = cached_system(64, strategy);
             da.advance_clock(1);
             // In-place value update: delta path.
-            for m in da.update_record(20, vec![200, 4242]) {
-                qs.apply(&m);
-            }
+            qs.apply_all(&da.update_record(20, vec![200, 4242]));
             // Structural changes: insert, delete, and a key move.
-            for m in da.insert(vec![205, 7]) {
-                qs.apply(&m);
-            }
-            for m in da.delete_record(3) {
-                qs.apply(&m);
-            }
-            for m in da.update_record(10, vec![455, 10]) {
-                qs.apply(&m);
-            }
+            qs.apply_all(&da.insert(vec![205, 7]));
+            qs.apply_all(&da.delete_record(3));
+            qs.apply_all(&da.update_record(10, vec![455, 10]));
             let ans = qs.select_range(0, 10_000).unwrap();
             assert_eq!(ans.records.len(), 64); // 64 - 1 delete + 1 insert
                                                // Cross-check the aggregate against an uncached replica fed the
@@ -1228,27 +1190,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             let mut da2 = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
             let boot = da2.bootstrap((0..64).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut plain = QueryServer::from_bootstrap(
-                da2.public_params(),
-                da2.config().schema,
-                SigningMode::Chained,
-                &boot,
-                256,
-                2.0 / 3.0,
-            );
+            let mut plain = da2.replica(&boot);
             da2.advance_clock(1);
-            for m in da2.update_record(20, vec![200, 4242]) {
-                plain.apply(&m);
-            }
-            for m in da2.insert(vec![205, 7]) {
-                plain.apply(&m);
-            }
-            for m in da2.delete_record(3) {
-                plain.apply(&m);
-            }
-            for m in da2.update_record(10, vec![455, 10]) {
-                plain.apply(&m);
-            }
+            plain.apply_all(&da2.update_record(20, vec![200, 4242]));
+            plain.apply_all(&da2.insert(vec![205, 7]));
+            plain.apply_all(&da2.delete_record(3));
+            plain.apply_all(&da2.update_record(10, vec![455, 10]));
             let expect = plain.select_range(0, 10_000).unwrap();
             assert_eq!(ans.agg, expect.agg);
         }
@@ -1267,14 +1214,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             let mut da2 = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
             let boot = da2.bootstrap((0..256).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut plain = QueryServer::from_bootstrap(
-                da2.public_params(),
-                da2.config().schema,
-                SigningMode::Chained,
-                &boot,
-                256,
-                2.0 / 3.0,
-            );
+            let mut plain = da2.replica(&boot);
             for round in 0..40i64 {
                 da.advance_clock(1);
                 da2.advance_clock(1);
@@ -1293,12 +1233,8 @@ mod tests {
                 for m in ops2.iter().flatten() {
                     plain.apply(m);
                 }
-                for m in da.delete_record(round as u64) {
-                    qs.apply(&m);
-                }
-                for m in da2.delete_record(round as u64) {
-                    plain.apply(&m);
-                }
+                qs.apply_all(&da.delete_record(round as u64));
+                plain.apply_all(&da2.delete_record(round as u64));
                 for (lo, hi) in [(0, 10_000), (200, 1800)] {
                     let a = qs.select_range(lo, hi).unwrap();
                     let b = plain.select_range(lo, hi).unwrap();
@@ -1340,8 +1276,7 @@ mod tests {
         let (mut da, mut qs) = system(100, SigningMode::Chained);
         for _ in 0..3 {
             da.advance_clock(10);
-            let (s, _) = da.maybe_publish_summary().unwrap();
-            qs.add_summary(s);
+            qs.ingest(da.maybe_publish_summary().unwrap());
         }
         let ckpt = da.checkpoint_summaries(1).expect("prefix to compact");
         qs.apply_checkpoint(ckpt.clone());
@@ -1367,13 +1302,10 @@ mod tests {
     fn vacancy_before_checkpoint_ships_the_checkpoint_anchor() {
         let (mut da, mut qs) = system(1, SigningMode::Chained);
         da.advance_clock(3);
-        for m in da.delete_record(0) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.delete_record(0));
         for _ in 0..3 {
             da.advance_clock(10);
-            let (s, _) = da.maybe_publish_summary().unwrap();
-            qs.add_summary(s);
+            qs.ingest(da.maybe_publish_summary().unwrap());
         }
         let ckpt = da.checkpoint_summaries(1).expect("prefix to compact");
         qs.apply_checkpoint(ckpt.clone());
@@ -1388,9 +1320,7 @@ mod tests {
     fn key_change_moves_record_in_index() {
         let (mut da, mut qs) = system(50, SigningMode::Chained);
         da.advance_clock(1);
-        for m in da.update_record(10, vec![455, 10]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(10, vec![455, 10]));
         assert!(qs.select_range(100, 100).unwrap().records.is_empty());
         let ans = qs.select_range(455, 455).unwrap();
         assert_eq!(ans.records.len(), 1);

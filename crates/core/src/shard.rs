@@ -113,6 +113,7 @@ use crate::da::{Bootstrap, DaConfig, DataAggregator, SigningMode, UpdateMsg};
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
 use crate::qs::{QsOptions, QueryError, QueryServer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
+use crate::verify::{EpochView, Verifier};
 
 /// The epoch tag of an unsharded deployment's artifacts. Certified shard
 /// maps start at [`GENESIS_EPOCH`]; wire decoding refuses a map claiming
@@ -735,6 +736,33 @@ impl ShardedAggregator {
         self.shards[0].config()
     }
 
+    /// The sharded replica this aggregator's bootstrap output fits: built
+    /// under its public parameters, `schema`, `mode` and current map,
+    /// exactly as [`ShardedQueryServer::from_bootstraps`] builds it. Pool,
+    /// fill and caches come from `opts` ([`QsOptions::default`] unless a
+    /// deployment deviates), not from the [`DaConfig`].
+    pub fn replica(&self, boots: &[Bootstrap], opts: &QsOptions) -> ShardedQueryServer {
+        ShardedQueryServer::from_bootstraps(
+            self.public_params(),
+            self.config(),
+            self.map.clone(),
+            boots,
+            opts,
+        )
+    }
+
+    /// The verifier a user of this deployment runs: its public parameters,
+    /// `schema` and ρ.
+    pub fn verifier(&self) -> Verifier {
+        self.shards[0].verifier()
+    }
+
+    /// A client view pinned to this aggregator's current map — the genesis
+    /// view until the first rebalance.
+    pub fn epoch_view(&self) -> EpochView {
+        EpochView::genesis(&self.map, &self.public_params()).expect("the DA signed its own map")
+    }
+
     /// One shard's aggregator.
     pub fn shard(&self, i: usize) -> &DataAggregator {
         &self.shards[i]
@@ -1301,10 +1329,31 @@ impl ShardedQueryServer {
         self.write_shard(shard, |qs| qs.apply(msg));
     }
 
+    /// Apply routed update messages in order — what
+    /// [`ShardedAggregator::update_record`] and
+    /// [`ShardedAggregator::delete_record`] return.
+    pub fn apply_all(&self, msgs: &[(usize, UpdateMsg)]) {
+        for (shard, m) in msgs {
+            self.apply(*shard, m);
+        }
+    }
+
     /// Store a shard's newly published summary (same writer ordering as
     /// [`Self::apply`]).
     pub fn add_summary(&self, shard: usize, s: UpdateSummary) {
         self.write_shard(shard, |qs| qs.add_summary(s));
+    }
+
+    /// Ingest every period [`ShardedAggregator::maybe_publish_summaries`]
+    /// closed: per shard, store the summary, then apply its
+    /// re-certifications.
+    pub fn ingest(&self, periods: Vec<(usize, UpdateSummary, Vec<UpdateMsg>)>) {
+        for (shard, summary, recerts) in periods {
+            self.add_summary(shard, summary);
+            for m in &recerts {
+                self.apply(shard, m);
+            }
+        }
     }
 
     /// Proof-construction statistics aggregated across every shard, so a
@@ -1404,22 +1453,9 @@ impl ShardedQueryServer {
 mod tests {
     use super::*;
     use crate::da::SigningMode;
-    use crate::record::Schema;
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn cfg() -> DaConfig {
-        DaConfig {
-            schema: Schema::new(2, 64),
-            scheme: SchemeKind::Mock,
-            mode: SigningMode::Chained,
-            rho: 10,
-            rho_prime: 10_000,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
-        }
-    }
 
     fn keypair() -> Keypair {
         let mut rng = StdRng::seed_from_u64(99);
@@ -1485,18 +1521,12 @@ mod tests {
     #[test]
     fn routed_updates_and_fanout_match_shard_contents() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut sa = ShardedAggregator::new(cfg(), vec![200], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![200], &mut rng);
         let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
         assert_eq!(boots.len(), 2);
         assert_eq!(boots[0].records.len(), 20);
         assert_eq!(boots[1].records.len(), 20);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         // A straddling query touches both shards and concatenates cleanly.
         let ans = sqs.select_range(150, 250).unwrap();
         assert_eq!(ans.parts.len(), 2);
@@ -1518,9 +1548,7 @@ mod tests {
         }
         let ((new_shard, new_rid), moved) = sa.update_record(0, 5, vec![255, 5]);
         assert_eq!(new_shard, 1);
-        for (s, m) in moved {
-            sqs.apply(s, &m);
-        }
+        sqs.apply_all(&moved);
         assert!(sa.shard(1).record(new_rid).is_some());
         let ans = sqs.select_range(0, 1000).unwrap();
         let total: usize = ans.parts.iter().map(|p| p.answer.records.len()).sum();
@@ -1533,10 +1561,61 @@ mod tests {
             .any(|p| p.shard == 1 && p.answer.records.len() == 1));
     }
 
+    /// The equivalence every ported set-up relies on, checked once: a
+    /// replica minted by the DA and fed only through the single-call
+    /// ingest is indistinguishable on the wire from one built by
+    /// `from_bootstraps` and fed by hand-written loops.
+    #[test]
+    fn minted_replica_and_single_call_ingest_match_hand_threaded_setup() {
+        use authdb_wire::WireEncode;
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![200], &mut rng);
+        let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
+        let minted = sa.replica(&boots, &QsOptions::default());
+        let by_hand = ShardedQueryServer::from_bootstraps(
+            sa.public_params(),
+            sa.config(),
+            sa.map().clone(),
+            &boots,
+            &QsOptions::default(),
+        );
+        for period in 0..3u64 {
+            sa.advance_clock(4);
+            // A key move across the seam (shard 0's rid 15.. to keys 205..)
+            // and a double update, so the period closes with recerts.
+            let mut msgs = sa
+                .update_record(0, 15 + period, vec![205 + period as i64, 7])
+                .1;
+            for val in [1, 2] {
+                msgs.extend(sa.update_record(1, 9, vec![290, val]).1);
+            }
+            minted.apply_all(&msgs);
+            for (shard, m) in &msgs {
+                by_hand.apply(*shard, m);
+            }
+            sa.advance_clock(8);
+            let periods = sa.maybe_publish_summaries();
+            assert!(periods.iter().any(|(_, _, recerts)| !recerts.is_empty()));
+            for (shard, summary, recerts) in periods.clone() {
+                by_hand.add_summary(shard, summary);
+                for m in recerts {
+                    by_hand.apply(shard, &m);
+                }
+            }
+            minted.ingest(periods);
+        }
+        let (a, b) = (
+            minted.select_range(150, 300).unwrap(),
+            by_hand.select_range(150, 300).unwrap(),
+        );
+        assert_eq!(a.parts.len(), 2, "the range straddles the seam");
+        assert_eq!(a.encode(), b.encode());
+    }
+
     #[test]
     fn dead_rid_update_does_not_certify_a_phantom() {
         let mut rng = StdRng::seed_from_u64(12);
-        let mut sa = ShardedAggregator::new(cfg(), vec![200], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![200], &mut rng);
         sa.bootstrap((0..10).map(|i| vec![i * 10, i]).collect(), 2);
         sa.advance_clock(1);
         let dead = sa.delete_record(0, 3);
@@ -1553,15 +1632,9 @@ mod tests {
     #[test]
     fn seam_fences_bound_every_shard_claim() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut sa = ShardedAggregator::new(cfg(), vec![200], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![200], &mut rng);
         let boots = sa.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         // Shard 0's rightmost record chains to the split key, not +inf.
         let edge = sqs.select_shard(0, 190, 199).unwrap();
         assert_eq!(edge.records.len(), 1);
@@ -1579,7 +1652,7 @@ mod tests {
     #[test]
     fn empty_shard_answers_with_tagged_vacancy() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut sa = ShardedAggregator::new(cfg(), vec![100, 200], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![100, 200], &mut rng);
         // All rows land in shard 0; shards 1 and 2 are empty.
         let boots = sa.bootstrap((0..5).map(|i| vec![i * 10, i]).collect(), 2);
         assert!(boots[1].records.is_empty());
@@ -1588,13 +1661,7 @@ mod tests {
         assert!(vac.verify(&sa.public_params()));
         let vac2 = boots[2].vacancy.as_ref().expect("empty shard certified");
         assert_eq!(vac2.shard, 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         let ans = sqs.select_range(120, 180).unwrap();
         assert_eq!(ans.parts.len(), 1);
         assert!(ans.parts[0].answer.vacancy.is_some());
@@ -1603,17 +1670,11 @@ mod tests {
     #[test]
     fn fanout_propagates_wrong_mode_instead_of_panicking() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut c = cfg();
+        let mut c = DaConfig::small();
         c.mode = SigningMode::PerAttribute;
         let mut sa = ShardedAggregator::new(c, vec![100], &mut rng);
         let boots = sa.bootstrap((0..10).map(|i| vec![i * 20, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         assert!(matches!(
             sqs.select_range(0, 100),
             Err(QueryError::WrongSigningMode { .. })

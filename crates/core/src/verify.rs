@@ -1188,13 +1188,8 @@ mod tests {
 
     fn cfg(mode: SigningMode) -> DaConfig {
         DaConfig {
-            schema: Schema::new(2, 64),
-            scheme: SchemeKind::Mock,
             mode,
-            rho: 10,
-            rho_prime: 1000,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
+            ..DaConfig::small()
         }
     }
 
@@ -1202,15 +1197,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let mut da = DataAggregator::new(cfg(mode), &mut rng);
         let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            mode,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
-        let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+        let qs = da.replica(&boot);
+        let v = da.verifier();
         (da, qs, v)
     }
 
@@ -1354,9 +1342,7 @@ mod tests {
         let (s1, _) = da.maybe_publish_summary().unwrap();
         qs.add_summary(s1.clone());
         da.advance_clock(2);
-        for m in da.update_record(23, vec![230, 777]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(23, vec![230, 777]));
         da.advance_clock(10);
         let (s2, _) = da.maybe_publish_summary().unwrap();
         qs.add_summary(s2.clone());
@@ -1383,18 +1369,13 @@ mod tests {
     fn checkpointed_system(keep: usize) -> (DataAggregator, QueryServer, Verifier) {
         let (mut da, mut qs, v) = system(50, SigningMode::Chained);
         da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(2);
-        for m in da.update_record(23, vec![230, 777]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(23, vec![230, 777]));
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(10);
-        let (s3, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s3);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         let ckpt = da.checkpoint_summaries(keep).expect("compactable");
         qs.apply_checkpoint(ckpt);
         (da, qs, v)
@@ -1405,18 +1386,13 @@ mod tests {
         let (mut da, mut qs, v) = system(50, SigningMode::Chained);
         let stale_ans = qs.select_range(200, 260).unwrap();
         da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(2);
-        for m in da.update_record(23, vec![230, 777]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(23, vec![230, 777]));
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(10);
-        let (s3, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s3);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         // Compact everything but the newest summary — including seq 1, the
         // summary that used to prove the replay stale.
         let ckpt = da.checkpoint_summaries(1).expect("compactable");
@@ -1500,15 +1476,11 @@ mod tests {
         let stale = qs.select_range(0, 100).unwrap();
         assert!(stale.vacancy.is_some());
         da.advance_clock(3);
-        for m in da.insert(vec![50, 1]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.insert(vec![50, 1]));
         da.advance_clock(9);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         // Compact the summary that recorded the insertion.
         let ckpt = da.checkpoint_summaries(1).expect("compactable");
         qs.apply_checkpoint(ckpt.clone());
@@ -1597,9 +1569,7 @@ mod tests {
         let (s1, _) = da.maybe_publish_summary().unwrap();
         qs.add_summary(s1.clone());
         da.advance_clock(2);
-        for m in da.update_record(5, vec![50, 999]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(5, vec![50, 999]));
         da.advance_clock(10);
         let (s2, _) = da.maybe_publish_summary().unwrap();
         qs.add_summary(s2.clone());
@@ -1630,13 +1600,10 @@ mod tests {
         let (mut da, mut qs, v) = system(2, SigningMode::Chained);
         da.advance_clock(2);
         for rid in 0..2 {
-            for m in da.delete_record(rid) {
-                qs.apply(&m);
-            }
+            qs.apply_all(&da.delete_record(rid));
         }
         da.advance_clock(10);
-        let (s, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         let ans = qs.select_range(0, 100).unwrap();
         assert!(ans.gap.is_none() && ans.vacancy.is_some());
         assert!(v.verify_selection(0, 100, &ans, da.now(), true).is_ok());
@@ -1648,12 +1615,9 @@ mod tests {
         let stale = qs.select_range(0, 100).unwrap();
         assert!(stale.vacancy.is_some());
         da.advance_clock(3);
-        for m in da.insert(vec![50, 1]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.insert(vec![50, 1]));
         da.advance_clock(9);
-        let (s, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         // Malicious replay of the pre-insert vacancy claim, with the
         // published summaries the client fetches independently.
         let mut replay = stale;
@@ -1719,15 +1683,11 @@ mod tests {
         let stale_empty = qs.select_range(231, 239).unwrap();
         assert_eq!(stale_empty.gap.as_ref().unwrap().record.rid, 23);
         da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(2);
-        for m in da.update_record(23, vec![230, 777]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(23, vec![230, 777]));
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         let mut replay = stale_empty;
         replay.summaries = qs.summaries().to_vec();
         assert!(matches!(
@@ -1748,15 +1708,11 @@ mod tests {
         let (s1, _) = da.maybe_publish_summary().unwrap();
         qs.add_summary(s1.clone());
         da.advance_clock(2);
-        for m in da.update_record(23, vec![230, 777]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(23, vec![230, 777]));
         da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(10);
-        let (s3, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s3);
+        qs.ingest(da.maybe_publish_summary().unwrap());
         let mut ans = qs.select_range(200, 260).unwrap();
         // Withhold everything after s1: the stale-looking window.
         ans.summaries = vec![Arc::new(s1)];
@@ -1838,15 +1794,8 @@ mod tests {
         c.scheme = SchemeKind::Bas;
         let mut da = DataAggregator::new(c, &mut rng);
         let boot = da.bootstrap((0..30).map(|i| vec![i * 10, i]).collect(), 4);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            SigningMode::Chained,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
-        let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+        let qs = da.replica(&boot);
+        let v = da.verifier();
         let queries = vec![(0, 40), (50, 120), (201, 209)];
         let mut answers: Vec<_> = queries
             .iter()
@@ -1871,15 +1820,8 @@ mod tests {
         c.scheme = SchemeKind::Bas;
         let mut da = DataAggregator::new(c, &mut rng);
         let boot = da.bootstrap((0..30).map(|i| vec![i * 10, i]).collect(), 4);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            SigningMode::Chained,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
-        let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+        let qs = da.replica(&boot);
+        let v = da.verifier();
         let ans = qs.select_range(50, 120).unwrap();
         let rep = v.verify_selection(50, 120, &ans, 0, true).expect("valid");
         assert_eq!(rep.records, 8);
@@ -1959,15 +1901,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(77);
             let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), splits, &mut rng);
             let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-            let sqs = ShardedQueryServer::from_bootstraps(
-                sa.public_params(),
-                sa.config(),
-                sa.map().clone(),
-                &boots,
-                &QsOptions::default(),
-            );
-            let v = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
-            let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis");
+            let sqs = sa.replica(&boots, &QsOptions::default());
+            let v = sa.verifier();
+            let view = sa.epoch_view();
             (sa, sqs, v, view)
         }
 
@@ -2181,16 +2117,9 @@ mod tests {
             // epoch, then verify again.
             sa.advance_clock(2);
             let (_, msgs) = sa.update_record(0, 3, vec![35, 999]);
-            for (s, m) in msgs {
-                sqs.apply(s, &m);
-            }
+            sqs.apply_all(&msgs);
             sa.advance_clock(10);
-            for (s, summary, recerts) in sa.maybe_publish_summaries() {
-                sqs.add_summary(s, summary);
-                for m in recerts {
-                    sqs.apply(s, &m);
-                }
-            }
+            sqs.ingest(sa.maybe_publish_summaries());
             check_all(&mut sqs, &view, sa.now(), &mut rng, "epoch 2 (live)");
 
             // Merge the split pair back together.
@@ -2298,12 +2227,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(15);
             let (mut sa, sqs, v, mut view) = sharded_system(vec![200], 40);
             sa.advance_clock(12);
-            for (s, summary, recerts) in sa.maybe_publish_summaries() {
-                sqs.add_summary(s, summary);
-                for m in recerts {
-                    sqs.apply(s, &m);
-                }
-            }
+            sqs.ingest(sa.maybe_publish_summaries());
             let old = sqs.select_range(150, 250).unwrap();
             let rb = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);
             sqs.apply_rebalance(&rb).unwrap();
@@ -2447,12 +2371,7 @@ mod tests {
             let (mut sa, sqs, v, view) = sharded_system(vec![200], 40);
             for _ in 0..2 {
                 sa.advance_clock(12);
-                for (s, summary, recerts) in sa.maybe_publish_summaries() {
-                    sqs.add_summary(s, summary);
-                    for m in recerts {
-                        sqs.apply(s, &m);
-                    }
-                }
+                sqs.ingest(sa.maybe_publish_summaries());
             }
             for s in 0..2 {
                 let ckpt = sa.checkpoint_shard_summaries(s, 1).expect("compactable");

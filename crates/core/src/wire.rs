@@ -961,22 +961,18 @@ impl WireDecode for Response {
 mod tests {
     use super::*;
     use crate::da::{DaConfig, DataAggregator, SigningMode};
-    use crate::qs::{QsOptions, QueryServer};
-    use crate::record::Schema;
-    use crate::shard::{ShardedAggregator, ShardedQueryServer};
+    use crate::qs::QsOptions;
+
+    use crate::shard::ShardedAggregator;
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
         DaConfig {
-            schema: Schema::new(2, 64),
             scheme,
             mode,
-            rho: 10,
-            rho_prime: 10_000,
-            buffer_pages: 256,
-            fill: 2.0 / 3.0,
+            ..DaConfig::small()
         }
     }
 
@@ -994,17 +990,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(17);
             let mut da = DataAggregator::new(cfg(scheme, SigningMode::Chained), &mut rng);
             let boot = da.bootstrap((0..12).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut qs = QueryServer::from_bootstrap(
-                da.public_params(),
-                da.config().schema,
-                SigningMode::Chained,
-                &boot,
-                256,
-                2.0 / 3.0,
-            );
+            let mut qs = da.replica(&boot);
             da.advance_clock(12);
-            let (s, _) = da.maybe_publish_summary().unwrap();
-            qs.add_summary(s);
+            qs.ingest(da.maybe_publish_summary().unwrap());
             // Non-empty, gap-proof, and inverted shapes.
             for (lo, hi) in [(20, 70), (21, 29), (70, 20)] {
                 assert_canonical(&qs.select_range(lo, hi).unwrap());
@@ -1017,14 +1005,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let mut da = DataAggregator::new(cfg(SchemeKind::Mock, SigningMode::Chained), &mut rng);
         let boot = da.bootstrap(Vec::new(), 1);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            SigningMode::Chained,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
+        let qs = da.replica(&boot);
         let ans = qs.select_range(0, 100).unwrap();
         assert!(ans.vacancy.is_some());
         assert_canonical(&ans);
@@ -1036,14 +1017,7 @@ mod tests {
         let mut da =
             DataAggregator::new(cfg(SchemeKind::Mock, SigningMode::PerAttribute), &mut rng);
         let boot = da.bootstrap((0..10).map(|i| vec![i * 5, i]).collect(), 2);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(),
-            da.config().schema,
-            SigningMode::PerAttribute,
-            &boot,
-            256,
-            2.0 / 3.0,
-        );
+        let qs = da.replica(&boot);
         assert_canonical(&qs.project(0, 40, &[0, 1]).unwrap());
     }
 
@@ -1076,13 +1050,7 @@ mod tests {
             &mut rng,
         );
         let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         assert_canonical(sa.map());
         assert_canonical(&sqs.select_range(50, 150).unwrap());
     }
@@ -1301,13 +1269,7 @@ mod tests {
             &mut rng,
         );
         let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         sqs.select_range(50, 150).unwrap(); // touches both shards
         sqs.select_range(0, 50).unwrap(); // shard 0 only
         let total = sqs.stats();
@@ -1328,13 +1290,7 @@ mod tests {
             &mut rng,
         );
         let boots = sa.bootstrap((0..10).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         assert_eq!(
             sqs.project(0, 50, &[1]).unwrap_err(),
             QueryError::Unsupported
@@ -1346,13 +1302,7 @@ mod tests {
             &mut rng,
         );
         let boots = sa.bootstrap((0..10).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &QsOptions::default());
         assert_eq!(sqs.project(0, 50, &[1]).unwrap().rows.len(), 6);
     }
 }

@@ -16,12 +16,10 @@
 
 use proptest::prelude::*;
 
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb_core::qs::{QsOptions, QueryServer};
-use authdb_core::record::Schema;
+use authdb_core::da::{DaConfig, DataAggregator};
+use authdb_core::qs::QsOptions;
 use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
-use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,13 +27,8 @@ const RHO: u64 = 10;
 
 fn cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: RHO,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -121,13 +114,7 @@ fn build_side(rows: &[Vec<i64>], splits: &[i64]) -> (ShardedAggregator, ShardedQ
     let mut rng = StdRng::seed_from_u64(8);
     let mut sa = ShardedAggregator::new(cfg(), splits.to_vec(), &mut rng);
     let boots = sa.bootstrap(rows.to_vec(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+    let sqs = sa.replica(&boots, &QsOptions::default());
     (sa, sqs)
 }
 
@@ -148,8 +135,8 @@ fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
         })
         .collect();
     let keys: Vec<Option<i64>> = rows.iter().map(|row| Some(row[0])).collect();
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
-    let cview = EpochView::genesis(csa.map(), &csa.public_params()).expect("genesis view");
+    let view = sa.epoch_view();
+    let cview = csa.epoch_view();
     Pair {
         sa,
         sqs,
@@ -347,14 +334,10 @@ fn run_workload(
                 let (new_addr, msgs) = pair.sa.update_record(shard, rid, attrs.clone());
                 pair.loc[logical] = Some(new_addr);
                 pair.keys[logical] = Some(attrs[0]);
-                for (s, m) in msgs {
-                    pair.sqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&msgs);
                 let (cnew_addr, cmsgs) = pair.csa.update_record(shard, rid, attrs);
                 prop_assert_eq!(new_addr, cnew_addr);
-                for (s, m) in cmsgs {
-                    pair.csqs.apply(s, &m);
-                }
+                pair.csqs.apply_all(&cmsgs);
             }
             Op::Delete { target } => {
                 let candidates = live(&pair.loc);
@@ -364,12 +347,8 @@ fn run_workload(
                 let logical = candidates[target as usize % candidates.len()];
                 let (shard, rid) = pair.loc[logical].take().expect("live");
                 pair.keys[logical] = None;
-                for (s, m) in pair.sa.delete_record(shard, rid) {
-                    pair.sqs.apply(s, &m);
-                }
-                for (s, m) in pair.csa.delete_record(shard, rid) {
-                    pair.csqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&pair.sa.delete_record(shard, rid));
+                pair.csqs.apply_all(&pair.csa.delete_record(shard, rid));
             }
             Op::Advance { dt } => {
                 pair.sa.advance_clock(dt);
@@ -411,18 +390,8 @@ fn run_workload(
                 }
             }
         }
-        for (shard, s, recerts) in pair.sa.maybe_publish_summaries() {
-            pair.sqs.add_summary(shard, s);
-            for m in recerts {
-                pair.sqs.apply(shard, &m);
-            }
-        }
-        for (shard, s, recerts) in pair.csa.maybe_publish_summaries() {
-            pair.csqs.add_summary(shard, s);
-            for m in recerts {
-                pair.csqs.apply(shard, &m);
-            }
-        }
+        pair.sqs.ingest(pair.sa.maybe_publish_summaries());
+        pair.csqs.ingest(pair.csa.maybe_publish_summaries());
     }
     Ok(())
 }
@@ -447,27 +416,15 @@ fn summary_log_memory_stays_flat_under_checkpointing() {
     let mut rng = StdRng::seed_from_u64(9);
     let mut da = DataAggregator::new(cfg(), &mut rng);
     let boot = da.bootstrap((0..32i64).map(|i| vec![i, i]).collect(), 2);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
-    let v = Verifier::new(da.public_params(), da.config().schema, da.config().rho);
+    let mut qs = da.replica(&boot);
+    let v = da.verifier();
     let mut max_retained = 0usize;
     for period in 0..200u64 {
         da.advance_clock(2);
-        for m in da.update_record(period % 32, vec![(period % 32) as i64, period as i64]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(period % 32, vec![(period % 32) as i64, period as i64]));
         da.advance_clock(8);
-        if let Some((s, recerts)) = da.maybe_publish_summary() {
-            qs.add_summary(s);
-            for m in recerts {
-                qs.apply(&m);
-            }
+        if let Some(period) = da.maybe_publish_summary() {
+            qs.ingest(period);
         }
         if period % 8 == 7 {
             if let Some(c) = da.checkpoint_summaries(4) {
@@ -499,15 +456,9 @@ fn bootstrap_cost_is_independent_of_epoch_chain_length() {
     let mut sa = ShardedAggregator::new(cfg(), vec![], &mut rng);
     let rows: Vec<Vec<i64>> = (0..32i64).map(|i| vec![i, i]).collect();
     let boots = sa.bootstrap(rows, 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+    let sqs = sa.replica(&boots, &QsOptions::default());
     let pp = sa.public_params();
-    let mut walked = EpochView::genesis(sa.map(), &pp).expect("genesis view");
+    let mut walked = sa.epoch_view();
     for _ in 0..10 {
         let rb = sa.rebalance(RebalancePlan::Split { shard: 0, at: 16 }, 2);
         sqs.apply_rebalance(&rb).unwrap();
@@ -542,16 +493,8 @@ proptest! {
         let mut pair = build_pair(n0, key_span, splits);
         let ops = decode_ops(&raw_ops);
 
-        let v = Verifier::new(
-            pair.sa.public_params(),
-            pair.sa.config().schema,
-            pair.sa.config().rho,
-        );
-        let cv = Verifier::new(
-            pair.csa.public_params(),
-            pair.csa.config().schema,
-            pair.csa.config().rho,
-        );
+        let v = pair.sa.verifier();
+        let cv = pair.csa.verifier();
         let mut rng = StdRng::seed_from_u64(rng_seed);
 
         run_workload(&mut pair, &v, &cv, key_span, &ops, &mut rng)?;

@@ -17,12 +17,10 @@
 
 use proptest::prelude::*;
 
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::qs::{QsOptions, QueryServer};
-use authdb_core::record::Schema;
 use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
-use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,13 +28,8 @@ const RHO: u64 = 10;
 
 fn cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: RHO,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -114,14 +107,7 @@ fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
     let mut rng = StdRng::seed_from_u64(7);
     let mut da = DataAggregator::new(cfg(), &mut rng);
     let boot = da.bootstrap(rows.clone(), 2);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
+    let qs = da.replica(&boot);
     let single_loc: Vec<Option<u64>> = (0..n0 as u64).map(Some).collect();
 
     let mut rng = StdRng::seed_from_u64(8);
@@ -138,14 +124,8 @@ fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
         .collect();
     let keys: Vec<Option<i64>> = rows.iter().map(|row| Some(row[0])).collect();
     let boots = sa.bootstrap(rows, 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let view = sa.epoch_view();
     Pair {
         da,
         qs,
@@ -318,9 +298,7 @@ fn run_workload(
                 let attrs = vec![key % key_span, val];
                 let msgs = pair.da.insert(attrs.clone());
                 pair.single_loc.push(Some(msgs[0].record.rid));
-                for m in msgs {
-                    pair.qs.apply(&m);
-                }
+                pair.qs.apply_all(&msgs);
                 let (shard, msgs) = pair.sa.insert(attrs.clone());
                 pair.sharded_loc.push(Some((shard, msgs[0].record.rid)));
                 pair.keys.push(Some(attrs[0]));
@@ -336,16 +314,13 @@ fn run_workload(
                 let logical = candidates[target as usize % candidates.len()];
                 let attrs = vec![key % key_span, val];
                 let rid = pair.single_loc[logical].expect("live");
-                for m in pair.da.update_record(rid, attrs.clone()) {
-                    pair.qs.apply(&m);
-                }
+                pair.qs
+                    .apply_all(&pair.da.update_record(rid, attrs.clone()));
                 let (shard, rid) = pair.sharded_loc[logical].expect("live");
                 let (new_addr, msgs) = pair.sa.update_record(shard, rid, attrs.clone());
                 pair.sharded_loc[logical] = Some(new_addr);
                 pair.keys[logical] = Some(attrs[0]);
-                for (s, m) in msgs {
-                    pair.sqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&msgs);
             }
             Op::Delete { target } => {
                 let candidates = live(&pair.single_loc);
@@ -354,14 +329,10 @@ fn run_workload(
                 }
                 let logical = candidates[target as usize % candidates.len()];
                 let rid = pair.single_loc[logical].take().expect("live");
-                for m in pair.da.delete_record(rid) {
-                    pair.qs.apply(&m);
-                }
+                pair.qs.apply_all(&pair.da.delete_record(rid));
                 let (shard, rid) = pair.sharded_loc[logical].take().expect("live");
                 pair.keys[logical] = None;
-                for (s, m) in pair.sa.delete_record(shard, rid) {
-                    pair.sqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&pair.sa.delete_record(shard, rid));
             }
             Op::Advance { dt } => {
                 pair.da.advance_clock(dt);
@@ -393,18 +364,10 @@ fn run_workload(
                 assert_equivalent(pair, v_single, v_sharded, &probe, rng, "post-rebalance")?;
             }
         }
-        if let Some((s, recerts)) = pair.da.maybe_publish_summary() {
-            pair.qs.add_summary(s);
-            for m in recerts {
-                pair.qs.apply(&m);
-            }
+        if let Some(period) = pair.da.maybe_publish_summary() {
+            pair.qs.ingest(period);
         }
-        for (shard, s, recerts) in pair.sa.maybe_publish_summaries() {
-            pair.sqs.add_summary(shard, s);
-            for m in recerts {
-                pair.sqs.apply(shard, &m);
-            }
-        }
+        pair.sqs.ingest(pair.sa.maybe_publish_summaries());
     }
     Ok(rebalances)
 }
@@ -431,13 +394,7 @@ fn node_cache_recovers_within_one_query_sweep_after_rebalance() {
     let mut sa = ShardedAggregator::new(cfg(), vec![0], &mut rng);
     let rows: Vec<Vec<i64>> = (0..256i64).map(|i| vec![i - 128, i]).collect();
     let boots = sa.bootstrap(rows, 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+    let sqs = sa.replica(&boots, &QsOptions::default());
     // Touch both shards so the donors' caches are live before the split.
     sqs.select_range(-128, 127).unwrap();
     // Split the right shard: both successors are rebuilt from handoff.
@@ -474,16 +431,8 @@ proptest! {
         let mut pair = build_pair(n0, key_span, splits);
         let ops = decode_ops(&raw_ops);
 
-        let v_single = Verifier::new(
-            pair.da.public_params(),
-            pair.da.config().schema,
-            pair.da.config().rho,
-        );
-        let v_sharded = Verifier::new(
-            pair.sa.public_params(),
-            pair.sa.config().schema,
-            pair.sa.config().rho,
-        );
+        let v_single = pair.da.verifier();
+        let v_sharded = pair.sa.verifier();
         let mut rng = StdRng::seed_from_u64(rng_seed);
 
         run_workload(&mut pair, &v_single, &v_sharded, key_span, &ops, &mut rng)?;
@@ -513,16 +462,8 @@ proptest! {
         // A rebalance-dense schedule (no other ops between transitions):
         // every epoch in a random split/merge chain must stay equivalent.
         let mut pair = build_pair(n0, key_span, vec![]);
-        let v_single = Verifier::new(
-            pair.da.public_params(),
-            pair.da.config().schema,
-            pair.da.config().rho,
-        );
-        let v_sharded = Verifier::new(
-            pair.sa.public_params(),
-            pair.sa.config().schema,
-            pair.sa.config().rho,
-        );
+        let v_single = pair.da.verifier();
+        let v_sharded = pair.sa.verifier();
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let ops: Vec<Op> = schedule
             .iter()

@@ -12,9 +12,6 @@ use proptest::prelude::*;
 
 use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
 use authdb_core::qs::QueryServer;
-use authdb_core::record::Schema;
-use authdb_core::verify::Verifier;
-use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,13 +19,9 @@ const RHO: u64 = 10;
 
 fn cfg(mode: SigningMode) -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
         mode,
         rho: RHO,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -74,48 +67,32 @@ fn run_workload(
     let modulus = (key_span / 2).max(1);
     let rows: Vec<Vec<i64>> = (0..n0 as i64).map(|i| vec![i % modulus, i]).collect();
     let boot = da.bootstrap(rows, 2);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        mode,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
+    let mut qs = da.replica(&boot);
     for &op in ops {
         match op {
             Op::Insert { key, val } => {
-                for m in da.insert(vec![key % key_span, val]) {
-                    qs.apply(&m);
-                }
+                qs.apply_all(&da.insert(vec![key % key_span, val]));
             }
             Op::Update { target, key, val } => {
                 let slots = da.record_slots();
                 if slots > 0 {
                     // Key changes reposition the record and re-chain both
                     // neighbourhoods.
-                    for m in da.update_record(target % slots, vec![key % key_span, val]) {
-                        qs.apply(&m);
-                    }
+                    qs.apply_all(&da.update_record(target % slots, vec![key % key_span, val]));
                 }
             }
             Op::Delete { target } => {
                 let slots = da.record_slots();
                 if slots > 0 {
-                    for m in da.delete_record(target % slots) {
-                        qs.apply(&m);
-                    }
+                    qs.apply_all(&da.delete_record(target % slots));
                 }
             }
             Op::Advance { dt } => da.advance_clock(dt),
         }
         // Honest DA/QS discipline: summaries go out on the ρ schedule and
         // reach the server promptly.
-        if let Some((s, recerts)) = da.maybe_publish_summary() {
-            qs.add_summary(s);
-            for m in recerts {
-                qs.apply(&m);
-            }
+        if let Some(period) = da.maybe_publish_summary() {
+            qs.ingest(period);
         }
     }
     (da, qs)
@@ -133,7 +110,7 @@ proptest! {
     ) {
         let ops = decode_ops(&raw_ops);
         let (da, qs) = run_workload(SigningMode::Chained, n0, key_span, &ops);
-        let v = Verifier::new(da.public_params(), da.config().schema, RHO);
+        let v = da.verifier();
         let now = da.now();
         // Random interior ranges plus the extremes: full table, everything
         // left of the data, everything right of it.
@@ -167,7 +144,7 @@ proptest! {
     ) {
         let ops = decode_ops(&raw_ops);
         let (da, qs) = run_workload(SigningMode::Chained, n0, key_span, &ops);
-        let v = Verifier::new(da.public_params(), da.config().schema, RHO);
+        let v = da.verifier();
         let now = da.now();
         let ranges: Vec<(i64, i64)> = queries.iter().map(|&(lo, w)| (lo, lo + w)).collect();
         let answers: Vec<_> = ranges.iter().map(|&(lo, hi)| qs.select_range(lo, hi).unwrap()).collect();
@@ -189,7 +166,7 @@ proptest! {
     ) {
         let ops = decode_ops(&raw_ops);
         let (da, qs) = run_workload(SigningMode::PerAttribute, n0, key_span, &ops);
-        let v = Verifier::new(da.public_params(), da.config().schema, RHO);
+        let v = da.verifier();
         let now = da.now();
         for &(lo, w, attr_sel) in &queries {
             let attrs: &[usize] = match attr_sel % 3 {

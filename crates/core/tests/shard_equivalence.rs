@@ -16,12 +16,9 @@
 
 use proptest::prelude::*;
 
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb_core::da::{DaConfig, DataAggregator};
 use authdb_core::qs::{QsOptions, QueryServer};
-use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
-use authdb_core::verify::{EpochView, Verifier};
-use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,13 +26,8 @@ const RHO: u64 = 10;
 
 fn cfg() -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: RHO,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -87,14 +79,7 @@ fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
     let mut rng = StdRng::seed_from_u64(7);
     let mut da = DataAggregator::new(cfg(), &mut rng);
     let boot = da.bootstrap(rows.clone(), 2);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
+    let qs = da.replica(&boot);
     let single_loc: Vec<Option<u64>> = (0..n0 as u64).map(Some).collect();
 
     let mut rng = StdRng::seed_from_u64(8);
@@ -112,13 +97,7 @@ fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
         })
         .collect();
     let boots = sa.bootstrap(rows, 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+    let sqs = sa.replica(&boots, &QsOptions::default());
     Pair {
         da,
         qs,
@@ -142,9 +121,7 @@ fn run_workload(pair: &mut Pair, key_span: i64, ops: &[Op]) {
                 let attrs = vec![key % key_span, val];
                 let msgs = pair.da.insert(attrs.clone());
                 pair.single_loc.push(Some(msgs[0].record.rid));
-                for m in msgs {
-                    pair.qs.apply(&m);
-                }
+                pair.qs.apply_all(&msgs);
                 let (shard, msgs) = pair.sa.insert(attrs);
                 pair.sharded_loc.push(Some((shard, msgs[0].record.rid)));
                 for m in msgs {
@@ -159,15 +136,12 @@ fn run_workload(pair: &mut Pair, key_span: i64, ops: &[Op]) {
                 let logical = candidates[target as usize % candidates.len()];
                 let attrs = vec![key % key_span, val];
                 let rid = pair.single_loc[logical].expect("live");
-                for m in pair.da.update_record(rid, attrs.clone()) {
-                    pair.qs.apply(&m);
-                }
+                pair.qs
+                    .apply_all(&pair.da.update_record(rid, attrs.clone()));
                 let (shard, rid) = pair.sharded_loc[logical].expect("live");
                 let (new_addr, msgs) = pair.sa.update_record(shard, rid, attrs);
                 pair.sharded_loc[logical] = Some(new_addr);
-                for (s, m) in msgs {
-                    pair.sqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&msgs);
             }
             Op::Delete { target } => {
                 let candidates = live(&pair.single_loc);
@@ -176,31 +150,19 @@ fn run_workload(pair: &mut Pair, key_span: i64, ops: &[Op]) {
                 }
                 let logical = candidates[target as usize % candidates.len()];
                 let rid = pair.single_loc[logical].take().expect("live");
-                for m in pair.da.delete_record(rid) {
-                    pair.qs.apply(&m);
-                }
+                pair.qs.apply_all(&pair.da.delete_record(rid));
                 let (shard, rid) = pair.sharded_loc[logical].take().expect("live");
-                for (s, m) in pair.sa.delete_record(shard, rid) {
-                    pair.sqs.apply(s, &m);
-                }
+                pair.sqs.apply_all(&pair.sa.delete_record(shard, rid));
             }
             Op::Advance { dt } => {
                 pair.da.advance_clock(dt);
                 pair.sa.advance_clock(dt);
             }
         }
-        if let Some((s, recerts)) = pair.da.maybe_publish_summary() {
-            pair.qs.add_summary(s);
-            for m in recerts {
-                pair.qs.apply(&m);
-            }
+        if let Some(period) = pair.da.maybe_publish_summary() {
+            pair.qs.ingest(period);
         }
-        for (shard, s, recerts) in pair.sa.maybe_publish_summaries() {
-            pair.sqs.add_summary(shard, s);
-            for m in recerts {
-                pair.sqs.apply(shard, &m);
-            }
-        }
+        pair.sqs.ingest(pair.sa.maybe_publish_summaries());
     }
 }
 
@@ -233,20 +195,11 @@ proptest! {
         prop_assert!(pair.sa.map().shard_count() <= 8);
         run_workload(&mut pair, key_span, &ops);
 
-        let v_single = Verifier::new(
-            pair.da.public_params(),
-            pair.da.config().schema,
-            pair.da.config().rho,
-        );
-        let v_sharded = Verifier::new(
-            pair.sa.public_params(),
-            pair.sa.config().schema,
-            pair.sa.config().rho,
-        );
+        let v_single = pair.da.verifier();
+        let v_sharded = pair.sa.verifier();
         let now = pair.da.now();
         prop_assert_eq!(now, pair.sa.now());
-        let view = EpochView::genesis(pair.sa.map(), &pair.sa.public_params())
-            .expect("genesis view");
+        let view = pair.sa.epoch_view();
         let mut rng = StdRng::seed_from_u64(rng_seed);
 
         // Random ranges (some inverted via negative width), plus targeted

@@ -11,9 +11,9 @@ use proptest::prelude::*;
 
 use authdb_core::da::{DaConfig, DataAggregator, SigningMode, UpdateMsg};
 use authdb_core::qs::QueryServer;
-use authdb_core::record::{Record, Schema};
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
-use authdb_core::verify::{Verifier, VerifyError};
+use authdb_core::record::Record;
+use authdb_core::shard::ShardedAggregator;
+use authdb_core::verify::VerifyError;
 use authdb_core::wire::{Request, Response};
 use authdb_crypto::signer::SchemeKind;
 use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME_LEN};
@@ -24,13 +24,9 @@ const RHO: u64 = 10;
 
 fn cfg(mode: SigningMode) -> DaConfig {
     DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
         mode,
         rho: RHO,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     }
 }
 
@@ -87,14 +83,7 @@ fn run_workload(
     let modulus = (key_span / 2).max(1);
     let rows: Vec<Vec<i64>> = (0..n0 as i64).map(|i| vec![i % modulus, i]).collect();
     let boot = da.bootstrap(rows, 2);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        mode,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
+    let mut qs = da.replica(&boot);
     let apply_all = |qs: &mut QueryServer, msgs: Vec<UpdateMsg>| {
         for m in msgs {
             assert_canonical(&m);
@@ -202,13 +191,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(11);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), splits, &mut rng);
         let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &authdb_core::qs::QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
         assert_canonical(sa.map());
         for &(lo, w) in &queries {
             let ans = sqs.select_range(lo, lo + w).unwrap();
@@ -251,13 +234,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(15);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![], &mut rng);
         let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &authdb_core::qs::QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
         for &(sel, at_raw) in &schedule {
             let splits = sa.map().splits().to_vec();
             let plan = if sel % 2 == 1 && !splits.is_empty() {
@@ -320,13 +297,7 @@ proptest! {
             let boots_rng = &mut StdRng::seed_from_u64(16);
             let mut sa2 = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], boots_rng);
             let boots = sa2.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-            let sqs = ShardedQueryServer::from_bootstraps(
-                sa2.public_params(),
-                sa2.config(),
-                sa2.map().clone(),
-                &boots,
-                &authdb_core::qs::QsOptions::default(),
-            );
+            let sqs = sa2.replica(&boots, &authdb_core::qs::QsOptions::default());
             let _ = sqs.apply_rebalance(&mutated);
             let _ = sqs.select_range(0, 40).unwrap();
         }
@@ -344,13 +315,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(13);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], &mut rng);
         let boots = sa.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &authdb_core::qs::QsOptions::default(),
-        );
+        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
         let (lo, w) = seed_query;
         let ans = sqs.select_range(lo, lo + w).unwrap();
         let mut bytes = frame(&Response::Selection(ans));
@@ -374,15 +339,8 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut da = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
     let boot = da.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
-    let v = Verifier::new(da.public_params(), da.config().schema, RHO);
+    let qs = da.replica(&boot);
+    let v = da.verifier();
 
     // A returned record with too few attributes.
     let mut ans = qs.select_range(20, 60).unwrap();
@@ -412,15 +370,8 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
     let mut rng = StdRng::seed_from_u64(4);
     let mut da = DataAggregator::new(cfg(SigningMode::PerAttribute), &mut rng);
     let boot = da.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::PerAttribute,
-        &boot,
-        256,
-        2.0 / 3.0,
-    );
-    let v = Verifier::new(da.public_params(), da.config().schema, RHO);
+    let qs = da.replica(&boot);
+    let v = da.verifier();
     let mut proj = qs.project(0, 50, &[1]).unwrap();
     proj.rows[0].values[0].0 = usize::MAX;
     assert_eq!(

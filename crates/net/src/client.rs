@@ -6,8 +6,8 @@
 //! over many queries. It decodes — nothing more: every answer must
 //! still go through the existing `Verifier` on the caller's side, with the
 //! caller's own clock and independently obtained public parameters. The
-//! client also meters bytes in both directions, which is what the `fig_net`
-//! bench uses to check the simulator's message-size model against reality.
+//! client also meters bytes in both directions, which is what the loopback
+//! suite uses to check the simulator's message-size model against reality.
 
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -32,23 +32,15 @@ pub struct QsClient {
 }
 
 impl QsClient {
-    /// Connect with the default response-frame cap.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        Self::connect_with_cap(addr, DEFAULT_MAX_FRAME_LEN)
-    }
-
-    /// Connect with an explicit cap on a response frame's declared length —
+    /// Connect with the default cap on a response frame's declared length —
     /// the client-side guard against a malicious server's oversized length
     /// prefix.
-    pub fn connect_with_cap(
-        addr: impl ToSocketAddrs,
-        max_frame_len: usize,
-    ) -> Result<Self, NetError> {
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(QsClient {
             stream,
-            max_frame_len,
+            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             bytes_sent: 0,
             bytes_received: 0,
             last_response_bytes: 0,
@@ -130,6 +122,21 @@ impl QsClient {
         }
     }
 
+    /// One exchange whose answer `pick` takes out of the expected response
+    /// variant: a refusal is typed, any other variant is a protocol error
+    /// reading `expected`.
+    fn exchange<T>(
+        &mut self,
+        request: &Request,
+        expected: &'static str,
+        pick: impl FnOnce(Response) -> Option<T>,
+    ) -> Result<T, NetError> {
+        match self.call(request)? {
+            Response::Refused(e) => Err(NetError::Refused(e)),
+            r => pick(r).ok_or(NetError::Protocol(expected)),
+        }
+    }
+
     fn read_response(&mut self) -> Result<Response, NetError> {
         let body = read_frame_body(&mut self.stream, self.max_frame_len)?;
         self.last_response_bytes = 4 + body.len();
@@ -139,21 +146,20 @@ impl QsClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Pong")),
-        }
+        self.exchange(&Request::Ping, "expected Pong", |r| match r {
+            Response::Pong => Some(()),
+            _ => None,
+        })
     }
 
     /// Range selection `lo <= Aind <= hi`. The returned fan-out answer is
     /// exactly what `Verifier::verify_sharded_selection` consumes.
     pub fn select_range(&mut self, lo: i64, hi: i64) -> Result<ShardedSelectionAnswer, NetError> {
-        match self.call(&Request::Select { lo, hi })? {
-            Response::Selection(answer) => Ok(answer),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Selection")),
-        }
+        let request = Request::Select { lo, hi };
+        self.exchange(&request, "expected Selection", |r| match r {
+            Response::Selection(answer) => Some(answer),
+            _ => None,
+        })
     }
 
     /// One shard's tile of a range selection, addressed by shard index —
@@ -172,11 +178,10 @@ impl QsClient {
             lo,
             hi,
         };
-        match self.call(&request)? {
-            Response::ShardSelection(answer) => Ok(*answer),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected ShardSelection")),
-        }
+        self.exchange(&request, "expected ShardSelection", |r| match r {
+            Response::ShardSelection(answer) => Some(*answer),
+            _ => None,
+        })
     }
 
     /// Projection of `attrs` over the range, for
@@ -188,31 +193,29 @@ impl QsClient {
         attrs: &[usize],
     ) -> Result<ProjectionAnswer, NetError> {
         let attrs: Vec<u32> = attrs.iter().map(|&a| a as u32).collect();
-        match self.call(&Request::Project { lo, hi, attrs })? {
-            Response::Projection(answer) => Ok(answer),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Projection")),
-        }
+        let request = Request::Project { lo, hi, attrs };
+        self.exchange(&request, "expected Projection", |r| match r {
+            Response::Projection(answer) => Some(answer),
+            _ => None,
+        })
     }
 
     /// The server's aggregated proof-construction statistics.
     pub fn stats(&mut self) -> Result<QsStats, NetError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Stats")),
-        }
+        self.exchange(&Request::Stats, "expected Stats", |r| match r {
+            Response::Stats(stats) => Some(stats),
+            _ => None,
+        })
     }
 
     /// Per-shard proof-construction statistics, in shard order — the load
     /// signal an auto-rebalance driver feeds to
     /// `authdb_core::policy::AutoRebalancer`.
     pub fn shard_stats(&mut self) -> Result<Vec<QsStats>, NetError> {
-        match self.call(&Request::ShardStats)? {
-            Response::ShardStats(stats) => Ok(stats),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected ShardStats")),
-        }
+        self.exchange(&Request::ShardStats, "expected ShardStats", |r| match r {
+            Response::ShardStats(stats) => Some(stats),
+            _ => None,
+        })
     }
 
     /// Pipeline a batch of range selections over this one connection:
@@ -272,11 +275,10 @@ impl QsClient {
     /// from the genesis partition. Feed the pair to
     /// `EpochView::observe` — the client decides nothing here.
     pub fn epoch(&mut self) -> Result<(ShardMap, Vec<EpochTransition>), NetError> {
-        match self.call(&Request::Epoch)? {
-            Response::Epoch { map, transitions } => Ok((map, transitions)),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Epoch")),
-        }
+        self.exchange(&Request::Epoch, "expected Epoch", |r| match r {
+            Response::Epoch { map, transitions } => Some((map, transitions)),
+            _ => None,
+        })
     }
 
     /// The server's latest certified bootstrap bundle: the current map,
@@ -285,21 +287,20 @@ impl QsClient {
     /// signatures regardless of how many epochs have passed, instead of
     /// replaying [`QsClient::epoch`]'s chain from genesis.
     pub fn checkpoint(&mut self) -> Result<EpochBootstrap, NetError> {
-        match self.call(&Request::Checkpoint)? {
-            Response::Checkpoint(boot) => Ok(*boot),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Checkpoint")),
-        }
+        self.exchange(&Request::Checkpoint, "expected Checkpoint", |r| match r {
+            Response::Checkpoint(boot) => Some(*boot),
+            _ => None,
+        })
     }
 
     /// Push a DA-certified rebalance package to the live server (the
     /// epoch-bump channel a DA-side driver uses; a structurally
     /// inconsistent package is refused without touching the server).
     pub fn rebalance(&mut self, rb: &Rebalance) -> Result<(), NetError> {
-        match self.call(&Request::Rebalance(Box::new(rb.clone())))? {
-            Response::Rebalanced => Ok(()),
-            Response::Refused(e) => Err(NetError::Refused(e)),
-            _ => Err(NetError::Protocol("expected Rebalanced")),
-        }
+        let request = Request::Rebalance(Box::new(rb.clone()));
+        self.exchange(&request, "expected Rebalanced", |r| match r {
+            Response::Rebalanced => Some(()),
+            _ => None,
+        })
     }
 }

@@ -21,10 +21,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::adversary::{run_sharded_timeline, sharded_system};
+use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, PartialVerdict, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
 
@@ -183,18 +181,6 @@ impl NetFaultConformance {
 /// The shard whose endpoint each strategy attacks.
 const TARGET_SHARD: usize = 1;
 
-fn cfg(scheme: SchemeKind) -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
-    }
-}
-
 struct ChaosSystem {
     sa: ShardedAggregator,
     /// Held to keep the upstream serving; the proxies talk to its address.
@@ -210,35 +196,9 @@ impl ChaosSystem {
     /// chaos proxy per shard endpoint (all initially healthy), and tight
     /// test deadlines.
     fn build(scheme: SchemeKind, n: i64) -> Self {
-        let mut rng = StdRng::seed_from_u64(1337);
-        let span = n * 10;
-        let splits = vec![span / 4, span / 2, 3 * span / 4];
-        let mut sa = ShardedAggregator::new(cfg(scheme), splits, &mut rng);
-        let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = ShardedQueryServer::from_bootstraps(
-            sa.public_params(),
-            sa.config(),
-            sa.map().clone(),
-            &boots,
-            &QsOptions::default(),
-        );
-        let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+        let (mut sa, sqs, verifier, view) = sharded_system(scheme, 4, n);
         let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-
-        sa.advance_clock(12);
-        publish(&mut sa, &server);
-        sa.advance_clock(2);
-        let (_, msgs) = sa.update_record(1, 1, vec![sa.map().splits()[0] + 15, 777]);
-        server.with_server(|sqs| {
-            for (shard, m) in &msgs {
-                sqs.apply(*shard, m);
-            }
-        });
-        for dt in [10, 10] {
-            sa.advance_clock(dt);
-            publish(&mut sa, &server);
-        }
-        let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+        server.with_server(|sqs| run_sharded_timeline(&mut sa, sqs));
 
         let proxies: Vec<ChaosProxy> = (0..sa.map().shard_count())
             .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
@@ -303,17 +263,6 @@ impl ChaosSystem {
         let mut script = vec![Fault::Pass; consumed];
         script.extend_from_slice(faults);
         self.proxies[TARGET_SHARD].set_plan(FaultPlan::from_script(script));
-    }
-}
-
-fn publish(sa: &mut ShardedAggregator, server: &QsServer) {
-    for (shard, summary, recerts) in sa.maybe_publish_summaries() {
-        server.with_server(|sqs| {
-            sqs.add_summary(shard, summary);
-            for m in &recerts {
-                sqs.apply(shard, m);
-            }
-        });
     }
 }
 

@@ -21,28 +21,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
-use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
+use authdb_core::adversary::{sharded_system, tick_and_publish};
+use authdb_core::shard::{RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{
     ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions,
     ResilientClient, ShardFanout,
 };
-
-fn cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
-    }
-}
 
 struct System {
     sa: ShardedAggregator,
@@ -54,31 +40,9 @@ struct System {
 }
 
 fn build() -> System {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let n: i64 = 40;
-    let span = n * 10;
-    let splits = vec![span / 4, span / 2, 3 * span / 4];
-    let mut sa = ShardedAggregator::new(cfg(), splits, &mut rng);
-    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let (mut sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 4, 40);
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind");
-    sa.advance_clock(12);
-    for (shard, summary, recerts) in sa.maybe_publish_summaries() {
-        server.with_server(|sqs| {
-            sqs.add_summary(shard, summary);
-            for m in &recerts {
-                sqs.apply(shard, m);
-            }
-        });
-    }
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("view");
+    server.with_server(|sqs| tick_and_publish(&mut sa, sqs, 12));
     let proxies = (0..sa.map().shard_count())
         .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
         .collect();

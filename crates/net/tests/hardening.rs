@@ -5,40 +5,13 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::adversary::sharded_system;
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
 
-fn cfg() -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
-    }
-}
-
 /// A small single-shard deployment, served with the given options.
 fn serve(opts: QsServerOptions) -> QsServer {
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut sa = ShardedAggregator::new(cfg(), Vec::new(), &mut rng);
-    let boots = sa.bootstrap((0..8).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
+    let (_, sqs, _, _) = sharded_system(SchemeKind::Mock, 1, 8);
     QsServer::spawn(sqs, opts).expect("bind loopback")
 }
 

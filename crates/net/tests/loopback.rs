@@ -9,74 +9,25 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::{QsOptions, QueryError};
-use authdb_core::record::Schema;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::adversary::{run_sharded_timeline, sharded_system, tick_and_publish};
+use authdb_core::qs::QueryError;
+use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions, WireTamper};
+use authdb_sim::cost::wire_model;
 use authdb_wire::WireError;
-
-fn cfg(scheme: SchemeKind) -> DaConfig {
-    DaConfig {
-        schema: Schema::new(2, 64),
-        scheme,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 10_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
-    }
-}
 
 /// Build a 4-shard system over keys 0..=390, serve it over loopback TCP,
 /// and run the shared timeline (summaries at t=12/24/34, one update at
 /// t=14) so answers carry summaries and freshness checks are live.
 fn serve(scheme: SchemeKind, n: i64) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let mut rng = StdRng::seed_from_u64(4242);
-    let span = n * 10;
-    let splits = vec![span / 4, span / 2, 3 * span / 4];
-    let mut sa = ShardedAggregator::new(cfg(scheme), splits, &mut rng);
-    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let (mut sa, sqs, verifier, view) = sharded_system(scheme, 4, n);
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-
     // The DA keeps certifying while the server answers queries: updates and
     // summaries flow into the serving replica through the handle.
-    sa.advance_clock(12);
-    publish(&mut sa, &server);
-    sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(1, 1, vec![sa.map().splits()[0] + 15, 777]);
-    server.with_server(|sqs| {
-        for (shard, m) in &msgs {
-            sqs.apply(*shard, m);
-        }
-    });
-    for dt in [10, 10] {
-        sa.advance_clock(dt);
-        publish(&mut sa, &server);
-    }
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    server.with_server(|sqs| run_sharded_timeline(&mut sa, sqs));
     (sa, server, verifier, view)
-}
-
-fn publish(sa: &mut ShardedAggregator, server: &QsServer) {
-    for (shard, summary, recerts) in sa.maybe_publish_summaries() {
-        server.with_server(|sqs| {
-            sqs.add_summary(shard, summary);
-            for m in &recerts {
-                sqs.apply(shard, m);
-            }
-        });
-    }
 }
 
 #[test]
@@ -115,6 +66,62 @@ fn honest_answers_over_tcp_verify() {
     match client.project(0, 100, &[1]) {
         Err(NetError::Refused(QueryError::Unsupported)) => {}
         other => panic!("expected Unsupported refusal, got {other:?}"),
+    }
+}
+
+/// Bytes on the wire stay within 20 % of the simulator's message-size model
+/// at 1 and 8 shards, before and after summaries attach — a codec change
+/// that drifts from `authdb_sim`'s accounting fails here instead of
+/// silently skewing the DES figures.
+#[test]
+fn bytes_on_wire_track_the_sim_wire_model() {
+    for shards in [1, 8] {
+        let (mut sa, sqs, verifier, _view) = sharded_system(SchemeKind::Mock, shards, 256);
+        let sig_len = verifier.public_params().wire_len();
+        let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
+        let mut client = QsClient::connect(server.addr()).expect("connect");
+        for summaries in [false, true] {
+            if summaries {
+                server.with_server(|sqs| {
+                    tick_and_publish(&mut sa, sqs, 12);
+                    tick_and_publish(&mut sa, sqs, 10);
+                });
+            }
+            // Every seam at once, one mid-range slice, and a gap proof.
+            for (lo, hi) in [(0, 2550), (600, 1300), (1001, 1009)] {
+                let ans = client.select_range(lo, hi).expect("network answer");
+                let measured = client.last_response_bytes() as f64;
+                let parts: Vec<wire_model::AnswerShape> = ans
+                    .parts
+                    .iter()
+                    .map(|p| wire_model::AnswerShape {
+                        records: p.answer.records.len(),
+                        gap: p.answer.gap.is_some(),
+                        vacancy: p.answer.vacancy.is_some(),
+                        summaries: p.answer.summaries.len(),
+                        summary_bitmap_bytes: p
+                            .answer
+                            .summaries
+                            .iter()
+                            .map(|s| s.compressed.len())
+                            .sum(),
+                    })
+                    .collect();
+                assert_eq!(parts.iter().any(|p| p.summaries > 0), summaries);
+                let model = wire_model::sharded_selection_response(
+                    ans.map.splits().len(),
+                    &parts,
+                    2,
+                    sig_len,
+                ) as f64;
+                let drift = (measured - model).abs() / measured;
+                assert!(
+                    drift <= 0.20,
+                    "{shards} shards, summaries {summaries}, [{lo}, {hi}]: \
+                     {measured} B on the wire vs {model} B modelled"
+                );
+            }
+        }
     }
 }
 
@@ -293,12 +300,9 @@ fn live_rebalance_over_tcp_mid_query_stream() {
     sa.advance_clock(2);
     let (_, msgs) = sa.update_record(2, 1, vec![115, 4242]);
     server.with_server(|sqs| {
-        for (shard, m) in &msgs {
-            sqs.apply(*shard, m);
-        }
+        sqs.apply_all(&msgs);
+        tick_and_publish(&mut sa, sqs, 10);
     });
-    sa.advance_clock(10);
-    publish(&mut sa, &server);
     let now = sa.now();
     let post = client.select_range(0, 390).expect("post-bump answer");
     verifier

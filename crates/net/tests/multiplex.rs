@@ -7,39 +7,18 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::QsOptions;
-use authdb_core::record::Schema;
-use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::adversary::sharded_system;
+use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
 
 /// Two shards over keys 0..=990 (seam at 500), served over loopback TCP.
-/// Huge ρ keeps update summaries out: the subject here is the transport.
+/// The clock never advances, so no update summaries exist: the subject
+/// here is the transport.
 fn serve(opts: QsServerOptions) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let cfg = DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 1_000_000,
-        rho_prime: 1_000_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
-    };
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut sa = ShardedAggregator::new(cfg, vec![500], &mut rng);
-    let boots = sa.bootstrap((0..100).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let (sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 2, 100);
     let server = QsServer::spawn(sqs, opts).expect("bind loopback");
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
     (sa, server, verifier, view)
 }
 

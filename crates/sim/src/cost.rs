@@ -131,10 +131,12 @@ impl CostModel {
 /// These formulas mirror `authdb-wire`'s encoding byte-for-byte (frame
 /// header, tag/count/presence bytes, fixed-width integers), so the DES
 /// transaction programs charge network delays for the bytes the real codec
-/// ships, not a guess. The `fig_net` bench closes the loop: it measures
-/// bytes-on-wire through a real TCP loopback server and asserts agreement
-/// with these constants within 20% — if the codec drifts, recalibrate
-/// *here* (not in the bench) so the simulator stays honest.
+/// ships, not a guess. `authdb-net`'s loopback suite closes the loop
+/// (`bytes_on_wire_track_the_sim_wire_model`): it measures bytes-on-wire
+/// through a real TCP loopback server and asserts agreement with these
+/// constants within 20% — if the codec drifts, recalibrate *here* (not in
+/// the test) so the simulator stays honest. The ledger reports the same
+/// ratio per workload as `sim.wire_drift`.
 pub mod wire_model {
     /// Frame header: `u32` length prefix + format-version byte.
     pub const FRAME: usize = 5;
@@ -340,7 +342,7 @@ mod tests {
     fn wire_model_component_arithmetic() {
         use super::wire_model::*;
         // A BAS-signed (33-byte point + tag), 2-attribute deployment — the
-        // parameters fig_net measures against a live server.
+        // parameters the ledger's BAS workloads run against a live server.
         let (m, sig) = (2usize, 33usize);
         assert_eq!(record(m), 36);
         assert_eq!(signature(sig), 34);

@@ -98,8 +98,8 @@ fn server_use(total: f64) -> [Step; 2] {
 /// Build a BAS range-query program for `q` result records. The answer
 /// travels in the canonical wire format (one framed single-shard selection
 /// response; summaries amortized per Section 5.3), so the LAN delay charges
-/// the bytes `authdb-net` actually ships — `fig_net` regression-checks this
-/// against a live loopback server.
+/// the bytes `authdb-net` actually ships — its loopback suite
+/// regression-checks this against a live server.
 pub fn bas_query(q: usize, sys: &SystemModel, cost: &CostModel) -> Vec<Step> {
     let service = ServiceTimes::linear(sys.service.bas_query, q);
     let shape = wire_model::AnswerShape {

@@ -10,14 +10,11 @@
 //! cargo run --release --example join_audit
 //! ```
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::join::{
     execute_join, partition_certification_message, verify_join, JoinMethod, JoinPublisher,
 };
-use authdb::core::qs::QueryServer;
 use authdb::core::record::Schema;
-use authdb::core::verify::Verifier;
-use authdb::crypto::signer::SchemeKind;
 use authdb::workload::tpce;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,12 +24,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(17);
     let cfg = DaConfig {
         schema,
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 1,
-        rho_prime: 10_000,
-        buffer_pages: 4096,
-        fill: 2.0 / 3.0,
+        ..DaConfig::paper_defaults()
     };
 
     // R = Security (positions indexed; join attribute = security id).
@@ -42,15 +34,8 @@ fn main() {
     println!("Certifying Security (R): {n_r} rows...");
     let mut r_da = DataAggregator::new(cfg.clone(), &mut rng);
     let r_boot = r_da.bootstrap(tpce::r_rows(n_r, i_b, 0.5, &mut rng), 4);
-    let r_qs = QueryServer::from_bootstrap(
-        r_da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &r_boot,
-        4096,
-        2.0 / 3.0,
-    );
-    let r_verifier = Verifier::new(r_da.public_params(), schema, 1);
+    let r_qs = r_da.replica(&r_boot);
+    let r_verifier = r_da.verifier();
 
     // S = Holding: 10 positions per held security id.
     println!(
@@ -59,15 +44,8 @@ fn main() {
     );
     let mut s_da = DataAggregator::new(cfg, &mut rng);
     let s_boot = s_da.bootstrap(tpce::s_rows(i_b * 10, i_b), 4);
-    let mut s_qs = QueryServer::from_bootstrap(
-        s_da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &s_boot,
-        4096,
-        2.0 / 3.0,
-    );
-    let s_verifier = Verifier::new(s_da.public_params(), schema, 1);
+    let mut s_qs = s_da.replica(&s_boot);
+    let s_verifier = s_da.verifier();
 
     // The DA publishes certified partition filters over S.B
     // (I_B/p = 8 values per partition, m/I_B = 8 bits per value).
@@ -99,6 +77,7 @@ fn main() {
             lo,
             hi,
             &ans,
+            r_da.now(),
         )
         .expect("join verifies");
         let matches: usize = ans.runs.iter().map(|r| r.records.len()).sum();

@@ -5,11 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb::core::qs::QueryServer;
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::record::Schema;
-use authdb::core::verify::{Verifier, VerifyError};
-use authdb::crypto::signer::SchemeKind;
+use authdb::core::verify::VerifyError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,34 +16,21 @@ fn main() {
 
     // 1. The trusted Data Aggregator certifies the initial database with
     //    BLS (BAS) signatures chained over the indexed attribute.
-    let schema = Schema::new(3, 128); // 3 attributes, 128-byte records
     let cfg = DaConfig {
-        schema,
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
-        rho: 1,
-        rho_prime: 900,
-        buffer_pages: 1024,
-        fill: 2.0 / 3.0,
+        schema: Schema::new(3, 128), // 3 attributes, 128-byte records
+        ..DaConfig::paper_defaults()
     };
     let mut da = DataAggregator::new(cfg, &mut rng);
     println!("Certifying 500 records with BAS (BLS over BN254)...");
     let rows: Vec<Vec<i64>> = (0..500).map(|i| vec![i * 10, i % 7, 100 + i]).collect();
     let boot = da.bootstrap(rows, 4);
 
-    // 2. The (untrusted) Query Server receives the replica.
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        1024,
-        2.0 / 3.0,
-    );
+    // 2. The (untrusted) Query Server receives the replica; a user gets a
+    //    verifier holding only the DA's public parameters.
+    let mut qs = da.replica(&boot);
+    let verifier = da.verifier();
 
-    // 3. A user runs a range query and verifies the answer with only the
-    //    DA's public parameters.
-    let verifier = Verifier::new(da.public_params(), schema, 1);
+    // 3. The user runs a range query and verifies the answer.
     let (lo, hi) = (1000, 1200);
     let ans = qs.select_range(lo, hi).unwrap();
     println!(
@@ -79,9 +64,7 @@ fn main() {
 
     // 6. Updates disseminate immediately — no Merkle root to re-certify.
     da.advance_clock(1);
-    for msg in da.update_record(42, vec![420, 3, 999]) {
-        qs.apply(&msg);
-    }
+    qs.apply_all(&da.update_record(42, vec![420, 3, 999]));
     let fresh = qs.select_range(420, 420).unwrap();
     verifier
         .verify_selection(420, 420, &fresh, da.now(), true)

@@ -10,11 +10,9 @@
 //! cargo run --release --example stock_feed
 //! ```
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb::core::qs::QueryServer;
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::record::Schema;
-use authdb::core::verify::{Verifier, VerifyError};
-use authdb::crypto::signer::SchemeKind;
+use authdb::core::verify::VerifyError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,15 +21,11 @@ fn main() {
 
     // Records: (symbol id, price in cents, volume). One tick = one second;
     // summaries publish every rho = 2s; signatures are renewed after 60s.
-    let schema = Schema::new(3, 64);
     let cfg = DaConfig {
-        schema,
-        scheme: SchemeKind::Bas,
-        mode: SigningMode::Chained,
+        schema: Schema::new(3, 64),
         rho: 2,
         rho_prime: 60,
-        buffer_pages: 1024,
-        fill: 2.0 / 3.0,
+        ..DaConfig::paper_defaults()
     };
     let mut da = DataAggregator::new(cfg, &mut rng);
     println!("Exchange opens: certifying 200 symbols...");
@@ -39,15 +33,8 @@ fn main() {
         .map(|i| vec![i, 10_000 + rng.gen_range(0..5_000), 0])
         .collect();
     let boot = da.bootstrap(rows, 4);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        1024,
-        2.0 / 2.0_f64.max(1.5),
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 2);
+    let mut qs = da.replica(&boot);
+    let verifier = da.verifier();
 
     // A user watches symbols 40..=45.
     let watchlist = (40, 45);
@@ -70,16 +57,11 @@ fn main() {
             let sym = rng.gen_range(0..200u64);
             let new_price = 10_000 + rng.gen_range(0..5_000);
             let volume = rng.gen_range(0..1_000);
-            for msg in da.update_record(sym, vec![sym as i64, new_price, volume]) {
-                qs.apply(&msg);
-            }
+            qs.apply_all(&da.update_record(sym, vec![sym as i64, new_price, volume]));
         }
-        if let Some((summary, recerts)) = da.maybe_publish_summary() {
-            qs.add_summary(summary);
+        if let Some(period) = da.maybe_publish_summary() {
+            qs.ingest(period);
             summaries_published += 1;
-            for m in recerts {
-                qs.apply(&m);
-            }
         }
     }
     println!("Published {summaries_published} certified update summaries.");

@@ -2,7 +2,7 @@
 //! class of forgery the paper's correctness properties rule out, across
 //! all three signature schemes.
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::qs::QueryServer;
 use authdb::core::record::Schema;
 use authdb::core::verify::{Verifier, VerifyError};
@@ -15,24 +15,16 @@ fn system(scheme: SchemeKind) -> (DataAggregator, QueryServer, Verifier) {
     let cfg = DaConfig {
         schema,
         scheme,
-        mode: SigningMode::Chained,
         rho: 5,
         rho_prime: 1000,
         buffer_pages: 1024,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(99);
     let mut da = DataAggregator::new(cfg, &mut rng);
     let boot = da.bootstrap((0..100).map(|i| vec![i * 5, i]).collect(), 4);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        1024,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 5);
+    let qs = da.replica(&boot);
+    let verifier = da.verifier();
     (da, qs, verifier)
 }
 
@@ -134,9 +126,7 @@ fn stale_version_with_valid_signature_rejected() {
         let (mut da, mut qs, v) = system(scheme);
         let stale = qs.select_range(100, 200).unwrap();
         da.advance_clock(3);
-        for m in da.update_record(25, vec![125, 4242]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(25, vec![125, 4242]));
         da.advance_clock(10);
         let (summary, _) = da.force_publish_summary();
         qs.add_summary(summary.clone());
@@ -166,9 +156,7 @@ fn withheld_summary_detected_as_gap() {
         qs.add_summary(s);
     }
     da.advance_clock(1);
-    for m in da.update_record(10, vec![50, 1]) {
-        qs.apply(&m);
-    }
+    qs.apply_all(&da.update_record(10, vec![50, 1]));
     let mut ans = qs.select_range(0, 495).unwrap();
     ans.summaries = vec![
         std::sync::Arc::new(sums[0].clone()),

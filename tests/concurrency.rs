@@ -11,13 +11,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::policy::LoadPolicy;
-use authdb::core::qs::{QsOptions, QueryServer};
-use authdb::core::record::Schema;
-use authdb::core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
+use authdb::core::qs::QsOptions;
+use authdb::core::shard::{RebalancePlan, ShardedAggregator};
 use authdb::core::verify::{EpochView, Verifier, VerifyError};
-use authdb::crypto::signer::SchemeKind;
 use authdb_net::{AutoRebalanceDriver, NetError, QsClient, QsServer, QsServerOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,28 +26,17 @@ fn concurrent_queries_verify_during_update_stream() {
     // reader threads continuously verify answers. Every answer observed by
     // any reader must verify — the replica is never in a bad intermediate
     // state.
-    let schema = Schema::new(2, 64);
     let cfg = DaConfig {
-        schema,
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: 1_000_000, // keep summaries out of this test
         rho_prime: 1_000_000,
         buffer_pages: 2048,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(7);
     let mut da = DataAggregator::new(cfg, &mut rng);
     let boot = da.bootstrap((0..400).map(|i| vec![i, 0]).collect(), 2);
-    let qs = Arc::new(RwLock::new(QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        2048,
-        2.0 / 3.0,
-    )));
-    let verifier = Verifier::new(da.public_params(), schema, 1);
+    let qs = Arc::new(RwLock::new(da.replica(&boot)));
+    let verifier = da.verifier();
 
     let stop = Arc::new(AtomicU64::new(0));
     let verified = Arc::new(AtomicU64::new(0));
@@ -69,7 +56,7 @@ fn concurrent_queries_verify_during_update_stream() {
                     // readers share the lock, only `apply` writes.
                     let ans = qs.read().select_range(lo, hi).expect("chained mode");
                     verifier
-                        .verify_selection(lo, hi, &ans, 0, false)
+                        .verify_selection(lo, hi, &ans, 0, true)
                         .expect("every observed answer verifies");
                     verified.fetch_add(1, Ordering::Relaxed);
                 }
@@ -79,11 +66,7 @@ fn concurrent_queries_verify_during_update_stream() {
         for step in 0..200 {
             let rid = (step * 7) % 400;
             let msgs = da.update_record(rid as u64, vec![rid, step]);
-            let mut guard = qs.write();
-            for m in &msgs {
-                guard.apply(m);
-            }
-            drop(guard);
+            qs.write().apply_all(&msgs);
             std::thread::yield_now();
         }
         // Keep the system live until the readers have demonstrably verified
@@ -109,27 +92,17 @@ fn concurrent_queries_verify_during_update_stream() {
 /// covered elsewhere, here the subject is epoch concurrency.
 fn spawn_two_shard_server() -> (ShardedAggregator, QsServer, Verifier, EpochView) {
     let cfg = DaConfig {
-        schema: Schema::new(2, 64),
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
         rho: 1_000_000,
         rho_prime: 1_000_000,
-        buffer_pages: 256,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(4040);
     let mut sa = ShardedAggregator::new(cfg, vec![2000], &mut rng);
     let boots = sa.bootstrap((0..400).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = ShardedQueryServer::from_bootstraps(
-        sa.public_params(),
-        sa.config(),
-        sa.map().clone(),
-        &boots,
-        &QsOptions::default(),
-    );
-    let verifier = Verifier::new(sa.public_params(), sa.config().schema, sa.config().rho);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let verifier = sa.verifier();
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-    let view = EpochView::genesis(sa.map(), &sa.public_params()).expect("genesis view");
+    let view = sa.epoch_view();
     (sa, server, verifier, view)
 }
 

@@ -16,25 +16,17 @@ fn bas_system(n: i64, scheme: SchemeKind, seed: u64) -> (DataAggregator, QuerySe
     let cfg = DaConfig {
         schema,
         scheme,
-        mode: SigningMode::Chained,
         rho: 5,
         rho_prime: 500,
         buffer_pages: 2048,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut da = DataAggregator::new(cfg, &mut rng);
     let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i * 2, i, 1000 + i]).collect();
     let boot = da.bootstrap(rows, 4);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        2048,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 5);
+    let qs = da.replica(&boot);
+    let verifier = da.verifier();
     (da, qs, verifier)
 }
 
@@ -51,21 +43,11 @@ fn lifecycle_with_real_bas() {
 
     // A burst of updates, an insert and a delete, plus a summary cycle.
     da.advance_clock(2);
-    for m in da.update_record(60, vec![120, 60, 9999]) {
-        qs.apply(&m);
-    }
-    for m in da.insert(vec![121, 777, 1]) {
-        qs.apply(&m);
-    }
-    for m in da.delete_record(70) {
-        qs.apply(&m);
-    }
+    qs.apply_all(&da.update_record(60, vec![120, 60, 9999]));
+    qs.apply_all(&da.insert(vec![121, 777, 1]));
+    qs.apply_all(&da.delete_record(70));
     da.advance_clock(5);
-    let (summary, recerts) = da.maybe_publish_summary().expect("period elapsed");
-    qs.add_summary(summary);
-    for m in recerts {
-        qs.apply(&m);
-    }
+    qs.ingest(da.maybe_publish_summary().expect("period elapsed"));
 
     // Everything still verifies; the updated value and the insert are
     // visible, the deleted record is gone.
@@ -87,9 +69,7 @@ fn lifecycle_with_condensed_rsa() {
         .verify_selection(20, 80, &ans, da.now(), true)
         .unwrap();
     da.advance_clock(1);
-    for m in da.update_record(20, vec![40, 1, 2]) {
-        qs.apply(&m);
-    }
+    qs.apply_all(&da.update_record(20, vec![40, 1, 2]));
     let ans2 = qs.select_range(40, 40).unwrap();
     verifier
         .verify_selection(40, 40, &ans2, da.now(), true)
@@ -130,24 +110,13 @@ fn update_stream_keeps_both_systems_consistent() {
     let mut rng = StdRng::seed_from_u64(4);
     let cfg = DaConfig {
         schema,
-        scheme: SchemeKind::Mock,
-        mode: SigningMode::Chained,
-        rho: 10,
-        rho_prime: 10_000,
         buffer_pages: 2048,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut da = DataAggregator::new(cfg, &mut rng);
     let boot = da.bootstrap((0..150).map(|i| vec![i, 0]).collect(), 2);
-    let mut qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::Chained,
-        &boot,
-        2048,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 10);
+    let mut qs = da.replica(&boot);
+    let verifier = da.verifier();
 
     let kp = Keypair::generate(SchemeKind::Mock, &mut rng);
     let mut eda = EmbAggregator::new(schema, DigestKind::Sha1, kp, 2048, 2.0 / 3.0);
@@ -166,19 +135,14 @@ fn update_stream_keeps_both_systems_consistent() {
         }
         let val = rng.gen_range(0..100);
         let key = rng.gen_range(0..200);
-        for m in da.update_record(rid, vec![key, val]) {
-            qs.apply(&m);
-        }
+        qs.apply_all(&da.update_record(rid, vec![key, val]));
         if let Some(up) = eda.update_record(rid, vec![key, val]) {
             eserver.apply(&up);
         }
         // Publish on the DA's own ρ schedule: the verifier's 2ρ-recency
         // gate (rightly) rejects servers whose newest summary is older.
-        if let Some((s, recerts)) = da.maybe_publish_summary() {
-            qs.add_summary(s);
-            for m in recerts {
-                qs.apply(&m);
-            }
+        if let Some(period) = da.maybe_publish_summary() {
+            qs.ingest(period);
         }
         if step % 37 == 0 {
             let (lo, hi) = {
@@ -209,19 +173,12 @@ fn projection_end_to_end() {
         rho: 5,
         rho_prime: 500,
         buffer_pages: 1024,
-        fill: 2.0 / 3.0,
+        ..DaConfig::small()
     };
     let mut da = DataAggregator::new(cfg, &mut rng);
     let boot = da.bootstrap((0..40).map(|i| vec![i, i * 10, i * 100, -i]).collect(), 4);
-    let qs = QueryServer::from_bootstrap(
-        da.public_params(),
-        schema,
-        SigningMode::PerAttribute,
-        &boot,
-        1024,
-        2.0 / 3.0,
-    );
-    let verifier = Verifier::new(da.public_params(), schema, 5);
+    let qs = da.replica(&boot);
+    let verifier = da.verifier();
     // Project two non-contiguous attributes: VO is still one signature.
     let ans = qs.project(5, 25, &[1, 3]).unwrap();
     assert_eq!(ans.rows.len(), 21);

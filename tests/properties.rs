@@ -2,11 +2,9 @@
 
 use proptest::prelude::*;
 
-use authdb::core::da::{DaConfig, DataAggregator, SigningMode};
-use authdb::core::qs::QueryServer;
+use authdb::core::da::{DaConfig, DataAggregator};
 use authdb::core::record::Schema;
 use authdb::core::sigcache::{distributions, select_cache, SigTreeAnalysis};
-use authdb::core::verify::Verifier;
 use authdb::crypto::bigint::BigUint;
 use authdb::crypto::signer::SchemeKind;
 use authdb::filters::bitmap::{compress, decompress, Bitmap};
@@ -137,20 +135,15 @@ proptest! {
         let schema = Schema::new(2, 64);
         let cfg = DaConfig {
             schema,
-            scheme: SchemeKind::Mock,
-            mode: SigningMode::Chained,
-            rho: 10,
             rho_prime: 1000,
             buffer_pages: 512,
-            fill: 2.0 / 3.0,
+            ..DaConfig::small()
         };
         let mut rng = StdRng::seed_from_u64(42);
         let mut da = DataAggregator::new(cfg, &mut rng);
         let boot = da.bootstrap((0..200).map(|i| vec![i, i]).collect(), 2);
-        let qs = QueryServer::from_bootstrap(
-            da.public_params(), schema, SigningMode::Chained, &boot, 512, 2.0 / 3.0,
-        );
-        let verifier = Verifier::new(da.public_params(), schema, 10);
+        let qs = da.replica(&boot);
+        let verifier = da.verifier();
         let ans = qs.select_range(lo, hi).unwrap();
         prop_assert!(verifier.verify_selection(lo, hi, &ans, 0, true).is_ok());
         if !ans.records.is_empty() {
