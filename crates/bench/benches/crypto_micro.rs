@@ -238,6 +238,23 @@ fn bench_bls_batch(c: &mut Criterion) {
             b.iter(|| pk.verify_aggregate_batch(&claims, &mut rng))
         });
     }
+    // One live range answer's signatures (32-record aggregate, five
+    // summaries, a 16 KB checkpoint): a pairing check each, versus the one
+    // fold the verifier runs.
+    let data = authdb_sim::cost::answer_shaped_claims(&sk);
+    let claims: Vec<(&[Vec<u8>], &authdb_crypto::bls::BlsSignature)> =
+        data.iter().map(|(m, s)| (m.as_slice(), s)).collect();
+    g.bench_function("answer_shaped_7_claims_sequential", |b| {
+        b.iter(|| {
+            data.iter().all(|(msgs, sig)| {
+                let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
+                pk.verify_aggregate(&refs, sig)
+            })
+        })
+    });
+    g.bench_function("answer_shaped_7_claims_folded", |b| {
+        b.iter(|| pk.verify_aggregate_batch(&claims, &mut rng))
+    });
     g.finish();
 }
 

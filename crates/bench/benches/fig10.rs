@@ -108,7 +108,7 @@ fn run_point(
                 steps: vec![
                     Step::Use(des::Res::Cpu, total * 0.5),
                     Step::Use(des::Res::Disk, total * 0.5),
-                    Step::Verify(cost.bas_verify_base + q as f64 * cost.bas_verify_per_msg),
+                    Step::Verify(cost.client_verify_time(q, 1)),
                 ],
             });
         }

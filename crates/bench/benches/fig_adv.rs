@@ -9,6 +9,11 @@
 //! `verify_selection_batch` over K honest BAS answers versus K independent
 //! `verify_selection` calls. The random-linear-combination multi-pairing
 //! must deliver ≥ 2× throughput at K = 16 (the acceptance bar).
+//!
+//! Part 3 measures the fold *within* one answer: a live BAS answer carrying
+//! a checkpoint and four summaries is verified by one pairing check
+//! covering `sig_claims` signatures, and must be ≥ 2× faster than checking
+//! the same artifacts one by one (what the verifier did before the fold).
 
 use std::time::Instant;
 
@@ -47,7 +52,7 @@ fn main() {
         "  bootstrap ({n} BLS signatures): {}",
         fmt_time(t.elapsed().as_secs_f64())
     );
-    let qs = da.replica(&boot);
+    let mut qs = da.replica(&boot);
     let verifier = da.verifier();
 
     let queries: Vec<(i64, i64)> = (0..k as i64)
@@ -87,6 +92,61 @@ fn main() {
     println!("  1 x verify_selection_batch({k}): {}", fmt_time(batch));
     println!("  speedup: {speedup:.2}x (acceptance bar: 2.00x)");
 
+    // ---- Part 3: one check per live answer ----
+    // Six quiet periods, then the DA compacts all but the last four
+    // summaries: every answer now carries a checkpoint (2 048 rids' exposure,
+    // 16 KB) and four summaries beside its aggregate.
+    let rho = da.config().rho;
+    for _ in 0..6 {
+        da.advance_clock(rho + 2);
+        qs.ingest(da.maybe_publish_summary().expect("period closes"));
+    }
+    qs.apply_checkpoint(da.checkpoint_summaries(4).expect("compactable"));
+    let (lo, hi) = queries[3];
+    let live = qs.select_range(lo, hi).expect("chained mode");
+    let now = da.now();
+    let ckpt = live.checkpoint.as_ref().expect("checkpoint attached");
+    assert!(
+        live.summaries.len() >= 4,
+        "live answer carries >= 4 summaries"
+    );
+    let pp = verifier.public_params();
+    let reps = 10;
+    let t = Instant::now();
+    let mut sig_claims = 0;
+    for _ in 0..reps {
+        sig_claims = verifier
+            .verify_selection(lo, hi, &live, now, true)
+            .expect("honest live answer verifies")
+            .sig_claims;
+    }
+    let folded = t.elapsed().as_secs_f64() / reps as f64;
+    assert_eq!(sig_claims, live.summaries.len() + 2);
+    // The same artifacts, one pairing check each: the checkpoint, every
+    // summary, and the aggregate (freshness off: one claim).
+    let t = Instant::now();
+    for _ in 0..reps {
+        assert!(ckpt.verify(pp) && live.summaries.iter().all(|s| s.verify(pp)));
+        verifier
+            .verify_selection(lo, hi, &live, now, false)
+            .expect("aggregate verifies");
+    }
+    let one_by_one = t.elapsed().as_secs_f64() / reps as f64;
+    let fold_speedup = one_by_one / folded;
+    println!(
+        "\nOne check per answer: live answer, {} summaries + checkpoint (BAS)",
+        live.summaries.len()
+    );
+    println!(
+        "  {sig_claims} individual checks : {}",
+        fmt_time(one_by_one)
+    );
+    println!(
+        "  1 x verify_selection ({sig_claims} claims folded): {}",
+        fmt_time(folded)
+    );
+    println!("  speedup: {fold_speedup:.2}x (acceptance bar: 2.00x)");
+
     csv_begin("metric,value");
     println!("catalog_mock_ok,{}", mock_ok as u8);
     println!("catalog_bas_ok,{}", bas_ok as u8);
@@ -94,6 +154,10 @@ fn main() {
     println!("verify_sequential_s,{seq}");
     println!("verify_batch_s,{batch}");
     println!("batch_speedup,{speedup}");
+    println!("answer_sig_claims,{sig_claims}");
+    println!("answer_one_by_one_s,{one_by_one}");
+    println!("answer_folded_s,{folded}");
+    println!("answer_fold_speedup,{fold_speedup}");
     csv_end();
 
     assert!(mock_ok, "tamper catalog must fully reject under Mock");
@@ -102,5 +166,12 @@ fn main() {
         speedup >= 2.0,
         "batched verification must be >= 2x sequential (got {speedup:.2}x)"
     );
-    println!("\nAll tamper strategies rejected; batch verification {speedup:.2}x faster.");
+    assert!(
+        fold_speedup >= 2.0,
+        "one folded check must be >= 2x {sig_claims} individual checks (got {fold_speedup:.2}x)"
+    );
+    println!(
+        "\nAll tamper strategies rejected; batch verification {speedup:.2}x faster; \
+         one check per live answer {fold_speedup:.2}x faster."
+    );
 }

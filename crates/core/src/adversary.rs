@@ -98,6 +98,7 @@ pub fn run_catalog<T: Strategy>(scheme: SchemeKind) -> Vec<Conformance<T>> {
 const NO_RECORDS: VerifyReport = VerifyReport {
     max_staleness: 0,
     records: 0,
+    sig_claims: 0,
 };
 
 /// One way a malicious query server can doctor an answer.

@@ -62,6 +62,13 @@ use authdb_filters::bitmap::{compress, decompress, Bitmap};
 
 use crate::record::Tick;
 
+#[cfg(test)]
+thread_local! {
+    /// How many bitmaps this thread has decompressed: lets the verifier's
+    /// tests pin that nothing unauthenticated is ever decoded.
+    pub(crate) static BITMAP_DECODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// A certified compressed bitmap summary for one ρ-period.
 ///
 /// The `(epoch, shard)` tags are part of the signed message: in a sharded
@@ -148,23 +155,28 @@ impl UpdateSummary {
         }
     }
 
+    /// The message this summary's signature must cover: [`Self::message`]
+    /// over its own fields (`epoch` and `shard` included).
+    pub fn signed_message(&self) -> Vec<u8> {
+        Self::message(
+            self.epoch,
+            self.shard,
+            self.seq,
+            self.period_start,
+            self.ts,
+            &self.compressed,
+        )
+    }
+
     /// Verify the DA's signature.
     pub fn verify(&self, pp: &PublicParams) -> bool {
-        pp.verify(
-            &Self::message(
-                self.epoch,
-                self.shard,
-                self.seq,
-                self.period_start,
-                self.ts,
-                &self.compressed,
-            ),
-            &self.signature,
-        )
+        pp.verify(&self.signed_message(), &self.signature)
     }
 
     /// Decompress the bitmap; `None` if the payload is malformed.
     pub fn bitmap(&self) -> Option<Bitmap> {
+        #[cfg(test)]
+        BITMAP_DECODES.with(|n| n.set(n.get() + 1));
         decompress(&self.compressed)
     }
 
@@ -307,18 +319,21 @@ impl SummaryCheckpoint {
         }
     }
 
+    /// The message this checkpoint's signature must cover:
+    /// [`Self::message`] over its own fields (`epoch` and `shard` included).
+    pub fn signed_message(&self) -> Vec<u8> {
+        Self::message(
+            self.epoch,
+            self.shard,
+            self.through_seq,
+            self.through_ts,
+            &self.exposure,
+        )
+    }
+
     /// Verify the DA's signature.
     pub fn verify(&self, pp: &PublicParams) -> bool {
-        pp.verify(
-            &Self::message(
-                self.epoch,
-                self.shard,
-                self.through_seq,
-                self.through_ts,
-                &self.exposure,
-            ),
-            &self.signature,
-        )
+        pp.verify(&self.signed_message(), &self.signature)
     }
 
     /// The latest covered `period_start` whose summary marked `rid`, or

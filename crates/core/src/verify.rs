@@ -8,7 +8,8 @@
 //!   neighbours, and the boundary keys bracket the queried range, so no
 //!   qualifying record can be omitted without breaking the aggregate;
 //! * **freshness** — each record passes the bitmap-summary check of
-//!   Section 3.1 (after the summaries' own signatures are verified),
+//!   Section 3.1 (after the summaries' own signatures are verified — see
+//!   *Three phases, one signature check* below),
 //!   including the bracketing record of a gap proof and the vacancy proof
 //!   of an empty table.
 //!
@@ -100,16 +101,69 @@
 //! (`no-wall-clock-in-verify`). `cargo run -p authdb-lint -- --workspace`
 //! fails the build on a violation.
 //!
-//! Under the BAS scheme the [`Verifier`]'s [`PublicParams`] carry the DA
-//! key's precomputed pairing lines (built once at key generation, shared
-//! by reference), so each `verify_*` call costs one multi-Miller-loop and
-//! one final exponentiation — per-query verification amortizes the key
-//! preparation to zero. Construct one `Verifier` and reuse it across
-//! queries; cloning it (or the params) keeps sharing the same cache.
-//! [`Verifier::verify_selection_batch`] goes further and folds many
-//! answers into a *single* random-linear-combination multi-pairing.
+//! # Three phases, one signature check
+//!
+//! Every `verify_*` entry point runs the same pipeline, in this order:
+//!
+//! 1. **Structural** — everything decidable from the answer's shape alone
+//!    (range, order, boundary and seam keys, fan-out shape, domain tags,
+//!    schema fit). Alongside, every signature the answer asks the client to
+//!    believe is *collected* as a claim — each attached
+//!    [`UpdateSummary`], each [`SummaryCheckpoint`], and each part's chained
+//!    aggregate, gap proof or vacancy proof — with the message it must
+//!    cover. Nothing is believed yet and nothing compressed is opened.
+//! 2. **One fold over every signature** — all claims of all parts (and of
+//!    all answers, for [`Verifier::verify_selection_batch`]) go into a
+//!    single [`PublicParams::verify_aggregate_batch`] call. Under BAS they
+//!    are all signatures under the one DA key, so an honest answer costs one
+//!    two-term multi-Miller loop and one final exponentiation however many
+//!    summaries, checkpoints and shards it spans, plus two short scalar
+//!    multiplications per claim after the first; an answer with a single
+//!    claim degenerates to the plain aggregate check. Mock and condensed
+//!    RSA verify claim by claim. Only when the fold fails is each claim
+//!    re-checked on its own, freshness artifacts of every part first, then
+//!    the parts' aggregates; the first bad one names the typed error
+//!    ([`VerifyError::BadCheckpoint`],
+//!    [`VerifyError::BadSummarySignature`], [`VerifyError::BadAggregate`]).
+//! 3. **Freshness over vouched summaries** — only now are the summaries'
+//!    bitmaps decompressed and the checkpoint's exposure map read, to judge
+//!    each returned version (or vacancy claim) at the caller's clock.
+//!
+//! So no summary bitmap and no exposure map influences a verdict — and no
+//! attacker-supplied bitmap header reaches the decompressor — before the
+//! check covering its signature has passed. The price is error
+//! *precedence* on multi-fault answers only: a forged signature anywhere
+//! now outranks a freshness verdict (`Stale`, `…Indeterminate`,
+//! `CheckpointGap`), because the latter is not computed from unvouched
+//! input.
+//!
+//! ## Fold coefficients
+//!
+//! The fold checks `e(Σ cᵢσᵢ, g₂) = e(Σ cᵢHᵢ, X)` with `c₀ = 1` and 128-bit
+//! `cᵢ`; if any claim is invalid it passes for at most a 2⁻¹²⁸ fraction of
+//! coefficient choices, *provided the coefficients are fixed only after the
+//! server has committed to every claim*. The entry points that take an
+//! `rng` ([`Verifier::verify_sharded_selection`],
+//! [`Verifier::verify_partial_selection`],
+//! [`Verifier::verify_selection_batch`]) draw them from it after the answer
+//! has arrived; the caller owes an `rng` the server cannot predict.
+//! [`Verifier::verify_selection`] and [`Verifier::verify_projection`] have
+//! no `rng` and derive them from the claims themselves: SHA-256 over the
+//! complete transcript — every message and every signature of every claim,
+//! length-framed, in fold order — seeds a SHA-256 counter stream. Changing
+//! any byte of any claim re-draws every coefficient, so in the random-oracle
+//! model a server cannot choose a claim as a function of its coefficient;
+//! each transcript it tries offline succeeds with probability ≤ 2⁻¹²⁸. The
+//! verifier stays a stateless function of (answer, clock): no cache, no
+//! seed, and the same answer always gets the same verdict.
+//!
+//! Construct one [`Verifier`] and reuse it across queries; its
+//! [`PublicParams`] carry the DA key's precomputed pairing lines, shared by
+//! every clone.
 
-use authdb_crypto::sha256::Digest;
+use std::sync::Arc;
+
+use authdb_crypto::sha256::{Digest, Sha256};
 use authdb_crypto::signer::{PublicParams, Signature};
 
 use crate::freshness::{
@@ -341,6 +395,10 @@ pub struct VerifyReport {
     pub max_staleness: Tick,
     /// Number of records checked.
     pub records: usize,
+    /// Number of signatures the one signature check covered: every attached
+    /// summary and checkpoint plus each part's aggregate (or gap / vacancy
+    /// proof).
+    pub sig_claims: usize,
 }
 
 /// The client's pinned epoch: which certified partition it currently
@@ -515,25 +573,10 @@ impl Verifier {
         &self.pp
     }
 
-    /// Check every attached summary's own signature. Generic over how the
-    /// summaries are held (answers share them by `Arc`).
-    fn check_summaries<S: std::borrow::Borrow<UpdateSummary>>(
-        &self,
-        summaries: &[S],
-    ) -> Result<(), VerifyError> {
-        for s in summaries {
-            let s = s.borrow();
-            if !s.verify(&self.pp) {
-                return Err(VerifyError::BadSummarySignature { seq: s.seq });
-            }
-        }
-        Ok(())
-    }
-
-    /// One record's freshness decision against already-verified,
-    /// once-decoded summaries — plus, when the answer shipped one, the
-    /// already-signature-checked [`SummaryCheckpoint`] standing in for the
-    /// compacted prefix — mapped into the error domain.
+    /// One record's freshness decision against once-decoded summaries —
+    /// plus, when the answer shipped one, the [`SummaryCheckpoint`] standing
+    /// in for the compacted prefix — mapped into the error domain. Both must
+    /// already be vouched for by [`Verifier::fold_claims`].
     ///
     /// With a checkpoint the decision runs in the same two passes as the
     /// uncompacted algorithm, split across the cut: pass 1 against the
@@ -624,19 +667,18 @@ impl Verifier {
         }
     }
 
-    /// Run every check on a selection answer except the final aggregate
-    /// signature equation, returning the signed messages to feed it: the
-    /// single shared pipeline behind the non-empty, gap-proof, and
-    /// empty-table paths of both [`Verifier::verify_selection`] and
-    /// [`Verifier::verify_selection_batch`].
-    fn analyze_selection(
+    /// Phase 1 for one selection answer: every structural check, plus the
+    /// signed claims and the freshness subject the later phases need — the
+    /// single shared pipeline behind the non-empty, gap-proof and
+    /// empty-table paths of every selection entry point. Believes no
+    /// signature and opens no bitmap.
+    fn analyze_selection<'a>(
         &self,
         lo: i64,
         hi: i64,
-        ans: &SelectionAnswer,
-        now: Tick,
+        ans: &'a SelectionAnswer,
         check_fresh: bool,
-    ) -> Result<AnswerClaim, VerifyError> {
+    ) -> Result<Analyzed<'a>, VerifyError> {
         // An inverted range matches no key by definition: the only honest
         // answer is empty with the identity aggregate, and nothing — not
         // even a gap or vacancy proof — needs to be certified for it. A
@@ -659,14 +701,7 @@ impl Verifier {
             if ans.checkpoint.is_some() {
                 return Err(VerifyError::BadCheckpoint);
             }
-            return Ok(AnswerClaim {
-                messages: Vec::new(),
-                agg: ans.agg.clone(),
-                report: VerifyReport {
-                    max_staleness: 0,
-                    records: 0,
-                },
-            });
+            return Ok(Analyzed::new(Vec::new(), &ans.agg, None, 0));
         }
         // Boundary keys must bracket the range.
         if !(ans.left_key < lo || ans.left_key == KEY_NEG_INF) {
@@ -676,26 +711,23 @@ impl Verifier {
             return Err(VerifyError::BadBoundary);
         }
 
-        // A shipped summary checkpoint stands in for the compacted summary
-        // prefix on every freshness path below; like the summaries it is a
-        // freshness artifact, so its signature is checked once here and it
-        // is ignored entirely when the caller disabled freshness.
-        let ckpt = match (check_fresh, &ans.checkpoint) {
-            (true, Some(c)) => {
-                if !c.verify(&self.pp) {
-                    return Err(VerifyError::BadCheckpoint);
-                }
-                Some(c)
-            }
-            _ => None,
+        // The summaries and the checkpoint standing in for their compacted
+        // prefix are freshness artifacts: claimed and judged only when the
+        // caller wants freshness, ignored entirely otherwise.
+        let fresh_plan = |subject| {
+            check_fresh.then_some(FreshPlan {
+                subject,
+                summaries: &ans.summaries,
+                ckpt: ans.checkpoint.as_ref(),
+            })
         };
 
         if ans.records.is_empty() {
             if let Some(gap) = &ans.gap {
                 // A gap proof and a vacancy claim are mutually exclusive by
                 // construction; a co-attached vacancy would ride through
-                // unchecked (only the gap's signature joins the aggregate),
-                // so its presence is itself a forgery.
+                // unchecked (only the gap's signature joins the fold), so
+                // its presence is itself a forgery.
                 if ans.vacancy.is_some() {
                     return Err(VerifyError::BadGapProof);
                 }
@@ -722,37 +754,20 @@ impl Verifier {
                 // The bracketing record is subject to the same freshness
                 // discipline as returned records: a deleted or superseded
                 // chain record must not keep denying the range.
-                let mut max_staleness = 0;
-                if check_fresh {
-                    self.check_summaries(&ans.summaries)?;
-                    let decoded = DecodedSummaries::new(&ans.summaries);
-                    max_staleness =
-                        self.freshness_of(gap.record.rid, gap.record.ts, &decoded, ckpt, now)?;
-                }
-                return Ok(AnswerClaim {
-                    messages: vec![gap.chain_msg(&self.schema)],
-                    agg: gap.signature.clone(),
-                    report: VerifyReport {
-                        max_staleness,
-                        records: 0,
-                    },
-                });
+                return Ok(Analyzed::new(
+                    vec![gap.chain_msg(&self.schema)],
+                    &gap.signature,
+                    fresh_plan(Subject::Versions(vec![(gap.record.rid, gap.record.ts)])),
+                    0,
+                ));
             }
             if let Some(vac) = &ans.vacancy {
-                let mut max_staleness = 0;
-                if check_fresh {
-                    self.check_summaries(&ans.summaries)?;
-                    let decoded = DecodedSummaries::new(&ans.summaries);
-                    max_staleness = self.vacancy_of(vac.ts, &decoded, ckpt, now)?;
-                }
-                return Ok(AnswerClaim {
-                    messages: vec![EmptyTableProof::message(vac.epoch, vac.shard, vac.ts)],
-                    agg: vac.signature.clone(),
-                    report: VerifyReport {
-                        max_staleness,
-                        records: 0,
-                    },
-                });
+                return Ok(Analyzed::new(
+                    vec![EmptyTableProof::message(vac.epoch, vac.shard, vac.ts)],
+                    &vac.signature,
+                    fresh_plan(Subject::Vacancy(vac.ts)),
+                    0,
+                ));
             }
             return Err(VerifyError::MissingGapProof);
         }
@@ -783,18 +798,6 @@ impl Verifier {
             return Err(VerifyError::Unsorted);
         }
 
-        // Freshness: decode every bitmap once, then check all records
-        // against the decoded set.
-        let mut max_staleness = 0;
-        if check_fresh {
-            self.check_summaries(&ans.summaries)?;
-            let decoded = DecodedSummaries::new(&ans.summaries);
-            for r in &ans.records {
-                let b = self.freshness_of(r.rid, r.ts, &decoded, ckpt, now)?;
-                max_staleness = max_staleness.max(b);
-            }
-        }
-
         // Reconstruct every chained message; the neighbour of the first/last
         // record is the boundary key.
         let mut messages = Vec::with_capacity(ans.records.len());
@@ -806,14 +809,76 @@ impl Verifier {
             let right = keys.get(i + 1).copied().unwrap_or(ans.right_key);
             messages.push(r.chain_message(&self.schema, left, right));
         }
-        Ok(AnswerClaim {
+        Ok(Analyzed::new(
             messages,
-            agg: ans.agg.clone(),
-            report: VerifyReport {
-                max_staleness,
-                records: ans.records.len(),
-            },
+            &ans.agg,
+            fresh_plan(Subject::Versions(
+                ans.records.iter().map(|r| (r.rid, r.ts)).collect(),
+            )),
+            ans.records.len(),
+        ))
+    }
+
+    /// Phase 2: fold every claim of every part into one
+    /// random-linear-combination multi-pairing (BAS; other schemes verify
+    /// per claim), coefficients from `rng`. On a mismatch each claim is
+    /// re-checked on its own, in [`claim_order`], to localize the cheat:
+    /// `Err` names the part holding the first bad claim and that claim's
+    /// typed error.
+    fn fold_claims(
+        &self,
+        parts: &[Analyzed<'_>],
+        rng: &mut impl rand::Rng,
+    ) -> Result<(), BatchFailure> {
+        let batch: Vec<(&[Vec<u8>], &Signature)> = claim_order(parts)
+            .map(|(_, c)| (c.messages.as_slice(), c.sig))
+            .collect();
+        if self.pp.verify_aggregate_batch(&batch, rng) {
+            return Ok(());
+        }
+        match claim_order(parts).find(|(_, c)| !c.holds(&self.pp)) {
+            Some((index, bad)) => Err(BatchFailure {
+                index,
+                error: bad.kind.error(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Phase 3 for one part whose claims [`Verifier::fold_claims`] has
+    /// vouched for: decode its summaries once, judge every version (or the
+    /// vacancy claim) at `now`, and hand back the part's report.
+    fn vouched_report(&self, part: &Analyzed<'_>, now: Tick) -> Result<VerifyReport, VerifyError> {
+        let mut max_staleness = 0;
+        if let Some(plan) = &part.fresh {
+            let decoded = DecodedSummaries::new(plan.summaries);
+            match &plan.subject {
+                Subject::Versions(versions) => {
+                    for &(rid, ts) in versions {
+                        let b = self.freshness_of(rid, ts, &decoded, plan.ckpt, now)?;
+                        max_staleness = max_staleness.max(b);
+                    }
+                }
+                Subject::Vacancy(ts) => {
+                    max_staleness = self.vacancy_of(*ts, &decoded, plan.ckpt, now)?;
+                }
+            }
+        }
+        Ok(VerifyReport {
+            max_staleness,
+            records: part.records,
+            sig_claims: part.artifacts.len() + 1,
         })
+    }
+
+    /// Phases 2 and 3 for an answer verified on its own through an entry
+    /// point without an `rng`: the fold's coefficients come from the claim
+    /// transcript (module docs, *Fold coefficients*).
+    fn settle_alone(&self, part: Analyzed<'_>, now: Tick) -> Result<VerifyReport, VerifyError> {
+        let parts = std::slice::from_ref(&part);
+        self.fold_claims(parts, &mut TranscriptRng::new(parts))
+            .map_err(|f| f.error)?;
+        self.vouched_report(&part, now)
     }
 
     /// Verify a range-selection answer for the query `lo <= Aind <= hi` at
@@ -827,37 +892,17 @@ impl Verifier {
         now: Tick,
         check_fresh: bool,
     ) -> Result<VerifyReport, VerifyError> {
-        let claim = self.analyze_selection(lo, hi, ans, now, check_fresh)?;
-        if !claim.holds(&self.pp) {
-            return Err(VerifyError::BadAggregate);
-        }
-        Ok(claim.report)
-    }
-
-    /// Fold every claim's aggregate into one random-linear-combination
-    /// multi-pairing (BAS; other schemes verify per claim). On a mismatch
-    /// each claim is re-checked on its own to localize the cheat: `Err` is
-    /// the index of the first claim whose aggregate fails.
-    fn fold_claims(&self, claims: &[AnswerClaim], rng: &mut impl rand::Rng) -> Result<(), usize> {
-        let batch: Vec<(&[Vec<u8>], &Signature)> = claims
-            .iter()
-            .map(|c| (c.messages.as_slice(), &c.agg))
-            .collect();
-        if self.pp.verify_aggregate_batch(&batch, rng) {
-            return Ok(());
-        }
-        claims
-            .iter()
-            .position(|c| !c.holds(&self.pp))
-            .map_or(Ok(()), Err)
+        let part = self.analyze_selection(lo, hi, ans, check_fresh)?;
+        self.settle_alone(part, now)
     }
 
     /// Verify many selection answers at once, amortizing the pairing cost:
-    /// all chained messages, gap proofs, and vacancy proofs fold into one
+    /// every signature of every answer — chained aggregates, gap proofs,
+    /// vacancy proofs, summaries and checkpoints — folds into one
     /// random-linear-combination multi-pairing (BAS; other schemes verify
-    /// per answer), with coefficient randomness drawn from `rng`. On a
-    /// batch-level signature mismatch each answer is re-checked
-    /// individually to localize the cheat.
+    /// per claim), with coefficient randomness drawn from `rng`. On a
+    /// batch-level signature mismatch each claim is re-checked individually
+    /// to localize the cheat.
     ///
     /// # Panics
     /// Panics if `queries` and `answers` differ in length.
@@ -870,19 +915,22 @@ impl Verifier {
         rng: &mut impl rand::Rng,
     ) -> Result<Vec<VerifyReport>, BatchFailure> {
         assert_eq!(queries.len(), answers.len(), "one query per answer");
-        let mut claims = Vec::with_capacity(answers.len());
+        let mut parts = Vec::with_capacity(answers.len());
         for (index, (&(lo, hi), ans)) in queries.iter().zip(answers).enumerate() {
-            match self.analyze_selection(lo, hi, ans, now, check_fresh) {
-                Ok(c) => claims.push(c),
+            match self.analyze_selection(lo, hi, ans, check_fresh) {
+                Ok(part) => parts.push(part),
                 Err(error) => return Err(BatchFailure { index, error }),
             }
         }
-        self.fold_claims(&claims, rng)
-            .map_err(|index| BatchFailure {
-                index,
-                error: VerifyError::BadAggregate,
-            })?;
-        Ok(claims.into_iter().map(|c| c.report).collect())
+        self.fold_claims(&parts, rng)?;
+        parts
+            .iter()
+            .enumerate()
+            .map(|(index, part)| {
+                self.vouched_report(part, now)
+                    .map_err(|error| BatchFailure { index, error })
+            })
+            .collect()
     }
 
     /// Verify a sharded selection answer (see [`crate::shard`]) for the
@@ -898,11 +946,14 @@ impl Verifier {
     /// 3. per-shard seam and domain checks — boundary keys must stay
     ///    within the shard's fences, and summaries/vacancy proofs must
     ///    carry the answering shard's `(epoch, shard)` tag;
-    /// 4. every per-shard structural/freshness pipeline
+    /// 4. every per-shard structural pipeline
     ///    ([`Verifier::verify_selection`]'s checks against the sub-range);
-    /// 5. one random-linear-combination fold of all per-shard aggregates —
-    ///    a single multi-Miller loop regardless of shard count, with
-    ///    per-shard fallback localization on mismatch.
+    /// 5. one random-linear-combination fold of every signature in the
+    ///    fan-out — per-shard aggregates, summaries and checkpoints alike —
+    ///    a single multi-Miller loop regardless of shard count or summary
+    ///    run length, with per-claim fallback localization on mismatch;
+    /// 6. every per-shard freshness pass, over the summaries the fold
+    ///    vouched for.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_sharded_selection(
         &self,
@@ -1005,12 +1056,8 @@ impl Verifier {
                 *slot = true;
             }
         }
-        let mut claims = Vec::with_capacity(expected.len());
+        let mut parts = Vec::with_capacity(expected.len());
         let mut tiles = Vec::with_capacity(expected.len());
-        let mut report = VerifyReport {
-            max_staleness: 0,
-            records: 0,
-        };
         for &(shard, (sub_lo, sub_hi)) in &expected {
             let Some(part) = ans.parts.iter().find(|p| p.shard == shard) else {
                 if unreachable.contains(&shard) {
@@ -1049,42 +1096,42 @@ impl Verifier {
             if a.left_key < scope.left_fence || a.right_key > scope.right_fence {
                 return Err(VerifyError::SeamViolation { shard });
             }
-            let claim = self.analyze_selection(sub_lo, sub_hi, a, now, check_fresh)?;
-            report.records += claim.report.records;
-            report.max_staleness = report.max_staleness.max(claim.report.max_staleness);
+            let analyzed = self.analyze_selection(sub_lo, sub_hi, a, check_fresh)?;
             tiles.push(TileStatus::Certified {
                 shard,
                 sub_lo,
                 sub_hi,
-                records: claim.report.records,
+                records: analyzed.records,
             });
-            claims.push(claim);
+            parts.push(analyzed);
         }
-        self.fold_claims(&claims, rng)
-            .map_err(|_| VerifyError::BadAggregate)?;
+        self.fold_claims(&parts, rng).map_err(|f| f.error)?;
+        let mut report = VerifyReport {
+            max_staleness: 0,
+            records: 0,
+            sig_claims: 0,
+        };
+        for part in &parts {
+            let r = self.vouched_report(part, now)?;
+            report.max_staleness = report.max_staleness.max(r.max_staleness);
+            report.records += r.records;
+            report.sig_claims += r.sig_claims;
+        }
         Ok(PartialVerdict { tiles, report })
     }
 
     /// Verify a projection answer (Section 3.4): every `(rid, attr, value,
     /// ts)` quadruple must match the single aggregate, which also pins each
     /// value to its record and attribute position. Freshness runs through
-    /// the same summary pipeline as selections: each row's `(rid, ts)` is
-    /// checked against the verified summaries at local time `now`.
+    /// the same three phases as selections: the aggregate and the attached
+    /// summaries share one fold, then each row's `(rid, ts)` is checked
+    /// against the vouched summaries at local time `now`.
     pub fn verify_projection(
         &self,
         ans: &ProjectionAnswer,
         now: Tick,
         check_fresh: bool,
     ) -> Result<VerifyReport, VerifyError> {
-        let mut max_staleness = 0;
-        if check_fresh {
-            self.check_summaries(&ans.summaries)?;
-            let decoded = DecodedSummaries::new(&ans.summaries);
-            for row in &ans.rows {
-                let b = self.freshness_of(row.rid, row.ts, &decoded, None, now)?;
-                max_staleness = max_staleness.max(b);
-            }
-        }
         let mut messages = Vec::new();
         for row in &ans.rows {
             for &(idx, value) in &row.values {
@@ -1107,30 +1154,193 @@ impl Verifier {
                 messages.push(probe.attribute_message(idx));
             }
         }
-        let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
-        if !self.pp.verify_aggregate(&refs, &ans.agg) {
-            return Err(VerifyError::BadAggregate);
-        }
-        Ok(VerifyReport {
-            max_staleness,
-            records: ans.rows.len(),
-        })
+        let fresh = check_fresh.then(|| FreshPlan {
+            subject: Subject::Versions(ans.rows.iter().map(|r| (r.rid, r.ts)).collect()),
+            summaries: &ans.summaries,
+            ckpt: None,
+        });
+        self.settle_alone(
+            Analyzed::new(messages, &ans.agg, fresh, ans.rows.len()),
+            now,
+        )
     }
 }
 
-/// The distilled signature claim of one analyzed answer: the messages the
-/// aggregate must cover, plus the report to hand back if it does.
-struct AnswerClaim {
-    messages: Vec<Vec<u8>>,
-    agg: Signature,
-    report: VerifyReport,
+/// Which signed artifact a claim vouches for: names the typed error when the
+/// fold's fallback localizes a failure to it.
+#[derive(Clone, Copy)]
+enum ClaimKind {
+    /// A [`SummaryCheckpoint`].
+    Checkpoint,
+    /// An attached [`UpdateSummary`].
+    Summary { seq: u64 },
+    /// A part's chained aggregate, gap proof, vacancy proof or projection
+    /// aggregate.
+    Aggregate,
 }
 
-impl AnswerClaim {
-    /// Whether the aggregate covers exactly the claimed messages.
+impl ClaimKind {
+    fn error(self) -> VerifyError {
+        match self {
+            ClaimKind::Checkpoint => VerifyError::BadCheckpoint,
+            ClaimKind::Summary { seq } => VerifyError::BadSummarySignature { seq },
+            ClaimKind::Aggregate => VerifyError::BadAggregate,
+        }
+    }
+}
+
+/// One signature an answer asks the client to believe: the messages it must
+/// cover exactly.
+struct SigClaim<'a> {
+    kind: ClaimKind,
+    messages: Vec<Vec<u8>>,
+    sig: &'a Signature,
+}
+
+impl SigClaim<'_> {
+    /// Whether the signature covers exactly the claimed messages.
     fn holds(&self, pp: &PublicParams) -> bool {
         let refs: Vec<&[u8]> = self.messages.iter().map(|m| m.as_slice()).collect();
-        pp.verify_aggregate(&refs, &self.agg)
+        pp.verify_aggregate(&refs, self.sig)
+    }
+}
+
+/// What the freshness pass judges against a part's summaries.
+enum Subject {
+    /// `(rid, ts)` of every returned version (or of a gap proof's bracketing
+    /// record).
+    Versions(Vec<(u64, Tick)>),
+    /// The `ts` of a vacancy claim.
+    Vacancy(Tick),
+}
+
+/// Phase 3's input for one part: what to judge, and the freshness artifacts
+/// to judge it against once the fold has vouched for them.
+struct FreshPlan<'a> {
+    subject: Subject,
+    summaries: &'a [Arc<UpdateSummary>],
+    ckpt: Option<&'a SummaryCheckpoint>,
+}
+
+/// One structurally sound part (a selection answer, one shard's answer, or a
+/// projection) between phase 1 and phase 2: nothing signed is believed yet.
+struct Analyzed<'a> {
+    /// The freshness artifacts' claims — the checkpoint first, then the
+    /// summaries in run order; empty when freshness is off.
+    artifacts: Vec<SigClaim<'a>>,
+    /// The claim certifying the part's content.
+    aggregate: SigClaim<'a>,
+    /// `None` when the caller disabled freshness or the part carries no
+    /// freshness subject (inverted range).
+    fresh: Option<FreshPlan<'a>>,
+    /// Records (or projected rows) the part returns.
+    records: usize,
+}
+
+impl<'a> Analyzed<'a> {
+    /// A part whose content `sig` must cover exactly `messages`, with one
+    /// claim per freshness artifact `fresh` will read.
+    fn new(
+        messages: Vec<Vec<u8>>,
+        sig: &'a Signature,
+        fresh: Option<FreshPlan<'a>>,
+        records: usize,
+    ) -> Self {
+        let mut artifacts = Vec::new();
+        if let Some(plan) = &fresh {
+            artifacts.extend(plan.ckpt.map(|c| SigClaim {
+                kind: ClaimKind::Checkpoint,
+                messages: vec![c.signed_message()],
+                sig: &c.signature,
+            }));
+            artifacts.extend(plan.summaries.iter().map(|s| SigClaim {
+                kind: ClaimKind::Summary { seq: s.seq },
+                messages: vec![s.signed_message()],
+                sig: &s.signature,
+            }));
+        }
+        Analyzed {
+            artifacts,
+            aggregate: SigClaim {
+                kind: ClaimKind::Aggregate,
+                messages,
+                sig,
+            },
+            fresh,
+            records,
+        }
+    }
+}
+
+/// Every claim of every part, tagged with its part's index, in the order the
+/// fold's fallback blames them: the freshness artifacts of all parts first
+/// (each part's checkpoint, then its summaries in run order), then the
+/// parts' aggregates — a forged checkpoint or summary is named before a
+/// forged aggregate whichever part holds it, which is the precedence the
+/// tamper catalogs pin.
+fn claim_order<'p, 'a>(
+    parts: &'p [Analyzed<'a>],
+) -> impl Iterator<Item = (usize, &'p SigClaim<'a>)> {
+    let artifacts = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| p.artifacts.iter().map(move |c| (i, c)));
+    let aggregates = parts.iter().enumerate().map(|(i, p)| (i, &p.aggregate));
+    artifacts.chain(aggregates)
+}
+
+/// SHA-256 over the complete claim transcript of `parts`: every message and
+/// every signature, length-framed, in [`claim_order`].
+fn transcript_digest(parts: &[Analyzed<'_>]) -> Digest {
+    fn framed(h: &mut Sha256, bytes: &[u8]) {
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(bytes);
+    }
+    let mut h = Sha256::new();
+    h.update(b"authdb-rlc-transcript:");
+    for (_, claim) in claim_order(parts) {
+        h.update(&(claim.messages.len() as u64).to_be_bytes());
+        for m in &claim.messages {
+            framed(&mut h, m);
+        }
+        framed(&mut h, &claim.sig.to_bytes());
+    }
+    h.finalize()
+}
+
+/// The fold's coefficient source for entry points without an `rng`: a
+/// SHA-256 counter stream keyed by [`transcript_digest`], so the
+/// coefficients are a function of every claim (module docs, *Fold
+/// coefficients*). The transcript is hashed on the first draw — a fold that
+/// needs no coefficient (one claim, or a scheme verifying per claim) never
+/// pays for it.
+struct TranscriptRng<'p, 'a> {
+    parts: &'p [Analyzed<'a>],
+    seed: Option<Digest>,
+    counter: u64,
+}
+
+impl<'p, 'a> TranscriptRng<'p, 'a> {
+    fn new(parts: &'p [Analyzed<'a>]) -> Self {
+        TranscriptRng {
+            parts,
+            seed: None,
+            counter: 0,
+        }
+    }
+}
+
+impl rand::RngCore for TranscriptRng<'_, '_> {
+    fn next_u64(&mut self) -> u64 {
+        let seed = *self
+            .seed
+            .get_or_insert_with(|| transcript_digest(self.parts));
+        let mut h = Sha256::new();
+        h.update(&seed);
+        h.update(&self.counter.to_be_bytes());
+        self.counter += 1;
+        let [a, b, c, d, e, f, g, h8, ..] = h.finalize();
+        u64::from_be_bytes([a, b, c, d, e, f, g, h8])
     }
 }
 
@@ -1194,8 +1404,22 @@ mod tests {
     }
 
     fn system(n: i64, mode: SigningMode) -> (DataAggregator, QueryServer, Verifier) {
+        system_under(SchemeKind::Mock, n, mode)
+    }
+
+    fn system_under(
+        scheme: SchemeKind,
+        n: i64,
+        mode: SigningMode,
+    ) -> (DataAggregator, QueryServer, Verifier) {
         let mut rng = StdRng::seed_from_u64(21);
-        let mut da = DataAggregator::new(cfg(mode), &mut rng);
+        let mut da = DataAggregator::new(
+            DaConfig {
+                scheme,
+                ..cfg(mode)
+            },
+            &mut rng,
+        );
         let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
         let qs = da.replica(&boot);
         let v = da.verifier();
@@ -1367,7 +1591,14 @@ mod tests {
     /// the second period, and the prefix compacted into a checkpoint with
     /// `keep` summaries retained.
     fn checkpointed_system(keep: usize) -> (DataAggregator, QueryServer, Verifier) {
-        let (mut da, mut qs, v) = system(50, SigningMode::Chained);
+        checkpointed_system_under(SchemeKind::Mock, keep)
+    }
+
+    fn checkpointed_system_under(
+        scheme: SchemeKind,
+        keep: usize,
+    ) -> (DataAggregator, QueryServer, Verifier) {
+        let (mut da, mut qs, v) = system_under(scheme, 50, SigningMode::Chained);
         da.advance_clock(12);
         qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(2);
@@ -1531,6 +1762,145 @@ mod tests {
             v.verify_selection(0, 50, &ans, 13, true),
             Err(VerifyError::BadSummarySignature { .. })
         ));
+    }
+
+    #[test]
+    fn signature_faults_outrank_freshness_and_keep_their_order() {
+        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
+            // Capture a pre-update answer, then the checkpointed timeline:
+            // the cut covers seq 0, seqs 1 and 2 ride along, rid 23 moved
+            // in seq 1's period.
+            let (_, pre, _) = system_under(scheme, 50, SigningMode::Chained);
+            let old = pre.select_range(200, 260).unwrap();
+            let (da, qs, v) = checkpointed_system_under(scheme, 2);
+            let now = da.now();
+            let honest = qs.select_range(200, 260).unwrap();
+            let seqs: Vec<u64> = honest.summaries.iter().map(|s| s.seq).collect();
+            assert_eq!(seqs, [1, 2], "{scheme:?}");
+            assert!(honest.checkpoint.is_some());
+            let verify = |ans: &SelectionAnswer| v.verify_selection(200, 260, ans, now, true);
+            assert_eq!(verify(&honest).map(|r| r.sig_claims), Ok(4), "{scheme:?}");
+
+            let bad_ckpt = |ans: &mut SelectionAnswer| {
+                ans.checkpoint.as_mut().unwrap().exposure[7] ^= 1;
+            };
+            let bad_summary = |ans: &mut SelectionAnswer, k: usize| {
+                Arc::make_mut(&mut ans.summaries[k]).period_start ^= 1;
+            };
+
+            let mut a = honest.clone();
+            bad_ckpt(&mut a);
+            assert_eq!(verify(&a), Err(VerifyError::BadCheckpoint), "{scheme:?}");
+
+            // The k-th summary bad names the k-th seq, not the first.
+            for (k, &seq) in seqs.iter().enumerate() {
+                let mut a = honest.clone();
+                bad_summary(&mut a, k);
+                assert_eq!(
+                    verify(&a),
+                    Err(VerifyError::BadSummarySignature { seq }),
+                    "{scheme:?} k={k}"
+                );
+            }
+
+            // Both bad: the checkpoint is blamed first, as before the fold.
+            let mut a = honest.clone();
+            bad_summary(&mut a, 0);
+            bad_ckpt(&mut a);
+            assert_eq!(verify(&a), Err(VerifyError::BadCheckpoint), "{scheme:?}");
+
+            // A bad summary outranks a bad aggregate...
+            let mut a = honest.clone();
+            a.records[0].attrs[1] ^= 1;
+            bad_summary(&mut a, 1);
+            assert_eq!(
+                verify(&a),
+                Err(VerifyError::BadSummarySignature { seq: 2 }),
+                "{scheme:?}"
+            );
+
+            // ...and a replay whose every signature is genuine gets past
+            // the fold and is exposed by the vouched summaries.
+            let mut replay = old.clone();
+            replay.summaries = honest.summaries.clone();
+            replay.checkpoint = honest.checkpoint.clone();
+            assert_eq!(
+                verify(&replay),
+                Err(VerifyError::Stale {
+                    rid: 23,
+                    exposed_by: 1
+                }),
+                "{scheme:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_summary_is_rejected_before_its_bitmap_is_opened() {
+        use crate::freshness::BITMAP_DECODES;
+        let decodes = || BITMAP_DECODES.with(|n| n.get());
+        let (da, qs, v) = checkpointed_system(2);
+        let honest = qs.select_range(200, 260).unwrap();
+        // The probe is live: an honest verification opens both bitmaps.
+        let before = decodes();
+        assert!(v
+            .verify_selection(200, 260, &honest, da.now(), true)
+            .is_ok());
+        assert_eq!(decodes() - before, 2);
+        // A sparse-mode header declaring 2^62 bits under the old signature:
+        // the fold rejects the summary, and the freshness pass — the only
+        // place a bitmap is decompressed — never runs.
+        let mut forged = honest.clone();
+        let s = Arc::make_mut(&mut forged.summaries[1]);
+        s.compressed = vec![0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1];
+        let seq = s.seq;
+        let before = decodes();
+        assert_eq!(
+            v.verify_selection(200, 260, &forged, da.now(), true),
+            Err(VerifyError::BadSummarySignature { seq })
+        );
+        assert_eq!(decodes(), before);
+    }
+
+    #[test]
+    fn static_point_answer_is_a_single_claim() {
+        let (_, qs, v) = system(100, SigningMode::Chained);
+        let ans = qs.select_range(500, 500).unwrap();
+        let rep = v.verify_selection(500, 500, &ans, 0, true).expect("valid");
+        assert_eq!((rep.records, rep.sig_claims), (1, 1));
+    }
+
+    #[test]
+    fn transcript_coefficients_depend_on_every_claim_byte() {
+        use rand::RngCore;
+        let (_, qs, v) = checkpointed_system(2);
+        let ans = qs.select_range(200, 260).unwrap();
+        let draw = |ans: &SelectionAnswer| {
+            let part = v.analyze_selection(200, 260, ans, true).unwrap();
+            let parts = std::slice::from_ref(&part);
+            let mut rng = TranscriptRng::new(parts);
+            [rng.next_u64(), rng.next_u64(), rng.next_u64()]
+        };
+        let base = draw(&ans);
+        assert_eq!(base, draw(&ans.clone()), "a function of the answer alone");
+        assert!(base[0] != base[1] && base[1] != base[2]);
+        // One bit anywhere — a record, a bitmap, the checkpoint, a
+        // signature — re-draws the stream.
+        let mut a = ans.clone();
+        a.records[3].attrs[1] ^= 1;
+        assert_ne!(draw(&a), base);
+        let mut a = ans.clone();
+        *Arc::make_mut(&mut a.summaries[1])
+            .compressed
+            .last_mut()
+            .unwrap() ^= 1;
+        assert_ne!(draw(&a), base);
+        let mut a = ans.clone();
+        a.checkpoint.as_mut().unwrap().exposure[0] ^= 1;
+        assert_ne!(draw(&a), base);
+        let mut a = ans.clone();
+        a.agg = a.summaries[0].signature.clone();
+        assert_ne!(draw(&a), base);
     }
 
     #[test]
@@ -2363,6 +2733,38 @@ mod tests {
                 EpochView::from_bootstrap(&withheld, pp),
                 Err(VerifyError::BadCheckpoint)
             );
+        }
+
+        #[test]
+        fn one_check_covers_every_signature_of_a_live_sharded_answer() {
+            let mut rng = StdRng::seed_from_u64(19);
+            let (mut sa, sqs, v, view) = sharded_system(vec![200], 40);
+            for _ in 0..3 {
+                sa.advance_clock(12);
+                sqs.ingest(sa.maybe_publish_summaries());
+            }
+            for s in 0..2 {
+                let ckpt = sa.checkpoint_shard_summaries(s, 2).expect("compactable");
+                sqs.apply_checkpoint(s, ckpt);
+            }
+            // Straddles the seam: two parts, each with its checkpoint and
+            // its two retained summaries.
+            let ans = sqs.select_range(150, 250).unwrap();
+            let (mut summaries, mut checkpoints) = (0, 0);
+            for p in &ans.parts {
+                summaries += p.answer.summaries.len();
+                checkpoints += usize::from(p.answer.checkpoint.is_some());
+            }
+            assert_eq!((ans.parts.len(), summaries, checkpoints), (2, 4, 2));
+            let rep = v
+                .verify_sharded_selection(150, 250, &ans, &view, sa.now(), true, &mut rng)
+                .expect("valid");
+            assert_eq!(rep.sig_claims, summaries + checkpoints + ans.parts.len());
+            // Freshness off: the artifacts are neither claimed nor read.
+            let rep = v
+                .verify_sharded_selection(150, 250, &ans, &view, sa.now(), false, &mut rng)
+                .expect("valid");
+            assert_eq!(rep.sig_claims, ans.parts.len());
         }
 
         #[test]

@@ -128,19 +128,34 @@ pub fn compress(bitmap: &Bitmap) -> Vec<u8> {
     raw
 }
 
-/// Decompress; `None` on malformed input.
+/// The longest bitmap [`decompress`] accepts in sparse mode, in bits: what
+/// a raw-mode payload filling one maximum wire frame (64 MiB,
+/// `authdb_wire::DEFAULT_MAX_FRAME_LEN`) could describe. A relation past
+/// 2²⁹ records could not ship a dense period's summary at all, so no
+/// deployment's honest summaries declare more — while a sparse header is a
+/// few bytes that would otherwise size an allocation of the sender's
+/// choosing.
+pub const MAX_SPARSE_BITS: usize = 8 * (64 << 20);
+
+/// Decompress; `None` on malformed input. The declared length is validated
+/// before anything is allocated for it: raw mode must carry exactly
+/// `len.div_ceil(8)` payload bytes, sparse mode at most [`MAX_SPARSE_BITS`]
+/// bits.
 pub fn decompress(bytes: &[u8]) -> Option<Bitmap> {
     let (&mode, rest) = bytes.split_first()?;
     let mut cursor = rest;
-    let len = read_varint(&mut cursor)? as usize;
-    let mut bitmap = Bitmap::new(len);
+    let len = usize::try_from(read_varint(&mut cursor)?).ok()?;
     match mode {
         MODE_SPARSE => {
+            if len > MAX_SPARSE_BITS {
+                return None;
+            }
+            let mut bitmap = Bitmap::new(len);
             let mut pos: u64 = 0;
             while !cursor.is_empty() {
                 let gap = read_varint(&mut cursor)?;
-                pos += gap;
-                let idx = (pos - 1) as usize;
+                pos = pos.checked_add(gap)?;
+                let idx = usize::try_from(pos.checked_sub(1)?).ok()?;
                 if idx >= len {
                     return None;
                 }
@@ -152,6 +167,7 @@ pub fn decompress(bytes: &[u8]) -> Option<Bitmap> {
             if cursor.len() != len.div_ceil(8) {
                 return None;
             }
+            let mut bitmap = Bitmap::new(len);
             for (i, &b) in cursor.iter().enumerate() {
                 for bit in 0..8 {
                     if b >> bit & 1 == 1 {
@@ -298,6 +314,39 @@ mod tests {
         assert!(decompress(&[]).is_none());
         assert!(decompress(&[9, 1]).is_none()); // unknown mode
         assert!(decompress(&[MODE_RAW, 200, 1]).is_none()); // wrong payload len
+    }
+
+    #[test]
+    fn decompress_validates_declared_length_before_allocating() {
+        // Header only: mode byte + a varint declaring 2^62 bits. Allocating
+        // for it would abort the process; both modes must refuse instead.
+        for mode in [MODE_SPARSE, MODE_RAW] {
+            let mut forged = vec![mode];
+            write_varint(&mut forged, 1 << 62);
+            assert_eq!(forged.len(), 10);
+            assert!(decompress(&forged).is_none());
+            // ...also with a byte of payload behind it (the 11-byte form).
+            forged.push(1);
+            assert!(decompress(&forged).is_none());
+        }
+        // The sparse cap is exact: the largest legal length round-trips,
+        // one bit more is refused.
+        let mut at_cap = vec![MODE_SPARSE];
+        write_varint(&mut at_cap, MAX_SPARSE_BITS as u64);
+        assert_eq!(decompress(&at_cap).map(|b| b.len()), Some(MAX_SPARSE_BITS));
+        let mut past_cap = vec![MODE_SPARSE];
+        write_varint(&mut past_cap, MAX_SPARSE_BITS as u64 + 1);
+        assert!(decompress(&past_cap).is_none());
+    }
+
+    #[test]
+    fn decompress_rejects_zero_and_overflowing_gaps() {
+        // A zero first gap names bit -1; a gap sum past u64::MAX wraps.
+        // Both were arithmetic overflows (debug panic / release wrap).
+        assert!(decompress(&[MODE_SPARSE, 8, 0]).is_none());
+        let mut wrap = vec![MODE_SPARSE, 8, 1];
+        write_varint(&mut wrap, u64::MAX);
+        assert!(decompress(&wrap).is_none());
     }
 
     #[test]

@@ -320,6 +320,14 @@ fn scan_decode_body(m: &FileModel, f: &FnItem, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+/// The verifier's claim pipeline outside `impl Verifier`: claim collection
+/// (`Analyzed`, `SigClaim`), fold order and localisation (`claim_order`,
+/// `ClaimKind`), and the transcript coefficient source. Seeded by name so
+/// they stay covered even if a refactor detaches them from a `Verifier`
+/// method's call graph.
+const VERIFY_CLAIM_OWNERS: [&str; 4] = ["Analyzed", "SigClaim", "ClaimKind", "TranscriptRng"];
+const VERIFY_CLAIM_FNS: [&str; 3] = ["analyze_selection", "claim_order", "transcript_digest"];
+
 /// Rule 1 + closure part of rule 5: seed the decode/verify entry points,
 /// take the call-graph closure inside [`CLOSURE_CRATES`], and scan every
 /// reachable body.
@@ -350,7 +358,9 @@ fn rule_decode(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
                         "deframe" | "decode_frame" | "frame_body_len"
                     ))
                 || (m.crate_name == "core" && f.owner.as_deref() == Some("Verifier"))
-                || (m.crate_name == "core" && f.name == "analyze_selection");
+                || (m.crate_name == "core"
+                    && (VERIFY_CLAIM_OWNERS.contains(&f.owner.as_deref().unwrap_or(""))
+                        || VERIFY_CLAIM_FNS.contains(&f.name.as_str())));
             if seed {
                 push(FnRef { file: fi, idx: gi }, &mut queue, &mut seen);
             }
