@@ -1,18 +1,18 @@
 //! fig_checkpoint: certified checkpoints bound the two unbounded histories.
 //!
-//! Before this PR both verification-relevant histories grew without bound:
-//! a client joining at epoch N had to verify the whole `EpochTransition`
-//! chain from genesis (O(N) signatures), and the per-shard `UpdateSummary`
-//! log — which the 2ρ-recency gate forces into answers for old records —
-//! grew with total history. This bench measures what DA-certified
-//! checkpoints bought at history lengths 10²–10⁵.
+//! Two verification-relevant histories would grow without bound if nothing
+//! cut them: the `EpochTransition` chain from genesis (one signed link per
+//! rebalance), and the per-shard `UpdateSummary` log — which the 2ρ-recency
+//! gate forces into answers for old records. This bench measures what
+//! DA-certified checkpoints buy at history lengths 10²–10⁵.
 //!
-//! Part 1 (epoch chain): a deployment rebalances N times. The chain-walking
-//! client (`EpochView::observe`) pays one signature per transition; the
-//! checkpoint client (`EpochView::from_bootstrap`) consumes a three-artifact
+//! Part 1 (epoch chain): a deployment rebalances N times. A client joining
+//! at epoch N (`EpochView::from_bootstrap`) consumes a three-artifact
 //! bundle — map, latest transition, epoch checkpoint — whose wire size is
 //! asserted byte-identical at every N, and whose pinned view is asserted
-//! equal to the walked one. O(1) signatures regardless of N.
+//! equal to the reference view that was pushed every link
+//! (`EpochView::advance`, one signature per transition). O(1) signatures
+//! and O(1) bytes regardless of N; nobody holds the chain.
 //!
 //! Part 2 (summary log): a DA publishes H summary periods with a live
 //! update stream, checkpointing every 64 periods (keep 32). Resident
@@ -24,7 +24,8 @@
 //! and to keep verifying at every H.
 //!
 //! Part 3 (adversary): the checkpoint tamper catalog — forged digest,
-//! wrong-epoch replay, gap-straddling cut, chain-break bootstrap — under
+//! wrong-epoch replay, gap-straddling cut, chain-break bootstrap, bundle
+//! rollback — under
 //! Mock and real BAS; every strategy must be rejected with its pinned
 //! `VerifyError` while the honest answer or bundle is accepted.
 //!
@@ -37,7 +38,7 @@ use std::time::Instant;
 use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time, print_catalog};
 use authdb_core::adversary::CheckpointTamper;
 use authdb_core::da::{DaConfig, DataAggregator};
-use authdb_core::shard::{EpochBootstrap, EpochTransition, RebalancePlan, ShardedAggregator};
+use authdb_core::shard::{EpochBootstrap, RebalancePlan, ShardedAggregator};
 use authdb_core::verify::EpochView;
 use authdb_crypto::signer::SchemeKind;
 use authdb_wire::WireEncode;
@@ -64,45 +65,38 @@ fn cfg() -> DaConfig {
     }
 }
 
-/// Part 1: epoch-chain bootstrap — O(N) walk vs O(1) certified bundle.
+/// Part 1: epoch-chain bootstrap — the O(1) certified bundle at epoch N.
 fn epoch_chain() {
     println!("\n== epoch chain: client bootstrap at epoch N ==");
-    println!(
-        "{:>7} | {:>11} | {:>11} | {:>7} | {:>8}",
-        "epochs", "walk", "bootstrap", "ratio", "bundle"
-    );
-    println!(
-        "{:->7}-+-{:->11}-+-{:->11}-+-{:->7}-+-{:->8}",
-        "", "", "", "", ""
-    );
-    csv_begin("epochs,walk_us,bootstrap_us,ratio,bundle_bytes");
+    println!("{:>7} | {:>11} | {:>8}", "epochs", "bootstrap", "bundle");
+    println!("{:->7}-+-{:->11}-+-{:->8}", "", "", "");
+    csv_begin("epochs,bootstrap_us,bundle_bytes");
     let mut rng = StdRng::seed_from_u64(4242);
     let mut sa = ShardedAggregator::new(cfg(), vec![], &mut rng);
     sa.bootstrap((0..4i64).map(|i| vec![i * 10, i]).collect(), 2);
     let pp = sa.public_params();
-    let genesis = sa.map().clone();
-    let mut transitions: Vec<EpochTransition> = Vec::new();
+    // The reference view is pushed every link as it is minted; only the
+    // latest link is kept, as on the server.
+    let mut walked = sa.epoch_view();
+    let mut latest = None;
+    let mut epochs = 0usize;
     let mut bundle_bytes: Option<usize> = None;
     for &n in &POINTS {
-        while transitions.len() < n {
-            let plan = if transitions.len().is_multiple_of(2) {
+        while epochs < n {
+            let plan = if epochs.is_multiple_of(2) {
                 RebalancePlan::Split { shard: 0, at: 20 }
             } else {
                 RebalancePlan::Merge { left: 0 }
             };
-            transitions.push(sa.rebalance(plan, 2).transition);
+            let t = sa.rebalance(plan, 2).transition;
+            walked.advance(&t, &pp).expect("chain link");
+            latest = Some(t);
+            epochs += 1;
         }
-        // The legacy client: genesis + one signature per transition.
-        let t = Instant::now();
-        let mut walked = EpochView::genesis(&genesis, &pp).expect("genesis view");
-        walked
-            .observe(&transitions, sa.map(), &pp)
-            .expect("chain walk");
-        let walk_us = t.elapsed().as_secs_f64() * 1e6;
         // The checkpoint client: three artifacts, whatever N is.
         let boot = EpochBootstrap {
             map: sa.map().clone(),
-            transition: transitions.last().cloned(),
+            transition: latest.clone(),
             checkpoint: sa.epoch_checkpoint().cloned(),
         };
         let bytes = boot.encode().len();
@@ -121,15 +115,10 @@ fn epoch_chain() {
         let boot_us = t.elapsed().as_secs_f64() * 1e6 / REPS as f64;
         assert_eq!(
             pinned, walked,
-            "acceptance: checkpoint-pinned view must equal the chain-walked view at N={n}"
+            "acceptance: checkpoint-pinned view must equal the link-by-link view at N={n}"
         );
-        let ratio = walk_us / boot_us;
-        println!(
-            "{n:>7} | {:>11} | {:>11} | {ratio:>6.0}x | {bytes:>7}B",
-            fmt_time(walk_us * 1e-6),
-            fmt_time(boot_us * 1e-6)
-        );
-        println!("{n},{walk_us:.1},{boot_us:.3},{ratio:.1},{bytes}");
+        println!("{n:>7} | {:>11} | {bytes:>7}B", fmt_time(boot_us * 1e-6));
+        println!("{n},{boot_us:.3},{bytes}");
     }
     csv_end();
 }
@@ -236,8 +225,8 @@ fn main() {
         "certified checkpoints: O(1) client bootstrap, flat summary-log memory",
     );
     println!(
-        "Mock scheme. Part 1 rebalances a deployment N times and compares the \
-         chain-walking client against the three-artifact certified bundle; part 2 \
+        "Mock scheme. Part 1 rebalances a deployment N times and bootstraps a \
+         client from the three-artifact certified bundle at each N; part 2 \
          publishes H summary periods checkpointing every {CKPT_EVERY} (keep {KEEP})."
     );
     epoch_chain();

@@ -28,8 +28,9 @@
 //!   transition chain.
 //! * [`CheckpointTamper`] — history the verifier can no longer replay and
 //!   must trust to a signed cut: forged covered-window digest, wrong-epoch
-//!   map replay, gap-straddling cut, chain-break bootstrap, against both
-//!   checkpoint-anchored answers and client-bootstrap bundles.
+//!   map replay, gap-straddling cut, chain-break bootstrap, bundle
+//!   rollback, against both checkpoint-anchored answers and client
+//!   catch-up bundles.
 //!
 //! The sharded scenarios run against one fixture — [`sharded_system`] driven
 //! by [`run_sharded_timeline`] — which is public so that `authdb-net`'s
@@ -882,6 +883,10 @@ pub enum CheckpointTamper {
     /// the bundle is a different (still genuinely signed) link than the
     /// one the checkpoint hash-chains to.
     ChainBreakBootstrap,
+    /// Answer a pinned client's catch-up with a genuine, fully consistent
+    /// bundle of an *older* epoch — every signature verifies; only the
+    /// client's own pinned epoch says the server is rolling it back.
+    BundleRollback,
 }
 
 impl Strategy for CheckpointTamper {
@@ -890,6 +895,7 @@ impl Strategy for CheckpointTamper {
         CheckpointTamper::WrongEpochReplay,
         CheckpointTamper::GapStraddlingCut,
         CheckpointTamper::ChainBreakBootstrap,
+        CheckpointTamper::BundleRollback,
     ];
 
     fn name(self) -> &'static str {
@@ -898,6 +904,7 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::WrongEpochReplay => "wrong-epoch-replay",
             CheckpointTamper::GapStraddlingCut => "gap-straddling-cut",
             CheckpointTamper::ChainBreakBootstrap => "chain-break-bootstrap",
+            CheckpointTamper::BundleRollback => "bundle-rollback",
         }
     }
 
@@ -908,16 +915,23 @@ impl Strategy for CheckpointTamper {
             | CheckpointTamper::WrongEpochReplay
             | CheckpointTamper::ChainBreakBootstrap => matches!(err, BadCheckpoint),
             CheckpointTamper::GapStraddlingCut => matches!(err, CheckpointGap { .. }),
+            CheckpointTamper::BundleRollback => matches!(
+                err,
+                StaleEpoch {
+                    answer_epoch: 2,
+                    live_epoch: 3
+                }
+            ),
         }
     }
 
-    /// Bundle strategies attack the client-bootstrap bundle; the rest
+    /// Bundle strategies attack the client catch-up bundle; the rest
     /// doctor checkpoint-anchored answers.
     fn run(self, scheme: SchemeKind) -> Conformance<CheckpointTamper> {
         match self {
-            CheckpointTamper::WrongEpochReplay | CheckpointTamper::ChainBreakBootstrap => {
-                checkpoint_bootstrap_scenario(scheme, self)
-            }
+            CheckpointTamper::WrongEpochReplay
+            | CheckpointTamper::ChainBreakBootstrap
+            | CheckpointTamper::BundleRollback => checkpoint_bootstrap_scenario(scheme, self),
             CheckpointTamper::ForgedDigest | CheckpointTamper::GapStraddlingCut => {
                 checkpoint_answer_scenario(scheme, self)
             }
@@ -962,10 +976,11 @@ fn checkpoint_answer_scenario(
     }
 }
 
-/// Run one bootstrap-bundle scenario: a 2-shard deployment (split at 200)
+/// Run one catch-up-bundle scenario: a 2-shard deployment (split at 200)
 /// rebalances twice (split at 300, then merge — epoch 1 → 3), and a fresh
 /// client pins the live epoch from the server's certified bundle. The
-/// strategy doctors the bundle.
+/// strategy doctors the bundle — or, for the rollback, answers the
+/// now-pinned client's next catch-up with the epoch-2 bundle.
 fn checkpoint_bootstrap_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
@@ -975,17 +990,27 @@ fn checkpoint_bootstrap_scenario(
     let genesis_map = sa.map().clone();
     let rb1 = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);
     sqs.apply_rebalance(&rb1).expect("honest rebalance applies");
+    let superseded = sqs.epoch_bootstrap();
     let rb2 = sa.rebalance(RebalancePlan::Merge { left: 1 }, 2);
     sqs.apply_rebalance(&rb2).expect("honest rebalance applies");
     let boot = sqs.epoch_bootstrap();
-    let honest_ok = EpochView::from_bootstrap(&boot, &pp).is_ok();
+    let pinned = EpochView::from_bootstrap(&boot, &pp);
+    let honest_ok = pinned.is_ok();
     let mut tampered = boot;
     match tamper {
         CheckpointTamper::WrongEpochReplay => tampered.map = genesis_map,
         CheckpointTamper::ChainBreakBootstrap => tampered.transition = Some(rb1.transition.clone()),
-        _ => unreachable!("answer tampers do not doctor bootstrap bundles"),
+        CheckpointTamper::BundleRollback => tampered = superseded,
+        _ => unreachable!("answer tampers do not doctor catch-up bundles"),
     }
-    let outcome = EpochView::from_bootstrap(&tampered, &pp).map(|_| NO_RECORDS);
+    // Only a client that already pinned the live epoch can tell a rollback;
+    // the doctored bundles must fail a fresh one.
+    let outcome = if tamper == CheckpointTamper::BundleRollback {
+        pinned.and_then(|mut view| view.observe(&tampered, &pp))
+    } else {
+        EpochView::from_bootstrap(&tampered, &pp).map(|_| ())
+    }
+    .map(|()| NO_RECORDS);
     Conformance {
         tamper,
         honest_ok,
@@ -1104,13 +1129,16 @@ mod tests {
     #[test]
     fn checkpoint_spot_check_with_bas_scheme() {
         // Full crypto for the two strategies whose rejection depends on a
-        // checkpoint signature actually covering its content; the replay
-        // and gap strategies are structural and scheme-independent.
+        // checkpoint signature actually covering its content, and for the
+        // rollback, whose bundle must first pass every real signature
+        // check; the replay and gap strategies are structural and
+        // scheme-independent.
         assert_conforms(
             SchemeKind::Bas,
             &[
                 CheckpointTamper::ForgedDigest,
                 CheckpointTamper::ChainBreakBootstrap,
+                CheckpointTamper::BundleRollback,
             ],
         );
     }

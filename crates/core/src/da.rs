@@ -239,11 +239,6 @@ impl DataAggregator {
         }
     }
 
-    /// The standing empty-table proof, if the relation is currently empty.
-    pub fn empty_table_proof(&self) -> Option<&EmptyTableProof> {
-        self.empty_proof.as_ref()
-    }
-
     /// The key-range responsibility this aggregator certifies.
     pub fn scope(&self) -> ShardScope {
         self.scope

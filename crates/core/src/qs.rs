@@ -199,11 +199,6 @@ impl SelectionAnswer {
         }
         size
     }
-
-    /// Total size of the attached summaries.
-    pub fn summaries_size(&self, pp: &PublicParams) -> usize {
-        self.summaries.iter().map(|s| s.size_bytes(pp)).sum()
-    }
 }
 
 /// One projected row.

@@ -70,13 +70,17 @@
 //! hole:
 //!
 //! 1. **One live epoch.** The client pins an [`EpochView`] — the epoch and
-//!    map hash it currently accepts — advanced only through a signed
-//!    [`EpochTransition`] whose message chains `hash(map_N) →
-//!    hash(map_{N+1})`. `Verifier::verify_sharded_selection` rejects any
-//!    answer whose map is not the pinned one (`StaleEpoch`), so an answer
-//!    assembled under epoch N verifies only until the client observes the
-//!    N+1 transition, and a fabricated or replayed partition can never be
-//!    swapped in (`BrokenTransition` breaks the hash chain).
+//!    map hash it currently accepts — and moves it only forward, only onto
+//!    DA-signed artifacts: one [`EpochTransition`] link at a time (its
+//!    message chains `hash(map_N) → hash(map_{N+1})`), or straight to the
+//!    live epoch from the server's [`EpochBootstrap`] bundle, whose
+//!    [`EpochCheckpoint`] binds map and creating transition by hash. Nobody
+//!    — DA, server or client — keeps or replays the chain behind the latest
+//!    link. `Verifier::verify_sharded_selection` rejects any answer whose
+//!    map is not the pinned one (`StaleEpoch`), so an answer assembled
+//!    under epoch N verifies only until the client observes epoch N+1, and
+//!    a fabricated, replayed or rolled-back partition can never be swapped
+//!    in (`BrokenTransition`, `BadCheckpoint`, `StaleEpoch`).
 //! 2. **Certified handoff.** The shards a rebalance touches are rebuilt
 //!    from scratch under the new scope: every handed-off record is
 //!    re-signed with chains terminating at the *new* fences, and the new
@@ -367,11 +371,12 @@ impl ShardMap {
     }
 }
 
-/// A DA-signed link between two consecutive map epochs: the client-side
-/// [`EpochView`] advances along a chain of these, so the server can neither
-/// fabricate a partition (the new map's hash is signed) nor replay an old
-/// one (the parent hash pins exactly one predecessor, and the view accepts
-/// exactly one live epoch).
+/// A DA-signed link between two consecutive map epochs: a client-side
+/// [`EpochView`] advances along one, or accepts the latest inside an
+/// [`EpochBootstrap`] bundle, so the server can neither fabricate a
+/// partition (the new map's hash is signed) nor replay an old one (the
+/// parent hash pins exactly one predecessor, and the view accepts exactly
+/// one live epoch).
 ///
 /// [`EpochView`]: crate::verify::EpochView
 #[derive(Clone, Debug, PartialEq)]
@@ -424,11 +429,11 @@ impl EpochTransition {
 
 /// A DA-signed checkpoint of the epoch chain: binds an epoch, its map
 /// hash, and the hash of the [`EpochTransition`] that created it, so a
-/// fresh client can pin an `EpochView` at epoch N from the latest
-/// checkpoint in O(1) signature checks instead of replaying the whole
-/// transition chain from the genesis map.
+/// client can pin an `EpochView` at epoch N from the latest checkpoint in
+/// O(1) signature checks — the transition chain from the genesis map is
+/// never replayed, so nobody has to keep it.
 ///
-/// Soundness is the same pinning argument as the chain walk: the DA signs
+/// Soundness is the pinning argument of a link-by-link walk: the DA signs
 /// exactly one checkpoint per epoch, the checkpoint names exactly one map
 /// (by hash) and chains to exactly one transition (by hash of its signed
 /// message), and the transition itself carries the DA's signature over
@@ -502,9 +507,9 @@ impl EpochCheckpoint {
     }
 }
 
-/// Everything a fresh client needs to pin the live epoch in O(1)
-/// signatures: the certified map, the transition that created the epoch,
-/// and the checkpoint binding the two. `transition`/`checkpoint` are
+/// Everything a client — fresh, or pinned any number of epochs back —
+/// needs to pin the live epoch in O(1) signatures: the certified map, the
+/// transition that created the epoch, and the checkpoint binding the two. `transition`/`checkpoint` are
 /// `None` only at the genesis epoch (no rebalance has happened), where
 /// `EpochView::genesis` already pins from the map alone.
 ///
@@ -667,7 +672,6 @@ pub struct ShardedAggregator {
     map: ShardMap,
     shards: Vec<DataAggregator>,
     keypair: Keypair,
-    transitions: Vec<EpochTransition>,
     /// Checkpoint of the latest transition (`None` until a rebalance).
     epoch_checkpoint: Option<EpochCheckpoint>,
 }
@@ -691,7 +695,6 @@ impl ShardedAggregator {
             map,
             shards,
             keypair,
-            transitions: Vec::new(),
             epoch_checkpoint: None,
         }
     }
@@ -701,15 +704,10 @@ impl ShardedAggregator {
         &self.map
     }
 
-    /// Every epoch transition this deployment has performed, oldest first
-    /// (the chain a late-joining client walks from the genesis map).
-    pub fn transitions(&self) -> &[EpochTransition] {
-        &self.transitions
-    }
-
     /// The checkpoint of the latest epoch transition (`None` until the
-    /// first rebalance). With it, a late-joining client pins the live
-    /// epoch in O(1) signatures instead of walking [`Self::transitions`].
+    /// first rebalance) — the only epoch history the DA keeps: each
+    /// rebalance replaces it, and a late-joining client pins the live epoch
+    /// from it in O(1) signatures.
     pub fn epoch_checkpoint(&self) -> Option<&EpochCheckpoint> {
         self.epoch_checkpoint.as_ref()
     }
@@ -944,7 +942,6 @@ impl ShardedAggregator {
         }
 
         self.map = new_map.clone();
-        self.transitions.push(transition.clone());
         self.epoch_checkpoint = Some(checkpoint.clone());
         Rebalance {
             plan,
@@ -1031,16 +1028,15 @@ impl ShardSlot {
     }
 }
 
-/// An immutable view of one epoch: the certified map, the shard slots that
-/// serve it, and the transition chain up to it. Readers clone the `Arc` and
-/// work against a stable shard set while a rebalance builds (and atomically
-/// swaps in) the next epoch's snapshot.
+/// An immutable view of one epoch: the shard slots that serve it and the
+/// certified bundle that defines it — the map plus (past genesis) the
+/// transition and checkpoint that created it, nothing older, so a
+/// snapshot's size does not depend on how many rebalances came before.
+/// Readers clone the `Arc` and work against a stable shard set while a
+/// rebalance builds (and atomically swaps in) the next epoch's snapshot.
 struct EpochSnapshot {
-    map: ShardMap,
+    boot: EpochBootstrap,
     shards: Vec<Arc<ShardSlot>>,
-    transitions: Vec<EpochTransition>,
-    /// Checkpoint of the latest applied transition (`None` at genesis).
-    checkpoint: Option<EpochCheckpoint>,
 }
 
 /// The untrusted side of a sharded deployment: one scoped [`QueryServer`]
@@ -1123,10 +1119,12 @@ impl ShardedQueryServer {
             mode: cfg.mode,
             opts: opts.clone(),
             snapshot: Mutex::new(Arc::new(EpochSnapshot {
-                map,
+                boot: EpochBootstrap {
+                    map,
+                    transition: None,
+                    checkpoint: None,
+                },
                 shards,
-                transitions: Vec::new(),
-                checkpoint: None,
             })),
             writers: RwLock::new(()),
         }
@@ -1167,26 +1165,14 @@ impl ShardedQueryServer {
     /// The partition this server follows (a copy of the certified map —
     /// the live map can be swapped by a concurrent rebalance).
     pub fn map(&self) -> ShardMap {
-        self.current().map.clone()
+        self.current().boot.map.clone()
     }
 
-    /// The epoch transitions this server has applied, oldest first —
-    /// served to clients so they can advance their `EpochView` from the
-    /// genesis map to the live epoch.
-    pub fn transitions(&self) -> Vec<EpochTransition> {
-        self.current().transitions.clone()
-    }
-
-    /// The O(1) client-bootstrap package: the live map plus (past genesis)
-    /// the latest transition and its epoch checkpoint, all from one pinned
-    /// snapshot so the three are epoch-consistent.
+    /// The O(1) client catch-up package: the live map plus (past genesis)
+    /// the transition that created it and its epoch checkpoint, all from
+    /// one pinned snapshot so the three are epoch-consistent.
     pub fn epoch_bootstrap(&self) -> EpochBootstrap {
-        let snap = self.current();
-        EpochBootstrap {
-            map: snap.map.clone(),
-            transition: snap.transitions.last().cloned(),
-            checkpoint: snap.checkpoint.clone(),
-        }
+        self.current().boot.clone()
     }
 
     /// Adopt a shard's summary checkpoint: store it and drop the covered
@@ -1203,13 +1189,22 @@ impl ShardedQueryServer {
     /// re-tagged scopes and re-bound freshness artifacts, and adopt the
     /// epoch-N+1 map.
     ///
-    /// The server is untrusted, so no signature here is checked — a forged
-    /// package only breaks the server's *own* answers (the verifier rejects
-    /// them). What **is** checked is structural consistency: a hostile
-    /// package (the net path accepts these frames from any peer) must yield
-    /// a typed [`QueryError::BadRebalance`] refusal, never a panic or a
-    /// partial mutation. Validation happens entirely before any state
-    /// changes.
+    /// The net path accepts these frames from any peer, so the package is
+    /// authenticated before it can displace the live epoch: `new_map`,
+    /// `transition` and `checkpoint` — the three DA-signed artifacts that
+    /// *define* the new epoch — must form a bundle a client would accept
+    /// (`EpochView::from_bootstrap`: one
+    /// [`PublicParams::verify_aggregate_batch`] fold over the three
+    /// signatures, plus the hash links between them) whose transition
+    /// extends the map this server holds. A package not signed by the DA
+    /// therefore cannot take an honest server's clients away from it.
+    /// **Not** authenticated: the per-record handoff signatures, baseline
+    /// summaries and re-bound freshness artifacts — checking them costs as
+    /// much as the shard is large, and a lie there only breaks this
+    /// server's *own* answers (the verifier rejects them). Beyond that the
+    /// package's shape is validated: anything hostile yields a typed
+    /// [`QueryError::BadRebalance`] refusal, never a panic or a partial
+    /// mutation. Validation happens entirely before any state changes.
     pub fn apply_rebalance(&self, rb: &Rebalance) -> Result<(), QueryError> {
         if self.mode != SigningMode::Chained {
             return Err(QueryError::Unsupported);
@@ -1221,12 +1216,20 @@ impl ShardedQueryServer {
         // observe the swap mid-query.
         let _gate = self.writers.write();
         let snap = self.current();
-        let Some(expected_splits) = rb.plan.apply_to(snap.map.splits()) else {
+        let Some(expected_splits) = rb.plan.apply_to(snap.boot.map.splits()) else {
             return Err(QueryError::BadRebalance);
         };
-        if rb.new_map.splits() != expected_splits
-            || rb.new_map.epoch() != snap.map.epoch().wrapping_add(1)
-            || rb.checkpoint.epoch != rb.new_map.epoch()
+        // The bundle this server would serve for the new epoch must be one
+        // its clients accept, and must extend the map it holds.
+        let boot = EpochBootstrap {
+            map: rb.new_map.clone(),
+            transition: Some(rb.transition.clone()),
+            checkpoint: Some(rb.checkpoint.clone()),
+        };
+        if boot.map.splits() != expected_splits
+            || boot.map.epoch() != snap.boot.map.epoch().wrapping_add(1)
+            || rb.transition.parent_hash != snap.boot.map.hash()
+            || EpochView::from_bootstrap(&boot, &self.pp).is_err()
         {
             return Err(QueryError::BadRebalance);
         }
@@ -1301,16 +1304,12 @@ impl ShardedQueryServer {
             qs.set_checkpoint(rebind.checkpoint.clone());
             qs.set_vacancy(rebind.vacancy.clone());
         }
-        let mut transitions = snap.transitions.clone();
-        transitions.push(rb.transition.clone());
         let next = Arc::new(EpochSnapshot {
-            map: rb.new_map.clone(),
+            boot,
             shards: new_shards
                 .into_iter()
                 .map(|s| s.expect("every new shard populated"))
                 .collect(),
-            transitions,
-            checkpoint: Some(rb.checkpoint.clone()),
         });
         *self.snapshot.lock() = next;
         Ok(())
@@ -1435,14 +1434,14 @@ impl ShardedQueryServer {
     pub fn select_range(&self, lo: i64, hi: i64) -> Result<ShardedSelectionAnswer, QueryError> {
         self.read_epoch(|snap| {
             let mut parts = Vec::new();
-            for (shard, (sub_lo, sub_hi)) in snap.map.overlapping(lo, hi) {
+            for (shard, (sub_lo, sub_hi)) in snap.boot.map.overlapping(lo, hi) {
                 parts.push(ShardAnswer {
                     shard,
                     answer: snap.shards[shard].qs.read().select_range(sub_lo, sub_hi)?,
                 });
             }
             Ok(ShardedSelectionAnswer {
-                map: snap.map.clone(),
+                map: snap.boot.map.clone(),
                 parts,
             })
         })

@@ -39,7 +39,7 @@
 //!
 //! | error | rejected attack |
 //! |---|---|
-//! | [`VerifyError::BadShardMap`] | re-partitioning the relation (forging split keys to move seam responsibility) |
+//! | [`VerifyError::BadShardMap`] | re-partitioning the relation (forging split keys to move seam responsibility); a catch-up bundle presenting a second partition for the epoch the client already pins |
 //! | [`VerifyError::ShardWithheld`] | omitting an overlapping shard's answer and the records in it |
 //! | [`VerifyError::UnexpectedShardAnswer`] | padding the fan-out with answers for shards the query does not touch (or duplicating one) |
 //! | [`VerifyError::SeamViolation`] | forging a per-shard boundary key past the shard's signed seam fence to shrink its responsibility |
@@ -53,9 +53,9 @@
 //!
 //! | error | rejected attack |
 //! |---|---|
-//! | [`VerifyError::StaleEpoch`] | stale-epoch map replay / split brain across answers: assembling an answer under a superseded (or not-yet-observed) certified partition |
+//! | [`VerifyError::StaleEpoch`] | stale-epoch map replay / split brain across answers: assembling an answer under a superseded (or not-yet-observed) certified partition — and bundle rollback: answering a pinned client's catch-up ([`EpochView::observe`]) with a genuine bundle of an older epoch |
 //! | [`VerifyError::EpochMismatch`] | split brain within one answer: a part vouched for by a different epoch's (genuinely signed) summary stream or vacancy proof — including handoff forgery backed by pre-transition artifacts |
-//! | [`VerifyError::BrokenTransition`] | transition-chain break: advancing the client's epoch with a transition whose signature, parent hash, epoch number, or map hash does not extend the pinned chain |
+//! | [`VerifyError::BrokenTransition`] | transition-chain break: advancing the client's epoch ([`EpochView::advance`]) with a link whose signature, parent hash or epoch number does not extend the pinned map, or a catch-up bundle whose transition signature is forged |
 //! | [`VerifyError::Stale`] | handoff replay: serving a pre-transition record version under the new epoch's stream (the handoff baseline summary marks the entire donor rid space) |
 //! | [`VerifyError::RecordOutOfRange`] / [`VerifyError::SeamViolation`] | handoff forgery: records or boundary keys signed under the old fences served under the new, narrower ones |
 //!
@@ -256,10 +256,11 @@ pub enum VerifyError {
         shard: usize,
     },
     /// The answer was assembled under a certified partition that is not
-    /// the client's live epoch: a replayed pre-rebalance map, or a map the
-    /// client has not yet observed the transition to.
+    /// the client's live epoch: a replayed pre-rebalance map, a map the
+    /// client has not yet observed, or (from [`EpochView::observe`]) a
+    /// catch-up bundle older than the pinned epoch.
     StaleEpoch {
-        /// The epoch the answer's map claims.
+        /// The epoch the answer's (or bundle's) map claims.
         answer_epoch: u64,
         /// The epoch the client's [`EpochView`] currently pins.
         live_epoch: u64,
@@ -404,16 +405,22 @@ pub struct VerifyReport {
 /// The client's pinned epoch: which certified partition it currently
 /// accepts answers under. **Exactly one epoch is live at a time** — an
 /// answer assembled under epoch N verifies only until the client observes
-/// the N+1 transition, after which epoch-N answers are [`StaleEpoch`]
-/// replays.
+/// epoch N+1, after which epoch-N answers are [`StaleEpoch`] replays.
 ///
-/// The view starts from a signature-verified genesis map and advances only
-/// along DA-signed [`EpochTransition`]s whose hash chain extends the
-/// pinned map (`parent_hash` must equal the pinned hash). Because every
-/// link is signed and the genesis was verified, the pinned hash *is* the
-/// certified partition — `verify_sharded_selection` compares the answer's
-/// map against it by hash and needs no per-answer map signature check
-/// (one pairing saved per answer under BAS).
+/// A view is pinned from DA-signed artifacts only, and only ever moves
+/// forward. There is one catch-up mechanism and it is O(1) however many
+/// rebalances happened: the certified [`EpochBootstrap`] bundle a server
+/// returns for `Request::Checkpoint` — [`EpochView::from_bootstrap`] for a
+/// fresh client, [`EpochView::observe`] for one already pinned (same
+/// checks, plus the refusal to move backwards). A client the DA pushes
+/// each [`EpochTransition`] to can instead step one link at a time with
+/// [`EpochView::advance`], and a deployment that has never rebalanced is
+/// pinned from its map alone with [`EpochView::genesis`]. No path replays
+/// history from genesis. Because whatever was pinned was signature-checked
+/// once, the pinned hash *is* the certified partition —
+/// `verify_sharded_selection` compares the answer's map against it by
+/// hash and needs no per-answer map signature check (one pairing saved per
+/// answer under BAS).
 ///
 /// [`StaleEpoch`]: VerifyError::StaleEpoch
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -460,97 +467,108 @@ impl EpochView {
         Ok(())
     }
 
-    /// Catch up along a server-provided transition chain (links at or
-    /// below the pinned epoch are skipped — a client that already observed
-    /// them re-fetching the full chain is not an error), then require
-    /// `map` to be exactly the partition the chain ends at. This is what a
-    /// client runs on a `Response::Epoch` payload.
-    pub fn observe(
-        &mut self,
-        transitions: &[EpochTransition],
-        map: &ShardMap,
-        pp: &PublicParams,
-    ) -> Result<(), VerifyError> {
-        for t in transitions {
-            if t.epoch <= self.epoch {
-                continue;
-            }
-            self.advance(t, pp)?;
-        }
-        if map.epoch() != self.epoch || map.hash() != self.map_hash {
-            return Err(VerifyError::BrokenTransition);
-        }
-        Ok(())
-    }
-
-    /// Pin the live epoch directly from a certified checkpoint: the
-    /// O(1)-signature bootstrap path. Instead of replaying the transition
-    /// chain from genesis ([`EpochView::observe`], O(N) signatures after N
-    /// rebalances), the client checks at most **three** signatures — the
-    /// checkpoint's, the map's, and the creating transition's — and the
-    /// hash bindings do the rest: the checkpoint names exactly one map and
-    /// chains to exactly one transition, and that transition is the DA's
-    /// own signed claim that the map is the epoch's certified partition.
+    /// Pin the live epoch from a server's [`EpochBootstrap`] bundle (what
+    /// `Request::Checkpoint` returns) from at most **three** signatures —
+    /// the checkpoint's, the map's, and the creating transition's, folded
+    /// into one check like an answer's claims (module docs, *Fold
+    /// coefficients*) — at any epoch count. The hash bindings do the rest:
+    /// the checkpoint names exactly one map and chains to exactly one
+    /// transition, and that transition is the DA's own signed claim that
+    /// the map is the epoch's certified partition.
     ///
-    /// `transition` is required for every epoch past genesis (a non-genesis
-    /// epoch exists only through a transition); at genesis the checkpoint
-    /// path is unused and callers go through [`EpochView::genesis`] — see
-    /// [`EpochView::from_bootstrap`].
-    pub fn from_checkpoint(
-        map: &ShardMap,
-        transition: Option<&EpochTransition>,
-        ckpt: &EpochCheckpoint,
-        pp: &PublicParams,
-    ) -> Result<Self, VerifyError> {
-        if !ckpt.verify(pp) {
+    /// A checkpoint-free bundle is accepted only at (or before) the genesis
+    /// epoch, where [`EpochView::genesis`] already pins from the map alone.
+    /// Past genesis a missing checkpoint or transition is withheld
+    /// certification, not a degraded mode — honest servers hold both from
+    /// the rebalance that created the epoch.
+    pub fn from_bootstrap(boot: &EpochBootstrap, pp: &PublicParams) -> Result<Self, VerifyError> {
+        let map = &boot.map;
+        let Some(ckpt) = &boot.checkpoint else {
+            if map.epoch() <= GENESIS_EPOCH {
+                return Self::genesis(map, pp);
+            }
             return Err(VerifyError::BadCheckpoint);
+        };
+        // A non-genesis epoch exists only through a transition.
+        let t = match &boot.transition {
+            Some(t) if map.epoch() > GENESIS_EPOCH => Some(t),
+            None if map.epoch() > GENESIS_EPOCH => return Err(VerifyError::BadCheckpoint),
+            _ => None,
+        };
+        let ckpt_msg = [EpochCheckpoint::message(
+            ckpt.epoch,
+            &ckpt.map_hash,
+            &ckpt.transition_hash,
+            ckpt.ts,
+        )];
+        let map_msg = [ShardMap::message(map.epoch(), map.splits())];
+        let t_msg = t.map(|t| {
+            [EpochTransition::message(
+                t.epoch,
+                &t.parent_hash,
+                &t.map_hash,
+                t.ts,
+            )]
+        });
+        let mut batch: Vec<(&[Vec<u8>], &Signature)> =
+            vec![(&ckpt_msg, &ckpt.signature), (&map_msg, map.signature())];
+        if let (Some(t), Some(msg)) = (t, &t_msg) {
+            batch.push((msg, &t.signature));
         }
-        if !map.verify(pp) {
-            return Err(VerifyError::BadShardMap);
+        let mut coefficients = TranscriptRng::new(|| transcript_digest(batch.iter().copied()));
+        if !pp.verify_aggregate_batch(&batch, &mut coefficients) {
+            // Localise: the first artifact failing on its own names the error.
+            if !ckpt.verify(pp) {
+                return Err(VerifyError::BadCheckpoint);
+            }
+            if !map.verify(pp) {
+                return Err(VerifyError::BadShardMap);
+            }
+            return Err(VerifyError::BrokenTransition);
         }
         // The checkpoint must name exactly this map: a genuine checkpoint
         // presented with a different (even genuinely signed) map is a
-        // wrong-epoch replay.
-        if map.epoch() != ckpt.epoch || map.hash() != ckpt.map_hash {
+        // wrong-epoch replay. And it must chain to exactly this transition:
+        // it commits to the hash of the transition's signed message, which
+        // in turn commits to the map — a checkpoint spliced onto any other
+        // transition breaks here.
+        let map_hash = map.hash();
+        if map.epoch() != ckpt.epoch
+            || map_hash != ckpt.map_hash
+            || t.is_some_and(|t| {
+                EpochCheckpoint::transition_digest(t) != ckpt.transition_hash
+                    || t.epoch != ckpt.epoch
+                    || t.map_hash != map_hash
+            })
+        {
             return Err(VerifyError::BadCheckpoint);
-        }
-        if map.epoch() > GENESIS_EPOCH {
-            let Some(t) = transition else {
-                return Err(VerifyError::BadCheckpoint);
-            };
-            if !t.verify(pp) {
-                return Err(VerifyError::BrokenTransition);
-            }
-            // Chain binding: the checkpoint commits to the hash of the
-            // transition's signed message, and the transition in turn
-            // commits to the map — a checkpoint spliced onto any other
-            // transition breaks here.
-            if EpochCheckpoint::transition_digest(t) != ckpt.transition_hash
-                || t.epoch != ckpt.epoch
-                || t.map_hash != map.hash()
-            {
-                return Err(VerifyError::BadCheckpoint);
-            }
         }
         Ok(EpochView {
             epoch: map.epoch(),
-            map_hash: map.hash(),
+            map_hash,
         })
     }
 
-    /// Pin from a server's [`EpochBootstrap`] bundle (what
-    /// `Request::Checkpoint` returns): checkpointed epochs go through
-    /// [`EpochView::from_checkpoint`]; a checkpoint-free bundle is accepted
-    /// only at (or before) the genesis epoch, where [`EpochView::genesis`]
-    /// already pins from the map alone. Past genesis a missing checkpoint
-    /// is withheld certification, not a degraded mode — honest servers
-    /// mint one at every rebalance.
-    pub fn from_bootstrap(boot: &EpochBootstrap, pp: &PublicParams) -> Result<Self, VerifyError> {
-        match &boot.checkpoint {
-            Some(ckpt) => Self::from_checkpoint(&boot.map, boot.transition.as_ref(), ckpt, pp),
-            None if boot.map.epoch() <= GENESIS_EPOCH => Self::genesis(&boot.map, pp),
-            None => Err(VerifyError::BadCheckpoint),
+    /// Catch up to the bundle a server returned for `Request::Checkpoint`:
+    /// verify it exactly as [`EpochView::from_bootstrap`] does, then refuse
+    /// to move backwards. A genuine bundle of an *older* epoch is a
+    /// rollback ([`VerifyError::StaleEpoch`]); the pinned epoch under a
+    /// different map hash is a second partition for an epoch the DA
+    /// certifies once ([`VerifyError::BadShardMap`]); the pinned bundle
+    /// again is a no-op. The view is untouched on every error.
+    pub fn observe(&mut self, boot: &EpochBootstrap, pp: &PublicParams) -> Result<(), VerifyError> {
+        let next = Self::from_bootstrap(boot, pp)?;
+        if next.epoch < self.epoch {
+            return Err(VerifyError::StaleEpoch {
+                answer_epoch: next.epoch,
+                live_epoch: self.epoch,
+            });
         }
+        if next.epoch == self.epoch && next.map_hash != self.map_hash {
+            return Err(VerifyError::BadShardMap);
+        }
+        *self = next;
+        Ok(())
     }
 }
 
@@ -876,7 +894,7 @@ impl Verifier {
     /// transcript (module docs, *Fold coefficients*).
     fn settle_alone(&self, part: Analyzed<'_>, now: Tick) -> Result<VerifyReport, VerifyError> {
         let parts = std::slice::from_ref(&part);
-        self.fold_claims(parts, &mut TranscriptRng::new(parts))
+        self.fold_claims(parts, &mut transcript_rng(parts))
             .map_err(|f| f.error)?;
         self.vouched_report(&part, now)
     }
@@ -1289,52 +1307,59 @@ fn claim_order<'p, 'a>(
     artifacts.chain(aggregates)
 }
 
-/// SHA-256 over the complete claim transcript of `parts`: every message and
-/// every signature, length-framed, in [`claim_order`].
-fn transcript_digest(parts: &[Analyzed<'_>]) -> Digest {
+/// SHA-256 over a complete claim transcript: every message and every
+/// signature of `claims`, length-framed, in the order given.
+pub(crate) fn transcript_digest<'c>(
+    claims: impl Iterator<Item = (&'c [Vec<u8>], &'c Signature)>,
+) -> Digest {
     fn framed(h: &mut Sha256, bytes: &[u8]) {
         h.update(&(bytes.len() as u64).to_be_bytes());
         h.update(bytes);
     }
     let mut h = Sha256::new();
     h.update(b"authdb-rlc-transcript:");
-    for (_, claim) in claim_order(parts) {
-        h.update(&(claim.messages.len() as u64).to_be_bytes());
-        for m in &claim.messages {
+    for (messages, sig) in claims {
+        h.update(&(messages.len() as u64).to_be_bytes());
+        for m in messages {
             framed(&mut h, m);
         }
-        framed(&mut h, &claim.sig.to_bytes());
+        framed(&mut h, &sig.to_bytes());
     }
     h.finalize()
 }
 
-/// The fold's coefficient source for entry points without an `rng`: a
-/// SHA-256 counter stream keyed by [`transcript_digest`], so the
-/// coefficients are a function of every claim (module docs, *Fold
-/// coefficients*). The transcript is hashed on the first draw — a fold that
-/// needs no coefficient (one claim, or a scheme verifying per claim) never
-/// pays for it.
-struct TranscriptRng<'p, 'a> {
-    parts: &'p [Analyzed<'a>],
+/// The fold's coefficient source where no `rng` is at hand: a SHA-256
+/// counter stream keyed by `transcript` — the [`transcript_digest`] of the
+/// very claims being folded, so the coefficients are a function of every
+/// one of them (module docs, *Fold coefficients*). The transcript is hashed
+/// on the first draw — a fold that needs no coefficient (one claim, or a
+/// scheme verifying per claim) never pays for it.
+pub(crate) struct TranscriptRng<F> {
+    transcript: F,
     seed: Option<Digest>,
     counter: u64,
 }
 
-impl<'p, 'a> TranscriptRng<'p, 'a> {
-    fn new(parts: &'p [Analyzed<'a>]) -> Self {
+impl<F: Fn() -> Digest> TranscriptRng<F> {
+    pub(crate) fn new(transcript: F) -> Self {
         TranscriptRng {
-            parts,
+            transcript,
             seed: None,
             counter: 0,
         }
     }
 }
 
-impl rand::RngCore for TranscriptRng<'_, '_> {
+/// A [`TranscriptRng`] keyed by every claim of `parts`, in [`claim_order`].
+fn transcript_rng<'p>(parts: &'p [Analyzed<'_>]) -> TranscriptRng<impl Fn() -> Digest + 'p> {
+    TranscriptRng::new(move || {
+        transcript_digest(claim_order(parts).map(|(_, c)| (c.messages.as_slice(), c.sig)))
+    })
+}
+
+impl<F: Fn() -> Digest> rand::RngCore for TranscriptRng<F> {
     fn next_u64(&mut self) -> u64 {
-        let seed = *self
-            .seed
-            .get_or_insert_with(|| transcript_digest(self.parts));
+        let seed = *self.seed.get_or_insert_with(&self.transcript);
         let mut h = Sha256::new();
         h.update(&seed);
         h.update(&self.counter.to_be_bytes());
@@ -1878,7 +1903,7 @@ mod tests {
         let draw = |ans: &SelectionAnswer| {
             let part = v.analyze_selection(200, 260, ans, true).unwrap();
             let parts = std::slice::from_ref(&part);
-            let mut rng = TranscriptRng::new(parts);
+            let mut rng = transcript_rng(parts);
             [rng.next_u64(), rng.next_u64(), rng.next_u64()]
         };
         let base = draw(&ans);
@@ -2500,8 +2525,6 @@ mod tests {
             assert_eq!(view.epoch(), 3);
             assert_eq!(sqs.map().splits(), &[200]);
             check_all(&mut sqs, &view, sa.now(), &mut rng, "epoch 3 (post-merge)");
-            assert_eq!(sa.transitions().len(), 2);
-            assert_eq!(sqs.transitions().len(), 2);
         }
 
         #[test]
@@ -2569,25 +2592,58 @@ mod tests {
                 view.clone().advance(&redirected, pp),
                 Err(VerifyError::BrokenTransition)
             );
-            // The genuine transition advances, and observe() pins the
-            // final map.
+            // The genuine transition advances.
             let mut ok = view.clone();
             ok.advance(&rb.transition, pp).unwrap();
-            let mut chain = view.clone();
-            chain.observe(&sqs.transitions(), &sqs.map(), pp).unwrap();
-            assert_eq!(ok, chain);
-            // observe() with the wrong terminal map is a chain break.
-            let wrong = crate::shard::ShardMap::create(
-                &authdb_crypto::signer::Keypair::generate(
-                    SchemeKind::Mock,
-                    &mut StdRng::seed_from_u64(99),
-                ),
-                vec![5],
-            );
-            assert_eq!(
-                view.clone().observe(&sqs.transitions(), &wrong, pp),
-                Err(VerifyError::BrokenTransition)
-            );
+            assert_eq!(ok.map_hash(), &sqs.map().hash());
+        }
+
+        #[test]
+        fn observe_catches_up_in_one_bundle_and_never_moves_backwards() {
+            let (mut sa, sqs, v, genesis) = sharded_system(vec![200], 40);
+            let pp = v.public_params();
+            // At genesis the (checkpoint-free) bundle is the pinned one.
+            let mut view = genesis.clone();
+            view.observe(&sqs.epoch_bootstrap(), pp).unwrap();
+            assert_eq!(view, genesis);
+
+            // Three rebalances; the reference view folds `advance` over
+            // every link, the observing one sees only the last bundle.
+            let mut walked = genesis;
+            let mut bundles = Vec::new();
+            for plan in [
+                RebalancePlan::Split { shard: 1, at: 300 },
+                RebalancePlan::Merge { left: 1 },
+                RebalancePlan::Split { shard: 0, at: 100 },
+            ] {
+                let rb = sa.rebalance(plan, 2);
+                sqs.apply_rebalance(&rb).unwrap();
+                walked.advance(&rb.transition, pp).unwrap();
+                bundles.push(sqs.epoch_bootstrap());
+            }
+            // The same seeded deployment (same DA key) split elsewhere: a
+            // genuinely signed second partition for epoch 2.
+            let (mut fork, fork_qs, _, _) = sharded_system(vec![200], 40);
+            let rb = fork.rebalance(RebalancePlan::Split { shard: 1, at: 250 }, 2);
+            fork_qs.apply_rebalance(&rb).unwrap();
+            let foreign = fork_qs.epoch_bootstrap();
+            assert!(EpochView::from_bootstrap(&foreign, pp).is_ok());
+
+            view.observe(&bundles[0], pp).unwrap();
+            assert_eq!(view.epoch(), 2);
+            assert_eq!(view.observe(&foreign, pp), Err(VerifyError::BadShardMap));
+            view.observe(&bundles[2], pp).unwrap();
+            assert_eq!(view, walked);
+            // The pinned bundle again is a no-op; an older one is a rollback.
+            view.observe(&bundles[2], pp).unwrap();
+            let rollback = VerifyError::StaleEpoch {
+                answer_epoch: 2,
+                live_epoch: 4,
+            };
+            assert_eq!(view.observe(&bundles[0], pp), Err(rollback.clone()));
+            assert_eq!(view.observe(&foreign, pp), Err(rollback));
+            // Every refusal left the view where it was.
+            assert_eq!(view, walked);
         }
 
         #[test]
@@ -2665,18 +2721,19 @@ mod tests {
             // Two rebalances later the bundle carries the latest transition
             // plus its checkpoint, and a fresh client pins epoch 3 without
             // ever seeing the epoch-2 link.
-            let rb = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);
-            sqs.apply_rebalance(&rb).unwrap();
-            let rb = sa.rebalance(RebalancePlan::Merge { left: 1 }, 2);
-            sqs.apply_rebalance(&rb).unwrap();
+            for plan in [
+                RebalancePlan::Split { shard: 1, at: 300 },
+                RebalancePlan::Merge { left: 1 },
+            ] {
+                let rb = sa.rebalance(plan, 2);
+                sqs.apply_rebalance(&rb).unwrap();
+                walked.advance(&rb.transition, v.public_params()).unwrap();
+            }
             let boot = sqs.epoch_bootstrap();
             assert_eq!(boot.checkpoint.as_ref().map(|c| c.epoch), Some(3));
             let view = EpochView::from_bootstrap(&boot, v.public_params()).expect("O(1) pin");
             assert_eq!(view.epoch(), 3);
-            // The checkpoint-pinned view is exactly the chain-walked one...
-            walked
-                .observe(&sqs.transitions(), &sqs.map(), v.public_params())
-                .unwrap();
+            // The checkpoint-pinned view is exactly the link-by-link one...
             assert_eq!(view, walked);
             // ...and certifies live answers like it.
             let ans = sqs.select_range(150, 250).unwrap();

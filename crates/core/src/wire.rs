@@ -653,6 +653,11 @@ fn signing_mode_from_tag(tag: u8) -> Result<crate::da::SigningMode, WireError> {
 
 /// A client request to a networked query server. One request frame yields
 /// exactly one [`Response`] frame on the same connection.
+///
+/// **Retired tags** (never reused; both decode as [`WireError::BadTag`]):
+/// request tag 4 and response tag 5 carried the from-genesis transition
+/// chain, an answer that grew by one signed link per rebalance.
+/// [`Request::Checkpoint`] is the one epoch catch-up.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe.
@@ -676,9 +681,6 @@ pub enum Request {
     },
     /// Aggregated proof-construction statistics.
     Stats,
-    /// The live epoch: the current map plus the transition chain from the
-    /// genesis partition, for advancing a client-side `EpochView`.
-    Epoch,
     /// Apply a DA-certified rebalance package to the live server (the
     /// epoch-bump push a DA-side driver sends so a deployment re-partitions
     /// without a restart).
@@ -701,8 +703,9 @@ pub enum Request {
     ShardStats,
     /// The latest certified epoch checkpoint bundle: the current map, its
     /// transition, and the epoch checkpoint hash-chained to it — everything
-    /// a fresh client needs to bootstrap an `EpochView` in O(1) signatures
-    /// instead of replaying the [`Request::Epoch`] chain from genesis.
+    /// a client needs to pin (`EpochView::from_bootstrap`) or catch up
+    /// (`EpochView::observe`) an `EpochView` in O(1) signatures and O(1)
+    /// bytes, whatever the epoch count.
     Checkpoint,
     /// A multiplexed request: the wrapped request plus a client-chosen
     /// correlation id echoed back on the response, so one connection can
@@ -733,7 +736,6 @@ impl WireEncode for Request {
                 attrs.encode_into(out);
             }
             Request::Stats => out.push(3),
-            Request::Epoch => out.push(4),
             Request::Rebalance(rb) => {
                 out.push(5);
                 rb.encode_into(out);
@@ -773,7 +775,6 @@ impl Request {
                 attrs: Vec::<u32>::decode_from(r)?,
             }),
             3 => Ok(Request::Stats),
-            4 => Ok(Request::Epoch),
             5 => Ok(Request::Rebalance(Box::new(Rebalance::decode_from(r)?))),
             6 => Ok(Request::SelectShard {
                 shard: r.u32()?,
@@ -807,8 +808,8 @@ impl WireDecode for Request {
     }
 }
 
-/// A networked query server's reply. The variants mirror [`Request`];
-/// [`Response::Refused`] carries the server's own typed refusal (as opposed
+/// A networked query server's reply. The variants mirror [`Request`]
+/// (retired tags included — see there); [`Response::Refused`] carries the server's own typed refusal (as opposed
 /// to a verification failure, which is the client's verdict about the
 /// payload).
 #[derive(Clone, Debug, PartialEq)]
@@ -823,13 +824,6 @@ pub enum Response {
     Stats(QsStats),
     /// The server refused to construct an answer.
     Refused(QueryError),
-    /// The live epoch: current map + transition chain from genesis.
-    Epoch {
-        /// The partition the server currently follows.
-        map: ShardMap,
-        /// Every transition applied since the genesis map, oldest first.
-        transitions: Vec<EpochTransition>,
-    },
     /// A rebalance package was applied; the server now serves the new
     /// epoch.
     Rebalanced,
@@ -881,11 +875,6 @@ impl WireEncode for Response {
                 out.push(4);
                 e.encode_into(out);
             }
-            Response::Epoch { map, transitions } => {
-                out.push(5);
-                map.encode_into(out);
-                transitions.encode_into(out);
-            }
             Response::Rebalanced => out.push(6),
             Response::ShardSelection(a) => {
                 out.push(7);
@@ -919,10 +908,6 @@ impl Response {
             2 => Ok(Response::Projection(ProjectionAnswer::decode_from(r)?)),
             3 => Ok(Response::Stats(QsStats::decode_from(r)?)),
             4 => Ok(Response::Refused(QueryError::decode_from(r)?)),
-            5 => Ok(Response::Epoch {
-                map: ShardMap::decode_from(r)?,
-                transitions: Vec::<EpochTransition>::decode_from(r)?,
-            }),
             6 => Ok(Response::Rebalanced),
             7 => Ok(Response::ShardSelection(Box::new(
                 SelectionAnswer::decode_from(r)?,
@@ -1086,7 +1071,6 @@ mod tests {
         }));
         assert_canonical(&Response::Refused(QueryError::AnswerTooLarge));
         assert_canonical(&Response::Refused(QueryError::BadRebalance));
-        assert_canonical(&Request::Epoch);
         assert_canonical(&Response::Rebalanced);
         assert_canonical(&Request::ShardStats);
         assert_canonical(&Response::ShardStats(vec![
@@ -1112,6 +1096,27 @@ mod tests {
             id: 3,
             inner: Box::new(Response::Busy),
         });
+    }
+
+    #[test]
+    fn retired_epoch_tags_are_bad_tags() {
+        // Request 4 / response 5 carried the from-genesis transition chain.
+        // They stay unassigned: an old peer gets a typed refusal, and no
+        // later message can be misread under the old grammar.
+        assert!(matches!(
+            Request::decode(&[4]),
+            Err(WireError::BadTag {
+                what: "request",
+                tag: 4
+            })
+        ));
+        assert!(matches!(
+            Response::decode(&[5]),
+            Err(WireError::BadTag {
+                what: "response",
+                tag: 5
+            })
+        ));
     }
 
     #[test]
@@ -1174,10 +1179,6 @@ mod tests {
         assert_canonical(&rb.plan);
         assert_canonical(&rb);
         assert_canonical(&Request::Rebalance(Box::new(rb.clone())));
-        assert_canonical(&Response::Epoch {
-            map: rb.new_map.clone(),
-            transitions: vec![rb.transition.clone()],
-        });
         // The epoch checkpoint minted with the package, and the bootstrap
         // bundle a fresh client fetches, round-trip too.
         assert_canonical(&rb.checkpoint);

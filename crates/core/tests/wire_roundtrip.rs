@@ -258,10 +258,7 @@ proptest! {
             assert_canonical(&rb);
             assert_canonical(&Request::Rebalance(Box::new(rb.clone())));
             sqs.apply_rebalance(&rb).expect("honest package applies");
-            assert_canonical(&Response::Epoch {
-                map: sqs.map().clone(),
-                transitions: sqs.transitions().to_vec(),
-            });
+            assert_canonical(&Response::Checkpoint(Box::new(sqs.epoch_bootstrap())));
             // Post-transition answers (epoch-tagged summaries, handoff
             // baselines, possibly vacancies) stay canonical too.
             let ans = sqs.select_range(0, 40).unwrap();

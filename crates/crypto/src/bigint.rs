@@ -420,16 +420,6 @@ impl BigUint {
         self.divrem(m).1
     }
 
-    /// `(self + other) mod m` (inputs assumed < m).
-    pub fn add_mod(&self, other: &Self, m: &Self) -> Self {
-        let s = self.add(other);
-        if s.cmp_to(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
-    }
-
     /// `(self - other) mod m` (inputs assumed < m).
     pub fn sub_mod(&self, other: &Self, m: &Self) -> Self {
         if self.cmp_to(other) == Ordering::Less {

@@ -143,15 +143,6 @@ impl Fp6 {
         }
     }
 
-    /// Scale by an Fp2 element.
-    pub fn mul_fp2(&self, k: &Fp2) -> Self {
-        Fp6 {
-            c0: self.c0.mul(k),
-            c1: self.c1.mul(k),
-            c2: self.c2.mul(k),
-        }
-    }
-
     /// Multiplicative inverse (standard cubic-extension formula).
     pub fn invert(&self) -> Option<Self> {
         let c0 = self

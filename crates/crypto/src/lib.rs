@@ -17,14 +17,12 @@
 //! * [`bls`] — BLS signatures over BN254 with aggregation: the paper's
 //!   Bilinear Aggregate Signature ("BAS") scheme. Verification is a single
 //!   multi-pairing against the precomputed public key and generator.
-//! * [`merkle`] — Merkle hash tree primitives (Section 2.1).
 //! * [`signer`] — the pluggable aggregate-signature abstraction the rest of
 //!   the workspace consumes.
 
 pub mod bigint;
 pub mod bls;
 pub mod bn254;
-pub mod merkle;
 pub mod rsa;
 pub mod sha1;
 pub mod sha256;

@@ -407,12 +407,6 @@ fn xor32(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
     out
 }
 
-/// Convenience: a BAS aggregate of G1 `point` (used by benches that build
-/// signatures directly).
-pub fn bas_signature(point: G1) -> Signature {
-    Signature::Bas(BlsSignature(point))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,11 +81,6 @@ impl Bitmap {
             })
         })
     }
-
-    /// Reset all bits to zero, keeping the length.
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
 }
 
 const MODE_SPARSE: u8 = 0;

@@ -125,25 +125,6 @@ pub struct InternalEntry {
     pub ann: Vec<u8>,
 }
 
-/// Read-only decoded view of a node (also the EMB− VO builder's input).
-#[derive(Clone, Debug)]
-pub enum NodeView {
-    /// A leaf node with its sibling links.
-    Leaf {
-        /// Previous leaf (or [`NO_PAGE`]).
-        prev: PageId,
-        /// Next leaf (or [`NO_PAGE`]).
-        next: PageId,
-        /// Entries in key order.
-        entries: Vec<LeafEntry>,
-    },
-    /// An internal node.
-    Internal {
-        /// Child entries in key order.
-        entries: Vec<InternalEntry>,
-    },
-}
-
 /// One borrowed entry surfaced by [`BTree::for_each_in_range`].
 #[derive(Clone, Copy, Debug)]
 pub enum RangeEvent<'a> {
@@ -502,25 +483,6 @@ impl<A: Annotator> BTree<A> {
             }
         }
         out
-    }
-
-    /// Decoded read-only view of a node (for VO construction).
-    ///
-    /// Clones the entries out of the shared cache; hot in-crate readers use
-    /// [`BTree::read`] and borrow instead.
-    pub fn read_node(&self, id: PageId) -> NodeView {
-        let node = self.read(id);
-        if node.is_leaf() {
-            NodeView::Leaf {
-                prev: node.prev,
-                next: node.next,
-                entries: node.leaf.clone(),
-            }
-        } else {
-            NodeView::Internal {
-                entries: node.internal.clone(),
-            }
-        }
     }
 
     /// Cached read: shared immutable decoded node.

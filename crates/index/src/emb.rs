@@ -220,11 +220,6 @@ impl EmbTree {
         }
     }
 
-    /// The digest flavour in use.
-    pub fn digest_kind(&self) -> DigestKind {
-        self.kind
-    }
-
     /// Number of entries.
     pub fn len(&self) -> u64 {
         self.tree.len()

@@ -17,7 +17,6 @@ pub mod emb;
 
 pub use asign::{asign_config, new_asign, new_asign_with_cache, ASignTree};
 pub use btree::{
-    BTree, LeafEntry, NodeCacheStats, NodeView, RangeEvent, RangeScan, TreeConfig,
-    DEFAULT_NODE_CACHE,
+    BTree, LeafEntry, NodeCacheStats, RangeEvent, RangeScan, TreeConfig, DEFAULT_NODE_CACHE,
 };
 pub use emb::{DigestKind, EmbRangeResult, EmbTree, EmbVo};

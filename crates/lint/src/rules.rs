@@ -322,10 +322,18 @@ fn scan_decode_body(m: &FileModel, f: &FnItem, diags: &mut Vec<Diagnostic>) {
 
 /// The verifier's claim pipeline outside `impl Verifier`: claim collection
 /// (`Analyzed`, `SigClaim`), fold order and localisation (`claim_order`,
-/// `ClaimKind`), and the transcript coefficient source. Seeded by name so
-/// they stay covered even if a refactor detaches them from a `Verifier`
-/// method's call graph.
-const VERIFY_CLAIM_OWNERS: [&str; 4] = ["Analyzed", "SigClaim", "ClaimKind", "TranscriptRng"];
+/// `ClaimKind`), the transcript coefficient source, and the client's epoch
+/// pin (`EpochView`: `observe` and `from_bootstrap` judge a bundle an
+/// untrusted server sent, and no `Verifier` method calls them). Seeded by
+/// name so they stay covered even if a refactor detaches them from a
+/// `Verifier` method's call graph.
+const VERIFY_CLAIM_OWNERS: [&str; 5] = [
+    "Analyzed",
+    "SigClaim",
+    "ClaimKind",
+    "TranscriptRng",
+    "EpochView",
+];
 const VERIFY_CLAIM_FNS: [&str; 3] = ["analyze_selection", "claim_order", "transcript_digest"];
 
 /// Rule 1 + closure part of rule 5: seed the decode/verify entry points,

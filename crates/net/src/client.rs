@@ -13,9 +13,7 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use authdb_core::qs::{ProjectionAnswer, QsStats, SelectionAnswer};
-use authdb_core::shard::{
-    EpochBootstrap, EpochTransition, Rebalance, ShardMap, ShardedSelectionAnswer,
-};
+use authdb_core::shard::{EpochBootstrap, Rebalance, ShardedSelectionAnswer};
 use authdb_core::wire::{Request, Response};
 use authdb_wire::{deframe, frame, DEFAULT_MAX_FRAME_LEN};
 
@@ -26,7 +24,6 @@ use crate::{read_frame_body, NetError};
 pub struct QsClient {
     stream: TcpStream,
     max_frame_len: usize,
-    bytes_sent: u64,
     bytes_received: u64,
     last_response_bytes: usize,
 }
@@ -41,7 +38,6 @@ impl QsClient {
         Ok(QsClient {
             stream,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            bytes_sent: 0,
             bytes_received: 0,
             last_response_bytes: 0,
         })
@@ -85,15 +81,9 @@ impl QsClient {
         Ok(QsClient {
             stream,
             max_frame_len: config.max_frame_len,
-            bytes_sent: 0,
             bytes_received: 0,
             last_response_bytes: 0,
         })
-    }
-
-    /// Total bytes written to the server.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
     }
 
     /// Total bytes read from the server (frame headers included).
@@ -112,7 +102,6 @@ impl QsClient {
         self.stream
             .write_all(&out)
             .map_err(|e| NetError::from_io(e, "write"))?;
-        self.bytes_sent += out.len() as u64;
         let response = self.read_response()?;
         // A shed is never the answer to anything: surface it as the typed
         // retryable error before any per-method matching.
@@ -244,7 +233,6 @@ impl QsClient {
         self.stream
             .write_all(&out)
             .map_err(|e| NetError::from_io(e, "write"))?;
-        self.bytes_sent += out.len() as u64;
 
         let mut results: Vec<Option<Result<ShardedSelectionAnswer, NetError>>> =
             (0..ranges.len()).map(|_| None).collect();
@@ -271,21 +259,12 @@ impl QsClient {
         Ok(results.into_iter().flatten().collect())
     }
 
-    /// The server's live epoch: its current map plus the transition chain
-    /// from the genesis partition. Feed the pair to
-    /// `EpochView::observe` — the client decides nothing here.
-    pub fn epoch(&mut self) -> Result<(ShardMap, Vec<EpochTransition>), NetError> {
-        self.exchange(&Request::Epoch, "expected Epoch", |r| match r {
-            Response::Epoch { map, transitions } => Some((map, transitions)),
-            _ => None,
-        })
-    }
-
-    /// The server's latest certified bootstrap bundle: the current map,
-    /// its transition, and the epoch checkpoint hash-chained to it. Feed
-    /// it to `EpochView::from_checkpoint` — a fresh client verifies O(1)
-    /// signatures regardless of how many epochs have passed, instead of
-    /// replaying [`QsClient::epoch`]'s chain from genesis.
+    /// The server's latest certified epoch bundle: the current map, its
+    /// transition, and the epoch checkpoint hash-chained to it. Feed it to
+    /// `EpochView::from_bootstrap` (fresh client) or `EpochView::observe`
+    /// (pinned client catching up) — the client decides nothing here, and
+    /// either way verifies O(1) signatures over O(1) bytes regardless of
+    /// how many epochs have passed.
     pub fn checkpoint(&mut self) -> Result<EpochBootstrap, NetError> {
         self.exchange(&Request::Checkpoint, "expected Checkpoint", |r| match r {
             Response::Checkpoint(boot) => Some(*boot),

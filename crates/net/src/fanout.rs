@@ -75,12 +75,13 @@ pub struct ShardFanout {
     map: ShardMap,
     endpoints: Vec<String>,
     config: ClientConfig,
-    attempts: u64,
 }
 
 impl ShardFanout {
-    /// Fan out over `endpoints` under the client's pinned `map` (obtained
-    /// and epoch-verified out of band — e.g. via `EpochView::observe`).
+    /// Fan out over `endpoints` under the client's pinned `map` — the
+    /// `map` of an `EpochBootstrap` bundle (`QsClient::checkpoint`) that
+    /// `EpochView::from_bootstrap` or `EpochView::observe` accepted, so its
+    /// hash is the one the view pins.
     ///
     /// # Panics
     ///
@@ -95,19 +96,7 @@ impl ShardFanout {
             map,
             endpoints,
             config,
-            attempts: 0,
         }
-    }
-
-    /// The pinned map the fan-out routes by.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Total connection attempts across all shards and queries — the
-    /// retry-amplification numerator.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
     }
 
     /// Select `lo..=hi`, querying each overlapping shard independently.
@@ -128,9 +117,7 @@ impl ShardFanout {
                 .jitter_seed
                 .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9));
             let mut client = ResilientClient::new(self.endpoints[shard].clone(), config);
-            let result = client.select_shard(shard, sub_lo, sub_hi);
-            self.attempts += client.attempts();
-            match result {
+            match client.select_shard(shard, sub_lo, sub_hi) {
                 Ok(answer) => parts.push(ShardAnswer { shard, answer }),
                 Err(e) if e.is_retryable() => outages.push(ShardOutage { shard, error: e }),
                 Err(e) => return Err(e),

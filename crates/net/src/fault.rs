@@ -1,8 +1,9 @@
 //! Deterministic fault injection: a chaos proxy for the QS wire protocol.
 //!
 //! [`ChaosProxy`] sits between a client and any QS TCP endpoint and applies
-//! *scheduled* faults — refuse, stall, delay, mid-frame disconnect,
-//! truncation, bit corruption, partition — one per accepted connection,
+//! *scheduled* faults — refuse, stall, delay, mid-frame disconnect, the
+//! byte-level [`WireTamper`] catalog, bit corruption, partition — one per
+//! accepted connection,
 //! driven by a [`FaultPlan`]. Determinism is the point: a chaos test that
 //! fails must replay byte-for-byte from its seed, so the plan is a script
 //! indexed by connection ordinal, not a coin flipped at fault time.
@@ -24,6 +25,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::splitmix64;
+use crate::tamper::WireTamper;
+
 /// One scheduled fault, applied to a single proxied connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
@@ -44,16 +48,13 @@ pub enum Fault {
     /// Forward exactly half of the response body, then close — a short
     /// read that the client must classify as transport, not content.
     DisconnectMidFrame,
-    /// Deliver a *complete* frame whose declared length (and body) is one
-    /// byte short of the real answer. Framing succeeds, decoding fails with
-    /// a typed truncation `WireError` — distinguishing "the bytes lie"
-    /// (fail fast) from "the bytes stopped" (retry), which a mid-frame cut
-    /// cannot.
-    TruncateFrame,
-    /// Flip the version byte of the response frame. Deterministically
-    /// surfaces as `WireError::UnsupportedVersion` — the pinned
-    /// corrupt-frame catalog row.
-    CorruptVersion,
+    /// Deliver a *complete* response frame corrupted by one entry of the
+    /// byte-level catalog ([`WireTamper::apply`], the only implementation
+    /// of those corruptions). Framing succeeds (or fails at the header, for
+    /// the oversized-length entry) and the *decoder* reports a typed
+    /// `WireError` — distinguishing "the bytes lie" (fail fast) from "the
+    /// bytes stopped" (retry), which a mid-frame cut cannot.
+    Tamper(WireTamper),
     /// Flip one bit of the response body payload. The decode outcome
     /// depends on what the bit hits (typed `WireError` or a verifier
     /// rejection) — chaos-suite material, where any typed failure is
@@ -114,13 +115,6 @@ impl FaultPlan {
     pub fn fault_for(&self, k: u64) -> Fault {
         self.script.get(k as usize).copied().unwrap_or(Fault::Pass)
     }
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Upper bound on how long a [`Fault::Stall`] holds a connection open. Far
@@ -324,21 +318,7 @@ fn proxy_connection(mut client: TcpStream, ordinal: u64, shared: Arc<ProxyShared
                 let _ = client.write_all(&response[..half]);
                 return;
             }
-            Fault::TruncateFrame => {
-                // Shorten both the declared length and the body by one
-                // byte; the client reads a well-framed but truncated
-                // payload and the *decoder* reports it.
-                let len = u32::from_be_bytes([response[0], response[1], response[2], response[3]]);
-                if len > 1 {
-                    response[..4].copy_from_slice(&(len - 1).to_be_bytes());
-                    response.pop();
-                }
-            }
-            Fault::CorruptVersion => {
-                if response.len() > 4 {
-                    response[4] ^= 0x80;
-                }
-            }
+            Fault::Tamper(tamper) => tamper.apply(&mut response),
             Fault::CorruptBody { bit } => {
                 // Flip a payload bit (past the version byte) so framing
                 // survives and the corruption reaches the decoder/verifier.

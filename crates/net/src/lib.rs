@@ -23,8 +23,10 @@
 //!   one connection, matching responses to requests by echoed id.
 //! * [`WireTamper`] — the byte-level arm of the adversary catalog: frame
 //!   corruptions a malicious server (or the network) can apply, each pinned
-//!   to the typed error it must surface as. A server handle can be armed
-//!   with one to play the adversary in integration tests.
+//!   to the typed error it must surface as. The corruptions are applied
+//!   *by the proxy* ([`Fault::Tamper`] in a [`ChaosProxy`] script), on the
+//!   bytes of an honest server's response — the serving path has no
+//!   adversarial mode and takes no lock for one.
 //!
 //! A peer speaking garbage can at worst make the other side drop the
 //! connection: frames are length-capped before allocation, decoding is
@@ -74,15 +76,15 @@
 //! | accept-then-stall (slow or dead server) | read deadline fires ([`NetError::Timeout`]) | bounded retry, then unreachable | none — the client never hangs past its deadline budget |
 //! | delay within deadline | none (slower RTT) | accept | unchanged — latency is not evidence |
 //! | disconnect mid-frame | short read ([`NetError::Io`], `UnexpectedEof`) | retry (idempotent requests only) | none until a complete frame verifies |
-//! | truncated / bit-corrupted frame | [`NetError::Wire`] typed decode error | **fail fast — never retried blindly**: corruption of a length-checked frame is evidence of tampering, not weather | none; the error is surfaced |
+//! | truncated / version-rewritten / bit-corrupted frame ([`Fault::Tamper`], [`Fault::CorruptBody`]) | [`NetError::Wire`] typed decode error | **fail fast — never retried blindly**: corruption of a length-checked frame is evidence of tampering, not weather | none; the error is surfaced |
 //! | per-shard partition | per-endpoint retries exhausted | degrade: return a [`PartialAnswer`] naming the unreachable shards | `verify_partial_selection` certifies the reachable tiles, marks the rest `ShardUnavailable` |
 //! | reachable shard withholds its part | verifier | none available | `VerifyError::ShardWithheld` — degradation never excuses withholding |
 //! | server refusal ([`NetError::Refused`]) | typed response | fail fast (the server answered; retrying cannot change a deterministic refusal) | none |
 //! | server overloaded ([`NetError::Overloaded`]) | typed `Busy` response | retry with backoff — the shed is about load, not content | none — the request was never answered |
 //!
-//! Retries are restricted to **idempotent** requests (selections, stats,
-//! epoch, ping); `Rebalance` is never retried — [`ResilientClient`] simply
-//! does not expose it, so the type system enforces the restriction.
+//! Retries are restricted to **idempotent** requests (shard selections and
+//! the epoch bundle); `Rebalance` is never retried — [`ResilientClient`]
+//! simply does not expose it, so the type system enforces the restriction.
 
 pub mod autobalance;
 pub mod client;
@@ -190,6 +192,16 @@ impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)
     }
+}
+
+/// One step of the splitmix64 PRNG — the one source of seeded randomness in
+/// this crate (backoff jitter, [`FaultPlan::seeded`] schedules), so neither
+/// pulls a random-number crate into the runtime dependencies.
+pub(crate) fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Read one frame body (version byte + payload) from a stream. The header's

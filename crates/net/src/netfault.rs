@@ -1,7 +1,8 @@
 //! The network-fault arm of the adversary catalog.
 //!
-//! The byte-level [`WireTamper`](crate::tamper::WireTamper) catalog pins
-//! what happens when a frame's *content* is attacked; this catalog pins
+//! The byte-level [`WireTamper`] catalog pins what happens when a frame's
+//! *content* is attacked (two of its entries ride here too, applied by the
+//! same proxy); this catalog pins
 //! what happens when the *transport itself* misbehaves — and, crucially,
 //! that the client's resilience machinery (deadlines, retries, partial
 //! answers) never converts a soundness failure into an availability story.
@@ -30,6 +31,7 @@ use crate::fanout::ShardFanout;
 use crate::fault::{ChaosProxy, Fault, FaultPlan};
 use crate::retry::ClientConfig;
 use crate::server::{QsServer, QsServerOptions};
+use crate::tamper::WireTamper;
 use crate::NetError;
 
 /// One way the transport can misbehave, with a pinned required outcome.
@@ -44,12 +46,14 @@ pub enum NetFault {
     /// within its deadline budget, and the verdict is a sound partial —
     /// shard 1 `ShardUnavailable`, the other three tiles certified.
     StallTimeout,
-    /// Shard 1's endpoint flips the response frame's version byte.
-    /// Required: a typed `WireError` with **no retry** — corruption is
-    /// evidence, and blind retries would re-solicit it.
+    /// Shard 1's endpoint rewrites the response frame's version byte
+    /// ([`WireTamper::VersionDowngrade`]). Required: a typed `WireError`
+    /// with **no retry** — corruption is evidence, and blind retries would
+    /// re-solicit it.
     CorruptFrame,
     /// Shard 1's endpoint delivers a well-framed but truncated response
-    /// body. Required: a typed `WireError`, no retry.
+    /// body ([`WireTamper::TruncateFrame`]). Required: a typed `WireError`,
+    /// no retry.
     TruncateFrame,
     /// Shard 1's endpoint cuts the first response mid-frame, then
     /// recovers. Required: the short read is classified transport, the
@@ -279,8 +283,8 @@ fn netfault_scenario(scheme: SchemeKind, fault: NetFault) -> NetFaultConformance
     match fault {
         NetFault::RefuseThenRecover => sys.script_target(&[Fault::RefuseConnect]),
         NetFault::StallTimeout => sys.script_target(&stall_all),
-        NetFault::CorruptFrame => sys.script_target(&[Fault::CorruptVersion]),
-        NetFault::TruncateFrame => sys.script_target(&[Fault::TruncateFrame]),
+        NetFault::CorruptFrame => sys.script_target(&[Fault::Tamper(WireTamper::VersionDowngrade)]),
+        NetFault::TruncateFrame => sys.script_target(&[Fault::Tamper(WireTamper::TruncateFrame)]),
         NetFault::DisconnectRetry => sys.script_target(&[Fault::DisconnectMidFrame]),
         NetFault::DelayUnderDeadline => sys.script_target(&[
             Fault::Delay { micros: 20_000 },
@@ -345,15 +349,6 @@ pub fn run_netfault_catalog(scheme: SchemeKind) -> Vec<NetFaultConformance> {
         .collect()
 }
 
-/// Run a subset (the BAS spot check: full crypto once over the strategies
-/// whose behavior could plausibly depend on answer sizes and timing).
-pub fn run_netfault_spot(scheme: SchemeKind, faults: &[NetFault]) -> Vec<NetFaultConformance> {
-    faults
-        .iter()
-        .map(|&f| netfault_scenario(scheme, f))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,10 +374,8 @@ mod tests {
         // Full crypto once: the degradation strategy (real signatures in
         // the certified tiles) and the soundness strategy (a withheld part
         // must still be caught with aggregate verification live).
-        for c in run_netfault_spot(
-            SchemeKind::Bas,
-            &[NetFault::Partition, NetFault::WithholdReachable],
-        ) {
+        for fault in [NetFault::Partition, NetFault::WithholdReachable] {
+            let c = netfault_scenario(SchemeKind::Bas, fault);
             assert!(c.ok(), "{}: {:?}", c.fault.name(), c.outcome);
         }
     }

@@ -14,8 +14,8 @@
 //!    answer, and re-soliciting it blindly would let a tampering server
 //!    use "retry" as a second chance to be believed.
 //! 3. **Only idempotent requests are retried.** [`ResilientClient`]
-//!    exposes selections, projections, stats, epoch, checkpoint, and ping
-//!    — not `Rebalance`. A retried rebalance whose first attempt actually landed
+//!    exposes what its callers retry — a shard's selection tile and the
+//!    epoch bundle — not `Rebalance`. A retried rebalance whose first attempt actually landed
 //!    would be refused as a stale epoch, but the restriction keeps the
 //!    reasoning local: nothing retried here mutates the server.
 //!
@@ -28,12 +28,12 @@
 
 use std::time::Duration;
 
-use authdb_core::qs::{ProjectionAnswer, QsStats, SelectionAnswer};
-use authdb_core::shard::{EpochBootstrap, EpochTransition, ShardMap, ShardedSelectionAnswer};
+use authdb_core::qs::SelectionAnswer;
+use authdb_core::shard::EpochBootstrap;
 use authdb_wire::DEFAULT_MAX_FRAME_LEN;
 
 use crate::client::QsClient;
-use crate::NetError;
+use crate::{splitmix64, NetError};
 
 /// Deadlines and retry behavior for a resilient connection.
 #[derive(Clone, Debug)]
@@ -142,15 +142,6 @@ impl RetryPolicy {
     }
 }
 
-/// One step of the splitmix64 PRNG — enough randomness for backoff jitter
-/// without pulling a random-number crate into the runtime dependencies.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A client that reconnects and retries idempotent requests through
 /// transport faults, under the deadlines and backoff of its
 /// [`ClientConfig`]. Each attempt uses a fresh connection: after a timeout
@@ -165,8 +156,6 @@ pub struct ResilientClient {
     addr: String,
     config: ClientConfig,
     attempts: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
 }
 
 impl ResilientClient {
@@ -176,8 +165,6 @@ impl ResilientClient {
             addr: addr.into(),
             config,
             attempts: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
         }
     }
 
@@ -185,21 +172,6 @@ impl ResilientClient {
     /// of the retry-amplification factor `fig_chaos` measures.
     pub fn attempts(&self) -> u64 {
         self.attempts
-    }
-
-    /// Total bytes written across all attempts.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total bytes read across all attempts.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
     }
 
     /// Run one idempotent request, retrying retryable faults with backoff.
@@ -210,15 +182,8 @@ impl ResilientClient {
         let mut k = 0usize;
         loop {
             self.attempts += 1;
-            let outcome = match QsClient::connect_with(&*self.addr, &self.config) {
-                Ok(mut client) => {
-                    let r = op(&mut client);
-                    self.bytes_sent += client.bytes_sent();
-                    self.bytes_received += client.bytes_received();
-                    r
-                }
-                Err(e) => Err(e),
-            };
+            let outcome =
+                QsClient::connect_with(&*self.addr, &self.config).and_then(|mut c| op(&mut c));
             match outcome {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_retryable() && k < self.config.retry.max_retries => {
@@ -228,16 +193,6 @@ impl ResilientClient {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        self.with_retries(|c| c.ping())
-    }
-
-    /// Range selection across all shards (single-endpoint deployments).
-    pub fn select_range(&mut self, lo: i64, hi: i64) -> Result<ShardedSelectionAnswer, NetError> {
-        self.with_retries(|c| c.select_range(lo, hi))
     }
 
     /// One shard's tile of a selection, addressed by index.
@@ -250,41 +205,10 @@ impl ResilientClient {
         self.with_retries(|c| c.select_shard(shard, lo, hi))
     }
 
-    /// Projection of `attrs` over the range.
-    pub fn project(
-        &mut self,
-        lo: i64,
-        hi: i64,
-        attrs: &[usize],
-    ) -> Result<ProjectionAnswer, NetError> {
-        self.with_retries(|c| c.project(lo, hi, attrs))
-    }
-
-    /// The server's proof-construction statistics.
-    pub fn stats(&mut self) -> Result<QsStats, NetError> {
-        self.with_retries(|c| c.stats())
-    }
-
-    /// Per-shard statistics (the auto-rebalance driver's load signal).
-    pub fn shard_stats(&mut self) -> Result<Vec<QsStats>, NetError> {
-        self.with_retries(|c| c.shard_stats())
-    }
-
-    /// The server's live epoch (map + transition chain from genesis).
-    pub fn epoch(&mut self) -> Result<(ShardMap, Vec<EpochTransition>), NetError> {
-        self.with_retries(|c| c.epoch())
-    }
-
-    /// The server's O(1) client-bootstrap bundle (live map, latest
-    /// transition, epoch checkpoint) for `EpochView::from_bootstrap`.
+    /// The server's O(1) epoch bundle (live map, latest transition, epoch
+    /// checkpoint) for `EpochView::from_bootstrap` / `EpochView::observe`.
     pub fn checkpoint(&mut self) -> Result<EpochBootstrap, NetError> {
         self.with_retries(|c| c.checkpoint())
-    }
-
-    /// The target address string (re-resolved on every attempt: a failed
-    /// endpoint may come back at a new address behind the same name).
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 }
 

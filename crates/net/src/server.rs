@@ -51,7 +51,6 @@ use authdb_core::shard::ShardedQueryServer;
 use authdb_core::wire::{Request, Response};
 use authdb_wire::{deframe, frame, frame_body_len, try_frame, DEFAULT_MAX_FRAME_LEN};
 
-use crate::tamper::WireTamper;
 use crate::NetError;
 
 /// How long the loop sleeps when a full pass made no progress — the
@@ -113,8 +112,6 @@ impl Default for QsServerOptions {
 
 struct Shared {
     server: ShardedQueryServer,
-    /// Outbound frame corruption for adversarial tests (None = honest).
-    tamper: Mutex<Option<WireTamper>>,
     opts: QsServerOptions,
     stop: AtomicBool,
     /// Connections currently being served (mirrors the loop's ledger so
@@ -153,7 +150,6 @@ impl QsServer {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             server,
-            tamper: Mutex::new(None),
             opts,
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -180,13 +176,6 @@ impl QsServer {
     /// runs alongside in-flight request dispatch.
     pub fn with_server<R>(&self, f: impl FnOnce(&ShardedQueryServer) -> R) -> R {
         f(&self.shared.server)
-    }
-
-    /// Arm (or disarm) outbound frame corruption. Test-only adversarial
-    /// control: the server keeps constructing honest answers, then mangles
-    /// the bytes on their way out.
-    pub fn set_tamper(&self, tamper: Option<WireTamper>) {
-        *self.shared.tamper.lock() = tamper;
     }
 
     /// Connections currently being served.
@@ -381,10 +370,7 @@ impl Conn {
             } else {
                 dispatch(&shared.server, request)
             };
-            let mut bytes = encode_response(response);
-            if let Some(t) = *shared.tamper.lock() {
-                t.apply(&mut bytes);
-            }
+            let bytes = encode_response(response);
             *global_backlog += bytes.len();
             self.wbuf.extend_from_slice(&bytes);
             progress = true;
@@ -501,8 +487,8 @@ fn encode_response(response: Response) -> Vec<u8> {
 /// Map one request onto the sharded server. Server-side refusals travel as
 /// [`Response::Refused`]; nothing here panics on hostile input (the codec
 /// already rejected malformed frames, `project` bounds attribute indices
-/// itself, and `apply_rebalance` validates the package's shape before
-/// touching any state). Dispatch takes `&ShardedQueryServer` — queries run
+/// itself, and `apply_rebalance` checks the package's DA signatures and
+/// shape before touching any state). Dispatch takes `&ShardedQueryServer` — queries run
 /// against an epoch snapshot and writers order themselves, so the event
 /// loop holds no lock here.
 fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
@@ -527,10 +513,6 @@ fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
         }
         Request::Stats => Response::Stats(server.stats()),
         Request::ShardStats => Response::ShardStats(server.shard_stats()),
-        Request::Epoch => Response::Epoch {
-            map: server.map(),
-            transitions: server.transitions(),
-        },
         Request::Checkpoint => Response::Checkpoint(Box::new(server.epoch_bootstrap())),
         Request::Rebalance(rb) => match server.apply_rebalance(&rb) {
             Ok(()) => Response::Rebalanced,

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use authdb_core::adversary::{sharded_system, tick_and_publish};
 use authdb_core::shard::{RebalancePlan, ShardedAggregator};
@@ -27,7 +27,7 @@ use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{
     ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions,
-    ResilientClient, ShardFanout,
+    ResilientClient, ShardFanout, WireTamper,
 };
 
 struct System {
@@ -56,41 +56,26 @@ fn build() -> System {
     }
 }
 
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A random per-connection fault script. `chaos_pct` is the probability
 /// (in %) that a connection faults at all; the fault kind is then drawn
 /// uniformly across the whole menagerie, corruption included.
 fn random_script(seed: u64, len: usize, chaos_pct: u64) -> (Vec<Fault>, bool) {
-    let mut state = seed;
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut corrupting = false;
     let script = (0..len)
         .map(|_| {
-            state = splitmix64(state);
-            if state % 100 >= chaos_pct {
+            if rng.gen_range(0..100) >= chaos_pct {
                 return Fault::Pass;
             }
-            state = splitmix64(state);
-            match state % 6 {
+            let kind = rng.gen_range(0..6);
+            corrupting |= kind >= 4;
+            match kind {
                 0 => Fault::Stall,
                 1 => Fault::RefuseConnect,
                 2 => Fault::DisconnectMidFrame,
                 3 => Fault::Delay { micros: 20_000 },
-                4 => {
-                    corrupting = true;
-                    Fault::CorruptVersion
-                }
-                _ => {
-                    corrupting = true;
-                    Fault::CorruptBody {
-                        bit: splitmix64(state),
-                    }
-                }
+                4 => Fault::Tamper(WireTamper::VersionDowngrade),
+                _ => Fault::CorruptBody { bit: rng.gen() },
             }
         })
         .collect();

@@ -2,8 +2,9 @@
 //! the existing `Verifier::verify_sharded_selection`.
 //!
 //! Honest answers decoded off the wire must verify exactly like in-process
-//! answers, and every entry of the wire-tamper catalog must surface as its
-//! pinned typed error (`WireError` at the codec or `VerifyError` at the
+//! answers, and every entry of the wire-tamper catalog — applied to the
+//! honest server's frames by a `ChaosProxy` in between — must surface as
+//! its pinned typed error (`WireError` at the codec or `VerifyError` at the
 //! verifier) — never a panic, a hang, or an accepted forgery.
 
 use rand::rngs::StdRng;
@@ -11,12 +12,13 @@ use rand::SeedableRng;
 
 use authdb_core::adversary::{run_sharded_timeline, sharded_system, tick_and_publish};
 use authdb_core::qs::QueryError;
-use authdb_core::shard::ShardedAggregator;
+use authdb_core::shard::{RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
-use authdb_net::{NetError, QsClient, QsServer, QsServerOptions, WireTamper};
+use authdb_net::{
+    ChaosProxy, Fault, FaultPlan, NetError, QsClient, QsServer, QsServerOptions, WireTamper,
+};
 use authdb_sim::cost::wire_model;
-use authdb_wire::WireError;
 
 /// Build a 4-shard system over keys 0..=390, serve it over loopback TCP,
 /// and run the shared timeline (summaries at t=12/24/34, one update at
@@ -125,53 +127,34 @@ fn bytes_on_wire_track_the_sim_wire_model() {
     }
 }
 
-/// What the client stack said about one tampered exchange.
-#[derive(Debug)]
-enum Outcome {
-    Wire(WireError),
-    Verify(VerifyError),
-    Accepted,
-}
-
-fn tampered_outcome(
+/// One tampered exchange: the server stays honest, a proxy in front of it
+/// corrupts the one response of its one connection (a fresh connection per
+/// strategy — a corrupted frame legitimately desynchronizes the stream),
+/// and the client stack must reject with the strategy's pinned typed error.
+fn assert_tamper_rejected(
     server: &QsServer,
     verifier: &Verifier,
     view: &EpochView,
     tamper: WireTamper,
     now: u64,
     rng: &mut StdRng,
-) -> Outcome {
-    server.set_tamper(Some(tamper));
-    // Fresh connection per strategy: a corrupted frame legitimately
-    // desynchronizes the stream.
-    let mut client = QsClient::connect(server.addr()).expect("connect");
-    let result = client.select_range(95, 205);
-    server.set_tamper(None);
-    match result {
-        Err(NetError::Wire(e)) => Outcome::Wire(e),
+) {
+    let plan = FaultPlan::from_script(vec![Fault::Tamper(tamper)]);
+    let proxy = ChaosProxy::spawn(server.addr(), plan).expect("proxy");
+    let mut client = QsClient::connect(proxy.addr()).expect("connect");
+    let name = tamper.name();
+    match client.select_range(95, 205) {
+        Err(NetError::Wire(e)) => assert!(tamper.expects_wire(&e), "{name}: unexpected {e:?}"),
         Ok(answer) => {
-            match verifier.verify_sharded_selection(95, 205, &answer, view, now, true, rng) {
-                Ok(_) => Outcome::Accepted,
-                Err(e) => Outcome::Verify(e),
-            }
+            let e = verifier
+                .verify_sharded_selection(95, 205, &answer, view, now, true, rng)
+                .expect_err("tampered frame accepted");
+            let got = format!("{e:?}");
+            let pinned = tamper.expects_verify_names();
+            assert!(pinned.iter().any(|n| got.starts_with(n)), "{name}: {got}");
         }
-        Err(other) => panic!("{}: unexpected failure class {other:?}", tamper.name()),
+        Err(other) => panic!("{name}: unexpected failure class {other:?}"),
     }
-}
-
-fn assert_expected(tamper: WireTamper, outcome: &Outcome) {
-    let ok = match outcome {
-        Outcome::Wire(e) => tamper.expects_wire(e),
-        Outcome::Verify(e) => {
-            let name = format!("{e:?}");
-            tamper
-                .expects_verify_names()
-                .iter()
-                .any(|n| name.starts_with(n))
-        }
-        Outcome::Accepted => false,
-    };
-    assert!(ok, "{}: unexpected outcome {outcome:?}", tamper.name());
 }
 
 #[test]
@@ -180,8 +163,7 @@ fn wire_tamper_catalog_rejected_with_typed_errors() {
     let (sa, server, verifier, view) = serve(SchemeKind::Mock, 40);
     let now = sa.now();
     for tamper in WireTamper::CATALOG {
-        let outcome = tampered_outcome(&server, &verifier, &view, tamper, now, &mut rng);
-        assert_expected(tamper, &outcome);
+        assert_tamper_rejected(&server, &verifier, &view, tamper, now, &mut rng);
     }
     // The server is unharmed: a fresh honest exchange still verifies.
     let mut client = QsClient::connect(server.addr()).expect("connect");
@@ -205,8 +187,7 @@ fn bas_spot_check_over_tcp() {
         .verify_sharded_selection(35, 125, &answer, &view, now, true, &mut rng)
         .expect("honest BAS answer verifies");
     for tamper in [WireTamper::BitFlipSignature, WireTamper::VersionDowngrade] {
-        let outcome = tampered_outcome(&server, &verifier, &view, tamper, now, &mut rng);
-        assert_expected(tamper, &outcome);
+        assert_tamper_rejected(&server, &verifier, &view, tamper, now, &mut rng);
     }
 }
 
@@ -251,7 +232,7 @@ fn live_rebalance_over_tcp_mid_query_stream() {
     // the live server over the same TCP protocol (Request::Rebalance).
     let split_at = sa.map().splits()[0] / 2;
     let rb = sa.rebalance(
-        authdb_core::shard::RebalancePlan::Split {
+        RebalancePlan::Split {
             shard: 0,
             at: split_at,
         },
@@ -276,11 +257,11 @@ fn live_rebalance_over_tcp_mid_query_stream() {
         })
     ));
 
-    // The client fetches the transition chain over the wire and advances.
-    let (map, transitions) = client.epoch().expect("epoch info");
-    assert_eq!(map.epoch(), 2);
-    assert_eq!(transitions.len(), 1);
-    view.observe(&transitions, &map, verifier.public_params())
+    // The client fetches the certified epoch bundle over the wire and
+    // catches up.
+    let bundle = client.checkpoint().expect("epoch bundle");
+    assert_eq!(bundle.map.epoch(), 2);
+    view.observe(&bundle, verifier.public_params())
         .expect("observe the epoch bump");
 
     // Now the situation flips exactly: replays are stale, fresh verifies.
@@ -312,7 +293,7 @@ fn live_rebalance_over_tcp_mid_query_stream() {
     // A hostile package (wrong epoch arithmetic) is refused without
     // touching the server.
     let mut forged = rb.clone();
-    forged.plan = authdb_core::shard::RebalancePlan::Merge { left: 0 };
+    forged.plan = RebalancePlan::Merge { left: 0 };
     match client.rebalance(&forged) {
         Err(NetError::Refused(QueryError::BadRebalance)) => {}
         other => panic!("expected BadRebalance refusal, got {other:?}"),
@@ -321,4 +302,90 @@ fn live_rebalance_over_tcp_mid_query_stream() {
     verifier
         .verify_sharded_selection(0, 390, &again, &view, now, true, &mut rng)
         .expect("refused package changed nothing");
+}
+
+/// `Request::Rebalance` is reachable from any TCP peer. A package that is
+/// structurally perfect — right epoch arithmetic, right splits, hash-linked
+/// to the live map — but signed by somebody else's key must be refused, or
+/// one frame takes an honest server's every later answer away from its
+/// clients.
+#[test]
+fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
+    for (scheme, n) in [(SchemeKind::Mock, 40), (SchemeKind::Bas, 16)] {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (sa, server, verifier, view) = serve(scheme, n);
+        let plan = RebalancePlan::Split {
+            shard: 0,
+            at: sa.map().splits()[0] / 2,
+        };
+        // An impostor DA: same configuration, partition and rows, its own
+        // key — so its package differs from the genuine one in signatures
+        // only.
+        let mut impostor = ShardedAggregator::new(
+            sa.config().clone(),
+            sa.map().splits().to_vec(),
+            &mut StdRng::seed_from_u64(666),
+        );
+        impostor.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
+        let forged = impostor.rebalance(plan, 2);
+        assert_eq!(forged.transition.parent_hash, sa.map().hash());
+
+        let mut client = QsClient::connect(server.addr()).expect("connect");
+        match client.rebalance(&forged) {
+            Err(NetError::Refused(QueryError::BadRebalance)) => {}
+            other => panic!("{scheme:?}: expected BadRebalance refusal, got {other:?}"),
+        }
+        // The server is still at epoch 1, serving answers the pinned
+        // client accepts.
+        let (lo, hi) = (0, n * 10);
+        let ans = client.select_range(lo, hi).expect("server unharmed");
+        assert_eq!(ans.map.epoch(), 1);
+        verifier
+            .verify_sharded_selection(lo, hi, &ans, &view, sa.now(), true, &mut rng)
+            .unwrap_or_else(|e| panic!("{scheme:?}: epoch-1 answer rejected: {e:?}"));
+    }
+}
+
+/// Flat epoch state: however many rebalances a deployment has been through,
+/// a client still pinned at genesis catches up in one exchange of the same
+/// size — nothing the server holds or ships grows with the epoch count.
+#[test]
+fn catch_up_after_many_rebalances_is_one_constant_size_exchange() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let (mut sa, server, verifier, mut view) = serve(SchemeKind::Mock, 40);
+    let mut da = QsClient::connect(server.addr()).expect("DA connect");
+    let mut client = QsClient::connect(server.addr()).expect("connect");
+    let split = RebalancePlan::Split {
+        shard: 0,
+        at: sa.map().splits()[0] / 2,
+    };
+
+    da.rebalance(&sa.rebalance(split, 2)).expect("first split");
+    client.checkpoint().expect("epoch-2 bundle");
+    let after_one = client.last_response_bytes();
+
+    // 64 more, alternating merge / split: the deployment ends in the same
+    // shape as after the first, 64 epochs later.
+    for round in 0..64 {
+        let plan = if round % 2 == 0 {
+            RebalancePlan::Merge { left: 0 }
+        } else {
+            split
+        };
+        da.rebalance(&sa.rebalance(plan, 2)).expect("rebalance");
+        // Each rebalance takes a clock tick; the summary stream keeps pace.
+        server.with_server(|sqs| tick_and_publish(&mut sa, sqs, 0));
+    }
+    assert_eq!(sa.map().epoch(), 66);
+
+    // The client never saw epochs 2..=65: one exchange, the same size.
+    let bundle = client.checkpoint().expect("epoch-66 bundle");
+    assert_eq!(client.last_response_bytes(), after_one);
+    view.observe(&bundle, verifier.public_params())
+        .expect("genesis-pinned client catches up");
+    assert_eq!(view.epoch(), 66);
+    let ans = client.select_range(0, 390).expect("live answer");
+    verifier
+        .verify_sharded_selection(0, 390, &ans, &view, sa.now(), true, &mut rng)
+        .expect("epoch-66 answer verifies under the caught-up view");
 }

@@ -139,7 +139,7 @@ impl ReaderBoard {
 
 /// A verifying client: pipelines `ranges` over one connection in a loop and
 /// holds every answer to the full protocol. On `StaleEpoch` it fetches the
-/// certified transition chain and re-judges; an answer superseded by yet
+/// server's certified epoch bundle and re-judges; an answer superseded by yet
 /// another epoch while in flight is dropped and re-asked — the one outcome
 /// that must never happen is an honest answer rejected as forged.
 fn run_reader(
@@ -173,11 +173,11 @@ fn run_reader(
                     board.verified.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(VerifyError::StaleEpoch { .. }) => {
-                    let (map, transitions) = match client.epoch() {
-                        Ok(x) => x,
+                    let bundle = match client.checkpoint() {
+                        Ok(b) => b,
                         Err(e) => return board.fail(format!("epoch fetch: {e}")),
                     };
-                    if let Err(e) = view.observe(&transitions, &map, verifier.public_params()) {
+                    if let Err(e) = view.observe(&bundle, verifier.public_params()) {
                         return board.fail(format!("observe: {e:?}"));
                     }
                     board.resynced.fetch_add(1, Ordering::Relaxed);
@@ -259,7 +259,7 @@ fn multiplexed_queries_race_live_certified_rebalances_over_tcp() {
 
     let failures = board.failures.lock();
     assert!(failures.is_empty(), "unsound observations: {:?}", *failures);
-    assert_eq!(sa.transitions().len(), 4, "four certified epoch bumps");
+    assert_eq!(sa.map().epoch(), 5, "four certified epoch bumps");
     assert!(
         board.verified.load(Ordering::Relaxed) >= 50,
         "readers verified {} answers",
@@ -360,14 +360,18 @@ fn auto_rebalance_splits_hot_shard_under_skewed_load_over_tcp() {
         "readers crossed the auto-split mid-stream"
     );
 
-    // End to end: a fresh client that observes the full transition chain
-    // verifies a full-range answer from the post-split deployment.
-    let mut main_view = view;
-    main_view
-        .observe(sa.transitions(), sa.map(), verifier.public_params())
-        .expect("observe the auto-split");
+    // End to end: a client still pinned at genesis catches up with the
+    // server's bundle and verifies a full-range answer from the post-split
+    // deployment.
     let mut rng = StdRng::seed_from_u64(99);
     let mut client = QsClient::connect(addr).expect("connect");
+    let mut main_view = view;
+    main_view
+        .observe(
+            &client.checkpoint().expect("epoch bundle"),
+            verifier.public_params(),
+        )
+        .expect("observe the auto-split");
     let ans = client.select_range(0, 3990).expect("post-split answer");
     verifier
         .verify_sharded_selection(0, 3990, &ans, &main_view, sa.now(), true, &mut rng)
