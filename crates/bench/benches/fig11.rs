@@ -9,14 +9,14 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, full_scale};
-use authdb_core::da::{DaConfig, DataAggregator};
+use authdb_bench::{banner, csv_begin, csv_end, full_scale, replica_opts};
+use authdb_core::da::DaConfig;
 use authdb_core::join::{
     execute_join, partition_certification_message, verify_join, viability, JoinMethod,
 };
-use authdb_core::qs::QueryServer;
 use authdb_core::record::Schema;
-use authdb_core::verify::Verifier;
+use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
+use authdb_core::verify::{EpochView, Verifier};
 use authdb_filters::partitioned::PartitionedFilters;
 use authdb_workload::tpce;
 use rand::rngs::StdRng;
@@ -24,8 +24,8 @@ use rand::SeedableRng;
 
 struct JoinBed {
     schema: Schema,
-    s_da: DataAggregator,
-    s_qs: QueryServer,
+    s_da: ShardedAggregator,
+    s_qs: ShardedQueryServer,
     s_verifier: Verifier,
     b_values: Vec<i64>,
 }
@@ -40,9 +40,9 @@ fn build_s(i_b: usize, n_s: usize) -> JoinBed {
         buffer_pages: 32768,
         ..DaConfig::small()
     };
-    let mut s_da = DataAggregator::new(cfg, &mut rng);
-    let s_boot = s_da.bootstrap(tpce::s_rows(n_s, i_b), 4);
-    let s_qs = s_da.replica(&s_boot);
+    let mut s_da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
+    let s_boots = s_da.bootstrap(tpce::s_rows(n_s, i_b), 4);
+    let s_qs = s_da.replica(&s_boots, &replica_opts(&cfg));
     let s_verifier = s_da.verifier();
     JoinBed {
         schema,
@@ -54,8 +54,9 @@ fn build_s(i_b: usize, n_s: usize) -> JoinBed {
 }
 
 struct RSide {
-    qs: QueryServer,
+    qs: ShardedQueryServer,
     verifier: Verifier,
+    view: EpochView,
     n_r: usize,
 }
 
@@ -69,17 +70,20 @@ fn build_r(n_r: usize, i_b: usize, alpha: f64) -> RSide {
         buffer_pages: 8192,
         ..DaConfig::small()
     };
-    let mut da = DataAggregator::new(cfg, &mut rng);
-    let boot = da.bootstrap(tpce::r_rows(n_r, i_b, alpha, &mut rng), 4);
-    let qs = da.replica(&boot);
-    let verifier = da.verifier();
-    RSide { qs, verifier, n_r }
+    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
+    let boots = da.bootstrap(tpce::r_rows(n_r, i_b, alpha, &mut rng), 4);
+    RSide {
+        qs: da.replica(&boots, &replica_opts(&cfg)),
+        verifier: da.verifier(),
+        view: da.epoch_view(),
+        n_r,
+    }
 }
 
 /// Execute + verify one join; returns (bv_bytes, bf_bytes) paper accounting.
 fn one_join(
-    bed: &mut JoinBed,
-    r: &mut RSide,
+    bed: &JoinBed,
+    r: &RSide,
     selectivity: f64,
     values_per_partition: usize,
     bits_per_key: f64,
@@ -89,22 +93,27 @@ fn one_join(
         .map(|i| bed.s_da.sign_raw(&filters.certification_message(i)))
         .collect();
     let hi = (r.n_r as f64 * selectivity) as i64 - 1;
+    let mut rng = StdRng::seed_from_u64(17);
     let mut sizes = [0usize; 2];
     for (i, method) in [JoinMethod::BoundaryValues, JoinMethod::BloomFilter]
         .into_iter()
         .enumerate()
     {
         let r_ans = r.qs.select_range(0, hi).unwrap();
-        let ans = execute_join(r_ans, 1, &mut bed.s_qs, &filters, &sigs, method);
+        let ans =
+            execute_join(r_ans, 1, &bed.s_qs, &filters, &sigs, method).expect("S is one shard");
         verify_join(
             &r.verifier,
+            &r.view,
             bed.s_verifier.public_params(),
             &bed.schema,
             partition_certification_message,
             0,
             hi,
+            1, // the client names the join attribute: R.A
             &ans,
             0, // R is static: its DA's clock never leaves 0
+            &mut rng,
         )
         .expect("join verifies");
         sizes[i] = ans.paper_vo_size(&bed.schema, 4);
@@ -126,7 +135,7 @@ fn main() {
         tpce::I_A
     );
     println!("Building S ({n_s} records)...");
-    let mut bed = build_s(i_b, n_s);
+    let bed = build_s(i_b, n_s);
 
     // ---- (a) match ratio sweep ----
     println!("\n(a) VO size vs alpha (selectivity 20%, m/I_B = 8, I_B/p = 4):");
@@ -136,8 +145,8 @@ fn main() {
     );
     csv_begin("alpha,bv_bytes,bf_bytes,bv_formula,bf_formula");
     for alpha in [0.05, 0.2, 0.4, 0.6, 0.8, 0.95] {
-        let mut r = build_r(n_r, i_b, alpha);
-        let (bv, bf) = one_join(&mut bed, &mut r, 0.2, 4, 8.0);
+        let r = build_r(n_r, i_b, alpha);
+        let (bv, bf) = one_join(&bed, &r, 0.2, 4, 8.0);
         let sel_ia = n_r as f64 * 0.2;
         let f_bv = viability::vo_bv(alpha, sel_ia, i_b as f64, 4.0);
         let f_bf = viability::vo_bf(alpha, sel_ia, i_b as f64, i_b as f64 / 4.0, 8.0, 4.0);
@@ -156,9 +165,9 @@ fn main() {
     println!("\n(b) VO size vs m/I_B (alpha = 0.5):");
     println!("{:>6} | {:>10} | {:>10}", "m/I_B", "BV", "BF");
     csv_begin("bits_per_key,bv_bytes,bf_bytes");
-    let mut r = build_r(n_r, i_b, 0.5);
+    let r = build_r(n_r, i_b, 0.5);
     for m in [4.0, 6.0, 8.0, 10.0, 12.0, 16.0] {
-        let (bv, bf) = one_join(&mut bed, &mut r, 0.2, 4, m);
+        let (bv, bf) = one_join(&bed, &r, 0.2, 4, m);
         println!("{m:>6.0} | {bv:>10} | {bf:>10}");
         println!("{m},{bv},{bf}");
         // The paper: "a range between 8 and 12 for m/IB is adequate"; the
@@ -178,7 +187,7 @@ fn main() {
     );
     csv_begin("values_per_partition,bv_bytes,bf_bytes,rebuild_us");
     for vpp in [2usize, 8, 32, 128, 512, 2048] {
-        let (bv, bf) = one_join(&mut bed, &mut r, 0.2, vpp, 8.0);
+        let (bv, bf) = one_join(&bed, &r, 0.2, vpp, 8.0);
         // Rebuild cost: re-hash one partition's values (the deletion path).
         let mut filters = PartitionedFilters::build(&bed.b_values, vpp, 8.0);
         let idx = filters.partition_count() / 2;
@@ -212,7 +221,7 @@ fn main() {
     );
     csv_begin("selectivity,bv_bytes,bf_bytes");
     for sel in [0.005, 0.05, 0.2, 0.5, 0.95] {
-        let (bv, bf) = one_join(&mut bed, &mut r, sel, 4, 8.0);
+        let (bv, bf) = one_join(&bed, &r, sel, 4, 8.0);
         println!(
             "{:>6.1} | {bv:>10} | {bf:>10} | {:>7.0}%",
             sel * 100.0,

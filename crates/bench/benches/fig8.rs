@@ -1,6 +1,6 @@
 //! Figure 8: Compressed Update Summaries.
 //!
-//! Runs the real [`DataAggregator`] under a steady update stream with the
+//! Runs the real (one-shard) aggregator under a steady update stream with the
 //! active-renewal process and sweeps the renewal age ρ′ for ρ ∈ {0.5, 1} s:
 //! (a) mean compressed bitmap size per period and mean signature age;
 //! (b) total summary bytes a freshly logging-in user must fetch
@@ -8,7 +8,8 @@
 //! bottoming out around ρ′ = 900 s at ρ = 1 s.
 
 use authdb_bench::{banner, csv_begin, csv_end, env_n, fmt_bytes};
-use authdb_core::da::{DaConfig, DataAggregator};
+use authdb_core::da::DaConfig;
+use authdb_core::shard::ShardedAggregator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,7 +34,7 @@ fn run_cell(n: usize, rho_seconds: f64, rho_prime_ratio: u64, upd_per_sec: f64) 
         ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(rho_prime_ratio + rho_ticks);
-    let mut da = DataAggregator::new(cfg, &mut rng);
+    let mut da = ShardedAggregator::new(cfg, vec![], &mut rng);
     da.bootstrap((0..n).map(|i| vec![i as i64, 0]).collect(), 4);
 
     // Renewal budget per period: one full scan per rho' (plus slack so the
@@ -52,19 +53,20 @@ fn run_cell(n: usize, rho_seconds: f64, rho_prime_ratio: u64, upd_per_sec: f64) 
         let k = upd_per_period.floor() as usize + usize::from(rng.gen_bool(upd_per_period.fract()));
         for _ in 0..k {
             let rid = rng.gen_range(0..n as u64);
-            if da.record(rid).is_some() {
-                da.update_record(rid, vec![rid as i64, rng.gen_range(0..1_000)]);
+            if da.shard(0).record(rid).is_some() {
+                da.update_record(0, rid, vec![rid as i64, rng.gen_range(0..1_000)]);
             }
         }
         da.background_renewal(renewal_budget);
-        let (summary, _recerts) = da.force_publish_summary();
-        if period >= warm_periods {
-            bitmap_bytes += summary.compressed.len();
-            measured += 1;
+        for (_, summary, _recerts) in da.force_publish_summaries() {
+            if period >= warm_periods {
+                bitmap_bytes += summary.compressed.len();
+                measured += 1;
+            }
         }
     }
     let avg_bitmap = bitmap_bytes as f64 / measured as f64;
-    let (avg_age_ticks, _) = da.signature_age_stats();
+    let (avg_age_ticks, _) = da.shard(0).signature_age_stats();
     let avg_age_seconds = avg_age_ticks / ticks_per_sec;
     // A user logging in fetches summaries back to the average signature age.
     let summaries_needed = (avg_age_seconds / rho_seconds).ceil();

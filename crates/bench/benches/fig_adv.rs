@@ -6,8 +6,8 @@
 //! `VerifyError` while the honest answer to the same query verifies.
 //!
 //! Part 2 measures the batched verification path: one
-//! `verify_selection_batch` over K honest BAS answers versus K independent
-//! `verify_selection` calls. The random-linear-combination multi-pairing
+//! `verify_sharded_batch` over K honest BAS answers versus K independent
+//! `verify_sharded_selection` calls. The random-linear-combination multi-pairing
 //! must deliver ≥ 2× throughput at K = 16 (the acceptance bar).
 //!
 //! Part 3 measures the fold *within* one answer: a live BAS answer carrying
@@ -17,9 +17,11 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
+use authdb_bench::{
+    banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog, replica_opts,
+};
 use authdb_core::adversary::Tamper;
-use authdb_core::da::DataAggregator;
+use authdb_core::shard::ShardedAggregator;
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,8 +33,8 @@ fn main() {
     );
 
     // ---- Part 1: the tamper catalog ----
-    let mock_ok = print_catalog::<Tamper>("Single-server", SchemeKind::Mock);
-    let bas_ok = print_catalog::<Tamper>("Single-server", SchemeKind::Bas);
+    let mock_ok = print_catalog::<Tamper>("One-shard", SchemeKind::Mock);
+    let bas_ok = print_catalog::<Tamper>("One-shard", SchemeKind::Bas);
 
     // ---- Part 2: batched verification throughput ----
     let k = 16usize;
@@ -43,17 +45,17 @@ fn main() {
         span + 1
     );
     let cfg = chained_cfg(SchemeKind::Bas);
-    let _schema = cfg.schema;
     let mut rng = StdRng::seed_from_u64(20);
-    let mut da = DataAggregator::new(cfg, &mut rng);
+    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
     let t = Instant::now();
-    let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), env_jobs());
+    let boots = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), env_jobs());
     println!(
         "  bootstrap ({n} BLS signatures): {}",
         fmt_time(t.elapsed().as_secs_f64())
     );
-    let mut qs = da.replica(&boot);
+    let qs = da.replica(&boots, &replica_opts(&cfg));
     let verifier = da.verifier();
+    let view = da.epoch_view();
 
     let queries: Vec<(i64, i64)> = (0..k as i64)
         .map(|i| {
@@ -67,29 +69,34 @@ fn main() {
         .collect();
 
     let reps = 5;
-    // Sequential: K independent verify_selection calls.
+    // Sequential: K independent verify_sharded_selection calls.
     let t = Instant::now();
     for _ in 0..reps {
         for (&(lo, hi), ans) in queries.iter().zip(&answers) {
             verifier
-                .verify_selection(lo, hi, ans, 0, true)
+                .verify_sharded_selection(lo, hi, ans, &view, 0, true, &mut rng)
                 .expect("honest answer verifies");
         }
     }
     let seq = t.elapsed().as_secs_f64() / reps as f64;
 
     // Batched: one RLC multi-pairing for the whole set.
+    let paired: Vec<_> = queries
+        .iter()
+        .zip(&answers)
+        .map(|(&(lo, hi), ans)| (lo, hi, ans))
+        .collect();
     let t = Instant::now();
     for _ in 0..reps {
         verifier
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
+            .verify_sharded_batch(&paired, &view, 0, true, &mut rng)
             .expect("honest batch verifies");
     }
     let batch = t.elapsed().as_secs_f64() / reps as f64;
 
     let speedup = seq / batch;
-    println!("  {k} x verify_selection : {}", fmt_time(seq));
-    println!("  1 x verify_selection_batch({k}): {}", fmt_time(batch));
+    println!("  {k} x verify_sharded_selection : {}", fmt_time(seq));
+    println!("  1 x verify_sharded_batch({k}): {}", fmt_time(batch));
     println!("  speedup: {speedup:.2}x (acceptance bar: 2.00x)");
 
     // ---- Part 3: one check per live answer ----
@@ -99,15 +106,17 @@ fn main() {
     let rho = da.config().rho;
     for _ in 0..6 {
         da.advance_clock(rho + 2);
-        qs.ingest(da.maybe_publish_summary().expect("period closes"));
+        qs.ingest(da.maybe_publish_summaries());
     }
-    qs.apply_checkpoint(da.checkpoint_summaries(4).expect("compactable"));
+    let ckpt = da.checkpoint_shard_summaries(0, 4).expect("compactable");
+    qs.apply_checkpoint(0, ckpt);
     let (lo, hi) = queries[3];
     let live = qs.select_range(lo, hi).expect("chained mode");
     let now = da.now();
-    let ckpt = live.checkpoint.as_ref().expect("checkpoint attached");
+    let part = &live.parts[0].answer;
+    let ckpt = part.checkpoint.as_ref().expect("checkpoint attached");
     assert!(
-        live.summaries.len() >= 4,
+        part.summaries.len() >= 4,
         "live answer carries >= 4 summaries"
     );
     let pp = verifier.public_params();
@@ -116,33 +125,33 @@ fn main() {
     let mut sig_claims = 0;
     for _ in 0..reps {
         sig_claims = verifier
-            .verify_selection(lo, hi, &live, now, true)
+            .verify_sharded_selection(lo, hi, &live, &view, now, true, &mut rng)
             .expect("honest live answer verifies")
             .sig_claims;
     }
     let folded = t.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(sig_claims, live.summaries.len() + 2);
+    assert_eq!(sig_claims, part.summaries.len() + 2);
     // The same artifacts, one pairing check each: the checkpoint, every
     // summary, and the aggregate (freshness off: one claim).
     let t = Instant::now();
     for _ in 0..reps {
-        assert!(ckpt.verify(pp) && live.summaries.iter().all(|s| s.verify(pp)));
+        assert!(ckpt.verify(pp) && part.summaries.iter().all(|s| s.verify(pp)));
         verifier
-            .verify_selection(lo, hi, &live, now, false)
+            .verify_sharded_selection(lo, hi, &live, &view, now, false, &mut rng)
             .expect("aggregate verifies");
     }
     let one_by_one = t.elapsed().as_secs_f64() / reps as f64;
     let fold_speedup = one_by_one / folded;
     println!(
         "\nOne check per answer: live answer, {} summaries + checkpoint (BAS)",
-        live.summaries.len()
+        part.summaries.len()
     );
     println!(
         "  {sig_claims} individual checks : {}",
         fmt_time(one_by_one)
     );
     println!(
-        "  1 x verify_selection ({sig_claims} claims folded): {}",
+        "  1 x verify_sharded_selection ({sig_claims} claims folded): {}",
         fmt_time(folded)
     );
     println!("  speedup: {fold_speedup:.2}x (acceptance bar: 2.00x)");

@@ -35,9 +35,11 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time, print_catalog};
+use authdb_bench::{
+    banner, chained_cfg, csv_begin, csv_end, fmt_time, print_catalog, replica_opts,
+};
 use authdb_core::adversary::CheckpointTamper;
-use authdb_core::da::{DaConfig, DataAggregator};
+use authdb_core::da::DaConfig;
 use authdb_core::shard::{EpochBootstrap, RebalancePlan, ShardedAggregator};
 use authdb_core::verify::EpochView;
 use authdb_crypto::signer::SchemeKind;
@@ -137,15 +139,16 @@ fn summary_log() {
     csv_begin("periods,retained,ckpt_verify_us,full_run,full_verify_us");
     let mk = || {
         let mut rng = StdRng::seed_from_u64(99);
-        let mut da = DataAggregator::new(cfg(), &mut rng);
-        let boot = da.bootstrap((0..256i64).map(|i| vec![i, i]).collect(), 2);
-        let qs = da.replica(&boot);
+        let mut da = ShardedAggregator::new(cfg(), vec![], &mut rng);
+        let boots = da.bootstrap((0..256i64).map(|i| vec![i, i]).collect(), 2);
+        let qs = da.replica(&boots, &replica_opts(&cfg()));
         (da, qs)
     };
-    let (mut da, mut qs) = mk(); // checkpointed
-    let (mut fda, mut fqs) = mk(); // never-compacted twin
-    let v = da.verifier();
-    let fv = fda.verifier();
+    let (mut da, qs) = mk(); // checkpointed
+    let (mut fda, fqs) = mk(); // never-compacted twin
+    let (v, view) = (da.verifier(), da.epoch_view());
+    let (fv, fview) = (fda.verifier(), fda.epoch_view());
+    let mut rng = StdRng::seed_from_u64(100);
     let mut period = 0usize;
     let mut max_retained = 0usize;
     for &h in &POINTS {
@@ -154,62 +157,56 @@ fn summary_log() {
             // so their freshness run reaches all the way back to the cut.
             let rid = 128 + (period as u64 % 128);
             let key = rid as i64;
-            for side in [(&mut da, &mut qs), (&mut fda, &mut fqs)] {
-                side.0.advance_clock(2);
-                side.1
-                    .apply_all(&side.0.update_record(rid, vec![key, period as i64]));
-                side.0.advance_clock(8);
-                if let Some(closed) = side.0.maybe_publish_summary() {
-                    side.1.ingest(closed);
-                }
+            for (da, qs) in [(&mut da, &qs), (&mut fda, &fqs)] {
+                da.advance_clock(2);
+                qs.apply_all(&da.update_record(0, rid, vec![key, period as i64]).1);
+                da.advance_clock(8);
+                qs.ingest(da.maybe_publish_summaries());
             }
             period += 1;
             if period.is_multiple_of(CKPT_EVERY) {
-                if let Some(c) = da.checkpoint_summaries(KEEP) {
-                    qs.apply_checkpoint(c);
+                if let Some(c) = da.checkpoint_shard_summaries(0, KEEP) {
+                    qs.apply_checkpoint(0, c);
                 }
             }
-            max_retained = max_retained.max(da.summary_log().len());
+            let retained = da.shard(0).summary_log().len();
+            max_retained = max_retained.max(retained);
             assert!(
-                da.summary_log().len() <= FLAT_BOUND,
+                retained <= FLAT_BOUND,
                 "acceptance: resident summaries must stay <= {FLAT_BOUND}, \
-                 got {} at period {period}",
-                da.summary_log().len()
+                 got {retained} at period {period}"
             );
         }
+        let retained = da.shard(0).summary_log().len();
         // Query the pristine prefix: the oldest versions in the system,
         // exactly the records whose freshness run is longest.
         let now = da.now();
         let ans = qs.select_range(0, 31).expect("chained mode");
+        let attached = ans.parts[0].answer.summaries.len();
         assert!(
-            ans.summaries.len() <= FLAT_BOUND,
-            "checkpoint-anchored answer attached {} summaries at H={h}",
-            ans.summaries.len()
+            attached <= FLAT_BOUND,
+            "checkpoint-anchored answer attached {attached} summaries at H={h}"
         );
         let t = Instant::now();
         for _ in 0..REPS {
-            v.verify_selection(0, 31, &ans, now, true)
+            v.verify_sharded_selection(0, 31, &ans, &view, now, true, &mut rng)
                 .expect("checkpoint-anchored answer verifies");
         }
         let ckpt_us = t.elapsed().as_secs_f64() * 1e6 / REPS as f64;
         let fans = fqs.select_range(0, 31).expect("chained mode");
-        let full_run = fans.summaries.len();
+        let full_run = fans.parts[0].answer.summaries.len();
         let t = Instant::now();
         for _ in 0..REPS.min(8) {
-            fv.verify_selection(0, 31, &fans, now, true)
+            fv.verify_sharded_selection(0, 31, &fans, &fview, now, true, &mut rng)
                 .expect("full-history answer verifies");
         }
         let full_us = t.elapsed().as_secs_f64() * 1e6 / REPS.min(8) as f64;
         println!(
-            "{h:>7} | {:>9} | {:>11} | {full_run:>9} | {:>11}",
-            da.summary_log().len(),
+            "{h:>7} | {retained:>9} | {:>11} | {full_run:>9} | {:>11}",
             fmt_time(ckpt_us * 1e-6),
             fmt_time(full_us * 1e-6)
         );
-        println!(
-            "{h},{},{ckpt_us:.2},{full_run},{full_us:.2}",
-            da.summary_log().len()
-        );
+        println!("{h},{retained},{ckpt_us:.2},{full_run},{full_us:.2}");
     }
     csv_end();
     println!(

@@ -25,9 +25,10 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time};
-use authdb_core::da::{DaConfig, DataAggregator};
-use authdb_core::qs::{QsOptions, QueryServer};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, fmt_time, replica_opts};
+use authdb_core::da::DaConfig;
+use authdb_core::qs::QsOptions;
+use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_crypto::signer::SchemeKind;
 use authdb_wire::WireEncode;
 use rand::rngs::StdRng;
@@ -57,9 +58,9 @@ fn cfg() -> DaConfig {
 }
 
 struct Bed {
-    da: DataAggregator,
-    cached: QueryServer,
-    plain: QueryServer,
+    da: ShardedAggregator,
+    cached: ShardedQueryServer,
+    plain: ShardedQueryServer,
     n: i64,
     /// Next key offset for stream inserts (odd, so they never collide
     /// with the stride-10 bootstrap keys).
@@ -71,21 +72,14 @@ struct Bed {
 fn build(n: i64) -> Bed {
     let cfg = cfg();
     let mut rng = StdRng::seed_from_u64(97);
-    let mut da = DataAggregator::new(cfg.clone(), &mut rng);
-    let boot = da.bootstrap((0..n).map(|i| vec![i * KEY_STRIDE, i]).collect(), 4);
+    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
+    let boots = da.bootstrap((0..n).map(|i| vec![i * KEY_STRIDE, i]).collect(), 4);
     let mk = |node_cache: usize| {
-        QueryServer::with_options(
-            da.public_params(),
-            cfg.schema,
-            cfg.mode,
-            &boot,
-            QsOptions {
-                buffer_pages: cfg.buffer_pages,
-                fill: cfg.fill,
-                node_cache,
-                ..QsOptions::default()
-            },
-        )
+        let opts = QsOptions {
+            node_cache,
+            ..replica_opts(&cfg)
+        };
+        da.replica(&boots, &opts)
     };
     let cached = mk(QsOptions::default().node_cache);
     let plain = mk(0);
@@ -109,18 +103,17 @@ impl Bed {
     fn stream_update(&mut self) {
         let key = self.next_insert % self.span();
         self.next_insert += 7 * KEY_STRIDE; // stays odd: never a bootstrap key
-        let msgs = self.da.insert(vec![key, -1]);
+        let (shard, msgs) = self.da.insert(vec![key, -1]);
         self.live.push(msgs[0].record.rid);
         for m in &msgs {
-            self.cached.apply(m);
-            self.plain.apply(m);
+            self.cached.apply(shard, m);
+            self.plain.apply(shard, m);
         }
         if self.live.len() > 32 {
             let rid = self.live.remove(0);
-            for m in &self.da.delete_record(rid) {
-                self.cached.apply(m);
-                self.plain.apply(m);
-            }
+            let msgs = self.da.delete_record(0, rid);
+            self.cached.apply_all(&msgs);
+            self.plain.apply_all(&msgs);
         }
     }
 }
@@ -147,12 +140,12 @@ fn scenario(bed: &mut Bed, skewed: bool, updates: bool, seed: u64) -> Row {
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..WARMUP {
         let (lo, hi) = draw(&mut rng, span, skewed);
-        let a = bed.cached.select_range(lo, hi).expect("cached warmup");
-        let b = bed.plain.select_range(lo, hi).expect("plain warmup");
+        let a = bed.cached.select_shard(0, lo, hi).expect("cached warmup");
+        let b = bed.plain.select_shard(0, lo, hi).expect("plain warmup");
         assert_eq!(a.encode(), b.encode(), "warmup answers diverged");
     }
     let nc0 = bed.cached.stats();
-    let pool0 = bed.cached.pool_stats();
+    let pool0 = bed.cached.with_shard(0, |qs| qs.pool_stats());
     let (mut t_cached, mut t_plain) = (0.0f64, 0.0f64);
     for q in 0..QUERIES {
         if updates && q % UPDATE_EVERY == 0 {
@@ -160,10 +153,10 @@ fn scenario(bed: &mut Bed, skewed: bool, updates: bool, seed: u64) -> Row {
         }
         let (lo, hi) = draw(&mut rng, span, skewed);
         let t = Instant::now();
-        let a = bed.cached.select_range(lo, hi).expect("cached query");
+        let a = bed.cached.select_shard(0, lo, hi).expect("cached query");
         t_cached += t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let b = bed.plain.select_range(lo, hi).expect("plain query");
+        let b = bed.plain.select_shard(0, lo, hi).expect("plain query");
         t_plain += t.elapsed().as_secs_f64();
         assert_eq!(
             a.encode(),
@@ -172,7 +165,7 @@ fn scenario(bed: &mut Bed, skewed: bool, updates: bool, seed: u64) -> Row {
         );
     }
     let nc1 = bed.cached.stats();
-    let pool1 = bed.cached.pool_stats();
+    let pool1 = bed.cached.with_shard(0, |qs| qs.pool_stats());
     let (nh, nm) = (
         nc1.node_cache_hits - nc0.node_cache_hits,
         nc1.node_cache_misses - nc0.node_cache_misses,

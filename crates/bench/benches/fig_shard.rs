@@ -20,10 +20,11 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
+use authdb_bench::{
+    banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog, replica_opts,
+};
 use authdb_core::adversary::ShardTamper;
-use authdb_core::da::{DataAggregator, SigningMode};
-use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions, QueryServer};
+use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions};
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::sigcache::RefreshStrategy;
 use authdb_core::verify::Verifier;
@@ -129,25 +130,22 @@ fn main() {
          drawn from the uniform cardinality model"
     );
     let mut rng = StdRng::seed_from_u64(77);
-    let mut da = DataAggregator::new(chained_cfg(SchemeKind::Bas), &mut rng);
-    let boot = da.bootstrap(
+    let cfg = chained_cfg(SchemeKind::Bas);
+    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
+    let boots = da.bootstrap(
         (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
         env_jobs(),
     );
-    let mut plain = da.replica(&boot);
-    let mut cached = QueryServer::with_options(
-        da.public_params(),
-        da.config().schema,
-        SigningMode::Chained,
-        &boot,
-        QsOptions {
-            buffer_pages: 4096,
+    let plain = da.replica(&boots, &replica_opts(&cfg));
+    let cached = da.replica(
+        &boots,
+        &QsOptions {
             agg_cache: Some(AggCacheConfig {
                 max_nodes: 255,
                 strategy: RefreshStrategy::Eager,
                 distribution: CacheDistribution::Uniform,
             }),
-            ..QsOptions::default()
+            ..replica_opts(&cfg)
         },
     );
     // Queries drawn from the uniform cardinality model Algorithm 1 was
@@ -162,7 +160,7 @@ fn main() {
             (a * KEY_STRIDE, (a + q) * KEY_STRIDE - 1)
         })
         .collect();
-    let run = |server: &mut QueryServer| {
+    let run = |server: &ShardedQueryServer| {
         let before = server.stats();
         let t = Instant::now();
         for &(lo, hi) in &wide {
@@ -172,8 +170,8 @@ fn main() {
         let after = server.stats();
         (dt, after.agg_ops - before.agg_ops)
     };
-    let (plain_t, plain_ops) = run(&mut plain);
-    let (cached_t, cached_ops) = run(&mut cached);
+    let (plain_t, plain_ops) = run(&plain);
+    let (cached_t, cached_ops) = run(&cached);
     println!(
         "  uncached: {} ({plain_ops} aggregation ops)",
         fmt_time(plain_t)
@@ -189,16 +187,15 @@ fn main() {
     da.advance_clock(1);
     let mut update_msgs = 0usize;
     for rid in (0..N as u64).step_by(97) {
-        for m in da.update_record(rid, vec![rid as i64 * KEY_STRIDE, -1]) {
-            plain.apply(&m);
-            cached.apply(&m);
-            update_msgs += 1;
-        }
+        let (_, msgs) = da.update_record(0, rid, vec![rid as i64 * KEY_STRIDE, -1]);
+        plain.apply_all(&msgs);
+        cached.apply_all(&msgs);
+        update_msgs += msgs.len();
     }
     let mut coherent = true;
     for &(lo, hi) in &wide {
-        let a = plain.select_range(lo, hi).expect("chained mode");
-        let b = cached.select_range(lo, hi).expect("chained mode");
+        let a = plain.select_shard(0, lo, hi).expect("chained mode");
+        let b = cached.select_shard(0, lo, hi).expect("chained mode");
         coherent &= a.agg == b.agg && a.records.len() == b.records.len();
     }
     let s = cached.stats();

@@ -8,11 +8,13 @@
 
 use std::time::Instant;
 
-use authdb_bench::{banner, csv_begin, csv_end, env_jobs, env_n, fmt_bytes, fmt_time};
-use authdb_core::da::{DaConfig, DataAggregator};
+use authdb_bench::{
+    banner, csv_begin, csv_end, env_jobs, env_n, fmt_bytes, fmt_time, replica_opts,
+};
+use authdb_core::da::DaConfig;
 use authdb_core::embsys::{EmbAggregator, EmbServer, EmbVerifier};
-use authdb_core::qs::QueryServer;
 use authdb_core::record::Schema;
+use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_index::emb::DigestKind;
 use rand::rngs::StdRng;
@@ -48,18 +50,19 @@ fn main() {
     };
     println!("\nBootstrapping BAS system ({n} BLS signatures)...");
     let t = Instant::now();
-    let mut da = DataAggregator::new(cfg.clone(), &mut rng);
+    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
     let rows: Vec<Vec<i64>> = (0..n)
         .map(|i| vec![i as i64, rng.gen_range(0..1_000_000), 0, 0])
         .collect();
-    let boot = da.bootstrap(rows.clone(), jobs);
+    let boots = da.bootstrap(rows.clone(), jobs);
     println!("  DA certified in {}", fmt_time(t.elapsed().as_secs_f64()));
-    let mut qs = da.replica(&boot);
+    let qs = da.replica(&boots, &replica_opts(&cfg));
     let verifier = da.verifier();
+    let view = da.epoch_view();
     let pp = da.public_params();
 
     let bas_cell =
-        |qs: &mut QueryServer, da: &mut DataAggregator, span: usize, rng: &mut StdRng| {
+        |qs: &ShardedQueryServer, da: &mut ShardedAggregator, span: usize, rng: &mut StdRng| {
             let mut query = 0.0;
             let mut verify = 0.0;
             let mut update = 0.0;
@@ -70,17 +73,17 @@ fn main() {
                 let t = Instant::now();
                 let ans = qs.select_range(lo, hi).expect("chained mode");
                 query += t.elapsed().as_secs_f64();
-                vo = ans.vo_size(&pp);
+                vo = ans.parts[0].answer.vo_size(&pp);
                 let t = Instant::now();
                 verifier
-                    .verify_selection(lo, hi, &ans, da.now(), true)
+                    .verify_sharded_selection(lo, hi, &ans, &view, da.now(), true, rng)
                     .expect("honest answer verifies");
                 verify += t.elapsed().as_secs_f64();
 
                 let rid = rng.gen_range(0..n as u64);
                 let new_val = rng.gen_range(0..1_000_000);
                 let t = Instant::now();
-                qs.apply_all(&da.update_record(rid, vec![rid as i64, new_val, 0, 0]));
+                qs.apply_all(&da.update_record(0, rid, vec![rid as i64, new_val, 0, 0]).1);
                 update += t.elapsed().as_secs_f64();
             }
             Cell {
@@ -92,8 +95,8 @@ fn main() {
         };
     let span_point = 1usize;
     let span_range = (n / 1000).max(2);
-    let bas_point = bas_cell(&mut qs, &mut da, span_point, &mut rng);
-    let bas_range = bas_cell(&mut qs, &mut da, span_range, &mut rng);
+    let bas_point = bas_cell(&qs, &mut da, span_point, &mut rng);
+    let bas_range = bas_cell(&qs, &mut da, span_range, &mut rng);
 
     // ---------------- EMB- system ----------------
     println!("Bootstrapping EMB- system (SHA-1 digests, BLS-signed root)...");

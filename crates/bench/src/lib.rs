@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use authdb_core::adversary::{run_catalog, Strategy};
 use authdb_core::da::DaConfig;
+use authdb_core::qs::QsOptions;
 use authdb_crypto::signer::SchemeKind;
 
 /// Records for database-scale experiments.
@@ -56,6 +57,16 @@ pub fn chained_cfg(scheme: SchemeKind) -> DaConfig {
         rho_prime: 100_000,
         buffer_pages: 4096,
         ..DaConfig::small()
+    }
+}
+
+/// Replica options sized like the DA's own storage: the paper's figures give
+/// the query server the same buffer pool and fill factor as the aggregator.
+pub fn replica_opts(cfg: &DaConfig) -> QsOptions {
+    QsOptions {
+        buffer_pages: cfg.buffer_pages,
+        fill: cfg.fill,
+        ..QsOptions::default()
     }
 }
 

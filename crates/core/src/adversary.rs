@@ -2,12 +2,13 @@
 //!
 //! The verifier's security argument is only as good as the attacks it has
 //! actually been run against. This module makes the adversary a first-class
-//! component: a [`MaliciousServer`] wraps an honest [`QueryServer`] and
-//! applies one strategy from a catalog of [`Tamper`]s to every answer it
-//! ships — dropping, injecting, and reordering records, substituting stale
+//! component: a [`MaliciousServer`] wraps an honest [`ShardedQueryServer`]
+//! and applies one strategy from a catalog to every answer it ships —
+//! dropping, injecting, and reordering records, substituting stale
 //! versions, widening boundary keys, forging and replaying gap proofs,
-//! withholding and reordering summaries, truncating bitmaps, and replaying
-//! empty-table proofs.
+//! withholding and reordering summaries, truncating bitmaps, replaying
+//! empty-table proofs, and splicing, withholding or swapping whole parts of
+//! a fan-out.
 //!
 //! Every catalog is one [`Strategy`] impl: each strategy declares which
 //! [`VerifyError`] the verifier must reject it with and runs its own
@@ -19,32 +20,37 @@
 //! `fig_checkpoint` bench scenarios (also under real BAS crypto), so every
 //! verifier change is regression-checked against the full attack surface.
 //!
-//! * [`Tamper`] — a single server doctoring selections and projections.
-//! * [`ShardTamper`] — a [`MaliciousShardedServer`] attacking a fanned-out
-//!   answer: seam splice, shard withholding, seam widening, stale-shard
-//!   replay, cross-shard summary swap.
+//! * [`Tamper`] — doctoring one shard's selection (part 0 of a one-shard
+//!   fan-out) or a projection.
+//! * [`ShardTamper`] — attacking the fan-out itself: seam splice, shard
+//!   withholding, seam widening, stale-shard replay, cross-shard summary
+//!   swap.
 //! * [`RebalanceTamper`] — two genuinely-certified partitions existing at
 //!   once: stale-epoch replay, handoff forgery, split brain, broken
 //!   transition chain.
 //! * [`CheckpointTamper`] — history the verifier can no longer replay and
-//!   must trust to a signed cut: forged covered-window digest, wrong-epoch
-//!   map replay, gap-straddling cut, chain-break bootstrap, bundle
-//!   rollback, against both checkpoint-anchored answers and client
-//!   catch-up bundles.
+//!   must trust to a signed cut: forged covered-window digest (on a
+//!   selection and on a projection), wrong-epoch map replay, gap-straddling
+//!   cut, chain-break bootstrap, bundle rollback, against both
+//!   checkpoint-anchored answers and client catch-up bundles.
 //!
-//! The sharded scenarios run against one fixture — [`sharded_system`] driven
-//! by [`run_sharded_timeline`] — which is public so that `authdb-net`'s
-//! fault catalog and loopback tests attack the same deployment over TCP
-//! instead of rebuilding it.
+//! Every scenario runs against one fixture — [`sharded_system`] (one shard
+//! for the [`Tamper`] arms) driven by the shared three-period timeline
+//! ([`run_sharded_timeline`]) — which is public so that `authdb-net`'s fault
+//! catalog and loopback tests attack the same deployment over TCP instead
+//! of rebuilding it.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use authdb_crypto::signer::SchemeKind;
 
-use crate::da::{DaConfig, DataAggregator, SigningMode};
-use crate::qs::{ProjectionAnswer, QsOptions, QueryServer, SelectionAnswer};
-use crate::record::{Schema, KEY_NEG_INF, KEY_POS_INF};
+use crate::da::{DaConfig, SigningMode};
+use crate::freshness::UpdateSummary;
+use crate::qs::{ProjectionAnswer, QsOptions};
+use crate::record::{KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
 use crate::verify::{EpochView, Verifier, VerifyError, VerifyReport};
 
@@ -94,15 +100,7 @@ pub fn run_catalog<T: Strategy>(scheme: SchemeKind) -> Vec<Conformance<T>> {
     T::CATALOG.iter().map(|&t| t.run(scheme)).collect()
 }
 
-/// The report a view-level check (epoch advance, client bootstrap) stands
-/// in for: those accept or reject without touching records.
-const NO_RECORDS: VerifyReport = VerifyReport {
-    max_staleness: 0,
-    records: 0,
-    sig_claims: 0,
-};
-
-/// One way a malicious query server can doctor an answer.
+/// One way a malicious query server can doctor one shard's answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tamper {
     /// Silently drop a qualifying record from the middle of the result.
@@ -220,44 +218,46 @@ impl Strategy for Tamper {
 
 /// A query server under adversarial control: forwards the DA's updates and
 /// summaries honestly (it must, to keep its replica usable) but doctors
-/// every answer according to its [`Tamper`] strategy. Replay strategies
-/// additionally hoard earlier honest answers via [`MaliciousServer::capture_selection`] /
-/// [`MaliciousServer::capture_projection`].
-pub struct MaliciousServer {
-    inner: QueryServer,
-    tamper: Tamper,
-    schema: Schema,
-    captured_selection: Option<SelectionAnswer>,
+/// every answer according to its strategy `T` — a [`Tamper`] (part 0 of a
+/// one-shard fan-out, or a projection) or a [`ShardTamper`] (the fan-out
+/// itself). Replay strategies additionally hoard earlier honest answers via
+/// [`MaliciousServer::capture`] / [`MaliciousServer::capture_projection`].
+pub struct MaliciousServer<T> {
+    inner: ShardedQueryServer,
+    tamper: T,
+    captured: Option<ShardedSelectionAnswer>,
     captured_projection: Option<ProjectionAnswer>,
 }
 
-impl MaliciousServer {
+impl<T: Copy> MaliciousServer<T> {
     /// Put `inner` under adversarial control with one tamper strategy.
-    pub fn new(inner: QueryServer, schema: Schema, tamper: Tamper) -> Self {
+    pub fn new(inner: ShardedQueryServer, tamper: T) -> Self {
         MaliciousServer {
             inner,
             tamper,
-            schema,
-            captured_selection: None,
+            captured: None,
             captured_projection: None,
         }
     }
 
-    /// The active strategy.
-    pub fn tamper(&self) -> Tamper {
-        self.tamper
-    }
-
     /// The wrapped honest server.
-    pub fn inner_mut(&mut self) -> &mut QueryServer {
-        &mut self.inner
+    pub fn inner(&self) -> &ShardedQueryServer {
+        &self.inner
     }
 
     /// Record the honest answer to `lo..=hi` now, for later replay.
-    pub fn capture_selection(&mut self, lo: i64, hi: i64) {
-        self.captured_selection = Some(self.inner.select_range(lo, hi).expect("chained mode"));
+    pub fn capture(&mut self, lo: i64, hi: i64) {
+        self.captured = Some(self.inner.select_range(lo, hi).expect("chained mode"));
     }
 
+    /// `shard`'s current summary stream — what a client fetches
+    /// independently, so a replayer cannot avoid attaching it.
+    fn current_summaries(&self, shard: usize) -> Vec<Arc<UpdateSummary>> {
+        self.inner.with_shard(shard, |qs| qs.summaries().to_vec())
+    }
+}
+
+impl MaliciousServer<Tamper> {
     /// Record the honest projection now, for later replay.
     pub fn capture_projection(&mut self, lo: i64, hi: i64, attrs: &[usize]) {
         self.captured_projection = Some(
@@ -267,9 +267,10 @@ impl MaliciousServer {
         );
     }
 
-    /// Answer a range selection, doctored per the active strategy.
-    pub fn select_range(&mut self, lo: i64, hi: i64) -> SelectionAnswer {
-        let mut ans = match self.tamper {
+    /// Answer a range selection from a one-shard deployment, its single
+    /// part doctored per the active strategy.
+    pub fn select_range(&mut self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
+        let mut fanout = match self.tamper {
             Tamper::StaleVersion
             | Tamper::StaleGapRecord
             | Tamper::ReplayGapElsewhere
@@ -278,15 +279,13 @@ impl MaliciousServer {
                 // Replays ship a hoarded answer; the client fetches the
                 // current summaries independently, so the attacker cannot
                 // avoid attaching them.
-                let mut a = self
-                    .captured_selection
-                    .clone()
-                    .expect("capture_selection before replay");
-                a.summaries = self.inner.summaries().to_vec();
+                let mut a = self.captured.clone().expect("capture before replay");
+                a.parts[0].answer.summaries = self.current_summaries(0);
                 a
             }
             _ => self.inner.select_range(lo, hi).expect("chained mode"),
         };
+        let ans = &mut fanout.parts[0].answer;
         match self.tamper {
             Tamper::DropRecord => {
                 let mid = ans.records.len() / 2;
@@ -306,8 +305,8 @@ impl MaliciousServer {
             Tamper::TruncateTail => {
                 let keep = ans.records.len() / 2;
                 ans.records.truncate(keep);
-                let last_key = ans.records.last().expect("nonempty").key(&self.schema);
-                ans.right_key = last_key.saturating_add(1);
+                let last = ans.records.last().expect("nonempty");
+                ans.right_key = last.key(&DaConfig::small().schema).saturating_add(1);
             }
             Tamper::ForgeGapKeys => {
                 let g = ans.gap.as_mut().expect("gap answer");
@@ -330,8 +329,7 @@ impl MaliciousServer {
             Tamper::TruncateBitmap => {
                 // Summaries are Arc-shared with the server's log; tamper a
                 // private copy so only this answer is corrupted.
-                let s =
-                    std::sync::Arc::make_mut(ans.summaries.last_mut().expect("summaries present"));
+                let s = Arc::make_mut(ans.summaries.last_mut().expect("summaries present"));
                 let half = s.compressed.len() / 2;
                 s.compressed.truncate(half);
             }
@@ -340,17 +338,19 @@ impl MaliciousServer {
                 unreachable!("projection tampers do not answer selections")
             }
         }
-        ans
+        fanout
     }
 
     /// Answer a projection, doctored per the active strategy.
     pub fn project(&mut self, lo: i64, hi: i64, attrs: &[usize]) -> ProjectionAnswer {
+        let honest = || {
+            self.inner
+                .project(lo, hi, attrs)
+                .expect("per-attribute mode")
+        };
         match self.tamper {
             Tamper::ForgeProjectionValue => {
-                let mut ans = self
-                    .inner
-                    .project(lo, hi, attrs)
-                    .expect("per-attribute mode");
+                let mut ans = honest();
                 ans.rows[0].values[0].1 ^= 1;
                 ans
             }
@@ -359,13 +359,10 @@ impl MaliciousServer {
                     .captured_projection
                     .clone()
                     .expect("capture_projection before replay");
-                a.summaries = self.inner.summaries().to_vec();
+                a.summaries = self.current_summaries(0);
                 a
             }
-            _ => self
-                .inner
-                .project(lo, hi, attrs)
-                .expect("per-attribute mode"),
+            _ => honest(),
         }
     }
 }
@@ -378,110 +375,142 @@ fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
     }
 }
 
-/// An unsharded deployment of `n` records (keys `i·10`): DA, honest server
-/// and verifier.
+/// The deployment every scripted scenario shares — the catalogs here,
+/// `authdb-net`'s fault catalog, and its loopback tests: `n` records (keys
+/// `i·10`) in `shards` equal key ranges (one shard: the whole key space)
+/// under [`DaConfig::small`] with `scheme`, chained signing, keyed by a
+/// fixed seed, plus the DA's honest replica, verifier and genesis view.
+pub fn sharded_system(
+    scheme: SchemeKind,
+    shards: i64,
+    n: i64,
+) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
+    system(scheme, SigningMode::Chained, shards, n)
+}
+
+/// [`sharded_system`] under either signing mode.
 fn system(
     scheme: SchemeKind,
     mode: SigningMode,
+    shards: i64,
     n: i64,
-) -> (DataAggregator, QueryServer, Verifier) {
+) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
     let mut rng = StdRng::seed_from_u64(1337);
-    let mut da = DataAggregator::new(cfg(scheme, mode), &mut rng);
-    let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = da.replica(&boot);
-    let v = da.verifier();
-    (da, qs, v)
+    let splits = (1..shards).map(|i| i * n * 10 / shards).collect();
+    let mut sa = ShardedAggregator::new(cfg(scheme, mode), splits, &mut rng);
+    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let (v, view) = (sa.verifier(), sa.epoch_view());
+    (sa, sqs, v, view)
 }
 
-/// [`system`] with the server under `tamper`'s control.
-fn malicious_system(
-    scheme: SchemeKind,
-    mode: SigningMode,
-    n: i64,
-    tamper: Tamper,
-) -> (DataAggregator, MaliciousServer, Verifier) {
-    let (da, qs, v) = system(scheme, mode, n);
-    let mal = MaliciousServer::new(qs, da.config().schema, tamper);
-    (da, mal, v)
+/// Advance the DA by `dt` and forward whatever summaries fall due.
+pub fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
+    sa.advance_clock(dt);
+    sqs.ingest(sa.maybe_publish_summaries());
 }
 
-/// Drive the shared three-period timeline: summary at t=12, an update to
-/// rid 23 (key 230) at t=14, summaries at t=24 and t=34.
-fn run_timeline(da: &mut DataAggregator, qs: &mut QueryServer) {
-    da.advance_clock(12);
-    qs.ingest(da.maybe_publish_summary().expect("period 0 closes"));
-    da.advance_clock(2);
-    qs.apply_all(&da.update_record(23, vec![230, 777]));
-    da.advance_clock(10);
-    qs.ingest(da.maybe_publish_summary().expect("period 1 closes"));
-    da.advance_clock(10);
-    qs.ingest(da.maybe_publish_summary().expect("period 2 closes"));
+/// The shared three-period timeline: summaries at t=12; at t=14 record
+/// `rid` of `shard` takes `attrs`; summaries at t=24 and t=34.
+fn run_timeline(
+    sa: &mut ShardedAggregator,
+    sqs: &ShardedQueryServer,
+    (shard, rid, attrs): (usize, u64, Vec<i64>),
+) {
+    tick_and_publish(sa, sqs, 12);
+    sa.advance_clock(2);
+    let (_, msgs) = sa.update_record(shard, rid, attrs);
+    sqs.apply_all(&msgs);
+    tick_and_publish(sa, sqs, 10);
+    tick_and_publish(sa, sqs, 10);
+}
+
+/// The timeline's update in a one-shard deployment: rid 23 (key 230) takes
+/// a new value in place.
+fn value_update() -> (usize, u64, Vec<i64>) {
+    (0, 23, vec![230, 777])
+}
+
+/// The shared timeline on a multi-shard deployment: the update moves shard
+/// 1's second record (local rid 1) five keys up — a key change inside the
+/// shard that re-chains its neighbours.
+pub fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
+    let moved = vec![sa.map().splits()[0] + 15, 777];
+    run_timeline(sa, sqs, (1, 1, moved));
+}
+
+/// Judge a tampered answer to `lo..=hi` beside the honest one.
+fn judge<T>(
+    tamper: T,
+    (v, view, now): (&Verifier, &EpochView, u64),
+    (lo, hi): (i64, i64),
+    tampered: &ShardedSelectionAnswer,
+    honest: &ShardedSelectionAnswer,
+) -> Conformance<T> {
+    let mut rng = StdRng::seed_from_u64(1337);
+    let mut verify = |ans| v.verify_sharded_selection(lo, hi, ans, view, now, true, &mut rng);
+    let outcome = verify(tampered);
+    Conformance {
+        tamper,
+        honest_ok: verify(honest).is_ok(),
+        outcome,
+    }
 }
 
 /// Run one selection-catalog scenario.
 fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
-    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::Chained, 40, tamper);
+    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 40);
+    let mut mal = MaliciousServer::new(sqs, tamper);
     // The query each strategy answers (and is judged against).
-    let (lo, hi) = match tamper {
+    let range = match tamper {
         Tamper::ForgeGapKeys => (101, 109),
         Tamper::ReplayGapElsewhere | Tamper::StaleGapRecord => (231, 239),
         _ => (100, 300),
     };
     // Replays capture their victim answer before the update lands.
     match tamper {
-        Tamper::StaleVersion | Tamper::WithholdSummaryPrefix => mal.capture_selection(100, 300),
-        Tamper::StaleGapRecord => mal.capture_selection(231, 239),
-        Tamper::ReplayGapElsewhere => mal.capture_selection(101, 109),
+        Tamper::StaleVersion | Tamper::WithholdSummaryPrefix => mal.capture(100, 300),
+        Tamper::StaleGapRecord => mal.capture(231, 239),
+        Tamper::ReplayGapElsewhere => mal.capture(101, 109),
         _ => {}
     }
-    run_timeline(&mut da, mal.inner_mut());
-    let now = da.now();
-    let tampered = mal.select_range(lo, hi);
-    let outcome = v.verify_selection(lo, hi, &tampered, now, true);
-    let honest = mal.inner_mut().select_range(lo, hi).unwrap();
-    let honest_ok = v.verify_selection(lo, hi, &honest, now, true).is_ok();
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
-    }
+    run_timeline(&mut sa, mal.inner(), value_update());
+    let tampered = mal.select_range(range.0, range.1);
+    let honest = mal.inner().select_range(range.0, range.1).unwrap();
+    judge(tamper, (&v, &view, sa.now()), range, &tampered, &honest)
 }
 
 /// Run the empty-table replay scenario.
 fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
-    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::Chained, 0, tamper);
+    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 0);
+    let mut mal = MaliciousServer::new(sqs, tamper);
     // Hoard the pre-insert vacancy answer...
-    mal.capture_selection(0, 100);
+    mal.capture(0, 100);
     // ...then the world moves on: an insert lands and is summarized.
-    da.advance_clock(3);
-    mal.inner_mut().apply_all(&da.insert(vec![50, 1]));
-    da.advance_clock(9);
-    mal.inner_mut()
-        .ingest(da.maybe_publish_summary().expect("period closes"));
-    let now = da.now();
-    let tampered = mal.select_range(0, 100);
-    let outcome = v.verify_selection(0, 100, &tampered, now, true);
-    let honest = mal.inner_mut().select_range(0, 100).unwrap();
-    let honest_ok = v.verify_selection(0, 100, &honest, now, true).is_ok();
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
+    sa.advance_clock(3);
+    let (shard, msgs) = sa.insert(vec![50, 1]);
+    for m in &msgs {
+        mal.inner().apply(shard, m);
     }
+    tick_and_publish(&mut sa, mal.inner(), 9);
+    let tampered = mal.select_range(0, 100);
+    let honest = mal.inner().select_range(0, 100).unwrap();
+    judge(tamper, (&v, &view, sa.now()), (0, 100), &tampered, &honest)
 }
 
 /// Run one projection-catalog scenario.
 fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
-    let (mut da, mut mal, v) = malicious_system(scheme, SigningMode::PerAttribute, 40, tamper);
+    let (mut sa, sqs, v, view) = system(scheme, SigningMode::PerAttribute, 1, 40);
+    let mut mal = MaliciousServer::new(sqs, tamper);
     if tamper == Tamper::StaleProjection {
         mal.capture_projection(100, 300, &[0, 1]);
     }
-    run_timeline(&mut da, mal.inner_mut());
-    let now = da.now();
+    run_timeline(&mut sa, mal.inner(), value_update());
+    let now = sa.now();
     let tampered = mal.project(100, 300, &[0, 1]);
-    let outcome = v.verify_projection(&tampered, now, true);
-    let honest = mal.inner_mut().project(100, 300, &[0, 1]).unwrap();
-    let honest_ok = v.verify_projection(&honest, now, true).is_ok();
+    let outcome = v.verify_projection(&tampered, &view, now, true);
+    let honest = mal.inner().project(100, 300, &[0, 1]).unwrap();
+    let honest_ok = v.verify_projection(&honest, &view, now, true).is_ok();
     Conformance {
         tamper,
         honest_ok,
@@ -495,7 +524,7 @@ fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper
 
 /// One way a malicious server can doctor a *sharded* fan-out answer. These
 /// target the seams and the per-shard freshness domains — exactly the
-/// surface the single-server catalog cannot reach.
+/// surface the one-shard catalog cannot reach.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardTamper {
     /// Move a seam-adjacent record across the split: drop it from the shard
@@ -551,39 +580,7 @@ impl Strategy for ShardTamper {
     }
 }
 
-/// A sharded query server under adversarial control: routes updates and
-/// summaries honestly, doctors every fan-out answer per its strategy.
-pub struct MaliciousShardedServer {
-    inner: ShardedQueryServer,
-    tamper: ShardTamper,
-    captured: Option<ShardedSelectionAnswer>,
-}
-
-impl MaliciousShardedServer {
-    /// Put `inner` under adversarial control with one strategy.
-    pub fn new(inner: ShardedQueryServer, tamper: ShardTamper) -> Self {
-        MaliciousShardedServer {
-            inner,
-            tamper,
-            captured: None,
-        }
-    }
-
-    /// The active strategy.
-    pub fn tamper(&self) -> ShardTamper {
-        self.tamper
-    }
-
-    /// The wrapped honest server.
-    pub fn inner_mut(&mut self) -> &mut ShardedQueryServer {
-        &mut self.inner
-    }
-
-    /// Record the honest fan-out answer now, for later replay.
-    pub fn capture(&mut self, lo: i64, hi: i64) {
-        self.captured = Some(self.inner.select_range(lo, hi).expect("chained mode"));
-    }
-
+impl MaliciousServer<ShardTamper> {
     /// Answer a range selection, doctored per the active strategy. The
     /// scripted scenario queries a range straddling the first seam, so the
     /// fan-out always has at least two parts.
@@ -645,57 +642,16 @@ impl MaliciousShardedServer {
             .answer
             .clone();
         ans.parts[1].answer = old;
-        ans.parts[1].answer.summaries = self
-            .inner
-            .with_shard(summary_donor, |qs| qs.summaries().to_vec());
+        ans.parts[1].answer.summaries = self.current_summaries(summary_donor);
     }
-}
-
-/// The sharded deployment every scripted scenario shares — the catalogs
-/// here, `authdb-net`'s fault catalog, and its loopback tests: `n` records
-/// (keys `i·10`) in `shards` equal key ranges under [`DaConfig::small`]
-/// with `scheme`, keyed by a fixed seed, plus the DA's honest replica,
-/// verifier and genesis view.
-pub fn sharded_system(
-    scheme: SchemeKind,
-    shards: i64,
-    n: i64,
-) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let splits = (1..shards).map(|i| i * n * 10 / shards).collect();
-    let mut sa = ShardedAggregator::new(cfg(scheme, SigningMode::Chained), splits, &mut rng);
-    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
-    let (v, view) = (sa.verifier(), sa.epoch_view());
-    (sa, sqs, v, view)
-}
-
-/// Advance the DA by `dt` and forward whatever summaries fall due.
-pub fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
-    sa.advance_clock(dt);
-    sqs.ingest(sa.maybe_publish_summaries());
-}
-
-/// The shared three-period timeline, sharded: summaries at t=12; at t=14
-/// shard 1's second record (local rid 1) moves five keys up — a key change
-/// inside the shard that re-chains its neighbours; summaries at t=24 and
-/// t=34.
-pub fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
-    tick_and_publish(sa, sqs, 12);
-    sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(1, 1, vec![sa.map().splits()[0] + 15, 777]);
-    sqs.apply_all(&msgs);
-    tick_and_publish(sa, sqs, 10);
-    tick_and_publish(sa, sqs, 10);
 }
 
 /// Run one cross-shard scenario: two shards split at key 200, a query
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
 fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardTamper> {
-    let mut rng = StdRng::seed_from_u64(1337);
     let (mut sa, sqs, v, view) = sharded_system(scheme, 2, 40);
-    let mut mal = MaliciousShardedServer::new(sqs, tamper);
+    let mut mal = MaliciousServer::new(sqs, tamper);
     let (lo, hi) = (150, 250);
     // Replays hoard the pre-update fan-out.
     if matches!(
@@ -704,19 +660,10 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardT
     ) {
         mal.capture(lo, hi);
     }
-    run_sharded_timeline(&mut sa, mal.inner_mut());
-    let now = sa.now();
+    run_sharded_timeline(&mut sa, mal.inner());
     let tampered = mal.select_range(lo, hi);
-    let outcome = v.verify_sharded_selection(lo, hi, &tampered, &view, now, true, &mut rng);
-    let honest = mal.inner_mut().select_range(lo, hi).expect("chained mode");
-    let honest_ok = v
-        .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
-        .is_ok();
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
-    }
+    let honest = mal.inner().select_range(lo, hi).expect("chained mode");
+    judge(tamper, (&v, &view, sa.now()), (lo, hi), &tampered, &honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -783,7 +730,6 @@ impl Strategy for RebalanceTamper {
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
 fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance<RebalanceTamper> {
-    let mut rng = StdRng::seed_from_u64(1337);
     let (mut sa, sqs, v, mut view) = sharded_system(scheme, 2, 40);
     let pp = sa.public_params();
     // The shared timeline: summaries exist, an update lands in shard 1.
@@ -803,7 +749,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         // whose parent hash does not extend the pinned map.
         let mut forged = rb.transition.clone();
         forged.parent_hash[0] ^= 0xFF;
-        let outcome = view.advance(&forged, &pp).map(|()| NO_RECORDS);
+        let outcome = view.advance(&forged, &pp).map(|()| VerifyReport::default());
         let honest_ok = view.advance(&rb.transition, &pp).is_ok();
         return Conformance {
             tamper,
@@ -846,16 +792,8 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         }
         RebalanceTamper::TransitionBreak => unreachable!("handled above"),
     };
-    let outcome = v.verify_sharded_selection(lo, hi, &tampered, &view, now, true, &mut rng);
     let honest = sqs.select_range(lo, hi).expect("chained mode");
-    let honest_ok = v
-        .verify_sharded_selection(lo, hi, &honest, &view, now, true, &mut rng)
-        .is_ok();
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
-    }
+    judge(tamper, (&v, &view, now), (lo, hi), &tampered, &honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -872,6 +810,9 @@ pub enum CheckpointTamper {
     /// reaches one summary further than the DA certified, stretching it
     /// over history the attacker would rather not account for.
     ForgedDigest,
+    /// The same forgery on the checkpoint anchoring a *projection*'s
+    /// summary run.
+    ForgedProjectionCheckpoint,
     /// Vouch for a *different* genuinely-signed map with the live epoch
     /// checkpoint: a stale-map replay dressed with current certification.
     WrongEpochReplay,
@@ -892,6 +833,7 @@ pub enum CheckpointTamper {
 impl Strategy for CheckpointTamper {
     const CATALOG: &'static [CheckpointTamper] = &[
         CheckpointTamper::ForgedDigest,
+        CheckpointTamper::ForgedProjectionCheckpoint,
         CheckpointTamper::WrongEpochReplay,
         CheckpointTamper::GapStraddlingCut,
         CheckpointTamper::ChainBreakBootstrap,
@@ -901,6 +843,7 @@ impl Strategy for CheckpointTamper {
     fn name(self) -> &'static str {
         match self {
             CheckpointTamper::ForgedDigest => "forged-digest",
+            CheckpointTamper::ForgedProjectionCheckpoint => "forged-projection-checkpoint",
             CheckpointTamper::WrongEpochReplay => "wrong-epoch-replay",
             CheckpointTamper::GapStraddlingCut => "gap-straddling-cut",
             CheckpointTamper::ChainBreakBootstrap => "chain-break-bootstrap",
@@ -912,6 +855,7 @@ impl Strategy for CheckpointTamper {
         use VerifyError::*;
         match self {
             CheckpointTamper::ForgedDigest
+            | CheckpointTamper::ForgedProjectionCheckpoint
             | CheckpointTamper::WrongEpochReplay
             | CheckpointTamper::ChainBreakBootstrap => matches!(err, BadCheckpoint),
             CheckpointTamper::GapStraddlingCut => matches!(err, CheckpointGap { .. }),
@@ -935,44 +879,76 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::ForgedDigest | CheckpointTamper::GapStraddlingCut => {
                 checkpoint_answer_scenario(scheme, self)
             }
+            CheckpointTamper::ForgedProjectionCheckpoint => {
+                checkpoint_projection_scenario(scheme, self)
+            }
         }
     }
 }
 
-/// Run one checkpoint-anchored-answer scenario: the shared three-period
-/// timeline, then the DA compacts everything but the last two summaries
-/// (the cut covers seq 0; seqs 1 and 2 stay retained as the run the
-/// checkpoint anchors).
+/// A one-shard deployment after the shared three-period timeline, with
+/// everything but the last two summaries compacted (the cut covers seq 0;
+/// seqs 1 and 2 stay retained as the run the checkpoint anchors).
+fn checkpointed_system(
+    scheme: SchemeKind,
+    mode: SigningMode,
+) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
+    let (mut sa, sqs, v, view) = system(scheme, mode, 1, 40);
+    run_timeline(&mut sa, &sqs, value_update());
+    let ckpt = sa.checkpoint_shard_summaries(0, 2).expect("compactable");
+    sqs.apply_checkpoint(0, ckpt);
+    (sa, sqs, v, view)
+}
+
+/// Run one checkpoint-anchored-answer scenario.
 fn checkpoint_answer_scenario(
     scheme: SchemeKind,
     tamper: CheckpointTamper,
 ) -> Conformance<CheckpointTamper> {
-    let (mut da, mut qs, v) = system(scheme, SigningMode::Chained, 40);
-    run_timeline(&mut da, &mut qs);
-    let ckpt = da.checkpoint_summaries(2).expect("compactable");
-    qs.apply_checkpoint(ckpt);
-    let now = da.now();
-    let honest = qs.select_range(100, 300).expect("chained mode");
-    let honest_ok = v.verify_selection(100, 300, &honest, now, true).is_ok();
-    let mut tampered = honest;
+    let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::Chained);
+    let honest = sqs.select_range(100, 300).expect("chained mode");
+    let mut tampered = honest.clone();
+    let part = &mut tampered.parts[0].answer;
     match tamper {
         CheckpointTamper::ForgedDigest => {
             // Stretch the claimed cut one summary past what the DA signed.
-            let c = tampered.checkpoint.as_mut().expect("checkpoint attached");
+            let c = part.checkpoint.as_mut().expect("checkpoint attached");
             c.through_seq += 1;
         }
         CheckpointTamper::GapStraddlingCut => {
             // The cut covers through seq 0; withholding retained seq 1
             // leaves it covered by nobody.
-            tampered.summaries.remove(0);
+            part.summaries.remove(0);
         }
-        _ => unreachable!("bootstrap tampers do not doctor answers"),
+        _ => unreachable!("not a selection-answer tamper"),
     }
-    let outcome = v.verify_selection(100, 300, &tampered, now, true);
+    judge(
+        tamper,
+        (&v, &view, sa.now()),
+        (100, 300),
+        &tampered,
+        &honest,
+    )
+}
+
+/// Run the checkpoint-anchored-projection scenario: the oldest projected
+/// row predates the cut, so the honest answer verifies only through the
+/// checkpoint it ships — and a doctored one must not.
+fn checkpoint_projection_scenario(
+    scheme: SchemeKind,
+    tamper: CheckpointTamper,
+) -> Conformance<CheckpointTamper> {
+    let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::PerAttribute);
+    let now = sa.now();
+    let honest = sqs.project(100, 300, &[0, 1]).expect("per-attribute mode");
+    let honest_ok = v.verify_projection(&honest, &view, now, true).is_ok();
+    let mut tampered = honest;
+    let c = tampered.checkpoint.as_mut().expect("checkpoint attached");
+    c.through_seq += 1;
     Conformance {
         tamper,
         honest_ok,
-        outcome,
+        outcome: v.verify_projection(&tampered, &view, now, true),
     }
 }
 
@@ -1001,7 +977,7 @@ fn checkpoint_bootstrap_scenario(
         CheckpointTamper::WrongEpochReplay => tampered.map = genesis_map,
         CheckpointTamper::ChainBreakBootstrap => tampered.transition = Some(rb1.transition.clone()),
         CheckpointTamper::BundleRollback => tampered = superseded,
-        _ => unreachable!("answer tampers do not doctor catch-up bundles"),
+        _ => unreachable!("not a catch-up-bundle tamper"),
     }
     // Only a client that already pinned the live epoch can tell a rollback;
     // the doctored bundles must fail a fresh one.
@@ -1010,7 +986,7 @@ fn checkpoint_bootstrap_scenario(
     } else {
         EpochView::from_bootstrap(&tampered, &pp).map(|_| ())
     }
-    .map(|()| NO_RECORDS);
+    .map(|()| VerifyReport::default());
     Conformance {
         tamper,
         honest_ok,
@@ -1128,7 +1104,7 @@ mod tests {
 
     #[test]
     fn checkpoint_spot_check_with_bas_scheme() {
-        // Full crypto for the two strategies whose rejection depends on a
+        // Full crypto for the three strategies whose rejection depends on a
         // checkpoint signature actually covering its content, and for the
         // rollback, whose bundle must first pass every real signature
         // check; the replay and gap strategies are structural and
@@ -1137,6 +1113,7 @@ mod tests {
             SchemeKind::Bas,
             &[
                 CheckpointTamper::ForgedDigest,
+                CheckpointTamper::ForgedProjectionCheckpoint,
                 CheckpointTamper::ChainBreakBootstrap,
                 CheckpointTamper::BundleRollback,
             ],

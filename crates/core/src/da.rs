@@ -1,5 +1,10 @@
 //! The Data Aggregator (DA): the trusted signer of Section 3.1.
 //!
+//! [`DataAggregator`] is one shard's signing **engine**; a deployment is
+//! minted by [`ShardedAggregator`](crate::shard::ShardedAggregator), which
+//! builds one engine per shard of its certified map (a one-shard map for
+//! the paper's single relation image) and routes updates to them.
+//!
 //! The DA owns the database of record: a heap file of serialized records and
 //! an ASign B+-tree of `⟨key, sn, rid⟩` entries. Every certification signs
 //! the record content together with its timestamp; in **chained** mode the
@@ -42,10 +47,8 @@ use authdb_index::{new_asign, ASignTree};
 use authdb_storage::{BufferPool, Disk, HeapFile};
 
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
-use crate::qs::{QsOptions, QueryServer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::ShardScope;
-use crate::verify::Verifier;
 
 /// What the per-record signature binds (Section 3.2: "what exactly sn is
 /// computed on depends on the operations we want to support").
@@ -154,7 +157,7 @@ pub struct Bootstrap {
     pub vacancy: Option<EmptyTableProof>,
 }
 
-/// The Data Aggregator.
+/// One shard's Data Aggregator engine.
 pub struct DataAggregator {
     cfg: DaConfig,
     keypair: Keypair,
@@ -192,26 +195,15 @@ pub struct DataAggregator {
     empty_proof: Option<EmptyTableProof>,
     /// Key-range responsibility: the chain sentinels this aggregator signs
     /// at its extremes, and the shard tag bound into summaries and vacancy
-    /// proofs. [`ShardScope::global`] for an unsharded deployment.
+    /// proofs.
     scope: ShardScope,
 }
 
 impl DataAggregator {
-    /// Create an empty DA.
-    pub fn new(cfg: DaConfig, rng: &mut impl rand::Rng) -> Self {
-        let keypair = Keypair::generate(cfg.scheme, rng);
-        Self::with_keypair(cfg, keypair)
-    }
-
-    /// Create with an existing keypair (tests pin keys for determinism).
-    pub fn with_keypair(cfg: DaConfig, keypair: Keypair) -> Self {
-        Self::with_keypair_scoped(cfg, keypair, ShardScope::global())
-    }
-
-    /// Create an aggregator responsible for one shard of a partitioned
-    /// relation: chained signatures terminate at the scope's seam fences
-    /// instead of ±∞, and summaries/vacancy proofs carry the shard tag.
-    pub fn with_keypair_scoped(cfg: DaConfig, keypair: Keypair, scope: ShardScope) -> Self {
+    /// Create the empty engine for one shard of a certified map: chained
+    /// signatures terminate at the scope's fences (±∞ for a one-shard
+    /// map), and summaries/vacancy proofs carry its `(epoch, shard)` tag.
+    pub(crate) fn new(cfg: DaConfig, keypair: Keypair, scope: ShardScope) -> Self {
         let disk = Disk::new();
         let pool = BufferPool::new(disk, cfg.buffer_pages);
         let heap = HeapFile::new(pool.clone(), cfg.schema.record_len);
@@ -254,32 +246,6 @@ impl DataAggregator {
         &self.cfg
     }
 
-    /// The query-server replica this aggregator's bootstrap output fits:
-    /// built under its public parameters, `schema`, `mode` and scope, with
-    /// the aggregator's own `buffer_pages` and `fill`.
-    /// [`QueryServer::with_options`] remains the way to deviate (a different
-    /// pool, the aggregate cache, the node cache).
-    pub fn replica(&self, boot: &Bootstrap) -> QueryServer {
-        QueryServer::with_options(
-            self.public_params(),
-            self.cfg.schema,
-            self.cfg.mode,
-            boot,
-            QsOptions {
-                buffer_pages: self.cfg.buffer_pages,
-                fill: self.cfg.fill,
-                scope: self.scope,
-                ..QsOptions::default()
-            },
-        )
-    }
-
-    /// The verifier a user of this aggregator's relation runs: its public
-    /// parameters, `schema` and ρ.
-    pub fn verifier(&self) -> Verifier {
-        Verifier::new(self.public_params(), self.cfg.schema, self.cfg.rho)
-    }
-
     /// Current logical time.
     pub fn now(&self) -> Tick {
         self.clock
@@ -318,12 +284,6 @@ impl DataAggregator {
     /// The ASign tree height (index diagnostics).
     pub fn tree_height(&self) -> usize {
         self.tree.height()
-    }
-
-    /// Sign an arbitrary message with the DA's key (partition filter
-    /// certifications, Section 3.5).
-    pub fn sign_raw(&self, msg: &[u8]) -> Signature {
-        self.keypair.sign(msg)
     }
 
     /// The sentinel values `i64::MIN`/`i64::MAX` are reserved as the ±∞
@@ -547,7 +507,7 @@ impl DataAggregator {
     }
 
     /// Neighbour keys of position `(key, rid)` in the index. At the shard's
-    /// extremes the neighbour is the scope's seam fence (±∞ when unsharded),
+    /// extremes the neighbour is the scope's seam fence (±∞ for one shard),
     /// so the chain certifies exactly — and only — this shard's key range.
     fn neighbor_keys(&self, key: i64, rid: u64) -> (i64, i64) {
         self.scope.neighbor_keys_in(&self.tree.range(key, key), rid)
@@ -1016,9 +976,15 @@ mod tests {
         }
     }
 
+    /// An empty one-shard engine: epoch 1, fenced at ±∞.
+    fn engine(cfg: DaConfig, seed: u64) -> DataAggregator {
+        let keypair = Keypair::generate(cfg.scheme, &mut StdRng::seed_from_u64(seed));
+        let scope = crate::shard::ShardMap::create(&keypair, vec![]).scope(0);
+        DataAggregator::new(cfg, keypair, scope)
+    }
+
     fn da_with(n: i64) -> DataAggregator {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut da = DataAggregator::new(small_cfg(), &mut rng);
+        let mut da = engine(small_cfg(), 5);
         let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i * 10, i]).collect();
         da.bootstrap(rows, 2);
         da
@@ -1235,7 +1201,6 @@ mod tests {
 
     #[test]
     fn retag_reuses_log_allocations_and_resigns_checkpoint() {
-        use crate::shard::ShardScope;
         let mut da = da_with(10);
         for _ in 0..4 {
             da.advance_clock(10);
@@ -1245,7 +1210,7 @@ mod tests {
         da.checkpoint_summaries(2).expect("compacted");
         let before: Vec<*const UpdateSummary> = da.summary_log().iter().map(Arc::as_ptr).collect();
         let scope = ShardScope {
-            epoch: 1,
+            epoch: 2,
             shard: 0,
             ..da.scope()
         };
@@ -1256,11 +1221,11 @@ mod tests {
         assert_eq!(before, after, "retag reallocated log entries");
         let pp = da.public_params();
         for s in &summaries {
-            assert_eq!((s.epoch, s.shard), (1, 0));
+            assert_eq!((s.epoch, s.shard), (2, 0));
             assert!(s.verify(&pp));
         }
         let ckpt = ckpt.expect("checkpoint retagged");
-        assert_eq!((ckpt.epoch, ckpt.shard), (1, 0));
+        assert_eq!((ckpt.epoch, ckpt.shard), (2, 0));
         assert!(ckpt.verify(&pp));
     }
 
@@ -1274,17 +1239,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain sentinel")]
     fn sentinel_key_refused_at_bootstrap() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut da = DataAggregator::new(small_cfg(), &mut rng);
+        let mut da = engine(small_cfg(), 5);
         da.bootstrap(vec![vec![KEY_NEG_INF, 0]], 1);
     }
 
     #[test]
     fn per_attribute_mode_signs_attributes() {
-        let mut rng = StdRng::seed_from_u64(6);
         let mut cfg = small_cfg();
         cfg.mode = SigningMode::PerAttribute;
-        let mut da = DataAggregator::new(cfg, &mut rng);
+        let mut da = engine(cfg, 6);
         let boot = da.bootstrap((0..10).map(|i| vec![i, i * 2]).collect(), 1);
         let pp = da.public_params();
         for (rec, attrs) in boot.records.iter().zip(&boot.attr_sigs) {

@@ -71,8 +71,8 @@ thread_local! {
 
 /// A certified compressed bitmap summary for one ρ-period.
 ///
-/// The `(epoch, shard)` tags are part of the signed message: in a sharded
-/// deployment every shard runs its own summary stream over its own
+/// The `(epoch, shard)` tags are part of the signed message: every shard
+/// runs its own summary stream over its own
 /// (shard-local) rids, and without the shard tag a malicious server could
 /// attach one shard's fresh, genuinely-signed summaries to another shard's
 /// stale answer — the bitmaps would simply not mark the withheld update.
@@ -82,15 +82,15 @@ thread_local! {
 /// epoch N must never vouch for an answer assembled under epoch N+1 (or
 /// vice versa). At an epoch transition the DA re-binds surviving shards'
 /// streams to the new tag ([`DataAggregator::retag`]) and mints fresh
-/// baseline streams for the handed-off shards. Unsharded deployments use
-/// epoch 0, shard 0.
+/// baseline streams for the handed-off shards. A never-rebalanced one-shard
+/// deployment's stream is tagged `(GENESIS_EPOCH, 0)`.
 ///
 /// [`DataAggregator::retag`]: crate::da::DataAggregator::retag
 #[derive(Clone, Debug, PartialEq)]
 pub struct UpdateSummary {
-    /// Which map epoch the stream belongs to (0 for unsharded).
+    /// Which map epoch the stream belongs to.
     pub epoch: u64,
-    /// Which shard's update stream this summary covers (0 for unsharded).
+    /// Which shard's update stream this summary covers.
     pub shard: u64,
     /// Monotone sequence number (consecutive — gaps mean withheld summaries).
     pub seq: u64,
@@ -194,13 +194,13 @@ impl UpdateSummary {
 /// ([`DecodedSummaries::check_vacancy`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EmptyTableProof {
-    /// Which map epoch the claim belongs to (0 for unsharded). Bound into
-    /// the signed message so a proof minted under one partition cannot deny
-    /// records after a re-partitioning changed what the shard covers.
+    /// Which map epoch the claim belongs to. Bound into the signed message
+    /// so a proof minted under one partition cannot deny records after a
+    /// re-partitioning changed what the shard covers.
     pub epoch: u64,
-    /// Which shard's key range the claim covers (0 for unsharded). Bound
-    /// into the signed message so an empty shard's proof cannot be replayed
-    /// to deny a different shard's records.
+    /// Which shard's key range the claim covers. Bound into the signed
+    /// message so an empty shard's proof cannot be replayed to deny a
+    /// different shard's records.
     pub shard: u64,
     /// When the DA certified the relation empty.
     pub ts: Tick,
@@ -253,9 +253,9 @@ impl EmptyTableProof {
 /// argument.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SummaryCheckpoint {
-    /// Which map epoch the compacted stream belongs to (0 for unsharded).
+    /// Which map epoch the compacted stream belongs to.
     pub epoch: u64,
-    /// Which shard's stream this checkpoint collapses (0 for unsharded).
+    /// Which shard's stream this checkpoint collapses.
     pub shard: u64,
     /// Last covered summary seq — coverage is the full prefix
     /// `0..=through_seq`, so a retained run starting at `through_seq + 1`

@@ -11,6 +11,11 @@
 //!   probed by unmatched values; filter negatives need no further proof,
 //!   false positives fall back to a boundary record (formula 3).
 //!
+//! The R side is an ordinary fanned-out selection (R may span any number of
+//! shards); the S side is probed value by value and its proofs are not
+//! stitched across seams, so S must be a one-shard relation
+//! ([`QueryError::Unsupported`] otherwise).
+//!
 //! The [`viability`] module carries the analysis behind Figure 4.
 
 use std::collections::BTreeMap;
@@ -19,10 +24,10 @@ use authdb_crypto::signer::{PublicParams, Signature};
 use authdb_filters::bloom::BloomFilter;
 use authdb_filters::partitioned::{PartitionedFilters, Probe};
 
-use crate::da::DataAggregator;
-use crate::qs::{GapProof, QueryServer, SelectionAnswer};
+use crate::qs::{GapProof, QueryError};
 use crate::record::{Record, Schema, Tick};
-use crate::verify::{Verifier, VerifyError};
+use crate::shard::{ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
+use crate::verify::{EpochView, Verifier, VerifyError};
 
 /// Which absence-proof mechanism the server uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,8 +90,10 @@ impl ShippedPartition {
 #[derive(Clone, Debug)]
 pub struct JoinAnswer {
     /// The authenticated selection on R (ASign_R of Figure 3).
-    pub r: SelectionAnswer,
-    /// Which attribute of R is the join attribute A.
+    pub r: ShardedSelectionAnswer,
+    /// Which attribute of R the server joined on. The client names the
+    /// join attribute itself ([`verify_join`]); an answer built over any
+    /// other one is rejected.
     pub attr_a: usize,
     /// The absence mechanism used.
     pub method: JoinMethod,
@@ -142,10 +149,11 @@ impl JoinAnswer {
 }
 
 /// DA-side publisher for the S relation: certifies records through the
-/// inner [`DataAggregator`] and maintains the certified partition filters.
+/// inner [`ShardedAggregator`] and maintains the certified partition
+/// filters.
 pub struct JoinPublisher {
-    /// The S relation's aggregator (indexed on B).
-    pub da: DataAggregator,
+    /// The S relation's (one-shard) aggregator, indexed on B.
+    pub sa: ShardedAggregator,
     filters: PartitionedFilters,
     partition_sigs: Vec<Signature>,
 }
@@ -155,16 +163,21 @@ impl JoinPublisher {
     ///
     /// `values_per_partition` is the paper's `I_B / p`; `bits_per_key` its
     /// `m / I_B`.
-    pub fn new(da: DataAggregator, values_per_partition: usize, bits_per_key: f64) -> Self {
-        let schema = da.config().schema;
-        let mut distinct: Vec<i64> = (0..da.record_slots())
-            .filter_map(|rid| da.record(rid).map(|r| r.key(&schema)))
+    ///
+    /// # Panics
+    /// Panics unless `sa` is a one-shard deployment.
+    pub fn new(sa: ShardedAggregator, values_per_partition: usize, bits_per_key: f64) -> Self {
+        assert_eq!(sa.map().shard_count(), 1, "the join's S side is one shard");
+        let schema = sa.config().schema;
+        let s = sa.shard(0);
+        let mut distinct: Vec<i64> = (0..s.record_slots())
+            .filter_map(|rid| s.record(rid).map(|r| r.key(&schema)))
             .collect();
         distinct.sort_unstable();
         distinct.dedup();
         let filters = PartitionedFilters::build(&distinct, values_per_partition, bits_per_key);
         let mut publisher = JoinPublisher {
-            da,
+            sa,
             filters,
             partition_sigs: Vec::new(),
         };
@@ -181,7 +194,7 @@ impl JoinPublisher {
     fn sign_partition(&self, idx: usize) -> Signature {
         // The DA signs the partition certification message. We reach the
         // keypair through a dedicated DA signing hook.
-        self.da.sign_raw(&self.filters.certification_message(idx))
+        self.sa.sign_raw(&self.filters.certification_message(idx))
     }
 
     /// The filter set (served to the query server).
@@ -200,12 +213,12 @@ impl JoinPublisher {
     /// values re-hashed (Figure 11(c)'s update cost), or `None` if the rid
     /// does not exist.
     pub fn delete_record(&mut self, rid: u64) -> Option<usize> {
-        let schema = self.da.config().schema;
-        let rec = self.da.record(rid)?;
+        let schema = self.sa.config().schema;
+        let rec = self.sa.shard(0).record(rid)?;
         let value = rec.key(&schema);
-        self.da.delete_record(rid);
+        self.sa.delete_record(0, rid);
         // Does any other record still carry this value?
-        let still_present = !self.da.query_range(value, value).is_empty();
+        let still_present = !self.sa.shard(0).query_range(value, value).is_empty();
         if still_present {
             return Some(0);
         }
@@ -213,7 +226,8 @@ impl JoinPublisher {
         let p = self.filters.partition(idx);
         let hi_inclusive = if p.hi == i64::MAX { i64::MAX } else { p.hi - 1 };
         let mut remaining: Vec<i64> = self
-            .da
+            .sa
+            .shard(0)
             .query_range(p.lo, hi_inclusive)
             .iter()
             .map(|r| r.key(&schema))
@@ -228,16 +242,28 @@ impl JoinPublisher {
 
 /// Server-side join execution: combine an already-computed authenticated
 /// selection on R with the S server's index and the published filters.
+/// Refuses with [`QueryError::AttributeOutOfSchema`] when `attr_a` is not an
+/// attribute of R's records, and with [`QueryError::Unsupported`] unless S
+/// is a one-shard deployment.
 pub fn execute_join(
-    r_answer: SelectionAnswer,
+    r_answer: ShardedSelectionAnswer,
     attr_a: usize,
-    s_qs: &mut QueryServer,
+    s_qs: &ShardedQueryServer,
     filters: &PartitionedFilters,
     partition_sigs: &[Signature],
     method: JoinMethod,
-) -> JoinAnswer {
-    let pp = s_qs.public_params().clone();
-    let mut values: Vec<i64> = r_answer.records.iter().map(|r| r.attrs[attr_a]).collect();
+) -> Result<JoinAnswer, QueryError> {
+    if s_qs.map().shard_count() != 1 {
+        return Err(QueryError::Unsupported);
+    }
+    let pp = s_qs.with_shard(0, |qs| qs.public_params().clone());
+    let mut values = Vec::new();
+    for r in r_answer.parts.iter().flat_map(|p| &p.answer.records) {
+        let Some(&v) = r.attrs.get(attr_a) else {
+            return Err(QueryError::AttributeOutOfSchema { index: attr_a });
+        };
+        values.push(v);
+    }
     values.sort_unstable();
     values.dedup();
 
@@ -250,9 +276,11 @@ pub fn execute_join(
     let mut s_agg = pp.identity();
 
     for v in values {
-        let ans = s_qs
-            .select_range(v, v)
-            .expect("join probing requires a chained-mode S server");
+        // One shard, a point range: exactly one part.
+        let Some(part) = s_qs.select_range(v, v)?.parts.pop() else {
+            return Err(QueryError::Unsupported);
+        };
+        let ans = part.answer;
         if !ans.records.is_empty() {
             s_agg = pp.aggregate(&s_agg, &ans.agg);
             runs.push(MatchRun {
@@ -309,7 +337,7 @@ pub fn execute_join(
         }
     }
 
-    JoinAnswer {
+    Ok(JoinAnswer {
         r: r_answer,
         attr_a,
         method,
@@ -318,70 +346,96 @@ pub fn execute_join(
         gap_pool,
         partitions,
         s_agg,
-    }
+    })
 }
 
-/// Client-side join verification at logical time `now`.
+/// Client-side verification of the join `σ_{lo..hi}(R) ⋈_{R.attr_a=S.B} S` at
+/// logical time `now`. The caller names the join attribute — an answer
+/// built over another attribute of R proves a different join and is
+/// rejected ([`VerifyError::BadAggregate`]), and a record that does not
+/// carry `attr_a`, or an S-side record whose arity disagrees with
+/// `s_schema`, is [`VerifyError::MalformedRecord`], never a panic. The R
+/// side is verified under `view_r` like any selection, its fold
+/// coefficients drawn from `rng`.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_join(
     verifier_r: &Verifier,
+    view_r: &EpochView,
     verifier_s_pp: &PublicParams,
     s_schema: &Schema,
     filters_certifier: impl Fn(&ShippedPartition) -> Vec<u8>,
     lo: i64,
     hi: i64,
+    attr_a: usize,
     ans: &JoinAnswer,
     now: Tick,
+    rng: &mut impl rand::Rng,
 ) -> Result<(), VerifyError> {
+    if ans.attr_a != attr_a {
+        return Err(VerifyError::BadAggregate);
+    }
     // 1. The R side is an ordinary authenticated selection, freshness
     //    included: its attached summaries expose a replayed R version.
-    verifier_r.verify_selection(lo, hi, &ans.r, now, true)?;
+    verifier_r.verify_sharded_selection(lo, hi, &ans.r, view_r, now, true, rng)?;
 
-    // 2. Every distinct R.A value must have exactly one disposition.
-    let mut values: Vec<i64> = ans.r.records.iter().map(|r| r.attrs[ans.attr_a]).collect();
+    // 2. Every distinct R.A value must have exactly one disposition — a
+    //    run or an absence proof — and nothing else may be disposed.
+    let mut values = Vec::new();
+    for r in ans.r.parts.iter().flat_map(|p| &p.answer.records) {
+        let Some(&v) = r.attrs.get(attr_a) else {
+            return Err(VerifyError::MalformedRecord { rid: r.rid });
+        };
+        values.push(v);
+    }
     values.sort_unstable();
     values.dedup();
-    let mut disposed: BTreeMap<i64, ()> = BTreeMap::new();
+    let runs = ans.runs.iter().map(|run| run.value);
+    let mut disposed: Vec<i64> = runs.chain(ans.absences.iter().map(|&(v, _)| v)).collect();
+    disposed.sort_unstable();
+    if disposed != values {
+        return Err(VerifyError::BadAggregate);
+    }
 
-    // 3. Rebuild the S-side message multiset while checking semantics.
+    // 3. Rebuild the S-side message multiset while checking semantics. The
+    //    wire codec cannot check arity, so every S record is fitted to the
+    //    schema before its key is read.
+    let fits = |rec: &Record| {
+        if rec.attrs.len() == s_schema.num_attrs {
+            Ok(())
+        } else {
+            Err(VerifyError::MalformedRecord { rid: rec.rid })
+        }
+    };
     let mut messages: Vec<Vec<u8>> = Vec::new();
     for run in &ans.runs {
-        if disposed.insert(run.value, ()).is_some() {
-            return Err(VerifyError::BadAggregate);
-        }
         if run.records.is_empty() {
             return Err(VerifyError::BadAggregate);
         }
         if !(run.left_key < run.value && run.right_key > run.value) {
             return Err(VerifyError::BadBoundary);
         }
+        let last = run.records.len() - 1;
         for (i, rec) in run.records.iter().enumerate() {
+            fits(rec)?;
             if rec.key(s_schema) != run.value {
                 return Err(VerifyError::RecordOutOfRange { rid: rec.rid });
             }
-            let left = if i == 0 {
-                run.left_key
-            } else {
-                run.records[i - 1].key(s_schema)
-            };
-            let right = if i + 1 == run.records.len() {
-                run.right_key
-            } else {
-                run.records[i + 1].key(s_schema)
-            };
+            // Every record of the run carries the run's value, so a chain
+            // neighbour is that value inside the run and the run's boundary
+            // key at either end.
+            let left = if i == 0 { run.left_key } else { run.value };
+            let right = if i == last { run.right_key } else { run.value };
             messages.push(rec.chain_message(s_schema, left, right));
         }
     }
     for g in &ans.gap_pool {
+        fits(&g.record)?;
         messages.push(g.chain_msg(s_schema));
     }
     for p in &ans.partitions {
         messages.push(filters_certifier(p));
     }
     for (v, proof) in &ans.absences {
-        if disposed.insert(*v, ()).is_some() {
-            return Err(VerifyError::BadAggregate);
-        }
         match proof {
             AbsenceProof::Boundary { idx } => {
                 let Some(g) = ans.gap_pool.get(*idx) else {
@@ -407,13 +461,6 @@ pub fn verify_join(
             }
         }
     }
-    // No value may be left without a disposition.
-    for v in &values {
-        if !disposed.contains_key(v) {
-            return Err(VerifyError::BadAggregate);
-        }
-    }
-
     let refs: Vec<&[u8]> = messages.iter().map(|m| m.as_slice()).collect();
     if !verifier_s_pp.verify_aggregate(&refs, &ans.s_agg) {
         return Err(VerifyError::BadAggregate);
@@ -517,139 +564,244 @@ pub mod viability {
 mod tests {
     use super::*;
     use crate::da::DaConfig;
+    use crate::qs::QsOptions;
+    use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// R: 40 records, A = attrs[1] in 0..80 step 2 (even values).
-    /// S: records with B = multiples of 3 in 0..120, two records per value.
-    fn setup(method: JoinMethod) -> (QueryServer, Verifier, JoinPublisher, QueryServer, Verifier) {
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut r_da = DataAggregator::new(DaConfig::small(), &mut rng);
-        let r_boot = r_da.bootstrap((0..40).map(|i| vec![i, i * 2]).collect(), 2);
-        let r_qs = r_da.replica(&r_boot);
-        let r_verifier = r_da.verifier();
+    /// One side of the join: its DA, server, verifier and the client's view.
+    struct Side {
+        sa: ShardedAggregator,
+        qs: ShardedQueryServer,
+        v: Verifier,
+        view: EpochView,
+    }
 
-        let mut s_da = DataAggregator::new(DaConfig::small(), &mut rng);
-        let s_rows: Vec<Vec<i64>> = (0..40)
+    fn side(cfg: DaConfig, splits: Vec<i64>, rows: Vec<Vec<i64>>, rng: &mut StdRng) -> Side {
+        let mut sa = ShardedAggregator::new(cfg, splits, rng);
+        let boots = sa.bootstrap(rows, 2);
+        let qs = sa.replica(&boots, &QsOptions::default());
+        let (v, view) = (sa.verifier(), sa.epoch_view());
+        Side { sa, qs, v, view }
+    }
+
+    /// R: 40 records in two shards, A = attrs[1] in 0..80 step 2 (even
+    /// values). S: one shard, B = multiples of 3 in 0..120, two records per
+    /// value.
+    fn setup() -> (Side, JoinPublisher, ShardedQueryServer, Verifier) {
+        setup_under(SchemeKind::Mock)
+    }
+
+    fn setup_under(scheme: SchemeKind) -> (Side, JoinPublisher, ShardedQueryServer, Verifier) {
+        let mut rng = StdRng::seed_from_u64(41);
+        let cfg = DaConfig {
+            scheme,
+            ..DaConfig::small()
+        };
+        let r_rows = (0..40).map(|i| vec![i, i * 2]).collect();
+        let r = side(cfg.clone(), vec![20], r_rows, &mut rng);
+        let s_rows = (0..40)
             .flat_map(|i| {
                 let b = i * 3;
                 vec![vec![b, 100 + i], vec![b, 200 + i]]
             })
             .collect();
-        let s_boot = s_da.bootstrap(s_rows, 2);
-        let s_qs = s_da.replica(&s_boot);
-        let s_verifier = s_da.verifier();
-        let publisher = JoinPublisher::new(s_da, 8, 8.0);
-        let _ = method;
-        (r_qs, r_verifier, publisher, s_qs, s_verifier)
+        let s = side(cfg, vec![], s_rows, &mut rng);
+        (r, JoinPublisher::new(s.sa, 8, 8.0), s.qs, s.v)
     }
 
-    fn run_join(method: JoinMethod) -> (JoinAnswer, Verifier, Verifier, Schema) {
-        let (r_qs, r_v, publisher, mut s_qs, s_v) = setup(method);
-        let r_ans = r_qs.select_range(0, 39).unwrap(); // all of R
+    const SCHEMA: Schema = Schema {
+        num_attrs: 2,
+        record_len: 64,
+        indexed_attr: 0,
+    };
+
+    struct Joined {
+        ans: JoinAnswer,
+        r: Side,
+        s_v: Verifier,
+    }
+
+    impl Joined {
+        /// Verify `ans` as the join of all of R on attribute `attr_a`.
+        fn verify_on(&self, attr_a: usize, now: Tick) -> Result<(), VerifyError> {
+            verify_join(
+                &self.r.v,
+                &self.r.view,
+                self.s_v.public_params(),
+                &SCHEMA,
+                partition_certification_message,
+                0,
+                39,
+                attr_a,
+                &self.ans,
+                now,
+                &mut StdRng::seed_from_u64(43),
+            )
+        }
+
+        fn verify(&self) -> Result<(), VerifyError> {
+            self.verify_on(1, 0)
+        }
+    }
+
+    fn run_join_on(scheme: SchemeKind, attr_a: usize, method: JoinMethod) -> Joined {
+        let (r, publisher, s_qs, s_v) = setup_under(scheme);
+        let r_ans = r.qs.select_range(0, 39).unwrap(); // all of R
+        assert_eq!(r_ans.parts.len(), 2, "R spans both of its shards");
         let ans = execute_join(
             r_ans,
-            1,
-            &mut s_qs,
+            attr_a,
+            &s_qs,
             publisher.filters(),
             publisher.partition_sigs(),
             method,
-        );
-        (ans, r_v, s_v, Schema::new(2, 64))
+        )
+        .expect("one-shard S");
+        Joined { ans, r, s_v }
     }
 
-    fn verify(
-        ans: &JoinAnswer,
-        r_v: &Verifier,
-        s_v: &Verifier,
-        schema: &Schema,
-    ) -> Result<(), VerifyError> {
-        verify_join(
-            r_v,
-            s_v.public_params(),
-            schema,
-            partition_certification_message,
-            0,
-            39,
-            ans,
-            0,
-        )
+    fn run_join(method: JoinMethod) -> Joined {
+        run_join_on(SchemeKind::Mock, 1, method)
     }
 
     #[test]
     fn bv_join_verifies() {
-        let (ans, r_v, s_v, schema) = run_join(JoinMethod::BoundaryValues);
+        let j = run_join(JoinMethod::BoundaryValues);
         // Even values 0..78: multiples of 6 match (B = multiples of 3).
-        assert_eq!(ans.runs.len(), 14); // 0,6,12,...,78
-        assert!(ans.runs.iter().all(|r| r.records.len() == 2));
-        assert!(!ans.absences.is_empty());
-        assert!(ans.partitions.is_empty());
-        verify(&ans, &r_v, &s_v, &schema).expect("BV join verifies");
+        assert_eq!(j.ans.runs.len(), 14); // 0,6,12,...,78
+        assert!(j.ans.runs.iter().all(|r| r.records.len() == 2));
+        assert!(!j.ans.absences.is_empty());
+        assert!(j.ans.partitions.is_empty());
+        j.verify().expect("BV join verifies");
     }
 
     #[test]
     fn bf_join_verifies() {
-        let (ans, r_v, s_v, schema) = run_join(JoinMethod::BloomFilter);
-        assert_eq!(ans.runs.len(), 14);
-        assert!(!ans.partitions.is_empty(), "some filters shipped");
-        verify(&ans, &r_v, &s_v, &schema).expect("BF join verifies");
+        let j = run_join(JoinMethod::BloomFilter);
+        assert_eq!(j.ans.runs.len(), 14);
+        assert!(!j.ans.partitions.is_empty(), "some filters shipped");
+        j.verify().expect("BF join verifies");
     }
 
     #[test]
     fn bf_vo_smaller_than_bv_at_scale() {
         // Not guaranteed at toy scale, but the paper accounting must order
         // correctly once unmatched values dominate. Use paper accounting.
-        let (bv, ..) = run_join(JoinMethod::BoundaryValues);
-        let (bf, ..) = run_join(JoinMethod::BloomFilter);
+        let bv = run_join(JoinMethod::BoundaryValues).ans;
+        let bf = run_join(JoinMethod::BloomFilter).ans;
         // At minimum both must produce nonzero absence machinery.
-        let schema = Schema::new(2, 64);
-        assert!(bv.paper_vo_size(&schema, 4) > 0);
-        assert!(bf.paper_vo_size(&schema, 4) > 0);
+        assert!(bv.paper_vo_size(&SCHEMA, 4) > 0);
+        assert!(bf.paper_vo_size(&SCHEMA, 4) > 0);
     }
 
     #[test]
     fn dropped_match_detected() {
-        let (mut ans, r_v, s_v, schema) = run_join(JoinMethod::BloomFilter);
+        let mut j = run_join(JoinMethod::BloomFilter);
         // Server hides one matching S record.
-        ans.runs[0].records.remove(0);
-        assert!(verify(&ans, &r_v, &s_v, &schema).is_err());
+        j.ans.runs[0].records.remove(0);
+        assert!(j.verify().is_err());
     }
 
     #[test]
     fn fake_absence_detected() {
-        let (mut ans, r_v, s_v, schema) = run_join(JoinMethod::BloomFilter);
+        let mut j = run_join(JoinMethod::BloomFilter);
         // Server claims a matched value is absent by dropping its run and
         // pointing at a filter negative.
-        let victim = ans.runs.remove(0);
-        let part = ans.partitions.first().cloned();
-        match part {
-            Some(_) => {
-                ans.absences
-                    .push((victim.value, AbsenceProof::FilterNegative { idx: 0 }));
-                let r = verify(&ans, &r_v, &s_v, &schema);
-                assert!(r.is_err(), "filter positive or aggregate must catch it");
-            }
-            None => {
-                // No partitions shipped: missing disposition is caught.
-                assert!(verify(&ans, &r_v, &s_v, &schema).is_err());
-            }
-        }
+        let victim = j.ans.runs.remove(0);
+        assert!(!j.ans.partitions.is_empty());
+        j.ans
+            .absences
+            .push((victim.value, AbsenceProof::FilterNegative { idx: 0 }));
+        assert!(
+            j.verify().is_err(),
+            "filter positive or aggregate must catch it"
+        );
     }
 
     #[test]
     fn tampered_filter_detected() {
-        let (mut ans, r_v, s_v, schema) = run_join(JoinMethod::BloomFilter);
-        if ans.partitions.is_empty() {
-            return;
-        }
+        let mut j = run_join(JoinMethod::BloomFilter);
         // Clear the filter so a matched value would probe negative: the
         // certification signature no longer matches.
-        let p = &mut ans.partitions[0];
+        let p = &mut j.ans.partitions[0];
         p.filter = BloomFilter::new(p.filter.bit_len(), p.filter.hash_count());
-        assert_eq!(
-            verify(&ans, &r_v, &s_v, &schema),
-            Err(VerifyError::BadAggregate)
+        assert_eq!(j.verify(), Err(VerifyError::BadAggregate));
+    }
+
+    /// The client names the join attribute. A server that joins on another
+    /// attribute of R — every proof in the answer genuine, for that other
+    /// join — is rejected whether it admits which attribute it used or
+    /// claims the one the client asked for.
+    #[test]
+    fn join_on_another_attribute_rejected() {
+        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
+            let mut j = run_join_on(scheme, 0, JoinMethod::BloomFilter);
+            assert_eq!(j.verify_on(0, 0), Ok(()), "honest as a join on attr 0");
+            assert_eq!(j.verify_on(1, 0), Err(VerifyError::BadAggregate));
+            j.ans.attr_a = 1;
+            assert_eq!(j.verify_on(1, 0), Err(VerifyError::BadAggregate));
+        }
+    }
+
+    /// An attribute index past R's schema is a refusal on the server and a
+    /// typed error — not an index panic — in the verifier.
+    #[test]
+    fn out_of_schema_join_attribute_is_a_typed_error() {
+        let (r, publisher, s_qs, _) = setup();
+        let r_ans = r.qs.select_range(0, 39).unwrap();
+        let refused = execute_join(
+            r_ans,
+            99,
+            &s_qs,
+            publisher.filters(),
+            publisher.partition_sigs(),
+            JoinMethod::BloomFilter,
         );
+        assert_eq!(
+            refused.err(),
+            Some(QueryError::AttributeOutOfSchema { index: 99 })
+        );
+        let mut j = run_join(JoinMethod::BloomFilter);
+        j.ans.attr_a = 99;
+        assert_eq!(
+            j.verify_on(99, 0),
+            Err(VerifyError::MalformedRecord { rid: 0 })
+        );
+    }
+
+    /// The wire codec cannot check arity: an S-side run or gap record whose
+    /// attribute count disagrees with the schema is a typed error before
+    /// its key is read.
+    #[test]
+    fn s_side_arity_mismatch_is_a_typed_error() {
+        let mut j = run_join(JoinMethod::BoundaryValues);
+        let rid = j.ans.runs[0].records[1].rid;
+        j.ans.runs[0].records[1].attrs.clear();
+        assert_eq!(j.verify(), Err(VerifyError::MalformedRecord { rid }));
+
+        let mut j = run_join(JoinMethod::BoundaryValues);
+        let rid = j.ans.gap_pool[0].record.rid;
+        j.ans.gap_pool[0].record.attrs.push(7);
+        assert_eq!(j.verify(), Err(VerifyError::MalformedRecord { rid }));
+    }
+
+    /// A multi-shard S is refused, not probed shard by shard.
+    #[test]
+    fn multi_shard_s_side_is_unsupported() {
+        let (r, publisher, _, _) = setup();
+        let mut rng = StdRng::seed_from_u64(44);
+        let s2_rows = (0..40).map(|i| vec![i * 3, i]).collect();
+        let s2 = side(DaConfig::small(), vec![60], s2_rows, &mut rng);
+        let refused = execute_join(
+            r.qs.select_range(0, 39).unwrap(),
+            1,
+            &s2.qs,
+            publisher.filters(),
+            publisher.partition_sigs(),
+            JoinMethod::BoundaryValues,
+        );
+        assert_eq!(refused.err(), Some(QueryError::Unsupported));
     }
 
     /// The R side's freshness is checked at the caller's `now`: an R server
@@ -657,62 +809,58 @@ mod tests {
     /// the summaries the answer must carry.
     #[test]
     fn replayed_r_version_rejected_as_stale() {
-        let (_, _, publisher, mut s_qs, s_v) = setup(JoinMethod::BloomFilter);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut r_da = DataAggregator::new(DaConfig::small(), &mut rng);
-        let r_boot = r_da.bootstrap((0..40).map(|i| vec![i, i * 2]).collect(), 2);
-        let mut r_qs = r_da.replica(&r_boot);
-        let r_v = r_da.verifier();
-        let hoarded = r_qs.select_range(0, 39).unwrap();
-        r_da.advance_clock(5);
-        r_qs.apply_all(&r_da.update_record(7, vec![7, 15]));
+        let (mut r, publisher, s_qs, s_v) = setup();
+        let hoarded = r.qs.select_range(0, 39).unwrap();
+        r.sa.advance_clock(5);
+        r.qs.apply_all(&r.sa.update_record(0, 7, vec![7, 15]).1);
         for _ in 0..2 {
-            r_da.advance_clock(10);
-            r_qs.ingest(r_da.maybe_publish_summary().expect("period closes"));
+            r.sa.advance_clock(10);
+            r.qs.ingest(r.sa.maybe_publish_summaries());
         }
-        let now = r_da.now();
-        let schema = Schema::new(2, 64);
-        let mut check = |r_ans: SelectionAnswer| {
-            let ans = execute_join(
-                r_ans,
-                1,
-                &mut s_qs,
-                publisher.filters(),
-                publisher.partition_sigs(),
-                JoinMethod::BloomFilter,
-            );
-            verify_join(
-                &r_v,
-                s_v.public_params(),
-                &schema,
-                partition_certification_message,
-                0,
-                39,
-                &ans,
-                now,
-            )
-        };
-        check(r_qs.select_range(0, 39).unwrap()).expect("current R version joins");
+        let now = r.sa.now();
+        let current = r.qs.select_range(0, 39).unwrap();
         // The client fetches the current summaries itself, so the replayer
         // cannot avoid attaching them.
         let mut replayed = hoarded;
-        replayed.summaries = r_qs.summaries().to_vec();
-        assert!(matches!(check(replayed), Err(VerifyError::Stale { .. })));
+        for (old, new) in replayed.parts.iter_mut().zip(&current.parts) {
+            old.answer.summaries = new.answer.summaries.clone();
+        }
+        let mut j = Joined {
+            ans: execute_join(
+                current,
+                1,
+                &s_qs,
+                publisher.filters(),
+                publisher.partition_sigs(),
+                JoinMethod::BloomFilter,
+            )
+            .unwrap(),
+            r,
+            s_v,
+        };
+        j.verify_on(1, now).expect("current R version joins");
+        j.ans = execute_join(
+            replayed,
+            1,
+            &s_qs,
+            publisher.filters(),
+            publisher.partition_sigs(),
+            JoinMethod::BloomFilter,
+        )
+        .unwrap();
+        assert!(matches!(
+            j.verify_on(1, now),
+            Err(VerifyError::Stale { .. })
+        ));
     }
 
     #[test]
     fn deletion_rebuilds_partition_and_filter_stops_matching() {
-        let (_, _, mut publisher, _, _) = setup(JoinMethod::BloomFilter);
+        let (_, mut publisher, _, _) = setup();
         // Both S records with B = 9 are rids... find them.
-        let schema = Schema::new(2, 64);
-        let victims: Vec<u64> = (0..publisher.da.record_slots())
-            .filter(|&rid| {
-                publisher
-                    .da
-                    .record(rid)
-                    .map(|r| r.key(&schema) == 9)
-                    .unwrap_or(false)
-            })
+        let s = publisher.sa.shard(0);
+        let victims: Vec<u64> = (0..s.record_slots())
+            .filter(|&rid| s.record(rid).is_some_and(|r| r.key(&SCHEMA) == 9))
             .collect();
         assert_eq!(victims.len(), 2);
         let r1 = publisher.delete_record(victims[0]).unwrap();

@@ -4,30 +4,34 @@
 //! The paper's primary contribution: scalable query-answer verification for
 //! outsourced dynamic databases over signature aggregation.
 //!
+//! There is one deployment shape. A [`shard::ShardedAggregator`] mints a
+//! deployment from a [`da::DaConfig`] and a list of split keys — none for
+//! the paper's single relation image: one shard at the genesis epoch, fenced
+//! at ±∞ — certifies the partition as a signed [`shard::ShardMap`], and mints
+//! the other two parties ([`shard::ShardedAggregator::replica`],
+//! [`shard::ShardedAggregator::verifier`] and
+//! [`shard::ShardedAggregator::epoch_view`]). A [`shard::ShardedQueryServer`]
+//! is the only server, and every answer is verified under the client's
+//! pinned [`verify::EpochView`].
+//!
 //! * [`record`] — records `⟨rid, A1..AM, ts⟩` and signing messages.
 //! * [`freshness`] — certified bitmap update summaries and empty-table
 //!   proofs (Section 3.1).
-//! * [`da`] — the trusted Data Aggregator: certification, chaining,
-//!   summaries, active renewal. A deployment is described once, in its
-//!   [`da::DaConfig`]; the aggregator mints the other two parties from it
-//!   ([`da::DataAggregator::replica`], [`da::DataAggregator::verifier`]).
-//! * [`qs`] — the untrusted Query Server: one shard's replica, proof
-//!   construction for selections and projections, and the single-call
-//!   ingest of what the DA emits ([`qs::QueryServer::apply_all`],
-//!   [`qs::QueryServer::ingest`]).
+//! * [`shard`] — the deployment: the DA-signed shard map, routed updates,
+//!   per-shard chains with seam fences, epoch rebalancing, and the
+//!   fanned-out query server whose proofs the verifier stitches.
+//! * [`da`] — one shard's trusted signing engine: certification, chaining,
+//!   summaries, checkpoints, active renewal.
+//! * [`qs`] — one shard's untrusted proof-constructing engine: selections,
+//!   projections, and the ingest of what its DA engine emits.
 //! * [`join`] — authenticated equi-joins over two certified relations.
-//! * [`verify`] — the client-side verifier (threat model documented there),
-//!   including batched multi-answer verification.
-//! * [`adversary`] — the malicious-server conformance subsystem: a tamper
-//!   catalog (single-server and cross-shard) every verifier change is
-//!   regression-checked against, and the sharded timeline fixture
-//!   ([`adversary::sharded_system`]) the scripted scenarios here and in
-//!   `authdb-net` share.
-//! * [`shard`] — key-range partitioning: the DA-signed shard map, routed
-//!   updates, per-shard chains with seam fences, and the fanned-out query
-//!   server whose proofs the verifier stitches. The sharded aggregator
-//!   mints its replica, verifier and client view
-//!   ([`shard::ShardedAggregator::replica`]).
+//! * [`verify`] — the client-side verifier (threat model documented there):
+//!   one epoch-gated stitch → fold → freshness pipeline behind the single,
+//!   partial and batched selection entry points.
+//! * [`adversary`] — the malicious-server conformance subsystem: the tamper
+//!   catalogs every verifier change is regression-checked against, and the
+//!   timeline fixture ([`adversary::sharded_system`]) the scripted scenarios
+//!   here and in `authdb-net` share.
 //! * [`sigcache`] — the Section 4 aggregate-signature cache, wired into
 //!   [`qs::QueryServer::select_range`] via [`qs::AggCacheConfig`].
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and

@@ -1,5 +1,11 @@
 //! The Query Server (QS): the untrusted proof-constructing server.
 //!
+//! [`QueryServer`] is one shard's proof-constructing **engine**; the server
+//! a deployment runs is
+//! [`ShardedQueryServer`](crate::shard::ShardedQueryServer), which holds one
+//! engine per shard of the certified map (one, for the paper's single
+//! relation image) and fans queries out to them.
+//!
 //! The QS maintains a replica of the database and authentication structure,
 //! applies [`UpdateMsg`]s pushed by the DA (fresh data is disseminated
 //! immediately, decoupled from summaries — Section 3.1), stores the
@@ -224,6 +230,10 @@ pub struct ProjectionAnswer {
     /// latest one always included), for the client's freshness check.
     /// Shared with the server's summary log by `Arc`.
     pub summaries: Vec<Arc<UpdateSummary>>,
+    /// The DA's latest summary checkpoint, when the log has been compacted
+    /// — the anchor for a summary run that no longer reaches back to seq 0,
+    /// exactly as on a [`SelectionAnswer`].
+    pub checkpoint: Option<SummaryCheckpoint>,
 }
 
 impl ProjectionAnswer {
@@ -421,15 +431,14 @@ impl AggCache {
     }
 }
 
-/// Construction options for [`QueryServer::with_options`].
+/// Construction options for every shard replica of a
+/// [`ShardedQueryServer`](crate::shard::ShardedQueryServer).
 #[derive(Clone, Debug)]
 pub struct QsOptions {
-    /// Buffer-pool pages for the server's storage.
+    /// Buffer-pool pages for each shard replica's storage.
     pub buffer_pages: usize,
     /// B+-tree bulk-load fill factor.
     pub fill: f64,
-    /// Key-range responsibility (must match the bootstrapping DA's scope).
-    pub scope: ShardScope,
     /// Enable the Section 4 aggregate-signature cache.
     pub agg_cache: Option<AggCacheConfig>,
     /// Decoded-node cache capacity for the index (`0` disables it: every
@@ -442,14 +451,13 @@ impl Default for QsOptions {
         QsOptions {
             buffer_pages: 256,
             fill: 2.0 / 3.0,
-            scope: ShardScope::global(),
             agg_cache: None,
             node_cache: DEFAULT_NODE_CACHE,
         }
     }
 }
 
-/// The query server.
+/// One shard's query-server engine.
 pub struct QueryServer {
     pp: PublicParams,
     schema: Schema,
@@ -482,16 +490,17 @@ pub struct QueryServer {
 }
 
 impl QueryServer {
-    /// Build a server replica from a DA bootstrap snapshot, with full
-    /// control over pool, scope and caching.
-    /// [`DataAggregator::replica`](crate::da::DataAggregator::replica)
-    /// calls this with the DA's own parameters.
-    pub fn with_options(
+    /// Build one shard's replica from its DA bootstrap snapshot. `scope`
+    /// is the shard's scope in the certified map — the same one the
+    /// bootstrapping [`DataAggregator`](crate::da::DataAggregator) signed
+    /// under.
+    pub(crate) fn with_options(
         pp: PublicParams,
         schema: Schema,
         mode: SigningMode,
         boot: &Bootstrap,
-        opts: QsOptions,
+        scope: ShardScope,
+        opts: &QsOptions,
     ) -> Self {
         let pool = BufferPool::new(Disk::new(), opts.buffer_pages);
         let heap = HeapFile::new(pool.clone(), schema.record_len);
@@ -527,7 +536,7 @@ impl QueryServer {
             summaries: Vec::new(),
             checkpoint: None,
             vacancy: boot.vacancy.clone(),
-            scope: opts.scope,
+            scope,
             agg_cache: Mutex::new(agg_cache),
             stats: StatCounters::default(),
         }
@@ -960,6 +969,7 @@ impl QueryServer {
             rows,
             agg,
             summaries: self.summaries_since(oldest),
+            checkpoint: self.checkpoint.clone(),
         })
     }
 }
@@ -969,6 +979,8 @@ mod tests {
     use super::*;
     use crate::da::{DaConfig, DataAggregator};
     use crate::record::{KEY_NEG_INF, KEY_POS_INF};
+    use crate::shard::ShardMap;
+    use authdb_crypto::signer::Keypair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -979,12 +991,27 @@ mod tests {
         }
     }
 
-    fn system(n: i64, mode: SigningMode) -> (DataAggregator, QueryServer) {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut da = DataAggregator::new(cfg(mode), &mut rng);
+    /// A one-shard engine pair (epoch 1, fenced at ±∞) over `n` records
+    /// with keys `i·10`, the replica built with `opts`.
+    fn system_with(n: i64, mode: SigningMode, opts: &QsOptions) -> (DataAggregator, QueryServer) {
+        let cfg = cfg(mode);
+        let keypair = Keypair::generate(cfg.scheme, &mut StdRng::seed_from_u64(11));
+        let scope = ShardMap::create(&keypair, vec![]).scope(0);
+        let mut da = DataAggregator::new(cfg, keypair, scope);
         let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let qs = da.replica(&boot);
+        let qs = QueryServer::with_options(
+            da.public_params(),
+            da.config().schema,
+            mode,
+            &boot,
+            scope,
+            opts,
+        );
         (da, qs)
+    }
+
+    fn system(n: i64, mode: SigningMode) -> (DataAggregator, QueryServer) {
+        system_with(n, mode, &QsOptions::default())
     }
 
     #[test]
@@ -1128,15 +1155,10 @@ mod tests {
     }
 
     fn cached_system(n: i64, strategy: RefreshStrategy) -> (DataAggregator, QueryServer) {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut da = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
-        let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let qs = QueryServer::with_options(
-            da.public_params(),
-            da.config().schema,
+        system_with(
+            n,
             SigningMode::Chained,
-            &boot,
-            QsOptions {
+            &QsOptions {
                 agg_cache: Some(AggCacheConfig {
                     max_nodes: 32,
                     strategy,
@@ -1144,8 +1166,7 @@ mod tests {
                 }),
                 ..QsOptions::default()
             },
-        );
-        (da, qs)
+        )
     }
 
     #[test]
@@ -1182,10 +1203,7 @@ mod tests {
             assert_eq!(ans.records.len(), 64); // 64 - 1 delete + 1 insert
                                                // Cross-check the aggregate against an uncached replica fed the
                                                // same messages.
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut da2 = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
-            let boot = da2.bootstrap((0..64).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut plain = da2.replica(&boot);
+            let (mut da2, mut plain) = system(64, SigningMode::Chained);
             da2.advance_clock(1);
             plain.apply_all(&da2.update_record(20, vec![200, 4242]));
             plain.apply_all(&da2.insert(vec![205, 7]));
@@ -1206,10 +1224,7 @@ mod tests {
     fn incremental_cache_keeps_hit_rate_under_mixed_stream() {
         for strategy in [RefreshStrategy::Eager, RefreshStrategy::Lazy] {
             let (mut da, mut qs) = cached_system(256, strategy);
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut da2 = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
-            let boot = da2.bootstrap((0..256).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut plain = da2.replica(&boot);
+            let (mut da2, mut plain) = system(256, SigningMode::Chained);
             for round in 0..40i64 {
                 da.advance_clock(1);
                 da2.advance_clock(1);

@@ -18,7 +18,7 @@
 //!
 //! Partition boundaries are exactly where outsourced-database schemes leak
 //! completeness: if each shard's chain simply terminated at ±∞ (the
-//! unsharded sentinels), shard *i*'s edge record would carry a genuinely
+//! whole-key-space sentinels), shard *i*'s edge record would carry a genuinely
 //! signed claim that *nothing* lies beyond it — a claim whose key range
 //! overlaps every other shard. A malicious server could then answer shard
 //! *i+1*'s sub-query with shard *i*'s edge gap proof and deny records that
@@ -104,7 +104,8 @@
 //! replay, handoff forgery, split brain, transition-chain break)
 //! regression-checks each clause, and the `epoch_equivalence` property
 //! suite checks that a rebalancing deployment stays observably equivalent
-//! to a single server across random split/merge schedules.
+//! to a never-rebalanced one-shard deployment across random split/merge
+//! schedules.
 
 use std::sync::Arc;
 
@@ -119,22 +120,20 @@ use crate::qs::{QsOptions, QueryError, QueryServer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::verify::{EpochView, Verifier};
 
-/// The epoch tag of an unsharded deployment's artifacts. Certified shard
-/// maps start at [`GENESIS_EPOCH`]; wire decoding refuses a map claiming
-/// the unsharded sentinel ([`ShardMap::from_parts`]).
-pub const UNSHARDED_EPOCH: u64 = 0;
-/// The epoch of the first certified partition.
+/// The epoch of the first certified partition. Epochs start here: no
+/// certified map, and so no summary, checkpoint or vacancy proof, carries a
+/// smaller tag.
 pub const GENESIS_EPOCH: u64 = 1;
 
-/// One aggregator-or-server's key-range responsibility inside a sharded
-/// deployment: the chain *fences* (the neighbour values signed at the
-/// shard's extremes) and the `(epoch, shard)` tag bound into summaries and
-/// vacancy proofs. The shard owns exactly the keys strictly between its
-/// fences.
+/// One per-shard engine's key-range responsibility: the chain *fences* (the
+/// neighbour values signed at the shard's extremes) and the `(epoch, shard)`
+/// tag bound into summaries and vacancy proofs. The shard owns exactly the
+/// keys strictly between its fences. A scope always comes from a certified
+/// map ([`ShardMap::scope`]); a one-shard map's only scope is the whole key
+/// space, fenced at ±∞.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardScope {
-    /// Map epoch, bound into summary and vacancy-proof messages
-    /// ([`UNSHARDED_EPOCH`] for an unsharded deployment).
+    /// Map epoch, bound into summary and vacancy-proof messages.
     pub epoch: u64,
     /// Shard index, bound into summary and vacancy-proof messages.
     pub shard: u64,
@@ -147,16 +146,6 @@ pub struct ShardScope {
 }
 
 impl ShardScope {
-    /// The whole key space: what an unsharded deployment certifies.
-    pub fn global() -> Self {
-        ShardScope {
-            epoch: UNSHARDED_EPOCH,
-            shard: 0,
-            left_fence: KEY_NEG_INF,
-            right_fence: KEY_POS_INF,
-        }
-    }
-
     /// Whether `key` falls inside this shard's responsibility.
     pub fn owns(&self, key: i64) -> bool {
         key > self.left_fence && key < self.right_fence
@@ -196,12 +185,6 @@ impl ShardScope {
     }
 }
 
-impl Default for ShardScope {
-    fn default() -> Self {
-        ShardScope::global()
-    }
-}
-
 /// The DA-certified partition: `m` split keys define `m + 1` key-range
 /// shards, and the signature pins the partition so the server cannot
 /// re-draw shard responsibilities. Shard `i` owns keys `k` with
@@ -232,8 +215,7 @@ impl ShardMap {
     }
 
     /// Certify a deployment's first partition (epoch [`GENESIS_EPOCH`]).
-    /// `splits` may be empty (one shard = the whole key space,
-    /// scope-equivalent to an unsharded deployment).
+    /// `splits` may be empty: one shard owning the whole key space.
     ///
     /// # Panics
     /// Panics unless the splits are strictly increasing and leave room for
@@ -248,12 +230,9 @@ impl ShardMap {
     ///
     /// # Panics
     /// Panics on the same structural violations as [`ShardMap::create`],
-    /// or when `epoch` is the reserved [`UNSHARDED_EPOCH`] sentinel.
+    /// or when `epoch` precedes [`GENESIS_EPOCH`].
     pub fn create_at_epoch(keypair: &Keypair, splits: Vec<i64>, epoch: u64) -> Self {
-        assert!(
-            epoch != UNSHARDED_EPOCH,
-            "epoch 0 is the unsharded sentinel; certified maps start at 1"
-        );
+        assert!(epoch >= GENESIS_EPOCH, "epochs start at GENESIS_EPOCH");
         assert!(
             splits.windows(2).all(|w| w[0] < w[1]),
             "split keys must be strictly increasing"
@@ -272,17 +251,15 @@ impl ShardMap {
 
     /// Reassemble a map from decoded wire parts without re-signing.
     /// Returns `None` when the splits violate the structural invariants
-    /// [`ShardMap::create`] asserts, or when the claimed epoch is the
-    /// reserved [`UNSHARDED_EPOCH`] sentinel (an epoch-0 map would collide
-    /// with the tag unsharded artifacts carry, letting a single-server
-    /// summary stream vouch for a sharded answer) — wire decoders must
-    /// reject malformed partitions with a typed error, never panic on
-    /// attacker bytes. The signature is *not* checked here;
-    /// [`ShardMap::verify`] stays the verifier's job.
+    /// [`ShardMap::create`] asserts, or when the claimed epoch precedes
+    /// [`GENESIS_EPOCH`] (epochs start there; the DA never signs an epoch-0
+    /// map) — wire decoders must reject malformed partitions with a typed
+    /// error, never panic on attacker bytes. The signature is *not* checked
+    /// here; [`ShardMap::verify`] stays the verifier's job.
     pub fn from_parts(epoch: u64, splits: Vec<i64>, signature: Signature) -> Option<Self> {
         let sorted = splits.iter().zip(splits.iter().skip(1)).all(|(a, b)| a < b);
         let fenced = splits.iter().all(|&s| s > i64::MIN + 1 && s < i64::MAX);
-        if epoch != UNSHARDED_EPOCH && sorted && fenced {
+        if epoch >= GENESIS_EPOCH && sorted && fenced {
             Some(ShardMap {
                 epoch,
                 splits,
@@ -664,10 +641,12 @@ pub struct Rebalance {
     pub checkpoint: EpochCheckpoint,
 }
 
-/// The DA side of a sharded deployment: one trusted signer, one certified
-/// [`ShardMap`], and one scoped [`DataAggregator`] per shard sharing the
-/// key. Updates are routed by key; a key change that crosses a seam becomes
-/// a delete in the old shard plus an insert in the new one.
+/// The DA side of a deployment — the only thing that mints one: one trusted
+/// signer, one certified [`ShardMap`], and one scoped [`DataAggregator`]
+/// engine per shard sharing the key. Zero splits is the paper's single
+/// relation image: one shard at [`GENESIS_EPOCH`], fenced at ±∞. Updates
+/// are routed by key; a key change that crosses a seam becomes a delete in
+/// the old shard plus an insert in the new one.
 pub struct ShardedAggregator {
     map: ShardMap,
     shards: Vec<DataAggregator>,
@@ -677,7 +656,7 @@ pub struct ShardedAggregator {
 }
 
 impl ShardedAggregator {
-    /// Create a sharded DA with a fresh keypair.
+    /// Create a DA with a fresh keypair.
     pub fn new(cfg: DaConfig, splits: Vec<i64>, rng: &mut impl rand::Rng) -> Self {
         let keypair = Keypair::generate(cfg.scheme, rng);
         Self::with_keypair(cfg, splits, keypair)
@@ -687,9 +666,7 @@ impl ShardedAggregator {
     pub fn with_keypair(cfg: DaConfig, splits: Vec<i64>, keypair: Keypair) -> Self {
         let map = ShardMap::create(&keypair, splits);
         let shards = (0..map.shard_count())
-            .map(|i| {
-                DataAggregator::with_keypair_scoped(cfg.clone(), keypair.clone(), map.scope(i))
-            })
+            .map(|i| DataAggregator::new(cfg.clone(), keypair.clone(), map.scope(i)))
             .collect();
         ShardedAggregator {
             map,
@@ -734,11 +711,11 @@ impl ShardedAggregator {
         self.shards[0].config()
     }
 
-    /// The sharded replica this aggregator's bootstrap output fits: built
-    /// under its public parameters, `schema`, `mode` and current map,
-    /// exactly as [`ShardedQueryServer::from_bootstraps`] builds it. Pool,
-    /// fill and caches come from `opts` ([`QsOptions::default`] unless a
-    /// deployment deviates), not from the [`DaConfig`].
+    /// The replica this aggregator's bootstrap output fits: built under its
+    /// public parameters, `schema`, `mode` and current map, exactly as
+    /// [`ShardedQueryServer::from_bootstraps`] builds it. Pool, fill and
+    /// caches come from `opts` ([`QsOptions::default`] unless a deployment
+    /// deviates) — the [`DaConfig`]'s pool and fill are the DA's own.
     pub fn replica(&self, boots: &[Bootstrap], opts: &QsOptions) -> ShardedQueryServer {
         ShardedQueryServer::from_bootstraps(
             self.public_params(),
@@ -752,7 +729,8 @@ impl ShardedAggregator {
     /// The verifier a user of this deployment runs: its public parameters,
     /// `schema` and ρ.
     pub fn verifier(&self) -> Verifier {
-        self.shards[0].verifier()
+        let cfg = self.config();
+        Verifier::new(self.public_params(), cfg.schema, cfg.rho)
     }
 
     /// A client view pinned to this aggregator's current map — the genesis
@@ -781,6 +759,12 @@ impl ShardedAggregator {
     /// Total live records across shards.
     pub fn live_records(&self) -> u64 {
         self.shards.iter().map(|s| s.live_records()).sum()
+    }
+
+    /// Sign an arbitrary message with the DA's key (partition filter
+    /// certifications, Section 3.5).
+    pub fn sign_raw(&self, msg: &[u8]) -> Signature {
+        self.keypair.sign(msg)
     }
 
     /// Load and certify the initial database, routing each row to the
@@ -857,6 +841,32 @@ impl ShardedAggregator {
             }
         }
         out
+    }
+
+    /// Close every shard's period unconditionally and publish its summary
+    /// (see [`DataAggregator::force_publish_summary`]).
+    pub fn force_publish_summaries(&mut self) -> Vec<(usize, UpdateSummary, Vec<UpdateMsg>)> {
+        let shards = self.shards.iter_mut().enumerate();
+        shards
+            .map(|(i, shard)| {
+                let (s, recerts) = shard.force_publish_summary();
+                (i, s, recerts)
+            })
+            .collect()
+    }
+
+    /// Run every shard's background renewal scan over up to `budget`
+    /// records (see [`DataAggregator::background_renewal`]).
+    pub fn background_renewal(&mut self, budget: usize) -> Vec<(usize, UpdateMsg)> {
+        let shards = self.shards.iter_mut().enumerate();
+        shards
+            .flat_map(|(i, shard)| {
+                shard
+                    .background_renewal(budget)
+                    .into_iter()
+                    .map(move |m| (i, m))
+            })
+            .collect()
     }
 
     /// Re-partition the deployment: certify the epoch-N+1 map, rebuild the
@@ -965,7 +975,7 @@ impl ShardedAggregator {
         now: Tick,
         jobs: usize,
     ) -> (DataAggregator, ShardHandoff) {
-        let mut da = DataAggregator::with_keypair_scoped(cfg.clone(), self.keypair.clone(), scope);
+        let mut da = DataAggregator::new(cfg.clone(), self.keypair.clone(), scope);
         da.advance_clock(now);
         let (boot, baseline) = da.handoff_bootstrap(rows, mark_width, jobs);
         let handoff = ShardHandoff {
@@ -1039,9 +1049,9 @@ struct EpochSnapshot {
     shards: Vec<Arc<ShardSlot>>,
 }
 
-/// The untrusted side of a sharded deployment: one scoped [`QueryServer`]
-/// per shard plus the certified map, fanning range selections out to every
-/// overlapping shard. A live server crosses epoch transitions in place:
+/// The untrusted side of a deployment — the only server: one scoped
+/// [`QueryServer`] engine per shard plus the certified map, fanning range
+/// selections out to every overlapping shard. A live server crosses epoch transitions in place:
 /// [`ShardedQueryServer::apply_rebalance`] swaps in the handed-off shard
 /// replicas and re-tagged freshness artifacts without a restart.
 ///
@@ -1084,8 +1094,8 @@ pub struct ShardedQueryServer {
 
 impl ShardedQueryServer {
     /// Build the per-shard replicas from the per-shard bootstraps (as
-    /// returned by [`ShardedAggregator::bootstrap`]). `opts.scope` is
-    /// overridden per shard from the map.
+    /// returned by [`ShardedAggregator::bootstrap`]); each shard's scope
+    /// comes from the map.
     ///
     /// # Panics
     /// Panics if `boots` does not hold one bootstrap per shard.
@@ -1106,10 +1116,8 @@ impl ShardedQueryServer {
                     cfg.schema,
                     cfg.mode,
                     boot,
-                    QsOptions {
-                        scope: map.scope(i),
-                        ..opts.clone()
-                    },
+                    map.scope(i),
+                    opts,
                 ))
             })
             .collect();
@@ -1282,10 +1290,8 @@ impl ShardedQueryServer {
                 self.schema,
                 self.mode,
                 &boot,
-                QsOptions {
-                    scope: rb.new_map.scope(h.shard),
-                    ..self.opts.clone()
-                },
+                rb.new_map.scope(h.shard),
+                &self.opts,
             );
             qs.add_summary(h.baseline.clone());
             // The successor's pages are freshly written, so the donor's
@@ -1387,8 +1393,8 @@ impl ShardedQueryServer {
             .collect()
     }
 
-    /// Answer a projection. Only a single-shard deployment can serve one —
-    /// the verifier has no cross-shard projection stitching yet — so a
+    /// Answer a projection. Only a one-shard deployment can serve one — the
+    /// verifier has no cross-shard projection stitching yet — so a
     /// multi-shard fan-out refuses with [`QueryError::Unsupported`] instead
     /// of inventing an unverifiable answer shape.
     pub fn project(

@@ -34,8 +34,10 @@
 //! | [`VerifyError::VacancyIndeterminate`] | withholding the summaries that would expose a stale vacancy claim |
 //! | [`VerifyError::MalformedRecord`] | a wire-decoded record or projected row whose shape disagrees with the schema (wrong attribute arity, out-of-schema attribute index) — reachable only through the network path, where the decoder cannot know the schema |
 //!
-//! Sharded deployments ([`crate::shard`]) add cross-shard attack surface;
-//! [`Verifier::verify_sharded_selection`] extends the table:
+//! Every selection arrives as a fan-out over the DA-certified partition
+//! ([`crate::shard`]; one part for a one-shard deployment), and the fan-out
+//! is attack surface of its own. [`Verifier::verify_sharded_selection`]
+//! extends the table:
 //!
 //! | error | rejected attack |
 //! |---|---|
@@ -87,9 +89,8 @@
 //! | [`VerifyError::UnexpectedShardAnswer`] | an answer attached for a shard the client says it could not reach (stale transport evidence must not launder parts into the fold) |
 //!
 //! The conformance suites in [`crate::adversary`] exercise every row of
-//! all three tables against a [`crate::adversary::MaliciousServer`] /
-//! [`crate::adversary::MaliciousShardedServer`] (plus the rebalancing
-//! scenarios of [`crate::adversary::RebalanceTamper`]).
+//! all three tables against a [`crate::adversary::MaliciousServer`] (plus
+//! the rebalancing scenarios of [`crate::adversary::RebalanceTamper`]).
 //!
 //! Four disciplines here are machine-enforced by `authdb-lint` (rule
 //! reference in `crates/lint/src/lib.rs`): the claim pipeline is
@@ -103,8 +104,18 @@
 //!
 //! # Three phases, one signature check
 //!
-//! Every `verify_*` entry point runs the same pipeline, in this order:
+//! There is one deployment shape — a certified map of one or more shards —
+//! and one selection pipeline: an internal stitcher takes N fan-outs, each
+//! with the shards the caller could not reach, and
+//! [`Verifier::verify_sharded_selection`] (N = 1),
+//! [`Verifier::verify_partial_selection`] (N = 1, something unreachable) and
+//! [`Verifier::verify_sharded_batch`] (N > 1) are its three forms. No entry
+//! point takes a bare per-shard tile: a part is only ever judged inside a
+//! fan-out, under the client's pinned [`EpochView`]. Projections and joins
+//! run the same phases over their own answer shapes. In order:
 //!
+//! 0. **Epoch gate** — the answer's map must be the pinned one, by epoch
+//!    and content hash.
 //! 1. **Structural** — everything decidable from the answer's shape alone
 //!    (range, order, boundary and seam keys, fan-out shape, domain tags,
 //!    schema fit). Alongside, every signature the answer asks the client to
@@ -113,7 +124,7 @@
 //!    aggregate, gap proof or vacancy proof — with the message it must
 //!    cover. Nothing is believed yet and nothing compressed is opened.
 //! 2. **One fold over every signature** — all claims of all parts (and of
-//!    all answers, for [`Verifier::verify_selection_batch`]) go into a
+//!    all answers, for [`Verifier::verify_sharded_batch`]) go into a
 //!    single [`PublicParams::verify_aggregate_batch`] call. Under BAS they
 //!    are all signatures under the one DA key, so an honest answer costs one
 //!    two-term multi-Miller loop and one final exponentiation however many
@@ -143,19 +154,19 @@
 //! `cᵢ`; if any claim is invalid it passes for at most a 2⁻¹²⁸ fraction of
 //! coefficient choices, *provided the coefficients are fixed only after the
 //! server has committed to every claim*. The entry points that take an
-//! `rng` ([`Verifier::verify_sharded_selection`],
+//! `rng` — the three selection forms ([`Verifier::verify_sharded_selection`],
 //! [`Verifier::verify_partial_selection`],
-//! [`Verifier::verify_selection_batch`]) draw them from it after the answer
-//! has arrived; the caller owes an `rng` the server cannot predict.
-//! [`Verifier::verify_selection`] and [`Verifier::verify_projection`] have
+//! [`Verifier::verify_sharded_batch`]) and, for its R side,
+//! [`verify_join`](crate::join::verify_join) — draw them from it after the
+//! answer has arrived; the caller owes an `rng` the server cannot predict.
+//! [`Verifier::verify_projection`] and [`EpochView::from_bootstrap`] have
 //! no `rng` and derive them from the claims themselves: SHA-256 over the
 //! complete transcript — every message and every signature of every claim,
 //! length-framed, in fold order — seeds a SHA-256 counter stream. Changing
 //! any byte of any claim re-draws every coefficient, so in the random-oracle
 //! model a server cannot choose a claim as a function of its coefficient;
-//! each transcript it tries offline succeeds with probability ≤ 2⁻¹²⁸. The
-//! verifier stays a stateless function of (answer, clock): no cache, no
-//! seed, and the same answer always gets the same verdict.
+//! each transcript it tries offline succeeds with probability ≤ 2⁻¹²⁸. Either
+//! way the verifier keeps no state between answers: no cache, no seed.
 //!
 //! Construct one [`Verifier`] and reuse it across queries; its
 //! [`PublicParams`] carry the DA key's precomputed pairing lines, shared by
@@ -172,7 +183,7 @@ use crate::freshness::{
 use crate::qs::{ProjectionAnswer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{
-    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardScope, ShardedSelectionAnswer,
+    EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardedSelectionAnswer,
     GENESIS_EPOCH,
 };
 
@@ -363,7 +374,7 @@ impl TileStatus {
 /// which sub-ranges it must re-query once the endpoint recovers). A verdict
 /// with every tile certified is equivalent to a successful
 /// [`Verifier::verify_sharded_selection`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartialVerdict {
     /// One status per overlapping shard, in shard order — together the
     /// sub-ranges tile `[lo, hi]`.
@@ -389,7 +400,7 @@ impl PartialVerdict {
 }
 
 /// A successful verification's freshness outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Upper bound on any record's staleness, in ticks (< ρ normally,
     /// < 2ρ for records re-certified under the multiple-update rule).
@@ -685,10 +696,11 @@ impl Verifier {
         }
     }
 
-    /// Phase 1 for one selection answer: every structural check, plus the
-    /// signed claims and the freshness subject the later phases need — the
-    /// single shared pipeline behind the non-empty, gap-proof and
-    /// empty-table paths of every selection entry point. Believes no
+    /// Phase 1 for one shard's tile `lo <= Aind <= hi` (never inverted: the
+    /// stitcher derives tiles from the pinned map, and an inverted query has
+    /// none): every structural check, plus the signed claims and the
+    /// freshness subject the later phases need — the single shared pipeline
+    /// behind the non-empty, gap-proof and empty-table paths. Believes no
     /// signature and opens no bitmap.
     fn analyze_selection<'a>(
         &self,
@@ -697,30 +709,6 @@ impl Verifier {
         ans: &'a SelectionAnswer,
         check_fresh: bool,
     ) -> Result<Analyzed<'a>, VerifyError> {
-        // An inverted range matches no key by definition: the only honest
-        // answer is empty with the identity aggregate, and nothing — not
-        // even a gap or vacancy proof — needs to be certified for it. A
-        // server that returns records for an inverted range is cheating
-        // (every record's key violates lo <= k <= hi), and attached
-        // gap/vacancy claims or summaries are rejected rather than
-        // silently skipped: nothing on this path is ever
-        // signature-checked, so accepting any artifact would let forged
-        // ones ride along on a verified answer.
-        if lo > hi {
-            if let Some(r) = ans.records.first() {
-                return Err(VerifyError::RecordOutOfRange { rid: r.rid });
-            }
-            if ans.gap.is_some() || ans.vacancy.is_some() {
-                return Err(VerifyError::BadGapProof);
-            }
-            if let Some(s) = ans.summaries.first() {
-                return Err(VerifyError::BadSummarySignature { seq: s.seq });
-            }
-            if ans.checkpoint.is_some() {
-                return Err(VerifyError::BadCheckpoint);
-            }
-            return Ok(Analyzed::new(Vec::new(), &ans.agg, None, 0));
-        }
         // Boundary keys must bracket the range.
         if !(ans.left_key < lo || ans.left_key == KEY_NEG_INF) {
             return Err(VerifyError::BadBoundary);
@@ -889,70 +877,8 @@ impl Verifier {
         })
     }
 
-    /// Phases 2 and 3 for an answer verified on its own through an entry
-    /// point without an `rng`: the fold's coefficients come from the claim
-    /// transcript (module docs, *Fold coefficients*).
-    fn settle_alone(&self, part: Analyzed<'_>, now: Tick) -> Result<VerifyReport, VerifyError> {
-        let parts = std::slice::from_ref(&part);
-        self.fold_claims(parts, &mut transcript_rng(parts))
-            .map_err(|f| f.error)?;
-        self.vouched_report(&part, now)
-    }
-
-    /// Verify a range-selection answer for the query `lo <= Aind <= hi` at
-    /// local time `now`. `check_fresh` disabled skips the summary phase
-    /// (used by experiments isolating authenticity costs).
-    pub fn verify_selection(
-        &self,
-        lo: i64,
-        hi: i64,
-        ans: &SelectionAnswer,
-        now: Tick,
-        check_fresh: bool,
-    ) -> Result<VerifyReport, VerifyError> {
-        let part = self.analyze_selection(lo, hi, ans, check_fresh)?;
-        self.settle_alone(part, now)
-    }
-
-    /// Verify many selection answers at once, amortizing the pairing cost:
-    /// every signature of every answer — chained aggregates, gap proofs,
-    /// vacancy proofs, summaries and checkpoints — folds into one
-    /// random-linear-combination multi-pairing (BAS; other schemes verify
-    /// per claim), with coefficient randomness drawn from `rng`. On a
-    /// batch-level signature mismatch each claim is re-checked individually
-    /// to localize the cheat.
-    ///
-    /// # Panics
-    /// Panics if `queries` and `answers` differ in length.
-    pub fn verify_selection_batch(
-        &self,
-        queries: &[(i64, i64)],
-        answers: &[SelectionAnswer],
-        now: Tick,
-        check_fresh: bool,
-        rng: &mut impl rand::Rng,
-    ) -> Result<Vec<VerifyReport>, BatchFailure> {
-        assert_eq!(queries.len(), answers.len(), "one query per answer");
-        let mut parts = Vec::with_capacity(answers.len());
-        for (index, (&(lo, hi), ans)) in queries.iter().zip(answers).enumerate() {
-            match self.analyze_selection(lo, hi, ans, check_fresh) {
-                Ok(part) => parts.push(part),
-                Err(error) => return Err(BatchFailure { index, error }),
-            }
-        }
-        self.fold_claims(&parts, rng)?;
-        parts
-            .iter()
-            .enumerate()
-            .map(|(index, part)| {
-                self.vouched_report(part, now)
-                    .map_err(|error| BatchFailure { index, error })
-            })
-            .collect()
-    }
-
-    /// Verify a sharded selection answer (see [`crate::shard`]) for the
-    /// query `lo <= Aind <= hi` by stitching the per-shard proofs:
+    /// Verify a selection answer (see [`crate::shard`]) for the query
+    /// `lo <= Aind <= hi` by stitching the per-shard proofs:
     ///
     /// 1. the epoch gate — the answer's map must be *exactly* the
     ///    partition the client's [`EpochView`] pins (same epoch, same
@@ -960,18 +886,22 @@ impl Verifier {
     ///    a superseded certified epoch;
     /// 2. the fan-out shape — exactly one answer per overlapping shard, for
     ///    the sub-range the *pinned* map assigns it (the sub-ranges tile
-    ///    `[lo, hi]`, so seams cannot swallow records);
+    ///    `[lo, hi]`, so seams cannot swallow records; an inverted range has
+    ///    no tile, so its only honest answer is the empty fan-out);
     /// 3. per-shard seam and domain checks — boundary keys must stay
     ///    within the shard's fences, and summaries/vacancy proofs must
     ///    carry the answering shard's `(epoch, shard)` tag;
-    /// 4. every per-shard structural pipeline
-    ///    ([`Verifier::verify_selection`]'s checks against the sub-range);
+    /// 4. every per-shard structural pipeline (range, order, boundaries,
+    ///    gap/vacancy shape, schema fit) against its sub-range;
     /// 5. one random-linear-combination fold of every signature in the
     ///    fan-out — per-shard aggregates, summaries and checkpoints alike —
     ///    a single multi-Miller loop regardless of shard count or summary
     ///    run length, with per-claim fallback localization on mismatch;
     /// 6. every per-shard freshness pass, over the summaries the fold
-    ///    vouched for.
+    ///    vouched for (`check_fresh` disabled skips the summary phase, for
+    ///    experiments isolating authenticity costs).
+    ///
+    /// This is the stitcher's one-answer, nothing-unreachable form.
     #[allow(clippy::too_many_arguments)]
     pub fn verify_sharded_selection(
         &self,
@@ -983,12 +913,13 @@ impl Verifier {
         check_fresh: bool,
         rng: &mut impl rand::Rng,
     ) -> Result<VerifyReport, VerifyError> {
-        let verdict = self.stitch_sharded(lo, hi, ans, &[], view, now, check_fresh, rng)?;
+        let verdict =
+            self.verify_partial_selection(lo, hi, ans, &[], view, now, check_fresh, rng)?;
         debug_assert!(verdict.is_complete(), "no unreachable set => complete");
         Ok(verdict.report)
     }
 
-    /// Verify a **partial** sharded answer: the degraded-mode companion to
+    /// Verify a **partial** answer: the degraded-mode companion to
     /// [`Verifier::verify_sharded_selection`] for deployments where each
     /// shard is queried at its own endpoint and some endpoints may be down.
     ///
@@ -1028,22 +959,110 @@ impl Verifier {
         check_fresh: bool,
         rng: &mut impl rand::Rng,
     ) -> Result<PartialVerdict, VerifyError> {
-        self.stitch_sharded(lo, hi, ans, unreachable, view, now, check_fresh, rng)
+        let verdicts = self
+            .stitch(&[(lo, hi, ans, unreachable)], view, now, check_fresh, rng)
+            .map_err(|f| f.error)?;
+        // One verdict per input.
+        Ok(verdicts.into_iter().next().unwrap_or_default())
     }
 
-    /// The shared sharded stitcher behind the complete and partial paths.
-    #[allow(clippy::too_many_arguments)]
-    fn stitch_sharded(
+    /// Verify many answers at once, amortizing the pairing cost: every
+    /// signature of every part of every answer — chained aggregates, gap
+    /// proofs, vacancy proofs, summaries and checkpoints — folds into **one**
+    /// random-linear-combination multi-pairing (BAS; other schemes verify
+    /// per claim), with coefficient randomness drawn from `rng`. Each entry
+    /// of `batch` pairs a query `(lo, hi)` with the answer to it; each
+    /// answer passes the same epoch gate and structural pipeline as in
+    /// [`Verifier::verify_sharded_selection`]. A failure — structural, a
+    /// signature localized claim by claim after a failed fold, or freshness
+    /// — names the index of the entry holding it.
+    pub fn verify_sharded_batch(
         &self,
-        lo: i64,
-        hi: i64,
-        ans: &ShardedSelectionAnswer,
-        unreachable: &[usize],
+        batch: &[(i64, i64, &ShardedSelectionAnswer)],
         view: &EpochView,
         now: Tick,
         check_fresh: bool,
         rng: &mut impl rand::Rng,
-    ) -> Result<PartialVerdict, VerifyError> {
+    ) -> Result<Vec<VerifyReport>, BatchFailure> {
+        let none_unreachable: &[usize] = &[];
+        let fanouts: Vec<Fanout<'_>> = batch
+            .iter()
+            .map(|&(lo, hi, ans)| (lo, hi, ans, none_unreachable))
+            .collect();
+        let verdicts = self.stitch(&fanouts, view, now, check_fresh, rng)?;
+        Ok(verdicts.into_iter().map(|v| v.report).collect())
+    }
+
+    /// The one stitcher behind every selection entry point: each input
+    /// through the epoch gate and the structural phase, then **one** fold
+    /// over every claim of every part of every input, then each input's
+    /// freshness pass. One verdict per input, in input order; a failure
+    /// names the input holding it.
+    fn stitch(
+        &self,
+        inputs: &[Fanout<'_>],
+        view: &EpochView,
+        now: Tick,
+        check_fresh: bool,
+        rng: &mut impl rand::Rng,
+    ) -> Result<Vec<PartialVerdict>, BatchFailure> {
+        let mut parts = Vec::new();
+        let mut verdicts = Vec::with_capacity(inputs.len());
+        for (index, input) in inputs.iter().enumerate() {
+            let tiles = self
+                .gate_and_analyze(input, view, check_fresh, &mut parts)
+                .map_err(|error| BatchFailure { index, error })?;
+            verdicts.push(PartialVerdict {
+                tiles,
+                report: VerifyReport::default(),
+            });
+        }
+        // Input `i` owns as many consecutive `parts` as it has certified
+        // tiles.
+        let owned = |v: &PartialVerdict| v.tiles.iter().filter(|t| t.is_certified()).count();
+        self.fold_claims(&parts, rng).map_err(|f| {
+            let mut end = 0;
+            let index = verdicts
+                .iter()
+                .position(|v| {
+                    end += owned(v);
+                    f.index < end
+                })
+                .unwrap_or(0);
+            BatchFailure {
+                index,
+                error: f.error,
+            }
+        })?;
+        let mut rest = parts.as_slice();
+        for (index, verdict) in verdicts.iter_mut().enumerate() {
+            let n = owned(verdict).min(rest.len());
+            let (mine, tail) = rest.split_at(n);
+            rest = tail;
+            for part in mine {
+                let r = self
+                    .vouched_report(part, now)
+                    .map_err(|error| BatchFailure { index, error })?;
+                let report = &mut verdict.report;
+                report.max_staleness = report.max_staleness.max(r.max_staleness);
+                report.records += r.records;
+                report.sig_claims += r.sig_claims;
+            }
+        }
+        Ok(verdicts)
+    }
+
+    /// Phase 1 for one input: the epoch gate, the fan-out shape, and each
+    /// attached part's domain, seam and structural checks. Pushes one
+    /// [`Analyzed`] per attached part onto `parts` and returns the input's
+    /// tiles (one [`TileStatus::Certified`] per part pushed, in order).
+    fn gate_and_analyze<'a>(
+        &self,
+        &(lo, hi, ans, unreachable): &Fanout<'a>,
+        view: &EpochView,
+        check_fresh: bool,
+        parts: &mut Vec<Analyzed<'a>>,
+    ) -> Result<Vec<TileStatus>, VerifyError> {
         // The epoch gate. Hash equality against the pinned view subsumes
         // the per-answer map signature check: the pinned hash descends
         // from a verified genesis through signed transitions, so byte
@@ -1060,7 +1079,8 @@ impl Verifier {
         let expected = ans.map.overlapping(lo, hi);
         // No alien or duplicate parts: every answer must be for a distinct
         // shard the query actually overlaps — and not one the caller's own
-        // transport evidence says it never heard from.
+        // transport evidence says it never heard from. An inverted range
+        // overlaps no shard, so any part attached to it lands here.
         let mut claimed = vec![false; ans.map.shard_count()];
         for p in &ans.parts {
             let alien = p.shard >= ans.map.shard_count()
@@ -1074,7 +1094,6 @@ impl Verifier {
                 *slot = true;
             }
         }
-        let mut parts = Vec::with_capacity(expected.len());
         let mut tiles = Vec::with_capacity(expected.len());
         for &(shard, (sub_lo, sub_hi)) in &expected {
             let Some(part) = ans.parts.iter().find(|p| p.shard == shard) else {
@@ -1098,13 +1117,17 @@ impl Verifier {
             // another epoch's) genuinely-signed summaries say nothing
             // about this shard's rids under the pinned partition.
             domain_bound(
-                &scope,
+                scope.epoch,
                 shard,
                 a.summaries.iter().map(|s| (s.epoch, s.shard)),
             )?;
-            domain_bound(&scope, shard, a.vacancy.iter().map(|v| (v.epoch, v.shard)))?;
             domain_bound(
-                &scope,
+                scope.epoch,
+                shard,
+                a.vacancy.iter().map(|v| (v.epoch, v.shard)),
+            )?;
+            domain_bound(
+                scope.epoch,
                 shard,
                 a.checkpoint.iter().map(|c| (c.epoch, c.shard)),
             )?;
@@ -1123,33 +1146,40 @@ impl Verifier {
             });
             parts.push(analyzed);
         }
-        self.fold_claims(&parts, rng).map_err(|f| f.error)?;
-        let mut report = VerifyReport {
-            max_staleness: 0,
-            records: 0,
-            sig_claims: 0,
-        };
-        for part in &parts {
-            let r = self.vouched_report(part, now)?;
-            report.max_staleness = report.max_staleness.max(r.max_staleness);
-            report.records += r.records;
-            report.sig_claims += r.sig_claims;
-        }
-        Ok(PartialVerdict { tiles, report })
+        Ok(tiles)
     }
 
     /// Verify a projection answer (Section 3.4): every `(rid, attr, value,
     /// ts)` quadruple must match the single aggregate, which also pins each
     /// value to its record and attribute position. Freshness runs through
-    /// the same three phases as selections: the aggregate and the attached
-    /// summaries share one fold, then each row's `(rid, ts)` is checked
-    /// against the vouched summaries at local time `now`.
+    /// the same three phases as selections: the aggregate, the attached
+    /// summaries and the checkpoint anchoring them share one fold, then each
+    /// row's `(rid, ts)` is checked against the vouched artifacts at local
+    /// time `now`.
+    ///
+    /// A projection is served by a one-shard deployment only, so its
+    /// freshness artifacts must carry shard 0's tag in the epoch `view`
+    /// pins — another epoch's or another shard's genuinely signed stream
+    /// vouches for nothing here ([`VerifyError::EpochMismatch`] /
+    /// [`VerifyError::ShardMismatch`]). The fold's coefficients come from
+    /// the claim transcript (module docs, *Fold coefficients*).
     pub fn verify_projection(
         &self,
         ans: &ProjectionAnswer,
+        view: &EpochView,
         now: Tick,
         check_fresh: bool,
     ) -> Result<VerifyReport, VerifyError> {
+        domain_bound(
+            view.epoch(),
+            0,
+            ans.summaries.iter().map(|s| (s.epoch, s.shard)),
+        )?;
+        domain_bound(
+            view.epoch(),
+            0,
+            ans.checkpoint.iter().map(|c| (c.epoch, c.shard)),
+        )?;
         let mut messages = Vec::new();
         for row in &ans.rows {
             for &(idx, value) in &row.values {
@@ -1175,14 +1205,19 @@ impl Verifier {
         let fresh = check_fresh.then(|| FreshPlan {
             subject: Subject::Versions(ans.rows.iter().map(|r| (r.rid, r.ts)).collect()),
             summaries: &ans.summaries,
-            ckpt: None,
+            ckpt: ans.checkpoint.as_ref(),
         });
-        self.settle_alone(
-            Analyzed::new(messages, &ans.agg, fresh, ans.rows.len()),
-            now,
-        )
+        let part = Analyzed::new(messages, &ans.agg, fresh, ans.rows.len());
+        let parts = std::slice::from_ref(&part);
+        self.fold_claims(parts, &mut transcript_rng(parts))
+            .map_err(|f| f.error)?;
+        self.vouched_report(&part, now)
     }
 }
+
+/// The stitcher's input: a query `(lo, hi)`, the fan-out answering it, and
+/// the shards the caller's own transport attempts failed to reach.
+type Fanout<'a> = (i64, i64, &'a ShardedSelectionAnswer, &'a [usize]);
 
 /// Which signed artifact a claim vouches for: names the typed error when the
 /// fold's fallback localizes a failure to it.
@@ -1395,17 +1430,18 @@ fn seam_or_indeterminate(
 }
 
 /// The `(epoch, shard)` tags of one group of a part's freshness artifacts
-/// must all be `scope`'s own; a foreign epoch anywhere in the group
-/// outranks a foreign shard.
+/// must all be `(epoch, shard)` — the answering shard's own tag under the
+/// pinned map; a foreign epoch anywhere in the group outranks a foreign
+/// shard.
 fn domain_bound(
-    scope: &ShardScope,
+    epoch: u64,
     shard: usize,
     tags: impl Iterator<Item = (u64, u64)> + Clone,
 ) -> Result<(), VerifyError> {
-    if tags.clone().any(|(epoch, _)| epoch != scope.epoch) {
+    if tags.clone().any(|(e, _)| e != epoch) {
         return Err(VerifyError::EpochMismatch { shard });
     }
-    if tags.into_iter().any(|(_, tag)| tag != scope.shard) {
+    if tags.into_iter().any(|(_, tag)| tag != shard as u64) {
         return Err(VerifyError::ShardMismatch { shard });
     }
     Ok(())
@@ -1414,129 +1450,193 @@ fn domain_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::{DaConfig, DataAggregator, SigningMode};
-    use crate::qs::QueryServer;
+    use crate::da::{DaConfig, SigningMode};
+    use crate::qs::{QsOptions, SelectionAnswer};
+    use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn cfg(mode: SigningMode) -> DaConfig {
-        DaConfig {
+    /// The one fixture: `n` records with keys `i·10` partitioned at
+    /// `splits`, with the DA's honest replica, verifier and genesis view.
+    fn deployment(
+        scheme: SchemeKind,
+        mode: SigningMode,
+        splits: Vec<i64>,
+        n: i64,
+    ) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
+        let mut rng = StdRng::seed_from_u64(21);
+        let cfg = DaConfig {
+            scheme,
             mode,
             ..DaConfig::small()
-        }
+        };
+        let mut sa = ShardedAggregator::new(cfg, splits, &mut rng);
+        let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
+        let sqs = sa.replica(&boots, &QsOptions::default());
+        let (v, view) = (sa.verifier(), sa.epoch_view());
+        (sa, sqs, v, view)
     }
 
-    fn system(n: i64, mode: SigningMode) -> (DataAggregator, QueryServer, Verifier) {
+    /// A one-shard deployment and its client.
+    struct System {
+        sa: ShardedAggregator,
+        sqs: ShardedQueryServer,
+        v: Verifier,
+        view: EpochView,
+    }
+
+    fn system(n: i64, mode: SigningMode) -> System {
         system_under(SchemeKind::Mock, n, mode)
     }
 
-    fn system_under(
-        scheme: SchemeKind,
-        n: i64,
-        mode: SigningMode,
-    ) -> (DataAggregator, QueryServer, Verifier) {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut da = DataAggregator::new(
-            DaConfig {
-                scheme,
-                ..cfg(mode)
-            },
-            &mut rng,
-        );
-        let boot = da.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let qs = da.replica(&boot);
-        let v = da.verifier();
-        (da, qs, v)
+    fn system_under(scheme: SchemeKind, n: i64, mode: SigningMode) -> System {
+        let (sa, sqs, v, view) = deployment(scheme, mode, vec![], n);
+        System { sa, sqs, v, view }
+    }
+
+    impl System {
+        fn select(&self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
+            self.sqs.select_range(lo, hi).unwrap()
+        }
+
+        fn verify(
+            &self,
+            lo: i64,
+            hi: i64,
+            ans: &ShardedSelectionAnswer,
+            now: Tick,
+        ) -> Result<VerifyReport, VerifyError> {
+            let mut rng = StdRng::seed_from_u64(22);
+            self.v
+                .verify_sharded_selection(lo, hi, ans, &self.view, now, true, &mut rng)
+        }
+
+        fn verify_projection(
+            &self,
+            ans: &ProjectionAnswer,
+            now: Tick,
+        ) -> Result<VerifyReport, VerifyError> {
+            self.v.verify_projection(ans, &self.view, now, true)
+        }
+
+        /// Advance the clock and forward whatever summaries fall due.
+        fn tick(&mut self, dt: Tick) {
+            self.sa.advance_clock(dt);
+            self.sqs.ingest(self.sa.maybe_publish_summaries());
+        }
+
+        fn update(&mut self, rid: u64, attrs: Vec<i64>) {
+            self.sqs.apply_all(&self.sa.update_record(0, rid, attrs).1);
+        }
+
+        fn insert(&mut self, attrs: Vec<i64>) {
+            let (shard, msgs) = self.sa.insert(attrs);
+            for m in &msgs {
+                self.sqs.apply(shard, m);
+            }
+        }
+
+        /// Compact all but the newest `keep` summaries on both sides.
+        fn checkpoint(&mut self, keep: usize) -> SummaryCheckpoint {
+            let ckpt = self
+                .sa
+                .checkpoint_shard_summaries(0, keep)
+                .expect("compactable");
+            self.sqs.apply_checkpoint(0, ckpt.clone());
+            ckpt
+        }
+
+        /// The published summaries a client fetches independently.
+        fn summaries(&self) -> Vec<Arc<UpdateSummary>> {
+            self.sqs.with_shard(0, |qs| qs.summaries().to_vec())
+        }
+
+        fn now(&self) -> Tick {
+            self.sa.now()
+        }
+    }
+
+    /// The single part of a one-shard fan-out.
+    fn part(ans: &mut ShardedSelectionAnswer) -> &mut SelectionAnswer {
+        &mut ans.parts[0].answer
     }
 
     #[test]
     fn honest_selection_verifies() {
-        let (_, qs, v) = system(200, SigningMode::Chained);
-        let ans = qs.select_range(500, 700).unwrap();
-        let rep = v.verify_selection(500, 700, &ans, 0, true).expect("valid");
+        let s = system(200, SigningMode::Chained);
+        let ans = s.select(500, 700);
+        let rep = s.verify(500, 700, &ans, 0).expect("valid");
         assert_eq!(rep.records, 21);
     }
 
     #[test]
     fn tampered_value_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let mut ans = qs.select_range(100, 300).unwrap();
-        ans.records[2].attrs[1] = 666;
-        assert_eq!(
-            v.verify_selection(100, 300, &ans, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        let s = system(100, SigningMode::Chained);
+        let mut ans = s.select(100, 300);
+        part(&mut ans).records[2].attrs[1] = 666;
+        assert_eq!(s.verify(100, 300, &ans, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn dropped_record_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let mut ans = qs.select_range(100, 300).unwrap();
-        ans.records.remove(3); // break the chain
-        assert_eq!(
-            v.verify_selection(100, 300, &ans, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        let s = system(100, SigningMode::Chained);
+        let mut ans = s.select(100, 300);
+        part(&mut ans).records.remove(3); // break the chain
+        assert_eq!(s.verify(100, 300, &ans, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn truncated_tail_with_forged_boundary_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let mut ans = qs.select_range(100, 300).unwrap();
+        let s = system(100, SigningMode::Chained);
+        let mut ans = s.select(100, 300);
         // Server drops the tail and moves the right boundary inward.
-        ans.records.truncate(5);
-        ans.right_key = 150;
-        let r = v.verify_selection(100, 300, &ans, 0, true);
+        part(&mut ans).records.truncate(5);
+        part(&mut ans).right_key = 150;
         assert!(matches!(
-            r,
+            s.verify(100, 300, &ans, 0),
             Err(VerifyError::BadBoundary) | Err(VerifyError::BadAggregate)
         ));
     }
 
     #[test]
     fn out_of_range_record_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let extra = qs.select_range(400, 400).unwrap().records[0].clone();
-        let mut ans = qs.select_range(100, 300).unwrap();
-        ans.records.push(extra.clone());
+        let s = system(100, SigningMode::Chained);
+        let extra = part(&mut s.select(400, 400)).records[0].clone();
+        let mut ans = s.select(100, 300);
+        part(&mut ans).records.push(extra.clone());
         assert_eq!(
-            v.verify_selection(100, 300, &ans, 0, true),
+            s.verify(100, 300, &ans, 0),
             Err(VerifyError::RecordOutOfRange { rid: extra.rid })
         );
     }
 
     #[test]
     fn empty_answer_gap_proof_verifies() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let ans = qs.select_range(101, 109).unwrap();
-        let rep = v.verify_selection(101, 109, &ans, 0, true).expect("valid");
+        let s = system(100, SigningMode::Chained);
+        let ans = s.select(101, 109);
+        let rep = s.verify(101, 109, &ans, 0).expect("valid");
         assert_eq!(rep.records, 0);
     }
 
     #[test]
     fn forged_gap_proof_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let mut ans = qs.select_range(101, 109).unwrap();
+        let s = system(100, SigningMode::Chained);
+        let mut ans = s.select(101, 109);
         // Claim a wider gap than certified.
-        if let Some(g) = &mut ans.gap {
-            g.right_key = 10_000;
-        }
-        assert_eq!(
-            v.verify_selection(101, 109, &ans, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        part(&mut ans).gap.as_mut().unwrap().right_key = 10_000;
+        assert_eq!(s.verify(101, 109, &ans, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn gap_proof_not_bracketing_rejected() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let ans = qs.select_range(101, 109).unwrap();
+        let s = system(100, SigningMode::Chained);
+        let ans = s.select(101, 109);
         // Replay the same (valid) proof against a different range it does
         // not bracket: rejected via the boundary check or the gap check.
         assert!(matches!(
-            v.verify_selection(301, 309, &ans, 0, true),
+            s.verify(301, 309, &ans, 0),
             Err(VerifyError::BadBoundary) | Err(VerifyError::BadGapProof)
         ));
     }
@@ -1547,159 +1647,137 @@ mod tests {
         // artifact, so a forged one attached to an otherwise-honest answer
         // must be rejected, not delivered inside a verified result. (These
         // shapes are network-reachable: the wire codec accepts them.)
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let honest = qs.select_range(100, 300).unwrap();
-        assert!(v.verify_selection(100, 300, &honest, 0, true).is_ok());
+        let s = system(100, SigningMode::Chained);
+        let honest = s.select(100, 300);
+        assert!(s.verify(100, 300, &honest, 0).is_ok());
 
         let mut with_gap = honest.clone();
-        with_gap.gap = qs.select_range(2001, 2009).unwrap().gap;
-        assert!(with_gap.gap.is_some());
+        part(&mut with_gap).gap = part(&mut s.select(2001, 2009)).gap.clone();
+        assert!(part(&mut with_gap).gap.is_some());
         assert_eq!(
-            v.verify_selection(100, 300, &with_gap, 0, true),
+            s.verify(100, 300, &with_gap, 0),
             Err(VerifyError::BadGapProof)
         );
 
-        let mut with_vacancy = honest.clone();
-        with_vacancy.vacancy = Some(crate::freshness::EmptyTableProof {
-            epoch: 0,
+        // Tagged for this shard's own domain, so only the shape can object.
+        let forged_vacancy = Some(EmptyTableProof {
+            epoch: GENESIS_EPOCH,
             shard: 0,
             ts: 0,
-            signature: qs.public_params().identity(),
+            signature: s.v.public_params().identity(),
         });
+        let mut with_vacancy = honest.clone();
+        part(&mut with_vacancy).vacancy = forged_vacancy.clone();
         assert_eq!(
-            v.verify_selection(100, 300, &with_vacancy, 0, true),
+            s.verify(100, 300, &with_vacancy, 0),
             Err(VerifyError::BadGapProof)
         );
 
         // Same for a vacancy co-attached to a genuine gap-proof answer.
-        let mut gap_ans = qs.select_range(101, 109).unwrap();
-        assert!(gap_ans.gap.is_some());
-        gap_ans.vacancy = with_vacancy.vacancy.clone();
+        let mut gap_ans = s.select(101, 109);
+        assert!(part(&mut gap_ans).gap.is_some());
+        part(&mut gap_ans).vacancy = forged_vacancy;
         assert_eq!(
-            v.verify_selection(101, 109, &gap_ans, 0, true),
+            s.verify(101, 109, &gap_ans, 0),
             Err(VerifyError::BadGapProof)
         );
     }
 
     #[test]
     fn stale_record_detected_via_summaries() {
-        let (mut da, mut qs, v) = system(50, SigningMode::Chained);
+        let mut s = system(50, SigningMode::Chained);
         // Capture the answer before an update...
-        let stale_ans = qs.select_range(200, 260).unwrap();
+        let stale_ans = s.select(200, 260);
         // ...then update record key=230 and publish the summary trail.
-        da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1.clone());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(23, vec![230, 777]));
-        da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2.clone());
+        s.tick(12);
+        s.sa.advance_clock(2);
+        s.update(23, vec![230, 777]);
+        s.tick(10);
         // A malicious server replays the stale answer but must attach the
         // published summaries (the client fetches them independently).
-        let mut replay = stale_ans.clone();
-        replay.summaries = vec![Arc::new(s1), Arc::new(s2)];
-        let r = v.verify_selection(200, 260, &replay, 25, true);
+        let mut replay = stale_ans;
+        part(&mut replay).summaries = s.summaries();
         assert_eq!(
-            r,
+            s.verify(200, 260, &replay, 25),
             Err(VerifyError::Stale {
                 rid: 23,
                 exposed_by: 1
             })
         );
         // The honest fresh answer passes.
-        let fresh = qs.select_range(200, 260).unwrap();
-        assert!(v.verify_selection(200, 260, &fresh, 25, true).is_ok());
+        let fresh = s.select(200, 260);
+        assert!(s.verify(200, 260, &fresh, 25).is_ok());
     }
 
     /// A deployment with three published summaries, an update to rid 23 in
     /// the second period, and the prefix compacted into a checkpoint with
     /// `keep` summaries retained.
-    fn checkpointed_system(keep: usize) -> (DataAggregator, QueryServer, Verifier) {
-        checkpointed_system_under(SchemeKind::Mock, keep)
+    fn checkpointed_system(keep: usize) -> System {
+        checkpointed_system_under(SchemeKind::Mock, SigningMode::Chained, keep)
     }
 
-    fn checkpointed_system_under(
-        scheme: SchemeKind,
-        keep: usize,
-    ) -> (DataAggregator, QueryServer, Verifier) {
-        let (mut da, mut qs, v) = system_under(scheme, 50, SigningMode::Chained);
-        da.advance_clock(12);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(23, vec![230, 777]));
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        let ckpt = da.checkpoint_summaries(keep).expect("compactable");
-        qs.apply_checkpoint(ckpt);
-        (da, qs, v)
+    fn checkpointed_system_under(scheme: SchemeKind, mode: SigningMode, keep: usize) -> System {
+        let mut s = system_under(scheme, 50, mode);
+        s.tick(12);
+        s.sa.advance_clock(2);
+        s.update(23, vec![230, 777]);
+        s.tick(10);
+        s.tick(10);
+        s.checkpoint(keep);
+        s
     }
 
     #[test]
     fn checkpoint_anchored_answers_verify_and_exposure_keeps_stale_verdicts() {
-        let (mut da, mut qs, v) = system(50, SigningMode::Chained);
-        let stale_ans = qs.select_range(200, 260).unwrap();
-        da.advance_clock(12);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(23, vec![230, 777]));
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
+        let stale_ans = system(50, SigningMode::Chained).select(200, 260);
         // Compact everything but the newest summary — including seq 1, the
         // summary that used to prove the replay stale.
-        let ckpt = da.checkpoint_summaries(1).expect("compactable");
-        qs.apply_checkpoint(ckpt.clone());
+        let s = checkpointed_system(1);
+        let ckpt = s.sa.shard(0).summary_checkpoint().cloned().unwrap();
         // Honest answers now ride on checkpoint + retained suffix.
-        let honest = qs.select_range(200, 260).unwrap();
-        assert_eq!(honest.checkpoint.as_ref(), Some(&ckpt));
-        assert!(honest.summaries.iter().all(|s| s.seq > ckpt.through_seq));
-        assert!(v
-            .verify_selection(200, 260, &honest, da.now(), true)
-            .is_ok());
+        let mut honest = s.select(200, 260);
+        assert_eq!(part(&mut honest).checkpoint.as_ref(), Some(&ckpt));
+        assert!(part(&mut honest)
+            .summaries
+            .iter()
+            .all(|s| s.seq > ckpt.through_seq));
+        assert!(s.verify(200, 260, &honest, s.now()).is_ok());
         // A gap proof older than the cut anchors on the checkpoint too.
-        let gap_ans = qs.select_range(201, 209).unwrap();
-        assert!(gap_ans.gap.is_some() && gap_ans.checkpoint.is_some());
-        assert!(v
-            .verify_selection(201, 209, &gap_ans, da.now(), true)
-            .is_ok());
+        let mut gap_ans = s.select(201, 209);
+        assert!(part(&mut gap_ans).gap.is_some() && part(&mut gap_ans).checkpoint.is_some());
+        assert!(s.verify(201, 209, &gap_ans, s.now()).is_ok());
         // The pre-update replay is exposed by the *checkpoint*: the marking
         // summary was compacted away, and the exposure map keeps its
         // verdict alive across the cut.
         let mut replay = stale_ans;
-        replay.summaries = qs.summaries().to_vec();
-        replay.checkpoint = Some(ckpt);
+        part(&mut replay).summaries = s.summaries();
+        part(&mut replay).checkpoint = Some(ckpt);
         assert_eq!(
-            v.verify_selection(200, 260, &replay, da.now(), true),
+            s.verify(200, 260, &replay, s.now()),
             Err(VerifyError::StaleCheckpoint { rid: 23 })
         );
     }
 
     #[test]
     fn forged_checkpoint_and_seam_gap_rejected() {
-        let (da, qs, v) = checkpointed_system(2);
-        let honest = qs.select_range(200, 260).unwrap();
-        assert_eq!(honest.summaries.len(), 2);
-        assert!(v
-            .verify_selection(200, 260, &honest, da.now(), true)
-            .is_ok());
+        let s = checkpointed_system(2);
+        let mut honest = s.select(200, 260);
+        assert_eq!(part(&mut honest).summaries.len(), 2);
+        assert!(s.verify(200, 260, &honest, s.now()).is_ok());
         // Any field flip breaks the checkpoint's signature.
         let mut forged = honest.clone();
-        forged.checkpoint.as_mut().unwrap().through_seq += 1;
+        part(&mut forged).checkpoint.as_mut().unwrap().through_seq += 1;
         assert_eq!(
-            v.verify_selection(200, 260, &forged, da.now(), true),
+            s.verify(200, 260, &forged, s.now()),
             Err(VerifyError::BadCheckpoint)
         );
         // Dropping the retained summary that abuts the cut leaves seq 1
         // covered by nobody: the run no longer anchors at the checkpoint
         // and the seam failure is typed, not a generic indeterminate.
         let mut gappy = honest.clone();
-        gappy.summaries.remove(0);
+        part(&mut gappy).summaries.remove(0);
         assert_eq!(
-            v.verify_selection(200, 260, &gappy, da.now(), true),
+            s.verify(200, 260, &gappy, s.now()),
             Err(VerifyError::CheckpointGap {
                 expected_seq: 1,
                 found_seq: 2
@@ -1711,80 +1789,57 @@ mod tests {
     fn empty_retained_run_rides_on_the_cut_within_two_rho() {
         // keep = 1: through_ts is the second summary's publication tick
         // (24), and the clock stands at 34.
-        let (da, qs, v) = checkpointed_system(1);
-        let mut bare = qs.select_range(200, 260).unwrap();
-        bare.summaries.clear();
+        let s = checkpointed_system(1);
+        let mut bare = s.select(200, 260);
+        part(&mut bare).summaries.clear();
         // Within 2ρ of the cut the checkpoint itself is recency evidence —
         // the complete-prefix guarantee plus the exposure pass make an
         // empty retained run sound.
-        assert!(v.verify_selection(200, 260, &bare, da.now(), true).is_ok());
+        assert!(s.verify(200, 260, &bare, s.now()).is_ok());
         // Past 2ρ the server may be sitting on newer summaries that mark
         // these versions: the recency gate survives compaction.
         assert!(matches!(
-            v.verify_selection(200, 260, &bare, da.now() + 10, true),
+            s.verify(200, 260, &bare, s.now() + 10),
             Err(VerifyError::FreshnessIndeterminate { .. })
         ));
     }
 
     #[test]
     fn vacancy_older_than_checkpoint_is_stale_by_exposure() {
-        let (mut da, mut qs, v) = system(0, SigningMode::Chained);
-        let stale = qs.select_range(0, 100).unwrap();
-        assert!(stale.vacancy.is_some());
-        da.advance_clock(3);
-        qs.apply_all(&da.insert(vec![50, 1]));
-        da.advance_clock(9);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
+        let mut s = system(0, SigningMode::Chained);
+        let mut stale = s.select(0, 100);
+        assert!(part(&mut stale).vacancy.is_some());
+        s.sa.advance_clock(3);
+        s.insert(vec![50, 1]);
+        s.tick(9);
+        s.tick(10);
         // Compact the summary that recorded the insertion.
-        let ckpt = da.checkpoint_summaries(1).expect("compactable");
-        qs.apply_checkpoint(ckpt.clone());
+        let ckpt = s.checkpoint(1);
         // The replayed pre-insert vacancy is voided by the exposure map's
         // record of the insertion, naming the inserted rid.
         let mut replay = stale;
-        replay.summaries = qs.summaries().to_vec();
-        replay.checkpoint = Some(ckpt);
+        part(&mut replay).summaries = s.summaries();
+        part(&mut replay).checkpoint = Some(ckpt);
         assert_eq!(
-            v.verify_selection(0, 100, &replay, da.now(), true),
+            s.verify(0, 100, &replay, s.now()),
             Err(VerifyError::StaleCheckpoint { rid: 0 })
         );
         // The honest answer (now containing the record) passes with the
         // checkpoint attached.
-        let honest = qs.select_range(0, 100).unwrap();
-        assert_eq!(honest.records.len(), 1);
-        assert!(honest.checkpoint.is_some());
-        assert!(v.verify_selection(0, 100, &honest, da.now(), true).is_ok());
-    }
-
-    #[test]
-    fn inverted_range_rejects_attached_checkpoint() {
-        let (da, qs, v) = checkpointed_system(1);
-        // The honest inverted answer ships no artifacts at all.
-        let honest = qs.select_range(300, 200).unwrap();
-        assert!(honest.checkpoint.is_none());
-        assert!(v.verify_selection(300, 200, &honest, 0, true).is_ok());
-        // A smuggled (even genuine) checkpoint is rejected like every other
-        // never-signature-checked artifact on this path.
-        let mut with_ckpt = honest;
-        with_ckpt.checkpoint = da.summary_checkpoint().cloned();
-        assert!(with_ckpt.checkpoint.is_some());
-        assert_eq!(
-            v.verify_selection(300, 200, &with_ckpt, 0, true),
-            Err(VerifyError::BadCheckpoint)
-        );
+        let mut honest = s.select(0, 100);
+        assert_eq!(part(&mut honest).records.len(), 1);
+        assert!(part(&mut honest).checkpoint.is_some());
+        assert!(s.verify(0, 100, &honest, s.now()).is_ok());
     }
 
     #[test]
     fn tampered_summary_rejected() {
-        let (mut da, mut qs, v) = system(20, SigningMode::Chained);
-        da.advance_clock(12);
-        let (mut s, _) = da.maybe_publish_summary().unwrap();
-        s.ts += 1; // tamper
-        qs.add_summary(s);
-        let ans = qs.select_range(0, 50).unwrap();
+        let mut s = system(20, SigningMode::Chained);
+        s.tick(12);
+        let mut ans = s.select(0, 50);
+        Arc::make_mut(&mut part(&mut ans).summaries[0]).ts += 1; // tamper
         assert!(matches!(
-            v.verify_selection(0, 50, &ans, 13, true),
+            s.verify(0, 50, &ans, 13),
             Err(VerifyError::BadSummarySignature { .. })
         ));
     }
@@ -1795,22 +1850,22 @@ mod tests {
             // Capture a pre-update answer, then the checkpointed timeline:
             // the cut covers seq 0, seqs 1 and 2 ride along, rid 23 moved
             // in seq 1's period.
-            let (_, pre, _) = system_under(scheme, 50, SigningMode::Chained);
-            let old = pre.select_range(200, 260).unwrap();
-            let (da, qs, v) = checkpointed_system_under(scheme, 2);
-            let now = da.now();
-            let honest = qs.select_range(200, 260).unwrap();
-            let seqs: Vec<u64> = honest.summaries.iter().map(|s| s.seq).collect();
+            let old = system_under(scheme, 50, SigningMode::Chained).select(200, 260);
+            let s = checkpointed_system_under(scheme, SigningMode::Chained, 2);
+            let now = s.now();
+            let honest = s.select(200, 260);
+            let honest_part = &honest.parts[0].answer;
+            let seqs: Vec<u64> = honest_part.summaries.iter().map(|s| s.seq).collect();
             assert_eq!(seqs, [1, 2], "{scheme:?}");
-            assert!(honest.checkpoint.is_some());
-            let verify = |ans: &SelectionAnswer| v.verify_selection(200, 260, ans, now, true);
+            assert!(honest_part.checkpoint.is_some());
+            let verify = |ans: &ShardedSelectionAnswer| s.verify(200, 260, ans, now);
             assert_eq!(verify(&honest).map(|r| r.sig_claims), Ok(4), "{scheme:?}");
 
-            let bad_ckpt = |ans: &mut SelectionAnswer| {
-                ans.checkpoint.as_mut().unwrap().exposure[7] ^= 1;
+            let bad_ckpt = |ans: &mut ShardedSelectionAnswer| {
+                part(ans).checkpoint.as_mut().unwrap().exposure[7] ^= 1;
             };
-            let bad_summary = |ans: &mut SelectionAnswer, k: usize| {
-                Arc::make_mut(&mut ans.summaries[k]).period_start ^= 1;
+            let bad_summary = |ans: &mut ShardedSelectionAnswer, k: usize| {
+                Arc::make_mut(&mut part(ans).summaries[k]).period_start ^= 1;
             };
 
             let mut a = honest.clone();
@@ -1836,7 +1891,7 @@ mod tests {
 
             // A bad summary outranks a bad aggregate...
             let mut a = honest.clone();
-            a.records[0].attrs[1] ^= 1;
+            part(&mut a).records[0].attrs[1] ^= 1;
             bad_summary(&mut a, 1);
             assert_eq!(
                 verify(&a),
@@ -1847,8 +1902,8 @@ mod tests {
             // ...and a replay whose every signature is genuine gets past
             // the fold and is exposed by the vouched summaries.
             let mut replay = old.clone();
-            replay.summaries = honest.summaries.clone();
-            replay.checkpoint = honest.checkpoint.clone();
+            part(&mut replay).summaries = honest_part.summaries.clone();
+            part(&mut replay).checkpoint = honest_part.checkpoint.clone();
             assert_eq!(
                 verify(&replay),
                 Err(VerifyError::Stale {
@@ -1864,24 +1919,22 @@ mod tests {
     fn forged_summary_is_rejected_before_its_bitmap_is_opened() {
         use crate::freshness::BITMAP_DECODES;
         let decodes = || BITMAP_DECODES.with(|n| n.get());
-        let (da, qs, v) = checkpointed_system(2);
-        let honest = qs.select_range(200, 260).unwrap();
+        let s = checkpointed_system(2);
+        let honest = s.select(200, 260);
         // The probe is live: an honest verification opens both bitmaps.
         let before = decodes();
-        assert!(v
-            .verify_selection(200, 260, &honest, da.now(), true)
-            .is_ok());
+        assert!(s.verify(200, 260, &honest, s.now()).is_ok());
         assert_eq!(decodes() - before, 2);
         // A sparse-mode header declaring 2^62 bits under the old signature:
         // the fold rejects the summary, and the freshness pass — the only
         // place a bitmap is decompressed — never runs.
         let mut forged = honest.clone();
-        let s = Arc::make_mut(&mut forged.summaries[1]);
-        s.compressed = vec![0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1];
-        let seq = s.seq;
+        let summary = Arc::make_mut(&mut part(&mut forged).summaries[1]);
+        summary.compressed = vec![0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40, 1];
+        let seq = summary.seq;
         let before = decodes();
         assert_eq!(
-            v.verify_selection(200, 260, &forged, da.now(), true),
+            s.verify(200, 260, &forged, s.now()),
             Err(VerifyError::BadSummarySignature { seq })
         );
         assert_eq!(decodes(), before);
@@ -1889,19 +1942,19 @@ mod tests {
 
     #[test]
     fn static_point_answer_is_a_single_claim() {
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        let ans = qs.select_range(500, 500).unwrap();
-        let rep = v.verify_selection(500, 500, &ans, 0, true).expect("valid");
+        let s = system(100, SigningMode::Chained);
+        let ans = s.select(500, 500);
+        let rep = s.verify(500, 500, &ans, 0).expect("valid");
         assert_eq!((rep.records, rep.sig_claims), (1, 1));
     }
 
     #[test]
     fn transcript_coefficients_depend_on_every_claim_byte() {
         use rand::RngCore;
-        let (_, qs, v) = checkpointed_system(2);
-        let ans = qs.select_range(200, 260).unwrap();
+        let s = checkpointed_system(2);
+        let ans = s.select(200, 260).parts.remove(0).answer;
         let draw = |ans: &SelectionAnswer| {
-            let part = v.analyze_selection(200, 260, ans, true).unwrap();
+            let part = s.v.analyze_selection(200, 260, ans, true).unwrap();
             let parts = std::slice::from_ref(&part);
             let mut rng = transcript_rng(parts);
             [rng.next_u64(), rng.next_u64(), rng.next_u64()]
@@ -1930,101 +1983,142 @@ mod tests {
 
     #[test]
     fn projection_verifies_and_rejects_swap() {
-        let (_, qs, v) = system(50, SigningMode::PerAttribute);
-        let ans = qs.project(0, 200, &[0, 1]).unwrap();
-        assert!(v.verify_projection(&ans, 0, true).is_ok());
+        let s = system(50, SigningMode::PerAttribute);
+        let ans = s.sqs.project(0, 200, &[0, 1]).unwrap();
+        assert!(s.verify_projection(&ans, 0).is_ok());
         // Swapping two values between records must fail (messages bind rid
         // and attribute position).
         let mut bad = ans.clone();
         let tmp = bad.rows[0].values[1];
         bad.rows[0].values[1] = bad.rows[1].values[1];
         bad.rows[1].values[1] = tmp;
-        assert_eq!(
-            v.verify_projection(&bad, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        assert_eq!(s.verify_projection(&bad, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn projection_rejects_forged_value() {
-        let (_, qs, v) = system(50, SigningMode::PerAttribute);
-        let mut ans = qs.project(0, 200, &[1]).unwrap();
+        let s = system(50, SigningMode::PerAttribute);
+        let mut ans = s.sqs.project(0, 200, &[1]).unwrap();
         ans.rows[3].values[0].1 += 1;
-        assert_eq!(
-            v.verify_projection(&ans, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        assert_eq!(s.verify_projection(&ans, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn projection_detects_stale_row() {
-        let (mut da, mut qs, v) = system(50, SigningMode::PerAttribute);
-        let stale = qs.project(0, 200, &[1]).unwrap();
-        da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1.clone());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(5, vec![50, 999]));
-        da.advance_clock(10);
-        let (s2, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s2.clone());
+        let mut s = system(50, SigningMode::PerAttribute);
+        let stale = s.sqs.project(0, 200, &[1]).unwrap();
+        s.tick(12);
+        s.sa.advance_clock(2);
+        s.update(5, vec![50, 999]);
+        s.tick(10);
         // Replaying the pre-update projection with the published summaries
         // exposes row 5.
         let mut replay = stale;
-        replay.summaries = vec![Arc::new(s1), Arc::new(s2)];
+        replay.summaries = s.summaries();
         assert!(matches!(
-            v.verify_projection(&replay, 25, true),
+            s.verify_projection(&replay, 25),
             Err(VerifyError::Stale { rid: 5, .. })
         ));
         // The honest fresh projection passes.
-        let fresh = qs.project(0, 200, &[1]).unwrap();
-        assert!(v.verify_projection(&fresh, 25, true).is_ok());
+        let fresh = s.sqs.project(0, 200, &[1]).unwrap();
+        assert!(s.verify_projection(&fresh, 25).is_ok());
+    }
+
+    /// Regression: a projection whose oldest row predates a summary
+    /// checkpoint shipped no anchor for its cut run and was rejected as
+    /// `FreshnessIndeterminate`. It now carries the checkpoint exactly as a
+    /// selection does, and the checkpoint is a claim like any other.
+    #[test]
+    fn projection_after_a_summary_checkpoint_verifies() {
+        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
+            let s = checkpointed_system_under(scheme, SigningMode::PerAttribute, 1);
+            let ans = s.sqs.project(0, 200, &[0, 1]).unwrap();
+            assert!(ans.rows.iter().any(|r| r.ts == 0), "rows predate the cut");
+            assert!(ans.checkpoint.is_some());
+            let rep = s.verify_projection(&ans, s.now()).expect("anchored");
+            assert_eq!((rep.records, rep.sig_claims), (21, 3), "{scheme:?}");
+            // Without its anchor the cut run proves nothing about the
+            // prefix...
+            let mut bare = ans.clone();
+            bare.checkpoint = None;
+            assert_eq!(
+                s.verify_projection(&bare, s.now()),
+                Err(VerifyError::FreshnessIndeterminate { rid: 0 }),
+                "{scheme:?}"
+            );
+            // ...and the anchor is believed only under the DA's signature.
+            let mut forged = ans.clone();
+            forged.checkpoint.as_mut().unwrap().exposure[23] = 0;
+            assert_eq!(
+                s.verify_projection(&forged, s.now()),
+                Err(VerifyError::BadCheckpoint),
+                "{scheme:?}"
+            );
+        }
+    }
+
+    /// A projection's freshness artifacts are domain-bound like every other
+    /// part's: only shard 0's stream in the pinned epoch vouches for it.
+    #[test]
+    fn projection_artifacts_are_domain_bound() {
+        let s = checkpointed_system_under(SchemeKind::Mock, SigningMode::PerAttribute, 1);
+        let ans = s.sqs.project(0, 200, &[1]).unwrap();
+        let mut alien = ans.clone();
+        Arc::make_mut(&mut alien.summaries[0]).shard = 1;
+        assert_eq!(
+            s.verify_projection(&alien, s.now()),
+            Err(VerifyError::ShardMismatch { shard: 0 })
+        );
+        let mut alien = ans.clone();
+        alien.checkpoint.as_mut().unwrap().epoch += 1;
+        assert_eq!(
+            s.verify_projection(&alien, s.now()),
+            Err(VerifyError::EpochMismatch { shard: 0 })
+        );
     }
 
     #[test]
     fn empty_table_answer_verifies() {
-        let (_, qs, v) = system(0, SigningMode::Chained);
-        let ans = qs.select_range(-500, 500).unwrap();
-        assert!(ans.vacancy.is_some());
-        let rep = v.verify_selection(-500, 500, &ans, 0, true).expect("valid");
+        let s = system(0, SigningMode::Chained);
+        let mut ans = s.select(-500, 500);
+        assert!(part(&mut ans).vacancy.is_some());
+        let rep = s.verify(-500, 500, &ans, 0).expect("valid");
         assert_eq!(rep.records, 0);
     }
 
     #[test]
     fn empty_table_then_deletes_keep_verifying() {
-        let (mut da, mut qs, v) = system(2, SigningMode::Chained);
-        da.advance_clock(2);
+        let mut s = system(2, SigningMode::Chained);
+        s.sa.advance_clock(2);
         for rid in 0..2 {
-            qs.apply_all(&da.delete_record(rid));
+            s.sqs.apply_all(&s.sa.delete_record(0, rid));
         }
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        let ans = qs.select_range(0, 100).unwrap();
-        assert!(ans.gap.is_none() && ans.vacancy.is_some());
-        assert!(v.verify_selection(0, 100, &ans, da.now(), true).is_ok());
+        s.tick(10);
+        let mut ans = s.select(0, 100);
+        assert!(part(&mut ans).gap.is_none() && part(&mut ans).vacancy.is_some());
+        assert!(s.verify(0, 100, &ans, s.now()).is_ok());
     }
 
     #[test]
     fn replayed_vacancy_proof_rejected_after_insert() {
-        let (mut da, mut qs, v) = system(0, SigningMode::Chained);
-        let stale = qs.select_range(0, 100).unwrap();
-        assert!(stale.vacancy.is_some());
-        da.advance_clock(3);
-        qs.apply_all(&da.insert(vec![50, 1]));
-        da.advance_clock(9);
-        qs.ingest(da.maybe_publish_summary().unwrap());
+        let mut s = system(0, SigningMode::Chained);
+        let mut stale = s.select(0, 100);
+        assert!(part(&mut stale).vacancy.is_some());
+        s.sa.advance_clock(3);
+        s.insert(vec![50, 1]);
+        s.tick(9);
         // Malicious replay of the pre-insert vacancy claim, with the
         // published summaries the client fetches independently.
         let mut replay = stale;
-        replay.summaries = qs.summaries().to_vec();
+        part(&mut replay).summaries = s.summaries();
         assert!(matches!(
-            v.verify_selection(0, 100, &replay, da.now(), true),
+            s.verify(0, 100, &replay, s.now()),
             Err(VerifyError::StaleVacancy { .. })
         ));
         // The honest answer (which now contains the record) passes.
-        let honest = qs.select_range(0, 100).unwrap();
-        assert_eq!(honest.records.len(), 1);
-        assert!(v.verify_selection(0, 100, &honest, da.now(), true).is_ok());
+        let mut honest = s.select(0, 100);
+        assert_eq!(part(&mut honest).records.len(), 1);
+        assert!(s.verify(0, 100, &honest, s.now()).is_ok());
     }
 
     #[test]
@@ -2032,12 +2126,12 @@ mod tests {
         // An empty result must certify its emptiness: stripping both the
         // gap proof and the vacancy certificate is the laziest possible
         // omission attack and must surface as MissingGapProof.
-        let (_, qs, v) = system(50, SigningMode::Chained);
-        let mut ans = qs.select_range(231, 239).unwrap();
-        assert!(ans.records.is_empty() && ans.gap.is_some());
-        ans.gap = None;
+        let s = system(50, SigningMode::Chained);
+        let mut ans = s.select(231, 239);
+        assert!(part(&mut ans).records.is_empty() && part(&mut ans).gap.is_some());
+        part(&mut ans).gap = None;
         assert!(matches!(
-            v.verify_selection(231, 239, &ans, 0, true),
+            s.verify(231, 239, &ans, 0),
             Err(VerifyError::MissingGapProof)
         ));
     }
@@ -2047,113 +2141,107 @@ mod tests {
         // A vacancy claim whose summary run withholds the middle summary
         // can hide the insertion that voids it; contiguity failure must
         // surface as VacancyIndeterminate, not as a fresh verdict.
-        let (mut da, mut qs, v) = system(0, SigningMode::Chained);
-        let mut published = Vec::new();
+        let mut s = system(0, SigningMode::Chained);
         for _ in 0..3 {
-            da.advance_clock(12);
-            let (s, _) = da.maybe_publish_summary().unwrap();
-            qs.add_summary(s.clone());
-            published.push(s);
+            s.tick(12);
         }
-        let ans = qs.select_range(0, 100).unwrap();
-        assert!(ans.vacancy.is_some());
+        let mut ans = s.select(0, 100);
+        assert!(part(&mut ans).vacancy.is_some());
+        assert_eq!(part(&mut ans).summaries.len(), 3);
         let mut gappy = ans.clone();
-        gappy.summaries = vec![
-            Arc::new(published[0].clone()),
-            Arc::new(published[2].clone()),
-        ];
+        part(&mut gappy).summaries.remove(1);
         assert!(matches!(
-            v.verify_selection(0, 100, &gappy, da.now(), true),
+            s.verify(0, 100, &gappy, s.now()),
             Err(VerifyError::VacancyIndeterminate)
         ));
         // The full contiguous run verifies.
-        assert!(v.verify_selection(0, 100, &ans, da.now(), true).is_ok());
+        assert!(s.verify(0, 100, &ans, s.now()).is_ok());
     }
 
     #[test]
     fn stale_gap_record_rejected() {
         // Satellite regression: the bracketing record of a gap proof must
         // go through the summary check like any returned record.
-        let (mut da, mut qs, v) = system(50, SigningMode::Chained);
-        let stale_empty = qs.select_range(231, 239).unwrap();
-        assert_eq!(stale_empty.gap.as_ref().unwrap().record.rid, 23);
-        da.advance_clock(12);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(23, vec![230, 777]));
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
+        let mut s = system(50, SigningMode::Chained);
+        let mut stale_empty = s.select(231, 239);
+        assert_eq!(part(&mut stale_empty).gap.as_ref().unwrap().record.rid, 23);
+        s.tick(12);
+        s.sa.advance_clock(2);
+        s.update(23, vec![230, 777]);
+        s.tick(10);
         let mut replay = stale_empty;
-        replay.summaries = qs.summaries().to_vec();
+        part(&mut replay).summaries = s.summaries();
         assert!(matches!(
-            v.verify_selection(231, 239, &replay, da.now(), true),
+            s.verify(231, 239, &replay, s.now()),
             Err(VerifyError::Stale { rid: 23, .. })
         ));
         // The honest gap proof (re-certified bracket) passes.
-        let fresh = qs.select_range(231, 239).unwrap();
-        assert!(v.verify_selection(231, 239, &fresh, da.now(), true).is_ok());
+        let fresh = s.select(231, 239);
+        assert!(s.verify(231, 239, &fresh, s.now()).is_ok());
     }
 
     #[test]
     fn withheld_summary_suffix_rejected() {
         // Satellite regression: stripping the newest summaries must yield
         // Indeterminate, not FreshWithin(rho).
-        let (mut da, mut qs, v) = system(50, SigningMode::Chained);
-        da.advance_clock(12);
-        let (s1, _) = da.maybe_publish_summary().unwrap();
-        qs.add_summary(s1.clone());
-        da.advance_clock(2);
-        qs.apply_all(&da.update_record(23, vec![230, 777]));
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        da.advance_clock(10);
-        qs.ingest(da.maybe_publish_summary().unwrap());
-        let mut ans = qs.select_range(200, 260).unwrap();
-        // Withhold everything after s1: the stale-looking window.
-        ans.summaries = vec![Arc::new(s1)];
+        let mut s = system(50, SigningMode::Chained);
+        s.tick(12);
+        s.sa.advance_clock(2);
+        s.update(23, vec![230, 777]);
+        s.tick(10);
+        s.tick(10);
+        let mut ans = s.select(200, 260);
+        // Withhold everything after the first summary: the stale-looking
+        // window.
+        part(&mut ans).summaries.truncate(1);
         assert!(matches!(
-            v.verify_selection(200, 260, &ans, da.now(), true),
+            s.verify(200, 260, &ans, s.now()),
             Err(VerifyError::FreshnessIndeterminate { .. })
         ));
-        let honest = qs.select_range(200, 260).unwrap();
-        assert!(v
-            .verify_selection(200, 260, &honest, da.now(), true)
-            .is_ok());
+        let honest = s.select(200, 260);
+        assert!(s.verify(200, 260, &honest, s.now()).is_ok());
+    }
+
+    /// Pair each query with the answer to it — the batch entry's input.
+    fn paired<'a>(
+        queries: &[(i64, i64)],
+        answers: &'a [ShardedSelectionAnswer],
+    ) -> Vec<(i64, i64, &'a ShardedSelectionAnswer)> {
+        let pairs = queries.iter().zip(answers);
+        pairs.map(|(&(lo, hi), ans)| (lo, hi, ans)).collect()
+    }
+
+    fn answer_all(s: &System, queries: &[(i64, i64)]) -> Vec<ShardedSelectionAnswer> {
+        queries.iter().map(|&(lo, hi)| s.select(lo, hi)).collect()
     }
 
     #[test]
     fn batch_verifies_honest_answers() {
         let mut rng = StdRng::seed_from_u64(91);
-        let (_, qs, v) = system(200, SigningMode::Chained);
+        let s = system(200, SigningMode::Chained);
         let queries: Vec<(i64, i64)> = (0..8).map(|i| (i * 200, i * 200 + 150)).collect();
-        let answers: Vec<_> = queries
-            .iter()
-            .map(|&(lo, hi)| qs.select_range(lo, hi).unwrap())
-            .collect();
-        let reports = v
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
-            .expect("honest batch verifies");
+        let answers = answer_all(&s, &queries);
+        let reports =
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 0, true, &mut rng)
+                .expect("honest batch verifies");
         assert_eq!(reports.len(), 8);
         for (rep, ans) in reports.iter().zip(&answers) {
-            assert_eq!(rep.records, ans.records.len());
+            assert_eq!(rep.records, ans.parts[0].answer.records.len());
         }
     }
 
     #[test]
     fn batch_localizes_tampered_answer() {
         let mut rng = StdRng::seed_from_u64(92);
-        let (_, qs, v) = system(200, SigningMode::Chained);
+        let s = system(200, SigningMode::Chained);
         let queries: Vec<(i64, i64)> = (0..6).map(|i| (i * 300, i * 300 + 200)).collect();
-        let mut answers: Vec<_> = queries
-            .iter()
-            .map(|&(lo, hi)| qs.select_range(lo, hi).unwrap())
-            .collect();
+        let mut answers = answer_all(&s, &queries);
         // Tamper answer 3's content: the batch check fails, and the
         // fallback localizes exactly that index.
-        answers[3].records[1].attrs[1] = 31337;
-        let err = v
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
-            .expect_err("tampered batch rejected");
+        part(&mut answers[3]).records[1].attrs[1] = 31337;
+        let err =
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 0, true, &mut rng)
+                .expect_err("tampered batch rejected");
         assert_eq!(
             err,
             BatchFailure {
@@ -2161,48 +2249,73 @@ mod tests {
                 error: VerifyError::BadAggregate
             }
         );
+        // A structural fault and a stale map are localized the same way.
+        let mut answers = answer_all(&s, &queries);
+        part(&mut answers[4]).records.swap(0, 1);
+        let err =
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 0, true, &mut rng)
+                .expect_err("unsorted answer rejected");
+        assert_eq!((err.index, err.error), (4, VerifyError::Unsorted));
     }
 
     #[test]
     fn batch_mixes_gap_and_vacancy_claims() {
         let mut rng = StdRng::seed_from_u64(93);
-        let (_, qs, v) = system(100, SigningMode::Chained);
-        // Non-empty, empty-with-gap, and extreme-range answers in one batch.
-        let queries = vec![(100, 300), (101, 109), (5000, 6000)];
+        // Three shards, the middle one empty: a batch mixing a multi-part
+        // answer, gap proofs, a vacancy claim and an inverted range.
+        let (_, sqs, v, view) = deployment(
+            SchemeKind::Mock,
+            SigningMode::Chained,
+            vec![1000, 2000],
+            100,
+        );
+        let queries = [(100, 300), (101, 109), (900, 2100), (1200, 1300), (9, 1)];
         let answers: Vec<_> = queries
             .iter()
-            .map(|&(lo, hi)| qs.select_range(lo, hi).unwrap())
+            .map(|&(lo, hi)| sqs.select_range(lo, hi).unwrap())
             .collect();
-        assert!(answers[1].gap.is_some() && answers[2].gap.is_some());
+        assert!(answers[1].parts[0].answer.gap.is_some());
+        assert_eq!(answers[2].parts.len(), 3);
+        assert!(answers[3].parts[0].answer.vacancy.is_some());
+        assert!(answers[4].parts.is_empty());
         let reports = v
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
+            .verify_sharded_batch(&paired(&queries, &answers), &view, 0, true, &mut rng)
             .expect("mixed batch verifies");
-        assert_eq!(reports[0].records, 21);
-        assert_eq!(reports[1].records, 0);
-        assert_eq!(reports[2].records, 0);
+        let records: Vec<usize> = reports.iter().map(|r| r.records).collect();
+        assert_eq!(records, [21, 0, 10, 0, 0]);
+        let claims: Vec<usize> = reports.iter().map(|r| r.sig_claims).collect();
+        assert_eq!(claims, [1, 1, 3, 1, 0]);
+    }
+
+    /// Counts the coefficient draws a fold makes.
+    struct CountingRng(StdRng, usize);
+
+    impl rand::RngCore for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
     }
 
     #[test]
     fn batch_with_bas_scheme_verifies_and_localizes() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut c = cfg(SigningMode::Chained);
-        c.scheme = SchemeKind::Bas;
-        let mut da = DataAggregator::new(c, &mut rng);
-        let boot = da.bootstrap((0..30).map(|i| vec![i * 10, i]).collect(), 4);
-        let qs = da.replica(&boot);
-        let v = da.verifier();
-        let queries = vec![(0, 40), (50, 120), (201, 209)];
-        let mut answers: Vec<_> = queries
-            .iter()
-            .map(|&(lo, hi)| qs.select_range(lo, hi).unwrap())
-            .collect();
-        assert!(v
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
-            .is_ok());
-        answers[1].records[0].attrs[1] = 777;
-        let err = v
-            .verify_selection_batch(&queries, &answers, 0, true, &mut rng)
-            .expect_err("tamper caught");
+        let mut s = system_under(SchemeKind::Bas, 30, SigningMode::Chained);
+        s.tick(12);
+        let queries = [(0, 40), (50, 120), (201, 209)];
+        let mut answers = answer_all(&s, &queries);
+        // One fold for the whole batch: K claims draw K − 1 coefficients of
+        // two words each. (A fold per answer would draw 2·(K − N).)
+        let mut rng = CountingRng(StdRng::seed_from_u64(41), 0);
+        let reports =
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 12, true, &mut rng)
+                .expect("honest batch verifies");
+        let claims: usize = reports.iter().map(|r| r.sig_claims).sum();
+        assert_eq!(claims, 6, "an aggregate and a summary per answer");
+        assert_eq!(rng.1, 2 * (claims - 1));
+        part(&mut answers[1]).records[0].attrs[1] = 777;
+        let err =
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 12, true, &mut rng)
+                .expect_err("tamper caught");
         assert_eq!(err.index, 1);
         assert_eq!(err.error, VerifyError::BadAggregate);
     }
@@ -2210,96 +2323,64 @@ mod tests {
     #[test]
     fn end_to_end_with_bas_scheme() {
         // Full cryptographic path once (slow): BAS signatures.
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut c = cfg(SigningMode::Chained);
-        c.scheme = SchemeKind::Bas;
-        let mut da = DataAggregator::new(c, &mut rng);
-        let boot = da.bootstrap((0..30).map(|i| vec![i * 10, i]).collect(), 4);
-        let qs = da.replica(&boot);
-        let v = da.verifier();
-        let ans = qs.select_range(50, 120).unwrap();
-        let rep = v.verify_selection(50, 120, &ans, 0, true).expect("valid");
+        let s = system_under(SchemeKind::Bas, 30, SigningMode::Chained);
+        let ans = s.select(50, 120);
+        let rep = s.verify(50, 120, &ans, 0).expect("valid");
         assert_eq!(rep.records, 8);
         let mut bad = ans.clone();
-        bad.records[0].attrs[1] = 9;
-        assert_eq!(
-            v.verify_selection(50, 120, &bad, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
+        part(&mut bad).records[0].attrs[1] = 9;
+        assert_eq!(s.verify(50, 120, &bad, 0), Err(VerifyError::BadAggregate));
     }
 
     #[test]
     fn inverted_range_honest_answer_verifies() {
-        let (_, qs, v) = system(50, SigningMode::Chained);
-        let ans = qs.select_range(300, 200).unwrap();
-        let rep = v.verify_selection(300, 200, &ans, 0, true).expect("valid");
-        assert_eq!(rep.records, 0);
+        // An inverted range overlaps no shard: the honest answer is the
+        // empty fan-out, and nothing in it needs certifying.
+        let s = system(50, SigningMode::Chained);
+        let ans = s.select(300, 200);
+        assert!(ans.parts.is_empty());
+        let rep = s.verify(300, 200, &ans, 0).expect("valid");
+        assert_eq!((rep.records, rep.sig_claims), (0, 0));
         // Even on an empty table, and even with freshness on late clocks.
-        let (_, empty_qs, ve) = system(0, SigningMode::Chained);
-        let ans = empty_qs.select_range(10, -10).unwrap();
-        assert!(ve.verify_selection(10, -10, &ans, 500, true).is_ok());
+        let e = system(0, SigningMode::Chained);
+        let ans = e.select(10, -10);
+        assert!(e.verify(10, -10, &ans, 500).is_ok());
     }
 
     #[test]
     fn inverted_range_with_records_rejected() {
-        let (_, qs, v) = system(50, SigningMode::Chained);
-        // A server smuggles genuine records into a vacuously-empty query.
-        let genuine = qs.select_range(200, 260).unwrap();
-        let mut forged = qs.select_range(300, 200).unwrap();
-        forged.records = genuine.records.clone();
-        forged.agg = genuine.agg.clone();
-        assert!(matches!(
-            v.verify_selection(300, 200, &forged, 0, true),
-            Err(VerifyError::RecordOutOfRange { .. })
-        ));
-        // A forged non-identity aggregate on the empty form is also caught.
-        let mut bad_agg = qs.select_range(300, 200).unwrap();
-        bad_agg.agg = genuine.agg;
-        assert_eq!(
-            v.verify_selection(300, 200, &bad_agg, 0, true),
-            Err(VerifyError::BadAggregate)
-        );
-        // Attached (never-signature-checked) artifacts are rejected, not
-        // ignored: proofs and summaries alike.
-        let mut with_gap = qs.select_range(300, 200).unwrap();
-        with_gap.gap = qs.select_range(201, 209).unwrap().gap;
-        assert!(with_gap.gap.is_some());
-        assert_eq!(
-            v.verify_selection(300, 200, &with_gap, 0, true),
-            Err(VerifyError::BadGapProof)
-        );
-        let mut with_summary = qs.select_range(300, 200).unwrap();
-        with_summary.summaries = vec![Arc::new(crate::freshness::UpdateSummary {
-            epoch: 0,
+        // Nothing attached to an inverted range would ever be
+        // signature-checked, so any part at all is rejected whole.
+        let s = checkpointed_system(1);
+        let unexpected = Err(VerifyError::UnexpectedShardAnswer { shard: 0 });
+        // A server smuggles genuine records into a vacuously-empty query...
+        let genuine = s.select(200, 260);
+        assert_eq!(s.verify(300, 200, &genuine, s.now()), unexpected);
+        // ...or a genuine gap proof...
+        let gap = s.select(201, 209);
+        assert!(gap.parts[0].answer.gap.is_some());
+        assert_eq!(s.verify(300, 200, &gap, s.now()), unexpected);
+        // ...or the engine's own canonical empty tile, bare or dressed with
+        // a (genuine) checkpoint.
+        let mut tile = s.select(300, 200);
+        tile.parts.push(crate::shard::ShardAnswer {
             shard: 0,
-            seq: 7,
-            period_start: 0,
-            ts: 1,
-            compressed: vec![0xde, 0xad],
-            signature: qs.public_params().identity(),
-        })];
-        assert_eq!(
-            v.verify_selection(300, 200, &with_summary, 0, true),
-            Err(VerifyError::BadSummarySignature { seq: 7 })
-        );
+            answer: s.sqs.select_shard(0, 300, 200).unwrap(),
+        });
+        assert_eq!(s.verify(300, 200, &tile, s.now()), unexpected);
+        part(&mut tile).checkpoint = s.sa.shard(0).summary_checkpoint().cloned();
+        assert!(part(&mut tile).checkpoint.is_some());
+        assert_eq!(s.verify(300, 200, &tile, s.now()), unexpected);
     }
 
     mod sharded {
         use super::*;
-        use crate::qs::QsOptions;
-        use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
 
         fn sharded_system(
             splits: Vec<i64>,
             n: i64,
         ) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), splits, &mut rng);
-            let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-            let sqs = sa.replica(&boots, &QsOptions::default());
-            let v = sa.verifier();
-            let view = sa.epoch_view();
-            (sa, sqs, v, view)
+            deployment(SchemeKind::Mock, SigningMode::Chained, splits, n)
         }
 
         #[test]
@@ -2464,18 +2545,6 @@ mod tests {
                 v.verify_sharded_selection(150, 250, &ans, &view, 0, true, &mut rng),
                 Err(VerifyError::BadAggregate)
             );
-        }
-
-        #[test]
-        fn single_shard_map_matches_unsharded_behaviour() {
-            let mut rng = StdRng::seed_from_u64(11);
-            let (_, sqs, v, view) = sharded_system(vec![], 20);
-            let ans = sqs.select_range(50, 120).unwrap();
-            assert_eq!(ans.parts.len(), 1);
-            let rep = v
-                .verify_sharded_selection(50, 120, &ans, &view, 0, true, &mut rng)
-                .expect("valid");
-            assert_eq!(rep.records, 8);
         }
 
         #[test]

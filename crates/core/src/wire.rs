@@ -28,7 +28,7 @@
 //! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure:vec<u64>, signature` |
 //! | [`SelectionAnswer`] | `records:vec, agg, left:i64, right:i64, gap:opt, vacancy:opt, summaries:vec, checkpoint:opt` |
 //! | [`ProjectedRow`] | `rid:u64, ts:u64, values:vec<(idx:u32, value:i64)>` |
-//! | [`ProjectionAnswer`] | `rows:vec, agg, summaries:vec` |
+//! | [`ProjectionAnswer`] | `rows:vec, agg, summaries:vec, checkpoint:opt` |
 //! | [`UpdateMsg`] | `kind:u8, record, signature, attr_sigs:vec, old_key:opt<i64>, vacancy:opt` |
 //! | [`ShardMap`] | `epoch:u64, splits:vec<i64>, signature` (decode re-checks the split and epoch invariants) |
 //! | [`ShardedSelectionAnswer`] | `map, parts:vec<(shard:u64, answer)>` |
@@ -237,16 +237,18 @@ impl WireEncode for ProjectionAnswer {
         self.rows.encode_into(out);
         self.agg.encode_into(out);
         self.summaries.encode_into(out);
+        self.checkpoint.encode_into(out);
     }
 }
 
 impl WireDecode for ProjectionAnswer {
-    const MIN_WIRE_LEN: usize = 8 + Signature::MIN_WIRE_LEN;
+    const MIN_WIRE_LEN: usize = 9 + Signature::MIN_WIRE_LEN;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ProjectionAnswer {
             rows: Vec::<ProjectedRow>::decode_from(r)?,
             agg: Signature::decode_from(r)?,
             summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
+            checkpoint: Option::<SummaryCheckpoint>::decode_from(r)?,
         })
     }
 }
@@ -325,9 +327,10 @@ impl WireDecode for ShardMap {
         let splits = Vec::<i64>::decode_from(r)?;
         let signature = Signature::decode_from(r)?;
         // Honest encoders only produce maps `ShardMap::create` certified,
-        // so rejecting malformed splits — or the reserved epoch-0 sentinel
-        // unsharded artifacts carry — preserves canonicality while keeping
-        // the partition invariants panic-free paths downstream.
+        // so rejecting malformed splits — or an epoch before
+        // `GENESIS_EPOCH`, which the DA never signs — preserves canonicality
+        // while keeping the partition invariants panic-free paths
+        // downstream.
         ShardMap::from_parts(epoch, splits, signature).ok_or(WireError::NonCanonical {
             what: "shard map epoch/split keys",
         })
@@ -670,7 +673,10 @@ pub enum Request {
         /// Upper bound (inclusive).
         hi: i64,
     },
-    /// Projection of `attrs` over the range (single-shard deployments).
+    /// Projection of `attrs` over the range, for
+    /// `Verifier::verify_projection` under the client's pinned epoch. Only
+    /// a one-shard deployment serves it; a multi-shard one refuses with
+    /// `QueryError::Unsupported`.
     Project {
         /// Lower bound (inclusive).
         lo: i64,
@@ -945,10 +951,9 @@ impl WireDecode for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::{DaConfig, DataAggregator, SigningMode};
+    use crate::da::{DaConfig, SigningMode};
     use crate::qs::QsOptions;
-
-    use crate::shard::ShardedAggregator;
+    use crate::shard::{ShardedAggregator, ShardedQueryServer};
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -959,6 +964,20 @@ mod tests {
             mode,
             ..DaConfig::small()
         }
+    }
+
+    /// A one-shard deployment of `n` records with keys `i·10`.
+    fn one_shard(
+        scheme: SchemeKind,
+        mode: SigningMode,
+        n: i64,
+        seed: u64,
+    ) -> (ShardedAggregator, ShardedQueryServer) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sa = ShardedAggregator::new(cfg(scheme, mode), vec![], &mut rng);
+        let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
+        let sqs = sa.replica(&boots, &QsOptions::default());
+        (sa, sqs)
     }
 
     /// Round-trip plus the canonicality check every wire type must pass.
@@ -972,55 +991,59 @@ mod tests {
     #[test]
     fn selection_answers_round_trip_all_shapes() {
         for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut da = DataAggregator::new(cfg(scheme, SigningMode::Chained), &mut rng);
-            let boot = da.bootstrap((0..12).map(|i| vec![i * 10, i]).collect(), 2);
-            let mut qs = da.replica(&boot);
-            da.advance_clock(12);
-            qs.ingest(da.maybe_publish_summary().unwrap());
+            let (mut sa, sqs) = one_shard(scheme, SigningMode::Chained, 12, 17);
+            sa.advance_clock(12);
+            sqs.ingest(sa.maybe_publish_summaries());
             // Non-empty, gap-proof, and inverted shapes.
             for (lo, hi) in [(20, 70), (21, 29), (70, 20)] {
-                assert_canonical(&qs.select_range(lo, hi).unwrap());
+                assert_canonical(&sqs.select_shard(0, lo, hi).unwrap());
             }
         }
     }
 
     #[test]
     fn vacancy_answer_round_trips() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut da = DataAggregator::new(cfg(SchemeKind::Mock, SigningMode::Chained), &mut rng);
-        let boot = da.bootstrap(Vec::new(), 1);
-        let qs = da.replica(&boot);
-        let ans = qs.select_range(0, 100).unwrap();
+        let (_, sqs) = one_shard(SchemeKind::Mock, SigningMode::Chained, 0, 18);
+        let ans = sqs.select_shard(0, 0, 100).unwrap();
         assert!(ans.vacancy.is_some());
         assert_canonical(&ans);
     }
 
     #[test]
     fn projection_answer_round_trips() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let mut da =
-            DataAggregator::new(cfg(SchemeKind::Mock, SigningMode::PerAttribute), &mut rng);
-        let boot = da.bootstrap((0..10).map(|i| vec![i * 5, i]).collect(), 2);
-        let qs = da.replica(&boot);
-        assert_canonical(&qs.project(0, 40, &[0, 1]).unwrap());
+        let (mut sa, sqs) = one_shard(SchemeKind::Mock, SigningMode::PerAttribute, 10, 19);
+        assert_canonical(&sqs.project(0, 80, &[0, 1]).unwrap());
+        // With a summary run anchored at a checkpoint attached.
+        for _ in 0..3 {
+            sa.advance_clock(10);
+            sqs.ingest(sa.maybe_publish_summaries());
+        }
+        let ckpt = sa.checkpoint_shard_summaries(0, 1).expect("compactable");
+        sqs.apply_checkpoint(0, ckpt);
+        let anchored = sqs.project(0, 80, &[0, 1]).unwrap();
+        assert!(anchored.checkpoint.is_some() && !anchored.summaries.is_empty());
+        assert_canonical(&anchored);
     }
 
     #[test]
     fn update_stream_round_trips() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let mut da = DataAggregator::new(cfg(SchemeKind::Mock, SigningMode::Chained), &mut rng);
-        da.bootstrap((0..6).map(|i| vec![i * 10, i]).collect(), 1);
-        da.advance_clock(1);
-        let mut msgs = da.insert(vec![35, 9]);
-        msgs.extend(da.update_record(2, vec![125, 0])); // key move
-        msgs.extend(da.delete_record(0));
+        let (mut sa, _) = one_shard(SchemeKind::Mock, SigningMode::Chained, 6, 20);
+        sa.advance_clock(1);
+        let mut msgs: Vec<UpdateMsg> = sa.insert(vec![35, 9]).1;
+        let routed = |(_, m): (usize, UpdateMsg)| m;
+        msgs.extend(
+            sa.update_record(0, 2, vec![125, 0])
+                .1
+                .into_iter()
+                .map(routed),
+        ); // key move
+        msgs.extend(sa.delete_record(0, 0).into_iter().map(routed));
         for m in &msgs {
             assert_canonical(m);
         }
         // Empty out the table so a delete carries a vacancy proof.
         for rid in 1..7u64 {
-            for m in da.delete_record(rid) {
+            for (_, m) in sa.delete_record(0, rid) {
                 assert_canonical(&m);
             }
         }
@@ -1198,14 +1221,14 @@ mod tests {
     #[test]
     fn summary_checkpoint_round_trips() {
         for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let mut rng = StdRng::seed_from_u64(26);
-            let mut da = DataAggregator::new(cfg(scheme, SigningMode::Chained), &mut rng);
-            da.bootstrap((0..8).map(|i| vec![i * 10, i]).collect(), 2);
+            let (mut sa, _) = one_shard(scheme, SigningMode::Chained, 8, 26);
             for _ in 0..3 {
-                da.advance_clock(10);
-                da.maybe_publish_summary().unwrap();
+                sa.advance_clock(10);
+                assert_eq!(sa.maybe_publish_summaries().len(), 1);
             }
-            let ckpt = da.checkpoint_summaries(1).expect("prefix to compact");
+            let ckpt = sa
+                .checkpoint_shard_summaries(0, 1)
+                .expect("prefix to compact");
             assert!(!ckpt.exposure.is_empty(), "recertified rids are exposed");
             assert_canonical(&ckpt);
         }
@@ -1230,16 +1253,15 @@ mod tests {
 
     #[test]
     fn epoch_zero_shard_map_rejected_on_decode() {
-        // Regression (PR 5 bugfix): a decoded map claiming the reserved
-        // epoch-0 sentinel would collide with the tag unsharded artifacts
-        // carry; from_parts and the codec must both refuse it.
+        // Epochs start at GENESIS_EPOCH: the DA never signs an epoch-0 map,
+        // so from_parts and the codec must both refuse one.
         let mut rng = StdRng::seed_from_u64(23);
         let kp = authdb_crypto::signer::Keypair::generate(SchemeKind::Mock, &mut rng);
         let good = ShardMap::create(&kp, vec![10, 20]);
         assert_eq!(good.epoch(), crate::shard::GENESIS_EPOCH);
         assert!(
             ShardMap::from_parts(0, vec![10, 20], good.signature().clone()).is_none(),
-            "from_parts must refuse the epoch-0 sentinel"
+            "from_parts must refuse epoch 0"
         );
         assert!(
             ShardMap::from_parts(1, vec![10, 20], good.signature().clone()).is_some(),

@@ -7,57 +7,20 @@
 //! the signatures' message-binding rests on — and decoding arbitrary
 //! mutated bytes must return a typed error, never panic.
 
+mod common;
+
 use proptest::prelude::*;
 
-use authdb_core::da::{DaConfig, DataAggregator, SigningMode, UpdateMsg};
-use authdb_core::qs::QueryServer;
+use authdb_core::da::{SigningMode, UpdateMsg};
+use authdb_core::qs::QsOptions;
 use authdb_core::record::Record;
-use authdb_core::shard::ShardedAggregator;
+use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::VerifyError;
 use authdb_core::wire::{Request, Response};
-use authdb_crypto::signer::SchemeKind;
 use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME_LEN};
+use common::{cfg, decode_ops, initial_rows, Op};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const RHO: u64 = 10;
-
-fn cfg(mode: SigningMode) -> DaConfig {
-    DaConfig {
-        mode,
-        rho: RHO,
-        ..DaConfig::small()
-    }
-}
-
-/// One scripted workload operation, decoded from a proptest tuple (same
-/// generator shape as `honest_conformance`).
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Insert { key: i64, val: i64 },
-    Update { target: u64, key: i64, val: i64 },
-    Delete { target: u64 },
-    Advance { dt: u64 },
-}
-
-fn decode_ops(raw: &[(u8, i64, i64)]) -> Vec<Op> {
-    raw.iter()
-        .map(|&(op, a, b)| match op % 4 {
-            0 => Op::Insert { key: a, val: b },
-            1 => Op::Update {
-                target: a.unsigned_abs(),
-                key: b,
-                val: a,
-            },
-            2 => Op::Delete {
-                target: a.unsigned_abs(),
-            },
-            _ => Op::Advance {
-                dt: (a.unsigned_abs() % 4) + 1,
-            },
-        })
-        .collect()
-}
 
 /// The canonicality contract every wire value must satisfy.
 fn assert_canonical<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(x: &T) {
@@ -70,55 +33,51 @@ fn assert_canonical<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(x:
     assert_eq!(&decode_frame::<T>(&f, DEFAULT_MAX_FRAME_LEN).unwrap(), x);
 }
 
-/// Run a workload, round-tripping every update message and summary as it
-/// flows DA → QS, and return the system for answer-level checks.
+/// Run a workload against a one-shard deployment, round-tripping every
+/// update message and summary as it flows DA → QS, and return the system for
+/// answer-level checks.
 fn run_workload(
     mode: SigningMode,
     n0: usize,
     key_span: i64,
     ops: &[Op],
-) -> (DataAggregator, QueryServer) {
+) -> (ShardedAggregator, ShardedQueryServer) {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut da = DataAggregator::new(cfg(mode), &mut rng);
-    let modulus = (key_span / 2).max(1);
-    let rows: Vec<Vec<i64>> = (0..n0 as i64).map(|i| vec![i % modulus, i]).collect();
-    let boot = da.bootstrap(rows, 2);
-    let mut qs = da.replica(&boot);
-    let apply_all = |qs: &mut QueryServer, msgs: Vec<UpdateMsg>| {
-        for m in msgs {
+    let mut sa = ShardedAggregator::new(cfg(mode), vec![], &mut rng);
+    let boots = sa.bootstrap(initial_rows(n0, key_span), 2);
+    let sqs = sa.replica(&boots, &QsOptions::default());
+    let apply_all = |msgs: Vec<(usize, UpdateMsg)>| {
+        for (shard, m) in msgs {
             assert_canonical(&m);
-            qs.apply(&m);
+            sqs.apply(shard, &m);
         }
     };
     for &op in ops {
+        let slots = sa.shard(0).record_slots();
         match op {
             Op::Insert { key, val } => {
-                let msgs = da.insert(vec![key % key_span, val]);
-                apply_all(&mut qs, msgs);
+                let (shard, msgs) = sa.insert(vec![key % key_span, val]);
+                apply_all(msgs.into_iter().map(|m| (shard, m)).collect());
             }
-            Op::Update { target, key, val } => {
-                let slots = da.record_slots();
-                if slots > 0 {
-                    let msgs = da.update_record(target % slots, vec![key % key_span, val]);
-                    apply_all(&mut qs, msgs);
-                }
+            Op::Update { target, key, val } if slots > 0 => {
+                apply_all(
+                    sa.update_record(0, target % slots, vec![key % key_span, val])
+                        .1,
+                );
             }
-            Op::Delete { target } => {
-                let slots = da.record_slots();
-                if slots > 0 {
-                    let msgs = da.delete_record(target % slots);
-                    apply_all(&mut qs, msgs);
-                }
+            Op::Delete { target } if slots > 0 => {
+                apply_all(sa.delete_record(0, target % slots));
             }
-            Op::Advance { dt } => da.advance_clock(dt),
+            Op::Advance { dt } => sa.advance_clock(dt),
+            _ => {}
         }
-        if let Some((s, recerts)) = da.maybe_publish_summary() {
+        for (shard, s, recerts) in sa.maybe_publish_summaries() {
             assert_canonical(&s);
-            qs.add_summary(s);
-            apply_all(&mut qs, recerts);
+            sqs.add_summary(shard, s);
+            apply_all(recerts.into_iter().map(|m| (shard, m)).collect());
         }
     }
-    (da, qs)
+    (sa, sqs)
 }
 
 proptest! {
@@ -131,8 +90,8 @@ proptest! {
         raw_ops in prop::collection::vec((any::<u8>(), any::<i64>(), any::<i64>()), 0..30),
         queries in prop::collection::vec((-50i64..50, -5i64..30), 1..6),
     ) {
-        let ops = decode_ops(&raw_ops);
-        let (_da, qs) = run_workload(SigningMode::Chained, n0, key_span, &ops);
+        let ops = decode_ops(&raw_ops, 4);
+        let (_sa, sqs) = run_workload(SigningMode::Chained, n0, key_span, &ops);
         // Random ranges (negative widths give inverted queries) plus the
         // extremes, so every answer shape appears: records, gap proofs,
         // vacancy proofs, inverted-empty.
@@ -140,21 +99,11 @@ proptest! {
         ranges.push((i64::MIN + 1, i64::MAX - 1));
         ranges.push((key_span + 1, i64::MAX - 1));
         for (lo, hi) in ranges {
-            let ans = qs.select_range(lo, hi).unwrap();
-            assert_canonical(&ans);
-            // The full response frame a networked server would ship.
-            assert_canonical(&Response::Selection(
-                authdb_core::shard::ShardedSelectionAnswer {
-                    map: authdb_core::shard::ShardMap::create(
-                        &authdb_crypto::signer::Keypair::generate(
-                            SchemeKind::Mock,
-                            &mut StdRng::seed_from_u64(1),
-                        ),
-                        vec![],
-                    ),
-                    parts: vec![authdb_core::shard::ShardAnswer { shard: 0, answer: ans }],
-                },
-            ));
+            // The shard's own tile (for an inverted range, the engine's
+            // canonical empty form)...
+            assert_canonical(&sqs.select_shard(0, lo, hi).unwrap());
+            // ...and the full response frame a networked server would ship.
+            assert_canonical(&Response::Selection(sqs.select_range(lo, hi).unwrap()));
         }
     }
 
@@ -165,15 +114,15 @@ proptest! {
         raw_ops in prop::collection::vec((any::<u8>(), any::<i64>(), any::<i64>()), 0..20),
         queries in prop::collection::vec((-50i64..50, 0i64..30, 0u8..3), 1..5),
     ) {
-        let ops = decode_ops(&raw_ops);
-        let (_da, qs) = run_workload(SigningMode::PerAttribute, n0, key_span, &ops);
+        let ops = decode_ops(&raw_ops, 4);
+        let (_sa, sqs) = run_workload(SigningMode::PerAttribute, n0, key_span, &ops);
         for &(lo, w, attr_sel) in &queries {
             let attrs: &[usize] = match attr_sel % 3 {
                 0 => &[0],
                 1 => &[1],
                 _ => &[0, 1],
             };
-            let ans = qs.project(lo, lo + w, attrs).unwrap();
+            let ans = sqs.project(lo, lo + w, attrs).unwrap();
             assert_canonical(&ans);
             assert_canonical(&Response::Projection(ans));
         }
@@ -191,7 +140,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(11);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), splits, &mut rng);
         let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
+        let sqs = sa.replica(&boots, &QsOptions::default());
         assert_canonical(sa.map());
         for &(lo, w) in &queries {
             let ans = sqs.select_range(lo, lo + w).unwrap();
@@ -234,7 +183,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(15);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![], &mut rng);
         let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
+        let sqs = sa.replica(&boots, &QsOptions::default());
         for &(sel, at_raw) in &schedule {
             let splits = sa.map().splits().to_vec();
             let plan = if sel % 2 == 1 && !splits.is_empty() {
@@ -294,7 +243,7 @@ proptest! {
             let boots_rng = &mut StdRng::seed_from_u64(16);
             let mut sa2 = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], boots_rng);
             let boots = sa2.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-            let sqs = sa2.replica(&boots, &authdb_core::qs::QsOptions::default());
+            let sqs = sa2.replica(&boots, &QsOptions::default());
             let _ = sqs.apply_rebalance(&mutated);
             let _ = sqs.select_range(0, 40).unwrap();
         }
@@ -312,7 +261,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(13);
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], &mut rng);
         let boots = sa.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &authdb_core::qs::QsOptions::default());
+        let sqs = sa.replica(&boots, &QsOptions::default());
         let (lo, w) = seed_query;
         let ans = sqs.select_range(lo, lo + w).unwrap();
         let mut bytes = frame(&Response::Selection(ans));
@@ -333,46 +282,46 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
     // The codec is schema-agnostic, so a malicious peer can ship records
     // whose arity disagrees with the schema; the verifier must reject them
     // with MalformedRecord before any schema-indexed access.
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut da = DataAggregator::new(cfg(SigningMode::Chained), &mut rng);
-    let boot = da.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = da.replica(&boot);
-    let v = da.verifier();
+    let one_shard = |mode, seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sa = ShardedAggregator::new(cfg(mode), vec![], &mut rng);
+        let boots = sa.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
+        let sqs = sa.replica(&boots, &QsOptions::default());
+        (sqs, sa.verifier(), sa.epoch_view())
+    };
+    let (sqs, v, view) = one_shard(SigningMode::Chained, 3);
+    let mut rng = StdRng::seed_from_u64(5);
 
     // A returned record with too few attributes.
-    let mut ans = qs.select_range(20, 60).unwrap();
-    ans.records[1] = Record {
-        rid: ans.records[1].rid,
+    let mut ans = sqs.select_range(20, 60).unwrap();
+    let records = &mut ans.parts[0].answer.records;
+    let rid = records[1].rid;
+    records[1] = Record {
+        rid,
         attrs: vec![30],
-        ts: ans.records[1].ts,
+        ts: records[1].ts,
     };
     assert_eq!(
-        v.verify_selection(20, 60, &ans, 0, true),
-        Err(VerifyError::MalformedRecord {
-            rid: ans.records[1].rid
-        })
+        v.verify_sharded_selection(20, 60, &ans, &view, 0, true, &mut rng),
+        Err(VerifyError::MalformedRecord { rid })
     );
 
     // A gap proof whose bracketing record has the wrong arity.
-    let mut gap_ans = qs.select_range(21, 29).unwrap();
-    let g = gap_ans.gap.as_mut().unwrap();
+    let mut gap_ans = sqs.select_range(21, 29).unwrap();
+    let g = gap_ans.parts[0].answer.gap.as_mut().unwrap();
     g.record.attrs = vec![20, 2, 99];
     let rid = g.record.rid;
     assert_eq!(
-        v.verify_selection(21, 29, &gap_ans, 0, true),
+        v.verify_sharded_selection(21, 29, &gap_ans, &view, 0, true, &mut rng),
         Err(VerifyError::MalformedRecord { rid })
     );
 
     // A projected row naming an attribute index past the schema.
-    let mut rng = StdRng::seed_from_u64(4);
-    let mut da = DataAggregator::new(cfg(SigningMode::PerAttribute), &mut rng);
-    let boot = da.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
-    let qs = da.replica(&boot);
-    let v = da.verifier();
-    let mut proj = qs.project(0, 50, &[1]).unwrap();
+    let (sqs, v, view) = one_shard(SigningMode::PerAttribute, 4);
+    let mut proj = sqs.project(0, 50, &[1]).unwrap();
     proj.rows[0].values[0].0 = usize::MAX;
     assert_eq!(
-        v.verify_projection(&proj, 0, true),
+        v.verify_projection(&proj, &view, 0, true),
         Err(VerifyError::MalformedRecord {
             rid: proj.rows[0].rid
         })

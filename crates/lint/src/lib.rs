@@ -25,11 +25,13 @@
 //! `&x[..n]`) in any code reachable from the untrusted-input pipeline:
 //! `WireDecode` impls, the wire `Reader` helpers and framing entry points
 //! (`deframe`, `decode_frame`, `frame_body_len`), and the verifier claim
-//! pipeline (`Verifier` methods, `analyze_selection`, the claim collection,
-//! fold-order and transcript-coefficient helpers beside them — `Analyzed`,
-//! `SigClaim`, `ClaimKind`, `TranscriptRng`, `claim_order`,
-//! `transcript_digest` — the client's epoch pin `EpochView`, and everything
-//! they call, by call-graph closure over the `wire` and `core` crates).
+//! pipeline (`Verifier` methods — the stitcher and its entry points —
+//! `analyze_selection`, the claim collection, fold-order and
+//! transcript-coefficient helpers beside them — `Analyzed`, `SigClaim`,
+//! `ClaimKind`, `TranscriptRng`, `claim_order`, `transcript_digest` — the
+//! client's epoch pin `EpochView`, the join verifier `verify_join`, and
+//! everything they call, by call-graph closure over the `wire` and `core`
+//! crates).
 //!
 //! *Why:* these paths run on attacker-controlled bytes and on answers from
 //! an untrusted server. A reachable panic is a denial-of-service primitive

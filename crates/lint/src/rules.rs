@@ -320,13 +320,16 @@ fn scan_decode_body(m: &FileModel, f: &FnItem, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The verifier's claim pipeline outside `impl Verifier`: claim collection
-/// (`Analyzed`, `SigClaim`), fold order and localisation (`claim_order`,
-/// `ClaimKind`), the transcript coefficient source, and the client's epoch
-/// pin (`EpochView`: `observe` and `from_bootstrap` judge a bundle an
-/// untrusted server sent, and no `Verifier` method calls them). Seeded by
-/// name so they stay covered even if a refactor detaches them from a
-/// `Verifier` method's call graph.
+/// The verifier's claim pipeline outside `impl Verifier` (whose methods —
+/// the `stitch` pipeline and its three entry points, `verify_projection` —
+/// are all seeds): claim collection (`Analyzed`, `SigClaim`), fold order and
+/// localisation (`claim_order`, `ClaimKind`), the transcript coefficient
+/// source, the client's epoch pin (`EpochView`: `observe` and
+/// `from_bootstrap` judge a bundle an untrusted server sent, and no
+/// `Verifier` method calls them), and the join verifier (`verify_join`, a
+/// free function over a server-built `JoinAnswer`). Seeded by name so they
+/// stay covered even if a refactor detaches them from a `Verifier` method's
+/// call graph.
 const VERIFY_CLAIM_OWNERS: [&str; 5] = [
     "Analyzed",
     "SigClaim",
@@ -334,7 +337,12 @@ const VERIFY_CLAIM_OWNERS: [&str; 5] = [
     "TranscriptRng",
     "EpochView",
 ];
-const VERIFY_CLAIM_FNS: [&str; 3] = ["analyze_selection", "claim_order", "transcript_digest"];
+const VERIFY_CLAIM_FNS: [&str; 4] = [
+    "analyze_selection",
+    "claim_order",
+    "transcript_digest",
+    "verify_join",
+];
 
 /// Rule 1 + closure part of rule 5: seed the decode/verify entry points,
 /// take the call-graph closure inside [`CLOSURE_CRATES`], and scan every

@@ -64,6 +64,11 @@
 //! *message kinds* (new enum tags) is allowed within a version because
 //! unknown tags already surface as typed [`WireError::BadTag`] errors.
 //!
+//! Version history: **2** — `ProjectionAnswer` gained a trailing
+//! `checkpoint:opt` (the anchor for a summary run cut by compaction, as
+//! `SelectionAnswer` already carried); every other encoding is bit-identical
+//! to version 1.
+//!
 //! ## Failure discipline
 //!
 //! Decoding never panics and never over-allocates on attacker-controlled
@@ -74,7 +79,7 @@
 use std::fmt;
 
 /// Current wire-format version, carried in every frame.
-pub const FORMAT_VERSION: u8 = 1;
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Default cap on a frame's declared body length (version byte + payload).
 /// Chosen far above any honest answer (a full-table selection of a million

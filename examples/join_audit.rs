@@ -10,11 +10,13 @@
 //! cargo run --release --example join_audit
 //! ```
 
-use authdb::core::da::{DaConfig, DataAggregator};
+use authdb::core::da::DaConfig;
 use authdb::core::join::{
     execute_join, partition_certification_message, verify_join, JoinMethod, JoinPublisher,
 };
+use authdb::core::qs::QsOptions;
 use authdb::core::record::Schema;
+use authdb::core::shard::ShardedAggregator;
 use authdb::workload::tpce;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,19 +34,20 @@ fn main() {
     let n_r = 300;
     let i_b = 60;
     println!("Certifying Security (R): {n_r} rows...");
-    let mut r_da = DataAggregator::new(cfg.clone(), &mut rng);
-    let r_boot = r_da.bootstrap(tpce::r_rows(n_r, i_b, 0.5, &mut rng), 4);
-    let r_qs = r_da.replica(&r_boot);
+    let mut r_da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
+    let r_boots = r_da.bootstrap(tpce::r_rows(n_r, i_b, 0.5, &mut rng), 4);
+    let r_qs = r_da.replica(&r_boots, &QsOptions::default());
     let r_verifier = r_da.verifier();
+    let r_view = r_da.epoch_view();
 
     // S = Holding: 10 positions per held security id.
     println!(
         "Certifying Holding (S): {} rows over {i_b} securities...",
         i_b * 10
     );
-    let mut s_da = DataAggregator::new(cfg, &mut rng);
-    let s_boot = s_da.bootstrap(tpce::s_rows(i_b * 10, i_b), 4);
-    let mut s_qs = s_da.replica(&s_boot);
+    let mut s_da = ShardedAggregator::new(cfg, vec![], &mut rng);
+    let s_boots = s_da.bootstrap(tpce::s_rows(i_b * 10, i_b), 4);
+    let s_qs = s_da.replica(&s_boots, &QsOptions::default());
     let s_verifier = s_da.verifier();
 
     // The DA publishes certified partition filters over S.B
@@ -60,24 +63,30 @@ fn main() {
     let (lo, hi) = (0, (n_r / 3 - 1) as i64);
     for method in [JoinMethod::BoundaryValues, JoinMethod::BloomFilter] {
         let r_ans = r_qs.select_range(lo, hi).unwrap();
-        let selected = r_ans.records.len();
+        let selected = r_ans.parts[0].answer.records.len();
+        // The client names the join attribute (R.A is attribute 1); an
+        // answer joined on any other attribute does not verify.
         let ans = execute_join(
             r_ans,
             1,
-            &mut s_qs,
+            &s_qs,
             publisher.filters(),
             publisher.partition_sigs(),
             method,
-        );
+        )
+        .expect("S is one shard");
         verify_join(
             &r_verifier,
+            &r_view,
             s_verifier.public_params(),
             &schema,
             partition_certification_message,
             lo,
             hi,
+            1,
             &ans,
             r_da.now(),
+            &mut rng,
         )
         .expect("join verifies");
         let matches: usize = ans.runs.iter().map(|r| r.records.len()).sum();

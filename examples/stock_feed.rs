@@ -10,8 +10,10 @@
 //! cargo run --release --example stock_feed
 //! ```
 
-use authdb::core::da::{DaConfig, DataAggregator};
+use authdb::core::da::DaConfig;
+use authdb::core::qs::QsOptions;
 use authdb::core::record::Schema;
+use authdb::core::shard::ShardedAggregator;
 use authdb::core::verify::VerifyError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,21 +29,24 @@ fn main() {
         rho_prime: 60,
         ..DaConfig::paper_defaults()
     };
-    let mut da = DataAggregator::new(cfg, &mut rng);
+    // One shard holds the whole feed; the client pins its signed map.
+    let mut da = ShardedAggregator::new(cfg, vec![], &mut rng);
     println!("Exchange opens: certifying 200 symbols...");
     let rows: Vec<Vec<i64>> = (0..200)
         .map(|i| vec![i, 10_000 + rng.gen_range(0..5_000), 0])
         .collect();
-    let boot = da.bootstrap(rows, 4);
-    let mut qs = da.replica(&boot);
+    let boots = da.bootstrap(rows, 4);
+    let qs = da.replica(&boots, &QsOptions::default());
     let verifier = da.verifier();
+    let view = da.epoch_view();
 
     // A user watches symbols 40..=45.
     let watchlist = (40, 45);
     let before = qs.select_range(watchlist.0, watchlist.1).unwrap();
     println!(
         "Initial quotes: {:?}",
-        before
+        before.parts[0]
+            .answer
             .records
             .iter()
             .map(|r| (r.attrs[0], r.attrs[1]))
@@ -57,20 +62,23 @@ fn main() {
             let sym = rng.gen_range(0..200u64);
             let new_price = 10_000 + rng.gen_range(0..5_000);
             let volume = rng.gen_range(0..1_000);
-            qs.apply_all(&da.update_record(sym, vec![sym as i64, new_price, volume]));
+            qs.apply_all(
+                &da.update_record(0, sym, vec![sym as i64, new_price, volume])
+                    .1,
+            );
         }
-        if let Some(period) = da.maybe_publish_summary() {
-            qs.ingest(period);
-            summaries_published += 1;
-        }
+        let periods = da.maybe_publish_summaries();
+        summaries_published += periods.len();
+        qs.ingest(periods);
     }
     println!("Published {summaries_published} certified update summaries.");
 
     // The honest fresh answer verifies with a tight staleness bound.
     let fresh = qs.select_range(watchlist.0, watchlist.1).unwrap();
-    let report = verifier
-        .verify_selection(watchlist.0, watchlist.1, &fresh, da.now(), true)
-        .expect("fresh quotes verify");
+    let (lo, hi) = watchlist;
+    let mut verify =
+        |ans: &_| verifier.verify_sharded_selection(lo, hi, ans, &view, da.now(), true, &mut rng);
+    let report = verify(&fresh).expect("fresh quotes verify");
     println!(
         "\nFresh watchlist verified: {} quotes, staleness bound {} s (rho = 2 s)",
         report.records, report.max_staleness
@@ -79,8 +87,9 @@ fn main() {
     // A compromised server replays the pre-open answer. The signature is
     // genuine — but the bitmap summaries expose the withheld updates.
     let mut replay = before.clone();
-    replay.summaries = fresh.summaries.clone(); // client fetched summaries itself
-    match verifier.verify_selection(watchlist.0, watchlist.1, &replay, da.now(), true) {
+    // The client fetched the summaries itself.
+    replay.parts[0].answer.summaries = fresh.parts[0].answer.summaries.clone();
+    match verify(&replay) {
         Err(VerifyError::Stale { rid, exposed_by }) => println!(
             "Replay attack caught: symbol {rid} is stale (exposed by summary #{exposed_by})"
         ),
@@ -93,6 +102,6 @@ fn main() {
 
     // Old quiet symbols still verify cheaply thanks to active renewal: their
     // signatures were refreshed, so few summaries are needed.
-    let (avg_age, max_age) = da.signature_age_stats();
+    let (avg_age, max_age) = da.shard(0).signature_age_stats();
     println!("\nSignature ages after renewal: avg {avg_age:.1} s, max {max_age} s (rho' = 60 s)");
 }

@@ -9,9 +9,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use authdb::core::da::{DaConfig, DataAggregator};
+use authdb::core::da::DaConfig;
 use authdb::core::policy::LoadPolicy;
 use authdb::core::qs::QsOptions;
 use authdb::core::shard::{RebalancePlan, ShardedAggregator};
@@ -22,10 +22,9 @@ use rand::{Rng, SeedableRng};
 
 #[test]
 fn concurrent_queries_verify_during_update_stream() {
-    // A shared QS behind an RwLock: one writer applies DA updates while
-    // reader threads continuously verify answers. Every answer observed by
-    // any reader must verify — the replica is never in a bad intermediate
-    // state.
+    // A shared server: one writer applies DA updates while reader threads
+    // continuously verify answers. Every answer observed by any reader must
+    // verify — the replica is never in a bad intermediate state.
     let cfg = DaConfig {
         rho: 1_000_000, // keep summaries out of this test
         rho_prime: 1_000_000,
@@ -33,18 +32,17 @@ fn concurrent_queries_verify_during_update_stream() {
         ..DaConfig::small()
     };
     let mut rng = StdRng::seed_from_u64(7);
-    let mut da = DataAggregator::new(cfg, &mut rng);
-    let boot = da.bootstrap((0..400).map(|i| vec![i, 0]).collect(), 2);
-    let qs = Arc::new(RwLock::new(da.replica(&boot)));
-    let verifier = da.verifier();
+    let mut sa = ShardedAggregator::new(cfg, vec![], &mut rng);
+    let boots = sa.bootstrap((0..400).map(|i| vec![i, 0]).collect(), 2);
+    let sqs = &sa.replica(&boots, &QsOptions::default());
+    let (verifier, view) = (sa.verifier(), sa.epoch_view());
 
     let stop = Arc::new(AtomicU64::new(0));
     let verified = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         // Readers.
         for seed in 0..3u64 {
-            let qs = qs.clone();
-            let verifier = verifier.clone();
+            let (verifier, view) = (verifier.clone(), view.clone());
             let stop = stop.clone();
             let verified = verified.clone();
             s.spawn(move || {
@@ -52,11 +50,9 @@ fn concurrent_queries_verify_during_update_stream() {
                 while stop.load(Ordering::Relaxed) == 0 {
                     let lo = rng.gen_range(0..300i64);
                     let hi = lo + rng.gen_range(0..60);
-                    // `select_range` is `&self` since the snapshot refactor:
-                    // readers share the lock, only `apply` writes.
-                    let ans = qs.read().select_range(lo, hi).expect("chained mode");
+                    let ans = sqs.select_range(lo, hi).expect("chained mode");
                     verifier
-                        .verify_selection(lo, hi, &ans, 0, true)
+                        .verify_sharded_selection(lo, hi, &ans, &view, 0, true, &mut rng)
                         .expect("every observed answer verifies");
                     verified.fetch_add(1, Ordering::Relaxed);
                 }
@@ -65,8 +61,8 @@ fn concurrent_queries_verify_during_update_stream() {
         // Writer: 200 updates through the DA, applied atomically.
         for step in 0..200 {
             let rid = (step * 7) % 400;
-            let msgs = da.update_record(rid as u64, vec![rid, step]);
-            qs.write().apply_all(&msgs);
+            let (_, msgs) = sa.update_record(0, rid as u64, vec![rid, step]);
+            sqs.apply_all(&msgs);
             std::thread::yield_now();
         }
         // Keep the system live until the readers have demonstrably verified

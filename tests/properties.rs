@@ -1,9 +1,10 @@
 //! Property-based tests (proptest) on the workspace's core invariants.
 
+mod common;
+
 use proptest::prelude::*;
 
-use authdb::core::da::{DaConfig, DataAggregator};
-use authdb::core::record::Schema;
+use authdb::core::da::DaConfig;
 use authdb::core::sigcache::{distributions, select_cache, SigTreeAnalysis};
 use authdb::crypto::bigint::BigUint;
 use authdb::crypto::signer::SchemeKind;
@@ -11,6 +12,7 @@ use authdb::filters::bitmap::{compress, decompress, Bitmap};
 use authdb::filters::bloom::BloomFilter;
 use authdb::index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
 use authdb::storage::{BufferPool, Disk};
+use common::{part, OneShard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -132,25 +134,20 @@ proptest! {
         // Any range over a fixed mock system verifies, and a random value
         // perturbation is always rejected.
         let hi = lo + width;
-        let schema = Schema::new(2, 64);
         let cfg = DaConfig {
-            schema,
             rho_prime: 1000,
             buffer_pages: 512,
             ..DaConfig::small()
         };
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut da = DataAggregator::new(cfg, &mut rng);
-        let boot = da.bootstrap((0..200).map(|i| vec![i, i]).collect(), 2);
-        let qs = da.replica(&boot);
-        let verifier = da.verifier();
-        let ans = qs.select_range(lo, hi).unwrap();
-        prop_assert!(verifier.verify_selection(lo, hi, &ans, 0, true).is_ok());
-        if !ans.records.is_empty() {
-            let mut bad = ans.clone();
-            let idx = (lo as usize) % bad.records.len();
-            bad.records[idx].attrs[1] ^= 1;
-            prop_assert!(verifier.verify_selection(lo, hi, &bad, 0, true).is_err());
+        let s = OneShard::new(cfg, (0..200).map(|i| vec![i, i]).collect(), 42);
+        let ans = s.select(lo, hi);
+        prop_assert!(s.verify(lo, hi, &ans).is_ok());
+        let mut bad = ans.clone();
+        let records = &mut part(&mut bad).records;
+        if !records.is_empty() {
+            let idx = (lo as usize) % records.len();
+            records[idx].attrs[1] ^= 1;
+            prop_assert!(s.verify(lo, hi, &bad).is_err());
         }
     }
 
