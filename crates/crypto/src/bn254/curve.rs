@@ -205,33 +205,43 @@ impl<C: CurveSpec> Point<C> {
         self.add(&other.neg())
     }
 
-    /// Scalar multiplication by a little-endian limb scalar.
-    ///
-    /// Uses width-4 wNAF with a precomputed table of odd multiples
-    /// {P, 3P, 5P, 7P}: ~n doublings plus ~n/5 additions for an n-bit
-    /// scalar, versus ~n/2 additions for plain double-and-add. Matches
+    /// Scalar multiplication by a little-endian limb scalar: the one-term
+    /// case of [`Point::multi_mul_scalar`]. Matches
     /// [`Point::mul_scalar_binary`] bit-for-bit (property-tested).
     pub fn mul_scalar(&self, k: &[u64]) -> Self {
-        if self.is_infinity() {
-            return Self::infinity();
-        }
-        let naf = wnaf_digits(k, 4);
-        if naf.is_empty() {
-            return Self::infinity();
-        }
-        // Odd multiples 1P, 3P, 5P, 7P.
-        let twice = self.double();
-        let mut table = [*self; 4];
-        for i in 1..4 {
-            table[i] = table[i - 1].add(&twice);
-        }
+        Self::multi_mul_scalar(&[(*self, k)])
+    }
+
+    /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` over little-endian limb
+    /// scalars (Straus's interleaving): each point gets width-4 wNAF digits
+    /// and a table of odd multiples {P, 3P, 5P, 7P}, and all terms share
+    /// **one** doubling chain — ~n doublings in total plus ~n/5 additions
+    /// per term for n-bit scalars, versus ~n/2 additions and a doubling
+    /// chain of its own for each plain double-and-add. Infinity terms are
+    /// skipped; the empty sum is infinity.
+    pub fn multi_mul_scalar(terms: &[(Self, &[u64])]) -> Self {
+        let tables: Vec<([Self; 4], Vec<i8>)> = terms
+            .iter()
+            .filter(|(p, _)| !p.is_infinity())
+            .map(|(p, k)| {
+                let twice = p.double();
+                let mut table = [*p; 4];
+                for i in 1..4 {
+                    table[i] = table[i - 1].add(&twice);
+                }
+                (table, wnaf_digits(k, 4))
+            })
+            .collect();
+        let len = tables.iter().map(|(_, naf)| naf.len()).max().unwrap_or(0);
         let mut acc = Self::infinity();
-        for &d in naf.iter().rev() {
+        for i in (0..len).rev() {
             acc = acc.double();
-            if d > 0 {
-                acc = acc.add(&table[d as usize >> 1]);
-            } else if d < 0 {
-                acc = acc.add(&table[(-d) as usize >> 1].neg());
+            for (table, naf) in &tables {
+                match naf.get(i).copied().unwrap_or(0) {
+                    0 => {}
+                    d if d > 0 => acc = acc.add(&table[d as usize >> 1]),
+                    d => acc = acc.add(&table[(-d) as usize >> 1].neg()),
+                }
             }
         }
         acc
@@ -270,8 +280,8 @@ impl<C: CurveSpec> Point<C> {
 /// Width-`w` non-adjacent-form digits of a little-endian limb scalar:
 /// little-endian digits, each zero or odd with `|d| < 2^(w-1)`, at most
 /// one nonzero in any `w` consecutive positions. Empty for zero. At
-/// `w = 2` this is the plain signed NAF (used by the final
-/// exponentiation's exponent cache).
+/// `w = 2` this is the plain signed NAF (what the pairing engine walks:
+/// the optimal-ate loop count and the BN parameter `x`).
 pub(crate) fn wnaf_digits(k: &[u64], w: u32) -> Vec<i8> {
     debug_assert!((2..=7).contains(&w));
     let mut n = k.to_vec();

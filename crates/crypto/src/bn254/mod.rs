@@ -7,25 +7,35 @@
 //!
 //! # The prepared-pairing pipeline
 //!
-//! The pairing is the reduced **ate pairing**
-//! `e(P, Q) = f_{T,psi(Q)}(P)^((p^12-1)/r)` with loop count `T = t - 1 =
-//! 6x²` (127 bits, half the group order) and denominator elimination.
-//! Verification workloads evaluate products of pairings against *fixed*
-//! G2 points (the generator and the signer's public key), so the engine is
-//! organized around three amortizations:
+//! The pairing is the reduced **optimal-ate pairing**
+//! `e(P, Q) = (f_{6x+2,psi(Q)}(P) · l₁(P) · l₂(P))^((p^12-1)/r)`: a Miller
+//! loop over the signed NAF of `6x + 2` (65 doubling steps and 21 additions
+//! — a quarter of the group order's bits), two closing lines `l₁`, `l₂`
+//! through the Frobenius images `π_p(Q)` and `-π_{p²}(Q)`, and denominator
+//! elimination. Verification workloads evaluate products of pairings
+//! against *fixed* G2 points (the generator and the signer's public key),
+//! so the engine is organized around three amortizations:
 //!
 //! 1. [`pairing::G2Prepared`] runs the Miller loop's twist arithmetic once
-//!    per G2 point and stores the line coefficients; each pairing against
-//!    the point is then inversion-free sparse folding.
+//!    per G2 point and stores its 88 line coefficients; each pairing
+//!    against the point is then inversion-free sparse folding.
 //! 2. [`pairing::multi_miller_loop`] accumulates any number of
 //!    `(G1, G2Prepared)` terms into one Fp12 value under a single shared
 //!    squaring chain.
 //! 3. [`pairing::final_exponentiation`] is paid once per *product* rather
-//!    than once per pairing, and its hard part walks a cached signed-NAF
-//!    exponent with Granger–Scott cyclotomic squarings.
+//!    than once per pairing, and its hard part is three powers by the
+//!    63-bit `x` with Granger–Scott cyclotomic squarings plus a short
+//!    Frobenius addition chain, from the exact base-`p` expansion of
+//!    `(p⁴-p²+1)/r` — not a walk over that 761-bit exponent.
+//!
+//! The tower under it is Karatsuba at every level (3 / 6 / 18 Fp2-level
+//! products for Fp2 / Fp6 / Fp12) with a complex-method Fp12 square. See
+//! the [`pairing`] module docs for the derivations and references, and for
+//! why a `pairing()` value is only meaningful relative to another one.
 //!
 //! Scalar multiplication in G1/G2 uses width-4 wNAF with precomputed
-//! odd-multiple tables (see [`curve::Point::mul_scalar`]).
+//! odd-multiple tables; sums of products share one doubling chain (see
+//! [`curve::Point::multi_mul_scalar`]).
 
 pub mod curve;
 pub mod fp;

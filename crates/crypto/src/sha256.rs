@@ -142,15 +142,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// One-shot SHA-256 over the concatenation of two byte strings; used for
-/// Merkle-style `h(left | right)` combination without an extra allocation.
-pub fn sha256_pair(left: &[u8], right: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(left);
-    h.update(right);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,12 +194,5 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
-    }
-
-    #[test]
-    fn pair_matches_concat() {
-        let a = b"hello ";
-        let b = b"world";
-        assert_eq!(sha256_pair(a, b), sha256(b"hello world"));
     }
 }

@@ -180,6 +180,29 @@ proptest! {
         prop_assert_eq!(g2.mul_scalar(&limbs), g2.mul_scalar_binary(&limbs));
         prop_assert!(g1.mul_scalar(&[0, 0]).is_infinity());
     }
+
+    #[test]
+    fn multi_mul_scalar_matches_sum_of_products(
+        terms in prop::collection::vec((0u64..6, prop::collection::vec(any::<u64>(), 1..4)), 0..5),
+    ) {
+        // One shared doubling chain against one binary double-and-add per
+        // term: scalars of one to three limbs, with infinity points (kind
+        // 0), zero scalars (kind 1) and the empty sum among the cases.
+        use authdb::crypto::bn254::G1;
+        let scalars: Vec<Vec<u64>> = terms
+            .iter()
+            .map(|(kind, limbs)| if *kind == 1 { vec![0; limbs.len()] } else { limbs.clone() })
+            .collect();
+        let terms: Vec<(G1, &[u64])> = terms
+            .iter()
+            .zip(&scalars)
+            .map(|((kind, _), k)| (G1::generator().mul_scalar(&[kind * 7919]), &k[..]))
+            .collect();
+        let sum = terms
+            .iter()
+            .fold(G1::infinity(), |acc, (p, k)| acc.add(&p.mul_scalar_binary(k)));
+        prop_assert_eq!(G1::multi_mul_scalar(&terms), sum);
+    }
 }
 
 proptest! {
@@ -210,6 +233,21 @@ proptest! {
             product = product.mul(&pairing(p, q));
         }
         prop_assert_eq!(batched, product);
+    }
+
+    #[test]
+    fn pairing_is_bilinear_in_both_arguments(seed in any::<u64>()) {
+        // e([a]P, [b]Q) = e(P, Q)^(ab) for random a, b and random base
+        // points: the relation every verification equation rests on, and
+        // the one a wrong loop count or Frobenius constant would break.
+        use authdb::crypto::bn254::{pairing, Fr, G1, G2};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = G1::generator().mul_fr(&Fr::random(&mut rng));
+        let q = G2::generator().mul_fr(&Fr::random(&mut rng));
+        let (a, b) = (Fr::random(&mut rng), Fr::random(&mut rng));
+        let lhs = pairing(&p.mul_fr(&a), &q.mul_fr(&b));
+        let rhs = pairing(&p, &q).pow(&a.mul(&b).to_canonical());
+        prop_assert_eq!(lhs, rhs);
     }
 }
 
