@@ -101,8 +101,9 @@ fn main() {
 
     // ---- Part 3: one check per live answer ----
     // Six quiet periods, then the DA compacts all but the last four
-    // summaries: every answer now carries a checkpoint (2 048 rids' exposure,
-    // 16 KB) and four summaries beside its aggregate.
+    // summaries: every answer now carries a checkpoint (a 101-byte signed
+    // commitment to 2 048 rids' exposure, opened for the answer's rids) and
+    // four summaries beside its aggregate.
     let rho = da.config().rho;
     for _ in 0..6 {
         da.advance_clock(rho + 2);

@@ -23,15 +23,25 @@
 //! the checkpointed answers are asserted to stay ≤ 96 attached summaries
 //! and to keep verifying at every H.
 //!
-//! Part 3 (adversary): the checkpoint tamper catalog — forged digest,
+//! Part 3 (exposure opening): a summary checkpoint commits to its per-rid
+//! exposure map by a hash root and an answer carries only the chunks of its
+//! own rids plus their sibling digests. The same 16-record answer is taken
+//! at shard sizes 2¹⁰, 2¹³ and 2¹⁶: the checkpoint bytes it carries are
+//! asserted to grow by at most 64 B per doubling of the shard (two paths,
+//! one 32-byte digest each) where the whole map grows by 8 B per rid, and
+//! every opened answer is asserted to verify.
+//!
+//! Part 4 (adversary): the checkpoint tamper catalog — forged digest,
 //! wrong-epoch replay, gap-straddling cut, chain-break bootstrap, bundle
-//! rollback — under
-//! Mock and real BAS; every strategy must be rejected with its pinned
-//! `VerifyError` while the honest answer or bundle is accepted.
+//! rollback, and the opening strategies (forged entry, chunk at the wrong
+//! index, omitted chunk, understated maximum, dropped and surplus sibling)
+//! — under Mock and real BAS; every strategy must be rejected with its
+//! pinned `VerifyError` while the honest answer or bundle is accepted.
 //!
 //! Acceptance bar: constant bootstrap-bundle bytes across N = 10²..10⁵,
 //! pinned view == walked view, retained summaries ≤ 96 across H = 10²..10⁵,
-//! every checkpoint-anchored answer verifies, and the catalog fully rejects.
+//! every checkpoint-anchored answer verifies, per-answer checkpoint bytes
+//! logarithmic in the shard, and the catalog fully rejects.
 
 use std::time::Instant;
 
@@ -216,6 +226,67 @@ fn summary_log() {
     );
 }
 
+/// Part 3: what an answer carries of its checkpoint, against shard size.
+fn opening_size() {
+    println!("\n== exposure opening: checkpoint bytes on a 16-record answer at shard size S ==");
+    println!(
+        "{:>7} | {:>10} | {:>8} | {:>10} | {:>9}",
+        "rids", "ckpt_bytes", "siblings", "whole_map", "verify"
+    );
+    println!(
+        "{:->7}-+-{:->10}-+-{:->8}-+-{:->10}-+-{:->9}",
+        "", "", "", "", ""
+    );
+    csv_begin("shard_rids,ckpt_bytes,siblings,whole_map_bytes,verify_us");
+    let mut last: Option<(u32, usize)> = None;
+    for log2 in [10u32, 13, 16] {
+        let n = 1i64 << log2;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut da = ShardedAggregator::new(cfg(), vec![], &mut rng);
+        let boots = da.bootstrap((0..n).map(|i| vec![i, i]).collect(), 2);
+        let qs = da.replica(&boots, &replica_opts(&cfg()));
+        for period in 0..3 {
+            da.advance_clock(2);
+            qs.apply_all(
+                &da.update_record(0, 7 + period, vec![7 + period as i64, 1])
+                    .1,
+            );
+            da.advance_clock(8);
+            qs.ingest(da.maybe_publish_summaries());
+        }
+        let whole = da.checkpoint_shard_summaries(0, 1).expect("compactable");
+        let whole_bytes = whole.encode().len();
+        qs.apply_checkpoint(0, whole);
+        // Rids 500..=515 straddle two chunks: two paths to the root.
+        let (lo, hi) = (500, 515);
+        let ans = qs.select_range(lo, hi).expect("chained mode");
+        let ckpt = ans.parts[0].answer.checkpoint.as_ref().expect("anchored");
+        let (bytes, siblings) = (ckpt.encode().len(), ckpt.exposure.siblings.len());
+        let (v, view, now) = (da.verifier(), da.epoch_view(), da.now());
+        let t = Instant::now();
+        for _ in 0..REPS {
+            let rep = v.verify_sharded_selection(lo, hi, &ans, &view, now, true, &mut rng);
+            assert_eq!(rep.expect("acceptance: opened answer verifies").records, 16);
+        }
+        let verify_us = t.elapsed().as_secs_f64() * 1e6 / REPS as f64;
+        if let Some((prev_log2, prev)) = last {
+            let per_doubling = bytes.saturating_sub(prev) / (log2 - prev_log2) as usize;
+            assert!(
+                bytes > prev && per_doubling <= 64,
+                "acceptance: checkpoint bytes per answer must grow by <= 64 B per \
+                 doubling of the shard, got {prev} -> {bytes} from 2^{prev_log2} to 2^{log2}"
+            );
+        }
+        last = Some((log2, bytes));
+        println!(
+            "{n:>7} | {bytes:>9}B | {siblings:>8} | {whole_bytes:>9}B | {:>9}",
+            fmt_time(verify_us * 1e-6)
+        );
+        println!("{n},{bytes},{siblings},{whole_bytes},{verify_us:.2}");
+    }
+    csv_end();
+}
+
 fn main() {
     banner(
         "fig_checkpoint",
@@ -224,10 +295,12 @@ fn main() {
     println!(
         "Mock scheme. Part 1 rebalances a deployment N times and bootstraps a \
          client from the three-artifact certified bundle at each N; part 2 \
-         publishes H summary periods checkpointing every {CKPT_EVERY} (keep {KEEP})."
+         publishes H summary periods checkpointing every {CKPT_EVERY} (keep {KEEP}); \
+         part 3 sizes the checkpoint a 16-record answer carries at three shard sizes."
     );
     epoch_chain();
     summary_log();
+    opening_size();
     let mock_ok = print_catalog::<CheckpointTamper>("Checkpoint", SchemeKind::Mock);
     let bas_ok = print_catalog::<CheckpointTamper>("Checkpoint", SchemeKind::Bas);
     assert!(mock_ok, "checkpoint catalog must fully reject under Mock");
@@ -235,6 +308,7 @@ fn main() {
     println!(
         "\nAcceptance holds: constant bundle bytes and pinned==walked across \
          N=10^2..10^5; resident summaries <= {FLAT_BOUND} across H=10^2..10^5; \
-         every checkpoint-anchored answer verified; every checkpoint tamper rejected."
+         every checkpoint-anchored answer verified; checkpoint bytes per answer \
+         logarithmic in the shard; every checkpoint tamper rejected."
     );
 }

@@ -32,7 +32,10 @@
 //!   must trust to a signed cut: forged covered-window digest (on a
 //!   selection and on a projection), wrong-epoch map replay, gap-straddling
 //!   cut, chain-break bootstrap, bundle rollback, against both
-//!   checkpoint-anchored answers and client catch-up bundles.
+//!   checkpoint-anchored answers and client catch-up bundles — and the
+//!   opening of the cut's exposure map an answer carries: a forged entry, a
+//!   chunk at the wrong index, an omitted chunk, a dropped or surplus
+//!   sibling, an understated signed maximum.
 //!
 //! Every scenario runs against one fixture — [`sharded_system`] (one shard
 //! for the [`Tamper`] arms) driven by the shared three-period timeline
@@ -480,6 +483,17 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper>
     judge(tamper, (&v, &view, sa.now()), range, &tampered, &honest)
 }
 
+/// At t=3 a record with key 50 lands in the (empty) table; the summary
+/// marking it is published at t=12.
+fn insert_into_empty_table(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
+    sa.advance_clock(3);
+    let (shard, msgs) = sa.insert(vec![50, 1]);
+    for m in &msgs {
+        sqs.apply(shard, m);
+    }
+    tick_and_publish(sa, sqs, 9);
+}
+
 /// Run the empty-table replay scenario.
 fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 0);
@@ -487,12 +501,7 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     // Hoard the pre-insert vacancy answer...
     mal.capture(0, 100);
     // ...then the world moves on: an insert lands and is summarized.
-    sa.advance_clock(3);
-    let (shard, msgs) = sa.insert(vec![50, 1]);
-    for m in &msgs {
-        mal.inner().apply(shard, m);
-    }
-    tick_and_publish(&mut sa, mal.inner(), 9);
+    insert_into_empty_table(&mut sa, mal.inner());
     let tampered = mal.select_range(0, 100);
     let honest = mal.inner().select_range(0, 100).unwrap();
     judge(tamper, (&v, &view, sa.now()), (0, 100), &tampered, &honest)
@@ -828,6 +837,23 @@ pub enum CheckpointTamper {
     /// bundle of an *older* epoch — every signature verifies; only the
     /// client's own pinned epoch says the server is rolling it back.
     BundleRollback,
+    /// Replay a version a *compacted* summary exposed, zeroing the entry
+    /// that says so in the chunk the checkpoint opens.
+    ForgedOpenedEntry,
+    /// The same replay with the opened chunks' contents swapped — each a
+    /// genuine chunk of the map, at the other's index — so the replayed
+    /// rid reads a never-marked rid's entry.
+    ChunkAtWrongIndex,
+    /// The same replay under the genuine checkpoint opened for *other*
+    /// rids: a valid opening that leaves the exposing entry's chunk out.
+    OmittedOpening,
+    /// Replay a pre-insertion vacancy claim under a checkpoint whose signed
+    /// maximum is understated to "nothing was ever marked".
+    UnderstatedMax,
+    /// The stale replay with the opening's last sibling digest dropped…
+    DroppedSibling,
+    /// …or with one digest too many.
+    SurplusSibling,
 }
 
 impl Strategy for CheckpointTamper {
@@ -838,6 +864,12 @@ impl Strategy for CheckpointTamper {
         CheckpointTamper::GapStraddlingCut,
         CheckpointTamper::ChainBreakBootstrap,
         CheckpointTamper::BundleRollback,
+        CheckpointTamper::ForgedOpenedEntry,
+        CheckpointTamper::ChunkAtWrongIndex,
+        CheckpointTamper::OmittedOpening,
+        CheckpointTamper::UnderstatedMax,
+        CheckpointTamper::DroppedSibling,
+        CheckpointTamper::SurplusSibling,
     ];
 
     fn name(self) -> &'static str {
@@ -848,6 +880,12 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::GapStraddlingCut => "gap-straddling-cut",
             CheckpointTamper::ChainBreakBootstrap => "chain-break-bootstrap",
             CheckpointTamper::BundleRollback => "bundle-rollback",
+            CheckpointTamper::ForgedOpenedEntry => "forged-opened-entry",
+            CheckpointTamper::ChunkAtWrongIndex => "chunk-at-wrong-index",
+            CheckpointTamper::OmittedOpening => "omitted-opening",
+            CheckpointTamper::UnderstatedMax => "understated-max",
+            CheckpointTamper::DroppedSibling => "dropped-sibling",
+            CheckpointTamper::SurplusSibling => "surplus-sibling",
         }
     }
 
@@ -857,8 +895,15 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::ForgedDigest
             | CheckpointTamper::ForgedProjectionCheckpoint
             | CheckpointTamper::WrongEpochReplay
-            | CheckpointTamper::ChainBreakBootstrap => matches!(err, BadCheckpoint),
+            | CheckpointTamper::ChainBreakBootstrap
+            | CheckpointTamper::ForgedOpenedEntry
+            | CheckpointTamper::ChunkAtWrongIndex
+            | CheckpointTamper::UnderstatedMax
+            | CheckpointTamper::DroppedSibling
+            | CheckpointTamper::SurplusSibling => matches!(err, BadCheckpoint),
             CheckpointTamper::GapStraddlingCut => matches!(err, CheckpointGap { .. }),
+            // Rids 10..=15 share the one chunk the opening does hold.
+            CheckpointTamper::OmittedOpening => matches!(err, CheckpointUnopened { rid: 16 }),
             CheckpointTamper::BundleRollback => matches!(
                 err,
                 StaleEpoch {
@@ -870,7 +915,8 @@ impl Strategy for CheckpointTamper {
     }
 
     /// Bundle strategies attack the client catch-up bundle; the rest
-    /// doctor checkpoint-anchored answers.
+    /// doctor checkpoint-anchored answers or replay under doctored
+    /// openings.
     fn run(self, scheme: SchemeKind) -> Conformance<CheckpointTamper> {
         match self {
             CheckpointTamper::WrongEpochReplay
@@ -882,6 +928,12 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::ForgedProjectionCheckpoint => {
                 checkpoint_projection_scenario(scheme, self)
             }
+            CheckpointTamper::ForgedOpenedEntry
+            | CheckpointTamper::ChunkAtWrongIndex
+            | CheckpointTamper::OmittedOpening
+            | CheckpointTamper::UnderstatedMax
+            | CheckpointTamper::DroppedSibling
+            | CheckpointTamper::SurplusSibling => opening_scenario(scheme, self),
         }
     }
 }
@@ -895,9 +947,88 @@ fn checkpointed_system(
 ) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
     let (mut sa, sqs, v, view) = system(scheme, mode, 1, 40);
     run_timeline(&mut sa, &sqs, value_update());
-    let ckpt = sa.checkpoint_shard_summaries(0, 2).expect("compactable");
-    sqs.apply_checkpoint(0, ckpt);
+    compact(&mut sa, &sqs, 2);
     (sa, sqs, v, view)
+}
+
+/// Checkpoint shard 0's summary log on both sides, keeping the newest
+/// `keep` summaries.
+fn compact(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, keep: usize) {
+    let ckpt = sa.checkpoint_shard_summaries(0, keep).expect("compactable");
+    sqs.apply_checkpoint(0, ckpt);
+}
+
+/// `old`'s single part replayed the only way a client would look at it:
+/// under the summaries and the checkpoint `current` carries.
+fn replay_under(
+    old: &ShardedSelectionAnswer,
+    current: &ShardedSelectionAnswer,
+) -> ShardedSelectionAnswer {
+    let mut replay = old.clone();
+    let part = &mut replay.parts[0].answer;
+    part.summaries = current.parts[0].answer.summaries.clone();
+    part.checkpoint = current.parts[0].answer.checkpoint.clone();
+    replay
+}
+
+/// Run one opening scenario: a replay from before the cut under the
+/// current artifacts, the checkpoint's opening doctored to get it through.
+///
+/// For the understated maximum the table starts empty, an insertion is
+/// marked by seq 0, and the pre-insertion vacancy claim comes back: a
+/// vacancy is judged by the checkpoint's *signed* maximum. For the rest the
+/// timeline's update to rid 23 is marked by seq 1 and the pre-update answer
+/// to `100..=300` — rids 10..=30, chunks 0 and 1 of the map's three — comes
+/// back: the opened entry for rid 23 stands in its way. Either way the cut
+/// covers the marking (one summary stays), so the replay left alone is
+/// `StaleCheckpoint`.
+fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance<CheckpointTamper> {
+    let vacancy = tamper == CheckpointTamper::UnderstatedMax;
+    let (n, (lo, hi)) = if vacancy {
+        (0, (0, 100))
+    } else {
+        (40, (100, 300))
+    };
+    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, n);
+    let old = sqs.select_range(lo, hi).expect("chained mode");
+    if vacancy {
+        insert_into_empty_table(&mut sa, &sqs);
+        tick_and_publish(&mut sa, &sqs, 10);
+    } else {
+        run_timeline(&mut sa, &sqs, value_update());
+    }
+    compact(&mut sa, &sqs, 1);
+    let honest = sqs.select_range(lo, hi).expect("chained mode");
+    let mut tampered = replay_under(&old, &honest);
+    let ckpt = tampered.parts[0].answer.checkpoint.as_mut();
+    let exposure = &mut ckpt.expect("checkpoint attached").exposure;
+    match tamper {
+        CheckpointTamper::ForgedOpenedEntry => {
+            let entry = exposure.entry_mut(23).expect("rid 23 opened");
+            assert_ne!(std::mem::take(entry), 0, "the cut exposes rid 23");
+        }
+        CheckpointTamper::ChunkAtWrongIndex => {
+            // Rid 23 now reads rid 7's entry: never marked.
+            let (low, high) = (exposure.chunks[0].1, exposure.chunks[1].1);
+            exposure.chunks[0].1 = high;
+            exposure.chunks[1].1 = low;
+        }
+        CheckpointTamper::OmittedOpening => {
+            // What the server attaches to rids 0..=15: chunk 0 alone, with
+            // the siblings that make it a valid opening.
+            let other = sqs.select_range(0, 150).expect("chained mode");
+            tampered = replay_under(&old, &other);
+        }
+        CheckpointTamper::UnderstatedMax => {
+            assert_ne!(std::mem::take(&mut exposure.max), 0, "the cut records it");
+        }
+        CheckpointTamper::DroppedSibling => {
+            assert!(exposure.siblings.pop().is_some(), "chunk 2's leaf");
+        }
+        CheckpointTamper::SurplusSibling => exposure.siblings.push(exposure.root),
+        _ => unreachable!("not an opening tamper"),
+    }
+    judge(tamper, (&v, &view, sa.now()), (lo, hi), &tampered, &honest)
 }
 
 /// Run one checkpoint-anchored-answer scenario.
@@ -1105,10 +1236,12 @@ mod tests {
     #[test]
     fn checkpoint_spot_check_with_bas_scheme() {
         // Full crypto for the three strategies whose rejection depends on a
-        // checkpoint signature actually covering its content, and for the
+        // checkpoint signature actually covering its content, for the
         // rollback, whose bundle must first pass every real signature
-        // check; the replay and gap strategies are structural and
-        // scheme-independent.
+        // check, and for the opening strategies, which must get every real
+        // signature past the fold before the root can object (the
+        // understated maximum fails exactly there); the replay and gap
+        // strategies are structural and scheme-independent.
         assert_conforms(
             SchemeKind::Bas,
             &[
@@ -1116,6 +1249,12 @@ mod tests {
                 CheckpointTamper::ForgedProjectionCheckpoint,
                 CheckpointTamper::ChainBreakBootstrap,
                 CheckpointTamper::BundleRollback,
+                CheckpointTamper::ForgedOpenedEntry,
+                CheckpointTamper::ChunkAtWrongIndex,
+                CheckpointTamper::OmittedOpening,
+                CheckpointTamper::UnderstatedMax,
+                CheckpointTamper::DroppedSibling,
+                CheckpointTamper::SurplusSibling,
             ],
         );
     }

@@ -29,13 +29,15 @@
 //! prefix's cumulative exposure map — per rid, the latest covered period
 //! start whose summary marked it — which is *exactly* what pass-1 staleness
 //! extracts from the prefix: a compacted prefix cannot hide a staleness
-//! marking, because the marking survives inside the signed map. The DA
-//! keeps the map cumulative across successive checkpoints, so each new
+//! marking, because the marking survives inside the committed map. The DA
+//! keeps the map cumulative across successive checkpoints — its one copy is
+//! the whole-map exposure of the checkpoint it holds — so each new
 //! checkpoint again covers the complete prefix from seq 0 and a retained
 //! run starting at `through_seq + 1` stays anchored. After a checkpoint,
 //! [`DataAggregator::retag`] re-signs only the retained suffix plus the
-//! checkpoint — epoch-transition cost is bounded by the checkpoint
-//! interval, not total history.
+//! checkpoint's 101-byte message over the root it already has —
+//! epoch-transition cost is bounded by the checkpoint interval, not total
+//! history or shard size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,13 +184,11 @@ pub struct DataAggregator {
     /// so retag re-signs in place and hand-off is pointer work, never a
     /// per-entry deep copy.
     summary_log: Vec<Arc<UpdateSummary>>,
-    /// The checkpoint covering the compacted prefix, if any.
+    /// The checkpoint covering the compacted prefix, if any. Its whole-map
+    /// exposure is the cumulative map over every *compacted* summary,
+    /// carried across checkpoints so each new one covers the complete
+    /// prefix from seq 0.
     checkpoint: Option<SummaryCheckpoint>,
-    /// Cumulative exposure map over every *compacted* summary: entry `rid`
-    /// is `period_start + 1` of the latest compacted summary marking it
-    /// (0 = never). Carried across checkpoints so each new checkpoint
-    /// covers the complete prefix from seq 0.
-    ckpt_exposure: Vec<u64>,
     /// Background renewal scan position.
     renewal_cursor: u64,
     /// Standing empty-table proof (present only while the table is empty).
@@ -224,7 +224,6 @@ impl DataAggregator {
             recert_next: Vec::new(),
             summary_log: Vec::new(),
             checkpoint: None,
-            ckpt_exposure: Vec::new(),
             renewal_cursor: 0,
             empty_proof: None,
             scope,
@@ -378,8 +377,10 @@ impl DataAggregator {
     /// checkpoint (if any), and the standing vacancy proof (if any) are
     /// re-signed under the new tag. The chains and records are untouched —
     /// the fences must not move — so the cost is one signature per
-    /// *retained* summary plus one for the checkpoint: bounded by the
-    /// checkpoint interval, not total history. Summaries are re-signed in
+    /// *retained* summary plus one for the checkpoint (over its 101-byte
+    /// message: the exposure's root does not change with the tag, so
+    /// nothing is re-hashed): bounded by the checkpoint interval, not total
+    /// history. Summaries are re-signed in
     /// place through their `Arc`s and handed off as pointer clones — no
     /// per-entry reallocation when the DA is the sole owner.
     ///
@@ -413,14 +414,9 @@ impl DataAggregator {
             ));
         }
         if let Some(c) = &mut self.checkpoint {
-            *c = SummaryCheckpoint::create(
-                &self.keypair,
-                scope.epoch,
-                scope.shard,
-                c.through_seq,
-                c.through_ts,
-                self.ckpt_exposure.clone(),
-            );
+            c.epoch = scope.epoch;
+            c.shard = scope.shard;
+            c.signature = self.keypair.sign(&c.signed_message());
         }
         if let Some(p) = &mut self.empty_proof {
             *p = EmptyTableProof::create(&self.keypair, scope.epoch, scope.shard, p.ts);
@@ -445,13 +441,15 @@ impl DataAggregator {
         }
         let cut = self.summary_log.len() - keep;
         let mut through = (0, 0);
+        let held = self.checkpoint.take();
+        let mut map = held.map_or_else(Vec::new, |c| c.exposure.into_map());
         for s in self.summary_log.drain(..cut) {
             if let Some(bm) = s.bitmap() {
-                if bm.len() > self.ckpt_exposure.len() {
-                    self.ckpt_exposure.resize(bm.len(), 0);
+                if bm.len() > map.len() {
+                    map.resize(bm.len(), 0);
                 }
                 for rid in bm.iter_ones() {
-                    self.ckpt_exposure[rid] = self.ckpt_exposure[rid].max(s.period_start + 1);
+                    map[rid] = map[rid].max(s.period_start + 1);
                 }
             }
             through = (s.seq, s.ts);
@@ -462,7 +460,7 @@ impl DataAggregator {
             self.scope.shard,
             through.0,
             through.1,
-            self.ckpt_exposure.clone(),
+            &map,
         );
         self.checkpoint = Some(ckpt.clone());
         Some(ckpt)
@@ -1180,9 +1178,9 @@ mod tests {
         assert_eq!(da.summary_log()[0].seq, 2);
         // rid 3 marked last in the period starting at 10; rid 7 likewise;
         // rid 4 never marked.
-        assert_eq!(c1.exposed_after(3), Some(10));
-        assert_eq!(c1.exposed_after(7), Some(10));
-        assert_eq!(c1.exposed_after(4), None);
+        assert_eq!(c1.exposed_after(3), Ok(Some(10)));
+        assert_eq!(c1.exposed_after(7), Ok(Some(10)));
+        assert_eq!(c1.exposed_after(4), Ok(None));
 
         // Nothing left to compact below the keep floor.
         assert!(da.checkpoint_summaries(1).is_none());
@@ -1194,8 +1192,12 @@ mod tests {
         da.force_publish_summary();
         let c2 = da.checkpoint_summaries(1).expect("seq 2 covered");
         assert_eq!(c2.through_seq, 2);
-        assert_eq!(c2.exposed_after(3), Some(10), "carried across checkpoints");
-        assert_eq!(c2.exposed_after(4), None, "rid 4 marked only in seq 3");
+        assert_eq!(
+            c2.exposed_after(3),
+            Ok(Some(10)),
+            "carried across checkpoints"
+        );
+        assert_eq!(c2.exposed_after(4), Ok(None), "rid 4 marked only in seq 3");
         assert_eq!(da.summary_log()[0].seq, 3);
     }
 
@@ -1207,7 +1209,7 @@ mod tests {
             da.update_record(1, vec![10, 1]);
             da.force_publish_summary();
         }
-        da.checkpoint_summaries(2).expect("compacted");
+        let minted = da.checkpoint_summaries(2).expect("compacted");
         let before: Vec<*const UpdateSummary> = da.summary_log().iter().map(Arc::as_ptr).collect();
         let scope = ShardScope {
             epoch: 2,
@@ -1227,6 +1229,9 @@ mod tests {
         let ckpt = ckpt.expect("checkpoint retagged");
         assert_eq!((ckpt.epoch, ckpt.shard), (2, 0));
         assert!(ckpt.verify(&pp));
+        // Same map under the new tag: the commitment is kept, not rebuilt.
+        assert_eq!(ckpt.exposure, minted.exposure);
+        assert_eq!(da.summary_checkpoint(), Some(&ckpt));
     }
 
     #[test]

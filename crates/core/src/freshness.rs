@@ -54,9 +54,35 @@
 //!   2ρ-recency gate and contiguity rules are unchanged on the retained
 //!   suffix. A run starting later than `through_seq + 1` is a gap the
 //!   verifier refuses (`CheckpointGap`), same as any withheld prefix.
+//!
+//! The map grows with the shard, and an answer reads only the entries of
+//! the rids it returns, so the DA signs a **commitment** to it instead of
+//! the map: a Merkle root over [`EXPOSURE_CHUNK`]-entry chunks, beside the
+//! map's length, its maximum and the rid holding it ([`Exposure`]). The
+//! server keeps the map and the tree ([`ExposureTree`]) and attaches, per
+//! answer, the chunks covering the answer's rids plus the sibling digests
+//! that hash them up to the root. Both arguments above survive, because the
+//! client still learns every fact it used to read off the whole map:
+//!
+//! * an entry it reads sits in a chunk that hashes, through the attached
+//!   siblings, to the signed root — the tree's shape is fixed by the signed
+//!   `len`, leaves and inner nodes hash under different domain bytes, and a
+//!   chunk's position is the path it is hashed along, so an opened entry is
+//!   the DA's entry for that rid or the root does not match;
+//! * a rid below `len` whose chunk was left out is not "never marked" but
+//!   *unanswered* ([`Unopened`]) — withholding the chunk that would expose a
+//!   stale version is a rejection, never a fresh verdict; a rid at or past
+//!   `len` was never marked by a covered summary (no covered bitmap reached
+//!   it), which the signed `len` says without any opening;
+//! * a vacancy claim is voided by *any* marking, i.e. by the map's maximum,
+//!   which is signed — a vacancy answer opens nothing.
+//!
+//! The whole map is the degenerate opening — every chunk, no siblings —
+//! which is the form the DA hands the server and a rebalance carries.
 
 use std::borrow::Borrow;
 
+use authdb_crypto::sha256::{Digest, Sha256};
 use authdb_crypto::signer::{Keypair, PublicParams, Signature};
 use authdb_filters::bitmap::{compress, decompress, Bitmap};
 
@@ -179,11 +205,6 @@ impl UpdateSummary {
         BITMAP_DECODES.with(|n| n.set(n.get() + 1));
         decompress(&self.compressed)
     }
-
-    /// Wire size: compressed bitmap + header + signature.
-    pub fn size_bytes(&self, pp: &PublicParams) -> usize {
-        self.compressed.len() + 32 + pp.wire_len()
-    }
 }
 
 /// Certified claim that the relation held **zero records** at `ts`: the
@@ -239,18 +260,301 @@ impl EmptyTableProof {
     }
 }
 
+/// Entries per leaf of the exposure map's hash tree. Sixteen and not eight,
+/// as measured on a 2 048-rid shard: eight would make a 16-rid opening 64 B
+/// smaller (400 against 464) and its check 0.8 µs of 7.5 faster, but the
+/// tree — built on the DA and again on the server at every checkpoint —
+/// half again as slow (≈ 1 020 SHA-256 compressions against ≈ 640).
+pub const EXPOSURE_CHUNK: usize = 16;
+
+/// The root committing to a map of no entries.
+const EMPTY_ROOT: Digest = [0; 32];
+
+/// `EXPOSURE_CHUNK` consecutive entries of the map; the last chunk of a map
+/// whose length is not a multiple is zero-padded.
+pub type ExposureChunk = [u64; EXPOSURE_CHUNK];
+
+fn leaf_digest(chunk: &ExposureChunk) -> Digest {
+    let mut entries = [0; 8 * EXPOSURE_CHUNK];
+    for (bytes, e) in entries.chunks_exact_mut(8).zip(chunk) {
+        bytes.copy_from_slice(&e.to_be_bytes());
+    }
+    let mut h = Sha256::new();
+    h.update(&[0x00]);
+    h.update(&entries);
+    h.finalize()
+}
+
+fn node_digest(left: &Digest, right: &Digest) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&[0x01]);
+    h.update(left);
+    h.update(right);
+    h.finalize()
+}
+
+/// Carry the nodes `known` — `(position, value)` pairs of one level of a
+/// hash tree over `width` leaves, sorted by position, positions distinct and
+/// below `width` — up to the root: two known neighbours join, a node whose
+/// neighbour is unknown joins `sibling(level, neighbour's position)`, and
+/// the odd node out at the end of a level moves up unchanged. Siblings are
+/// asked for in one fixed order (level by level, left to right), which is
+/// the order an opening lists them in; the prover and the verifier both run
+/// this walk, so neither can disagree about it. `None` as soon as a sibling
+/// is missing. Does at most 64 passes whatever `width` claims, each linear
+/// in `known`.
+fn climb<T: Copy>(
+    mut width: u64,
+    mut known: Vec<(u64, T)>,
+    mut sibling: impl FnMut(usize, u64) -> Option<T>,
+    join: impl Fn(&T, &T) -> T,
+) -> Option<Vec<(u64, T)>> {
+    let mut level = 0;
+    while width > 1 {
+        let mut parents = Vec::with_capacity(known.len());
+        let mut nodes = known.into_iter().peekable();
+        while let Some((at, node)) = nodes.next() {
+            let parent = if at % 2 == 1 {
+                // A known left neighbour would have consumed this node.
+                join(&sibling(level, at - 1)?, &node)
+            } else if at + 1 == width {
+                node
+            } else if let Some((_, right)) = nodes.next_if(|&(next, _)| next == at + 1) {
+                join(&node, &right)
+            } else {
+                join(&node, &sibling(level, at + 1)?)
+            };
+            parents.push((at / 2, parent));
+        }
+        known = parents;
+        width = width.div_ceil(2);
+        level += 1;
+    }
+    Some(known)
+}
+
+/// A rid below the map's length whose chunk the opening leaves out: the
+/// opening does not say what the map holds for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Unopened;
+
+/// A checkpoint's cumulative exposure map in committed form: per rid,
+/// `period_start + 1` of the latest covered summary marking it, `0` if no
+/// covered summary does.
+///
+/// The first four fields are what the DA signs
+/// ([`SummaryCheckpoint::message`]); `chunks` and `siblings` are an
+/// **opening** of `root` for some rids, believed only once
+/// [`Exposure::opens_to_root`] holds *and* the signature over the message
+/// carrying `root` does. The whole map is the opening with every chunk and
+/// no sibling.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Exposure {
+    /// Entries in the map. Rids at or past it were never marked by a
+    /// covered summary.
+    pub len: u64,
+    /// The largest entry (`0` for a map with no marking).
+    pub max: u64,
+    /// The last rid holding `max` (`0` when `max` is).
+    pub max_rid: u64,
+    /// Root of the hash tree over the map's chunks: a leaf is
+    /// `SHA-256(0x00 ‖ entries)`, an inner node `SHA-256(0x01 ‖ left ‖
+    /// right)`, and the odd node out at the end of a level moves up
+    /// unchanged.
+    pub root: Digest,
+    /// Opened chunks as `(chunk index, entries)`, strictly increasing by
+    /// index.
+    pub chunks: Vec<(u64, ExposureChunk)>,
+    /// The digests of the subtrees hanging off the paths from `chunks` to
+    /// the root, level by level from the leaves up, left to right within a
+    /// level.
+    pub siblings: Vec<Digest>,
+}
+
+impl Exposure {
+    /// Commit to `map`, keeping all of it: the whole-map form.
+    pub fn commit(map: &[u64]) -> Exposure {
+        let chunks: Vec<(u64, ExposureChunk)> = map
+            .chunks(EXPOSURE_CHUNK)
+            .zip(0..)
+            .map(|(entries, at)| {
+                let mut chunk = [0; EXPOSURE_CHUNK];
+                for (slot, e) in chunk.iter_mut().zip(entries) {
+                    *slot = *e;
+                }
+                (at, chunk)
+            })
+            .collect();
+        let (max_rid, max) = map
+            .iter()
+            .copied()
+            .zip(0..)
+            .max_by_key(|&(e, _)| e)
+            .filter(|&(e, _)| e > 0)
+            .map_or((0, 0), |(e, rid)| (rid, e));
+        Exposure {
+            len: map.len() as u64,
+            max,
+            max_rid,
+            root: ExposureTree::build(&chunks).root(),
+            chunks,
+            siblings: Vec::new(),
+        }
+    }
+
+    /// The plain map of a whole-map form, one entry per rid.
+    pub fn into_map(self) -> Vec<u64> {
+        let mut map: Vec<u64> = self.chunks.iter().flat_map(|(_, c)| *c).collect();
+        map.truncate(usize::try_from(self.len).unwrap_or(usize::MAX));
+        map
+    }
+
+    /// Whether the opened chunks, hashed up through `siblings`, give exactly
+    /// `root`, with no digest missing or left over. Nothing about the
+    /// opening may be believed before this holds; an opening of no chunk
+    /// holds iff it lists no sibling. Work and memory are bounded by the
+    /// opening's own size — `len` sets the tree's shape, never an
+    /// allocation.
+    pub fn opens_to_root(&self) -> bool {
+        let width = self.len.div_ceil(EXPOSURE_CHUNK as u64);
+        let positions = self.chunks.iter().map(|&(at, _)| at);
+        let sorted = positions.clone().zip(positions.skip(1)).all(|(a, b)| a < b);
+        if !sorted || self.chunks.last().is_some_and(|&(at, _)| at >= width) {
+            return false;
+        }
+        if self.chunks.is_empty() {
+            return self.siblings.is_empty();
+        }
+        let leaves = self
+            .chunks
+            .iter()
+            .map(|(at, chunk)| (*at, leaf_digest(chunk)))
+            .collect();
+        let mut siblings = self.siblings.iter();
+        let top = climb(width, leaves, |_, _| siblings.next().copied(), node_digest);
+        matches!(top.as_deref(), Some([(0, root)]) if *root == self.root)
+            && siblings.next().is_none()
+    }
+
+    /// The map's entry for `rid`: `0` at or past `len`, [`Unopened`] below
+    /// it when the opening leaves the rid's chunk out.
+    pub fn entry(&self, rid: u64) -> Result<u64, Unopened> {
+        #[cfg(test)]
+        ENTRIES_READ.with(|n| n.set(n.get() + 1));
+        if rid >= self.len {
+            return Ok(0);
+        }
+        let at = rid / EXPOSURE_CHUNK as u64;
+        let held = self.chunks.binary_search_by_key(&at, |&(at, _)| at).ok();
+        held.and_then(|k| self.chunks.get(k))
+            .and_then(|(_, chunk)| chunk.get((rid % EXPOSURE_CHUNK as u64) as usize))
+            .copied()
+            .ok_or(Unopened)
+    }
+
+    /// The opened slot holding `rid`'s entry, if the opening has it.
+    pub fn entry_mut(&mut self, rid: u64) -> Option<&mut u64> {
+        let at = rid / EXPOSURE_CHUNK as u64;
+        let held = self.chunks.binary_search_by_key(&at, |&(at, _)| at).ok();
+        held.and_then(|k| self.chunks.get_mut(k))
+            .and_then(|(_, chunk)| chunk.get_mut((rid % EXPOSURE_CHUNK as u64) as usize))
+    }
+}
+
+/// The hash tree over a whole exposure map, kept by whoever answers with
+/// openings of it: `levels[0]` the leaf digests, each next level half as
+/// wide, the last one the root alone.
+#[derive(Clone, Debug)]
+pub struct ExposureTree {
+    levels: Vec<Vec<Digest>>,
+}
+
+impl ExposureTree {
+    /// Hash the tree over a whole map's chunks, taken in the order given.
+    pub fn build(chunks: &[(u64, ExposureChunk)]) -> ExposureTree {
+        let mut levels = vec![chunks
+            .iter()
+            .map(|(_, chunk)| leaf_digest(chunk))
+            .collect::<Vec<_>>()];
+        while let Some(below) = levels.last().filter(|l| l.len() > 1) {
+            let level = below
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => node_digest(left, right),
+                    odd => odd.first().copied().unwrap_or(EMPTY_ROOT),
+                })
+                .collect();
+            levels.push(level);
+        }
+        ExposureTree { levels }
+    }
+
+    /// The root the tree commits its map under.
+    pub fn root(&self) -> Digest {
+        let top = self.levels.last().and_then(|l| l.first());
+        top.copied().unwrap_or(EMPTY_ROOT)
+    }
+
+    /// Open `whole` — the map this tree was built over — for `rids`: the
+    /// chunks holding them (a rid at or past the map's length needs none)
+    /// and the siblings that hash those chunks to the root. The same rids in
+    /// any order, repeated or not, give the same opening.
+    pub fn open(&self, whole: &Exposure, rids: impl IntoIterator<Item = u64>) -> Exposure {
+        let mut wanted: Vec<u64> = rids
+            .into_iter()
+            .filter(|&rid| rid < whole.len)
+            .map(|rid| rid / EXPOSURE_CHUNK as u64)
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let chunks: Vec<(u64, ExposureChunk)> = wanted
+            .iter()
+            .filter_map(|&at| Some((at, whole.chunks.get(usize::try_from(at).ok()?)?.1)))
+            .collect();
+        // The verifier's walk, with nothing to hash: it only notes which
+        // digests the walk asks for.
+        let mut siblings = Vec::new();
+        climb(
+            self.levels.first().map_or(0, Vec::len) as u64,
+            chunks.iter().map(|&(at, _)| (at, ())).collect(),
+            |level, at| {
+                let digest = self.levels.get(level)?.get(usize::try_from(at).ok()?)?;
+                siblings.push(*digest);
+                Some(())
+            },
+            |(), ()| (),
+        );
+        Exposure {
+            len: whole.len,
+            max: whole.max,
+            max_rid: whole.max_rid,
+            root: whole.root,
+            chunks,
+            siblings,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many exposure entries this thread has read: lets the verifier's
+    /// tests pin that none is read before its opening and its signature
+    /// held.
+    pub(crate) static ENTRIES_READ: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// A DA-certified collapse of the summary-log prefix `0..=through_seq`
 /// into one signed artifact, bounding both the server's resident log and
 /// the run a client must walk.
 ///
 /// The checkpoint binds the `(epoch, shard)` tag (same argument as
 /// [`UpdateSummary`]: one shard's compacted history must never vouch for
-/// another's, across re-partitionings), the covered seq/tick window, and
-/// the prefix's **cumulative exposure map** — per rid, the latest covered
-/// `period_start` whose summary marked it (stored as `period_start + 1`,
-/// `0` = never marked). The exposure map is what keeps pass-1 staleness
-/// decidable across the cut; see the module docs for the soundness
-/// argument.
+/// another's, across re-partitionings), the covered seq/tick window, and a
+/// commitment to the prefix's **cumulative exposure map** — per rid, the
+/// latest covered `period_start` whose summary marked it. The exposure map
+/// is what keeps pass-1 staleness decidable across the cut; see the module
+/// docs for the soundness argument, and for why an answer carries only an
+/// opening of it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SummaryCheckpoint {
     /// Which map epoch the compacted stream belongs to.
@@ -263,45 +567,48 @@ pub struct SummaryCheckpoint {
     pub through_seq: u64,
     /// Signing time of the last covered summary (the cut tick).
     pub through_ts: Tick,
-    /// Per-rid cumulative exposure: entry `rid` holds `period_start + 1`
-    /// of the latest covered summary marking `rid`, or `0` if no covered
-    /// summary marks it.
-    pub exposure: Vec<u64>,
+    /// The committed exposure map: whole as the DA mints it, opened for the
+    /// answer's rids on an answer.
+    pub exposure: Exposure,
     /// DA signature over [`SummaryCheckpoint::message`].
     pub signature: Signature,
 }
 
 impl SummaryCheckpoint {
-    /// The canonical signing message.
+    /// The canonical signing message: the tag, the window, and the
+    /// exposure's commitment (`len`, `max`, `max_rid`, `root`) — 101 bytes
+    /// whatever the map's size and whatever the exposure has opened.
     pub fn message(
         epoch: u64,
         shard: u64,
         through_seq: u64,
         through_ts: Tick,
-        exposure: &[u64],
+        exposure: &Exposure,
     ) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(53 + 8 * exposure.len());
+        let mut msg = Vec::with_capacity(101);
         msg.extend_from_slice(b"ckpt-summary:");
         msg.extend_from_slice(&epoch.to_be_bytes());
         msg.extend_from_slice(&shard.to_be_bytes());
         msg.extend_from_slice(&through_seq.to_be_bytes());
         msg.extend_from_slice(&through_ts.to_be_bytes());
-        msg.extend_from_slice(&(exposure.len() as u64).to_be_bytes());
-        for e in exposure {
-            msg.extend_from_slice(&e.to_be_bytes());
-        }
+        msg.extend_from_slice(&exposure.len.to_be_bytes());
+        msg.extend_from_slice(&exposure.max.to_be_bytes());
+        msg.extend_from_slice(&exposure.max_rid.to_be_bytes());
+        msg.extend_from_slice(&exposure.root);
         msg
     }
 
-    /// Build and sign a checkpoint.
+    /// Commit to the exposure `map` and sign a checkpoint carrying all of
+    /// it.
     pub fn create(
         keypair: &Keypair,
         epoch: u64,
         shard: u64,
         through_seq: u64,
         through_ts: Tick,
-        exposure: Vec<u64>,
+        map: &[u64],
     ) -> Self {
+        let exposure = Exposure::commit(map);
         let signature = keypair.sign(&Self::message(
             epoch,
             shard,
@@ -331,39 +638,42 @@ impl SummaryCheckpoint {
         )
     }
 
-    /// Verify the DA's signature.
+    /// Verify the DA's signature over the commitment, and that what the
+    /// exposure has opened hashes to the committed root.
     pub fn verify(&self, pp: &PublicParams) -> bool {
-        pp.verify(&self.signed_message(), &self.signature)
+        pp.verify(&self.signed_message(), &self.signature) && self.exposure.opens_to_root()
+    }
+
+    /// This checkpoint as an answer carries it: same window, commitment and
+    /// signature, the exposure opened for `rids` only. `self` must hold the
+    /// whole map `tree` was built over.
+    pub fn opened_for(
+        &self,
+        tree: &ExposureTree,
+        rids: impl IntoIterator<Item = u64>,
+    ) -> SummaryCheckpoint {
+        SummaryCheckpoint {
+            exposure: tree.open(&self.exposure, rids),
+            signature: self.signature.clone(),
+            ..*self
+        }
     }
 
     /// The latest covered `period_start` whose summary marked `rid`, or
     /// `None` if no covered summary marks it. A version with
     /// `version_ts <= exposed_after(rid)` is definitively stale: a covered
     /// summary whose period began at or after the version's certification
-    /// marked the rid.
-    pub fn exposed_after(&self, rid: u64) -> Option<Tick> {
-        usize::try_from(rid)
-            .ok()
-            .and_then(|i| self.exposure.get(i))
-            .filter(|&&e| e > 0)
-            .map(|&e| e - 1)
+    /// marked the rid. [`Unopened`] when the exposure does not say.
+    pub fn exposed_after(&self, rid: u64) -> Result<Option<Tick>, Unopened> {
+        Ok(self.exposure.entry(rid)?.checked_sub(1))
     }
 
     /// The latest covered `period_start` whose summary marked *any* rid —
     /// what invalidates a vacancy claim older than the cut (an empty table
-    /// can only change by insertion, and every insertion marks).
+    /// can only change by insertion, and every insertion marks). Read off
+    /// the signed maximum: no opening is involved.
     pub fn exposed_any(&self) -> Option<Tick> {
-        self.exposure
-            .iter()
-            .copied()
-            .max()
-            .filter(|&e| e > 0)
-            .map(|e| e - 1)
-    }
-
-    /// Wire size: exposure map + header + signature.
-    pub fn size_bytes(&self, pp: &PublicParams) -> usize {
-        8 * self.exposure.len() + 45 + pp.wire_len()
+        self.exposure.max.checked_sub(1)
     }
 }
 
@@ -804,15 +1114,21 @@ mod tests {
     #[test]
     fn checkpoint_signature_binds_every_field() {
         let kp = keypair();
-        let c = SummaryCheckpoint::create(&kp, 2, 1, 7, 80, vec![0, 31, 0, 56]);
+        let c = SummaryCheckpoint::create(&kp, 2, 1, 7, 80, &[0, 31, 0, 56]);
         assert!(c.verify(&kp.public_params()));
+        assert_eq!(c.signed_message().len(), 101);
         for tamper in [
             |c: &mut SummaryCheckpoint| c.epoch += 1,
             |c: &mut SummaryCheckpoint| c.shard += 1,
             |c: &mut SummaryCheckpoint| c.through_seq += 1,
             |c: &mut SummaryCheckpoint| c.through_ts += 1,
-            |c: &mut SummaryCheckpoint| c.exposure[1] = 0,
-            |c: &mut SummaryCheckpoint| c.exposure.push(9),
+            |c: &mut SummaryCheckpoint| c.exposure.len += 1,
+            |c: &mut SummaryCheckpoint| c.exposure.max -= 1,
+            |c: &mut SummaryCheckpoint| c.exposure.max_rid -= 1,
+            |c: &mut SummaryCheckpoint| c.exposure.root[31] ^= 1,
+            // The entries are bound through the root, not the signature.
+            |c: &mut SummaryCheckpoint| *c.exposure.entry_mut(1).unwrap() = 0,
+            |c: &mut SummaryCheckpoint| c.exposure.chunks.push((1, [9; EXPOSURE_CHUNK])),
         ] {
             let mut forged = c.clone();
             tamper(&mut forged);
@@ -826,20 +1142,21 @@ mod tests {
         // Covered summaries: seq 0 period (0,10] marks rid 1; seq 1 period
         // (10,20] marks rids 1 and 3. Cumulative exposure stores the latest
         // marking period_start + 1.
-        let c = SummaryCheckpoint::create(&kp, 0, 0, 1, 20, vec![0, 11, 0, 11]);
+        let c = SummaryCheckpoint::create(&kp, 0, 0, 1, 20, &[0, 11, 0, 11]);
         // rid 0 never marked: no covered summary can prove it stale.
-        assert_eq!(c.exposed_after(0), None);
+        assert_eq!(c.exposed_after(0), Ok(None));
         // rid 1 marked last in the period starting at 10: any version with
         // ts <= 10 is stale, a version from ts 11 is not provably so.
-        assert_eq!(c.exposed_after(1), Some(10));
-        assert!(5 <= c.exposed_after(1).unwrap());
-        assert!(11 > c.exposed_after(1).unwrap());
+        assert_eq!(c.exposed_after(1), Ok(Some(10)));
         // Out-of-range rids read as never marked.
-        assert_eq!(c.exposed_after(99), None);
-        // Vacancy invalidation: any marking at all, latest period wins.
+        assert_eq!(c.exposed_after(99), Ok(None));
+        // Vacancy invalidation: any marking at all, latest period wins, and
+        // the last rid holding it is named.
         assert_eq!(c.exposed_any(), Some(10));
-        let clean = SummaryCheckpoint::create(&kp, 0, 0, 1, 20, vec![0, 0]);
+        assert_eq!((c.exposure.max, c.exposure.max_rid), (11, 3));
+        let clean = SummaryCheckpoint::create(&kp, 0, 0, 1, 20, &[0, 0]);
         assert_eq!(clean.exposed_any(), None);
+        assert_eq!((clean.exposure.max, clean.exposure.max_rid), (0, 0));
     }
 
     #[test]

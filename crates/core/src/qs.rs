@@ -45,7 +45,7 @@ use authdb_index::{new_asign_with_cache, ASignTree, RangeEvent, DEFAULT_NODE_CAC
 use authdb_storage::{BufferPool, Disk, HeapFile, IoStats, PoolStats};
 
 use crate::da::{Bootstrap, SigningMode, UpdateKind, UpdateMsg};
-use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
+use crate::freshness::{EmptyTableProof, ExposureTree, SummaryCheckpoint, UpdateSummary};
 use crate::record::{Record, Schema, Tick};
 use crate::shard::ShardScope;
 use crate::sigcache::{distributions, select_cache, RefreshStrategy, SigCache, SigTreeAnalysis};
@@ -185,8 +185,10 @@ pub struct SelectionAnswer {
     /// The DA's latest summary checkpoint, when the log has been compacted.
     /// It certifies the compacted prefix, so the attached summary run may
     /// start at `through_seq + 1` instead of seq 0 — without it the
-    /// verifier would read the truncated run as prefix-withholding. Absent
-    /// on never-compacted deployments and on inverted-range answers.
+    /// verifier would read the truncated run as prefix-withholding. Its
+    /// exposure is opened for the rids of `records` (or of the gap proof's
+    /// record; a vacancy needs none) and for nothing else. Absent on
+    /// never-compacted deployments and on inverted-range answers.
     pub checkpoint: Option<SummaryCheckpoint>,
 }
 
@@ -232,7 +234,8 @@ pub struct ProjectionAnswer {
     pub summaries: Vec<Arc<UpdateSummary>>,
     /// The DA's latest summary checkpoint, when the log has been compacted
     /// — the anchor for a summary run that no longer reaches back to seq 0,
-    /// exactly as on a [`SelectionAnswer`].
+    /// its exposure opened for the rids of `rows`, exactly as on a
+    /// [`SelectionAnswer`].
     pub checkpoint: Option<SummaryCheckpoint>,
 }
 
@@ -474,8 +477,9 @@ pub struct QueryServer {
     summaries: Vec<Arc<UpdateSummary>>,
     /// The DA's latest summary checkpoint: certifies the compacted log
     /// prefix and anchors every answer whose summary run no longer reaches
-    /// back to seq 0.
-    checkpoint: Option<SummaryCheckpoint>,
+    /// back to seq 0. Held with its whole exposure map and the hash tree
+    /// over it, built once on arrival; an answer gets an opening.
+    checkpoint: Option<(SummaryCheckpoint, ExposureTree)>,
     /// Current empty-table proof (present only while the relation is empty).
     vacancy: Option<EmptyTableProof>,
     scope: ShardScope,
@@ -694,9 +698,10 @@ impl QueryServer {
         &self.summaries
     }
 
-    /// The DA's latest summary checkpoint, if the log has been compacted.
+    /// The DA's latest summary checkpoint, if the log has been compacted,
+    /// with its whole exposure map.
     pub fn summary_checkpoint(&self) -> Option<&SummaryCheckpoint> {
-        self.checkpoint.as_ref()
+        self.checkpoint.as_ref().map(|(ckpt, _)| ckpt)
     }
 
     /// Adopt a freshly minted DA checkpoint: store it and drop the covered
@@ -705,13 +710,22 @@ impl QueryServer {
     /// total history.
     pub fn apply_checkpoint(&mut self, ckpt: SummaryCheckpoint) {
         self.summaries.retain(|s| s.seq > ckpt.through_seq);
-        self.checkpoint = Some(ckpt);
+        self.set_checkpoint(Some(ckpt));
     }
 
     /// Swap in the DA's re-bound checkpoint at an epoch transition (or
     /// clear it when the re-bound stream was never compacted).
     pub(crate) fn set_checkpoint(&mut self, ckpt: Option<SummaryCheckpoint>) {
-        self.checkpoint = ckpt;
+        self.checkpoint = ckpt.map(|c| {
+            let tree = ExposureTree::build(&c.exposure.chunks);
+            (c, tree)
+        });
+    }
+
+    /// The checkpoint as an answer returning `rids` carries it.
+    fn checkpoint_for(&self, rids: impl IntoIterator<Item = u64>) -> Option<SummaryCheckpoint> {
+        let (ckpt, tree) = self.checkpoint.as_ref()?;
+        Some(ckpt.opened_for(tree, rids))
     }
 
     /// The key-range responsibility this replica currently answers for
@@ -862,16 +876,17 @@ impl QueryServer {
                 agg: self.pp.identity(),
                 left_key,
                 right_key,
+                summaries,
+                checkpoint: self.checkpoint_for(gap.iter().map(|g| g.record.rid)),
                 gap,
                 vacancy,
-                summaries,
-                checkpoint: self.checkpoint.clone(),
             });
         }
 
         let agg = self.aggregate_records(first_match.expect("non-empty matches"), &records);
         let oldest = records.iter().map(|r| r.ts).min().unwrap_or(0);
         Ok(SelectionAnswer {
+            checkpoint: self.checkpoint_for(records.iter().map(|r| r.rid)),
             records,
             agg,
             left_key,
@@ -879,7 +894,6 @@ impl QueryServer {
             gap: None,
             vacancy: None,
             summaries: self.summaries_since(oldest),
-            checkpoint: self.checkpoint.clone(),
         })
     }
 
@@ -966,10 +980,10 @@ impl QueryServer {
         StatCounters::bump(&self.stats.agg_ops, agg_ops);
         let oldest = rows.iter().map(|r| r.ts).min().unwrap_or(0);
         Ok(ProjectionAnswer {
+            checkpoint: self.checkpoint_for(rows.iter().map(|r| r.rid)),
             rows,
             agg,
             summaries: self.summaries_since(oldest),
-            checkpoint: self.checkpoint.clone(),
         })
     }
 }
@@ -978,6 +992,7 @@ impl QueryServer {
 mod tests {
     use super::*;
     use crate::da::{DaConfig, DataAggregator};
+    use crate::freshness::EXPOSURE_CHUNK;
     use crate::record::{KEY_NEG_INF, KEY_POS_INF};
     use crate::shard::ShardMap;
     use authdb_crypto::signer::Keypair;
@@ -1295,7 +1310,13 @@ mod tests {
         let ans = qs.select_range(201, 209).unwrap();
         let gap = ans.gap.expect("gap proof");
         assert!(gap.record.ts <= ckpt.through_ts);
-        assert_eq!(ans.checkpoint.as_ref(), Some(&ckpt));
+        // The DA's checkpoint, opened for the bracketing record alone.
+        let anchor = ans.checkpoint.expect("anchor attached");
+        assert_eq!(anchor.signed_message(), ckpt.signed_message());
+        assert_eq!(anchor.signature, ckpt.signature);
+        let opened: Vec<u64> = anchor.exposure.chunks.iter().map(|c| c.0).collect();
+        assert_eq!(opened, [gap.record.rid / EXPOSURE_CHUNK as u64]);
+        assert!(anchor.verify(&da.public_params()));
         assert!(ans.summaries.iter().all(|s| s.seq > ckpt.through_seq));
         assert_eq!(
             ans.summaries.first().map(|s| s.seq),
@@ -1322,7 +1343,11 @@ mod tests {
         let ans = qs.select_range(0, 100).unwrap();
         let vac = ans.vacancy.expect("vacancy proof");
         assert!(vac.ts <= ckpt.through_ts);
-        assert_eq!(ans.checkpoint.as_ref(), Some(&ckpt));
+        // A vacancy is judged by the signed maximum: nothing is opened.
+        let anchor = ans.checkpoint.expect("anchor attached");
+        assert_eq!(anchor.signed_message(), ckpt.signed_message());
+        assert_eq!(anchor.signature, ckpt.signature);
+        assert!(anchor.exposure.chunks.is_empty() && anchor.exposure.siblings.is_empty());
         assert!(ans.summaries.iter().all(|s| s.seq > ckpt.through_seq));
     }
 

@@ -69,7 +69,8 @@
 //!
 //! | error | rejected attack |
 //! |---|---|
-//! | [`VerifyError::BadCheckpoint`] | forging or tampering a checkpoint (bad signature), splicing an epoch checkpoint onto a map or transition it does not name (hash/epoch mismatch — including wrong-epoch replay of a genuine checkpoint), or withholding the transition a non-genesis bootstrap must chain to |
+//! | [`VerifyError::BadCheckpoint`] | forging or tampering a checkpoint (bad signature — the window, or the exposure's signed `len`, `max`, `max_rid` or `root`), doctoring what its exposure opens (an entry, a chunk's index, a dropped or surplus sibling: the opening no longer hashes to the signed root), splicing an epoch checkpoint onto a map or transition it does not name (hash/epoch mismatch — including wrong-epoch replay of a genuine checkpoint), or withholding the transition a non-genesis bootstrap must chain to |
+//! | [`VerifyError::CheckpointUnopened`] | attaching a genuine checkpoint whose (valid) opening leaves out the chunk of a returned rid — withholding the one entry that would expose the version as stale |
 //! | [`VerifyError::CheckpointGap`] | cutting the summary log past the retained run's start: seqs between `through_seq` and the run are covered by neither the checkpoint's exposure map nor a retained bitmap — exactly where a marking could hide |
 //! | [`VerifyError::StaleCheckpoint`] | serving a version (or vacancy claim) that a *compacted* summary already exposed — compaction must not launder staleness the dropped summaries used to prove |
 //! | [`VerifyError::FreshnessIndeterminate`] / [`VerifyError::VacancyIndeterminate`] | an answer whose newest evidence — retained summary or the cut itself (`through_ts`) — is older than 2ρ proves nothing about the recent past: the recency gate survives compaction |
@@ -137,16 +138,26 @@
 //!    ([`VerifyError::BadCheckpoint`],
 //!    [`VerifyError::BadSummarySignature`], [`VerifyError::BadAggregate`]).
 //! 3. **Freshness over vouched summaries** — only now are the summaries'
-//!    bitmaps decompressed and the checkpoint's exposure map read, to judge
-//!    each returned version (or vacancy claim) at the caller's clock.
+//!    bitmaps decompressed and the checkpoint's exposure read, to judge each
+//!    returned version (or vacancy claim) at the caller's clock. A
+//!    checkpoint's signature covers a *commitment* to its exposure map — the
+//!    root of a hash tree — and the answer carries an opening of that root
+//!    for its own rids; so a part's freshness pass starts by hashing the
+//!    opening up to the root the fold has just vouched for
+//!    ([`Exposure::opens_to_root`](crate::freshness::Exposure::opens_to_root),
+//!    [`VerifyError::BadCheckpoint`] on a mismatch), and only then reads an
+//!    entry.
 //!
-//! So no summary bitmap and no exposure map influences a verdict — and no
+//! So no summary bitmap and no exposure entry influences a verdict — and no
 //! attacker-supplied bitmap header reaches the decompressor — before the
-//! check covering its signature has passed. The price is error
-//! *precedence* on multi-fault answers only: a forged signature anywhere
-//! now outranks a freshness verdict (`Stale`, `…Indeterminate`,
-//! `CheckpointGap`), because the latter is not computed from unvouched
-//! input.
+//! check covering its signature has passed and, for an entry, before its
+//! opening has hashed to the signed root. The price is error *precedence*
+//! on multi-fault answers only: a forged signature anywhere outranks a
+//! doctored exposure entry (caught after the fold, by the root, where a
+//! whole signed map used to put it under the checkpoint's signature), and
+//! both outrank a freshness verdict (`Stale`, `…Indeterminate`,
+//! `CheckpointUnopened`, `CheckpointGap`), because the latter is not
+//! computed from unvouched input.
 //!
 //! ## Fold coefficients
 //!
@@ -178,7 +189,7 @@ use authdb_crypto::sha256::{Digest, Sha256};
 use authdb_crypto::signer::{PublicParams, Signature};
 
 use crate::freshness::{
-    DecodedSummaries, EmptyTableProof, Freshness, SummaryCheckpoint, UpdateSummary,
+    DecodedSummaries, EmptyTableProof, Freshness, SummaryCheckpoint, Unopened, UpdateSummary,
 };
 use crate::qs::{ProjectionAnswer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
@@ -287,11 +298,19 @@ pub enum VerifyError {
     /// signature, non-successor epoch, wrong parent hash, or a new map
     /// that does not match the signed hash.
     BrokenTransition,
-    /// A checkpoint failed its own certification: bad signature, a scope
+    /// A checkpoint failed its own certification: bad signature, an
+    /// exposure opening that does not hash to the signed root, a scope
     /// (epoch, map hash, or transition hash) that does not match what it
     /// is presented for, or a non-genesis bootstrap missing the transition
     /// its checkpoint must chain to.
     BadCheckpoint,
+    /// The checkpoint's exposure opening says nothing about a returned rid
+    /// the map covers: the chunk holding its entry was left out, so whether
+    /// a compacted summary exposed the version cannot be read.
+    CheckpointUnopened {
+        /// The rid whose entry is not opened.
+        rid: u64,
+    },
     /// The retained summary run does not reach back to the checkpoint's
     /// cut: sequence numbers between `through_seq` and the run's first
     /// summary are covered by neither the checkpoint's exposure map nor a
@@ -611,7 +630,9 @@ impl Verifier {
     /// uncompacted algorithm, split across the cut: pass 1 against the
     /// prefix is the exposure-map lookup (the per-rid maximum marked
     /// `period_start`, so exactly the predicate the dropped summaries would
-    /// have evaluated — [`VerifyError::StaleCheckpoint`] on a hit), then
+    /// have evaluated — [`VerifyError::StaleCheckpoint`] on a hit,
+    /// [`VerifyError::CheckpointUnopened`] when the opening withholds the
+    /// rid's entry), then
     /// the retained run is checked with the cut as a valid anchor
     /// (`through_seq + 1`). A run that fails to anchor at the cut is the
     /// seam attack, [`VerifyError::CheckpointGap`]; an *empty* run rides on
@@ -627,7 +648,10 @@ impl Verifier {
     ) -> Result<Tick, VerifyError> {
         let indeterminate = VerifyError::FreshnessIndeterminate { rid };
         if let Some(ckpt) = ckpt {
-            if ckpt.exposed_after(rid).is_some_and(|p| ts <= p) {
+            let exposed = ckpt
+                .exposed_after(rid)
+                .map_err(|Unopened| VerifyError::CheckpointUnopened { rid })?;
+            if exposed.is_some_and(|p| ts <= p) {
                 return Err(VerifyError::StaleCheckpoint { rid });
             }
             if decoded.is_empty() {
@@ -654,7 +678,8 @@ impl Verifier {
     /// [`Verifier::freshness_of`]. While the table is empty any marking is
     /// an insertion, so the prefix check is the exposure map's *global*
     /// maximum ([`SummaryCheckpoint::exposed_any`]) against the proof's
-    /// `ts`.
+    /// `ts` — both it and the rid holding it are signed, so a vacancy
+    /// answer's checkpoint opens nothing.
     fn vacancy_of<S: std::borrow::Borrow<UpdateSummary>>(
         &self,
         proof_ts: Tick,
@@ -667,14 +692,9 @@ impl Verifier {
                 // Name the rid whose (latest) recorded insertion voided the
                 // claim — the compacted analogue of StaleVacancy's exposing
                 // seq.
-                let rid = ckpt
-                    .exposure
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &e)| e)
-                    .map(|(i, _)| i as u64)
-                    .unwrap_or(0);
-                return Err(VerifyError::StaleCheckpoint { rid });
+                return Err(VerifyError::StaleCheckpoint {
+                    rid: ckpt.exposure.max_rid,
+                });
             }
             if decoded.is_empty() {
                 if now.saturating_sub(ckpt.through_ts) >= self.rho.saturating_mul(2) {
@@ -852,11 +872,15 @@ impl Verifier {
     }
 
     /// Phase 3 for one part whose claims [`Verifier::fold_claims`] has
-    /// vouched for: decode its summaries once, judge every version (or the
-    /// vacancy claim) at `now`, and hand back the part's report.
+    /// vouched for: hash its checkpoint's opening to the vouched root,
+    /// decode its summaries once, judge every version (or the vacancy claim)
+    /// at `now`, and hand back the part's report.
     fn vouched_report(&self, part: &Analyzed<'_>, now: Tick) -> Result<VerifyReport, VerifyError> {
         let mut max_staleness = 0;
         if let Some(plan) = &part.fresh {
+            if plan.ckpt.is_some_and(|c| !c.exposure.opens_to_root()) {
+                return Err(VerifyError::BadCheckpoint);
+            }
             let decoded = DecodedSummaries::new(plan.summaries);
             match &plan.subject {
                 Subject::Versions(versions) => {
@@ -1734,9 +1758,15 @@ mod tests {
         // summary that used to prove the replay stale.
         let s = checkpointed_system(1);
         let ckpt = s.sa.shard(0).summary_checkpoint().cloned().unwrap();
-        // Honest answers now ride on checkpoint + retained suffix.
+        // Honest answers now ride on checkpoint + retained suffix: the DA's
+        // own commitment and signature, opened for rids 20..=26 — one chunk
+        // of the four, so two sibling digests.
         let mut honest = s.select(200, 260);
-        assert_eq!(part(&mut honest).checkpoint.as_ref(), Some(&ckpt));
+        let anchor = part(&mut honest).checkpoint.clone().expect("anchor");
+        assert_eq!(anchor.signed_message(), ckpt.signed_message());
+        assert_eq!(anchor.signature, ckpt.signature);
+        let opened = &anchor.exposure;
+        assert_eq!((opened.chunks.len(), opened.siblings.len()), (1, 2));
         assert!(part(&mut honest)
             .summaries
             .iter()
@@ -1748,13 +1778,28 @@ mod tests {
         assert!(s.verify(201, 209, &gap_ans, s.now()).is_ok());
         // The pre-update replay is exposed by the *checkpoint*: the marking
         // summary was compacted away, and the exposure map keeps its
-        // verdict alive across the cut.
+        // verdict alive across the cut — read off the opening the honest
+        // answer carries, or off the whole map (every chunk, no sibling).
+        for anchor in [anchor, ckpt.clone()] {
+            let mut replay = stale_ans.clone();
+            part(&mut replay).summaries = s.summaries();
+            part(&mut replay).checkpoint = Some(anchor);
+            assert_eq!(
+                s.verify(200, 260, &replay, s.now()),
+                Err(VerifyError::StaleCheckpoint { rid: 23 })
+            );
+        }
+        // A genuine checkpoint opened for *other* rids (0..=10, chunk 0)
+        // hashes to its root and says nothing about these: withholding rid
+        // 23's entry is not a fresh verdict. The first returned rid is
+        // named.
         let mut replay = stale_ans;
         part(&mut replay).summaries = s.summaries();
-        part(&mut replay).checkpoint = Some(ckpt);
+        part(&mut replay).checkpoint = part(&mut s.select(0, 100)).checkpoint.clone();
+        assert!(part(&mut replay).checkpoint.is_some());
         assert_eq!(
             s.verify(200, 260, &replay, s.now()),
-            Err(VerifyError::StaleCheckpoint { rid: 23 })
+            Err(VerifyError::CheckpointUnopened { rid: 20 })
         );
     }
 
@@ -1861,8 +1906,14 @@ mod tests {
             let verify = |ans: &ShardedSelectionAnswer| s.verify(200, 260, ans, now);
             assert_eq!(verify(&honest).map(|r| r.sig_claims), Ok(4), "{scheme:?}");
 
+            // The checkpoint's signature covers its window and the root of
+            // its exposure map; the opened entries hang off the root.
             let bad_ckpt = |ans: &mut ShardedSelectionAnswer| {
-                part(ans).checkpoint.as_mut().unwrap().exposure[7] ^= 1;
+                part(ans).checkpoint.as_mut().unwrap().exposure.max ^= 1;
+            };
+            let bad_entry = |ans: &mut ShardedSelectionAnswer| {
+                let exposure = &mut part(ans).checkpoint.as_mut().unwrap().exposure;
+                *exposure.entry_mut(23).expect("rid 23 opened") ^= 1;
             };
             let bad_summary = |ans: &mut ShardedSelectionAnswer, k: usize| {
                 Arc::make_mut(&mut part(ans).summaries[k]).period_start ^= 1;
@@ -1887,6 +1938,25 @@ mod tests {
             let mut a = honest.clone();
             bad_summary(&mut a, 0);
             bad_ckpt(&mut a);
+            assert_eq!(verify(&a), Err(VerifyError::BadCheckpoint), "{scheme:?}");
+
+            // A doctored entry is no signature fault: every claim holds,
+            // and the root it no longer hashes to rejects it after the fold
+            // — so it ranks below any forged signature and above any
+            // freshness verdict.
+            let mut a = honest.clone();
+            bad_entry(&mut a);
+            assert_eq!(verify(&a), Err(VerifyError::BadCheckpoint), "{scheme:?}");
+            bad_summary(&mut a, 1);
+            assert_eq!(
+                verify(&a),
+                Err(VerifyError::BadSummarySignature { seq: 2 }),
+                "{scheme:?}"
+            );
+            let mut a = old.clone();
+            part(&mut a).summaries = honest_part.summaries.clone();
+            part(&mut a).checkpoint = honest_part.checkpoint.clone();
+            bad_entry(&mut a);
             assert_eq!(verify(&a), Err(VerifyError::BadCheckpoint), "{scheme:?}");
 
             // A bad summary outranks a bad aggregate...
@@ -1941,6 +2011,59 @@ mod tests {
     }
 
     #[test]
+    fn no_exposure_entry_is_read_before_its_opening_and_signature_hold() {
+        use crate::freshness::ENTRIES_READ;
+        let reads = || ENTRIES_READ.with(|n| n.get());
+        // The cut covers the summary marking rid 23, so the opened chunk is
+        // unlike its neighbours (equal chunks hash alike wherever they sit).
+        let s = checkpointed_system(1);
+        let honest = s.select(200, 260);
+        // The probe is live: an honest verification reads one entry per
+        // returned record.
+        let before = reads();
+        assert!(s.verify(200, 260, &honest, s.now()).is_ok());
+        assert_eq!(reads() - before, 7);
+        // A forged signature — on a summary, or on the message carrying the
+        // root (a declared length of 2⁶⁴ − 1 among the ways: it sizes no
+        // allocation and no loop) — stops at the fold. An opening that does
+        // not hash to the vouched root — a doctored entry, a chunk moved to
+        // another index, a dropped or surplus sibling — stops right after
+        // it. Either way not one entry is read.
+        type Fault = fn(&mut SelectionAnswer);
+        fn exposure(a: &mut SelectionAnswer) -> &mut crate::freshness::Exposure {
+            &mut a.checkpoint.as_mut().unwrap().exposure
+        }
+        let faults: [(Fault, VerifyError); 7] = [
+            (
+                |a| Arc::make_mut(&mut a.summaries[0]).ts ^= 1,
+                VerifyError::BadSummarySignature { seq: 2 },
+            ),
+            (|a| exposure(a).root[0] ^= 1, VerifyError::BadCheckpoint),
+            (|a| exposure(a).len = u64::MAX, VerifyError::BadCheckpoint),
+            (
+                |a| *exposure(a).entry_mut(20).unwrap() ^= 1,
+                VerifyError::BadCheckpoint,
+            ),
+            (|a| exposure(a).chunks[0].0 = 2, VerifyError::BadCheckpoint),
+            (
+                |a| assert!(exposure(a).siblings.pop().is_some()),
+                VerifyError::BadCheckpoint,
+            ),
+            (
+                |a| exposure(a).siblings.push([0; 32]),
+                VerifyError::BadCheckpoint,
+            ),
+        ];
+        for (fault, want) in faults {
+            let mut doctored = honest.clone();
+            fault(part(&mut doctored));
+            let before = reads();
+            assert_eq!(s.verify(200, 260, &doctored, s.now()), Err(want));
+            assert_eq!(reads(), before);
+        }
+    }
+
+    #[test]
     fn static_point_answer_is_a_single_claim() {
         let s = system(100, SigningMode::Chained);
         let ans = s.select(500, 500);
@@ -1974,7 +2097,7 @@ mod tests {
             .unwrap() ^= 1;
         assert_ne!(draw(&a), base);
         let mut a = ans.clone();
-        a.checkpoint.as_mut().unwrap().exposure[0] ^= 1;
+        a.checkpoint.as_mut().unwrap().exposure.root[0] ^= 1;
         assert_ne!(draw(&a), base);
         let mut a = ans.clone();
         a.agg = a.summaries[0].signature.clone();
@@ -2048,7 +2171,8 @@ mod tests {
             );
             // ...and the anchor is believed only under the DA's signature.
             let mut forged = ans.clone();
-            forged.checkpoint.as_mut().unwrap().exposure[23] = 0;
+            let exposure = &mut forged.checkpoint.as_mut().unwrap().exposure;
+            assert_ne!(std::mem::take(exposure.entry_mut(23).unwrap()), 0);
             assert_eq!(
                 s.verify_projection(&forged, s.now()),
                 Err(VerifyError::BadCheckpoint),

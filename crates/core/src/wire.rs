@@ -25,7 +25,8 @@
 //! | [`GapProof`] | `record, left:i64, right:i64, signature` |
 //! | [`EmptyTableProof`] | `epoch:u64, shard:u64, ts:u64, signature` |
 //! | [`UpdateSummary`] | `epoch:u64, shard:u64, seq:u64, period_start:u64, ts:u64, compressed:bytes, signature` |
-//! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure:vec<u64>, signature` |
+//! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure, signature` |
+//! | [`Exposure`] | `len:u64, max:u64, max_rid:u64, root:[32]B, chunks:vec<(index:u64, entries:[u64; 16])>, siblings:vec<[32]B>` (decode re-checks that chunk indices strictly increase) |
 //! | [`SelectionAnswer`] | `records:vec, agg, left:i64, right:i64, gap:opt, vacancy:opt, summaries:vec, checkpoint:opt` |
 //! | [`ProjectedRow`] | `rid:u64, ts:u64, values:vec<(idx:u32, value:i64)>` |
 //! | [`ProjectionAnswer`] | `rows:vec, agg, summaries:vec, checkpoint:opt` |
@@ -50,7 +51,9 @@ use authdb_wire::{put_bytes, put_count, Reader, WireDecode, WireEncode, WireErro
 use authdb_crypto::signer::Signature;
 
 use crate::da::{UpdateKind, UpdateMsg};
-use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
+use crate::freshness::{
+    EmptyTableProof, Exposure, SummaryCheckpoint, UpdateSummary, EXPOSURE_CHUNK,
+};
 use crate::qs::{GapProof, ProjectedRow, ProjectionAnswer, QsStats, QueryError, SelectionAnswer};
 use crate::record::Record;
 use crate::shard::{
@@ -148,6 +151,63 @@ impl WireDecode for UpdateSummary {
     }
 }
 
+impl WireEncode for Exposure {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.len.encode_into(out);
+        self.max.encode_into(out);
+        self.max_rid.encode_into(out);
+        out.extend_from_slice(&self.root);
+        put_count(out, "exposure chunks", self.chunks.len());
+        for (at, entries) in &self.chunks {
+            at.encode_into(out);
+            for e in entries {
+                e.encode_into(out);
+            }
+        }
+        put_count(out, "exposure siblings", self.siblings.len());
+        for digest in &self.siblings {
+            out.extend_from_slice(digest);
+        }
+    }
+}
+
+impl WireDecode for Exposure {
+    const MIN_WIRE_LEN: usize = 24 + 32 + 4 + 4;
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (len, max, max_rid, root) = (r.u64()?, r.u64()?, r.u64()?, r.array()?);
+        let n = r.seq_len("exposure chunks", 8 + 8 * EXPOSURE_CHUNK)?;
+        let mut chunks: Vec<(u64, [u64; EXPOSURE_CHUNK])> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let at = r.u64()?;
+            // One value, one byte form: an opening lists each chunk once,
+            // in index order.
+            if chunks.last().is_some_and(|&(prev, _)| prev >= at) {
+                return Err(WireError::NonCanonical {
+                    what: "exposure chunk order",
+                });
+            }
+            let mut entries = [0; EXPOSURE_CHUNK];
+            for e in &mut entries {
+                *e = r.u64()?;
+            }
+            chunks.push((at, entries));
+        }
+        let n = r.seq_len("exposure siblings", 32)?;
+        let mut siblings = Vec::with_capacity(n);
+        for _ in 0..n {
+            siblings.push(r.array()?);
+        }
+        Ok(Exposure {
+            len,
+            max,
+            max_rid,
+            root,
+            chunks,
+            siblings,
+        })
+    }
+}
+
 impl WireEncode for SummaryCheckpoint {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.epoch.encode_into(out);
@@ -160,14 +220,14 @@ impl WireEncode for SummaryCheckpoint {
 }
 
 impl WireDecode for SummaryCheckpoint {
-    const MIN_WIRE_LEN: usize = 36 + Signature::MIN_WIRE_LEN;
+    const MIN_WIRE_LEN: usize = 32 + Exposure::MIN_WIRE_LEN + Signature::MIN_WIRE_LEN;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(SummaryCheckpoint {
             epoch: r.u64()?,
             shard: r.u64()?,
             through_seq: r.u64()?,
             through_ts: r.u64()?,
-            exposure: Vec::<u64>::decode_from(r)?,
+            exposure: Exposure::decode_from(r)?,
             signature: Signature::decode_from(r)?,
         })
     }
@@ -824,8 +884,8 @@ pub enum Response {
     Pong,
     /// A sharded selection answer.
     Selection(ShardedSelectionAnswer),
-    /// A projection answer.
-    Projection(ProjectionAnswer),
+    /// A projection answer. Boxed like [`Response::ShardSelection`].
+    Projection(Box<ProjectionAnswer>),
     /// Aggregated statistics.
     Stats(QsStats),
     /// The server refused to construct an answer.
@@ -911,7 +971,9 @@ impl Response {
         match tag {
             0 => Ok(Response::Pong),
             1 => Ok(Response::Selection(ShardedSelectionAnswer::decode_from(r)?)),
-            2 => Ok(Response::Projection(ProjectionAnswer::decode_from(r)?)),
+            2 => Ok(Response::Projection(Box::new(
+                ProjectionAnswer::decode_from(r)?,
+            ))),
             3 => Ok(Response::Stats(QsStats::decode_from(r)?)),
             4 => Ok(Response::Refused(QueryError::decode_from(r)?)),
             6 => Ok(Response::Rebalanced),
@@ -1229,7 +1291,7 @@ mod tests {
             let ckpt = sa
                 .checkpoint_shard_summaries(0, 1)
                 .expect("prefix to compact");
-            assert!(!ckpt.exposure.is_empty(), "recertified rids are exposed");
+            assert!(ckpt.exposure.len > 0, "recertified rids are exposed");
             assert_canonical(&ckpt);
         }
     }

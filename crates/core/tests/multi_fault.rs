@@ -4,10 +4,16 @@
 //! signature of an answer is judged by one folded check, and freshness only
 //! afterwards, what several simultaneous faults must still guarantee is the
 //! verdict itself: on a live two-shard checkpointed deployment, any
-//! non-empty subset of {flip a summary byte, flip a checkpoint exposure
-//! entry, flip a record attribute, vouch for one part with the other
-//! shard's summaries, replay a pre-update version} is rejected — whichever
-//! error wins — and the untouched answer is always accepted.
+//! non-empty subset of {flip a summary byte, flip an opened checkpoint
+//! exposure entry, flip a record attribute, vouch for one part with the
+//! other shard's summaries, replay a pre-update version} is rejected —
+//! whichever error wins — and the untouched answer is always accepted.
+//!
+//! The exposure entry is the one fault no signature sees: the checkpoint's
+//! signature covers the root of its exposure map, and a doctored entry is
+//! caught after the fold, by the root its opening no longer hashes to. So
+//! alone it is `BadCheckpoint`, and beside a forged signature it is that
+//! signature's error — pinned below.
 
 use std::sync::{Arc, OnceLock};
 
@@ -15,7 +21,7 @@ use proptest::prelude::*;
 
 use authdb_core::adversary::{run_sharded_timeline, sharded_system};
 use authdb_core::shard::ShardedSelectionAnswer;
-use authdb_core::verify::{EpochView, Verifier};
+use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,8 +85,9 @@ fn tamper(fx: &Fixture, mask: u8, pick: u64) -> ShardedSelectionAnswer {
     }
     if mask & 2 != 0 {
         let c = ans.parts[at(2, 13)].answer.checkpoint.as_mut().unwrap();
-        let i = at(c.exposure.len(), 14);
-        c.exposure[i] ^= 1 << at(8, 20);
+        let chunk = at(c.exposure.chunks.len(), 14);
+        let entries = &mut c.exposure.chunks[chunk].1;
+        entries[at(entries.len(), 17)] ^= 1 << at(8, 20);
     }
     if mask & 4 != 0 {
         let a = &mut ans.parts[at(2, 23)].answer;
@@ -114,6 +121,18 @@ fn check(scheme: SchemeKind, mask: u8, pick: u64, rng_seed: u64) -> Result<(), T
     let verdict =
         fx.v.verify_sharded_selection(lo, hi, &tampered, &fx.view, fx.now, true, &mut rng);
     prop_assert!(verdict.is_err(), "faults {mask:#07b} accepted: {verdict:?}");
+    // Where the doctored entry ranks (the summary swap aside, which the
+    // structural phase names before any of this): a forged summary beside
+    // it is named instead; alone, or beside a replay only the freshness
+    // pass would see, it is the root's `BadCheckpoint`.
+    if mask & 2 != 0 && mask & 8 == 0 {
+        if mask & 1 != 0 {
+            let named = matches!(verdict, Err(VerifyError::BadSummarySignature { .. }));
+            prop_assert!(named, "faults {mask:#07b}: {verdict:?}");
+        } else if mask & 4 == 0 {
+            prop_assert_eq!(verdict, Err(VerifyError::BadCheckpoint));
+        }
+    }
     Ok(())
 }
 

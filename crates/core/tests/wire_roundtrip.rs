@@ -12,12 +12,13 @@ mod common;
 use proptest::prelude::*;
 
 use authdb_core::da::{SigningMode, UpdateMsg};
+use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint};
 use authdb_core::qs::QsOptions;
 use authdb_core::record::Record;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::VerifyError;
 use authdb_core::wire::{Request, Response};
-use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME_LEN};
+use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, WireError, DEFAULT_MAX_FRAME_LEN};
 use common::{cfg, decode_ops, initial_rows, Op};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,7 +125,7 @@ proptest! {
             };
             let ans = sqs.project(lo, lo + w, attrs).unwrap();
             assert_canonical(&ans);
-            assert_canonical(&Response::Projection(ans));
+            assert_canonical(&Response::Projection(Box::new(ans)));
         }
     }
 
@@ -216,6 +217,47 @@ proptest! {
     }
 
     #[test]
+    fn checkpoints_round_trip_whole_and_opened_and_list_chunks_once_in_order(
+        map in prop::collection::vec(0u64..4, 0..200),
+        rids in prop::collection::vec(0u64..260, 0..10),
+        swap in (any::<u8>(), any::<u8>()),
+    ) {
+        // The whole-map form — what the DA hands a server and a rebalance
+        // carries — and the form an answer carries, opened for some rids.
+        let kp = authdb_crypto::signer::Keypair::generate(
+            authdb_crypto::signer::SchemeKind::Mock,
+            &mut StdRng::seed_from_u64(14),
+        );
+        let whole = SummaryCheckpoint::create(&kp, 3, 1, 7, 90, &map);
+        assert_canonical(&whole);
+        let tree = ExposureTree::build(&whole.exposure.chunks);
+        let opened = whole.opened_for(&tree, rids.iter().copied());
+        assert_canonical(&opened);
+        prop_assert!(opened.verify(&kp.public_params()));
+        // The same chunks in another order, or one of them twice, are not a
+        // second encoding of the opening: a typed refusal, for every pair.
+        let chunks = &opened.exposure.chunks;
+        if chunks.len() >= 2 {
+            let (a, b) = (swap.0 as usize % chunks.len(), swap.1 as usize % chunks.len());
+            let mut twisted = opened.exposure.clone();
+            if a == b {
+                twisted.chunks[(a + 1) % chunks.len()].0 = chunks[a].0;
+            } else {
+                twisted.chunks.swap(a, b);
+            }
+            prop_assert_eq!(
+                Exposure::decode(&twisted.encode()),
+                Err(WireError::NonCanonical { what: "exposure chunk order" })
+            );
+        }
+        // A forged chunk count cannot reserve what the frame does not hold.
+        let mut bytes = opened.exposure.encode();
+        bytes[56..60].copy_from_slice(&u32::MAX.to_be_bytes());
+        let overflow = matches!(Exposure::decode(&bytes), Err(WireError::LengthOverflow { .. }));
+        prop_assert!(overflow);
+    }
+
+    #[test]
     fn mutated_rebalance_frames_never_panic(
         flips in prop::collection::vec((any::<u16>(), any::<u8>()), 1..12),
         truncate_to in any::<u16>(),
@@ -262,6 +304,16 @@ proptest! {
         let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], &mut rng);
         let boots = sa.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
         let sqs = sa.replica(&boots, &QsOptions::default());
+        // Summaries and an opened checkpoint ride on the answer, so their
+        // decoders see the corrupted bytes too.
+        for _ in 0..3 {
+            sa.advance_clock(10);
+            sqs.ingest(sa.maybe_publish_summaries());
+        }
+        for shard in 0..2 {
+            let ckpt = sa.checkpoint_shard_summaries(shard, 1).expect("compactable");
+            sqs.apply_checkpoint(shard, ckpt);
+        }
         let (lo, w) = seed_query;
         let ans = sqs.select_range(lo, lo + w).unwrap();
         let mut bytes = frame(&Response::Selection(ans));

@@ -29,9 +29,9 @@
 //! `analyze_selection`, the claim collection, fold-order and
 //! transcript-coefficient helpers beside them — `Analyzed`, `SigClaim`,
 //! `ClaimKind`, `TranscriptRng`, `claim_order`, `transcript_digest` — the
-//! client's epoch pin `EpochView`, the join verifier `verify_join`, and
-//! everything they call, by call-graph closure over the `wire` and `core`
-//! crates).
+//! client's epoch pin `EpochView`, a checkpoint's exposure opening
+//! `Exposure`, the join verifier `verify_join`, and everything they call,
+//! by call-graph closure over the `wire` and `core` crates).
 //!
 //! *Why:* these paths run on attacker-controlled bytes and on answers from
 //! an untrusted server. A reachable panic is a denial-of-service primitive

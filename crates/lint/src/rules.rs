@@ -326,16 +326,19 @@ fn scan_decode_body(m: &FileModel, f: &FnItem, diags: &mut Vec<Diagnostic>) {
 /// localisation (`claim_order`, `ClaimKind`), the transcript coefficient
 /// source, the client's epoch pin (`EpochView`: `observe` and
 /// `from_bootstrap` judge a bundle an untrusted server sent, and no
-/// `Verifier` method calls them), and the join verifier (`verify_join`, a
-/// free function over a server-built `JoinAnswer`). Seeded by name so they
-/// stay covered even if a refactor detaches them from a `Verifier` method's
-/// call graph.
-const VERIFY_CLAIM_OWNERS: [&str; 5] = [
+/// `Verifier` method calls them), a checkpoint's exposure opening
+/// (`Exposure`: its root recomputation and entry lookup run on chunks,
+/// indices and sibling digests the server chose, under a declared length of
+/// up to 2⁶⁴), and the join verifier (`verify_join`, a free function over a
+/// server-built `JoinAnswer`). Seeded by name so they stay covered even if a
+/// refactor detaches them from a `Verifier` method's call graph.
+const VERIFY_CLAIM_OWNERS: [&str; 6] = [
     "Analyzed",
     "SigClaim",
     "ClaimKind",
     "TranscriptRng",
     "EpochView",
+    "Exposure",
 ];
 const VERIFY_CLAIM_FNS: [&str; 4] = [
     "analyze_selection",
@@ -374,7 +377,10 @@ fn rule_decode(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
                         "deframe" | "decode_frame" | "frame_body_len"
                     ))
                 || (m.crate_name == "core" && f.owner.as_deref() == Some("Verifier"))
+                // An owner's encoder runs on the process's own values, never
+                // on a peer's.
                 || (m.crate_name == "core"
+                    && f.trait_name.as_deref() != Some("WireEncode")
                     && (VERIFY_CLAIM_OWNERS.contains(&f.owner.as_deref().unwrap_or(""))
                         || VERIFY_CLAIM_FNS.contains(&f.name.as_str())));
             if seed {
@@ -931,7 +937,7 @@ fn forged_message() -> Vec<u8> { b"ckpt-summary:".to_vec() }
         // And the checkpoint error variants are catalog-coverage targets
         // like any other VerifyError variant: unpinned means a diagnostic.
         let src = r#"
-pub enum VerifyError { BadCheckpoint, CheckpointGap, StaleCheckpoint }
+pub enum VerifyError { BadCheckpoint, CheckpointUnopened, CheckpointGap, StaleCheckpoint }
 "#;
         let a = analyze(&one("crates/core/src/verify.rs", src));
         assert_eq!(
@@ -939,7 +945,7 @@ pub enum VerifyError { BadCheckpoint, CheckpointGap, StaleCheckpoint }
                 .iter()
                 .filter(|d| d.rule == RULE_CATALOG)
                 .count(),
-            3,
+            4,
             "{:?}",
             a.diagnostics
         );

@@ -19,11 +19,23 @@ fn fixture(dir: &str, name: &str) -> String {
 }
 
 /// (fixture file, synthetic workspace path, expected rule, expected count)
-const BAD: [(&str, &str, &str, usize); 6] = [
+const BAD: [(&str, &str, &str, usize); 8] = [
     (
         "panicking_decode.rs",
         "crates/core/src/fixture.rs",
         RULE_DECODE,
+        1,
+    ),
+    (
+        "indexing_opening.rs",
+        "crates/core/src/fixture.rs",
+        RULE_DECODE,
+        1,
+    ),
+    (
+        "unpinned_unopened.rs",
+        "crates/core/src/verify.rs",
+        RULE_CATALOG,
         1,
     ),
     (

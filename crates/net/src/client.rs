@@ -184,7 +184,7 @@ impl QsClient {
         let attrs: Vec<u32> = attrs.iter().map(|&a| a as u32).collect();
         let request = Request::Project { lo, hi, attrs };
         self.exchange(&request, "expected Projection", |r| match r {
-            Response::Projection(answer) => Some(answer),
+            Response::Projection(answer) => Some(*answer),
             _ => None,
         })
     }

@@ -507,7 +507,7 @@ fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
         Request::Project { lo, hi, attrs } => {
             let attrs: Vec<usize> = attrs.into_iter().map(|a| a as usize).collect();
             match server.project(lo, hi, &attrs) {
-                Ok(answer) => Response::Projection(answer),
+                Ok(answer) => Response::Projection(Box::new(answer)),
                 Err(e) => Response::Refused(e),
             }
         }

@@ -156,14 +156,15 @@ impl CostModel {
 
 /// The signature claims of one live range answer, as `(messages, signature)`
 /// under `sk`: one 32-record aggregate, five single-message summaries, one
-/// checkpoint over a 2048-rid exposure map (16 KB). The shape
+/// checkpoint — whose message is 101 bytes whatever the shard's size: it
+/// commits to the exposure map by a hash root. The shape
 /// [`CostModel::client_verify_time`]`(38, 7)` is checked against, and the
 /// one `crypto_micro` times sequentially and folded.
 pub fn answer_shaped_claims(sk: &BlsPrivateKey) -> Vec<(Vec<Vec<u8>>, BlsSignature)> {
     let records: Vec<Vec<u8>> = (0..32u32).map(|i| i.to_be_bytes().to_vec()).collect();
     let sigs: Vec<_> = records.iter().map(|m| sk.sign(m)).collect();
     let mut claims = vec![(records, aggregate(&sigs))];
-    let singles = (0..5u8).map(|i| vec![i; 64]).chain([vec![0xC5; 16 << 10]]);
+    let singles = (0..5u8).map(|i| vec![i; 64]).chain([vec![0xC5; 101]]);
     claims.extend(singles.map(|m| {
         let sig = sk.sign(&m);
         (vec![m], sig)

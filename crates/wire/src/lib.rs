@@ -67,7 +67,10 @@
 //! Version history: **2** — `ProjectionAnswer` gained a trailing
 //! `checkpoint:opt` (the anchor for a summary run cut by compaction, as
 //! `SelectionAnswer` already carried); every other encoding is bit-identical
-//! to version 1.
+//! to version 1. **3** — a `SummaryCheckpoint`'s `exposure` is no longer
+//! `vec<u64>` but the committed form (`len, max, max_rid, root`, then the
+//! opened chunks and their sibling digests); everything that carries no
+//! summary checkpoint is bit-identical to version 2 but for this byte.
 //!
 //! ## Failure discipline
 //!
@@ -79,7 +82,7 @@
 use std::fmt;
 
 /// Current wire-format version, carried in every frame.
-pub const FORMAT_VERSION: u8 = 2;
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Default cap on a frame's declared body length (version byte + payload).
 /// Chosen far above any honest answer (a full-table selection of a million
