@@ -1,25 +1,25 @@
-//! fig_conc: aggregate throughput of the event-loop server under
-//! concurrent, multiplexed connections.
+//! fig_conc: aggregate throughput of the thread-per-connection server
+//! under concurrent, multiplexed connections.
 //!
 //! The tentpole claim of the concurrency refactor is that tearing out the
-//! server-wide lock — per-shard snapshots on the answer path, a readiness
-//! event loop on the transport, pipelined `Request::Tagged` batches on the
-//! wire — turns the networked QS from "one outstanding request at a time"
-//! into a service whose aggregate throughput scales with offered
-//! concurrency. This bench measures aggregate queries/sec and p99 window
+//! server-wide lock — per-shard snapshots on the answer path, one blocking
+//! thread per connection on the transport, pipelined `Request::Tagged`
+//! batches on the wire — turns the networked QS from "one outstanding
+//! request at a time" into a service whose aggregate throughput scales
+//! with offered concurrency. This bench measures aggregate queries/sec and p99 window
 //! round-trip as concurrent connections grow 1 → 64, each connection
 //! keeping a pipelined window in flight, on two transports:
 //!
 //! * **loopback** — zero RTT, so the measurement isolates the per-exchange
-//!   overhead (syscalls, scheduler ping-pong, loop wakeups) that
+//!   overhead (syscalls, scheduler ping-pong, thread wake-ups) that
 //!   pipelining amortizes; the win is bounded by proof-construction CPU
-//!   on a single-core runner;
+//!   and the runner's cores;
 //! * **a simulated client link** (1 ms one-way delay injected by a
 //!   full-duplex byte relay) — the paper's Section 5 deployment shape,
 //!   where clients reach the publisher over real links. Here multiplexing
 //!   pays twice: a pipelined window crosses the link once per *batch*
-//!   instead of once per query, and the event loop serves many
-//!   RTT-bound connections while their bytes are in flight.
+//!   instead of once per query, and the connections' threads serve
+//!   many RTT-bound peers while their bytes are in flight.
 //!
 //! Both sweeps run with and without a live DA update stream applying
 //! certified inserts through the server handle mid-measurement —
@@ -258,7 +258,7 @@ fn pipelined_with_updates(
 fn main() {
     banner(
         "fig_conc",
-        "Event-loop QS: aggregate qps & p99 vs concurrent pipelined connections",
+        "Thread-per-connection QS: aggregate qps & p99 vs concurrent pipelined connections",
     );
     println!(
         "N = {N} Mock records, {SHARDS} shards, window depth {DEPTH}, \

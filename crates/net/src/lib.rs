@@ -7,9 +7,10 @@
 //! [`ShardedQueryServer`](authdb_core::shard::ShardedQueryServer) into an
 //! actual TCP service speaking the canonical [`authdb_wire`] format:
 //!
-//! * [`QsServer`] — a non-blocking event-loop server: one readiness loop
-//!   over non-blocking sockets accepts, reads, dispatches, and writes for
-//!   every connection. Each connection carries a sequence of framed
+//! * [`QsServer`] — a thread-per-connection server: an acceptor blocked in
+//!   `accept()` and one blocking thread per connection that reads,
+//!   dispatches, and writes; nothing polls. Each connection carries a
+//!   sequence of framed
 //!   [`Request`](authdb_core::wire::Request)s — classic one-at-a-time
 //!   exchanges or pipelined [`Request::Tagged`](authdb_core::wire::Request)
 //!   batches — each answered with exactly one framed
@@ -48,14 +49,15 @@
 //!    answers are never rejected, and every proof is single-epoch.
 //! 2. **Connection multiplexing** (`Request::Tagged`). A client pipelines
 //!    a batch of id-tagged requests on one connection and matches the
-//!    echoed ids; the event loop answers them in arrival order. On a
-//!    single connection this amortizes round-trips and syscalls — the
+//!    echoed ids; the connection's thread answers them in arrival order.
+//!    On a single connection this amortizes round-trips and syscalls — the
 //!    `fig_conc` bench measures the aggregate-throughput win.
 //! 3. **Write backpressure**. Per-connection and global caps on queued
-//!    response bytes: an over-cap connection is not read (TCP pushes back)
-//!    and over-cap requests shed as `Response::Busy` →
-//!    [`NetError::Overloaded`] — typed, retryable, and never a silent
-//!    drop. Shed requests were never answered, so soundness is untouched.
+//!    response bytes: a connection is not read while its queue is being
+//!    written (TCP pushes back) and over-cap requests shed as
+//!    `Response::Busy` → [`NetError::Overloaded`] — typed, retryable, and
+//!    never a silent drop. Shed requests were never answered, so soundness
+//!    is untouched.
 //! 4. **Load-driven auto-rebalance** (`authdb_core::policy`). A DA-side
 //!    driver polls per-shard stats over the wire, feeds them to an
 //!    `AutoRebalancer`, and pushes the certified split/merge packages it

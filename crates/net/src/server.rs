@@ -1,33 +1,46 @@
-//! The event-loop TCP query server.
+//! The thread-per-connection TCP query server.
 //!
-//! [`QsServer::spawn`] wraps a bootstrapped [`ShardedQueryServer`] in a
-//! single-threaded readiness loop over non-blocking sockets: one thread
-//! accepts, reads, dispatches, and writes for every connection. The handle
-//! keeps shared access to the underlying server so the DA-side driver can
-//! keep pushing update messages and summaries while queries are being
-//! answered — exactly the Section 3.1 deployment, where fresh data
+//! [`QsServer::spawn`] wraps a bootstrapped [`ShardedQueryServer`] in the
+//! simplest shape std allows: an acceptor thread blocked in `accept()`, and
+//! one thread per admitted connection doing *blocking read → answer every
+//! complete frame in the buffer → one blocking write*. Nothing polls and
+//! nothing sleeps: a request wakes exactly the thread that will answer it,
+//! a quiet server costs no CPU, and connections are served on every core.
+//! The handle keeps shared access to the underlying server so the DA-side
+//! driver can keep pushing update messages and summaries while queries are
+//! being answered — exactly the Section 3.1 deployment, where fresh data
 //! dissemination is decoupled from query traffic.
 //!
-//! The old thread-per-connection server serialized proof construction under
-//! one server-wide mutex; this one holds **no** lock around dispatch. The
-//! [`ShardedQueryServer`] is snapshot-concurrent (readers pin an immutable
-//! epoch snapshot; writers publish by swapping it), so every request is
-//! answered against `&ShardedQueryServer` directly.
+//! The first thread-per-connection server here was slow for a reason that
+//! had nothing to do with threads: it serialized proof construction under
+//! one server-wide mutex. That mutex is gone — the [`ShardedQueryServer`]
+//! is snapshot-concurrent (readers pin an immutable epoch snapshot; writers
+//! publish by swapping it), so every request is answered against
+//! `&ShardedQueryServer` with **no** lock around dispatch. The single
+//! readiness loop that replaced that server could, without `epoll` (no
+//! unsafe bindings; `forbid(unsafe_code)` holds), only discover work by
+//! sleeping between passes, which put a wake-up tick under every serial
+//! round trip and kept one core busy for all connections. With the lock
+//! gone, blocking threads are both the simple and the fast shape.
 //!
 //! # Multiplexing and backpressure
 //!
 //! Connections carry either classic one-request/one-response exchanges or
 //! pipelined [`Request::Tagged`] frames: a client may write a whole batch
-//! before reading, and the loop answers each frame in arrival order with
+//! before reading, and its thread answers each frame in arrival order with
 //! the request's id echoed, so responses can be matched without counting.
 //!
+//! A *pass* is the frames one blocking read (at most 64 KiB, `READ_BURST`)
+//! delivered. Their responses queue in the connection's write buffer, which
+//! is then written whole and cleared — no cursor into it survives a pass,
+//! so a client that drains slower than it asks cannot make it grow. While
+//! that write blocks the socket is not read: TCP pushes back on the sender.
 //! Two byte caps bound what a slow or hostile reader can pin:
 //!
-//! * **Per-connection** ([`QsServerOptions::max_conn_queue`]): while a
-//!   connection's queued-but-unwritten response bytes exceed the cap, its
-//!   socket is not read (TCP pushes back on the sender) and any requests
-//!   already buffered are answered with [`Response::Busy`] instead of
-//!   being dispatched — a typed, retryable shed, never a silent drop.
+//! * **Per-connection** ([`QsServerOptions::max_conn_queue`]): a request
+//!   parsed while the pass's queued response bytes exceed the cap is
+//!   answered with [`Response::Busy`] instead of being dispatched — a
+//!   typed, retryable shed, never a silent drop.
 //! * **Global** ([`QsServerOptions::max_queued_bytes`]): when the sum of
 //!   all queues exceeds this, newly parsed requests shed as `Busy`
 //!   regardless of which connection they arrived on.
@@ -37,8 +50,8 @@
 //! client backs off and re-asks, and soundness is untouched because a shed
 //! request was never answered at all.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -53,14 +66,13 @@ use authdb_wire::{deframe, frame, frame_body_len, try_frame, DEFAULT_MAX_FRAME_L
 
 use crate::NetError;
 
-/// How long the loop sleeps when a full pass made no progress — the
-/// latency floor for a quiescent server, and the price of portability
-/// (no `epoll` without unsafe bindings; `forbid(unsafe_code)` holds).
-const IDLE_TICK: Duration = Duration::from_micros(500);
-
-/// Per-pass read burst cap: one connection blasting requests cannot keep
-/// the loop in its read syscall forever while the other connections starve.
+/// Most bytes one blocking read takes: bounds a pass, and with it how much
+/// one pipelined window can queue before the per-connection cap is consulted.
 const READ_BURST: usize = 64 << 10;
+
+/// Pause after a failed `accept` — error path only, the one sleep in this
+/// file: a persistent failure (`EMFILE`) would otherwise spin the acceptor.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Construction options for [`QsServer::spawn`].
 #[derive(Clone, Copy, Debug)]
@@ -69,13 +81,13 @@ pub struct QsServerOptions {
     /// are tiny; the default (64 KiB) bounds what a hostile client's length
     /// prefix can make the server allocate.
     pub max_request_len: usize,
-    /// Idle deadline per connection: a connection with no read or write
-    /// progress for this long is dropped (the slow-loris guard). Honest
-    /// clients re-connect.
+    /// Idle deadline per connection, set as the socket's read timeout: a
+    /// connection that delivers no byte for this long is dropped (the
+    /// slow-loris guard). Honest clients re-connect.
     pub read_timeout: Duration,
-    /// Write-stall deadline: a client that stops draining its receive
-    /// window while responses are queued is dropped after this long
-    /// without a single accepted byte.
+    /// Write-stall deadline, set as the socket's write timeout: a client
+    /// that stops draining its receive window while responses are queued is
+    /// dropped after this long without a single accepted byte.
     pub write_timeout: Duration,
     /// Cap on concurrently served connections. Excess connections are
     /// closed at accept (clients observe a reset and retry against a
@@ -84,8 +96,8 @@ pub struct QsServerOptions {
     /// How long [`QsServer::shutdown`] waits for queued responses to
     /// drain before returning anyway.
     pub drain_timeout: Duration,
-    /// Per-connection cap on queued-but-unwritten response bytes. Above
-    /// it, the connection's socket is not read and buffered requests are
+    /// Per-connection cap on the response bytes one pass may queue before
+    /// they are written. Above it, the pass's remaining requests are
     /// answered with [`Response::Busy`].
     pub max_conn_queue: usize,
     /// Global cap on queued response bytes across all connections; above
@@ -114,27 +126,28 @@ struct Shared {
     server: ShardedQueryServer,
     opts: QsServerOptions,
     stop: AtomicBool,
-    /// Connections currently being served (mirrors the loop's ledger so
-    /// the handle can observe it without touching loop state).
-    active: AtomicUsize,
-    /// Set by the event loop once every queued response is flushed (or the
-    /// drain window expires) after `stop`; [`QsServer::shutdown`] waits on
-    /// the condvar instead of sleep-polling.
-    drained: Mutex<bool>,
+    /// Response bytes queued on all connections and not yet written. A
+    /// load-shedding threshold that publishes no other data: `Relaxed`.
+    queued: AtomicUsize,
+    /// The live connections, each with a clone of its socket: the admission
+    /// cap's measure, [`QsServer::active_connections`], and the list the
+    /// drain shuts down. A connection removes itself when its thread ends.
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+    /// Notified on every removal from `conns`; the drain waits on it.
     drain_cv: Condvar,
 }
 
-/// A running networked query server. Dropping the handle stops the event
-/// loop; queued responses get one drain pass before the sockets close.
+/// A running networked query server. Dropping the handle is
+/// [`QsServer::shutdown`].
 pub struct QsServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    event_loop: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl QsServer {
     /// Serve `server` on a loopback port chosen by the OS. Returns once the
-    /// listener is bound, with the event loop running in the background.
+    /// listener is bound, with the acceptor running in the background.
     pub fn spawn(server: ShardedQueryServer, opts: QsServerOptions) -> Result<Self, NetError> {
         Self::bind(server, "127.0.0.1:0", opts)
     }
@@ -146,22 +159,23 @@ impl QsServer {
         opts: QsServerOptions,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(bind_addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             server,
             opts,
             stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            drained: Mutex::new(false),
+            queued: AtomicUsize::new(0),
+            conns: Mutex::new(Vec::new()),
             drain_cv: Condvar::new(),
         });
-        let loop_shared = Arc::clone(&shared);
-        let event_loop = std::thread::spawn(move || event_loop(listener, loop_shared));
+        let acceptor_shared = Arc::clone(&shared);
+        let acceptor = std::thread::Builder::new()
+            .name("qs-accept".into())
+            .spawn(move || accept_loop(listener, acceptor_shared))?;
         Ok(QsServer {
             addr,
             shared,
-            event_loop: Some(event_loop),
+            acceptor: Some(acceptor),
         })
     }
 
@@ -180,278 +194,200 @@ impl QsServer {
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.conns.lock().len()
     }
 
-    /// Graceful shutdown: stop accepting and reading, flush queued
-    /// responses (up to the configured drain timeout), then return. The
-    /// wait is condvar-based — the event loop signals the drain's
-    /// completion, so shutdown wakes exactly when the last byte is flushed
-    /// instead of discovering it on a poll tick.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        // Margin on top of the drain window: the loop itself enforces the
-        // timeout; the margin only covers its last bookkeeping pass.
-        let deadline = Instant::now() + self.shared.opts.drain_timeout + Duration::from_millis(250);
-        {
-            let mut drained = self.shared.drained.lock();
-            while !*drained {
-                if self
-                    .shared
-                    .drain_cv
-                    .wait_until(&mut drained, deadline)
-                    .timed_out()
-                {
-                    break;
-                }
-            }
-        }
-        if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
+    /// Graceful shutdown: stop accepting and reading, let every connection
+    /// finish the pass it is in and write what it queued (up to the
+    /// configured drain timeout), then join every thread and return. The
+    /// acceptor waits on a condvar the departing connections notify, so
+    /// this wakes exactly when the last one is gone.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for QsServer {
     fn drop(&mut self) {
-        if let Some(h) = self.event_loop.take() {
+        if let Some(acceptor) = self.acceptor.take() {
             self.shared.stop.store(true, Ordering::Release);
-            let _ = h.join();
+            // The acceptor is blocked in `accept()`: one loopback connect
+            // wakes it. A connect that fails for want of descriptors finds
+            // the acceptor in its error back-off, which reads `stop` too.
+            let _ = TcpStream::connect(self.addr);
+            let _ = acceptor.join();
         }
     }
 }
 
-/// One connection's loop state: a non-blocking socket, the bytes read but
-/// not yet parsed, and the response bytes queued but not yet accepted by
-/// the kernel.
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    /// Prefix of `wbuf` already written.
-    wpos: usize,
-    last_activity: Instant,
-    /// When the current write stall began (queued bytes, zero progress).
-    stalled_since: Option<Instant>,
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            last_activity: Instant::now(),
-            stalled_since: None,
-            dead: false,
-        }
-    }
-
-    /// Queued-but-unwritten response bytes — the backpressure measure.
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// Push queued bytes at the socket until it would block.
-    fn flush(&mut self, opts: &QsServerOptions) -> bool {
-        if self.dead || self.backlog() == 0 {
-            return false;
-        }
-        let mut progress = false;
-        loop {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return progress;
-                }
-                Ok(n) => {
-                    self.wpos += n;
-                    progress = true;
-                    if self.wpos == self.wbuf.len() {
-                        self.wbuf.clear();
-                        self.wpos = 0;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return progress;
-                }
-            }
-        }
-        if progress {
-            self.stalled_since = None;
-            self.last_activity = Instant::now();
-        } else if self.backlog() > 0 {
-            // A peer that stops draining its window cannot pin its queue
-            // forever: the stall clock starts at the first zero-progress
-            // flush and the connection dies at the write deadline.
-            let since = *self.stalled_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > opts.write_timeout {
-                self.dead = true;
-            }
-        }
-        progress
-    }
-
-    /// Read available bytes, respecting the per-connection backpressure
-    /// cap and the per-pass burst cap.
-    fn fill(&mut self, opts: &QsServerOptions) -> bool {
-        if self.dead || self.backlog() > opts.max_conn_queue {
-            return false;
-        }
-        let mut progress = false;
-        let mut chunk = [0u8; 4096];
-        loop {
-            if self.rbuf.len() >= READ_BURST {
-                break;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    self.last_activity = Instant::now();
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        progress
-    }
-
-    /// Parse complete frames out of the read buffer and answer each. A
-    /// frame that fails the length gate or canonical decoding kills the
-    /// connection — once framing is lost there is no resynchronizing, and
-    /// answering unparseable bytes would mean guessing what was asked.
-    fn serve(&mut self, shared: &Shared, global_backlog: &mut usize) -> bool {
-        let mut progress = false;
-        while !self.dead {
-            if self.rbuf.len() < 4 {
-                break;
-            }
-            let header = [self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]];
-            let body_len = match frame_body_len(header, shared.opts.max_request_len) {
-                Ok(l) => l,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            };
-            if self.rbuf.len() < 4 + body_len {
-                break;
-            }
-            let body: Vec<u8> = self.rbuf[4..4 + body_len].to_vec();
-            self.rbuf.drain(..4 + body_len);
-            let request: Request = match deframe(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            };
-            // Load shedding is decided per request, *before* any proof
-            // work: a shed request costs the server a handful of bytes.
-            let overloaded = self.backlog() > shared.opts.max_conn_queue
-                || *global_backlog > shared.opts.max_queued_bytes;
-            let response = if overloaded {
-                busy_response(&request)
-            } else {
-                dispatch(&shared.server, request)
-            };
-            let bytes = encode_response(response);
-            *global_backlog += bytes.len();
-            self.wbuf.extend_from_slice(&bytes);
-            progress = true;
-        }
-        progress
-    }
-}
-
-/// The readiness loop: accept, flush, read, serve, repeat — one thread for
-/// every connection, no blocking syscalls, a short sleep only when a full
-/// pass made no progress.
-fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<Conn> = Vec::new();
+/// Admission control at accept, then the drain once `stop` is set.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        let mut progress = false;
-
-        // Admission control at accept: over the cap, the socket is closed
-        // unserved (clients observe a reset and retry).
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    if conns.len() >= shared.opts.max_connections
-                        || stream.set_nonblocking(true).is_err()
-                    {
-                        drop(stream);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    conns.push(Conn::new(stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+        match accepted {
+            Ok((stream, _)) => {
+                threads.retain(|t| !t.is_finished());
+                // Shed or admitted; a shed socket is closed unserved
+                // (clients observe a reset and retry).
+                threads.extend(admit(stream, next_id, &shared).ok());
+                next_id += 1;
             }
-        }
-
-        let mut global_backlog: usize = conns.iter().map(Conn::backlog).sum();
-        for conn in &mut conns {
-            let queued = conn.backlog();
-            progress |= conn.flush(&shared.opts);
-            global_backlog -= queued - conn.backlog();
-            progress |= conn.fill(&shared.opts);
-            progress |= conn.serve(&shared, &mut global_backlog);
-            // Answer-then-flush in the same pass: a request's response
-            // hits the socket before the loop sleeps.
-            let queued = conn.backlog();
-            conn.flush(&shared.opts);
-            global_backlog -= queued - conn.backlog();
-            if conn.last_activity.elapsed() > shared.opts.read_timeout {
-                conn.dead = true;
-            }
-        }
-        conns.retain(|c| !c.dead);
-        shared.active.store(conns.len(), Ordering::Release);
-
-        if !progress {
-            std::thread::sleep(IDLE_TICK);
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
+    drop(listener);
 
-    // Drain: flush what is queued (bounded by the drain window), then
-    // close everything and signal the condvar shutdown waits on.
+    // Drain: end every connection's reads — each thread finishes its pass,
+    // writes, and leaves — and wait for the list to empty, bounded by the
+    // drain window; then cut whatever is still stuck in a write, and join:
+    // once the handle's drop returns no thread of this server is left, and
+    // the handle, not a straggler, frees the served state.
+    let mut conns = shared.conns.lock();
+    for (_, stream) in conns.iter() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
     let deadline = Instant::now() + shared.opts.drain_timeout;
-    while conns.iter().any(|c| !c.dead && c.backlog() > 0) && Instant::now() < deadline {
-        let mut progress = false;
-        for conn in &mut conns {
-            progress |= conn.flush(&shared.opts);
+    while !conns.is_empty() {
+        if shared.drain_cv.wait_until(&mut conns, deadline).timed_out() {
+            break;
         }
-        conns.retain(|c| !c.dead && c.backlog() > 0);
-        if !progress {
-            std::thread::sleep(IDLE_TICK);
-        }
+    }
+    for (_, stream) in conns.iter() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
     drop(conns);
-    shared.active.store(0, Ordering::Release);
-    *shared.drained.lock() = true;
-    shared.drain_cv.notify_all();
+    for thread in threads {
+        let _ = thread.join();
+    }
+}
+
+/// Give `stream` a slot and a thread, or shed it: over the connection cap,
+/// or when the socket cannot be configured or cloned or the thread cannot
+/// be spawned, the error returns and the socket closes with it.
+fn admit(stream: TcpStream, id: u64, shared: &Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
+    let mut conns = shared.conns.lock();
+    if conns.len() >= shared.opts.max_connections {
+        return Err(ErrorKind::ConnectionRefused.into());
+    }
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(shared.opts.read_timeout))?;
+    stream.set_write_timeout(Some(shared.opts.write_timeout))?;
+    conns.push((id, stream.try_clone()?));
+    let conn = Conn {
+        shared: Arc::clone(shared),
+        id,
+        wbuf: Vec::new(),
+    };
+    // The lock is released first: a failed spawn drops the closure, and
+    // `conn` with it, whose guard takes the lock to free the slot — the
+    // same way the slot is freed when the thread ends.
+    drop(conns);
+    std::thread::Builder::new()
+        .name("qs-conn".into())
+        .spawn(move || conn.serve(stream))
+}
+
+/// One admitted connection: its slot in the live list and the responses
+/// queued for it. `Shared::queued` counts `wbuf.len()` for every live
+/// `Conn`; dropping one — however its thread ends — settles both.
+struct Conn {
+    shared: Arc<Shared>,
+    id: u64,
+    wbuf: Vec<u8>,
+}
+
+impl Conn {
+    /// The connection's thread: blocking read, answer, blocking write,
+    /// until the peer leaves, a deadline fires, framing is lost, or the
+    /// server stops.
+    fn serve(mut self, mut stream: TcpStream) {
+        let mut rbuf = Vec::new();
+        let mut chunk = vec![0u8; READ_BURST];
+        // The drain's `shutdown(Read)` wakes a blocked read, but the kernel
+        // keeps delivering what a chatty peer sends afterwards: `stop` is
+        // what ends such a connection after the pass it is in.
+        while !self.shared.stop.load(Ordering::Acquire) {
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // Includes the read deadline: the slow-loris guard.
+                Err(_) => return,
+            };
+            rbuf.extend_from_slice(&chunk[..n]);
+            let framed = self.answer(&mut rbuf);
+            // Includes the write deadline: a peer that stops draining its
+            // window cannot pin its queue, or this thread, forever.
+            let written = stream.write_all(&self.wbuf);
+            self.settle();
+            if !framed || written.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Answer every complete frame in `rbuf` into `wbuf`, in place, and
+    /// drop the consumed prefix once. Returns `false` when a frame fails
+    /// the length gate or canonical decoding: once framing is lost there
+    /// is no resynchronizing, and answering unparseable bytes would mean
+    /// guessing what was asked — the connection ends after what was
+    /// answered so far is written.
+    fn answer(&mut self, rbuf: &mut Vec<u8>) -> bool {
+        let opts = &self.shared.opts;
+        let mut pos = 0;
+        let framed = loop {
+            let rest = &rbuf[pos..];
+            let Some(header) = rest.first_chunk::<4>() else {
+                break true;
+            };
+            let Ok(body_len) = frame_body_len(*header, opts.max_request_len) else {
+                break false;
+            };
+            let Some(body) = rest.get(4..4 + body_len) else {
+                break true;
+            };
+            let Ok(request) = deframe::<Request>(body) else {
+                break false;
+            };
+            pos += 4 + body_len;
+            // Load shedding is decided per request, *before* any proof
+            // work: a shed request costs the server a handful of bytes.
+            let overloaded = self.wbuf.len() > opts.max_conn_queue
+                || self.shared.queued.load(Ordering::Relaxed) > opts.max_queued_bytes;
+            let response = if overloaded {
+                busy_response(&request)
+            } else {
+                dispatch(&self.shared.server, request)
+            };
+            let bytes = encode_response(response);
+            self.shared.queued.fetch_add(bytes.len(), Ordering::Relaxed);
+            self.wbuf.extend_from_slice(&bytes);
+        };
+        rbuf.drain(..pos);
+        framed
+    }
+
+    /// The queue is written (or abandoned): take it out of the global count.
+    fn settle(&mut self) {
+        self.shared
+            .queued
+            .fetch_sub(self.wbuf.len(), Ordering::Relaxed);
+        self.wbuf.clear();
+    }
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.settle();
+        self.shared.conns.lock().retain(|(id, _)| *id != self.id);
+        self.shared.drain_cv.notify_all();
+    }
 }
 
 /// The typed shed for an overloaded moment: tagged requests keep their id
@@ -489,8 +425,8 @@ fn encode_response(response: Response) -> Vec<u8> {
 /// already rejected malformed frames, `project` bounds attribute indices
 /// itself, and `apply_rebalance` checks the package's DA signatures and
 /// shape before touching any state). Dispatch takes `&ShardedQueryServer` — queries run
-/// against an epoch snapshot and writers order themselves, so the event
-/// loop holds no lock here.
+/// against an epoch snapshot and writers order themselves, so connection
+/// threads hold no lock here and run it concurrently.
 fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
     match request {
         Request::Ping => Response::Pong,
