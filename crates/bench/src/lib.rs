@@ -77,7 +77,6 @@ pub fn print_catalog<T: Strategy>(what: &str, scheme: SchemeKind) -> bool {
     let label = match scheme {
         SchemeKind::Mock => "Mock (structural)",
         SchemeKind::Bas => "BAS (real BLS/BN254)",
-        SchemeKind::CondensedRsa => "condensed RSA",
     };
     println!("\n{what} tamper catalog under {label}:");
     println!(

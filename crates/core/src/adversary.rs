@@ -5,10 +5,10 @@
 //! component: a [`MaliciousServer`] wraps an honest [`ShardedQueryServer`]
 //! and applies one strategy from a catalog to every answer it ships —
 //! dropping, injecting, and reordering records, substituting stale
-//! versions, widening boundary keys, forging and replaying gap proofs,
-//! withholding and reordering summaries, truncating bitmaps, replaying
-//! empty-table proofs, and splicing, withholding or swapping whole parts of
-//! a fan-out.
+//! versions or the other scheme's aggregate, widening boundary keys,
+//! forging and replaying gap proofs, withholding and reordering summaries,
+//! truncating bitmaps, replaying empty-table proofs, and splicing,
+//! withholding or swapping whole parts of a fan-out.
 //!
 //! Every catalog is one [`Strategy`] impl: each strategy declares which
 //! [`VerifyError`] the verifier must reject it with and runs its own
@@ -48,7 +48,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_crypto::signer::SchemeKind;
+use authdb_crypto::signer::{Keypair, SchemeKind, Signature};
 
 use crate::da::{DaConfig, SigningMode};
 use crate::freshness::UpdateSummary;
@@ -110,6 +110,10 @@ pub enum Tamper {
     DropRecord,
     /// Inject a fabricated (unsigned) record into the result.
     InjectRecord,
+    /// Replace the aggregate with one of the *other* scheme over the same
+    /// messages: the codec decodes either scheme without context, so the
+    /// verifier is the only gate.
+    ForeignSchemeAggregate,
     /// Swap two records to hide a chain splice.
     ReorderRecords,
     /// Replay a superseded answer captured before an update, attaching the
@@ -147,6 +151,7 @@ impl Strategy for Tamper {
     const CATALOG: &'static [Tamper] = &[
         Tamper::DropRecord,
         Tamper::InjectRecord,
+        Tamper::ForeignSchemeAggregate,
         Tamper::ReorderRecords,
         Tamper::StaleVersion,
         Tamper::WidenBoundary,
@@ -167,6 +172,7 @@ impl Strategy for Tamper {
         match self {
             Tamper::DropRecord => "drop-record",
             Tamper::InjectRecord => "inject-record",
+            Tamper::ForeignSchemeAggregate => "foreign-scheme-aggregate",
             Tamper::ReorderRecords => "reorder-records",
             Tamper::StaleVersion => "stale-version",
             Tamper::WidenBoundary => "widen-boundary",
@@ -189,6 +195,7 @@ impl Strategy for Tamper {
         match self {
             Tamper::DropRecord
             | Tamper::InjectRecord
+            | Tamper::ForeignSchemeAggregate
             | Tamper::WidenBoundary
             | Tamper::ForgeGapKeys
             | Tamper::ForgeProjectionValue => matches!(err, BadAggregate),
@@ -300,6 +307,28 @@ impl MaliciousServer<Tamper> {
                 let mut forged = ans.records[0].clone();
                 forged.attrs[1] = forged.attrs[1].wrapping_add(1);
                 ans.records.insert(1, forged);
+            }
+            Tamper::ForeignSchemeAggregate => {
+                // Re-sign the part's chained messages exactly as the
+                // verifier rebuilds them, under a key of the other scheme.
+                let schema = DaConfig::small().schema;
+                let keys: Vec<i64> = ans.records.iter().map(|r| r.key(&schema)).collect();
+                let other = match ans.agg.kind() {
+                    SchemeKind::Bas => SchemeKind::Mock,
+                    SchemeKind::Mock => SchemeKind::Bas,
+                };
+                let kp = Keypair::generate(other, &mut StdRng::seed_from_u64(1337));
+                let sigs: Vec<Signature> = ans
+                    .records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        let left = i.checked_sub(1).map_or(ans.left_key, |j| keys[j]);
+                        let right = keys.get(i + 1).copied().unwrap_or(ans.right_key);
+                        kp.sign(&r.chain_message(&schema, left, right))
+                    })
+                    .collect();
+                ans.agg = kp.public_params().aggregate_all(&sigs);
             }
             Tamper::ReorderRecords => ans.records.swap(0, 1),
             Tamper::WidenBoundary => {
@@ -1196,11 +1225,13 @@ mod tests {
     #[test]
     fn spot_check_with_bas_scheme() {
         // Full crypto for a representative slice of the catalog: content
-        // forgery, staleness, and summary withholding.
+        // forgery, a Mock aggregate handed to a BAS verifier, staleness,
+        // and summary withholding.
         assert_conforms(
             SchemeKind::Bas,
             &[
                 Tamper::InjectRecord,
+                Tamper::ForeignSchemeAggregate,
                 Tamper::StaleVersion,
                 Tamper::WithholdSummarySuffix,
                 Tamper::WithholdSummaryPrefix,

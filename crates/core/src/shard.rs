@@ -1209,7 +1209,10 @@ impl ShardedQueryServer {
     /// **Not** authenticated: the per-record handoff signatures, baseline
     /// summaries and re-bound freshness artifacts — checking them costs as
     /// much as the shard is large, and a lie there only breaks this
-    /// server's *own* answers (the verifier rejects them). Beyond that the
+    /// server's *own* answers (the verifier rejects them). A handoff
+    /// signature is still checked for its *scheme* — a tag compare, no
+    /// signature check — because one of the other scheme would panic the
+    /// server's aggregation on every query that touches it. Beyond that the
     /// package's shape is validated: anything hostile yields a typed
     /// [`QueryError::BadRebalance`] refusal, never a panic or a partial
     /// mutation. Validation happens entirely before any state changes.
@@ -1246,7 +1249,10 @@ impl ShardedQueryServer {
             return Err(QueryError::BadRebalance);
         }
         for (h, &want) in rb.handoffs.iter().zip(&created) {
-            if h.shard != want || h.sigs.len() != h.records.len() {
+            if h.shard != want
+                || h.sigs.len() != h.records.len()
+                || h.sigs.iter().any(|s| s.kind() != self.pp.kind())
+            {
                 return Err(QueryError::BadRebalance);
             }
             for (k, r) in h.records.iter().enumerate() {

@@ -131,10 +131,10 @@
 //!    two-term multi-Miller loop and one final exponentiation however many
 //!    summaries, checkpoints and shards it spans, plus two short scalar
 //!    multiplications per claim after the first; an answer with a single
-//!    claim degenerates to the plain aggregate check. Mock and condensed
-//!    RSA verify claim by claim. Only when the fold fails is each claim
-//!    re-checked on its own, freshness artifacts of every part first, then
-//!    the parts' aggregates; the first bad one names the typed error
+//!    claim degenerates to the plain aggregate check. Mock verifies claim
+//!    by claim. Only when the fold fails is each claim re-checked on its
+//!    own, freshness artifacts of every part first, then the parts'
+//!    aggregates; the first bad one names the typed error
 //!    ([`VerifyError::BadCheckpoint`],
 //!    [`VerifyError::BadSummarySignature`], [`VerifyError::BadAggregate`]).
 //! 3. **Freshness over vouched summaries** — only now are the summaries'

@@ -9,7 +9,8 @@
 //!   exponentiation, Miller-Rabin).
 //! * [`sha1`] / [`sha256`] — the one-way hashes (the paper's 160-bit digests
 //!   and the modern default, respectively).
-//! * [`rsa`] — RSA + Condensed-RSA signature aggregation (Table 3 baseline).
+//! * [`rsa`] — RSA + Condensed-RSA signature aggregation: the Table 3
+//!   baseline the paper measures BAS against, not a scheme [`signer`] offers.
 //! * [`bn254`] — BN254 field tower, G1/G2 with wNAF scalar multiplication,
 //!   and a batched ate-pairing engine: `G2Prepared` line precomputation,
 //!   `multi_miller_loop` accumulation, and a shared cyclotomic final

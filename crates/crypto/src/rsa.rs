@@ -4,7 +4,9 @@
 //! aggregates many signatures from the *same* signer into one value by
 //! multiplying them modulo `n`; the verifier checks
 //! `sigma^e == prod H(m_i) (mod n)`. The paper benchmarks 1024-bit Condensed
-//! RSA against 160-bit BAS in Table 3; both are first-class schemes here.
+//! RSA against 160-bit BAS in Table 3. Here it is that baseline and nothing
+//! more: no deployment signs with it, and only the Table 3 harness and the
+//! crypto micro-benchmarks call this module.
 //!
 //! Hashing uses a full-domain construction: SHA-256 expanded with a counter
 //! (MGF1-style) to one byte less than the modulus length, guaranteeing the
@@ -39,19 +41,9 @@ pub struct RsaSignature(pub BigUint);
 
 /// A condensed (aggregated) RSA signature over a batch of messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CondensedRsaSignature(pub BigUint);
+pub struct CondensedSignature(pub BigUint);
 
 impl RsaPublicKey {
-    /// Modulus size in bytes (e.g. 128 for RSA-1024).
-    pub fn modulus_len(&self) -> usize {
-        self.modulus_bytes
-    }
-
-    /// The modulus `n`.
-    pub fn modulus(&self) -> &BigUint {
-        &self.n
-    }
-
     /// Full-domain hash of `msg` into `[0, n)`.
     fn fdh(&self, msg: &[u8]) -> BigUint {
         fdh_to_len(msg, self.modulus_bytes - 1).rem(&self.n)
@@ -66,7 +58,7 @@ impl RsaPublicKey {
     }
 
     /// Verify a condensed signature over `msgs` (order-insensitive).
-    pub fn verify_condensed(&self, msgs: &[&[u8]], agg: &CondensedRsaSignature) -> bool {
+    pub fn verify_condensed(&self, msgs: &[&[u8]], agg: &CondensedSignature) -> bool {
         if msgs.is_empty() {
             return agg.0.is_one();
         }
@@ -147,23 +139,14 @@ impl RsaPrivateKey {
 }
 
 /// Aggregate individual signatures into a condensed signature
-/// (multiplication modulo `n`; associative and commutative).
-pub fn condense(pk: &RsaPublicKey, sigs: &[RsaSignature]) -> CondensedRsaSignature {
-    let mont = Montgomery::new(&pk.n);
-    let mut acc = BigUint::one();
-    for s in sigs {
-        acc = mont.mul(&acc, &s.0);
-    }
-    CondensedRsaSignature(acc)
-}
-
-/// Fold one more signature into an existing condensed signature.
-pub fn condense_push(
-    pk: &RsaPublicKey,
-    agg: &CondensedRsaSignature,
-    sig: &RsaSignature,
-) -> CondensedRsaSignature {
-    CondensedRsaSignature(agg.0.mul_mod(&sig.0, &pk.n))
+/// (multiplication modulo `n`; associative and commutative). One plain
+/// `mul_mod` per signature: a one-off product never amortizes the
+/// Montgomery domain's conversions in and out.
+pub fn condense(pk: &RsaPublicKey, sigs: &[RsaSignature]) -> CondensedSignature {
+    CondensedSignature(
+        sigs.iter()
+            .fold(BigUint::one(), |acc, s| acc.mul_mod(&s.0, &pk.n)),
+    )
 }
 
 /// MGF1-style expansion of SHA-256 to `len` bytes.
@@ -245,19 +228,6 @@ mod tests {
         let agg = condense(sk.public_key(), &sigs);
         let shuffled = [&b"gamma"[..], b"alpha", b"beta"];
         assert!(sk.public_key().verify_condensed(&shuffled, &agg));
-    }
-
-    #[test]
-    fn condense_push_matches_batch() {
-        let sk = key();
-        let msgs = [&b"one"[..], b"two", b"three"];
-        let sigs: Vec<RsaSignature> = msgs.iter().map(|m| sk.sign(m)).collect();
-        let batch = condense(sk.public_key(), &sigs);
-        let mut incr = CondensedRsaSignature(BigUint::one());
-        for s in &sigs {
-            incr = condense_push(sk.public_key(), &incr, s);
-        }
-        assert_eq!(batch, incr);
     }
 
     #[test]

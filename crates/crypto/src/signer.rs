@@ -1,16 +1,19 @@
 //! Pluggable aggregate-signature abstraction consumed by the rest of the
 //! workspace.
 //!
-//! Three schemes, one API:
+//! Two schemes, one API:
 //!
 //! * [`SchemeKind::Bas`] — BLS over BN254, the paper's scheme of choice.
-//! * [`SchemeKind::CondensedRsa`] — the Table 3 baseline.
 //! * [`SchemeKind::Mock`] — keyed SHA-256 with XOR aggregation. **Not a
 //!   cryptographic signature** (anyone holding the key can forge); it exists
 //!   so structural experiments over millions of records do not pay
 //!   elliptic-curve costs. Never used for reported crypto timings, and its
 //!   wire length is pinned to the paper's 20-byte (160-bit) signatures so
 //!   index layouts match Section 3.2's arithmetic.
+//!
+//! Condensed RSA, the scheme the paper measures BAS against (Table 3), is
+//! not a serving scheme: it lives in [`crate::rsa`] and only the paper's
+//! benchmarks drive it.
 //!
 //! The signing side is [`Keypair`]; the query server and clients hold
 //! [`PublicParams`], which can aggregate, subtract, and verify but not sign.
@@ -24,13 +27,11 @@
 //! 1 ms on the benchmark host whatever the number of messages, which add
 //! one hash-to-curve each (see [`crate::bls`] for the breakdown).
 
-use authdb_wire::{put_bytes, Reader, WireDecode, WireEncode, WireError};
+use authdb_wire::{Reader, WireDecode, WireEncode, WireError};
 
-use crate::bigint::BigUint;
 use crate::bls::{BlsPrivateKey, BlsPublicKey, BlsSignature};
 use crate::bn254::g1::G1_COMPRESSED_LEN;
 use crate::bn254::G1;
-use crate::rsa::{CondensedRsaSignature, RsaPrivateKey, RsaPublicKey, RsaSignature};
 use crate::sha256::Sha256;
 
 /// Which aggregate signature scheme to use.
@@ -38,8 +39,6 @@ use crate::sha256::Sha256;
 pub enum SchemeKind {
     /// Bilinear Aggregate Signature (BLS over BN254).
     Bas,
-    /// Condensed RSA (multiplicative aggregation, single signer).
-    CondensedRsa,
     /// Fast non-cryptographic stand-in for structural experiments.
     Mock,
 }
@@ -49,8 +48,6 @@ pub enum SchemeKind {
 pub enum Signature {
     /// A G1 point.
     Bas(BlsSignature),
-    /// An integer modulo the RSA modulus.
-    CondensedRsa(BigUint),
     /// 32-byte keyed-hash XOR accumulator.
     Mock([u8; 32]),
 }
@@ -60,16 +57,14 @@ impl Signature {
     pub fn kind(&self) -> SchemeKind {
         match self {
             Signature::Bas(_) => SchemeKind::Bas,
-            Signature::CondensedRsa(_) => SchemeKind::CondensedRsa,
             Signature::Mock(_) => SchemeKind::Mock,
         }
     }
 
-    /// Serialized form (compressed G1 / modulus-length integer / raw bytes).
+    /// Serialized form (compressed G1 / raw bytes).
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             Signature::Bas(s) => s.0.to_compressed().to_vec(),
-            Signature::CondensedRsa(n) => n.to_bytes_be(),
             Signature::Mock(b) => b.to_vec(),
         }
     }
@@ -96,7 +91,6 @@ pub struct Keypair {
 #[derive(Clone)]
 enum KeypairInner {
     Bas(BlsPrivateKey),
-    CondensedRsa(Box<RsaPrivateKey>),
     Mock([u8; 32]),
 }
 
@@ -112,21 +106,16 @@ pub struct PublicParams {
 #[derive(Clone)]
 enum PublicInner {
     Bas(BlsPublicKey),
-    CondensedRsa(RsaPublicKey),
     /// The mock "public key" is the shared secret — acceptable only because
     /// Mock is a performance stand-in, not a security mechanism.
     Mock([u8; 32]),
 }
 
 impl Keypair {
-    /// Generate key material for `kind`. RSA uses a 1024-bit modulus to
-    /// match the paper's security equivalence with 160-bit ECC.
+    /// Generate key material for `kind`.
     pub fn generate(kind: SchemeKind, rng: &mut impl rand::Rng) -> Self {
         let inner = match kind {
             SchemeKind::Bas => KeypairInner::Bas(BlsPrivateKey::generate(rng)),
-            SchemeKind::CondensedRsa => {
-                KeypairInner::CondensedRsa(Box::new(RsaPrivateKey::generate(1024, rng)))
-            }
             SchemeKind::Mock => {
                 let mut key = [0u8; 32];
                 rng.fill(&mut key);
@@ -136,19 +125,10 @@ impl Keypair {
         Keypair { inner }
     }
 
-    /// Like [`Keypair::generate`] but with a configurable RSA modulus size
-    /// (used by tests that cannot afford 1024-bit keygen).
-    pub fn generate_rsa_with_bits(bits: usize, rng: &mut impl rand::Rng) -> Self {
-        Keypair {
-            inner: KeypairInner::CondensedRsa(Box::new(RsaPrivateKey::generate(bits, rng))),
-        }
-    }
-
     /// The scheme of this keypair.
     pub fn kind(&self) -> SchemeKind {
         match &self.inner {
             KeypairInner::Bas(_) => SchemeKind::Bas,
-            KeypairInner::CondensedRsa(_) => SchemeKind::CondensedRsa,
             KeypairInner::Mock(_) => SchemeKind::Mock,
         }
     }
@@ -157,7 +137,6 @@ impl Keypair {
     pub fn sign(&self, msg: &[u8]) -> Signature {
         match &self.inner {
             KeypairInner::Bas(k) => Signature::Bas(k.sign(msg)),
-            KeypairInner::CondensedRsa(k) => Signature::CondensedRsa(k.sign(msg).0),
             KeypairInner::Mock(key) => Signature::Mock(mock_sign(key, msg)),
         }
     }
@@ -166,7 +145,6 @@ impl Keypair {
     pub fn public_params(&self) -> PublicParams {
         let inner = match &self.inner {
             KeypairInner::Bas(k) => PublicInner::Bas(k.public_key().clone()),
-            KeypairInner::CondensedRsa(k) => PublicInner::CondensedRsa(k.public_key().clone()),
             KeypairInner::Mock(key) => PublicInner::Mock(*key),
         };
         PublicParams { inner }
@@ -178,18 +156,16 @@ impl PublicParams {
     pub fn kind(&self) -> SchemeKind {
         match &self.inner {
             PublicInner::Bas(_) => SchemeKind::Bas,
-            PublicInner::CondensedRsa(_) => SchemeKind::CondensedRsa,
             PublicInner::Mock(_) => SchemeKind::Mock,
         }
     }
 
     /// Bytes one signature occupies on the wire. BAS signatures are 33 bytes
-    /// compressed (the paper's 160-bit curves would give 21); Condensed RSA
-    /// 128; Mock pins the paper's 20-byte accounting.
+    /// compressed (the paper's 160-bit curves would give 21); Mock pins the
+    /// paper's 20-byte accounting.
     pub fn wire_len(&self) -> usize {
         match &self.inner {
             PublicInner::Bas(_) => 33,
-            PublicInner::CondensedRsa(pk) => pk.modulus_len(),
             PublicInner::Mock(_) => 20,
         }
     }
@@ -198,7 +174,6 @@ impl PublicParams {
     pub fn identity(&self) -> Signature {
         match &self.inner {
             PublicInner::Bas(_) => Signature::Bas(BlsSignature::identity()),
-            PublicInner::CondensedRsa(_) => Signature::CondensedRsa(BigUint::one()),
             PublicInner::Mock(_) => Signature::Mock([0u8; 32]),
         }
     }
@@ -212,18 +187,6 @@ impl PublicParams {
             (PublicInner::Bas(_), Signature::Bas(a), Signature::Bas(s)) => {
                 Signature::Bas(a.aggregate(s))
             }
-            (
-                PublicInner::CondensedRsa(pk),
-                Signature::CondensedRsa(a),
-                Signature::CondensedRsa(s),
-            ) => Signature::CondensedRsa(
-                crate::rsa::condense_push(
-                    pk,
-                    &CondensedRsaSignature(a.clone()),
-                    &RsaSignature(s.clone()),
-                )
-                .0,
-            ),
             (PublicInner::Mock(_), Signature::Mock(a), Signature::Mock(s)) => {
                 Signature::Mock(xor32(a, s))
             }
@@ -241,21 +204,11 @@ impl PublicParams {
     /// refresh "adds the inverse of the old signature").
     ///
     /// # Panics
-    /// Panics on scheme mismatch or (for Condensed RSA) a component that is
-    /// not invertible modulo `n` (probability ~ 1/sqrt(n)).
+    /// Panics if the signatures belong to different schemes.
     pub fn subtract(&self, acc: &Signature, sig: &Signature) -> Signature {
         match (&self.inner, acc, sig) {
             (PublicInner::Bas(_), Signature::Bas(a), Signature::Bas(s)) => {
                 Signature::Bas(a.subtract(s))
-            }
-            (
-                PublicInner::CondensedRsa(pk),
-                Signature::CondensedRsa(a),
-                Signature::CondensedRsa(s),
-            ) => {
-                let n = modulus_of(pk);
-                let inv = s.modinv(&n).expect("signature invertible mod n");
-                Signature::CondensedRsa(a.mul_mod(&inv, &n))
             }
             (PublicInner::Mock(_), Signature::Mock(a), Signature::Mock(s)) => {
                 Signature::Mock(xor32(a, s))
@@ -268,9 +221,6 @@ impl PublicParams {
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         match (&self.inner, sig) {
             (PublicInner::Bas(pk), Signature::Bas(s)) => pk.verify(msg, s),
-            (PublicInner::CondensedRsa(pk), Signature::CondensedRsa(s)) => {
-                pk.verify(msg, &RsaSignature(s.clone()))
-            }
             (PublicInner::Mock(key), Signature::Mock(s)) => mock_sign(key, msg) == *s,
             _ => false,
         }
@@ -281,9 +231,9 @@ impl PublicParams {
     /// Under BAS the whole batch folds into one random-linear-combination
     /// multi-pairing (see [`crate::bls::BlsPublicKey::verify_aggregate_batch`];
     /// coefficient randomness comes from `rng`), so a batch of any size
-    /// pays a single Miller loop and final exponentiation. The other
-    /// schemes fall back to per-claim verification. A `false` result does
-    /// not localize the failure — re-check claims individually for that.
+    /// pays a single Miller loop and final exponentiation. Mock checks
+    /// claim by claim. A `false` result does not localize the failure —
+    /// re-check claims individually for that.
     pub fn verify_aggregate_batch(
         &self,
         claims: &[(&[Vec<u8>], &Signature)],
@@ -311,9 +261,6 @@ impl PublicParams {
     pub fn verify_aggregate(&self, msgs: &[&[u8]], agg: &Signature) -> bool {
         match (&self.inner, agg) {
             (PublicInner::Bas(pk), Signature::Bas(a)) => pk.verify_aggregate(msgs, a),
-            (PublicInner::CondensedRsa(pk), Signature::CondensedRsa(a)) => {
-                pk.verify_condensed(msgs, &CondensedRsaSignature(a.clone()))
-            }
             (PublicInner::Mock(key), Signature::Mock(a)) => {
                 let mut acc = [0u8; 32];
                 for m in msgs {
@@ -328,16 +275,14 @@ impl PublicParams {
 
 // -- wire codec -------------------------------------------------------------
 
-/// Wire scheme tags (one byte, part of the canonical encoding).
+/// Wire scheme tags (one byte, part of the canonical encoding). Tag 1 was
+/// Condensed RSA's; it is retired, never reused, and decodes as `BadTag`.
 const WIRE_TAG_BAS: u8 = 0;
-const WIRE_TAG_RSA: u8 = 1;
 const WIRE_TAG_MOCK: u8 = 2;
 
 /// Canonical encoding: scheme tag, then the scheme's fixed form.
 ///
 /// * BAS — the 33-byte canonical compressed G1 point;
-/// * Condensed RSA — length-prefixed minimal big-endian magnitude (no
-///   leading zero byte; empty = zero);
 /// * Mock — the raw 32-byte accumulator.
 impl WireEncode for Signature {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -345,10 +290,6 @@ impl WireEncode for Signature {
             Signature::Bas(s) => {
                 out.push(WIRE_TAG_BAS);
                 out.extend_from_slice(&s.0.to_compressed());
-            }
-            Signature::CondensedRsa(n) => {
-                out.push(WIRE_TAG_RSA);
-                put_bytes(out, &n.to_bytes_be());
             }
             Signature::Mock(b) => {
                 out.push(WIRE_TAG_MOCK);
@@ -359,8 +300,8 @@ impl WireEncode for Signature {
 }
 
 impl WireDecode for Signature {
-    // tag + empty RSA magnitude is the shortest legal form.
-    const MIN_WIRE_LEN: usize = 5;
+    // tag + Mock's 32-byte accumulator is the shortest legal form.
+    const MIN_WIRE_LEN: usize = 1 + 32;
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
@@ -369,15 +310,6 @@ impl WireDecode for Signature {
                 let point = G1::from_compressed_canonical(&bytes).ok_or(WireError::InvalidPoint)?;
                 Ok(Signature::Bas(BlsSignature(point)))
             }
-            WIRE_TAG_RSA => {
-                let bytes = r.bytes("rsa signature magnitude")?;
-                if bytes.first() == Some(&0) {
-                    return Err(WireError::NonCanonical {
-                        what: "rsa signature magnitude",
-                    });
-                }
-                Ok(Signature::CondensedRsa(BigUint::from_bytes_be(&bytes)))
-            }
             WIRE_TAG_MOCK => Ok(Signature::Mock(r.array()?)),
             tag => Err(WireError::BadTag {
                 what: "signature scheme",
@@ -385,13 +317,6 @@ impl WireDecode for Signature {
             }),
         }
     }
-}
-
-fn modulus_of(pk: &RsaPublicKey) -> BigUint {
-    // Recover n from a dummy: sign-free path — RsaPublicKey exposes only
-    // verification; we reconstruct n by serializing a max-length value.
-    // (Cheaper: expose it. We add an accessor below via Deref-free helper.)
-    pk.modulus().clone()
 }
 
 fn mock_sign(key: &[u8; 32], msg: &[u8]) -> [u8; 32] {
@@ -419,7 +344,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(303);
         vec![
             Keypair::generate(SchemeKind::Bas, &mut rng),
-            Keypair::generate_rsa_with_bits(512, &mut rng),
             Keypair::generate(SchemeKind::Mock, &mut rng),
         ]
     }
@@ -499,7 +423,6 @@ mod tests {
             let pp = kp.public_params();
             match kp.kind() {
                 SchemeKind::Bas => assert_eq!(pp.wire_len(), 33),
-                SchemeKind::CondensedRsa => assert_eq!(pp.wire_len(), 64), // 512-bit test key
                 SchemeKind::Mock => assert_eq!(pp.wire_len(), 20),
             }
         }
@@ -524,7 +447,7 @@ mod tests {
             // Canonicality: re-encoding a decoded value is bit-identical.
             assert_eq!(dec.encode(), enc, "{:?}", kp.kind());
             // The aggregate identity round-trips too (infinity point /
-            // unit / zero accumulator).
+            // zero accumulator).
             let id = kp.public_params().identity();
             let enc = id.encode();
             assert_eq!(Signature::decode(&enc).unwrap(), id);
@@ -564,17 +487,30 @@ mod tests {
             Err(WireError::Truncated)
         );
 
-        // RSA magnitude with a leading zero byte is non-canonical.
-        let rsa = Keypair::generate_rsa_with_bits(512, &mut rng).sign(b"m");
-        let enc = rsa.encode();
-        let mut padded = vec![enc[0]];
-        let len = u32::from_be_bytes(enc[1..5].try_into().unwrap()) + 1;
-        padded.extend_from_slice(&len.to_be_bytes());
-        padded.push(0);
-        padded.extend_from_slice(&enc[5..]);
-        assert!(matches!(
-            Signature::decode(&padded),
-            Err(WireError::NonCanonical { .. })
-        ));
+        // Tag 1 (Condensed RSA's) is retired: a plausible RSA body after
+        // it — a length-prefixed 64-byte magnitude — is still a bad tag.
+        let mut retired = vec![1];
+        retired.extend_from_slice(&64u32.to_be_bytes());
+        retired.extend_from_slice(&[0x5A; 64]);
+        assert_eq!(
+            Signature::decode(&retired),
+            Err(WireError::BadTag {
+                what: "signature scheme",
+                tag: 1
+            })
+        );
+
+        // A signature is at least 33 bytes, so a sequence count the
+        // remaining bytes could hold at 5 B an element but not at 33 is
+        // refused before anything is reserved or decoded.
+        let mut seq = 10u32.to_be_bytes().to_vec();
+        seq.extend_from_slice(&[0; 5 * 10]);
+        assert_eq!(
+            Vec::<Signature>::decode(&seq),
+            Err(WireError::LengthOverflow {
+                what: "sequence",
+                declared: 10
+            })
+        );
     }
 }

@@ -14,7 +14,7 @@ use authdb_core::adversary::{run_sharded_timeline, sharded_system, tick_and_publ
 use authdb_core::qs::QueryError;
 use authdb_core::shard::{RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
-use authdb_crypto::signer::SchemeKind;
+use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_net::{
     ChaosProxy, Fault, FaultPlan, NetError, QsClient, QsServer, QsServerOptions, WireTamper,
 };
@@ -308,12 +308,17 @@ fn live_rebalance_over_tcp_mid_query_stream() {
 /// structurally perfect — right epoch arithmetic, right splits, hash-linked
 /// to the live map — but signed by somebody else's key must be refused, or
 /// one frame takes an honest server's every later answer away from its
-/// clients.
+/// clients. So must the genuine package with one handoff signature of the
+/// other scheme: the codec decodes either scheme without context, and the
+/// server, accepting it, would panic folding that record into any answer.
 #[test]
 fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
-    for (scheme, n) in [(SchemeKind::Mock, 40), (SchemeKind::Bas, 16)] {
+    for (scheme, other, n) in [
+        (SchemeKind::Mock, SchemeKind::Bas, 40),
+        (SchemeKind::Bas, SchemeKind::Mock, 16),
+    ] {
         let mut rng = StdRng::seed_from_u64(11);
-        let (sa, server, verifier, view) = serve(scheme, n);
+        let (mut sa, server, verifier, view) = serve(scheme, n);
         let plan = RebalancePlan::Split {
             shard: 0,
             at: sa.map().splits()[0] / 2,
@@ -329,20 +334,24 @@ fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
         impostor.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
         let forged = impostor.rebalance(plan, 2);
         assert_eq!(forged.transition.parent_hash, sa.map().hash());
+        let mut doctored = sa.rebalance(plan, 2);
+        doctored.handoffs[0].sigs[0] = Keypair::generate(other, &mut rng).sign(b"foreign");
 
         let mut client = QsClient::connect(server.addr()).expect("connect");
-        match client.rebalance(&forged) {
-            Err(NetError::Refused(QueryError::BadRebalance)) => {}
-            other => panic!("{scheme:?}: expected BadRebalance refusal, got {other:?}"),
+        for (what, package) in [("foreign key", &forged), ("foreign scheme", &doctored)] {
+            match client.rebalance(package) {
+                Err(NetError::Refused(QueryError::BadRebalance)) => {}
+                got => panic!("{scheme:?} {what}: expected BadRebalance refusal, got {got:?}"),
+            }
+            // The server is still at epoch 1, serving answers the pinned
+            // client accepts.
+            let (lo, hi) = (0, n * 10);
+            let ans = client.select_range(lo, hi).expect("server unharmed");
+            assert_eq!(ans.map.epoch(), 1);
+            verifier
+                .verify_sharded_selection(lo, hi, &ans, &view, sa.now(), true, &mut rng)
+                .unwrap_or_else(|e| panic!("{scheme:?} {what}: epoch-1 answer rejected: {e:?}"));
         }
-        // The server is still at epoch 1, serving answers the pinned
-        // client accepts.
-        let (lo, hi) = (0, n * 10);
-        let ans = client.select_range(lo, hi).expect("server unharmed");
-        assert_eq!(ans.map.epoch(), 1);
-        verifier
-            .verify_sharded_selection(lo, hi, &ans, &view, sa.now(), true, &mut rng)
-            .unwrap_or_else(|e| panic!("{scheme:?}: epoch-1 answer rejected: {e:?}"));
     }
 }
 

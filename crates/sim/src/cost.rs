@@ -4,8 +4,8 @@
 //! Two sources: [`CostModel::pinned`] — constants representative of the
 //! paper's 2009 testbed (Table 3 "current" column and Section 5.1's
 //! hardware), giving bit-for-bit reproducible experiment output — and
-//! [`CostModel::measure`], which times this workspace's own SHA-256, BAS,
-//! and Condensed-RSA implementations on the host.
+//! [`CostModel::measure`], which times this workspace's own SHA-256 and BAS
+//! implementations on the host.
 
 use std::time::Instant;
 

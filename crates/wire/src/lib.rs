@@ -8,7 +8,7 @@
 //! re-encoding a decoded value is *bit-identical* to the bytes it was
 //! decoded from. There is exactly one byte string per value. Decoders
 //! enforce this by rejecting any non-canonical representation (an `Option`
-//! presence byte other than 0/1, a non-minimal integer encoding, a
+//! presence byte other than 0/1, exposure chunks out of index order, a
 //! compressed point the curve layer would not itself emit) instead of
 //! normalizing it.
 //!
@@ -71,6 +71,12 @@
 //! `vec<u64>` but the committed form (`len, max, max_rid, root`, then the
 //! opened chunks and their sibling digests); everything that carries no
 //! summary checkpoint is bit-identical to version 2 but for this byte.
+//! Within version 3, signature-scheme tag 1 (Condensed RSA, a
+//! length-prefixed big integer no deployment ever minted) was retired: it
+//! now decodes as [`WireError::BadTag`] and is never reused. That is no
+//! bump — by the rules above only a change to a *surviving* encoding is, and
+//! every BAS and Mock encoding is bit-identical — the same call as the
+//! retirement of request tag 4 and response tag 5.
 //!
 //! ## Failure discipline
 //!
@@ -125,7 +131,7 @@ pub enum WireError {
     /// A compressed curve point failed canonical decompression.
     InvalidPoint,
     /// A value was encoded in a legal-looking but non-canonical way
-    /// (e.g. a big integer with a leading zero byte).
+    /// (e.g. exposure chunks out of index order).
     NonCanonical {
         /// Which structure was being decoded.
         what: &'static str,

@@ -55,19 +55,6 @@ fn lifecycle_with_real_bas() {
 }
 
 #[test]
-fn lifecycle_with_condensed_rsa() {
-    let mut s = bas_system(60, SchemeKind::CondensedRsa, 2);
-    let ans = s.select(20, 80);
-    s.verify(20, 80, &ans).unwrap();
-    s.sa.advance_clock(1);
-    s.update(20, vec![40, 1, 2]);
-    let mut ans2 = s.select(40, 40);
-    s.verify(40, 40, &ans2).unwrap();
-    let records = &part(&mut ans2).records;
-    assert!(records.iter().any(|r| r.rid == 20 && r.attrs[2] == 2));
-}
-
-#[test]
 fn emb_baseline_equivalent_answers() {
     // EMB- and BAS answer the same queries with the same records — only
     // the proof machinery differs.
