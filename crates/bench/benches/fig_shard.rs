@@ -1,5 +1,4 @@
-//! fig_shard: sharded fan-out, stitched verification, and the wired-in
-//! aggregate-signature cache.
+//! fig_shard: sharded fan-out and stitched verification.
 //!
 //! Part 1 replays the cross-shard adversary catalog (seam splice, shard
 //! withholding, seam widening, stale-shard replay, summary swap) against
@@ -12,21 +11,13 @@
 //! (the stitched random-linear-combination fold). The acceptance bar:
 //! stitched verification at 8 shards stays within 2x of single-shard
 //! verification — one multi-Miller loop, not one per shard.
-//!
-//! Part 3 shows the Section 4.3 win of wiring `SigCache` into
-//! `QueryServer::select_range`: wide selections against a cached vs an
-//! uncached server, aggregation-op counts (the paper's ECC-addition cost
-//! unit), hit/miss counters, and coherence across an update burst.
 
 use std::time::Instant;
 
-use authdb_bench::{
-    banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog, replica_opts,
-};
+use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time, print_catalog};
 use authdb_core::adversary::ShardTamper;
-use authdb_core::qs::{AggCacheConfig, CacheDistribution, QsOptions};
+use authdb_core::qs::QsOptions;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
-use authdb_core::sigcache::RefreshStrategy;
 use authdb_core::verify::Verifier;
 use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
@@ -64,10 +55,7 @@ fn sharded_system(shards: i64) -> (ShardedAggregator, ShardedQueryServer, Verifi
 }
 
 fn main() {
-    banner(
-        "fig_shard",
-        "Sharded QS: seam-sound stitching, scaling, and the sigcache win",
-    );
+    banner("fig_shard", "Sharded QS: seam-sound stitching and scaling");
 
     // ---- Part 1: the cross-shard catalog ----
     let mock_ok = print_catalog::<ShardTamper>("Cross-shard", SchemeKind::Mock);
@@ -124,87 +112,6 @@ fn main() {
     }
     let scaling = verify_by_count[3] / verify_by_count[0];
 
-    // ---- Part 3: the aggregate-signature cache in the hot path ----
-    println!(
-        "\nSigcache in select_range: N = {N} BAS records, 64 selections \
-         drawn from the uniform cardinality model"
-    );
-    let mut rng = StdRng::seed_from_u64(77);
-    let cfg = chained_cfg(SchemeKind::Bas);
-    let mut da = ShardedAggregator::new(cfg.clone(), vec![], &mut rng);
-    let boots = da.bootstrap(
-        (0..N).map(|i| vec![i * KEY_STRIDE, i]).collect(),
-        env_jobs(),
-    );
-    let plain = da.replica(&boots, &replica_opts(&cfg));
-    let cached = da.replica(
-        &boots,
-        &QsOptions {
-            agg_cache: Some(AggCacheConfig {
-                max_nodes: 255,
-                strategy: RefreshStrategy::Eager,
-                distribution: CacheDistribution::Uniform,
-            }),
-            ..replica_opts(&cfg)
-        },
-    );
-    // Queries drawn from the uniform cardinality model Algorithm 1 was
-    // given (the paper's Figure 6 methodology): q ~ U[1, N] records
-    // starting at a uniform position.
-    use rand::Rng;
-    let mut qrng = StdRng::seed_from_u64(4242);
-    let wide: Vec<(i64, i64)> = (0..64)
-        .map(|_| {
-            let q = qrng.gen_range(1..=N);
-            let a = qrng.gen_range(0..=(N - q));
-            (a * KEY_STRIDE, (a + q) * KEY_STRIDE - 1)
-        })
-        .collect();
-    let run = |server: &ShardedQueryServer| {
-        let before = server.stats();
-        let t = Instant::now();
-        for &(lo, hi) in &wide {
-            server.select_range(lo, hi).expect("chained mode");
-        }
-        let dt = t.elapsed().as_secs_f64();
-        let after = server.stats();
-        (dt, after.agg_ops - before.agg_ops)
-    };
-    let (plain_t, plain_ops) = run(&plain);
-    let (cached_t, cached_ops) = run(&cached);
-    println!(
-        "  uncached: {} ({plain_ops} aggregation ops)",
-        fmt_time(plain_t)
-    );
-    println!(
-        "  cached  : {} ({cached_ops} aggregation ops)",
-        fmt_time(cached_t)
-    );
-    let op_ratio = plain_ops as f64 / cached_ops.max(1) as f64;
-    println!("  op reduction: {op_ratio:.1}x");
-    // Coherence under churn: value updates flow deltas into the cache, and
-    // answers keep matching the uncached replica.
-    da.advance_clock(1);
-    let mut update_msgs = 0usize;
-    for rid in (0..N as u64).step_by(97) {
-        let (_, msgs) = da.update_record(0, rid, vec![rid as i64 * KEY_STRIDE, -1]);
-        plain.apply_all(&msgs);
-        cached.apply_all(&msgs);
-        update_msgs += msgs.len();
-    }
-    let mut coherent = true;
-    for &(lo, hi) in &wide {
-        let a = plain.select_shard(0, lo, hi).expect("chained mode");
-        let b = cached.select_shard(0, lo, hi).expect("chained mode");
-        coherent &= a.agg == b.agg && a.records.len() == b.records.len();
-    }
-    let s = cached.stats();
-    println!(
-        "  after {update_msgs} update msgs: answers coherent = {coherent}, \
-         cache hits = {}, misses = {}",
-        s.cache_hits, s.cache_misses
-    );
-
     csv_begin("metric,value");
     println!("shard_catalog_mock_ok,{}", mock_ok as u8);
     println!("shard_catalog_bas_ok,{}", bas_ok as u8);
@@ -213,10 +120,6 @@ fn main() {
         println!("verify_s_{shards}_shards,{}", verify_by_count[i]);
     }
     println!("verify_scaling_8_vs_1,{scaling}");
-    println!("sigcache_uncached_ops,{plain_ops}");
-    println!("sigcache_cached_ops,{cached_ops}");
-    println!("sigcache_op_reduction,{op_ratio}");
-    println!("sigcache_coherent,{}", coherent as u8);
     csv_end();
 
     assert!(mock_ok, "cross-shard catalog must fully reject under Mock");
@@ -226,14 +129,8 @@ fn main() {
         "stitched verification at 8 shards must stay within 2x of 1 shard \
          (got {scaling:.2}x)"
     );
-    assert!(coherent, "cached answers must match the uncached replica");
-    assert!(
-        op_ratio >= 2.0,
-        "sigcache must at least halve aggregation ops on wide ranges \
-         (got {op_ratio:.1}x)"
-    );
     println!(
         "\nAll cross-shard strategies rejected; verify scaling 8-vs-1 = \
-         {scaling:.2}x; sigcache op reduction {op_ratio:.1}x."
+         {scaling:.2}x."
     );
 }

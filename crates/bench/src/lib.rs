@@ -66,7 +66,6 @@ pub fn replica_opts(cfg: &DaConfig) -> QsOptions {
     QsOptions {
         buffer_pages: cfg.buffer_pages,
         fill: cfg.fill,
-        ..QsOptions::default()
     }
 }
 

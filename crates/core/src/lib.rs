@@ -32,8 +32,8 @@
 //!   catalogs every verifier change is regression-checked against, and the
 //!   timeline fixture ([`adversary::sharded_system`]) the scripted scenarios
 //!   here and in `authdb-net` share.
-//! * [`sigcache`] — the Section 4 aggregate-signature cache, wired into
-//!   [`qs::QueryServer::select_range`] via [`qs::AggCacheConfig`].
+//! * [`sigcache`] — the Section 4 aggregate-signature cache: the analysis,
+//!   Algorithm 1 and the runtime cost model the paper's figures measure.
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and
 //!   the QS request/response protocol (served over TCP by `authdb-net`).
 //! * [`policy`] — the load-driven auto-rebalance policy (when to split or

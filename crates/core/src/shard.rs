@@ -1378,8 +1378,6 @@ impl ShardedQueryServer {
             total.agg_ops += st.agg_ops;
             total.queries += st.queries;
             total.updates += st.updates;
-            total.cache_hits += st.cache_hits;
-            total.cache_misses += st.cache_misses;
             total.node_cache_hits += st.node_cache_hits;
             total.node_cache_misses += st.node_cache_misses;
             total.node_cache_evictions += st.node_cache_evictions;

@@ -14,6 +14,11 @@
 //! unit), and supports the **eager** and **lazy** refresh strategies of
 //! Section 4.3 — both apply the same delta (`- old + new`), differing only
 //! in *when*.
+//!
+//! This module is the Section 4 analysis and runtime model that `fig6`,
+//! `fig10` and the `sigcache_tuning` example measure; it is not part of the
+//! serving path, where [`QueryServer`](crate::qs::QueryServer) folds a
+//! selection's signatures directly.
 
 use std::collections::HashMap;
 
@@ -272,10 +277,6 @@ struct CachedNode {
     sig: Signature,
     /// Pending (old, new) leaf-signature deltas (lazy strategy).
     pending: Vec<(Signature, Signature)>,
-    /// Invalidated by a structural shift ([`SigCache::on_shift`]); the
-    /// signature is recomputed from the current leaves on next use.
-    stale: bool,
-    accesses: u64,
 }
 
 /// Operation counters.
@@ -327,8 +328,6 @@ impl SigCache {
                 CachedNode {
                     sig,
                     pending: Vec::new(),
-                    stale: false,
-                    accesses: 0,
                 },
             );
         }
@@ -426,13 +425,10 @@ impl SigCache {
         if lo <= nlo && nhi <= hi {
             // Fully covered: use the cached aggregate if present.
             if self.nodes.contains_key(&node) {
-                let sig = self.refresh_node(leaves, node);
+                let sig = self.refresh_node(node);
                 *acc = self.pp.aggregate(acc, &sig);
                 self.stats.query_ops += 1;
                 *used_cache = true;
-                if let Some(n) = self.nodes.get_mut(&node) {
-                    n.accesses += 1;
-                }
                 return;
             }
             if node.level == 0 {
@@ -458,19 +454,9 @@ impl SigCache {
         self.cover(leaves, right, lo, hi, acc, used_cache);
     }
 
-    /// Bring a cached node up to date and return its signature: recompute a
-    /// stale node from the current leaves, or apply pending deltas (lazy
-    /// strategy).
-    fn refresh_node(&mut self, leaves: &[Signature], id: NodeId) -> Signature {
-        if self.nodes.get(&id).expect("cached node").stale {
-            let (lo, hi) = self.node_range(id);
-            let sig = self.aggregate_leaves(leaves, lo, hi);
-            let node = self.nodes.get_mut(&id).expect("cached node");
-            node.stale = false;
-            node.pending.clear();
-            node.sig = sig.clone();
-            return sig;
-        }
+    /// Bring a cached node up to date and return its signature: apply its
+    /// pending deltas (lazy strategy).
+    fn refresh_node(&mut self, id: NodeId) -> Signature {
         let node = self.nodes.get_mut(&id).expect("cached node");
         let pending = std::mem::take(&mut node.pending);
         let mut sig = node.sig.clone();
@@ -496,11 +482,6 @@ impl SigCache {
                 j: pos >> level,
             };
             if let Some(node) = self.nodes.get_mut(&id) {
-                if node.stale {
-                    // Recomputed from the (already updated) leaves on next
-                    // use; a delta now would be wasted work.
-                    continue;
-                }
                 match self.strategy {
                     RefreshStrategy::Eager => {
                         let mut sig = self.pp.subtract(&node.sig, old);
@@ -514,58 +495,6 @@ impl SigCache {
                 }
             }
         }
-    }
-
-    /// A structural change shifted the leaf at position `pos` and everything
-    /// above it by one slot (an insertion or deletion in index order);
-    /// `new_len` is the leaf count afterwards. Cached nodes whose ranges end
-    /// strictly below `pos` still aggregate the same leaves and are kept
-    /// verbatim; every other node is marked stale and lazily recomputed from
-    /// the current leaves on its next use — the cache itself never does O(N)
-    /// work inside the update.
-    pub fn on_shift(&mut self, pos: usize, new_len: usize) {
-        self.n = new_len.next_power_of_two().max(1);
-        for (id, node) in self.nodes.iter_mut() {
-            let hi = (id.j + 1) * (1usize << id.level) - 1;
-            if hi >= pos {
-                node.stale = true;
-                node.pending.clear();
-            }
-        }
-    }
-
-    /// Adaptive re-selection (Section 4.2): re-rank the *cached* nodes by
-    /// observed access counts and drop the coldest until `keep` remain.
-    pub fn revise(&mut self, keep: usize) {
-        if self.nodes.len() <= keep {
-            return;
-        }
-        let mut by_access: Vec<(u64, NodeId)> =
-            self.nodes.iter().map(|(id, n)| (n.accesses, *id)).collect();
-        by_access.sort();
-        let drop_count = self.nodes.len() - keep;
-        for &(_, id) in by_access.iter().take(drop_count) {
-            self.nodes.remove(&id);
-        }
-    }
-
-    /// Insert an extra node computed from the current leaves (the runtime
-    /// "add signatures generated for answers" path of Section 4.2).
-    pub fn admit(&mut self, leaves: &[Signature], id: NodeId) {
-        if self.nodes.contains_key(&id) {
-            return;
-        }
-        let (lo, hi) = self.node_range(id);
-        let sig = self.aggregate_leaves(leaves, lo, hi);
-        self.nodes.insert(
-            id,
-            CachedNode {
-                sig,
-                pending: Vec::new(),
-                stale: false,
-                accesses: 1,
-            },
-        );
     }
 }
 
@@ -803,85 +732,6 @@ mod tests {
         let (sig, ops) = cache.aggregate_range(&ls, 0, 40);
         assert_eq!(sig, reference_aggregate(&pp, &ls, 0, 40));
         assert!(ops >= 6, "deferred deltas applied at query time");
-    }
-
-    #[test]
-    fn shift_invalidation_keeps_aggregates_correct() {
-        let kp = keypair();
-        let pp = kp.public_params();
-        let mut ls = leaves(&kp, 64);
-        let selection = [
-            NodeId { level: 4, j: 0 }, // [0,15]  — entirely below the shift
-            NodeId { level: 4, j: 2 }, // [32,47] — crosses it
-            NodeId { level: 5, j: 1 }, // [32,63]
-        ];
-        let mut cache = SigCache::build(pp.clone(), &ls, &selection, RefreshStrategy::Lazy);
-        // Insert a new leaf at position 40: positions >= 40 shift right and
-        // the padded tree grows to 128 leaves.
-        ls.insert(40, kp.sign(b"inserted leaf"));
-        cache.on_shift(40, ls.len());
-        for (lo, hi) in [(0, 64), (30, 50), (0, 15), (33, 40)] {
-            let (sig, _) = cache.aggregate_range(&ls, lo, hi);
-            assert_eq!(
-                sig,
-                reference_aggregate(&pp, &ls, lo, hi),
-                "range {lo}..{hi}"
-            );
-        }
-        // Delete near the front: every cached node crosses the shift.
-        ls.remove(3);
-        cache.on_shift(3, ls.len());
-        let (sig, _) = cache.aggregate_range(&ls, 0, ls.len() - 1);
-        assert_eq!(sig, reference_aggregate(&pp, &ls, 0, ls.len() - 1));
-    }
-
-    #[test]
-    fn shift_keeps_prefix_nodes_hot() {
-        let kp = keypair();
-        let pp = kp.public_params();
-        let mut ls = leaves(&kp, 64);
-        let mut cache = SigCache::build(
-            pp,
-            &ls,
-            &[NodeId { level: 4, j: 0 }],
-            RefreshStrategy::Eager,
-        );
-        ls.insert(40, kp.sign(b"inserted"));
-        cache.on_shift(40, ls.len());
-        // [0,15] is untouched by a shift at 40: answered by one fold of the
-        // still-valid cached aggregate, no recomputation.
-        let (_, ops) = cache.aggregate_range(&ls, 0, 15);
-        assert_eq!(ops, 1, "prefix node must stay hot across the shift");
-    }
-
-    #[test]
-    fn revise_drops_cold_nodes() {
-        let kp = keypair();
-        let pp = kp.public_params();
-        let ls = leaves(&kp, 64);
-        let selection: Vec<NodeId> = (0..8).map(|j| NodeId { level: 3, j }).collect();
-        let mut cache = SigCache::build(pp, &ls, &selection, RefreshStrategy::Eager);
-        // Touch only the first two nodes.
-        cache.aggregate_range(&ls, 0, 15);
-        cache.revise(2);
-        assert_eq!(cache.len(), 2);
-        // Still correct afterwards.
-        let kp2 = keypair();
-        let _ = kp2;
-    }
-
-    #[test]
-    fn admit_adds_new_node() {
-        let kp = keypair();
-        let pp = kp.public_params();
-        let ls = leaves(&kp, 64);
-        let mut cache = SigCache::build(pp, &ls, &[], RefreshStrategy::Lazy);
-        cache.admit(&ls, NodeId { level: 4, j: 1 });
-        assert_eq!(cache.len(), 1);
-        let before = cache.stats().query_ops;
-        let (_, _) = cache.aggregate_range(&ls, 16, 31);
-        // Exactly one op: folding the cached node into the accumulator.
-        assert_eq!(cache.stats().query_ops - before, 1);
     }
 
     #[test]

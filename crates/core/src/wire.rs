@@ -40,7 +40,7 @@
 //! | [`ShardHandoff`] | `shard:u64, records:vec, sigs:vec, vacancy:opt, baseline:summary` |
 //! | [`ShardRebind`] | `shard:u64, summaries:vec, vacancy:opt, checkpoint:opt` |
 //! | [`Rebalance`] | `plan, new_map, transition, handoffs:vec, rebound:vec, checkpoint` |
-//! | [`QsStats`] | eight `u64` counters |
+//! | [`QsStats`] | six `u64` counters |
 //! | [`Request`] / [`Response`] | one tag byte, then the variant's fields |
 //! | [`Request::Tagged`] / [`Response::Tagged`] | wrapper tag byte, `id:u64`, then exactly one *unwrapped* message (nesting is a typed `BadTag`, never recursion) |
 
@@ -621,8 +621,6 @@ impl WireEncode for QsStats {
         self.agg_ops.encode_into(out);
         self.queries.encode_into(out);
         self.updates.encode_into(out);
-        self.cache_hits.encode_into(out);
-        self.cache_misses.encode_into(out);
         self.node_cache_hits.encode_into(out);
         self.node_cache_misses.encode_into(out);
         self.node_cache_evictions.encode_into(out);
@@ -630,14 +628,12 @@ impl WireEncode for QsStats {
 }
 
 impl WireDecode for QsStats {
-    const MIN_WIRE_LEN: usize = 64;
+    const MIN_WIRE_LEN: usize = 48;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(QsStats {
             agg_ops: r.u64()?,
             queries: r.u64()?,
             updates: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
             node_cache_hits: r.u64()?,
             node_cache_misses: r.u64()?,
             node_cache_evictions: r.u64()?,
@@ -1136,16 +1132,16 @@ mod tests {
         });
         assert_canonical(&Request::Stats);
         assert_canonical(&Response::Pong);
-        assert_canonical(&Response::Stats(QsStats {
+        let stats = QsStats {
             agg_ops: 1,
             queries: 2,
             updates: 3,
-            cache_hits: 4,
-            cache_misses: 5,
-            node_cache_hits: 6,
-            node_cache_misses: 7,
-            node_cache_evictions: 8,
-        }));
+            node_cache_hits: 4,
+            node_cache_misses: 5,
+            node_cache_evictions: 6,
+        };
+        assert_eq!(stats.encode().len(), 48, "six u64 counters");
+        assert_canonical(&Response::Stats(stats));
         assert_canonical(&Response::Refused(QueryError::WrongSigningMode {
             required: SigningMode::Chained,
             actual: SigningMode::PerAttribute,
@@ -1164,11 +1160,9 @@ mod tests {
                 agg_ops: 9,
                 queries: 8,
                 updates: 7,
-                cache_hits: 6,
-                cache_misses: 5,
-                node_cache_hits: 4,
-                node_cache_misses: 3,
-                node_cache_evictions: 2,
+                node_cache_hits: 6,
+                node_cache_misses: 5,
+                node_cache_evictions: 4,
             },
         ]));
         assert_canonical(&Response::Busy);

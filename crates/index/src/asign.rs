@@ -28,12 +28,6 @@ pub fn new_asign(pool: BufferPool, sig_len: usize) -> ASignTree {
     ASignTree::new(pool, asign_config(sig_len), NoAnnotation)
 }
 
-/// Create an empty ASign tree caching at most `cache_nodes` decoded nodes
-/// (`0` disables the decoded-node cache).
-pub fn new_asign_with_cache(pool: BufferPool, sig_len: usize, cache_nodes: usize) -> ASignTree {
-    ASignTree::with_node_cache(pool, asign_config(sig_len), NoAnnotation, cache_nodes)
-}
-
 /// Analytic index-height model of Section 3.2 (used verbatim by Table 1).
 pub mod model {
     /// Paper constants: 4-KB page, 4-byte key, 20-byte signature/digest,

@@ -15,7 +15,7 @@ pub mod asign;
 pub mod btree;
 pub mod emb;
 
-pub use asign::{asign_config, new_asign, new_asign_with_cache, ASignTree};
+pub use asign::{asign_config, new_asign, ASignTree};
 pub use btree::{
     BTree, LeafEntry, NodeCacheStats, RangeEvent, RangeScan, TreeConfig, DEFAULT_NODE_CACHE,
 };

@@ -76,7 +76,10 @@
 //! now decodes as [`WireError::BadTag`] and is never reused. That is no
 //! bump — by the rules above only a change to a *surviving* encoding is, and
 //! every BAS and Mock encoding is bit-identical — the same call as the
-//! retirement of request tag 4 and response tag 5.
+//! retirement of request tag 4 and response tag 5. **4** — `QsStats` lost
+//! the hit and miss counters of the retired server-side aggregate cache:
+//! six `u64`s, 48 bytes instead of 64; every other encoding is
+//! bit-identical to version 3.
 //!
 //! ## Failure discipline
 //!
@@ -88,7 +91,7 @@
 use std::fmt;
 
 /// Current wire-format version, carried in every frame.
-pub const FORMAT_VERSION: u8 = 3;
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Default cap on a frame's declared body length (version byte + payload).
 /// Chosen far above any honest answer (a full-table selection of a million
