@@ -6,7 +6,10 @@
 //! the paper's single relation image) and routes updates to them.
 //!
 //! The DA owns the database of record: a heap file of serialized records and
-//! an ASign B+-tree of `⟨key, sn, rid⟩` entries. Every certification signs
+//! a plain B+-tree of `⟨key, rid⟩` entries that orders the chain. Unlike
+//! Figure 2's `⟨key, sn, rid⟩` leaves, no signature is stored here: each
+//! one ships in its [`UpdateMsg`] and the query server keeps it decoded by
+//! rid, so a query never decompresses a G1 point. Every certification signs
 //! the record content together with its timestamp; in **chained** mode the
 //! message additionally binds the left/right neighbours' indexed-attribute
 //! values (Section 3.3), so inserts and deletes re-certify up to two
@@ -44,13 +47,19 @@ use std::sync::Arc;
 
 use authdb_crypto::signer::{Keypair, PublicParams, SchemeKind, Signature};
 use authdb_filters::bitmap::Bitmap;
-use authdb_index::btree::LeafEntry;
-use authdb_index::{new_asign, ASignTree};
+use authdb_index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
 use authdb_storage::{BufferPool, Disk, HeapFile};
 
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::ShardScope;
+
+/// The engines' index layout: `⟨key, rid⟩` leaves with no payload over
+/// plain internal nodes (shared with the query server's replica).
+pub(crate) const KEY_RID_INDEX: TreeConfig = TreeConfig {
+    payload_len: 0,
+    ann_len: 0,
+};
 
 /// What the per-record signature binds (Section 3.2: "what exactly sn is
 /// computed on depends on the operations we want to support").
@@ -164,11 +173,8 @@ pub struct DataAggregator {
     cfg: DaConfig,
     keypair: Keypair,
     heap: HeapFile,
-    tree: ASignTree,
-    /// Decoded signature per rid (the tree stores the wire form).
-    sigs: Vec<Signature>,
-    /// Per-attribute signatures per rid (PerAttribute mode).
-    attr_sigs: Vec<Vec<Signature>>,
+    /// `⟨key, rid⟩` index: the chain order neighbours are signed in.
+    tree: BTree<NoAnnotation>,
     /// Last certification tick per rid.
     cert_ts: Vec<Tick>,
     clock: Tick,
@@ -207,15 +213,12 @@ impl DataAggregator {
         let disk = Disk::new();
         let pool = BufferPool::new(disk, cfg.buffer_pages);
         let heap = HeapFile::new(pool.clone(), cfg.schema.record_len);
-        let sig_len = keypair.public_params().wire_len();
-        let tree = new_asign(pool, sig_len);
+        let tree = BTree::new(pool, KEY_RID_INDEX, NoAnnotation);
         DataAggregator {
             cfg,
             keypair,
             heap,
             tree,
-            sigs: Vec::new(),
-            attr_sigs: Vec::new(),
             cert_ts: Vec::new(),
             clock: 0,
             period_start: 0,
@@ -278,11 +281,6 @@ impl DataAggregator {
         self.heap
             .read(rid)
             .map(|bytes| Record::from_bytes(&self.cfg.schema, &bytes))
-    }
-
-    /// The ASign tree height (index diagnostics).
-    pub fn tree_height(&self) -> usize {
-        self.tree.height()
     }
 
     /// The sentinel values `i64::MIN`/`i64::MAX` are reserved as the ±∞
@@ -644,13 +642,11 @@ impl DataAggregator {
             .map(|&i| LeafEntry {
                 key: records[i].key(&schema),
                 rid: records[i].rid,
-                payload: sigs[i].to_bytes_padded(self.tree.config().payload_len),
+                payload: Vec::new(),
             })
             .collect();
         self.tree.bulk_load(&entries, self.cfg.fill);
         self.cert_ts = vec![ts; n];
-        self.sigs = sigs.clone();
-        self.attr_sigs = attr_by_rid.clone();
         // A bootstrap of zero records still needs an authenticated answer
         // for every query: certify the vacancy.
         let vacancy = if records.is_empty() {
@@ -683,17 +679,7 @@ impl DataAggregator {
         };
         let sig = self.sign_record(record, left, right);
         let attr_sigs = self.sign_attrs(record);
-        let rid = record.rid as usize;
-        self.sigs[rid] = sig.clone();
-        if self.cfg.mode == SigningMode::PerAttribute {
-            self.attr_sigs[rid] = attr_sigs.clone();
-        }
-        self.cert_ts[rid] = record.ts;
-        self.tree.update_payload(
-            record.key(&self.cfg.schema),
-            record.rid,
-            sig.to_bytes_padded(self.tree.config().payload_len),
-        );
+        self.cert_ts[record.rid as usize] = record.ts;
         self.mark_updated(record.rid);
         UpdateMsg {
             kind,
@@ -730,13 +716,10 @@ impl DataAggregator {
         debug_assert_eq!(rid, record.rid);
         // The relation is no longer empty.
         self.empty_proof = None;
-        self.sigs.push(self.keypair.public_params().identity());
-        self.attr_sigs.push(Vec::new());
         self.cert_ts.push(self.clock);
-        // Insert a placeholder entry so neighbour search sees the record.
+        // Index the record first so neighbour search sees it.
         let key = record.key(&schema);
-        self.tree
-            .insert(key, rid, vec![0u8; self.tree.config().payload_len]);
+        self.tree.insert(key, rid, Vec::new());
         let mut msgs = vec![self.certify(&record, UpdateKind::Insert)];
         if self.cfg.mode == SigningMode::Chained {
             let (left, right) = self.neighbor_entries(key, rid);
@@ -777,8 +760,7 @@ impl DataAggregator {
         // both old and new neighbourhoods.
         let (old_left, old_right) = self.neighbor_entries(old_key, rid);
         self.tree.delete(old_key, rid);
-        self.tree
-            .insert(new_key, rid, vec![0u8; self.tree.config().payload_len]);
+        self.tree.insert(new_key, rid, Vec::new());
         let mut msgs = Vec::new();
         let mut main = self.certify(&record, UpdateKind::Modify);
         main.old_key = Some(old_key);
@@ -990,24 +972,20 @@ mod tests {
 
     #[test]
     fn bootstrap_signs_all_records() {
-        let da = da_with(100);
+        let mut da = engine(small_cfg(), 5);
+        let boot = da.bootstrap((0..100).map(|i| vec![i * 10, i]).collect(), 2);
         assert_eq!(da.live_records(), 100);
+        assert_eq!(boot.sigs.len(), 100);
         let pp = da.public_params();
-        // Spot-check a middle record's chained signature.
-        let rec = da.record(50).unwrap();
-        let msg = rec.chain_message(&da.cfg.schema, 490, 510);
-        assert!(pp.verify(&msg, &da.sigs[50]));
-        // Edge records chain to the sentinels.
-        let first = da.record(0).unwrap();
-        assert!(pp.verify(
-            &first.chain_message(&da.cfg.schema, KEY_NEG_INF, 10),
-            &da.sigs[0]
-        ));
-        let last = da.record(99).unwrap();
-        assert!(pp.verify(
-            &last.chain_message(&da.cfg.schema, 980, KEY_POS_INF),
-            &da.sigs[99]
-        ));
+        // Every record's chained signature binds its neighbours' keys; the
+        // edge records chain to the sentinels.
+        for (rec, sig) in boot.records.iter().zip(&boot.sigs) {
+            let i = rec.rid as i64;
+            let left = if i == 0 { KEY_NEG_INF } else { (i - 1) * 10 };
+            let right = if i == 99 { KEY_POS_INF } else { (i + 1) * 10 };
+            assert_eq!(da.record(rec.rid).as_ref(), Some(rec));
+            assert!(pp.verify(&rec.chain_message(&da.cfg.schema, left, right), sig));
+        }
     }
 
     #[test]

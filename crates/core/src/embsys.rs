@@ -265,11 +265,6 @@ impl EmbAggregator {
             .read(rid)
             .map(|b| Record::from_bytes(&self.store.schema, &b))
     }
-
-    /// Number of tree levels (= exclusive-lock I/O path length per update).
-    pub fn tree_height(&self) -> usize {
-        self.store.tree.height()
-    }
 }
 
 /// The EMB− query server.
@@ -309,11 +304,6 @@ impl EmbServer {
             "server replay must reproduce the signed root"
         );
         self.root = update.root.clone();
-    }
-
-    /// Tree height (update path length).
-    pub fn tree_height(&self) -> usize {
-        self.store.tree.height()
     }
 
     /// Answer an authenticated range query.

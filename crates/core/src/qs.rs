@@ -36,10 +36,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use authdb_crypto::signer::{PublicParams, Signature};
-use authdb_index::{new_asign, ASignTree, RangeEvent};
+use authdb_index::btree::NoAnnotation;
+use authdb_index::{BTree, LeafEntry, RangeEvent};
 use authdb_storage::{BufferPool, Disk, HeapFile, IoStats, PoolStats};
 
-use crate::da::{Bootstrap, SigningMode, UpdateKind, UpdateMsg};
+use crate::da::{Bootstrap, SigningMode, UpdateKind, UpdateMsg, KEY_RID_INDEX};
 use crate::freshness::{EmptyTableProof, ExposureTree, SummaryCheckpoint, UpdateSummary};
 use crate::record::{Record, Schema, Tick};
 use crate::shard::ShardScope;
@@ -315,8 +316,12 @@ pub struct QueryServer {
     schema: Schema,
     mode: SigningMode,
     heap: HeapFile,
-    tree: ASignTree,
-    /// Decoded record signatures by rid.
+    /// `⟨key, rid⟩` index over the heap. Figure 2 stores each signature in
+    /// its leaf entry; this replica keeps them decoded by rid in `sigs`
+    /// instead, so a query never decompresses a G1 point and a same-key
+    /// update writes no index page.
+    tree: BTree<NoAnnotation>,
+    /// Decoded record signatures by rid: the only copy either engine keeps.
     sigs: Vec<Signature>,
     /// Per-attribute signatures by rid (PerAttribute mode).
     attr_sigs: Vec<Vec<Signature>>,
@@ -350,19 +355,18 @@ impl QueryServer {
     ) -> Self {
         let pool = BufferPool::new(Disk::new(), opts.buffer_pages);
         let heap = HeapFile::new(pool.clone(), schema.record_len);
-        let mut tree = new_asign(pool, pp.wire_len());
+        let mut tree = BTree::new(pool, KEY_RID_INDEX, NoAnnotation);
         for rec in &boot.records {
             let rid = heap.append(&rec.to_bytes(&schema));
             debug_assert_eq!(rid, rec.rid);
         }
-        let payload_len = tree.config().payload_len;
-        let mut entries: Vec<authdb_index::LeafEntry> = boot
+        let mut entries: Vec<LeafEntry> = boot
             .records
             .iter()
-            .map(|rec| authdb_index::LeafEntry {
+            .map(|rec| LeafEntry {
                 key: rec.key(&schema),
                 rid: rec.rid,
-                payload: boot.sigs[rec.rid as usize].to_bytes_padded(payload_len),
+                payload: Vec::new(),
             })
             .collect();
         entries.sort_by_key(|e| (e.key, e.rid));
@@ -388,17 +392,8 @@ impl QueryServer {
         &self.pp
     }
 
-    /// The index height (I/O-cost diagnostics).
-    pub fn tree_height(&self) -> usize {
-        self.tree.height()
-    }
-
     /// I/O counters of the server's disk.
     pub fn io_stats(&self) -> IoStats {
-        self.heap_pool_stats()
-    }
-
-    fn heap_pool_stats(&self) -> IoStats {
         self.tree.pool().disk().stats()
     }
 
@@ -425,11 +420,12 @@ impl QueryServer {
         self.summaries.len()
     }
 
-    /// Apply an update message from the DA.
+    /// Apply an update message from the DA. Only an insert, a delete or a
+    /// key move touches the index; a same-key Modify/Recertify is a heap
+    /// update plus the new decoded signature.
     pub fn apply(&mut self, msg: &UpdateMsg) {
         StatCounters::bump(&self.stats.updates, 1);
         let rid = msg.record.rid;
-        let payload_len = self.tree.config().payload_len;
         match msg.kind {
             UpdateKind::Insert => {
                 // Any insertion supersedes a standing vacancy claim.
@@ -438,11 +434,8 @@ impl QueryServer {
                 debug_assert_eq!(appended, rid);
                 self.sigs.push(msg.signature.clone());
                 self.attr_sigs.push(msg.attr_sigs.clone());
-                self.tree.insert(
-                    msg.record.key(&self.schema),
-                    rid,
-                    msg.signature.to_bytes_padded(payload_len),
-                );
+                self.tree
+                    .insert(msg.record.key(&self.schema), rid, Vec::new());
             }
             UpdateKind::Modify | UpdateKind::Recertify => {
                 self.heap.update(rid, &msg.record.to_bytes(&self.schema));
@@ -450,17 +443,10 @@ impl QueryServer {
                 if !msg.attr_sigs.is_empty() {
                     self.attr_sigs[rid as usize] = msg.attr_sigs.clone();
                 }
-                let new_key = msg.record.key(&self.schema);
                 if let Some(old_key) = msg.old_key {
                     self.tree.delete(old_key, rid);
                     self.tree
-                        .insert(new_key, rid, msg.signature.to_bytes_padded(payload_len));
-                } else {
-                    self.tree.update_payload(
-                        new_key,
-                        rid,
-                        msg.signature.to_bytes_padded(payload_len),
-                    );
+                        .insert(msg.record.key(&self.schema), rid, Vec::new());
                 }
             }
             UpdateKind::Delete => {
@@ -965,6 +951,28 @@ mod tests {
             assert_eq!(ans.records.len(), want, "range {lo}..{hi}");
             assert_eq!(qs.stats().agg_ops - before, want as u64, "range {lo}..{hi}");
         }
+    }
+
+    /// A same-key update re-signs a record without moving it, so it must
+    /// leave the index alone: a warm selection re-runs without decoding a
+    /// page after its record is modified.
+    #[test]
+    fn same_key_update_keeps_the_node_cache_warm() {
+        let (mut da, mut qs) = system(2000, SigningMode::Chained);
+        let _ = qs.select_range(200, 300).unwrap();
+        let warm = qs.stats();
+        da.advance_clock(1);
+        let msgs = da.update_record(25, vec![250, 4242]);
+        assert_eq!(msgs.len(), 1);
+        assert_eq!((msgs[0].kind, msgs[0].old_key), (UpdateKind::Modify, None));
+        qs.apply_all(&msgs);
+        let ans = qs.select_range(200, 300).unwrap();
+        assert_eq!(ans.records[5].attrs, [250, 4242]);
+        assert_eq!(
+            qs.stats().node_cache_misses,
+            warm.node_cache_misses,
+            "a same-key update evicted an index node"
+        );
     }
 
     /// A gap record older than the checkpoint cut would get a summary

@@ -68,17 +68,6 @@ impl Signature {
             Signature::Mock(b) => b.to_vec(),
         }
     }
-
-    /// Fixed-width image of the signature for index leaf entries: padded
-    /// with zeros or truncated to `len` bytes. This is a *storage layout*
-    /// projection (the paper's `⟨key, sn, rid⟩` entries are fixed width);
-    /// authoritative signatures always travel in full through update
-    /// messages and query answers.
-    pub fn to_bytes_padded(&self, len: usize) -> Vec<u8> {
-        let mut bytes = self.to_bytes();
-        bytes.resize(len, 0);
-        bytes
-    }
 }
 
 /// Signing-side key material. Cloning shares no mutable state; a sharded

@@ -1,32 +1,16 @@
-//! The paper's signature-aggregation index ("ASign", Section 3.2, Figure 2).
+//! The analytic index-height model behind Table 1 (Section 3.2).
 //!
-//! A B+-tree whose leaf entries are `⟨key, sn, rid⟩` — the record's search
-//! key, its digital signature, and its heap rid — over *plain* internal
-//! nodes. Because internal nodes carry no digests, fanout stays high and the
-//! tree is one level shorter than the EMB− tree at large N (Table 1), and an
+//! The paper's signature-aggregation index ("ASign", Figure 2) is a B+-tree
+//! whose leaf entries are `⟨key, sn, rid⟩` — the record's search key, its
+//! digital signature, and its heap rid — over *plain* internal nodes.
+//! Because internal nodes carry no digests, fanout stays high and the tree
+//! is one level shorter than the EMB− tree at large N (Table 1), and an
 //! update touches only one leaf entry instead of a root path.
 //!
-//! Also hosts the analytic height model behind Table 1.
-
-use authdb_storage::BufferPool;
-
-use crate::btree::{BTree, NoAnnotation, TreeConfig};
-
-/// The ASign tree: payload = signature bytes, no internal annotations.
-pub type ASignTree = BTree<NoAnnotation>;
-
-/// Layout for an ASign tree storing `sig_len`-byte signatures.
-pub fn asign_config(sig_len: usize) -> TreeConfig {
-    TreeConfig {
-        payload_len: sig_len,
-        ann_len: 0,
-    }
-}
-
-/// Create an empty ASign tree (default decoded-node cache).
-pub fn new_asign(pool: BufferPool, sig_len: usize) -> ASignTree {
-    ASignTree::new(pool, asign_config(sig_len), NoAnnotation)
-}
+//! The live engines deviate from Figure 2 by keeping signatures decoded by
+//! rid beside a plain `⟨key, rid⟩` [`BTree`](crate::btree::BTree), so a
+//! query never decompresses a G1 point; this module keeps the paper's
+//! layout only as the model Table 1 evaluates.
 
 /// Analytic index-height model of Section 3.2 (used verbatim by Table 1).
 pub mod model {
@@ -94,43 +78,5 @@ pub mod model {
             assert_eq!(asign_paper().eff_fanout, 341);
             assert_eq!(emb_paper().eff_fanout, 97);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::btree::LeafEntry;
-    use authdb_storage::Disk;
-
-    #[test]
-    fn asign_tree_stores_signatures() {
-        let pool = BufferPool::new(Disk::new(), 128);
-        let mut t = new_asign(pool, 33);
-        let sig = vec![0xAAu8; 33];
-        t.insert(5, 1, sig.clone());
-        assert_eq!(t.get(5, 1).unwrap().payload, sig);
-        // Updating a record touches only its own leaf entry.
-        let sig2 = vec![0xBBu8; 33];
-        assert!(t.update_payload(5, 1, sig2.clone()));
-        assert_eq!(t.get(5, 1).unwrap().payload, sig2);
-    }
-
-    #[test]
-    fn bulk_loaded_asign_range() {
-        let pool = BufferPool::new(Disk::new(), 1024);
-        let mut t = new_asign(pool, 20);
-        let entries: Vec<LeafEntry> = (0..10_000i64)
-            .map(|i| LeafEntry {
-                key: i,
-                rid: i as u64,
-                payload: vec![(i % 251) as u8; 20],
-            })
-            .collect();
-        t.bulk_load(&entries, 2.0 / 3.0);
-        let scan = t.range(5000, 5009);
-        assert_eq!(scan.matches.len(), 10);
-        assert_eq!(scan.left_boundary.unwrap().key, 4999);
-        assert_eq!(scan.right_boundary.unwrap().key, 5010);
     }
 }

@@ -1,9 +1,11 @@
 //! Disk-based B+-tree with per-node annotations.
 //!
-//! One engine backs both index flavours of the paper (Section 3.2):
+//! One engine backs two flavours of index (Section 3.2):
 //!
-//! * the **ASign tree** — leaf entries `⟨key, sn, rid⟩` carrying a signature
-//!   payload, plain internal nodes (annotation length 0);
+//! * the engines' **plain index** — leaf entries `⟨key, rid⟩` with no
+//!   payload, plain internal nodes (annotation length 0). Figure 2 puts the
+//!   signature `sn` in the leaf; the engines keep it decoded by rid instead,
+//!   so a query never decompresses a G1 point;
 //! * the **EMB− tree** — leaf entries carrying tuple digests and internal
 //!   entries each carrying the child's digest, maintained bottom-up by an
 //!   [`Annotator`].
@@ -65,7 +67,7 @@ const INTERNAL_FIXED: usize = 20; // sep key + sep rid + child
 /// Fixed sizes of the variable parts of entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TreeConfig {
-    /// Bytes of payload per leaf entry (signature or tuple digest).
+    /// Bytes of payload per leaf entry (tuple digest; 0 = plain index).
     pub payload_len: usize,
     /// Bytes of annotation per internal entry (0 = plain B+-tree).
     pub ann_len: usize,
@@ -108,7 +110,7 @@ pub struct LeafEntry {
     pub key: i64,
     /// Record identifier in the heap file.
     pub rid: u64,
-    /// Signature (ASign) or tuple digest (EMB−).
+    /// Tuple digest (EMB−); empty in the engines' plain `⟨key, rid⟩` index.
     pub payload: Vec<u8>,
 }
 
@@ -961,6 +963,12 @@ mod tests {
         };
         assert_eq!(c.leaf_cap(), 113);
         assert_eq!(c.internal_cap(), 204);
+        // The engines' payload-free `⟨key, rid⟩` leaves: (4096-16)/16 = 255.
+        let plain = TreeConfig {
+            payload_len: 0,
+            ann_len: 0,
+        };
+        assert_eq!(plain.leaf_cap(), 255);
         // EMB− with 20-byte digests: internal fanout shrinks to 102 (paper:
         // 97) — the digest-per-child height penalty is reproduced.
         let emb = TreeConfig {
@@ -1158,43 +1166,47 @@ mod tests {
         assert_eq!(t.height(), expected_height);
     }
 
+    /// Random inserts/deletes/payload updates against a model map, both with
+    /// a payload and at the engines' payload-free `⟨key, rid⟩` layout.
     #[test]
     fn mixed_workload_consistency() {
-        let mut t = plain_tree(8);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut model: std::collections::BTreeMap<(i64, u64), Vec<u8>> =
-            std::collections::BTreeMap::new();
-        for step in 0..3000 {
-            let op: u8 = rng.gen_range(0..10);
-            let key = rng.gen_range(0..500i64);
-            let rid = rng.gen_range(0..50u64);
-            match op {
-                0..=5 => {
-                    model.entry((key, rid)).or_insert_with(|| {
-                        let p = payload((step % 256) as u8, 8);
-                        t.insert(key, rid, p.clone());
-                        p
-                    });
-                }
-                6..=7 => {
-                    let existed = model.remove(&(key, rid)).is_some();
-                    assert_eq!(t.delete(key, rid), existed, "step {step}");
-                }
-                _ => {
-                    let p = payload((step % 256) as u8, 8);
-                    let existed = model.contains_key(&(key, rid));
-                    assert_eq!(t.update_payload(key, rid, p.clone()), existed);
-                    if existed {
-                        model.insert((key, rid), p);
+        for len in [8, 0] {
+            let mut t = plain_tree(len);
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut model: std::collections::BTreeMap<(i64, u64), Vec<u8>> =
+                std::collections::BTreeMap::new();
+            for step in 0..3000 {
+                let op: u8 = rng.gen_range(0..10);
+                let key = rng.gen_range(0..500i64);
+                let rid = rng.gen_range(0..50u64);
+                match op {
+                    0..=5 => {
+                        model.entry((key, rid)).or_insert_with(|| {
+                            let p = payload((step % 256) as u8, len);
+                            t.insert(key, rid, p.clone());
+                            p
+                        });
+                    }
+                    6..=7 => {
+                        let existed = model.remove(&(key, rid)).is_some();
+                        assert_eq!(t.delete(key, rid), existed, "len {len} step {step}");
+                    }
+                    _ => {
+                        let p = payload((step % 256) as u8, len);
+                        let existed = model.contains_key(&(key, rid));
+                        assert_eq!(t.update_payload(key, rid, p.clone()), existed);
+                        if existed {
+                            model.insert((key, rid), p);
+                        }
                     }
                 }
             }
-        }
-        let all = t.scan_all();
-        assert_eq!(all.len(), model.len());
-        for (e, ((k, r), p)) in all.iter().zip(model.iter()) {
-            assert_eq!((e.key, e.rid), (*k, *r));
-            assert_eq!(&e.payload, p);
+            let all = t.scan_all();
+            assert_eq!(all.len(), model.len(), "len {len}");
+            for (e, ((k, r), p)) in all.iter().zip(model.iter()) {
+                assert_eq!((e.key, e.rid), (*k, *r));
+                assert_eq!(&e.payload, p);
+            }
         }
     }
 
