@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use authdb_crypto::bls::BlsPrivateKey;
 use authdb_crypto::bn254::{
-    final_exponentiation, multi_miller_loop, pairing, Fr, G2Prepared, G1, G2,
+    final_exponentiation, multi_miller_loop, pairing, Fp, Fr, G2Prepared, G1, G2,
 };
 use authdb_crypto::rsa::RsaPrivateKey;
 use authdb_crypto::sha1::sha1;
@@ -42,6 +42,16 @@ fn bench_bn254(c: &mut Criterion) {
             G1::hash_to_curve(&i.to_be_bytes())
         })
     });
+    // The base-field powers under hash-to-curve and point decoding: a
+    // residue's square root and an inversion are one windowed 254-bit
+    // power each, the Legendre symbol none; decoding a signature is one
+    // square root.
+    let square = Fp::random(&mut rng).square();
+    g.bench_function("fp_sqrt", |b| b.iter(|| square.sqrt()));
+    g.bench_function("fp_invert", |b| b.iter(|| square.invert()));
+    g.bench_function("fp_legendre", |b| b.iter(|| square.legendre()));
+    let enc = p.mul_fr(&k).to_compressed();
+    g.bench_function("g1_decompress", |b| b.iter(|| G1::from_compressed(&enc)));
     g.finish();
 }
 

@@ -23,7 +23,8 @@
 //! What a check costs: the two-term optimal-ate Miller loop (2 × 88 line
 //! folds under 65 squarings) and the decomposed final exponentiation are
 //! about 1 ms together on the benchmark host, split evenly; each message
-//! adds one `hash_to_curve` (≈ 23 µs, a square root) and each claim after
+//! adds one `hash_to_curve` (≈ 16 µs: about two SHA-256 candidates, a
+//! Legendre symbol each, and one square root) and each claim after
 //! the first a share of two interleaved 128-bit multi-scalar
 //! multiplications. Signing is one `hash_to_curve` and one 254-bit G1
 //! scalar multiplication and never touches the pairing.

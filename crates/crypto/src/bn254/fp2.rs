@@ -138,40 +138,6 @@ impl Fp2 {
         })
     }
 
-    /// Square root via the "complex method" (valid since u² = -1 and
-    /// p ≡ 3 mod 4). Returns `None` for quadratic non-residues.
-    pub fn sqrt(&self) -> Option<Self> {
-        if self.is_zero() {
-            return Some(*self);
-        }
-        if self.c1.is_zero() {
-            // sqrt of a base-field element: either sqrt(c0) in Fp, or
-            // sqrt(-c0)·u if c0 is a non-residue.
-            if let Some(r) = self.c0.sqrt() {
-                return Some(Fp2::from_fp(r));
-            }
-            let r = self.c0.neg().sqrt()?;
-            return Some(Fp2::new(Fp::zero(), r));
-        }
-        let norm = self.c0.square().add(&self.c1.square());
-        let n = norm.sqrt()?;
-        let two_inv = Fp::from_u64(2).invert().expect("2 != 0 in Fp");
-        for cand in [self.c0.add(&n), self.c0.sub(&n)] {
-            let half = cand.mul(&two_inv);
-            if let Some(a) = half.sqrt() {
-                if a.is_zero() {
-                    continue;
-                }
-                let b = self.c1.mul(&two_inv).mul(&a.invert().expect("a nonzero"));
-                let root = Fp2::new(a, b);
-                if root.square() == *self {
-                    return Some(root);
-                }
-            }
-        }
-        None
-    }
-
     /// `self^exp` for a little-endian limb exponent.
     pub fn pow(&self, exp: &[u64]) -> Self {
         let mut result = Self::one();
@@ -246,17 +212,6 @@ mod tests {
         for _ in 0..20 {
             let a = Fp2::random(&mut r);
             assert_eq!(a.mul_by_nonresidue(), a.mul(&xi));
-        }
-    }
-
-    #[test]
-    fn sqrt_of_squares() {
-        let mut r = rng();
-        for _ in 0..20 {
-            let a = Fp2::random(&mut r);
-            let sq = a.square();
-            let root = sq.sqrt().expect("square must have a root");
-            assert!(root == a || root == a.neg(), "wrong root");
         }
     }
 

@@ -38,7 +38,9 @@ impl G1 {
 
     /// Hash a message to a G1 point (try-and-increment). Deterministic, and
     /// the output is uniform-ish over the curve; cofactor is 1 so no
-    /// clearing step is needed.
+    /// clearing step is needed. About half the candidates are
+    /// non-residues; [`Fp::legendre`] turns those away without a power, so
+    /// only the accepted candidate pays a square root.
     pub fn hash_to_curve(msg: &[u8]) -> Self {
         let mut counter: u32 = 0;
         loop {
@@ -49,14 +51,11 @@ impl G1 {
             let digest = h.finalize();
             let x = Fp::from_bytes_be_reduce(&digest);
             let y2 = x.square().mul(&x).add(&Fp::from_u64(3));
-            if let Some(y) = y2.sqrt() {
-                // Use one digest bit to pick the root's sign deterministically.
-                let y = if (digest[0] & 1 == 1) != y.is_odd() {
-                    y.neg()
-                } else {
-                    y
-                };
-                return G1::from_affine_coords(x, y);
+            if y2.legendre() != -1 {
+                if let Some(y) = y2.sqrt() {
+                    // One digest bit picks the root's sign deterministically.
+                    return G1::from_affine_coords(x, with_parity(y, digest[0] & 1 == 1));
+                }
             }
             counter += 1;
         }
@@ -75,44 +74,39 @@ impl G1 {
         out
     }
 
-    /// Decompress; returns `None` for encodings not on the curve.
+    /// Decompress, accepting exactly the byte strings
+    /// [`G1::to_compressed`] produces: any other string would be a second
+    /// encoding of a point and break the bit-identical re-encoding that
+    /// signatures downstream depend on. It rejects an unknown tag, an
+    /// infinity tag with a nonzero tail, an x-coordinate at or above p, and
+    /// an x with no point over it.
+    ///
+    /// One square root is the whole cost. `root² == x³ + 3` *is* the curve
+    /// equation, and the cofactor is 1, so the point is in G1 without a
+    /// further check. The result is the Z = 1 point, so nothing is
+    /// inverted, and no re-encode is needed to prove canonicity: x < p is
+    /// checked on the bytes, and the tag is the parity of y because y ≠ 0
+    /// (a point with y = 0 would have order 2, and r is odd).
     pub fn from_compressed(bytes: &[u8; G1_COMPRESSED_LEN]) -> Option<Self> {
+        let tail: &[u8; 32] = bytes[1..].try_into().ok()?;
         match bytes[0] {
-            0x00 => Some(G1::infinity()),
+            0x00 => (tail == &[0; 32]).then(G1::infinity),
             tag @ (0x02 | 0x03) => {
-                let x = Fp::from_bytes_be_reduce(&bytes[1..]);
-                let y2 = x.square().mul(&x).add(&Fp::from_u64(3));
-                let y = y2.sqrt()?;
-                let y = if (tag == 0x03) != y.is_odd() {
-                    y.neg()
-                } else {
-                    y
-                };
-                let p = G1::from_affine_coords(x, y);
-                if p.to_affine().is_on_curve() {
-                    Some(p)
-                } else {
-                    None
-                }
+                let x = Fp::from_bytes_be(tail)?;
+                let y = x.square().mul(&x).add(&Fp::from_u64(3)).sqrt()?;
+                Some(G1::from_affine_coords(x, with_parity(y, tag == 0x03)))
             }
             _ => None,
         }
     }
+}
 
-    /// Strictly canonical decompression for wire use: accepts exactly the
-    /// byte strings [`G1::to_compressed`] produces. On top of the curve
-    /// membership check this rejects an x-coordinate at or above the field
-    /// modulus (which `from_bytes_be_reduce` would silently reduce) and an
-    /// infinity tag with a nonzero tail — either would give two encodings
-    /// of one point and break the bit-identical re-encoding guarantee
-    /// signatures downstream depend on.
-    pub fn from_compressed_canonical(bytes: &[u8; G1_COMPRESSED_LEN]) -> Option<Self> {
-        let p = Self::from_compressed(bytes)?;
-        if &p.to_compressed() == bytes {
-            Some(p)
-        } else {
-            None
-        }
+/// `y` or `-y`, whichever has the given parity (for nonzero `y`).
+fn with_parity(y: Fp, odd: bool) -> Fp {
+    if y.is_odd() == odd {
+        y
+    } else {
+        y.neg()
     }
 }
 

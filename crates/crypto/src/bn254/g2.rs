@@ -1,15 +1,15 @@
 //! The group G2 ⊂ E'(Fp2) on the sextic D-twist E': y² = x³ + 3/(9+u).
 //!
-//! `#E'(Fp2) = r·c2` with cofactor `c2 = 2p - r`; points are brought into
-//! the order-r subgroup by multiplying by `c2` (cofactor clearing).
+//! `#E'(Fp2) = r·c2` with cofactor `c2 = 2p - r`. Every G2 point this
+//! crate handles is a multiple of the generator, so it is in the order-r
+//! subgroup by construction; G2 points never cross the wire.
 
 use std::sync::OnceLock;
 
 use super::curve::{Affine, CurveSpec, Point};
-use super::fp::{FieldParams, Fp, FpParams, FrParams};
+use super::fp::Fp;
 use super::fp2::Fp2;
 use crate::bigint::BigUint;
-use crate::sha256::Sha256;
 
 /// Curve spec for the twist.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -32,19 +32,6 @@ impl CurveSpec for G2Spec {
 pub type G2 = Point<G2Spec>;
 /// A G2 element in affine form.
 pub type G2Affine = Affine<G2Spec>;
-
-/// Compressed G2 encoding length: tag byte + 64-byte x-coordinate.
-pub const G2_COMPRESSED_LEN: usize = 65;
-
-/// Little-endian limbs of the G2 cofactor `c2 = 2p - r`.
-fn cofactor_limbs() -> &'static Vec<u64> {
-    static C: OnceLock<Vec<u64>> = OnceLock::new();
-    C.get_or_init(|| {
-        let p = BigUint::from_limbs(FpParams::MODULUS.to_vec());
-        let r = BigUint::from_limbs(FrParams::MODULUS.to_vec());
-        p.shl(1).sub(&r).limbs().to_vec()
-    })
-}
 
 impl G2 {
     /// The standard alt_bn128 G2 generator (as pinned by EIP-197).
@@ -69,97 +56,11 @@ impl G2 {
     pub fn mul_fr(&self, k: &super::fp::Fr) -> Self {
         self.mul_scalar(&k.to_canonical())
     }
-
-    /// Hash a message onto the order-r subgroup (try-and-increment on the
-    /// twist followed by cofactor clearing). Used as a self-contained way to
-    /// derive independent G2 points.
-    pub fn hash_to_curve(msg: &[u8]) -> Self {
-        let mut counter: u32 = 0;
-        loop {
-            let mut h0 = Sha256::new();
-            h0.update(b"authdb-bn254-g2:c0:");
-            h0.update(msg);
-            h0.update(&counter.to_be_bytes());
-            let d0 = h0.finalize();
-            let mut h1 = Sha256::new();
-            h1.update(b"authdb-bn254-g2:c1:");
-            h1.update(msg);
-            h1.update(&counter.to_be_bytes());
-            let d1 = h1.finalize();
-            let x = Fp2::new(Fp::from_bytes_be_reduce(&d0), Fp::from_bytes_be_reduce(&d1));
-            let y2 = x.square().mul(&x).add(&G2Spec::b());
-            if let Some(y) = y2.sqrt() {
-                let y = if (d0[0] & 1 == 1) != y.c0.is_odd() {
-                    y.neg()
-                } else {
-                    y
-                };
-                let p = G2::from_affine_coords(x, y).mul_scalar(cofactor_limbs());
-                if !p.is_infinity() {
-                    return p;
-                }
-            }
-            counter += 1;
-        }
-    }
-
-    /// Compressed serialization (tag + big-endian x.c1 ‖ x.c0).
-    pub fn to_compressed(&self) -> [u8; G2_COMPRESSED_LEN] {
-        let mut out = [0u8; G2_COMPRESSED_LEN];
-        match self.to_affine() {
-            Affine::Infinity => out[0] = 0x00,
-            Affine::Coords(x, y) => {
-                out[0] = if y.c0.is_odd() { 0x03 } else { 0x02 };
-                out[1..33].copy_from_slice(&x.c1.to_bytes_be());
-                out[33..65].copy_from_slice(&x.c0.to_bytes_be());
-            }
-        }
-        out
-    }
-
-    /// Decompress; returns `None` for invalid encodings.
-    pub fn from_compressed(bytes: &[u8; G2_COMPRESSED_LEN]) -> Option<Self> {
-        match bytes[0] {
-            0x00 => Some(G2::infinity()),
-            tag @ (0x02 | 0x03) => {
-                let x = Fp2::new(
-                    Fp::from_bytes_be_reduce(&bytes[33..65]),
-                    Fp::from_bytes_be_reduce(&bytes[1..33]),
-                );
-                let y2 = x.square().mul(&x).add(&G2Spec::b());
-                let y = y2.sqrt()?;
-                let y = if (tag == 0x03) != y.c0.is_odd() {
-                    y.neg()
-                } else {
-                    y
-                };
-                let p = G2::from_affine_coords(x, y);
-                if p.to_affine().is_on_curve() {
-                    Some(p)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Strictly canonical decompression for wire use: accepts exactly the
-    /// byte strings [`G2::to_compressed`] produces (see
-    /// [`super::g1::G1::from_compressed_canonical`] for why re-encoding
-    /// must be bit-identical).
-    pub fn from_compressed_canonical(bytes: &[u8; G2_COMPRESSED_LEN]) -> Option<Self> {
-        let p = Self::from_compressed(bytes)?;
-        if &p.to_compressed() == bytes {
-            Some(p)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fp::{FieldParams, FrParams};
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -176,23 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn cofactor_is_2p_minus_r() {
-        let p = BigUint::from_limbs(FpParams::MODULUS.to_vec());
-        let r = BigUint::from_limbs(FrParams::MODULUS.to_vec());
-        assert_eq!(
-            BigUint::from_limbs(cofactor_limbs().clone()),
-            p.shl(1).sub(&r)
-        );
-    }
-
-    #[test]
-    fn hash_to_curve_lands_in_subgroup() {
-        let p = G2::hash_to_curve(b"test point");
-        assert!(p.to_affine().is_on_curve());
-        assert!(p.mul_scalar(&FrParams::MODULUS).is_infinity());
-    }
-
-    #[test]
     fn group_axioms() {
         let mut r = StdRng::seed_from_u64(29);
         let g = G2::generator();
@@ -201,13 +85,5 @@ mod tests {
         assert_eq!(a.add(&b), b.add(&a));
         assert_eq!(a.add(&a.neg()), G2::infinity());
         assert_eq!(a.double(), a.add(&a));
-    }
-
-    #[test]
-    fn compression_round_trip() {
-        let mut r = StdRng::seed_from_u64(31);
-        let p = G2::generator().mul_scalar(&[r.gen::<u64>()]);
-        let bytes = p.to_compressed();
-        assert_eq!(G2::from_compressed(&bytes).unwrap(), p);
     }
 }

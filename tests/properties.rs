@@ -205,6 +205,102 @@ proptest! {
     }
 }
 
+/// The G1 decoder as it was before it took one square root: reduce x, take
+/// a root, re-check the curve equation through an affine conversion (one
+/// inversion), then demand that the re-encode (another) equals the input.
+/// Kept only as the oracle for `g1_decoder_matches_reencode_oracle`.
+fn g1_decode_oracle(bytes: &[u8; 33]) -> Option<authdb::crypto::bn254::G1> {
+    use authdb::crypto::bn254::{Fp, G1};
+    let p = match bytes[0] {
+        0x00 => G1::infinity(),
+        tag @ (0x02 | 0x03) => {
+            let x = Fp::from_biguint(&BigUint::from_bytes_be(&bytes[1..]));
+            let y = x.square().mul(&x).add(&Fp::from_u64(3)).sqrt()?;
+            let y = if (tag == 0x03) != y.is_odd() {
+                y.neg()
+            } else {
+                y
+            };
+            let p = G1::from_affine_coords(x, y);
+            if !p.to_affine().is_on_curve() {
+                return None;
+            }
+            p
+        }
+        _ => return None,
+    };
+    (&p.to_compressed() == bytes).then_some(p)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn g1_decoder_matches_reencode_oracle(
+        scalar in any::<u64>(),
+        flip in 0usize..33 * 8,
+        tag in 0u8..5,
+        tail_byte in 1usize..33,
+        random in prop::collection::vec(any::<u8>(), 33..34),
+    ) {
+        // One square root and a bounds check on the bytes must accept and
+        // reject exactly what decode-then-re-encode did, point for point:
+        // honest encodings, single-bit flips, every tag 0–4 on an honest x,
+        // x at p − 1, p and 2²⁵⁶ − 1 under both point tags, infinity with
+        // a nonzero tail, and random strings.
+        use authdb::crypto::bn254::fp::{FieldParams, FpParams};
+        use authdb::crypto::bn254::G1;
+        let honest = G1::generator().mul_scalar(&[scalar]).to_compressed();
+        let mut cases = vec![honest, G1::infinity().to_compressed()];
+        let mut flipped = honest;
+        flipped[flip / 8] ^= 1 << (flip % 8);
+        cases.push(flipped);
+        let mut retagged = honest;
+        retagged[0] = tag;
+        cases.push(retagged);
+        let p = BigUint::from_limbs(FpParams::MODULUS.to_vec());
+        for x in [p.sub(&BigUint::one()), p.clone(), BigUint::one().shl(256).sub(&BigUint::one())] {
+            let x = x.to_bytes_be();
+            for t in [0x02, 0x03] {
+                let mut enc = [0u8; 33];
+                enc[0] = t;
+                enc[33 - x.len()..].copy_from_slice(&x);
+                cases.push(enc);
+            }
+        }
+        let mut inf_tail = [0u8; 33];
+        inf_tail[tail_byte] = 1;
+        cases.push(inf_tail);
+        cases.push(random.try_into().expect("33 bytes"));
+        for enc in &cases {
+            let got = G1::from_compressed(enc);
+            prop_assert!(got == g1_decode_oracle(enc), "encoding {:02x?}", enc);
+            if let Some(point) = got {
+                prop_assert_eq!(&point.to_compressed(), enc);
+            }
+        }
+    }
+}
+
+#[test]
+fn hash_to_curve_outputs_are_pinned() {
+    // Every stored signature is x·H(m), so H must not move by a bit: the
+    // digest of the compressed outputs for messages 0..3000 (4-byte
+    // big-endian) was taken before the Legendre-symbol skip and the
+    // windowed power went in.
+    use authdb::crypto::bn254::G1;
+    use authdb::crypto::sha256::Sha256;
+    let mut h = Sha256::new();
+    for i in 0..3000u32 {
+        h.update(&G1::hash_to_curve(&i.to_be_bytes()).to_compressed());
+    }
+    let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "f8043d27ffc5f4cdc1d7124462b9afbe198fefb7894d20eea86d98e0868cac2f"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
