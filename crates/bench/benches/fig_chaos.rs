@@ -51,7 +51,6 @@ fn client_config() -> ClientConfig {
             max_backoff: Duration::from_millis(20),
             jitter_seed: 7,
         },
-        ..ClientConfig::default()
     }
 }
 
@@ -100,7 +99,7 @@ fn run_rate(
         .collect();
     let endpoints: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
 
-    let mut fanout = ShardFanout::new(
+    let fanout = ShardFanout::new(
         server.with_server(|s| s.map().clone()),
         endpoints,
         client_config(),

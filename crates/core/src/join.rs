@@ -16,6 +16,10 @@
 //! stitched across seams, so S must be a one-shard relation
 //! ([`QueryError::Unsupported`] otherwise).
 //!
+//! Joins and projections are in-process, one-shard reproductions of §3.5
+//! and §3.4, out of scope for the network path this round: no wire request
+//! carries either.
+//!
 //! The [`viability`] module carries the analysis behind Figure 4.
 
 use std::collections::BTreeMap;

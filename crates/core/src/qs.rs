@@ -60,13 +60,15 @@ pub enum QueryError {
         /// The mode the server runs in.
         actual: SigningMode,
     },
-    /// The operation is not available on this deployment (currently:
-    /// projection over a multi-shard fan-out, whose per-shard proofs the
-    /// verifier cannot stitch yet).
+    /// The operation is not available on this deployment. Three producers:
+    /// a multi-shard `ShardedQueryServer::project` (the verifier has no
+    /// cross-shard projection stitching), a join whose S side spans more
+    /// than one shard (`join::execute_join`), and a `Tagged` request nested
+    /// inside another that reaches the network server's dispatch.
     Unsupported,
-    /// A projection named an attribute index past the schema. A networked
-    /// server receives attribute lists from untrusted clients, so this is a
-    /// refusal, not a panic.
+    /// A projection or join named an attribute index past the schema: the
+    /// attribute list is the caller's input, so this is a refusal, not a
+    /// panic.
     AttributeOutOfSchema {
         /// The offending attribute index.
         index: usize,
@@ -256,6 +258,21 @@ pub struct QsStats {
     pub node_cache_misses: u64,
     /// Decoded nodes evicted from the node cache.
     pub node_cache_evictions: u64,
+}
+
+/// The field-wise total: how a sharded deployment, in process or over the
+/// wire, turns per-shard counters into one set.
+impl std::iter::Sum for QsStats {
+    fn sum<I: Iterator<Item = QsStats>>(iter: I) -> Self {
+        iter.fold(QsStats::default(), |t, s| QsStats {
+            agg_ops: t.agg_ops + s.agg_ops,
+            queries: t.queries + s.queries,
+            updates: t.updates + s.updates,
+            node_cache_hits: t.node_cache_hits + s.node_cache_hits,
+            node_cache_misses: t.node_cache_misses + s.node_cache_misses,
+            node_cache_evictions: t.node_cache_evictions + s.node_cache_evictions,
+        })
+    }
 }
 
 /// Lock-free proof-construction counters: the live form of [`QsStats`],

@@ -1215,10 +1215,15 @@ impl ShardedQueryServer {
     /// server's aggregation on every query that touches it. Beyond that the
     /// package's shape is validated: anything hostile yields a typed
     /// [`QueryError::BadRebalance`] refusal, never a panic or a partial
-    /// mutation. Validation happens entirely before any state changes.
+    /// mutation. Validation happens entirely before any state changes. A
+    /// [`SigningMode::PerAttribute`] server refuses every package with
+    /// [`QueryError::WrongSigningMode`]: a rebalance re-chains records.
     pub fn apply_rebalance(&self, rb: &Rebalance) -> Result<(), QueryError> {
         if self.mode != SigningMode::Chained {
-            return Err(QueryError::Unsupported);
+            return Err(QueryError::WrongSigningMode {
+                required: SigningMode::Chained,
+                actual: self.mode,
+            });
         }
         // An epoch transition is the one whole-index writer: the gate held
         // exclusively drains in-flight per-shard writers and excludes new
@@ -1367,22 +1372,10 @@ impl ShardedQueryServer {
         }
     }
 
-    /// Proof-construction statistics aggregated across every shard, so a
-    /// sharded deployment (and the networked [`QsServer`] fronting one)
-    /// reports one set of counters instead of per-shard fragments.
-    ///
-    /// [`QsServer`]: ../../authdb_net/struct.QsServer.html
+    /// Proof-construction statistics summed over every shard: one set of
+    /// counters instead of per-shard fragments.
     pub fn stats(&self) -> crate::qs::QsStats {
-        let mut total = crate::qs::QsStats::default();
-        for st in self.shard_stats() {
-            total.agg_ops += st.agg_ops;
-            total.queries += st.queries;
-            total.updates += st.updates;
-            total.node_cache_hits += st.node_cache_hits;
-            total.node_cache_misses += st.node_cache_misses;
-            total.node_cache_evictions += st.node_cache_evictions;
-        }
-        total
+        self.shard_stats().into_iter().sum()
     }
 
     /// Per-shard counters in shard order — the load signal the
@@ -1397,10 +1390,11 @@ impl ShardedQueryServer {
             .collect()
     }
 
-    /// Answer a projection. Only a one-shard deployment can serve one — the
-    /// verifier has no cross-shard projection stitching yet — so a
-    /// multi-shard fan-out refuses with [`QueryError::Unsupported`] instead
-    /// of inventing an unverifiable answer shape.
+    /// Answer a projection. Projections and joins are in-process, one-shard
+    /// reproductions of §3.4 and §3.5, out of scope for the network path
+    /// this round: the verifier has no cross-shard projection stitching, so
+    /// a multi-shard fan-out refuses with [`QueryError::Unsupported`]
+    /// instead of inventing an unverifiable answer shape.
     pub fn project(
         &self,
         lo: i64,

@@ -14,7 +14,7 @@
 //! 2. **Total** — decoding attacker-controlled bytes returns a typed
 //!    [`WireError`]; it never panics and never allocates beyond the
 //!    received input. Schema-dependent shape checks the codec cannot make
-//!    (attribute arity, attribute index bounds) are the verifier's job
+//!    (attribute arity) are the verifier's job
 //!    ([`crate::verify::VerifyError::MalformedRecord`]).
 //!
 //! Layouts (field order = struct order unless noted):
@@ -28,8 +28,6 @@
 //! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure, signature` |
 //! | [`Exposure`] | `len:u64, max:u64, max_rid:u64, root:[32]B, chunks:vec<(index:u64, entries:[u64; 16])>, siblings:vec<[32]B>` (decode re-checks that chunk indices strictly increase) |
 //! | [`SelectionAnswer`] | `records:vec, agg, left:i64, right:i64, gap:opt, vacancy:opt, summaries:vec, checkpoint:opt` |
-//! | [`ProjectedRow`] | `rid:u64, ts:u64, values:vec<(idx:u32, value:i64)>` |
-//! | [`ProjectionAnswer`] | `rows:vec, agg, summaries:vec, checkpoint:opt` |
 //! | [`UpdateMsg`] | `kind:u8, record, signature, attr_sigs:vec, old_key:opt<i64>, vacancy:opt` |
 //! | [`ShardMap`] | `epoch:u64, splits:vec<i64>, signature` (decode re-checks the split and epoch invariants) |
 //! | [`ShardedSelectionAnswer`] | `map, parts:vec<(shard:u64, answer)>` |
@@ -40,8 +38,8 @@
 //! | [`ShardHandoff`] | `shard:u64, records:vec, sigs:vec, vacancy:opt, baseline:summary` |
 //! | [`ShardRebind`] | `shard:u64, summaries:vec, vacancy:opt, checkpoint:opt` |
 //! | [`Rebalance`] | `plan, new_map, transition, handoffs:vec, rebound:vec, checkpoint` |
-//! | [`QsStats`] | six `u64` counters |
-//! | [`Request`] / [`Response`] | one tag byte, then the variant's fields |
+//! | [`QsStats`] | six `u64` counters (one set per shard in [`Response::ShardStats`]) |
+//! | [`Request`] / [`Response`] | one tag byte (retired tags listed at [`Request`]), then the variant's fields |
 //! | [`Request::Tagged`] / [`Response::Tagged`] | wrapper tag byte, `id:u64`, then exactly one *unwrapped* message (nesting is a typed `BadTag`, never recursion) |
 
 use std::sync::Arc;
@@ -54,7 +52,7 @@ use crate::da::{UpdateKind, UpdateMsg};
 use crate::freshness::{
     EmptyTableProof, Exposure, SummaryCheckpoint, UpdateSummary, EXPOSURE_CHUNK,
 };
-use crate::qs::{GapProof, ProjectedRow, ProjectionAnswer, QsStats, QueryError, SelectionAnswer};
+use crate::qs::{GapProof, QsStats, QueryError, SelectionAnswer};
 use crate::record::Record;
 use crate::shard::{
     EpochBootstrap, EpochCheckpoint, EpochTransition, Rebalance, RebalancePlan, ShardAnswer,
@@ -256,57 +254,6 @@ impl WireDecode for SelectionAnswer {
             right_key: r.i64()?,
             gap: Option::<GapProof>::decode_from(r)?,
             vacancy: Option::<EmptyTableProof>::decode_from(r)?,
-            summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
-            checkpoint: Option::<SummaryCheckpoint>::decode_from(r)?,
-        })
-    }
-}
-
-impl WireEncode for ProjectedRow {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.rid.encode_into(out);
-        self.ts.encode_into(out);
-        put_count(out, "projected-row values", self.values.len());
-        for &(idx, value) in &self.values {
-            // Attribute indexes are schema-bounded (far below u32::MAX);
-            // the checked conversion keeps the invariant machine-visible.
-            put_count(out, "attribute index", idx);
-            value.encode_into(out);
-        }
-    }
-}
-
-impl WireDecode for ProjectedRow {
-    const MIN_WIRE_LEN: usize = 20;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let rid = r.u64()?;
-        let ts = r.u64()?;
-        let n = r.seq_len("projected values", 12)?;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = r.u32()? as usize;
-            let value = r.i64()?;
-            values.push((idx, value));
-        }
-        Ok(ProjectedRow { rid, ts, values })
-    }
-}
-
-impl WireEncode for ProjectionAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.rows.encode_into(out);
-        self.agg.encode_into(out);
-        self.summaries.encode_into(out);
-        self.checkpoint.encode_into(out);
-    }
-}
-
-impl WireDecode for ProjectionAnswer {
-    const MIN_WIRE_LEN: usize = 9 + Signature::MIN_WIRE_LEN;
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProjectionAnswer {
-            rows: Vec::<ProjectedRow>::decode_from(r)?,
-            agg: Signature::decode_from(r)?,
             summaries: Vec::<Arc<UpdateSummary>>::decode_from(r)?,
             checkpoint: Option::<SummaryCheckpoint>::decode_from(r)?,
         })
@@ -713,10 +660,15 @@ fn signing_mode_from_tag(tag: u8) -> Result<crate::da::SigningMode, WireError> {
 /// A client request to a networked query server. One request frame yields
 /// exactly one [`Response`] frame on the same connection.
 ///
-/// **Retired tags** (never reused; both decode as [`WireError::BadTag`]):
-/// request tag 4 and response tag 5 carried the from-genesis transition
-/// chain, an answer that grew by one signed link per rebalance.
-/// [`Request::Checkpoint`] is the one epoch catch-up.
+/// **Retired tags** (never reused; all decode as [`WireError::BadTag`]):
+/// * request tag 2 and response tag 2 carried a projection, which only a
+///   one-shard deployment could answer; projections and joins (§3.4, §3.5)
+///   are reproduced in process, off the network path;
+/// * request tag 3 and response tag 3 carried the all-shard statistics
+///   total, which is the sum of [`Request::ShardStats`];
+/// * request tag 4 and response tag 5 carried the from-genesis transition
+///   chain, an answer that grew by one signed link per rebalance.
+///   [`Request::Checkpoint`] is the one epoch catch-up.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe.
@@ -729,20 +681,6 @@ pub enum Request {
         /// Upper bound (inclusive).
         hi: i64,
     },
-    /// Projection of `attrs` over the range, for
-    /// `Verifier::verify_projection` under the client's pinned epoch. Only
-    /// a one-shard deployment serves it; a multi-shard one refuses with
-    /// `QueryError::Unsupported`.
-    Project {
-        /// Lower bound (inclusive).
-        lo: i64,
-        /// Upper bound (inclusive).
-        hi: i64,
-        /// Attribute indices to keep.
-        attrs: Vec<u32>,
-    },
-    /// Aggregated proof-construction statistics.
-    Stats,
     /// Apply a DA-certified rebalance package to the live server (the
     /// epoch-bump push a DA-side driver sends so a deployment re-partitions
     /// without a restart).
@@ -760,8 +698,8 @@ pub enum Request {
         hi: i64,
     },
     /// Per-shard proof-construction counters in shard order — the load
-    /// signal an auto-rebalance driver polls (the aggregated
-    /// [`Request::Stats`] cannot tell a hot shard from a warm fleet).
+    /// signal an auto-rebalance driver polls, and summed, the deployment's
+    /// totals.
     ShardStats,
     /// The latest certified epoch checkpoint bundle: the current map, its
     /// transition, and the epoch checkpoint hash-chained to it — everything
@@ -791,13 +729,6 @@ impl WireEncode for Request {
                 lo.encode_into(out);
                 hi.encode_into(out);
             }
-            Request::Project { lo, hi, attrs } => {
-                out.push(2);
-                lo.encode_into(out);
-                hi.encode_into(out);
-                attrs.encode_into(out);
-            }
-            Request::Stats => out.push(3),
             Request::Rebalance(rb) => {
                 out.push(5);
                 rb.encode_into(out);
@@ -831,12 +762,6 @@ impl Request {
                 lo: r.i64()?,
                 hi: r.i64()?,
             }),
-            2 => Ok(Request::Project {
-                lo: r.i64()?,
-                hi: r.i64()?,
-                attrs: Vec::<u32>::decode_from(r)?,
-            }),
-            3 => Ok(Request::Stats),
             5 => Ok(Request::Rebalance(Box::new(Rebalance::decode_from(r)?))),
             6 => Ok(Request::SelectShard {
                 shard: r.u32()?,
@@ -880,10 +805,6 @@ pub enum Response {
     Pong,
     /// A sharded selection answer.
     Selection(ShardedSelectionAnswer),
-    /// A projection answer. Boxed like [`Response::ShardSelection`].
-    Projection(Box<ProjectionAnswer>),
-    /// Aggregated statistics.
-    Stats(QsStats),
     /// The server refused to construct an answer.
     Refused(QueryError),
     /// A rebalance package was applied; the server now serves the new
@@ -925,14 +846,6 @@ impl WireEncode for Response {
                 out.push(1);
                 a.encode_into(out);
             }
-            Response::Projection(a) => {
-                out.push(2);
-                a.encode_into(out);
-            }
-            Response::Stats(s) => {
-                out.push(3);
-                s.encode_into(out);
-            }
             Response::Refused(e) => {
                 out.push(4);
                 e.encode_into(out);
@@ -967,10 +880,6 @@ impl Response {
         match tag {
             0 => Ok(Response::Pong),
             1 => Ok(Response::Selection(ShardedSelectionAnswer::decode_from(r)?)),
-            2 => Ok(Response::Projection(Box::new(
-                ProjectionAnswer::decode_from(r)?,
-            ))),
-            3 => Ok(Response::Stats(QsStats::decode_from(r)?)),
             4 => Ok(Response::Refused(QueryError::decode_from(r)?)),
             6 => Ok(Response::Rebalanced),
             7 => Ok(Response::ShardSelection(Box::new(
@@ -1068,22 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_answer_round_trips() {
-        let (mut sa, sqs) = one_shard(SchemeKind::Mock, SigningMode::PerAttribute, 10, 19);
-        assert_canonical(&sqs.project(0, 80, &[0, 1]).unwrap());
-        // With a summary run anchored at a checkpoint attached.
-        for _ in 0..3 {
-            sa.advance_clock(10);
-            sqs.ingest(sa.maybe_publish_summaries());
-        }
-        let ckpt = sa.checkpoint_shard_summaries(0, 1).expect("compactable");
-        sqs.apply_checkpoint(0, ckpt);
-        let anchored = sqs.project(0, 80, &[0, 1]).unwrap();
-        assert!(anchored.checkpoint.is_some() && !anchored.summaries.is_empty());
-        assert_canonical(&anchored);
-    }
-
-    #[test]
     fn update_stream_round_trips() {
         let (mut sa, _) = one_shard(SchemeKind::Mock, SigningMode::Chained, 6, 20);
         sa.advance_clock(1);
@@ -1125,23 +1018,7 @@ mod tests {
     fn protocol_messages_round_trip() {
         assert_canonical(&Request::Ping);
         assert_canonical(&Request::Select { lo: -5, hi: 900 });
-        assert_canonical(&Request::Project {
-            lo: 0,
-            hi: 10,
-            attrs: vec![0, 1],
-        });
-        assert_canonical(&Request::Stats);
         assert_canonical(&Response::Pong);
-        let stats = QsStats {
-            agg_ops: 1,
-            queries: 2,
-            updates: 3,
-            node_cache_hits: 4,
-            node_cache_misses: 5,
-            node_cache_evictions: 6,
-        };
-        assert_eq!(stats.encode().len(), 48, "six u64 counters");
-        assert_canonical(&Response::Stats(stats));
         assert_canonical(&Response::Refused(QueryError::WrongSigningMode {
             required: SigningMode::Chained,
             actual: SigningMode::PerAttribute,
@@ -1154,7 +1031,7 @@ mod tests {
         assert_canonical(&Response::Refused(QueryError::BadRebalance));
         assert_canonical(&Response::Rebalanced);
         assert_canonical(&Request::ShardStats);
-        assert_canonical(&Response::ShardStats(vec![
+        let shard_stats = Response::ShardStats(vec![
             QsStats::default(),
             QsStats {
                 agg_ops: 9,
@@ -1164,7 +1041,10 @@ mod tests {
                 node_cache_misses: 5,
                 node_cache_evictions: 4,
             },
-        ]));
+        ]);
+        // Tag, count, then six u64 counters per shard.
+        assert_eq!(shard_stats.encode().len(), 1 + 4 + 2 * 48);
+        assert_canonical(&shard_stats);
         assert_canonical(&Response::Busy);
         assert_canonical(&Request::Checkpoint);
         assert_canonical(&Request::Tagged {
@@ -1179,23 +1059,22 @@ mod tests {
 
     #[test]
     fn retired_epoch_tags_are_bad_tags() {
-        // Request 4 / response 5 carried the from-genesis transition chain.
+        // Request 4 / response 5 carried the from-genesis transition chain;
+        // tags 2 and 3 both ways carried projections and the stats total.
         // They stay unassigned: an old peer gets a typed refusal, and no
         // later message can be misread under the old grammar.
-        assert!(matches!(
-            Request::decode(&[4]),
-            Err(WireError::BadTag {
-                what: "request",
-                tag: 4
-            })
-        ));
-        assert!(matches!(
-            Response::decode(&[5]),
-            Err(WireError::BadTag {
-                what: "response",
-                tag: 5
-            })
-        ));
+        for tag in [2, 3, 4] {
+            assert!(matches!(
+                Request::decode(&[tag]),
+                Err(WireError::BadTag { what: "request", tag: t }) if t == tag
+            ));
+        }
+        for tag in [2, 3, 5] {
+            assert!(matches!(
+                Response::decode(&[tag]),
+                Err(WireError::BadTag { what: "response", tag: t }) if t == tag
+            ));
+        }
     }
 
     #[test]

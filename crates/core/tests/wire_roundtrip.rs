@@ -109,27 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn projection_answers_round_trip_canonically(
-        n0 in 0usize..25,
-        key_span in 4i64..40,
-        raw_ops in prop::collection::vec((any::<u8>(), any::<i64>(), any::<i64>()), 0..20),
-        queries in prop::collection::vec((-50i64..50, 0i64..30, 0u8..3), 1..5),
-    ) {
-        let ops = decode_ops(&raw_ops, 4);
-        let (_sa, sqs) = run_workload(SigningMode::PerAttribute, n0, key_span, &ops);
-        for &(lo, w, attr_sel) in &queries {
-            let attrs: &[usize] = match attr_sel % 3 {
-                0 => &[0],
-                1 => &[1],
-                _ => &[0, 1],
-            };
-            let ans = sqs.project(lo, lo + w, attrs).unwrap();
-            assert_canonical(&ans);
-            assert_canonical(&Response::Projection(Box::new(ans)));
-        }
-    }
-
-    #[test]
     fn sharded_answers_round_trip_canonically(
         n0 in 1usize..30,
         raw_splits in prop::collection::vec(1i64..40, 0..7),

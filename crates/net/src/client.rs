@@ -12,7 +12,7 @@
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use authdb_core::qs::{ProjectionAnswer, QsStats, SelectionAnswer};
+use authdb_core::qs::{QsStats, SelectionAnswer};
 use authdb_core::shard::{EpochBootstrap, Rebalance, ShardedSelectionAnswer};
 use authdb_core::wire::{Request, Response};
 use authdb_wire::{deframe, frame, DEFAULT_MAX_FRAME_LEN};
@@ -23,21 +23,19 @@ use crate::{read_frame_body, NetError};
 /// A connected client.
 pub struct QsClient {
     stream: TcpStream,
-    max_frame_len: usize,
     bytes_received: u64,
     last_response_bytes: usize,
 }
 
 impl QsClient {
-    /// Connect with the default cap on a response frame's declared length —
-    /// the client-side guard against a malicious server's oversized length
-    /// prefix.
+    /// Connect without deadlines. Every response frame's declared length
+    /// is capped at [`DEFAULT_MAX_FRAME_LEN`] — the client-side guard
+    /// against a malicious server's oversized length prefix.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(QsClient {
             stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             bytes_received: 0,
             last_response_bytes: 0,
         })
@@ -80,7 +78,6 @@ impl QsClient {
             .map_err(|e| NetError::from_io(e, "connect"))?;
         Ok(QsClient {
             stream,
-            max_frame_len: config.max_frame_len,
             bytes_received: 0,
             last_response_bytes: 0,
         })
@@ -127,7 +124,7 @@ impl QsClient {
     }
 
     fn read_response(&mut self) -> Result<Response, NetError> {
-        let body = read_frame_body(&mut self.stream, self.max_frame_len)?;
+        let body = read_frame_body(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         self.last_response_bytes = 4 + body.len();
         self.bytes_received += self.last_response_bytes as u64;
         Ok(deframe(&body)?)
@@ -173,28 +170,10 @@ impl QsClient {
         })
     }
 
-    /// Projection of `attrs` over the range, for
-    /// `Verifier::verify_projection`.
-    pub fn project(
-        &mut self,
-        lo: i64,
-        hi: i64,
-        attrs: &[usize],
-    ) -> Result<ProjectionAnswer, NetError> {
-        let attrs: Vec<u32> = attrs.iter().map(|&a| a as u32).collect();
-        let request = Request::Project { lo, hi, attrs };
-        self.exchange(&request, "expected Projection", |r| match r {
-            Response::Projection(answer) => Some(*answer),
-            _ => None,
-        })
-    }
-
-    /// The server's aggregated proof-construction statistics.
+    /// The server's proof-construction statistics summed over its shards —
+    /// the same total `ShardedQueryServer::stats` reports in process.
     pub fn stats(&mut self) -> Result<QsStats, NetError> {
-        self.exchange(&Request::Stats, "expected Stats", |r| match r {
-            Response::Stats(stats) => Some(stats),
-            _ => None,
-        })
+        Ok(self.shard_stats()?.into_iter().sum())
     }
 
     /// Per-shard proof-construction statistics, in shard order — the load

@@ -1,10 +1,11 @@
-//! Per-shard fan-out with sound partial-answer degradation.
+//! Per-shard fan-out with sound partial-answer degradation — the one
+//! retrying client.
 //!
-//! A single [`QsClient`](crate::QsClient) talking to a single endpoint is
-//! all-or-nothing: one partitioned shard takes the whole answer down.
-//! [`ShardFanout`] instead queries each shard's endpoint independently
-//! (through [`ResilientClient`]s, so each endpoint gets its own deadline
-//! and retry budget) and degrades *soundly* when some shards are dark:
+//! A single [`QsClient`] talking to a single endpoint is all-or-nothing:
+//! one partitioned shard takes the whole answer down. [`ShardFanout`]
+//! instead queries each shard's endpoint independently (a fresh connection
+//! per attempt, each endpoint with its own deadlines and retry budget, see
+//! [`crate::retry`]) and degrades *soundly* when some shards are dark:
 //!
 //! * The sub-range each shard is asked for comes from the fanout's
 //!   **pinned map** — never from the servers — so no endpoint can shrink
@@ -27,10 +28,15 @@
 //! answer). A malicious publisher cannot convert withholding into an
 //! innocent-looking outage, because the outage list never passes through
 //! its hands.
+//!
+//! Both calls, [`ShardFanout::select_range`] and [`ShardFanout::checkpoint`],
+//! are idempotent and so safe to retry; a rebalance goes through a plain
+//! [`QsClient`], whose caller owns its at-most-once semantics.
 
-use authdb_core::shard::{ShardAnswer, ShardMap, ShardedSelectionAnswer};
+use authdb_core::shard::{EpochBootstrap, ShardAnswer, ShardMap, ShardedSelectionAnswer};
 
-use crate::retry::{ClientConfig, ResilientClient};
+use crate::client::QsClient;
+use crate::retry::ClientConfig;
 use crate::NetError;
 
 /// One shard the fan-out could not reach, with the final typed transport
@@ -69,8 +75,8 @@ impl PartialAnswer {
     }
 }
 
-/// A resilient multi-endpoint selection client: shard `i` of the pinned
-/// map is served by `endpoints[i]`.
+/// The retrying multi-endpoint client: shard `i` of the pinned map is
+/// served by `endpoints[i]`.
 pub struct ShardFanout {
     map: ShardMap,
     endpoints: Vec<String>,
@@ -105,19 +111,11 @@ impl ShardFanout {
     /// encountered was transport-class; returns `Err` on the first
     /// integrity fault — a corrupt or refusing shard poisons the whole
     /// answer rather than hiding among outages.
-    pub fn select_range(&mut self, lo: i64, hi: i64) -> Result<PartialAnswer, NetError> {
+    pub fn select_range(&self, lo: i64, hi: i64) -> Result<PartialAnswer, NetError> {
         let mut parts = Vec::new();
         let mut outages = Vec::new();
         for (shard, (sub_lo, sub_hi)) in self.map.overlapping(lo, hi) {
-            // Per-shard jitter seed: decorrelate shard retries while
-            // keeping the whole fan-out reproducible from one config.
-            let mut config = self.config.clone();
-            config.retry.jitter_seed = config
-                .retry
-                .jitter_seed
-                .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9));
-            let mut client = ResilientClient::new(self.endpoints[shard].clone(), config);
-            match client.select_shard(shard, sub_lo, sub_hi) {
+            match self.with_retries(shard, |c| c.select_shard(shard, sub_lo, sub_hi)) {
                 Ok(answer) => parts.push(ShardAnswer { shard, answer }),
                 Err(e) if e.is_retryable() => outages.push(ShardOutage { shard, error: e }),
                 Err(e) => return Err(e),
@@ -130,5 +128,44 @@ impl ShardFanout {
             },
             outages,
         })
+    }
+
+    /// The server's O(1) epoch bundle (live map, latest transition, epoch
+    /// checkpoint) for `EpochView::from_bootstrap` / `EpochView::observe`,
+    /// asked of the first endpoint: every endpoint fronts the same
+    /// deployment, and the bundle verifies on its own signatures.
+    pub fn checkpoint(&self) -> Result<EpochBootstrap, NetError> {
+        self.with_retries(0, QsClient::checkpoint)
+    }
+
+    /// Run one idempotent request against `shard`'s endpoint, retrying
+    /// retryable faults with backoff. Each attempt uses a fresh connection:
+    /// after a timeout or mid-frame disconnect the old stream's framing
+    /// state is unknown, and a response to a *previous* attempt arriving on
+    /// a reused stream would be misattributed to the current one.
+    fn with_retries<T>(
+        &self,
+        shard: usize,
+        mut op: impl FnMut(&mut QsClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        // Per-shard jitter seed: decorrelate shard retries while keeping
+        // the whole fan-out reproducible from one config.
+        let mut retry = self.config.retry;
+        retry.jitter_seed = retry
+            .jitter_seed
+            .wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9));
+        let mut k = 0usize;
+        loop {
+            let outcome = QsClient::connect_with(&*self.endpoints[shard], &self.config)
+                .and_then(|mut c| op(&mut c));
+            match outcome {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_retryable() && k < retry.max_retries => {
+                    std::thread::sleep(retry.backoff(k));
+                    k += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 }

@@ -16,12 +16,15 @@
 //!   batches — each answered with exactly one framed
 //!   [`Response`](authdb_core::wire::Response).
 //! * [`QsClient`] — a blocking client whose decoded answers feed straight
-//!   into the **existing** `Verifier` (`verify_sharded_selection` /
-//!   `verify_projection`). The verifier is not weakened or forked for the
-//!   network path: the client performs *no* trust decisions of its own —
-//!   it only decodes, and decoding failures are typed [`WireError`]s.
+//!   into the **existing** `Verifier` (`verify_sharded_selection`). The
+//!   verifier is not weakened or forked for the network path: the client
+//!   performs *no* trust decisions of its own — it only decodes, and
+//!   decoding failures are typed [`WireError`]s.
 //!   [`QsClient::pipeline_select`] multiplexes a batch of selections over
 //!   one connection, matching responses to requests by echoed id.
+//! * [`ShardFanout`] — the one retrying client: one endpoint per shard,
+//!   deadlines and bounded retries per endpoint, and a sound
+//!   [`PartialAnswer`] when some shards stay dark.
 //! * [`WireTamper`] — the byte-level arm of the adversary catalog: frame
 //!   corruptions a malicious server (or the network) can apply, each pinned
 //!   to the typed error it must surface as. The corruptions are applied
@@ -85,8 +88,10 @@
 //! | server overloaded ([`NetError::Overloaded`]) | typed `Busy` response | retry with backoff — the shed is about load, not content | none — the request was never answered |
 //!
 //! Retries are restricted to **idempotent** requests (shard selections and
-//! the epoch bundle); `Rebalance` is never retried — [`ResilientClient`]
-//! simply does not expose it, so the type system enforces the restriction.
+//! the epoch bundle); `Rebalance` is never retried — [`ShardFanout`], the
+//! only client that retries, simply does not expose it, so the type system
+//! enforces the restriction. Projections and joins (§3.4, §3.5) have no
+//! network request at all: they are reproduced in process, one shard.
 
 pub mod autobalance;
 pub mod client;
@@ -102,7 +107,7 @@ pub use client::QsClient;
 pub use fanout::{PartialAnswer, ShardFanout, ShardOutage};
 pub use fault::{ChaosProxy, Fault, FaultPlan};
 pub use netfault::{run_netfault_catalog, NetFault, NetFaultConformance};
-pub use retry::{ClientConfig, ResilientClient, RetryPolicy};
+pub use retry::{ClientConfig, RetryPolicy};
 pub use server::{QsServer, QsServerOptions};
 pub use tamper::WireTamper;
 
@@ -138,7 +143,7 @@ pub enum NetError {
     /// and re-asking is exactly what the backpressure design expects.
     Overloaded,
     /// The server answered with a well-formed but wrong-kinded response
-    /// (e.g. a projection to a selection request). Not retryable.
+    /// (e.g. a pong to a selection request). Not retryable.
     Protocol(&'static str),
 }
 
@@ -243,10 +248,10 @@ mod tests {
         assert!(io.is_retryable());
         assert!(NetError::Timeout("connect").is_retryable());
         // A load shed is an invitation to come back, not evidence: the
-        // resilient client backs off and re-asks.
+        // fan-out backs off and re-asks.
         assert!(NetError::Overloaded.is_retryable());
         assert!(!NetError::Wire(WireError::Truncated).is_retryable());
         assert!(!NetError::Refused(QueryError::Unsupported).is_retryable());
-        assert!(!NetError::Protocol("projection answer to a selection").is_retryable());
+        assert!(!NetError::Protocol("pong to a selection").is_retryable());
     }
 }

@@ -231,8 +231,7 @@ impl ChaosSystem {
     /// Run a fan-out over the full key range and verify whatever comes
     /// back, partial or not.
     fn exchange(&self, rng: &mut StdRng) -> NetOutcome {
-        let mut fanout = self.fanout();
-        match fanout.select_range(0, 390) {
+        match self.fanout().select_range(0, 390) {
             Err(e) => NetOutcome::Net(e),
             Ok(partial) => self.judge(&partial.answer, &partial.unreachable(), rng),
         }
@@ -301,8 +300,7 @@ fn netfault_scenario(scheme: SchemeKind, fault: NetFault) -> NetFaultConformance
             // Every endpoint answers; the answer then loses shard 1's part
             // while the outage list stays empty — the malicious-publisher
             // shape degradation must never absorb.
-            let mut fanout = sys.fanout();
-            let partial = fanout.select_range(0, 390).expect("healthy fan-out");
+            let partial = sys.fanout().select_range(0, 390).expect("healthy fan-out");
             assert!(partial.is_complete(), "scenario precondition");
             let mut answer = partial.answer;
             answer.parts.retain(|p| p.shard != TARGET_SHARD);
@@ -311,8 +309,7 @@ fn netfault_scenario(scheme: SchemeKind, fault: NetFault) -> NetFaultConformance
         NetFault::PhantomUnreachable => {
             // Every part present, but the outage list claims shard 1 was
             // dark — forged transport evidence with the part still riding.
-            let mut fanout = sys.fanout();
-            let partial = fanout.select_range(0, 390).expect("healthy fan-out");
+            let partial = sys.fanout().select_range(0, 390).expect("healthy fan-out");
             assert!(partial.is_complete(), "scenario precondition");
             sys.judge(&partial.answer, &[TARGET_SHARD], &mut rng)
         }

@@ -8,16 +8,19 @@
 //!    connect, read, and write; a stalled or partitioned server costs at
 //!    most the deadline budget, never a hung client.
 //! 2. **Only transport faults and load sheds are retried.**
-//!    [`NetError::is_retryable`] admits timeouts, I/O errors, and
-//!    [`NetError::Overloaded`] (the server's typed backpressure shed — an
-//!    explicit "come back later"); a decode failure or refusal is an
-//!    answer, and re-soliciting it blindly would let a tampering server
-//!    use "retry" as a second chance to be believed.
-//! 3. **Only idempotent requests are retried.** [`ResilientClient`]
-//!    exposes what its callers retry — a shard's selection tile and the
-//!    epoch bundle — not `Rebalance`. A retried rebalance whose first attempt actually landed
-//!    would be refused as a stale epoch, but the restriction keeps the
-//!    reasoning local: nothing retried here mutates the server.
+//!    [`NetError::is_retryable`](crate::NetError::is_retryable) admits
+//!    timeouts, I/O errors, and
+//!    [`NetError::Overloaded`](crate::NetError::Overloaded) (the server's
+//!    typed backpressure shed — an explicit "come back later"); a decode
+//!    failure or refusal is an answer, and re-soliciting it blindly would
+//!    let a tampering server use "retry" as a second chance to be believed.
+//! 3. **Only idempotent requests are retried.**
+//!    [`ShardFanout`](crate::ShardFanout) is the one retrying client, and
+//!    it exposes only what is safe to re-ask — a shard's selection tile and
+//!    the epoch bundle — not `Rebalance`. A retried rebalance whose first
+//!    attempt actually landed would be refused as a stale epoch, but the
+//!    restriction keeps the reasoning local: nothing retried mutates the
+//!    server.
 //!
 //! Backoff is exponential with deterministic jitter: attempt `k` sleeps
 //! `min(max_backoff, base << k)` scaled by a factor in `[0.5, 1.0]` drawn
@@ -28,14 +31,11 @@
 
 use std::time::Duration;
 
-use authdb_core::qs::SelectionAnswer;
-use authdb_core::shard::EpochBootstrap;
-use authdb_wire::DEFAULT_MAX_FRAME_LEN;
+use crate::splitmix64;
 
-use crate::client::QsClient;
-use crate::{splitmix64, NetError};
-
-/// Deadlines and retry behavior for a resilient connection.
+/// Deadlines and retry behavior for a resilient connection. A response
+/// frame's declared length is capped at `authdb_wire::DEFAULT_MAX_FRAME_LEN`
+/// on every connection.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Bound on the TCP connect attempt.
@@ -46,8 +46,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Bound on each blocking write.
     pub write_timeout: Duration,
-    /// Cap on a response frame's declared length.
-    pub max_frame_len: usize,
     /// How transport faults are retried.
     pub retry: RetryPolicy,
 }
@@ -58,7 +56,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             retry: RetryPolicy::default(),
         }
     }
@@ -72,7 +69,6 @@ impl ClientConfig {
             connect_timeout: Duration::from_millis(300),
             read_timeout: Duration::from_millis(300),
             write_timeout: Duration::from_millis(300),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             retry: RetryPolicy {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(10),
@@ -82,10 +78,11 @@ impl ClientConfig {
         }
     }
 
-    /// Worst-case wall-clock budget for one request through
-    /// [`ResilientClient`]: every attempt hitting its connect + write +
-    /// read deadlines, plus every backoff sleep at its maximum. Chaos tests
-    /// assert elapsed time never exceeds this — the "never hangs" bound.
+    /// Worst-case wall-clock budget for one shard's request through
+    /// [`ShardFanout`](crate::ShardFanout): every attempt hitting its
+    /// connect + write + read deadlines, plus every backoff sleep at its
+    /// maximum. Chaos tests assert elapsed time never exceeds this — the
+    /// "never hangs" bound.
     pub fn deadline_budget(&self) -> Duration {
         let attempts = self.retry.max_retries as u32 + 1;
         let per_attempt = self.connect_timeout + self.write_timeout + self.read_timeout;
@@ -139,76 +136,6 @@ impl RetryPolicy {
         let ceiling = self.backoff_ceiling(k);
         let unit = splitmix64(self.jitter_seed.wrapping_add(k as u64)) as f64 / (u64::MAX as f64);
         ceiling.mul_f64(0.5 + 0.5 * unit)
-    }
-}
-
-/// A client that reconnects and retries idempotent requests through
-/// transport faults, under the deadlines and backoff of its
-/// [`ClientConfig`]. Each attempt uses a fresh connection: after a timeout
-/// or mid-frame disconnect the old stream's framing state is unknown, and a
-/// response to a *previous* attempt arriving on a reused stream would be
-/// misattributed to the current one.
-///
-/// `Rebalance` is deliberately absent — it mutates the server and is not
-/// safe to blind-retry; drivers that push rebalances use [`QsClient`]
-/// directly and handle their own at-most-once semantics.
-pub struct ResilientClient {
-    addr: String,
-    config: ClientConfig,
-    attempts: u64,
-}
-
-impl ResilientClient {
-    /// Target `addr` (resolved fresh per attempt) under `config`.
-    pub fn new(addr: impl Into<String>, config: ClientConfig) -> Self {
-        ResilientClient {
-            addr: addr.into(),
-            config,
-            attempts: 0,
-        }
-    }
-
-    /// Total connection attempts made (successful or not) — the numerator
-    /// of the retry-amplification factor `fig_chaos` measures.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
-    /// Run one idempotent request, retrying retryable faults with backoff.
-    fn with_retries<T>(
-        &mut self,
-        mut op: impl FnMut(&mut QsClient) -> Result<T, NetError>,
-    ) -> Result<T, NetError> {
-        let mut k = 0usize;
-        loop {
-            self.attempts += 1;
-            let outcome =
-                QsClient::connect_with(&*self.addr, &self.config).and_then(|mut c| op(&mut c));
-            match outcome {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && k < self.config.retry.max_retries => {
-                    std::thread::sleep(self.config.retry.backoff(k));
-                    k += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One shard's tile of a selection, addressed by index.
-    pub fn select_shard(
-        &mut self,
-        shard: usize,
-        lo: i64,
-        hi: i64,
-    ) -> Result<SelectionAnswer, NetError> {
-        self.with_retries(|c| c.select_shard(shard, lo, hi))
-    }
-
-    /// The server's O(1) epoch bundle (live map, latest transition, epoch
-    /// checkpoint) for `EpochView::from_bootstrap` / `EpochView::observe`.
-    pub fn checkpoint(&mut self) -> Result<EpochBootstrap, NetError> {
-        self.with_retries(|c| c.checkpoint())
     }
 }
 

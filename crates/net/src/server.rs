@@ -46,7 +46,7 @@
 //!   regardless of which connection they arrived on.
 //!
 //! Clients surface `Busy` as `NetError::Overloaded`, which
-//! [`is_retryable`](crate::NetError::is_retryable) admits — the resilient
+//! [`is_retryable`](crate::NetError::is_retryable) admits — the fan-out
 //! client backs off and re-asks, and soundness is untouched because a shed
 //! request was never answered at all.
 
@@ -422,8 +422,8 @@ fn encode_response(response: Response) -> Vec<u8> {
 
 /// Map one request onto the sharded server. Server-side refusals travel as
 /// [`Response::Refused`]; nothing here panics on hostile input (the codec
-/// already rejected malformed frames, `project` bounds attribute indices
-/// itself, and `apply_rebalance` checks the package's DA signatures and
+/// already rejected malformed frames, `select_shard` bounds the shard
+/// index, and `apply_rebalance` checks the package's DA signatures and
 /// shape before touching any state). Dispatch takes `&ShardedQueryServer` — queries run
 /// against an epoch snapshot and writers order themselves, so connection
 /// threads hold no lock here and run it concurrently.
@@ -440,14 +440,6 @@ fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
                 Err(e) => Response::Refused(e),
             }
         }
-        Request::Project { lo, hi, attrs } => {
-            let attrs: Vec<usize> = attrs.into_iter().map(|a| a as usize).collect();
-            match server.project(lo, hi, &attrs) {
-                Ok(answer) => Response::Projection(Box::new(answer)),
-                Err(e) => Response::Refused(e),
-            }
-        }
-        Request::Stats => Response::Stats(server.stats()),
         Request::ShardStats => Response::ShardStats(server.shard_stats()),
         Request::Checkpoint => Response::Checkpoint(Box::new(server.epoch_bootstrap())),
         Request::Rebalance(rb) => match server.apply_rebalance(&rb) {

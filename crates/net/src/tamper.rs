@@ -8,6 +8,7 @@
 //! never a panic and never an allocation driven by attacker-declared
 //! lengths.
 
+use authdb_core::verify::VerifyError;
 use authdb_wire::WireError;
 
 /// One way to corrupt a response frame in flight.
@@ -84,7 +85,7 @@ impl WireTamper {
 
     /// Whether `err` is the codec-level rejection this strategy pins. The
     /// bit-flip strategy may instead survive decoding and die at the
-    /// verifier (see [`WireTamper::expects_verify_names`]).
+    /// verifier (see [`WireTamper::expects_verify`]).
     pub fn expects_wire(self, err: &WireError) -> bool {
         match self {
             // A flipped x-coordinate bit either leaves the curve (rejected
@@ -103,13 +104,17 @@ impl WireTamper {
         }
     }
 
-    /// The `VerifyError` variant names acceptable when the tampered frame
-    /// still decodes (only reachable for the bit-flip strategy: the flipped
-    /// signature is structurally valid but verifies against nothing).
-    pub fn expects_verify_names(self) -> &'static [&'static str] {
+    /// Whether `err` is the verifier's rejection this strategy pins when
+    /// the tampered frame still decodes (only reachable for the bit-flip
+    /// strategy: the flipped signature is structurally valid but verifies
+    /// against nothing).
+    pub fn expects_verify(self, err: &VerifyError) -> bool {
         match self {
-            WireTamper::BitFlipSignature => &["BadSummarySignature", "BadAggregate"],
-            _ => &[],
+            WireTamper::BitFlipSignature => matches!(
+                err,
+                VerifyError::BadSummarySignature { .. } | VerifyError::BadAggregate
+            ),
+            _ => false,
         }
     }
 }

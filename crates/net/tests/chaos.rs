@@ -26,8 +26,8 @@ use authdb_core::shard::{RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{
-    ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions,
-    ResilientClient, ShardFanout, WireTamper,
+    ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions, ShardFanout,
+    WireTamper,
 };
 
 struct System {
@@ -82,11 +82,14 @@ fn random_script(seed: u64, len: usize, chaos_pct: u64) -> (Vec<Fault>, bool) {
     (script, corrupting)
 }
 
-/// A retrying client reaches PR 10's O(1) bootstrap: the first connection
-/// is refused, the retried `checkpoint()` bundle pins the live epoch.
+/// A fan-out pinned to a stale map reaches the O(1) bootstrap: the first
+/// connection is refused, the retried `checkpoint()` bundle pins the live
+/// epoch.
 #[test]
 fn retried_checkpoint_bundle_bootstraps_the_live_epoch() {
     let mut sys = build();
+    let endpoints = sys.proxies.iter().map(|p| p.addr().to_string()).collect();
+    let fanout = ShardFanout::new(sys.sa.map().clone(), endpoints, sys.config.clone());
     let rb = sys
         .sa
         .rebalance(RebalancePlan::Split { shard: 0, at: 50 }, 2);
@@ -95,9 +98,10 @@ fn retried_checkpoint_bundle_bootstraps_the_live_epoch() {
         .expect("honest rebalance applies");
     sys.proxies[0].set_plan(FaultPlan::from_script(vec![Fault::RefuseConnect]));
 
-    let mut client = ResilientClient::new(sys.proxies[0].addr().to_string(), sys.config.clone());
-    let boot = client.checkpoint().expect("second attempt gets through");
-    assert_eq!(client.attempts(), 2, "one refused connect, one retry");
+    let before = sys.proxies[0].connections();
+    let boot = fanout.checkpoint().expect("second attempt gets through");
+    let attempts = sys.proxies[0].connections() - before;
+    assert_eq!(attempts, 2, "one refused connect, one retry");
     assert!(
         boot.checkpoint.is_some(),
         "past genesis the bundle is checkpointed"
@@ -139,7 +143,7 @@ proptest! {
         for &(lo, w) in &queries {
             let hi = lo + w;
             let endpoints = sys.proxies.iter().map(|p| p.addr().to_string()).collect();
-            let mut fanout =
+            let fanout =
                 ShardFanout::new(sys.sa.map().clone(), endpoints, sys.config.clone());
             let started = Instant::now();
             let result = fanout.select_range(lo, hi);

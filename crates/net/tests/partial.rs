@@ -40,7 +40,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
         ..ClientConfig::fast()
     };
     let endpoints: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
-    let mut fanout = ShardFanout::new(sa.map().clone(), endpoints, config.clone());
+    let fanout = ShardFanout::new(sa.map().clone(), endpoints, config.clone());
     let now = sa.now();
 
     // Fault-free baseline: warm once, then measure the healthy RTT.

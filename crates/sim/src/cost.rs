@@ -302,12 +302,13 @@ pub mod wire_model {
     }
 }
 
-/// Retry/backoff model for the resilient client under lossy transport.
+/// Retry/backoff model for the retrying fan-out under lossy transport.
 ///
-/// `authdb-net`'s `ResilientClient` makes up to `retries + 1` attempts,
-/// each failing independently with probability `p` (the fault-injection
-/// rate a chaos schedule applies per connection), sleeping a jittered
-/// exponential backoff between attempts. These closed forms predict the
+/// `authdb-net`'s `ShardFanout`, the one client that retries, makes up to
+/// `retries + 1` attempts per shard request, each failing independently
+/// with probability `p` (the fault-injection rate a chaos schedule applies
+/// per connection), sleeping a jittered exponential backoff between
+/// attempts. These closed forms predict the
 /// aggregate cost of that machinery; the `fig_chaos` bench measures the
 /// real client through a real fault-injecting proxy and asserts the
 /// measured retry amplification agrees with [`retry_model::expected_attempts`]

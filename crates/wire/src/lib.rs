@@ -79,7 +79,9 @@
 //! retirement of request tag 4 and response tag 5. **4** — `QsStats` lost
 //! the hit and miss counters of the retired server-side aggregate cache:
 //! six `u64`s, 48 bytes instead of 64; every other encoding is
-//! bit-identical to version 3.
+//! bit-identical to version 3. Within version 4, request and response tags
+//! 2 (projection) and 3 (the stats total) were retired the same way: no
+//! bump.
 //!
 //! ## Failure discipline
 //!
