@@ -9,9 +9,9 @@ use authdb_crypto::bls::BlsPrivateKey;
 use authdb_crypto::bn254::{
     final_exponentiation, multi_miller_loop, pairing, Fp, Fr, G2Prepared, G1, G2,
 };
-use authdb_crypto::rsa::RsaPrivateKey;
 use authdb_crypto::sha1::sha1;
 use authdb_crypto::sha256::sha256;
+use authdb_paper::rsa::RsaPrivateKey;
 
 fn bench_hashing(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash");
@@ -371,7 +371,7 @@ fn bench_rsa(c: &mut Criterion) {
     g.bench_function("condense_100", |b| {
         b.iter_batched(
             || sigs.clone(),
-            |s| authdb_crypto::rsa::condense(&pk, &s),
+            |s| authdb_paper::rsa::condense(&pk, &s),
             BatchSize::SmallInput,
         )
     });

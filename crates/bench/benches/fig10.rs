@@ -9,9 +9,10 @@
 //! to obtain contended response times.
 
 use authdb_bench::{banner, csv_begin, csv_end, env_n};
-use authdb_core::sigcache::{select_cache, NodeId, RefreshStrategy, SigCache, SigTreeAnalysis};
 use authdb_crypto::signer::{Keypair, SchemeKind, Signature};
-use authdb_sim::{des, CostModel, SimConfig, Step, TxnKind, TxnSpec};
+use authdb_paper::des::{self, SimConfig, Step, TxnKind, TxnSpec};
+use authdb_paper::sigcache::{select_cache, NodeId, RefreshStrategy, SigCache, SigTreeAnalysis};
+use authdb_sim::CostModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,7 +73,7 @@ fn run_point(
         let is_update = rng.gen_bool(upd_pct / 100.0);
         // Server service = Table 4's calibrated BAS cost with its modelled
         // aggregation term replaced by the *actual* op count from the cache.
-        let service = authdb_sim::models::ServiceTimes::paper_table4();
+        let service = authdb_paper::models::ServiceTimes::paper_table4();
         if is_update {
             let pos = rng.gen_range(0..n);
             let before_u = cache.stats().update_ops;

@@ -8,7 +8,7 @@
 //! published pick lists.
 
 use authdb_bench::{banner, csv_begin, csv_end, fmt_time, timed};
-use authdb_core::sigcache::{distributions, select_cache, NodeId, SigTreeAnalysis};
+use authdb_paper::sigcache::{distributions, select_cache, NodeId, SigTreeAnalysis};
 use authdb_sim::CostModel;
 
 fn run(label: &str, probs: Vec<f64>, ecc_add: f64, paper_picks: &[(usize, usize)]) {

@@ -7,8 +7,8 @@
 //! purely from the EMB− exclusive root lock.
 
 use authdb_bench::{banner, csv_begin, csv_end};
-use authdb_sim::models::{run_load, System};
-use authdb_sim::{CostModel, SystemModel};
+use authdb_paper::models::{run_load, System, SystemModel};
+use authdb_sim::CostModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,9 +7,9 @@
 //! what matters).
 
 use authdb_bench::{banner, csv_begin, csv_end, full_scale};
-use authdb_index::asign::model;
 use authdb_index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
 use authdb_index::emb::{DigestKind, EmbTree};
+use authdb_paper::asign::model;
 use authdb_storage::{BufferPool, Disk};
 
 fn real_heights(n: usize) -> (usize, usize) {

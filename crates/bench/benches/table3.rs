@@ -3,16 +3,16 @@
 //! Measures this workspace's real implementations of the operations in the
 //! paper's Table 3: BAS (BLS over BN254) individual sign/verify and
 //! 1000-signature aggregation/verification; Condensed RSA-1024 ditto, called
-//! straight from `authdb_crypto::rsa` (a baseline, not a serving scheme);
+//! straight from `authdb_paper::rsa` (a baseline, not a serving scheme);
 //! and SHA hashing of 256/512/1024-byte messages. Printed side by side with
 //! the paper's "Current" (2009 quad-core) column.
 
 use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, fmt_time};
-use authdb_crypto::rsa::{condense, RsaPrivateKey};
 use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_crypto::{sha1::sha1, sha256::sha256};
+use authdb_paper::rsa::{condense, RsaPrivateKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -12,11 +12,11 @@ use authdb_bench::{
     banner, csv_begin, csv_end, env_jobs, env_n, fmt_bytes, fmt_time, replica_opts,
 };
 use authdb_core::da::DaConfig;
-use authdb_core::embsys::{EmbAggregator, EmbServer, EmbVerifier};
 use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_index::emb::DigestKind;
+use authdb_paper::embsys::{EmbAggregator, EmbServer, EmbVerifier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

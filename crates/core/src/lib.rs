@@ -32,23 +32,15 @@
 //!   catalogs every verifier change is regression-checked against, and the
 //!   timeline fixture ([`adversary::sharded_system`]) the scripted scenarios
 //!   here and in `authdb-net` share.
-//! * [`sigcache`] — the Section 4 aggregate-signature cache: the analysis,
-//!   Algorithm 1 and the runtime cost model the paper's figures measure.
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and
 //!   the QS request/response protocol (served over TCP by `authdb-net`).
-//! * [`policy`] — the load-driven auto-rebalance policy (when to split or
-//!   merge shards).
-//! * [`embsys`] — the EMB− baseline system the paper compares against.
 
 pub mod adversary;
 pub mod da;
-pub mod embsys;
 pub mod freshness;
 pub mod join;
-pub mod policy;
 pub mod qs;
 pub mod record;
 pub mod shard;
-pub mod sigcache;
 pub mod verify;
 pub mod wire;

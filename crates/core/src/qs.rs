@@ -27,7 +27,7 @@
 //! A selection's aggregate is the plain fold over the matched records'
 //! signatures, one aggregation per record. The paper's Section 4
 //! aggregate-signature cache is reproduced as an analysis and cost model
-//! in [`crate::sigcache`], not on this path: the whole server-side shard
+//! in `authdb_paper::sigcache`, not on this path: the whole server-side shard
 //! selection is about 44 µs of a ≈ 3.3 ms live BAS range answer, so a
 //! cache could save only a few ECC additions per answer.
 

@@ -1378,10 +1378,9 @@ impl ShardedQueryServer {
         self.shard_stats().into_iter().sum()
     }
 
-    /// Per-shard counters in shard order — the load signal the
-    /// auto-rebalance policy ([`crate::policy`]) watches. Lock-free on the
-    /// hot path: the counters are atomics, the slot read lock only pins
-    /// the shard set.
+    /// Per-shard counters in shard order — the operator's per-shard load
+    /// telemetry. Lock-free on the hot path: the counters are atomics, the
+    /// slot read lock only pins the shard set.
     pub fn shard_stats(&self) -> Vec<crate::qs::QsStats> {
         self.current()
             .shards

@@ -697,8 +697,8 @@ pub enum Request {
         /// Upper bound (inclusive) of the shard's sub-range.
         hi: i64,
     },
-    /// Per-shard proof-construction counters in shard order — the load
-    /// signal an auto-rebalance driver polls, and summed, the deployment's
+    /// Per-shard proof-construction counters in shard order — the
+    /// operator's per-shard load telemetry, and summed, the deployment's
     /// totals.
     ShardStats,
     /// The latest certified epoch checkpoint bundle: the current map, its

@@ -1,6 +1,6 @@
 //! Arbitrary-precision unsigned integer arithmetic.
 //!
-//! This is the number-theoretic substrate for the RSA / Condensed-RSA signer
+//! This is the number-theoretic substrate for the Condensed-RSA baseline
 //! and for deriving BN254 pairing constants. Limbs are little-endian `u64`s
 //! with no trailing zero limbs (canonical form). Division is Knuth's
 //! Algorithm D; modular exponentiation uses Montgomery multiplication for odd

@@ -6,11 +6,11 @@
 //! Mouratidis, VLDB 2009):
 //!
 //! * [`bigint`] — arbitrary-precision arithmetic (Knuth division, Montgomery
-//!   exponentiation, Miller-Rabin).
-//! * [`sha1`] / [`sha256`] — the one-way hashes (the paper's 160-bit digests
-//!   and the modern default, respectively).
-//! * [`rsa`] — RSA + Condensed-RSA signature aggregation: the Table 3
-//!   baseline the paper measures BAS against, not a scheme [`signer`] offers.
+//!   exponentiation, Miller-Rabin). BN254 derives its Frobenius constants
+//!   with it; the paper's Condensed-RSA baseline (`authdb_paper::rsa`)
+//!   builds on it too.
+//! * [`sha1`] / [`sha256`] — the one-way hashes (the paper's 160-bit digests,
+//!   which the EMB− baseline uses, and the modern default, respectively).
 //! * [`bn254`] — BN254 field tower, G1/G2 with wNAF scalar multiplication,
 //!   and a batched ate-pairing engine: `G2Prepared` line precomputation,
 //!   `multi_miller_loop` accumulation, and a shared cyclotomic final
@@ -24,7 +24,6 @@
 pub mod bigint;
 pub mod bls;
 pub mod bn254;
-pub mod rsa;
 pub mod sha1;
 pub mod sha256;
 pub mod signer;

@@ -12,8 +12,8 @@
 //!   index layouts match Section 3.2's arithmetic.
 //!
 //! Condensed RSA, the scheme the paper measures BAS against (Table 3), is
-//! not a serving scheme: it lives in [`crate::rsa`] and only the paper's
-//! benchmarks drive it.
+//! not a serving scheme: it lives in `authdb_paper::rsa` and only the
+//! paper's benchmarks drive it.
 //!
 //! The signing side is [`Keypair`]; the query server and clients hold
 //! [`PublicParams`], which can aggregate, subtract, and verify but not sign.

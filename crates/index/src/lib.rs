@@ -7,12 +7,12 @@
 //!   annotations. The live engines run it as a plain `⟨key, rid⟩` index and
 //!   keep each record's signature decoded by rid beside it, not in the
 //!   leaf as Figure 2 does, so a query never decompresses a G1 point.
-//! * [`asign`] — the analytic height model behind Table 1 for the paper's
-//!   `⟨key, sn, rid⟩` signature-aggregation index.
 //! * [`emb`] — the Embedded Merkle B-tree (EMB−) baseline \[18\] with range
 //!   VO construction and root-digest maintenance.
+//!
+//! Table 1's analytic height model for the paper's `⟨key, sn, rid⟩` index
+//! is `authdb_paper::asign`.
 
-pub mod asign;
 pub mod btree;
 pub mod emb;
 

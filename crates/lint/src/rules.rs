@@ -34,14 +34,7 @@ pub const RULES: [&str; 5] = [
 
 /// Error enums whose variants must each be pinned by the adversary catalog
 /// or a test (rule `catalog-coverage`).
-pub const TARGET_ENUMS: [&str; 6] = [
-    "VerifyError",
-    "QueryError",
-    "WireError",
-    "NetError",
-    "PolicyError",
-    "AutoRebalanceError",
-];
+pub const TARGET_ENUMS: [&str; 4] = ["VerifyError", "QueryError", "WireError", "NetError"];
 
 /// One `file:line` finding.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -9,9 +9,14 @@ use std::path::PathBuf;
 fn workspace_is_lint_clean() {
     let root: PathBuf = [env!("CARGO_MANIFEST_DIR"), "..", ".."].iter().collect();
     let a = authdb_lint::analyze_root(&root).expect("walk workspace");
-    assert!(
-        !a.coverage.is_empty(),
-        "coverage table empty — workspace walk found no target enums"
+    // One coverage row per target enum: a pinned enum that is deleted or
+    // renamed must fail here, not silently drop out of the table.
+    let mut enums: Vec<&str> = a.coverage.iter().map(|c| c.enum_name.as_str()).collect();
+    enums.dedup();
+    assert_eq!(
+        enums,
+        authdb_lint::TARGET_ENUMS,
+        "coverage rows per target enum"
     );
     let unpinned: Vec<String> = a
         .coverage

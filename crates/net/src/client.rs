@@ -176,9 +176,8 @@ impl QsClient {
         Ok(self.shard_stats()?.into_iter().sum())
     }
 
-    /// Per-shard proof-construction statistics, in shard order — the load
-    /// signal an auto-rebalance driver feeds to
-    /// `authdb_core::policy::AutoRebalancer`.
+    /// Per-shard proof-construction statistics, in shard order — the
+    /// operator's per-shard load telemetry.
     pub fn shard_stats(&mut self) -> Result<Vec<QsStats>, NetError> {
         self.exchange(&Request::ShardStats, "expected ShardStats", |r| match r {
             Response::ShardStats(stats) => Some(stats),

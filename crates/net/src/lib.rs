@@ -40,7 +40,7 @@
 //!
 //! # Concurrency architecture
 //!
-//! Four pieces compose so that the server reshapes itself under live
+//! Three pieces compose so that the server reshapes itself under live
 //! traffic without a server-wide lock anywhere on the answer path:
 //!
 //! 1. **Per-shard snapshots** (`authdb_core::shard`). Readers pin an
@@ -61,11 +61,6 @@
 //!    `Response::Busy` → [`NetError::Overloaded`] — typed, retryable, and
 //!    never a silent drop. Shed requests were never answered, so soundness
 //!    is untouched.
-//! 4. **Load-driven auto-rebalance** (`authdb_core::policy`). A DA-side
-//!    driver polls per-shard stats over the wire, feeds them to an
-//!    `AutoRebalancer`, and pushes the certified split/merge packages it
-//!    proposes through the same `Rebalance` channel — the deployment
-//!    follows its hotspots while queries keep verifying.
 //!
 //! # Failure model
 //!
@@ -93,7 +88,6 @@
 //! enforces the restriction. Projections and joins (§3.4, §3.5) have no
 //! network request at all: they are reproduced in process, one shard.
 
-pub mod autobalance;
 pub mod client;
 pub mod fanout;
 pub mod fault;
@@ -102,7 +96,6 @@ pub mod retry;
 pub mod server;
 pub mod tamper;
 
-pub use autobalance::{AutoRebalanceDriver, AutoRebalanceError};
 pub use client::QsClient;
 pub use fanout::{PartialAnswer, ShardFanout, ShardOutage};
 pub use fault::{ChaosProxy, Fault, FaultPlan};

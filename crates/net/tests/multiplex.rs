@@ -69,8 +69,8 @@ fn shard_stats_over_the_wire_match_the_handle_and_attribute_load() {
     let direct = server.with_server(|sqs| sqs.shard_stats());
     assert_eq!(wire, direct, "telemetry crosses the wire unchanged");
     assert_eq!(wire.len(), 2);
-    // Per-shard attribution is what the auto-rebalancer feeds on: the cold
-    // shard must not inherit the hot shard's counters.
+    // Per-shard attribution is what an operator reads a hotspot from: the
+    // cold shard must not inherit the hot shard's counters.
     assert!(wire[1].queries >= 5, "hot shard counted: {wire:?}");
     assert_eq!(wire[0].queries, 0, "cold shard untouched: {wire:?}");
 

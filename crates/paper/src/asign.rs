@@ -8,7 +8,7 @@
 //! update touches only one leaf entry instead of a root path.
 //!
 //! The live engines deviate from Figure 2 by keeping signatures decoded by
-//! rid beside a plain `⟨key, rid⟩` [`BTree`](crate::btree::BTree), so a
+//! rid beside a plain `⟨key, rid⟩` [`BTree`](authdb_index::BTree), so a
 //! query never decompresses a G1 point; this module keeps the paper's
 //! layout only as the model Table 1 evaluates.
 

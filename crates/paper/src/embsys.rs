@@ -13,7 +13,7 @@ use authdb_index::btree::LeafEntry;
 use authdb_index::emb::{DigestKind, EmbTree, EmbVo};
 use authdb_storage::{BufferPool, Disk, HeapFile};
 
-use crate::record::{Record, Schema, Tick};
+use authdb_core::record::{Record, Schema, Tick};
 
 /// A signed EMB− root.
 #[derive(Clone, Debug)]

@@ -16,8 +16,8 @@
 
 use rand::Rng;
 
-use crate::cost::{wire_model, CostModel};
 use crate::des::{self, ClassStats, Mode, Res, SimConfig, Step, TxnKind, TxnSpec};
+use authdb_sim::cost::{wire_model, CostModel};
 
 /// Calibrated per-transaction server costs (seconds), linear in the number
 /// of records touched: `base + per_record * (k - 1)`.

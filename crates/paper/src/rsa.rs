@@ -12,8 +12,8 @@
 //! (MGF1-style) to one byte less than the modulus length, guaranteeing the
 //! encoded value is below `n`.
 
-use crate::bigint::{BigUint, Montgomery};
-use crate::sha256::Sha256;
+use authdb_crypto::bigint::{BigUint, Montgomery};
+use authdb_crypto::sha256::Sha256;
 
 /// RSA public key (modulus + public exponent).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -17,7 +17,7 @@
 //!
 //! This module is the Section 4 analysis and runtime model that `fig6`,
 //! `fig10` and the `sigcache_tuning` example measure; it is not part of the
-//! serving path, where [`QueryServer`](crate::qs::QueryServer) folds a
+//! serving path, where [`QueryServer`](authdb_core::qs::QueryServer) folds a
 //! selection's signatures directly.
 
 use std::collections::HashMap;

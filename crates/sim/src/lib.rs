@@ -1,25 +1,15 @@
 #![forbid(unsafe_code)]
 //! # authdb-sim
 //!
-//! Discrete-event simulation of the paper's evaluation testbed
-//! (Section 5.1): Poisson transaction arrivals into a quad-core,
-//! two-disk query server connected over an OC-12 WAN (DA side) and a
-//! 14.4 Mbps HSDPA LAN (user side). As in the paper, the networks (and
-//! here the 2009-era disks) are simulated; the crypto costs come from
-//! this workspace's real implementations via [`cost::CostModel::measure`]
-//! or the paper-calibrated [`cost::CostModel::pinned`] constants.
-//!
-//! * [`des`] — the event engine (servers, FIFO readers-writer lock).
-//! * [`cost`] — the operation cost model.
-//! * [`models`] — EMB−/BAS transaction programs and the load driver for
-//!   Figures 7 and 9.
+//! The operation cost model and the wire and retry models (all in
+//! [`cost`]): per-operation crypto costs measured from this workspace's real
+//! implementations ([`cost::CostModel::measure`]) or the paper-calibrated
+//! [`cost::CostModel::pinned`] constants, the byte-exact size model of every
+//! wire message ([`cost::wire_model`]), and the expected-attempts model of
+//! the retrying fan-out ([`cost::retry_model`]). The Section 5
+//! discrete-event simulator that runs on these costs is the paper's, and
+//! lives in `authdb_paper::{des, models}`.
 
 pub mod cost;
-pub mod des;
-pub mod models;
 
 pub use cost::CostModel;
-pub use des::{
-    run, summarize, ClassStats, Mode, Res, SimConfig, Step, TxnKind, TxnResult, TxnSpec,
-};
-pub use models::{run_load, LoadPoint, System, SystemModel};

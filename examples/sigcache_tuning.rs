@@ -7,10 +7,10 @@
 //! cargo run --release --example sigcache_tuning
 //! ```
 
-use authdb::core::sigcache::{
+use authdb::crypto::signer::{Keypair, SchemeKind, Signature};
+use authdb::paper::sigcache::{
     distributions, select_cache, RefreshStrategy, SigCache, SigTreeAnalysis,
 };
-use authdb::crypto::signer::{Keypair, SchemeKind, Signature};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -4,10 +4,10 @@
 mod common;
 
 use authdb::core::da::{DaConfig, SigningMode};
-use authdb::core::embsys::{EmbAggregator, EmbServer, EmbVerifier};
 use authdb::core::record::Schema;
 use authdb::crypto::signer::{Keypair, SchemeKind};
 use authdb::index::emb::DigestKind;
+use authdb::paper::embsys::{EmbAggregator, EmbServer, EmbVerifier};
 use common::{part, OneShard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

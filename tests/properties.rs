@@ -5,12 +5,12 @@ mod common;
 use proptest::prelude::*;
 
 use authdb::core::da::DaConfig;
-use authdb::core::sigcache::{distributions, select_cache, SigTreeAnalysis};
 use authdb::crypto::bigint::BigUint;
 use authdb::crypto::signer::SchemeKind;
 use authdb::filters::bitmap::{compress, decompress, Bitmap};
 use authdb::filters::bloom::BloomFilter;
 use authdb::index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
+use authdb::paper::sigcache::{distributions, select_cache, SigTreeAnalysis};
 use authdb::storage::{BufferPool, Disk};
 use common::{part, OneShard};
 use rand::rngs::StdRng;
