@@ -40,12 +40,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use authdb_bench::{banner, chained_cfg, csv_begin, csv_end, env_jobs, fmt_time};
+use authdb_bench::{banner, csv_begin, csv_end, env_jobs, fmt_time};
 use authdb_core::da::DaConfig;
 use authdb_core::qs::QsOptions;
 use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier};
-use authdb_crypto::signer::SchemeKind;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +69,8 @@ fn mock_cfg() -> DaConfig {
         // Summaries out of frame: the subject is transport concurrency.
         rho: 1_000_000,
         rho_prime: 1_000_000,
-        ..chained_cfg(SchemeKind::Mock)
+        buffer_pages: 4096,
+        ..DaConfig::small()
     }
 }
 

@@ -3,7 +3,10 @@
 //!
 //! Every table/figure of the paper's evaluation has a `harness = false`
 //! bench target in `benches/` that prints the same rows or series the paper
-//! reports, plus a machine-readable CSV block. Scale knobs:
+//! reports, plus a machine-readable CSV block. The only other targets are
+//! `crypto_micro` (pairing-engine timings) and `fig_conc` (server
+//! throughput against connection count); soundness and the verifier's
+//! pairing-check counts are asserted by `cargo test`, not here. Scale knobs:
 //!
 //! * `AUTHDB_N` — records in the main relation (default 100,000; the
 //!   paper's 1,000,000 works but takes correspondingly longer to certify).
@@ -12,10 +15,8 @@
 
 use std::time::Instant;
 
-use authdb_core::adversary::{run_catalog, Strategy};
 use authdb_core::da::DaConfig;
 use authdb_core::qs::QsOptions;
-use authdb_crypto::signer::SchemeKind;
 
 /// Records for database-scale experiments.
 pub fn env_n() -> usize {
@@ -47,19 +48,6 @@ pub fn full_scale() -> bool {
         .unwrap_or(false)
 }
 
-/// The deployment the networked and sharded figures share: two-attribute
-/// 64-byte records, chained signing, ρ = 10, ρ′ = 100 000, a 4096-page
-/// pool, fill 2/3. Figures that differ override single fields with
-/// struct-update syntax.
-pub fn chained_cfg(scheme: SchemeKind) -> DaConfig {
-    DaConfig {
-        scheme,
-        rho_prime: 100_000,
-        buffer_pages: 4096,
-        ..DaConfig::small()
-    }
-}
-
 /// Replica options sized like the DA's own storage: the paper's figures give
 /// the query server the same buffer pool and fill factor as the aggregator.
 pub fn replica_opts(cfg: &DaConfig) -> QsOptions {
@@ -67,39 +55,6 @@ pub fn replica_opts(cfg: &DaConfig) -> QsOptions {
         buffer_pages: cfg.buffer_pages,
         fill: cfg.fill,
     }
-}
-
-/// Run tamper catalog `T` under `scheme` and print one row per strategy:
-/// whether the honest counterpart was accepted and what the tampered
-/// artifact was rejected with. Returns whether every row passed.
-pub fn print_catalog<T: Strategy>(what: &str, scheme: SchemeKind) -> bool {
-    let label = match scheme {
-        SchemeKind::Mock => "Mock (structural)",
-        SchemeKind::Bas => "BAS (real BLS/BN254)",
-    };
-    println!("\n{what} tamper catalog under {label}:");
-    println!(
-        "{:<26} | {:>9} | {:<44} | {:>4}",
-        "strategy", "honest ok", "tampered artifact rejected with", "pass"
-    );
-    println!("{:-<26}-+-{:->9}-+-{:-<44}-+-{:->4}", "", "", "", "");
-    let mut all_ok = true;
-    for c in run_catalog::<T>(scheme) {
-        let rejection = match &c.outcome {
-            Ok(_) => "ACCEPTED (soundness hole!)".to_string(),
-            Err(e) => format!("{e:?}"),
-        };
-        let ok = c.ok();
-        all_ok &= ok;
-        println!(
-            "{:<26} | {:>9} | {:<44} | {:>4}",
-            c.tamper.name(),
-            if c.honest_ok { "yes" } else { "NO" },
-            rejection,
-            if ok { "ok" } else { "FAIL" },
-        );
-    }
-    all_ok
 }
 
 /// Print a header banner for a bench.

@@ -12,12 +12,10 @@
 //!
 //! Every catalog is one [`Strategy`] impl: each strategy declares which
 //! [`VerifyError`] the verifier must reject it with and runs its own
-//! scripted scenario, and [`run_catalog`] drives them all, reporting per
-//! strategy a [`Conformance`] — whether the tampered artifact was rejected
-//! *with the expected error* and whether the honest answer to the same
-//! query still verified. The catalogs run in the unit-test suite (fast,
-//! `Mock` scheme) and in the `fig_adv` / `fig_shard` / `fig_rebalance` /
-//! `fig_checkpoint` bench scenarios (also under real BAS crypto), so every
+//! scripted scenario, reporting a [`Conformance`] — what the verifier said
+//! about the tampered artifact and whether the honest answer to the same
+//! query still verified. The unit-test suite runs every arm of every
+//! catalog under both the `Mock` scheme and real BAS crypto, so every
 //! verifier change is regression-checked against the full attack surface.
 //!
 //! * [`Tamper`] — doctoring one shard's selection (part 0 of a one-shard
@@ -70,37 +68,16 @@ pub trait Strategy: Copy + 'static {
     fn expects(self, err: &VerifyError) -> bool;
 
     /// Play the strategy's scenario under `scheme`.
-    fn run(self, scheme: SchemeKind) -> Conformance<Self>;
+    fn run(self, scheme: SchemeKind) -> Conformance;
 }
 
 /// Outcome of one catalog entry.
-pub struct Conformance<T> {
-    /// The strategy exercised.
-    pub tamper: T,
+pub struct Conformance {
     /// Whether the honest counterpart (answer, transition or bootstrap
     /// bundle) was accepted.
     pub honest_ok: bool,
     /// What the verifier said about the tampered artifact.
     pub outcome: Result<VerifyReport, VerifyError>,
-}
-
-impl<T: Strategy> Conformance<T> {
-    /// Tampered artifact rejected with the expected error AND the honest
-    /// counterpart accepted.
-    pub fn ok(&self) -> bool {
-        self.honest_ok
-            && match &self.outcome {
-                Ok(_) => false,
-                Err(e) => self.tamper.expects(e),
-            }
-    }
-}
-
-/// Run every strategy of catalog `T` under `scheme`, one outcome per
-/// strategy. Used by the unit-test conformance suite and the bench
-/// scenarios.
-pub fn run_catalog<T: Strategy>(scheme: SchemeKind) -> Vec<Conformance<T>> {
-    T::CATALOG.iter().map(|&t| t.run(scheme)).collect()
 }
 
 /// One way a malicious query server can doctor one shard's answer.
@@ -215,7 +192,7 @@ impl Strategy for Tamper {
         }
     }
 
-    fn run(self, scheme: SchemeKind) -> Conformance<Tamper> {
+    fn run(self, scheme: SchemeKind) -> Conformance {
         match self {
             Tamper::ForgeProjectionValue | Tamper::StaleProjection => {
                 projection_scenario(scheme, self)
@@ -472,25 +449,23 @@ pub fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer
 }
 
 /// Judge a tampered answer to `lo..=hi` beside the honest one.
-fn judge<T>(
-    tamper: T,
+fn judge(
     (v, view, now): (&Verifier, &EpochView, u64),
     (lo, hi): (i64, i64),
     tampered: &ShardedSelectionAnswer,
     honest: &ShardedSelectionAnswer,
-) -> Conformance<T> {
+) -> Conformance {
     let mut rng = StdRng::seed_from_u64(1337);
     let mut verify = |ans| v.verify_sharded_selection(lo, hi, ans, view, now, true, &mut rng);
     let outcome = verify(tampered);
     Conformance {
-        tamper,
         honest_ok: verify(honest).is_ok(),
         outcome,
     }
 }
 
 /// Run one selection-catalog scenario.
-fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
     let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 40);
     let mut mal = MaliciousServer::new(sqs, tamper);
     // The query each strategy answers (and is judged against).
@@ -509,7 +484,7 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper>
     run_timeline(&mut sa, mal.inner(), value_update());
     let tampered = mal.select_range(range.0, range.1);
     let honest = mal.inner().select_range(range.0, range.1).unwrap();
-    judge(tamper, (&v, &view, sa.now()), range, &tampered, &honest)
+    judge((&v, &view, sa.now()), range, &tampered, &honest)
 }
 
 /// At t=3 a record with key 50 lands in the (empty) table; the summary
@@ -524,7 +499,7 @@ fn insert_into_empty_table(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer)
 }
 
 /// Run the empty-table replay scenario.
-fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
     let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 0);
     let mut mal = MaliciousServer::new(sqs, tamper);
     // Hoard the pre-insert vacancy answer...
@@ -533,11 +508,11 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
     insert_into_empty_table(&mut sa, mal.inner());
     let tampered = mal.select_range(0, 100);
     let honest = mal.inner().select_range(0, 100).unwrap();
-    judge(tamper, (&v, &view, sa.now()), (0, 100), &tampered, &honest)
+    judge((&v, &view, sa.now()), (0, 100), &tampered, &honest)
 }
 
 /// Run one projection-catalog scenario.
-fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper> {
+fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
     let (mut sa, sqs, v, view) = system(scheme, SigningMode::PerAttribute, 1, 40);
     let mut mal = MaliciousServer::new(sqs, tamper);
     if tamper == Tamper::StaleProjection {
@@ -549,11 +524,7 @@ fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance<Tamper
     let outcome = v.verify_projection(&tampered, &view, now, true);
     let honest = mal.inner().project(100, 300, &[0, 1]).unwrap();
     let honest_ok = v.verify_projection(&honest, &view, now, true).is_ok();
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
-    }
+    Conformance { honest_ok, outcome }
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +584,7 @@ impl Strategy for ShardTamper {
         }
     }
 
-    fn run(self, scheme: SchemeKind) -> Conformance<ShardTamper> {
+    fn run(self, scheme: SchemeKind) -> Conformance {
         shard_scenario(scheme, self)
     }
 }
@@ -687,7 +658,7 @@ impl MaliciousServer<ShardTamper> {
 /// Run one cross-shard scenario: two shards split at key 200, a query
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
-fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardTamper> {
+fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance {
     let (mut sa, sqs, v, view) = sharded_system(scheme, 2, 40);
     let mut mal = MaliciousServer::new(sqs, tamper);
     let (lo, hi) = (150, 250);
@@ -701,7 +672,7 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance<ShardT
     run_sharded_timeline(&mut sa, mal.inner());
     let tampered = mal.select_range(lo, hi);
     let honest = mal.inner().select_range(lo, hi).expect("chained mode");
-    judge(tamper, (&v, &view, sa.now()), (lo, hi), &tampered, &honest)
+    judge((&v, &view, sa.now()), (lo, hi), &tampered, &honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -758,7 +729,7 @@ impl Strategy for RebalanceTamper {
         }
     }
 
-    fn run(self, scheme: SchemeKind) -> Conformance<RebalanceTamper> {
+    fn run(self, scheme: SchemeKind) -> Conformance {
         rebalance_scenario(scheme, self)
     }
 }
@@ -767,7 +738,7 @@ impl Strategy for RebalanceTamper {
 /// the shared three-period timeline, then the DA splits shard 1 at key 300
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
-fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance<RebalanceTamper> {
+fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance {
     let (mut sa, sqs, v, mut view) = sharded_system(scheme, 2, 40);
     let pp = sa.public_params();
     // The shared timeline: summaries exist, an update lands in shard 1.
@@ -789,11 +760,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         forged.parent_hash[0] ^= 0xFF;
         let outcome = view.advance(&forged, &pp).map(|()| VerifyReport::default());
         let honest_ok = view.advance(&rb.transition, &pp).is_ok();
-        return Conformance {
-            tamper,
-            honest_ok,
-            outcome,
-        };
+        return Conformance { honest_ok, outcome };
     }
 
     view.advance(&rb.transition, &pp)
@@ -831,7 +798,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         RebalanceTamper::TransitionBreak => unreachable!("handled above"),
     };
     let honest = sqs.select_range(lo, hi).expect("chained mode");
-    judge(tamper, (&v, &view, now), (lo, hi), &tampered, &honest)
+    judge((&v, &view, now), (lo, hi), &tampered, &honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -946,7 +913,7 @@ impl Strategy for CheckpointTamper {
     /// Bundle strategies attack the client catch-up bundle; the rest
     /// doctor checkpoint-anchored answers or replay under doctored
     /// openings.
-    fn run(self, scheme: SchemeKind) -> Conformance<CheckpointTamper> {
+    fn run(self, scheme: SchemeKind) -> Conformance {
         match self {
             CheckpointTamper::WrongEpochReplay
             | CheckpointTamper::ChainBreakBootstrap
@@ -954,9 +921,7 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::ForgedDigest | CheckpointTamper::GapStraddlingCut => {
                 checkpoint_answer_scenario(scheme, self)
             }
-            CheckpointTamper::ForgedProjectionCheckpoint => {
-                checkpoint_projection_scenario(scheme, self)
-            }
+            CheckpointTamper::ForgedProjectionCheckpoint => checkpoint_projection_scenario(scheme),
             CheckpointTamper::ForgedOpenedEntry
             | CheckpointTamper::ChunkAtWrongIndex
             | CheckpointTamper::OmittedOpening
@@ -1011,7 +976,7 @@ fn replay_under(
 /// back: the opened entry for rid 23 stands in its way. Either way the cut
 /// covers the marking (one summary stays), so the replay left alone is
 /// `StaleCheckpoint`.
-fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance<CheckpointTamper> {
+fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
     let vacancy = tamper == CheckpointTamper::UnderstatedMax;
     let (n, (lo, hi)) = if vacancy {
         (0, (0, 100))
@@ -1057,14 +1022,11 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
         CheckpointTamper::SurplusSibling => exposure.siblings.push(exposure.root),
         _ => unreachable!("not an opening tamper"),
     }
-    judge(tamper, (&v, &view, sa.now()), (lo, hi), &tampered, &honest)
+    judge((&v, &view, sa.now()), (lo, hi), &tampered, &honest)
 }
 
 /// Run one checkpoint-anchored-answer scenario.
-fn checkpoint_answer_scenario(
-    scheme: SchemeKind,
-    tamper: CheckpointTamper,
-) -> Conformance<CheckpointTamper> {
+fn checkpoint_answer_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
     let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::Chained);
     let honest = sqs.select_range(100, 300).expect("chained mode");
     let mut tampered = honest.clone();
@@ -1082,22 +1044,13 @@ fn checkpoint_answer_scenario(
         }
         _ => unreachable!("not a selection-answer tamper"),
     }
-    judge(
-        tamper,
-        (&v, &view, sa.now()),
-        (100, 300),
-        &tampered,
-        &honest,
-    )
+    judge((&v, &view, sa.now()), (100, 300), &tampered, &honest)
 }
 
 /// Run the checkpoint-anchored-projection scenario: the oldest projected
 /// row predates the cut, so the honest answer verifies only through the
 /// checkpoint it ships — and a doctored one must not.
-fn checkpoint_projection_scenario(
-    scheme: SchemeKind,
-    tamper: CheckpointTamper,
-) -> Conformance<CheckpointTamper> {
+fn checkpoint_projection_scenario(scheme: SchemeKind) -> Conformance {
     let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::PerAttribute);
     let now = sa.now();
     let honest = sqs.project(100, 300, &[0, 1]).expect("per-attribute mode");
@@ -1106,7 +1059,6 @@ fn checkpoint_projection_scenario(
     let c = tampered.checkpoint.as_mut().expect("checkpoint attached");
     c.through_seq += 1;
     Conformance {
-        tamper,
         honest_ok,
         outcome: v.verify_projection(&tampered, &view, now, true),
     }
@@ -1117,10 +1069,7 @@ fn checkpoint_projection_scenario(
 /// client pins the live epoch from the server's certified bundle. The
 /// strategy doctors the bundle — or, for the rollback, answers the
 /// now-pinned client's next catch-up with the epoch-2 bundle.
-fn checkpoint_bootstrap_scenario(
-    scheme: SchemeKind,
-    tamper: CheckpointTamper,
-) -> Conformance<CheckpointTamper> {
+fn checkpoint_bootstrap_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
     let (mut sa, sqs, _, _) = sharded_system(scheme, 2, 40);
     let pp = sa.public_params();
     let genesis_map = sa.map().clone();
@@ -1147,21 +1096,17 @@ fn checkpoint_bootstrap_scenario(
         EpochView::from_bootstrap(&tampered, &pp).map(|_| ())
     }
     .map(|()| VerifyReport::default());
-    Conformance {
-        tamper,
-        honest_ok,
-        outcome,
-    }
+    Conformance { honest_ok, outcome }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every listed strategy: honest counterpart accepted, tampered
+    /// Every strategy of catalog `T`: honest counterpart accepted, tampered
     /// artifact rejected with the strategy's pinned error.
-    fn assert_conforms<T: Strategy>(scheme: SchemeKind, strategies: &[T]) {
-        for &t in strategies {
+    fn assert_conforms<T: Strategy>(scheme: SchemeKind) {
+        for &t in T::CATALOG {
             let c = t.run(scheme);
             let name = t.name();
             assert!(c.honest_ok, "{name} under {scheme:?}: honest rejected");
@@ -1184,22 +1129,22 @@ mod tests {
 
     #[test]
     fn catalog_rejects_every_tamper_mock() {
-        assert_conforms(SchemeKind::Mock, Tamper::CATALOG);
+        assert_conforms::<Tamper>(SchemeKind::Mock);
     }
 
     #[test]
     fn shard_catalog_rejects_every_tamper_mock() {
-        assert_conforms(SchemeKind::Mock, ShardTamper::CATALOG);
+        assert_conforms::<ShardTamper>(SchemeKind::Mock);
     }
 
     #[test]
     fn rebalance_catalog_rejects_every_tamper_mock() {
-        assert_conforms(SchemeKind::Mock, RebalanceTamper::CATALOG);
+        assert_conforms::<RebalanceTamper>(SchemeKind::Mock);
     }
 
     #[test]
     fn checkpoint_catalog_rejects_every_tamper_mock() {
-        assert_conforms(SchemeKind::Mock, CheckpointTamper::CATALOG);
+        assert_conforms::<CheckpointTamper>(SchemeKind::Mock);
     }
 
     #[test]
@@ -1222,71 +1167,24 @@ mod tests {
         assert_unique_names::<CheckpointTamper>();
     }
 
+    // The same catalogs, every arm, under real BLS signatures over BN254.
     #[test]
-    fn spot_check_with_bas_scheme() {
-        // Full crypto for a representative slice of the catalog: content
-        // forgery, a Mock aggregate handed to a BAS verifier, staleness,
-        // and summary withholding.
-        assert_conforms(
-            SchemeKind::Bas,
-            &[
-                Tamper::InjectRecord,
-                Tamper::ForeignSchemeAggregate,
-                Tamper::StaleVersion,
-                Tamper::WithholdSummarySuffix,
-                Tamper::WithholdSummaryPrefix,
-            ],
-        );
+    fn catalog_rejects_every_tamper_bas() {
+        assert_conforms::<Tamper>(SchemeKind::Bas);
     }
 
     #[test]
-    fn shard_spot_check_with_bas_scheme() {
-        // Full crypto for the two strategies whose rejection depends on
-        // signed content (the seam fence and the freshness domain); the
-        // rest are structural and scheme-independent.
-        assert_conforms(
-            SchemeKind::Bas,
-            &[ShardTamper::SeamWiden, ShardTamper::StaleShardReplay],
-        );
+    fn shard_catalog_rejects_every_tamper_bas() {
+        assert_conforms::<ShardTamper>(SchemeKind::Bas);
     }
 
     #[test]
-    fn rebalance_spot_check_with_bas_scheme() {
-        // Full crypto for the two strategies whose rejection depends on
-        // signed content: the transition chain's signature and the
-        // epoch-bound summary stream.
-        assert_conforms(
-            SchemeKind::Bas,
-            &[
-                RebalanceTamper::TransitionBreak,
-                RebalanceTamper::SplitBrain,
-            ],
-        );
+    fn rebalance_catalog_rejects_every_tamper_bas() {
+        assert_conforms::<RebalanceTamper>(SchemeKind::Bas);
     }
 
     #[test]
-    fn checkpoint_spot_check_with_bas_scheme() {
-        // Full crypto for the three strategies whose rejection depends on a
-        // checkpoint signature actually covering its content, for the
-        // rollback, whose bundle must first pass every real signature
-        // check, and for the opening strategies, which must get every real
-        // signature past the fold before the root can object (the
-        // understated maximum fails exactly there); the replay and gap
-        // strategies are structural and scheme-independent.
-        assert_conforms(
-            SchemeKind::Bas,
-            &[
-                CheckpointTamper::ForgedDigest,
-                CheckpointTamper::ForgedProjectionCheckpoint,
-                CheckpointTamper::ChainBreakBootstrap,
-                CheckpointTamper::BundleRollback,
-                CheckpointTamper::ForgedOpenedEntry,
-                CheckpointTamper::ChunkAtWrongIndex,
-                CheckpointTamper::OmittedOpening,
-                CheckpointTamper::UnderstatedMax,
-                CheckpointTamper::DroppedSibling,
-                CheckpointTamper::SurplusSibling,
-            ],
-        );
+    fn checkpoint_catalog_rejects_every_tamper_bas() {
+        assert_conforms::<CheckpointTamper>(SchemeKind::Bas);
     }
 }

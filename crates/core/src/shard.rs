@@ -1563,6 +1563,39 @@ mod tests {
             .any(|p| p.shard == 1 && p.answer.records.len() == 1));
     }
 
+    /// A handoff re-signs exactly the records of the shards the plan
+    /// dissolves; survivors only re-bind their summary streams.
+    #[test]
+    fn handoffs_carry_exactly_the_dissolved_shards_records() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![100, 200], &mut rng);
+        sa.bootstrap((0..30).map(|i| vec![i * 10, i]).collect(), 2);
+        let handed_off = |rb: &Rebalance| -> Vec<(usize, Vec<i64>)> {
+            let shards: Vec<usize> = rb.rebound.iter().map(|r| r.shard).collect();
+            let survivors =
+                (0..rb.new_map.shard_count()).filter(|i| !rb.plan.created_shards().contains(i));
+            assert_eq!(shards, survivors.collect::<Vec<_>>());
+            rb.handoffs
+                .iter()
+                .map(|h| {
+                    assert_eq!(h.sigs.len(), h.records.len());
+                    (h.shard, h.records.iter().map(|r| r.attrs[0]).collect())
+                })
+                .collect()
+        };
+        let keys = |lo: i64, hi: i64| (lo..hi).step_by(10).collect::<Vec<i64>>();
+        // Splitting the middle shard hands off its ten records, and only
+        // those, to the two new shards.
+        let split = sa.rebalance(RebalancePlan::Split { shard: 1, at: 150 }, 2);
+        assert_eq!(
+            handed_off(&split),
+            [(1, keys(100, 150)), (2, keys(150, 200))]
+        );
+        // Merging them back hands off the same ten, and only those.
+        let merge = sa.rebalance(RebalancePlan::Merge { left: 1 }, 2);
+        assert_eq!(handed_off(&merge), [(1, keys(100, 200))]);
+    }
+
     /// The equivalence every ported set-up relies on, checked once: a
     /// replica minted by the DA and fed only through the single-call
     /// ingest is indistinguishable on the wire from one built by

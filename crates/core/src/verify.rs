@@ -2430,12 +2430,16 @@ mod tests {
         // One fold for the whole batch: K claims draw K − 1 coefficients of
         // two words each. (A fold per answer would draw 2·(K − N).)
         let mut rng = CountingRng(StdRng::seed_from_u64(41), 0);
-        let reports =
+        let (reports, checks) = pairing_checks_of(|| {
             s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 12, true, &mut rng)
-                .expect("honest batch verifies");
-        let claims: usize = reports.iter().map(|r| r.sig_claims).sum();
+        });
+        let claims: usize = reports
+            .expect("honest batch verifies")
+            .iter()
+            .map(|r| r.sig_claims)
+            .sum();
         assert_eq!(claims, 6, "an aggregate and a summary per answer");
-        assert_eq!(rng.1, 2 * (claims - 1));
+        assert_eq!((rng.1, checks), (2 * (claims - 1), 1));
         part(&mut answers[1]).records[0].attrs[1] = 777;
         let err =
             s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, 12, true, &mut rng)
@@ -2454,6 +2458,70 @@ mod tests {
         let mut bad = ans.clone();
         part(&mut bad).records[0].attrs[1] = 9;
         assert_eq!(s.verify(50, 120, &bad, 0), Err(VerifyError::BadAggregate));
+    }
+
+    /// What `f` returned, and how many pairing checks it cost this thread.
+    fn pairing_checks_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = authdb_crypto::bls::pairing_checks();
+        let out = f();
+        (out, authdb_crypto::bls::pairing_checks() - before)
+    }
+
+    /// However many claims an honest BAS fold covers, the client pays one
+    /// pairing check for it: a fan-out over 1, 2, 4 or 8 shards, the same
+    /// deployment after a split and after a merge, a live answer carrying a
+    /// checkpoint and four summaries, and a batch of sixteen such answers.
+    #[test]
+    fn every_honest_bas_fold_is_one_pairing_check() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let (lo, hi) = (0, 310);
+        for shards in [1, 2, 4, 8] {
+            let splits = (1..shards).map(|i| i * 320 / shards).collect();
+            let (mut sa, sqs, v, mut view) =
+                deployment(SchemeKind::Bas, SigningMode::Chained, splits, 32);
+            let mut fold = |view: &EpochView, now| {
+                let ans = sqs.select_range(lo, hi).unwrap();
+                let (rep, checks) = pairing_checks_of(|| {
+                    v.verify_sharded_selection(lo, hi, &ans, view, now, true, &mut rng)
+                });
+                (rep.expect("honest answer verifies").sig_claims, checks)
+            };
+            assert_eq!(fold(&view, 0), (shards as usize, 1), "{shards} shards");
+            if shards == 8 {
+                for plan in [
+                    RebalancePlan::Split { shard: 3, at: 140 },
+                    RebalancePlan::Merge { left: 3 },
+                ] {
+                    let rb = sa.rebalance(plan, 2);
+                    sqs.apply_rebalance(&rb).unwrap();
+                    view.advance(&rb.transition, v.public_params()).unwrap();
+                    assert_eq!(fold(&view, sa.now()).1, 1, "after {plan:?}");
+                }
+            }
+        }
+
+        // Six quiet periods, then all but the last four summaries compact
+        // into a checkpoint.
+        let mut s = system_under(SchemeKind::Bas, 32, SigningMode::Chained);
+        for _ in 0..6 {
+            s.tick(12);
+        }
+        s.checkpoint(4);
+        let now = s.now();
+        let live = s.select(lo, hi);
+        let part = &live.parts[0].answer;
+        assert_eq!((part.checkpoint.is_some(), part.summaries.len()), (true, 4));
+        let (rep, checks) = pairing_checks_of(|| s.verify(lo, hi, &live, now));
+        assert_eq!((rep.map(|r| r.sig_claims), checks), (Ok(6), 1));
+        let queries: Vec<(i64, i64)> = (0..16).map(|i| (i * 20, i * 20 + 15)).collect();
+        let answers = answer_all(&s, &queries);
+        let (reports, checks) = pairing_checks_of(|| {
+            s.v.verify_sharded_batch(&paired(&queries, &answers), &s.view, now, true, &mut rng)
+        });
+        assert_eq!(
+            (reports.expect("honest batch verifies").len(), checks),
+            (16, 1)
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@ use proptest::prelude::*;
 use authdb_core::da::SigningMode;
 use authdb_core::shard::{RebalancePlan, ShardedQueryServer};
 use authdb_core::verify::EpochView;
+use authdb_wire::WireEncode;
 use common::{
     apply_op, decode_ops, decode_splits, derive_plan, initial_rows, Deployment, Model, Op,
 };
@@ -194,6 +195,7 @@ fn bootstrap_cost_is_independent_of_epoch_chain_length() {
     let pp = sa.public_params();
     // The walked client is the reference: it is pushed every link and
     // pays one signature per transition, 20 of them.
+    let mut first_round_bytes = None;
     for _ in 0..10 {
         for plan in [
             RebalancePlan::Split { shard: 0, at: 16 },
@@ -203,10 +205,12 @@ fn bootstrap_cost_is_independent_of_epoch_chain_length() {
             sqs.apply_rebalance(&rb).unwrap();
             walked.advance(&rb.transition, &pp).expect("chain walk");
         }
+        first_round_bytes.get_or_insert(sqs.epoch_bootstrap().encode().len());
     }
-    // The bootstrap bundle stays three artifacts regardless of N, and
-    // pins the same view.
+    // The bootstrap bundle stays three artifacts regardless of N — the same
+    // bytes after 2 rebalances as after 20 — and pins the same view.
     let boot = sqs.epoch_bootstrap();
+    assert_eq!(Some(boot.encode().len()), first_round_bytes);
     assert_eq!(boot.checkpoint.as_ref().map(|c| c.epoch), Some(21));
     let pinned = EpochView::from_bootstrap(&boot, &pp).expect("O(1) pin");
     assert_eq!(pinned, walked);

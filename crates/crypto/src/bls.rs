@@ -40,6 +40,18 @@ fn prepared_generator() -> &'static G2Prepared {
     GEN.get_or_init(|| G2Prepared::new(&G2::generator()))
 }
 
+thread_local! {
+    /// How many pairing checks this thread has run.
+    static PAIRING_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many pairing checks (one Miller loop and one final exponentiation
+/// each) the calling thread has run. It counts pairings, not time, so a
+/// test can pin a verifier's work exactly: read it before and after.
+pub fn pairing_checks() -> usize {
+    PAIRING_CHECKS.with(|n| n.get())
+}
+
 /// BLS private key.
 #[derive(Clone)]
 pub struct BlsPrivateKey {
@@ -122,10 +134,7 @@ impl BlsPublicKey {
     /// Verify an individual signature with a single multi-pairing:
     /// `e(σ, g2)·e(-H(m), X) == 1`.
     pub fn verify(&self, msg: &[u8], sig: &BlsSignature) -> bool {
-        let sig_a = sig.0.to_affine();
-        let neg_hash = G1::hash_to_curve(msg).neg().to_affine();
-        let f = multi_miller_loop(&[(&sig_a, prepared_generator()), (&neg_hash, &self.prepared)]);
-        final_exponentiation(&f).is_one()
+        self.pairing_check(&sig.0, &G1::hash_to_curve(msg))
     }
 
     /// Verify an aggregate signature over `msgs` (single-signer condensed
@@ -140,10 +149,7 @@ impl BlsPublicKey {
             // Empty batch: only the identity aggregate verifies.
             return agg.0.is_infinity();
         }
-        let agg_a = agg.0.to_affine();
-        let neg_sum = hash_sum.neg().to_affine();
-        let f = multi_miller_loop(&[(&agg_a, prepared_generator()), (&neg_sum, &self.prepared)]);
-        final_exponentiation(&f).is_one()
+        self.pairing_check(&agg.0, &hash_sum)
     }
 
     /// Verify many `(message set, aggregate)` claims in one shot via a
@@ -188,8 +194,16 @@ impl BlsPublicKey {
             // empty): nothing left to check.
             return true;
         }
-        let sig_a = sig_acc.to_affine();
-        let neg_hash = hash_acc.neg().to_affine();
+        self.pairing_check(&sig_acc, &hash_acc)
+    }
+
+    /// The one pairing check every `verify*` ends in:
+    /// `e(σ, g2)·e(−h, X) == 1`, as one two-term Miller loop and one final
+    /// exponentiation.
+    fn pairing_check(&self, sig: &G1, hash: &G1) -> bool {
+        PAIRING_CHECKS.with(|n| n.set(n.get() + 1));
+        let sig_a = sig.to_affine();
+        let neg_hash = hash.neg().to_affine();
         let f = multi_miller_loop(&[(&sig_a, prepared_generator()), (&neg_hash, &self.prepared)]);
         final_exponentiation(&f).is_one()
     }
@@ -336,8 +350,11 @@ mod tests {
         }
         let claims: Vec<(&[Vec<u8>], &BlsSignature)> =
             claims_data.iter().map(|(m, s)| (m.as_slice(), s)).collect();
+        // Six claims, one pairing check; an empty batch needs none.
+        let before = pairing_checks();
         assert!(sk.public_key().verify_aggregate_batch(&claims, &mut rng));
         assert!(sk.public_key().verify_aggregate_batch(&[], &mut rng));
+        assert_eq!(pairing_checks() - before, 1);
     }
 
     #[test]

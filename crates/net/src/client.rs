@@ -189,7 +189,7 @@ impl QsClient {
     /// every request is written up front as an id-tagged frame, then all
     /// responses are read back and matched by their echoed ids. One
     /// round-trip's latency is paid once for the whole batch instead of
-    /// once per query — the multiplexing win `fig_conc` measures.
+    /// once per query.
     ///
     /// The outer `Result` is the connection's fate; the per-query results
     /// distinguish an answer from a typed per-request failure (a refusal,

@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::splitmix64;
 use crate::tamper::WireTamper;
 
 /// One scheduled fault, applied to a single proxied connection.
@@ -86,31 +85,6 @@ impl FaultPlan {
         FaultPlan { script }
     }
 
-    /// A seeded random schedule of `len` connections: each is a stall with
-    /// probability `drop_pct`%, else a delay of `delay` with probability
-    /// `delay_pct`%, else a faithful relay. Same seed, same schedule —
-    /// always. (Stall-not-reset models the nastier drop: the client must
-    /// *time out*, not just observe an error.)
-    pub fn seeded(seed: u64, len: usize, drop_pct: u8, delay_pct: u8, delay: Duration) -> Self {
-        let mut state = seed;
-        let script = (0..len)
-            .map(|_| {
-                state = splitmix64(state);
-                let roll = (state % 100) as u8;
-                if roll < drop_pct {
-                    Fault::Stall
-                } else if roll < drop_pct.saturating_add(delay_pct) {
-                    Fault::Delay {
-                        micros: delay.as_micros() as u64,
-                    }
-                } else {
-                    Fault::Pass
-                }
-            })
-            .collect();
-        FaultPlan { script }
-    }
-
     /// The fault for connection ordinal `k`.
     pub fn fault_for(&self, k: u64) -> Fault {
         self.script.get(k as usize).copied().unwrap_or(Fault::Pass)
@@ -141,8 +115,7 @@ struct ProxyShared {
 /// relays framed traffic, applying the fault its ordinal draws from the
 /// plan. The connection counter doubles as the retry-attempt meter: a
 /// client that reconnects per attempt registers one proxied connection per
-/// attempt, which is how `fig_chaos` measures retry amplification without
-/// instrumenting the client.
+/// attempt, so a test can count retries without instrumenting the client.
 pub struct ChaosProxy {
     addr: SocketAddr,
     shared: Arc<ProxyShared>,
@@ -338,18 +311,6 @@ fn proxy_connection(mut client: TcpStream, ordinal: u64, shared: Arc<ProxyShared
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let a = FaultPlan::seeded(99, 64, 20, 30, Duration::from_millis(5));
-        let b = FaultPlan::seeded(99, 64, 20, 30, Duration::from_millis(5));
-        assert_eq!(a.script, b.script);
-        let c = FaultPlan::seeded(100, 64, 20, 30, Duration::from_millis(5));
-        assert_ne!(a.script, c.script, "different seeds should differ");
-        // Rates land in the right ballpark for 64 draws.
-        let stalls = a.script.iter().filter(|f| **f == Fault::Stall).count();
-        assert!(stalls > 0 && stalls < 32);
-    }
 
     #[test]
     fn plan_defaults_to_pass_beyond_script() {

@@ -53,8 +53,7 @@
 //! 2. **Connection multiplexing** (`Request::Tagged`). A client pipelines
 //!    a batch of id-tagged requests on one connection and matches the
 //!    echoed ids; the connection's thread answers them in arrival order.
-//!    On a single connection this amortizes round-trips and syscalls — the
-//!    `fig_conc` bench measures the aggregate-throughput win.
+//!    On a single connection this amortizes round-trips and syscalls.
 //! 3. **Write backpressure**. Per-connection and global caps on queued
 //!    response bytes: a connection is not read while its queue is being
 //!    written (TCP pushes back) and over-cap requests shed as
@@ -192,16 +191,6 @@ impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)
     }
-}
-
-/// One step of the splitmix64 PRNG — the one source of seeded randomness in
-/// this crate (backoff jitter, [`FaultPlan::seeded`] schedules), so neither
-/// pulls a random-number crate into the runtime dependencies.
-pub(crate) fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Read one frame body (version byte + payload) from a stream. The header's

@@ -25,13 +25,11 @@
 //! Backoff is exponential with deterministic jitter: attempt `k` sleeps
 //! `min(max_backoff, base << k)` scaled by a factor in `[0.5, 1.0]` drawn
 //! from a [splitmix64](https://prng.di.unimi.it/splitmix64.c) stream seeded
-//! by [`RetryPolicy::jitter_seed`]. Seeded jitter keeps chaos tests and the
-//! `fig_chaos` bench exactly reproducible while still decorrelating
-//! concurrent clients in deployment (give each a different seed).
+//! by [`RetryPolicy::jitter_seed`]. Seeded jitter keeps chaos tests exactly
+//! reproducible while still decorrelating concurrent clients in deployment
+//! (give each a different seed).
 
 use std::time::Duration;
-
-use crate::splitmix64;
 
 /// Deadlines and retry behavior for a resilient connection. A response
 /// frame's declared length is capped at `authdb_wire::DEFAULT_MAX_FRAME_LEN`
@@ -137,6 +135,15 @@ impl RetryPolicy {
         let unit = splitmix64(self.jitter_seed.wrapping_add(k as u64)) as f64 / (u64::MAX as f64);
         ceiling.mul_f64(0.5 + 0.5 * unit)
     }
+}
+
+/// One step of the splitmix64 PRNG: seeded jitter without a random-number
+/// crate in the runtime dependencies.
+fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

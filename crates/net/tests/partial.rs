@@ -54,6 +54,10 @@ fn partitioned_shard_degrades_soundly_and_fast() {
         .verify_partial_selection(0, 390, &healthy.answer, &[], &view, now, true, &mut rng)
         .expect("healthy answer verifies");
     assert!(full.is_complete());
+    // Fault-free, every shard request is one attempt: each healthy proxy
+    // relayed exactly the two requests the two queries made of its shard.
+    let attempts: Vec<u64> = proxies.iter().map(|p| p.connections()).collect();
+    assert_eq!(attempts, [2; 4]);
 
     // Partition shard 2 and query again.
     proxies[2].partition(true);

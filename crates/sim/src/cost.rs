@@ -5,7 +5,8 @@
 //! paper's 2009 testbed (Table 3 "current" column and Section 5.1's
 //! hardware), giving bit-for-bit reproducible experiment output — and
 //! [`CostModel::measure`], which times this workspace's own SHA-256 and BAS
-//! implementations on the host.
+//! implementations on the host. [`wire_model`] sizes every wire message to
+//! the byte.
 
 use std::time::Instant;
 
@@ -302,70 +303,6 @@ pub mod wire_model {
     }
 }
 
-/// Retry/backoff model for the retrying fan-out under lossy transport.
-///
-/// `authdb-net`'s `ShardFanout`, the one client that retries, makes up to
-/// `retries + 1` attempts per shard request, each failing independently
-/// with probability `p` (the fault-injection rate a chaos schedule applies
-/// per connection), sleeping a jittered exponential backoff between
-/// attempts. These closed forms predict the
-/// aggregate cost of that machinery; the `fig_chaos` bench measures the
-/// real client through a real fault-injecting proxy and asserts the
-/// measured retry amplification agrees with [`retry_model::expected_attempts`]
-/// within 25% — if the client's retry loop changes shape, recalibrate
-/// here so the simulator keeps charging what the implementation spends.
-pub mod retry_model {
-    /// Expected connection attempts per request: `Σ_{k=0}^{r} p^k =
-    /// (1 − p^{r+1}) / (1 − p)`. Attempt `k` happens iff the first `k`
-    /// attempts all failed; the sum truncates at the retry budget, so a
-    /// 20% fault rate with 3 retries costs ~1.25 attempts, not 1/0.8.
-    pub fn expected_attempts(p: f64, retries: usize) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "p is a probability");
-        if p >= 1.0 {
-            return (retries + 1) as f64;
-        }
-        (1.0 - p.powi(retries as i32 + 1)) / (1.0 - p)
-    }
-
-    /// Probability the request succeeds within the retry budget:
-    /// `1 − p^{r+1}`. The complement is the rate at which the fan-out
-    /// records an outage (and the verifier a `ShardUnavailable` tile).
-    pub fn success_probability(p: f64, retries: usize) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "p is a probability");
-        1.0 - p.powi(retries as i32 + 1)
-    }
-
-    /// Expected total backoff sleep per request, in seconds. Retry `k`'s
-    /// sleep happens iff attempts `0..=k` all failed (probability
-    /// `p^{k+1}`) and averages `0.75 × min(max, base·2^k)` — the client
-    /// jitters uniformly over `[0.5, 1.0]` of the ceiling.
-    pub fn expected_backoff(p: f64, retries: usize, base: f64, max: f64) -> f64 {
-        (0..retries)
-            .map(|k| {
-                let ceiling = (base * f64::powi(2.0, k as i32)).min(max);
-                p.powi(k as i32 + 1) * 0.75 * ceiling
-            })
-            .sum()
-    }
-
-    /// Expected wall-clock per request: each failed attempt burns up to
-    /// the full read timeout (stalls dominate chaos schedules — a refused
-    /// connect is cheaper, so this is an upper bound), the final attempt
-    /// costs one fault-free round trip, and the backoff sleeps of
-    /// [`expected_backoff`] accrue between attempts.
-    pub fn expected_latency(
-        p: f64,
-        retries: usize,
-        rtt: f64,
-        timeout: f64,
-        base_backoff: f64,
-        max_backoff: f64,
-    ) -> f64 {
-        let wasted: f64 = (1..=retries).map(|k| p.powi(k as i32) * timeout).sum();
-        rtt + wasted + expected_backoff(p, retries, base_backoff, max_backoff)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,35 +392,6 @@ mod tests {
             sharded_selection_response(0, &[one], m, sig),
             FRAME + TAG + shard_map(0, sig) + VEC + 8 + selection_answer(&one, m, sig)
         );
-    }
-
-    #[test]
-    fn retry_model_closed_forms() {
-        use super::retry_model::*;
-        // Fault-free: exactly one attempt, certain success, no backoff.
-        assert!((expected_attempts(0.0, 3) - 1.0).abs() < 1e-12);
-        assert!((success_probability(0.0, 3) - 1.0).abs() < 1e-12);
-        assert!(expected_backoff(0.0, 3, 0.05, 0.8).abs() < 1e-12);
-
-        // 20% faults, 3 retries: A = 1 + .2 + .04 + .008 = 1.248.
-        assert!((expected_attempts(0.2, 3) - 1.248).abs() < 1e-12);
-        // Outage rate is p^4.
-        assert!((success_probability(0.2, 3) - (1.0 - 0.2f64.powi(4))).abs() < 1e-12);
-
-        // Total loss: the budget is spent in full.
-        assert!((expected_attempts(1.0, 3) - 4.0).abs() < 1e-12);
-        assert!(success_probability(1.0, 3).abs() < 1e-12);
-
-        // Backoff: p=1 forces every sleep at its mean; with base 10 ms,
-        // cap 40 ms, 3 retries → 0.75 * (10 + 20 + 40) ms.
-        let b = expected_backoff(1.0, 3, 0.010, 0.040);
-        assert!((b - 0.75 * 0.070).abs() < 1e-12);
-
-        // Latency is monotone in the fault rate.
-        let l0 = expected_latency(0.0, 3, 0.001, 0.3, 0.01, 0.04);
-        let l20 = expected_latency(0.2, 3, 0.001, 0.3, 0.01, 0.04);
-        assert!((l0 - 0.001).abs() < 1e-12);
-        assert!(l20 > l0);
     }
 
     #[test]
