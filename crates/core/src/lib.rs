@@ -28,14 +28,13 @@
 //! * [`verify`] — the client-side verifier (threat model documented there):
 //!   one epoch-gated stitch → fold → freshness pipeline behind the single,
 //!   partial and batched selection entry points.
-//! * [`adversary`] — the malicious-server conformance subsystem: the tamper
-//!   catalogs every verifier change is regression-checked against, and the
-//!   timeline fixture ([`adversary::sharded_system`]) the scripted scenarios
-//!   here and in `authdb-net` share.
 //! * [`wire`] — canonical wire codecs for every proof-carrying type and
 //!   the QS request/response protocol (served over TCP by `authdb-net`).
+//!
+//! The malicious-server conformance subsystem — the tamper catalogs every
+//! verifier change is regression-checked against — is `authdb_testkit::adversary`,
+//! in a crate that only tests link.
 
-pub mod adversary;
 pub mod da;
 pub mod freshness;
 pub mod join;

@@ -53,7 +53,7 @@
 //! for another shard's stale answer (`ShardMismatch`) and an empty shard's
 //! vacancy certificate cannot deny a populated one.
 //!
-//! The cross-shard attack catalog in [`crate::adversary`] (seam splice,
+//! The cross-shard attack catalog in `authdb_testkit::adversary` (seam splice,
 //! shard withholding, seam widening, stale-shard replay, summary swap)
 //! regression-checks every clause of this argument.
 //!
@@ -100,7 +100,7 @@
 //!    from epoch-N state, another from N+1 ("split brain") — is rejected
 //!    with `EpochMismatch` before any pairing work.
 //!
-//! The rebalancing attack catalog in [`crate::adversary`] (stale-epoch map
+//! The rebalancing attack catalog in `authdb_testkit::adversary` (stale-epoch map
 //! replay, handoff forgery, split brain, transition-chain break)
 //! regression-checks each clause, and the `epoch_equivalence` property
 //! suite checks that a rebalancing deployment stays observably equivalent

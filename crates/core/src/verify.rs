@@ -89,9 +89,9 @@
 //! | [`VerifyError::ShardWithheld`] | a *reachable* shard's answer is missing — degradation never excuses withholding |
 //! | [`VerifyError::UnexpectedShardAnswer`] | an answer attached for a shard the client says it could not reach (stale transport evidence must not launder parts into the fold) |
 //!
-//! The conformance suites in [`crate::adversary`] exercise every row of
-//! all three tables against a [`crate::adversary::MaliciousServer`] (plus
-//! the rebalancing scenarios of [`crate::adversary::RebalanceTamper`]).
+//! The conformance suites in `authdb_testkit::adversary` exercise every
+//! row of all three tables against an `authdb_testkit::adversary::MaliciousServer`
+//! (plus the rebalancing scenarios of `authdb_testkit::adversary::RebalanceTamper`).
 //!
 //! Four disciplines here are machine-enforced by `authdb-lint` (rule
 //! reference in `crates/lint/src/lib.rs`): the claim pipeline is

@@ -16,17 +16,15 @@
 //! The two deployments are seeded identically, so divergence can come only
 //! from the one thing under test: the compaction schedule.
 
-mod common;
-
 use proptest::prelude::*;
 
-use authdb_core::da::SigningMode;
+use authdb_core::da::DaConfig;
 use authdb_core::shard::{RebalancePlan, ShardedQueryServer};
 use authdb_core::verify::EpochView;
-use authdb_wire::WireEncode;
-use common::{
+use authdb_testkit::deploy::{
     apply_op, decode_ops, decode_splits, derive_plan, initial_rows, Deployment, Model, Op,
 };
+use authdb_wire::WireEncode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,8 +41,8 @@ struct Pair {
 fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
     let rows = initial_rows(n0, key_span);
     Pair {
-        base: Deployment::build(SigningMode::Chained, &rows, splits.clone(), 8),
-        ckptd: Deployment::build(SigningMode::Chained, &rows, splits, 8),
+        base: Deployment::new(DaConfig::small(), &rows, splits.clone(), 8),
+        ckptd: Deployment::new(DaConfig::small(), &rows, splits, 8),
         model: Model::new(&rows),
         checkpoints: 0,
     }
@@ -152,7 +150,7 @@ fn run_workload(
 #[test]
 fn summary_log_memory_stays_flat_under_checkpointing() {
     let rows: Vec<Vec<i64>> = (0..32i64).map(|i| vec![i, i]).collect();
-    let mut d = Deployment::build(SigningMode::Chained, &rows, vec![], 9);
+    let mut d = Deployment::new(DaConfig::small(), &rows, vec![], 9);
     let mut max_retained = 0usize;
     for period in 0..200u64 {
         d.sa.advance_clock(2);
@@ -191,7 +189,7 @@ fn bootstrap_cost_is_independent_of_epoch_chain_length() {
         sqs,
         view: mut walked,
         ..
-    } = Deployment::build(SigningMode::Chained, &rows, vec![], 10);
+    } = Deployment::new(DaConfig::small(), &rows, vec![], 10);
     let pp = sa.public_params();
     // The walked client is the reference: it is pushed every link and
     // pays one signature per transition, 20 of them.

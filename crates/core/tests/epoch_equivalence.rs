@@ -16,15 +16,12 @@
 //! reassigned by handoffs), and certification timestamps legitimately
 //! differ (handoffs re-sign the moved records at the transition tick).
 
-mod common;
-
 use proptest::prelude::*;
 
-use authdb_core::da::SigningMode;
-use authdb_core::qs::QsOptions;
-use authdb_core::shard::{RebalancePlan, ShardedAggregator};
-use common::{
-    apply_op, cfg, decode_ops, decode_splits, derive_plan, initial_rows, Deployment, Model, Op,
+use authdb_core::da::DaConfig;
+use authdb_core::shard::RebalancePlan;
+use authdb_testkit::deploy::{
+    apply_op, decode_ops, decode_splits, derive_plan, initial_rows, Deployment, Model, Op,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,8 +37,8 @@ struct Pair {
 fn build_pair(n0: usize, key_span: i64, splits: Vec<i64>) -> Pair {
     let rows = initial_rows(n0, key_span);
     Pair {
-        twin: Deployment::build(SigningMode::Chained, &rows, vec![], 7),
-        subject: Deployment::build(SigningMode::Chained, &rows, splits, 8),
+        twin: Deployment::new(DaConfig::small(), &rows, vec![], 7),
+        subject: Deployment::new(DaConfig::small(), &rows, splits, 8),
         model: Model::new(&rows),
     }
 }
@@ -125,11 +122,8 @@ fn run_workload(
 /// query sweep is enough to see hits again.
 #[test]
 fn node_cache_recovers_within_one_query_sweep_after_rebalance() {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![0], &mut rng);
     let rows: Vec<Vec<i64>> = (0..256i64).map(|i| vec![i - 128, i]).collect();
-    let boots = sa.bootstrap(rows, 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
+    let Deployment { mut sa, sqs, .. } = Deployment::new(DaConfig::small(), &rows, vec![0], 42);
     // Touch both shards so the donors' caches are live before the split.
     sqs.select_range(-128, 127).unwrap();
     // Split the right shard: both successors are rebuilt from handoff.

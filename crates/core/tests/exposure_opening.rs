@@ -15,18 +15,12 @@
 //! carries of its checkpoint grows with the logarithm of the shard, not
 //! with the shard.
 
-mod common;
-
 use proptest::prelude::*;
 
-use authdb_core::da::SigningMode;
+use authdb_core::da::DaConfig;
 use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint, Unopened, EXPOSURE_CHUNK};
-use authdb_core::qs::QsOptions;
-use authdb_core::shard::ShardedAggregator;
+use authdb_testkit::deploy::Deployment;
 use authdb_wire::WireEncode;
-use common::cfg;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const CHUNK: u64 = EXPOSURE_CHUNK as u64;
 
@@ -146,28 +140,17 @@ proptest! {
 /// The checkpoint a one-shard deployment of `n` records attaches to its
 /// answer for the 16 records from rid `first` on.
 fn attached_checkpoint(n: i64, first: i64) -> SummaryCheckpoint {
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![], &mut rng);
-    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
+    let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i * 10, i]).collect();
+    let mut d = Deployment::new(DaConfig::small(), &rows, vec![], 5);
     for _ in 0..3 {
-        sa.advance_clock(10);
-        sqs.ingest(sa.maybe_publish_summaries());
+        d.sa.advance_clock(10);
+        d.publish();
     }
-    let ckpt = sa.checkpoint_shard_summaries(0, 1).expect("compactable");
-    sqs.apply_checkpoint(0, ckpt);
+    let ckpt = d.sa.checkpoint_shard_summaries(0, 1).expect("compactable");
+    d.sqs.apply_checkpoint(0, ckpt);
     let (lo, hi) = (first * 10, (first + 15) * 10);
-    let mut ans = sqs.select_range(lo, hi).expect("chained mode");
-    let rep = sa.verifier().verify_sharded_selection(
-        lo,
-        hi,
-        &ans,
-        &sa.epoch_view(),
-        sa.now(),
-        true,
-        &mut rng,
-    );
-    assert_eq!(rep.map(|r| r.records), Ok(16));
+    let mut ans = d.select(lo, hi);
+    assert_eq!(d.verify(lo, hi, &ans).map(|r| r.records), Ok(16));
     let part = ans.parts.remove(0).answer;
     part.checkpoint.expect("checkpoint attached")
 }

@@ -8,12 +8,11 @@
 //! signing modes, and every honest answer (with freshness checking on)
 //! must verify.
 
-mod common;
-
 use proptest::prelude::*;
 
 use authdb_core::da::SigningMode;
-use common::{apply_op, decode_ops, initial_rows, Deployment, Model, Op};
+use authdb_crypto::signer::SchemeKind;
+use authdb_testkit::deploy::{apply_op, config, decode_ops, initial_rows, Deployment, Model, Op};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,7 +20,7 @@ use rand::SeedableRng;
 /// the ρ schedule), and return it ready for querying.
 fn run_workload(mode: SigningMode, n0: usize, key_span: i64, ops: &[Op]) -> Deployment {
     let rows = initial_rows(n0, key_span);
-    let mut d = Deployment::build(mode, &rows, vec![], 7);
+    let mut d = Deployment::new(config(SchemeKind::Mock, mode), &rows, vec![], 7);
     let mut model = Model::new(&rows);
     for &op in ops {
         apply_op(op, key_span, &mut model, &mut [&mut d]);

@@ -19,10 +19,12 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use authdb_core::adversary::{run_sharded_timeline, sharded_system};
+use authdb_core::da::SigningMode;
 use authdb_core::shard::ShardedSelectionAnswer;
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
+use authdb_testkit::adversary::run_sharded_timeline;
+use authdb_testkit::deploy::{config, Deployment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,24 +50,22 @@ fn fixture(scheme: SchemeKind) -> &'static Fixture {
         _ => &MOCK,
     };
     cell.get_or_init(|| {
-        let (mut sa, sqs, v, view) = sharded_system(scheme, 2, 40);
-        let pre_update = sqs.select_range(QUERY.0, QUERY.1).expect("chained mode");
-        run_sharded_timeline(&mut sa, &sqs);
+        let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+        let pre_update = d.select(QUERY.0, QUERY.1);
+        run_sharded_timeline(&mut d.sa, &d.sqs);
         for shard in 0..2 {
-            let ckpt = sa
-                .checkpoint_shard_summaries(shard, 2)
-                .expect("compactable");
-            sqs.apply_checkpoint(shard, ckpt);
+            let ckpt = d.sa.checkpoint_shard_summaries(shard, 2);
+            d.sqs.apply_checkpoint(shard, ckpt.expect("compactable"));
         }
-        let honest = sqs.select_range(QUERY.0, QUERY.1).expect("chained mode");
+        let honest = d.select(QUERY.0, QUERY.1);
         assert_eq!(honest.parts.len(), 2);
         for p in &honest.parts {
             assert!(p.answer.checkpoint.is_some() && p.answer.summaries.len() == 2);
         }
         Fixture {
-            v,
-            view,
-            now: sa.now(),
+            now: d.sa.now(),
+            v: d.v,
+            view: d.view,
             honest,
             pre_update,
         }

@@ -15,12 +15,12 @@
 //! shard-local, and neighbour re-certification timestamps legitimately
 //! differ near seams (a chain has fewer neighbours at its fences).
 
-mod common;
-
 use proptest::prelude::*;
 
-use authdb_core::da::SigningMode;
-use common::{apply_op, decode_ops, decode_splits, initial_rows, Deployment, Model, Op};
+use authdb_core::da::DaConfig;
+use authdb_testkit::deploy::{
+    apply_op, decode_ops, decode_splits, initial_rows, Deployment, Model, Op,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,8 +62,8 @@ proptest! {
         let ops = decode_ops(&raw_ops, 4);
         let rows = initial_rows(n0, key_span);
         let mut pair = Pair {
-            twin: Deployment::build(SigningMode::Chained, &rows, vec![], 7),
-            subject: Deployment::build(SigningMode::Chained, &rows, splits.clone(), 8),
+            twin: Deployment::new(DaConfig::small(), &rows, vec![], 7),
+            subject: Deployment::new(DaConfig::small(), &rows, splits.clone(), 8),
             model: Model::new(&rows),
         };
         prop_assert!(pair.subject.sa.map().shard_count() <= 8);

@@ -7,19 +7,17 @@
 //! the signatures' message-binding rests on — and decoding arbitrary
 //! mutated bytes must return a typed error, never panic.
 
-mod common;
-
 use proptest::prelude::*;
 
-use authdb_core::da::{SigningMode, UpdateMsg};
+use authdb_core::da::{DaConfig, SigningMode, UpdateMsg};
 use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint};
-use authdb_core::qs::QsOptions;
 use authdb_core::record::Record;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::VerifyError;
 use authdb_core::wire::{Request, Response};
+use authdb_crypto::signer::SchemeKind;
+use authdb_testkit::deploy::{config, decode_ops, initial_rows, Deployment, Op};
 use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, WireError, DEFAULT_MAX_FRAME_LEN};
-use common::{cfg, decode_ops, initial_rows, Op};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,10 +41,9 @@ fn run_workload(
     key_span: i64,
     ops: &[Op],
 ) -> (ShardedAggregator, ShardedQueryServer) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut sa = ShardedAggregator::new(cfg(mode), vec![], &mut rng);
-    let boots = sa.bootstrap(initial_rows(n0, key_span), 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
+    let rows = initial_rows(n0, key_span);
+    let Deployment { mut sa, sqs, .. } =
+        Deployment::new(config(SchemeKind::Mock, mode), &rows, vec![], 7);
     let apply_all = |msgs: Vec<(usize, UpdateMsg)>| {
         for (shard, m) in msgs {
             assert_canonical(&m);
@@ -117,10 +114,8 @@ proptest! {
         let mut splits = raw_splits;
         splits.sort_unstable();
         splits.dedup();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), splits, &mut rng);
-        let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
+        let rows: Vec<Vec<i64>> = (0..n0 as i64).map(|i| vec![i % 37, i]).collect();
+        let Deployment { sa, sqs, .. } = Deployment::new(DaConfig::small(), &rows, splits, 11);
         assert_canonical(sa.map());
         for &(lo, w) in &queries {
             let ans = sqs.select_range(lo, lo + w).unwrap();
@@ -160,10 +155,8 @@ proptest! {
         // A random split/merge chain: every Rebalance package and
         // EpochTransition it produces must round-trip canonically, bare
         // and framed, as must the protocol messages that carry them.
-        let mut rng = StdRng::seed_from_u64(15);
-        let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![], &mut rng);
-        let boots = sa.bootstrap((0..n0 as i64).map(|i| vec![i % 37, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
+        let rows: Vec<Vec<i64>> = (0..n0 as i64).map(|i| vec![i % 37, i]).collect();
+        let Deployment { mut sa, sqs, .. } = Deployment::new(DaConfig::small(), &rows, vec![], 15);
         for &(sel, at_raw) in &schedule {
             let splits = sa.map().splits().to_vec();
             let plan = if sel % 2 == 1 && !splits.is_empty() {
@@ -204,7 +197,7 @@ proptest! {
         // The whole-map form — what the DA hands a server and a rebalance
         // carries — and the form an answer carries, opened for some rids.
         let kp = authdb_crypto::signer::Keypair::generate(
-            authdb_crypto::signer::SchemeKind::Mock,
+            SchemeKind::Mock,
             &mut StdRng::seed_from_u64(14),
         );
         let whole = SummaryCheckpoint::create(&kp, 3, 1, 7, 90, &map);
@@ -242,7 +235,7 @@ proptest! {
         truncate_to in any::<u16>(),
     ) {
         let mut rng = StdRng::seed_from_u64(16);
-        let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![10], &mut rng);
         sa.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
         sa.advance_clock(1);
         let rb = sa.rebalance(
@@ -261,10 +254,8 @@ proptest! {
         // If the mutated package still decodes, applying it must refuse
         // or succeed — never panic or corrupt the server into panicking.
         if let Ok(Request::Rebalance(mutated)) = decode_frame::<Request>(&bytes, DEFAULT_MAX_FRAME_LEN) {
-            let boots_rng = &mut StdRng::seed_from_u64(16);
-            let mut sa2 = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], boots_rng);
-            let boots = sa2.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-            let sqs = sa2.replica(&boots, &QsOptions::default());
+            let rows: Vec<Vec<i64>> = (0..20i64).map(|i| vec![i, i]).collect();
+            let sqs = Deployment::new(DaConfig::small(), &rows, vec![10], 16).sqs;
             let _ = sqs.apply_rebalance(&mutated);
             let _ = sqs.select_range(0, 40).unwrap();
         }
@@ -279,22 +270,20 @@ proptest! {
         // Start from honest response bytes, then corrupt them arbitrarily:
         // every outcome must be Ok or a typed WireError — no panics, no
         // unbounded allocation.
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut sa = ShardedAggregator::new(cfg(SigningMode::Chained), vec![10], &mut rng);
-        let boots = sa.bootstrap((0..20i64).map(|i| vec![i, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
+        let rows: Vec<Vec<i64>> = (0..20i64).map(|i| vec![i, i]).collect();
+        let mut d = Deployment::new(DaConfig::small(), &rows, vec![10], 13);
         // Summaries and an opened checkpoint ride on the answer, so their
         // decoders see the corrupted bytes too.
         for _ in 0..3 {
-            sa.advance_clock(10);
-            sqs.ingest(sa.maybe_publish_summaries());
+            d.sa.advance_clock(10);
+            d.publish();
         }
         for shard in 0..2 {
-            let ckpt = sa.checkpoint_shard_summaries(shard, 1).expect("compactable");
-            sqs.apply_checkpoint(shard, ckpt);
+            let ckpt = d.sa.checkpoint_shard_summaries(shard, 1).expect("compactable");
+            d.sqs.apply_checkpoint(shard, ckpt);
         }
         let (lo, w) = seed_query;
-        let ans = sqs.select_range(lo, lo + w).unwrap();
+        let ans = d.select(lo, lo + w);
         let mut bytes = frame(&Response::Selection(ans));
         for &(pos, val) in &flips {
             let idx = pos as usize % bytes.len();
@@ -314,11 +303,9 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
     // whose arity disagrees with the schema; the verifier must reject them
     // with MalformedRecord before any schema-indexed access.
     let one_shard = |mode, seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sa = ShardedAggregator::new(cfg(mode), vec![], &mut rng);
-        let boots = sa.bootstrap((0..10i64).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        (sqs, sa.verifier(), sa.epoch_view())
+        let rows: Vec<Vec<i64>> = (0..10i64).map(|i| vec![i * 10, i]).collect();
+        let d = Deployment::new(config(SchemeKind::Mock, mode), &rows, vec![], seed);
+        (d.sqs, d.v, d.view)
     };
     let (sqs, v, view) = one_shard(SigningMode::Chained, 3);
     let mut rng = StdRng::seed_from_u64(5);

@@ -57,8 +57,8 @@
 //!
 //! Every variant of `VerifyError`, `QueryError`, `WireError`, and
 //! `NetError` must be *pinned* — referenced as an expected error — by at
-//! least one adversary-catalog arm (`adversary.rs`, `netfault.rs`,
-//! `tamper.rs`) or test (integration tests, benches, or `#[cfg(test)]`
+//! least one adversary-catalog arm (any source file of the `authdb-testkit`
+//! crate) or test (integration tests, benches, or `#[cfg(test)]`
 //! modules). An error variant no attack strategy and no test can produce
 //! is either dead code or, worse, a failure mode whose detection logic has
 //! never been exercised. Bare variant names count when the file imports

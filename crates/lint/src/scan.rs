@@ -28,8 +28,9 @@ pub enum FileKind {
     /// First-party production source: production rules apply; only its
     /// `#[cfg(test)]` regions count as pin sites.
     Src,
-    /// An adversary-catalog file: production rules apply *and* the whole
-    /// file counts as a pin site for catalog coverage.
+    /// An adversary-catalog file — any source file of the `authdb-testkit`
+    /// crate: production rules apply *and* the whole file counts as a pin
+    /// site for catalog coverage.
     Catalog,
     /// Integration tests / benches: no production rules; whole file is a
     /// pin site.
@@ -37,9 +38,6 @@ pub enum FileKind {
     /// Everything else (examples, build scripts): ignored by every rule.
     Other,
 }
-
-/// File stems (with any path) that form the adversary catalog.
-pub const CATALOG_FILES: [&str; 3] = ["adversary.rs", "netfault.rs", "tamper.rs"];
 
 /// One `fn` item.
 #[derive(Clone, Debug)]
@@ -149,8 +147,7 @@ impl FileModel {
 
 fn classify(rel: &str) -> FileKind {
     let norm = rel.replace('\\', "/");
-    let stem = norm.rsplit('/').next().unwrap_or(&norm);
-    if CATALOG_FILES.contains(&stem) {
+    if norm.starts_with("crates/testkit/src/") {
         return FileKind::Catalog;
     }
     if norm.contains("/tests/") || norm.contains("/benches/") || norm.starts_with("tests/") {
@@ -656,7 +653,12 @@ mod tests {
     #[test]
     fn classification() {
         assert_eq!(classify("crates/core/src/verify.rs"), FileKind::Src);
-        assert_eq!(classify("crates/core/src/adversary.rs"), FileKind::Catalog);
+        assert_eq!(
+            classify("crates/testkit/src/adversary.rs"),
+            FileKind::Catalog
+        );
+        // A serving file is production source whatever its name.
+        assert_eq!(classify("crates/net/src/tamper.rs"), FileKind::Src);
         assert_eq!(classify("crates/net/tests/loopback.rs"), FileKind::Test);
         assert_eq!(classify("examples/demo.rs"), FileKind::Other);
         assert_eq!(crate_of("crates/net/src/lib.rs"), "net");

@@ -25,12 +25,13 @@
 //! * [`ShardFanout`] — the one retrying client: one endpoint per shard,
 //!   deadlines and bounded retries per endpoint, and a sound
 //!   [`PartialAnswer`] when some shards stay dark.
-//! * [`WireTamper`] — the byte-level arm of the adversary catalog: frame
-//!   corruptions a malicious server (or the network) can apply, each pinned
-//!   to the typed error it must surface as. The corruptions are applied
-//!   *by the proxy* ([`Fault::Tamper`] in a [`ChaosProxy`] script), on the
-//!   bytes of an honest server's response — the serving path has no
-//!   adversarial mode and takes no lock for one.
+//!
+//! The serving path has no adversarial mode and takes no lock for one. The
+//! byte-level arm of the adversary catalog, `authdb_testkit::tamper::WireTamper`
+//! (frame corruptions a malicious server or the network can apply, each
+//! pinned to the typed error it must surface as), is applied *by a proxy*
+//! (`authdb_testkit::fault::ChaosProxy`) to the bytes of an honest server's
+//! response, in a crate that only tests link.
 //!
 //! A peer speaking garbage can at worst make the other side drop the
 //! connection: frames are length-capped before allocation, decoding is
@@ -66,8 +67,8 @@
 //! Real networks fault; the paper's soundness promise must survive them
 //! without ever being *weakened* by them. Every fault the client stack can
 //! encounter maps to a typed detection, a prescribed client action, and a
-//! verdict — the [`ChaosProxy`] fault-injection catalog
-//! ([`netfault::run_netfault_catalog`]) pins each row:
+//! verdict — the `authdb_testkit::fault::ChaosProxy` fault-injection
+//! catalog (`authdb_testkit::netfault::run_netfault_catalog`) pins each row:
 //!
 //! | fault | detection | client action | verdict |
 //! |---|---|---|---|
@@ -75,7 +76,7 @@
 //! | accept-then-stall (slow or dead server) | read deadline fires ([`NetError::Timeout`]) | bounded retry, then unreachable | none — the client never hangs past its deadline budget |
 //! | delay within deadline | none (slower RTT) | accept | unchanged — latency is not evidence |
 //! | disconnect mid-frame | short read ([`NetError::Io`], `UnexpectedEof`) | retry (idempotent requests only) | none until a complete frame verifies |
-//! | truncated / version-rewritten / bit-corrupted frame ([`Fault::Tamper`], [`Fault::CorruptBody`]) | [`NetError::Wire`] typed decode error | **fail fast — never retried blindly**: corruption of a length-checked frame is evidence of tampering, not weather | none; the error is surfaced |
+//! | truncated / version-rewritten / bit-corrupted frame (`Fault::Tamper`, `Fault::CorruptBody`) | [`NetError::Wire`] typed decode error | **fail fast — never retried blindly**: corruption of a length-checked frame is evidence of tampering, not weather | none; the error is surfaced |
 //! | per-shard partition | per-endpoint retries exhausted | degrade: return a [`PartialAnswer`] naming the unreachable shards | `verify_partial_selection` certifies the reachable tiles, marks the rest `ShardUnavailable` |
 //! | reachable shard withholds its part | verifier | none available | `VerifyError::ShardWithheld` — degradation never excuses withholding |
 //! | server refusal ([`NetError::Refused`]) | typed response | fail fast (the server answered; retrying cannot change a deterministic refusal) | none |
@@ -89,19 +90,13 @@
 
 pub mod client;
 pub mod fanout;
-pub mod fault;
-pub mod netfault;
 pub mod retry;
 pub mod server;
-pub mod tamper;
 
 pub use client::QsClient;
 pub use fanout::{PartialAnswer, ShardFanout, ShardOutage};
-pub use fault::{ChaosProxy, Fault, FaultPlan};
-pub use netfault::{run_netfault_catalog, NetFault, NetFaultConformance};
 pub use retry::{ClientConfig, RetryPolicy};
 pub use server::{QsServer, QsServerOptions};
-pub use tamper::WireTamper;
 
 use std::fmt;
 use std::io::Read;

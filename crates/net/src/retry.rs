@@ -60,22 +60,6 @@ impl Default for ClientConfig {
 }
 
 impl ClientConfig {
-    /// A tight-deadline profile for tests: sub-second timeouts so a
-    /// deliberately stalled peer costs milliseconds, not CI minutes.
-    pub fn fast() -> Self {
-        ClientConfig {
-            connect_timeout: Duration::from_millis(300),
-            read_timeout: Duration::from_millis(300),
-            write_timeout: Duration::from_millis(300),
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(40),
-                jitter_seed: 7,
-            },
-        }
-    }
-
     /// Worst-case wall-clock budget for one shard's request through
     /// [`ShardFanout`](crate::ShardFanout): every attempt hitting its
     /// connect + write + read deadlines, plus every backoff sleep at its
@@ -176,7 +160,17 @@ mod tests {
 
     #[test]
     fn deadline_budget_covers_all_attempts() {
-        let c = ClientConfig::fast();
+        let c = ClientConfig {
+            connect_timeout: Duration::from_millis(300),
+            read_timeout: Duration::from_millis(300),
+            write_timeout: Duration::from_millis(300),
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: Duration::from_millis(10),
+                max_backoff: Duration::from_millis(40),
+                jitter_seed: 7,
+            },
+        };
         let budget = c.deadline_budget();
         // 3 attempts * (300+300+300)ms + backoffs (10 + 20 capped at 40).
         assert!(budget >= Duration::from_millis(2700));

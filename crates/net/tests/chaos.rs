@@ -1,7 +1,7 @@
 //! Chaos property: **no lies under chaos**.
 //!
 //! Random fault schedules (stalls, refused connects, mid-frame cuts,
-//! delays, frame corruption) are injected between a [`ShardFanout`] and a
+//! delays, frame corruption) are injected between a `ShardFanout` and a
 //! 4-shard deployment. Whatever the weather, each query must end in one of
 //! exactly three ways:
 //!
@@ -21,40 +21,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use authdb_core::adversary::{sharded_system, tick_and_publish};
-use authdb_core::shard::{RebalancePlan, ShardedAggregator};
-use authdb_core::verify::{EpochView, Verifier};
+use authdb_core::shard::RebalancePlan;
+use authdb_core::verify::EpochView;
 use authdb_crypto::signer::SchemeKind;
-use authdb_net::{
-    ChaosProxy, ClientConfig, Fault, FaultPlan, NetError, QsServer, QsServerOptions, ShardFanout,
-    WireTamper,
-};
-
-struct System {
-    sa: ShardedAggregator,
-    server: QsServer,
-    proxies: Vec<ChaosProxy>,
-    verifier: Verifier,
-    view: EpochView,
-    config: ClientConfig,
-}
-
-fn build() -> System {
-    let (mut sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 4, 40);
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind");
-    server.with_server(|sqs| tick_and_publish(&mut sa, sqs, 12));
-    let proxies = (0..sa.map().shard_count())
-        .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
-        .collect();
-    System {
-        sa,
-        server,
-        proxies,
-        verifier,
-        view,
-        config: ClientConfig::fast(),
-    }
-}
+use authdb_net::NetError;
+use authdb_testkit::adversary::tick_and_publish;
+use authdb_testkit::fault::{Fault, FaultPlan};
+use authdb_testkit::netfault::ChaosSystem;
+use authdb_testkit::tamper::WireTamper;
 
 /// A random per-connection fault script. `chaos_pct` is the probability
 /// (in %) that a connection faults at all; the fault kind is then drawn
@@ -87,9 +61,10 @@ fn random_script(seed: u64, len: usize, chaos_pct: u64) -> (Vec<Fault>, bool) {
 /// epoch.
 #[test]
 fn retried_checkpoint_bundle_bootstraps_the_live_epoch() {
-    let mut sys = build();
-    let endpoints = sys.proxies.iter().map(|p| p.addr().to_string()).collect();
-    let fanout = ShardFanout::new(sys.sa.map().clone(), endpoints, sys.config.clone());
+    let mut sys = ChaosSystem::new(SchemeKind::Mock);
+    sys.server
+        .with_server(|sqs| tick_and_publish(&mut sys.sa, sqs, 12));
+    let fanout = sys.fanout();
     let rb = sys
         .sa
         .rebalance(RebalancePlan::Split { shard: 0, at: 50 }, 2);
@@ -121,11 +96,11 @@ proptest! {
         queries in prop::collection::vec((-20i64..420, 0i64..420), 1..3),
         rng_seed in any::<u64>(),
     ) {
-        let sys = build();
+        let mut sys = ChaosSystem::new(SchemeKind::Mock);
+        sys.server
+            .with_server(|sqs| tick_and_publish(&mut sys.sa, sqs, 12));
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let shard_count = sys.sa.map().shard_count();
-        let budget = sys.config.deadline_budget() * shard_count as u32
-            + Duration::from_secs(2);
+        let budget = sys.fanout_budget(Duration::from_secs(2));
 
         // Arm every endpoint with its own random schedule, long enough to
         // cover all retries of all queries.
@@ -142,11 +117,8 @@ proptest! {
 
         for &(lo, w) in &queries {
             let hi = lo + w;
-            let endpoints = sys.proxies.iter().map(|p| p.addr().to_string()).collect();
-            let fanout =
-                ShardFanout::new(sys.sa.map().clone(), endpoints, sys.config.clone());
             let started = Instant::now();
-            let result = fanout.select_range(lo, hi);
+            let result = sys.fanout().select_range(lo, hi);
             let elapsed = started.elapsed();
             prop_assert!(
                 elapsed <= budget,
@@ -167,7 +139,7 @@ proptest! {
                 }
                 Ok(partial) => {
                     let unreachable = partial.unreachable();
-                    match sys.verifier.verify_partial_selection(
+                    match sys.v.verify_partial_selection(
                         lo, hi, &partial.answer, &unreachable,
                         &sys.view, sys.sa.now(), true, &mut rng,
                     ) {

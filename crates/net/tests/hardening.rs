@@ -9,15 +9,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::adversary::sharded_system;
+use authdb_core::da::DaConfig;
 use authdb_core::wire::Request;
-use authdb_crypto::signer::SchemeKind;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
+use authdb_testkit::deploy::Deployment;
 use authdb_wire::frame;
 
 /// A small single-shard deployment, served with the given options.
 fn serve(opts: QsServerOptions) -> QsServer {
-    let (_, sqs, _, _) = sharded_system(SchemeKind::Mock, 1, 8);
+    let sqs = Deployment::catalog(DaConfig::small(), 1, 8).sqs;
     QsServer::spawn(sqs, opts).expect("bind loopback")
 }
 
@@ -121,9 +121,9 @@ fn shutdown_drains_and_returns_promptly() {
 fn a_stalled_reader_stalls_only_itself() {
     // Two shards over keys 0..=990, so `(0, 990)` answers with the whole
     // relation: 3.8 KB per 22-byte request.
-    let (sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 2, 100);
+    let d = Deployment::catalog(DaConfig::small(), 2, 100);
     let server = QsServer::spawn(
-        sqs,
+        d.sqs,
         QsServerOptions {
             write_timeout: Duration::from_millis(300),
             ..QsServerOptions::default()
@@ -157,8 +157,7 @@ fn a_stalled_reader_stalls_only_itself() {
     let answer = b
         .select_range(120, 480)
         .expect("b's selection beside the flood");
-    verifier
-        .verify_sharded_selection(120, 480, &answer, &view, sa.now(), true, &mut rng)
+    d.v.verify_sharded_selection(120, 480, &answer, &d.view, d.sa.now(), true, &mut rng)
         .expect("b's answer verifies");
     let mut served_beside_the_stall = 0;
     let end = Instant::now() + Duration::from_secs(10);

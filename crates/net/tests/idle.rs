@@ -5,9 +5,9 @@
 
 use std::time::Duration;
 
-use authdb_core::adversary::sharded_system;
-use authdb_crypto::signer::SchemeKind;
+use authdb_core::da::DaConfig;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
+use authdb_testkit::deploy::Deployment;
 
 /// Process CPU so far, user + system, in clock ticks (`/proc/self/stat`
 /// fields 14 and 15; the command name in field 2 may hold spaces, so
@@ -22,7 +22,7 @@ fn cpu_ticks() -> u64 {
 
 #[test]
 fn sixty_four_quiet_connections_cost_no_cpu() {
-    let (_, sqs, _, _) = sharded_system(SchemeKind::Mock, 1, 8);
+    let sqs = Deployment::catalog(DaConfig::small(), 1, 8).sqs;
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
     let mut clients: Vec<QsClient> = (0..64)
         .map(|_| QsClient::connect(server.addr()).expect("connect"))

@@ -10,27 +10,28 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::adversary::{run_sharded_timeline, sharded_system, tick_and_publish};
 use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::{QsOptions, QueryError};
+use authdb_core::qs::QueryError;
 use authdb_core::shard::{RebalancePlan, ShardedAggregator, GENESIS_EPOCH};
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::{Keypair, SchemeKind};
-use authdb_net::{
-    ChaosProxy, Fault, FaultPlan, NetError, QsClient, QsServer, QsServerOptions, WireTamper,
-};
+use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
 use authdb_sim::cost::wire_model;
+use authdb_testkit::adversary::{run_sharded_timeline, tick_and_publish};
+use authdb_testkit::deploy::{config, Deployment};
+use authdb_testkit::fault::{ChaosProxy, Fault, FaultPlan};
+use authdb_testkit::tamper::WireTamper;
 
 /// Build a 4-shard system over keys 0..=390, serve it over loopback TCP,
 /// and run the shared timeline (summaries at t=12/24/34, one update at
 /// t=14) so answers carry summaries and freshness checks are live.
 fn serve(scheme: SchemeKind, n: i64) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let (mut sa, sqs, verifier, view) = sharded_system(scheme, 4, n);
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
+    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 4, n);
+    let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
     // The DA keeps certifying while the server answers queries: updates and
     // summaries flow into the serving replica through the handle.
-    server.with_server(|sqs| run_sharded_timeline(&mut sa, sqs));
-    (sa, server, verifier, view)
+    server.with_server(|sqs| run_sharded_timeline(&mut d.sa, sqs));
+    (d.sa, server, d.v, d.view)
 }
 
 #[test]
@@ -73,15 +74,15 @@ fn honest_answers_over_tcp_verify() {
 #[test]
 fn bytes_on_wire_track_the_sim_wire_model() {
     for shards in [1, 8] {
-        let (mut sa, sqs, verifier, _view) = sharded_system(SchemeKind::Mock, shards, 256);
-        let sig_len = verifier.public_params().wire_len();
-        let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
+        let mut d = Deployment::catalog(DaConfig::small(), shards, 256);
+        let sig_len = d.v.public_params().wire_len();
+        let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
         let mut client = QsClient::connect(server.addr()).expect("connect");
         for summaries in [false, true] {
             if summaries {
                 server.with_server(|sqs| {
-                    tick_and_publish(&mut sa, sqs, 12);
-                    tick_and_publish(&mut sa, sqs, 10);
+                    tick_and_publish(&mut d.sa, sqs, 12);
+                    tick_and_publish(&mut d.sa, sqs, 10);
                 });
             }
             // Every seam at once, one mid-range slice, and a gap proof.
@@ -353,15 +354,14 @@ fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
 /// epoch and map it had.
 #[test]
 fn per_attribute_server_refuses_a_rebalance_by_its_mode() {
-    let (mut sa, _, _, _) = sharded_system(SchemeKind::Mock, 2, 40);
+    let mut sa = Deployment::catalog(DaConfig::small(), 2, 40).sa;
     let rb = sa.rebalance(RebalancePlan::Split { shard: 0, at: 100 }, 2);
     let config = DaConfig {
         mode: SigningMode::PerAttribute,
         ..sa.config().clone()
     };
-    let mut per_attr = ShardedAggregator::new(config, vec![200], &mut StdRng::seed_from_u64(13));
-    let boots = per_attr.bootstrap((0..40).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = per_attr.replica(&boots, &QsOptions::default());
+    let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i * 10, i]).collect();
+    let sqs = Deployment::new(config, &rows, vec![200], 13).sqs;
     let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
     let before = server.with_server(|sqs| sqs.map());
 

@@ -7,19 +7,19 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::adversary::sharded_system;
+use authdb_core::da::DaConfig;
 use authdb_core::shard::ShardedAggregator;
 use authdb_core::verify::{EpochView, Verifier};
-use authdb_crypto::signer::SchemeKind;
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
+use authdb_testkit::deploy::Deployment;
 
 /// Two shards over keys 0..=990 (seam at 500), served over loopback TCP.
 /// The clock never advances, so no update summaries exist: the subject
 /// here is the transport.
 fn serve(opts: QsServerOptions) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let (sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 2, 100);
-    let server = QsServer::spawn(sqs, opts).expect("bind loopback");
-    (sa, server, verifier, view)
+    let d = Deployment::catalog(DaConfig::small(), 2, 100);
+    let server = QsServer::spawn(d.sqs, opts).expect("bind loopback");
+    (d.sa, server, d.v, d.view)
 }
 
 #[test]

@@ -12,36 +12,28 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::adversary::{sharded_system, tick_and_publish};
 use authdb_core::verify::{TileStatus, VerifyError};
 use authdb_crypto::signer::SchemeKind;
-use authdb_net::{
-    ChaosProxy, ClientConfig, FaultPlan, QsServer, QsServerOptions, RetryPolicy, ShardFanout,
-};
+use authdb_net::RetryPolicy;
+use authdb_testkit::adversary::tick_and_publish;
+use authdb_testkit::netfault::ChaosSystem;
 
 #[test]
 fn partitioned_shard_degrades_soundly_and_fast() {
     let mut rng = StdRng::seed_from_u64(99);
-    let (mut sa, sqs, verifier, view) = sharded_system(SchemeKind::Mock, 4, 40);
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind");
-    server.with_server(|sqs| tick_and_publish(&mut sa, sqs, 12));
-    let proxies: Vec<ChaosProxy> = (0..4)
-        .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
-        .collect();
+    let mut sys = ChaosSystem::new(SchemeKind::Mock);
+    sys.server
+        .with_server(|sqs| tick_and_publish(&mut sys.sa, sqs, 12));
     // Keep the backoff tax tiny so the partitioned-path latency is
     // dominated by real work, making the 2x bound below meaningful.
-    let config = ClientConfig {
-        retry: RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            jitter_seed: 7,
-        },
-        ..ClientConfig::fast()
+    sys.config.retry = RetryPolicy {
+        max_retries: 2,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        jitter_seed: 7,
     };
-    let endpoints: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
-    let fanout = ShardFanout::new(sa.map().clone(), endpoints, config.clone());
-    let now = sa.now();
+    let fanout = sys.fanout();
+    let (verifier, view, proxies, now) = (&sys.v, &sys.view, &sys.proxies, sys.sa.now());
 
     // Fault-free baseline: warm once, then measure the healthy RTT.
     let warm = fanout.select_range(0, 390).expect("warm-up");
@@ -51,7 +43,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
     let healthy_rtt = started.elapsed();
     assert!(healthy.is_complete());
     let full = verifier
-        .verify_partial_selection(0, 390, &healthy.answer, &[], &view, now, true, &mut rng)
+        .verify_partial_selection(0, 390, &healthy.answer, &[], view, now, true, &mut rng)
         .expect("healthy answer verifies");
     assert!(full.is_complete());
     // Fault-free, every shard request is one attempt: each healthy proxy
@@ -84,7 +76,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
             390,
             &partial.answer,
             &partial.unreachable(),
-            &view,
+            view,
             now,
             true,
             &mut rng,
@@ -110,7 +102,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
     // claimed is withholding — reachability makes the omission culpable.
     let mut withheld = healthy.answer.clone();
     withheld.parts.retain(|p| p.shard != 2);
-    match verifier.verify_partial_selection(0, 390, &withheld, &[], &view, now, true, &mut rng) {
+    match verifier.verify_partial_selection(0, 390, &withheld, &[], view, now, true, &mut rng) {
         Err(VerifyError::ShardWithheld { shard: 2 }) => {}
         other => panic!("expected ShardWithheld for shard 2, got {other:?}"),
     }
@@ -122,7 +114,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
         390,
         &healthy.answer,
         &[2],
-        &view,
+        view,
         now,
         true,
         &mut rng,
@@ -136,7 +128,7 @@ fn partitioned_shard_degrades_soundly_and_fast() {
     let healed = fanout.select_range(0, 390).expect("healed fan-out");
     assert!(healed.is_complete());
     let verdict = verifier
-        .verify_partial_selection(0, 390, &healed.answer, &[], &view, now, true, &mut rng)
+        .verify_partial_selection(0, 390, &healed.answer, &[], view, now, true, &mut rng)
         .expect("healed answer verifies");
     assert!(verdict.is_complete());
 }

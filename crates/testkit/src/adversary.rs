@@ -35,11 +35,11 @@
 //!   chunk at the wrong index, an omitted chunk, a dropped or surplus
 //!   sibling, an understated signed maximum.
 //!
-//! Every scenario runs against one fixture — [`sharded_system`] (one shard
-//! for the [`Tamper`] arms) driven by the shared three-period timeline
-//! ([`run_sharded_timeline`]) — which is public so that `authdb-net`'s fault
-//! catalog and loopback tests attack the same deployment over TCP instead
-//! of rebuilding it.
+//! Every scenario runs against one fixture — [`Deployment::catalog`] (one
+//! shard for the [`Tamper`] arms) driven by the shared three-period timeline
+//! ([`run_sharded_timeline`]) — which the network-fault catalog
+//! ([`crate::netfault`]) and `authdb-net`'s loopback tests attack over TCP
+//! too.
 
 use std::sync::Arc;
 
@@ -48,12 +48,16 @@ use rand::SeedableRng;
 
 use authdb_crypto::signer::{Keypair, SchemeKind, Signature};
 
-use crate::da::{DaConfig, SigningMode};
-use crate::freshness::UpdateSummary;
-use crate::qs::{ProjectionAnswer, QsOptions};
-use crate::record::{KEY_NEG_INF, KEY_POS_INF};
-use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
-use crate::verify::{EpochView, Verifier, VerifyError, VerifyReport};
+use authdb_core::da::{DaConfig, SigningMode};
+use authdb_core::freshness::UpdateSummary;
+use authdb_core::qs::ProjectionAnswer;
+use authdb_core::record::{KEY_NEG_INF, KEY_POS_INF};
+use authdb_core::shard::{
+    RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
+};
+use authdb_core::verify::{EpochView, Verifier, VerifyError, VerifyReport};
+
+use crate::deploy::{config, Deployment};
 
 /// One catalog of attack strategies: what each is called, which rejection
 /// pins it, and the scripted scenario that plays it against the verifier.
@@ -376,43 +380,6 @@ impl MaliciousServer<Tamper> {
     }
 }
 
-fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
-    DaConfig {
-        scheme,
-        mode,
-        ..DaConfig::small()
-    }
-}
-
-/// The deployment every scripted scenario shares — the catalogs here,
-/// `authdb-net`'s fault catalog, and its loopback tests: `n` records (keys
-/// `i·10`) in `shards` equal key ranges (one shard: the whole key space)
-/// under [`DaConfig::small`] with `scheme`, chained signing, keyed by a
-/// fixed seed, plus the DA's honest replica, verifier and genesis view.
-pub fn sharded_system(
-    scheme: SchemeKind,
-    shards: i64,
-    n: i64,
-) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-    system(scheme, SigningMode::Chained, shards, n)
-}
-
-/// [`sharded_system`] under either signing mode.
-fn system(
-    scheme: SchemeKind,
-    mode: SigningMode,
-    shards: i64,
-    n: i64,
-) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-    let mut rng = StdRng::seed_from_u64(1337);
-    let splits = (1..shards).map(|i| i * n * 10 / shards).collect();
-    let mut sa = ShardedAggregator::new(cfg(scheme, mode), splits, &mut rng);
-    let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
-    let (v, view) = (sa.verifier(), sa.epoch_view());
-    (sa, sqs, v, view)
-}
-
 /// Advance the DA by `dt` and forward whatever summaries fall due.
 pub fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
     sa.advance_clock(dt);
@@ -466,8 +433,8 @@ fn judge(
 
 /// Run one selection-catalog scenario.
 fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 40);
-    let mut mal = MaliciousServer::new(sqs, tamper);
+    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, 40);
+    let mut mal = MaliciousServer::new(d.sqs, tamper);
     // The query each strategy answers (and is judged against).
     let range = match tamper {
         Tamper::ForgeGapKeys => (101, 109),
@@ -481,10 +448,10 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
         Tamper::ReplayGapElsewhere => mal.capture(101, 109),
         _ => {}
     }
-    run_timeline(&mut sa, mal.inner(), value_update());
+    run_timeline(&mut d.sa, mal.inner(), value_update());
     let tampered = mal.select_range(range.0, range.1);
     let honest = mal.inner().select_range(range.0, range.1).unwrap();
-    judge((&v, &view, sa.now()), range, &tampered, &honest)
+    judge((&d.v, &d.view, d.sa.now()), range, &tampered, &honest)
 }
 
 /// At t=3 a record with key 50 lands in the (empty) table; the summary
@@ -500,30 +467,30 @@ fn insert_into_empty_table(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer)
 
 /// Run the empty-table replay scenario.
 fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, 0);
-    let mut mal = MaliciousServer::new(sqs, tamper);
+    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, 0);
+    let mut mal = MaliciousServer::new(d.sqs, tamper);
     // Hoard the pre-insert vacancy answer...
     mal.capture(0, 100);
     // ...then the world moves on: an insert lands and is summarized.
-    insert_into_empty_table(&mut sa, mal.inner());
+    insert_into_empty_table(&mut d.sa, mal.inner());
     let tampered = mal.select_range(0, 100);
     let honest = mal.inner().select_range(0, 100).unwrap();
-    judge((&v, &view, sa.now()), (0, 100), &tampered, &honest)
+    judge((&d.v, &d.view, d.sa.now()), (0, 100), &tampered, &honest)
 }
 
 /// Run one projection-catalog scenario.
 fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let (mut sa, sqs, v, view) = system(scheme, SigningMode::PerAttribute, 1, 40);
-    let mut mal = MaliciousServer::new(sqs, tamper);
+    let mut d = Deployment::catalog(config(scheme, SigningMode::PerAttribute), 1, 40);
+    let mut mal = MaliciousServer::new(d.sqs, tamper);
     if tamper == Tamper::StaleProjection {
         mal.capture_projection(100, 300, &[0, 1]);
     }
-    run_timeline(&mut sa, mal.inner(), value_update());
-    let now = sa.now();
+    run_timeline(&mut d.sa, mal.inner(), value_update());
+    let now = d.sa.now();
     let tampered = mal.project(100, 300, &[0, 1]);
-    let outcome = v.verify_projection(&tampered, &view, now, true);
+    let outcome = d.v.verify_projection(&tampered, &d.view, now, true);
     let honest = mal.inner().project(100, 300, &[0, 1]).unwrap();
-    let honest_ok = v.verify_projection(&honest, &view, now, true).is_ok();
+    let honest_ok = d.v.verify_projection(&honest, &d.view, now, true).is_ok();
     Conformance { honest_ok, outcome }
 }
 
@@ -659,8 +626,8 @@ impl MaliciousServer<ShardTamper> {
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
 fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance {
-    let (mut sa, sqs, v, view) = sharded_system(scheme, 2, 40);
-    let mut mal = MaliciousServer::new(sqs, tamper);
+    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+    let mut mal = MaliciousServer::new(d.sqs, tamper);
     let (lo, hi) = (150, 250);
     // Replays hoard the pre-update fan-out.
     if matches!(
@@ -669,10 +636,10 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance {
     ) {
         mal.capture(lo, hi);
     }
-    run_sharded_timeline(&mut sa, mal.inner());
+    run_sharded_timeline(&mut d.sa, mal.inner());
     let tampered = mal.select_range(lo, hi);
     let honest = mal.inner().select_range(lo, hi).expect("chained mode");
-    judge((&v, &view, sa.now()), (lo, hi), &tampered, &honest)
+    judge((&d.v, &d.view, d.sa.now()), (lo, hi), &tampered, &honest)
 }
 
 // ---------------------------------------------------------------------------
@@ -739,7 +706,13 @@ impl Strategy for RebalanceTamper {
 /// (epoch 1 → 2). The strategy attacks the transition or the first
 /// post-transition answers.
 fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformance {
-    let (mut sa, sqs, v, mut view) = sharded_system(scheme, 2, 40);
+    let Deployment {
+        mut sa,
+        sqs,
+        v,
+        mut view,
+        ..
+    } = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
     let pp = sa.public_params();
     // The shared timeline: summaries exist, an update lands in shard 1.
     run_sharded_timeline(&mut sa, &sqs);
@@ -935,14 +908,11 @@ impl Strategy for CheckpointTamper {
 /// A one-shard deployment after the shared three-period timeline, with
 /// everything but the last two summaries compacted (the cut covers seq 0;
 /// seqs 1 and 2 stay retained as the run the checkpoint anchors).
-fn checkpointed_system(
-    scheme: SchemeKind,
-    mode: SigningMode,
-) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-    let (mut sa, sqs, v, view) = system(scheme, mode, 1, 40);
-    run_timeline(&mut sa, &sqs, value_update());
-    compact(&mut sa, &sqs, 2);
-    (sa, sqs, v, view)
+fn checkpointed_system(scheme: SchemeKind, mode: SigningMode) -> Deployment {
+    let mut d = Deployment::catalog(config(scheme, mode), 1, 40);
+    run_timeline(&mut d.sa, &d.sqs, value_update());
+    compact(&mut d.sa, &d.sqs, 2);
+    d
 }
 
 /// Checkpoint shard 0's summary log on both sides, keeping the newest
@@ -983,16 +953,16 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
     } else {
         (40, (100, 300))
     };
-    let (mut sa, sqs, v, view) = sharded_system(scheme, 1, n);
-    let old = sqs.select_range(lo, hi).expect("chained mode");
+    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, n);
+    let old = d.select(lo, hi);
     if vacancy {
-        insert_into_empty_table(&mut sa, &sqs);
-        tick_and_publish(&mut sa, &sqs, 10);
+        insert_into_empty_table(&mut d.sa, &d.sqs);
+        tick_and_publish(&mut d.sa, &d.sqs, 10);
     } else {
-        run_timeline(&mut sa, &sqs, value_update());
+        run_timeline(&mut d.sa, &d.sqs, value_update());
     }
-    compact(&mut sa, &sqs, 1);
-    let honest = sqs.select_range(lo, hi).expect("chained mode");
+    compact(&mut d.sa, &d.sqs, 1);
+    let honest = d.select(lo, hi);
     let mut tampered = replay_under(&old, &honest);
     let ckpt = tampered.parts[0].answer.checkpoint.as_mut();
     let exposure = &mut ckpt.expect("checkpoint attached").exposure;
@@ -1010,7 +980,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
         CheckpointTamper::OmittedOpening => {
             // What the server attaches to rids 0..=15: chunk 0 alone, with
             // the siblings that make it a valid opening.
-            let other = sqs.select_range(0, 150).expect("chained mode");
+            let other = d.select(0, 150);
             tampered = replay_under(&old, &other);
         }
         CheckpointTamper::UnderstatedMax => {
@@ -1022,13 +992,13 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
         CheckpointTamper::SurplusSibling => exposure.siblings.push(exposure.root),
         _ => unreachable!("not an opening tamper"),
     }
-    judge((&v, &view, sa.now()), (lo, hi), &tampered, &honest)
+    judge((&d.v, &d.view, d.sa.now()), (lo, hi), &tampered, &honest)
 }
 
 /// Run one checkpoint-anchored-answer scenario.
 fn checkpoint_answer_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
-    let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::Chained);
-    let honest = sqs.select_range(100, 300).expect("chained mode");
+    let d = checkpointed_system(scheme, SigningMode::Chained);
+    let honest = d.select(100, 300);
     let mut tampered = honest.clone();
     let part = &mut tampered.parts[0].answer;
     match tamper {
@@ -1044,23 +1014,26 @@ fn checkpoint_answer_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> C
         }
         _ => unreachable!("not a selection-answer tamper"),
     }
-    judge((&v, &view, sa.now()), (100, 300), &tampered, &honest)
+    judge((&d.v, &d.view, d.sa.now()), (100, 300), &tampered, &honest)
 }
 
 /// Run the checkpoint-anchored-projection scenario: the oldest projected
 /// row predates the cut, so the honest answer verifies only through the
 /// checkpoint it ships — and a doctored one must not.
 fn checkpoint_projection_scenario(scheme: SchemeKind) -> Conformance {
-    let (sa, sqs, v, view) = checkpointed_system(scheme, SigningMode::PerAttribute);
-    let now = sa.now();
-    let honest = sqs.project(100, 300, &[0, 1]).expect("per-attribute mode");
-    let honest_ok = v.verify_projection(&honest, &view, now, true).is_ok();
+    let d = checkpointed_system(scheme, SigningMode::PerAttribute);
+    let now = d.sa.now();
+    let honest = d
+        .sqs
+        .project(100, 300, &[0, 1])
+        .expect("per-attribute mode");
+    let honest_ok = d.v.verify_projection(&honest, &d.view, now, true).is_ok();
     let mut tampered = honest;
     let c = tampered.checkpoint.as_mut().expect("checkpoint attached");
     c.through_seq += 1;
     Conformance {
         honest_ok,
-        outcome: v.verify_projection(&tampered, &view, now, true),
+        outcome: d.v.verify_projection(&tampered, &d.view, now, true),
     }
 }
 
@@ -1070,7 +1043,8 @@ fn checkpoint_projection_scenario(scheme: SchemeKind) -> Conformance {
 /// strategy doctors the bundle — or, for the rollback, answers the
 /// now-pinned client's next catch-up with the epoch-2 bundle.
 fn checkpoint_bootstrap_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
-    let (mut sa, sqs, _, _) = sharded_system(scheme, 2, 40);
+    let Deployment { mut sa, sqs, .. } =
+        Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
     let pp = sa.public_params();
     let genesis_map = sa.map().clone();
     let rb1 = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);

@@ -1,25 +1,35 @@
-//! Scaffolding the property suites in this directory share: the scripted
-//! workload vocabulary, a deployment driven by *logical* record ids (so one
-//! script drives deployments whose shard-local rids diverge and are
-//! reshuffled by every handoff), and the plain in-test model of the logical
-//! operations every deployment's answers are compared against.
-#![allow(dead_code)] // each suite uses its own subset
+//! The deployment every test drives, and the scripted-workload vocabulary
+//! the property suites share.
+//!
+//! A [`Deployment`] is the three parties of one deployment — DA, honest
+//! server, and a client (verifier plus pinned view) — addressed by
+//! *logical* record id, so one script drives deployments whose shard-local
+//! rids diverge and are reshuffled by every handoff. [`Model`] is the plain
+//! model of the logical operations every deployment's answers are compared
+//! against; [`Op`] and its decoders turn proptest tuples into scripts.
 
 use authdb_core::da::{DaConfig, SigningMode};
-use authdb_core::qs::QsOptions;
-use authdb_core::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
+use authdb_core::qs::{QsOptions, SelectionAnswer};
+use authdb_core::shard::{
+    RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
+};
 use authdb_core::verify::{EpochView, Verifier, VerifyError, VerifyReport};
+use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub const RHO: u64 = 10;
-
-pub fn cfg(mode: SigningMode) -> DaConfig {
+/// [`DaConfig::small`] under `scheme` and `mode`.
+pub fn config(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
     DaConfig {
+        scheme,
         mode,
-        rho: RHO,
         ..DaConfig::small()
     }
+}
+
+/// The single part of a one-shard fan-out.
+pub fn part(ans: &mut ShardedSelectionAnswer) -> &mut SelectionAnswer {
+    &mut ans.parts[0].answer
 }
 
 /// One scripted operation over *logical* records.
@@ -239,10 +249,11 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Bootstrap `rows` (logical id = position) under `splits`.
-    pub fn build(mode: SigningMode, rows: &[Vec<i64>], splits: Vec<i64>, seed: u64) -> Self {
+    /// Bootstrap `rows` (logical id = position) under `cfg`, split at
+    /// `splits`, the DA keyed from `seed`.
+    pub fn new(cfg: DaConfig, rows: &[Vec<i64>], splits: Vec<i64>, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sa = ShardedAggregator::new(cfg(mode), splits, &mut rng);
+        let mut sa = ShardedAggregator::new(cfg, splits, &mut rng);
         // The bootstrap reorders rows by shard; recover each logical row's
         // address by replaying the routing.
         let mut next_rid = vec![0u64; sa.map().shard_count()];
@@ -267,6 +278,35 @@ impl Deployment {
             loc,
             keys,
         }
+    }
+
+    /// The deployment every scripted scenario shares — the tamper and
+    /// network-fault catalogs and the loopback tests: `n` records
+    /// `[i·10, i]` in `shards` equal key ranges (one shard: the whole key
+    /// space) under `cfg`, the DA keyed from seed 1337.
+    pub fn catalog(cfg: DaConfig, shards: i64, n: i64) -> Self {
+        let splits = (1..shards).map(|i| i * n * 10 / shards).collect();
+        let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i * 10, i]).collect();
+        Self::new(cfg, &rows, splits, 1337)
+    }
+
+    /// The honest answer to `lo..=hi`.
+    pub fn select(&self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
+        self.sqs.select_range(lo, hi).expect("chained mode")
+    }
+
+    /// Verify `ans` as the answer to `lo..=hi` under the pinned view at the
+    /// DA's clock, freshness on, with fold coefficients from a fixed seed.
+    pub fn verify(
+        &self,
+        lo: i64,
+        hi: i64,
+        ans: &ShardedSelectionAnswer,
+    ) -> Result<VerifyReport, VerifyError> {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let now = self.sa.now();
+        self.v
+            .verify_sharded_selection(lo, hi, ans, &self.view, now, true, &mut rng)
     }
 
     pub fn insert(&mut self, attrs: Vec<i64>) {
@@ -358,15 +398,15 @@ impl Deployment {
         }
     }
 
-    /// Answer `lo..=hi` and verify it under the pinned view at the DA's
-    /// clock: the verdict, and the returned rows in fan-out order.
+    /// Answer `lo..=hi` and verify it with coefficients from `rng`: the
+    /// verdict, and the returned rows in fan-out order.
     pub fn query(
         &self,
         lo: i64,
         hi: i64,
         rng: &mut StdRng,
     ) -> (Result<VerifyReport, VerifyError>, Vec<Vec<i64>>) {
-        let ans = self.sqs.select_range(lo, hi).unwrap();
+        let ans = self.select(lo, hi);
         let now = self.sa.now();
         let verdict = self
             .v

@@ -9,30 +9,30 @@
 //! Each [`NetFault`] is one scripted [`ChaosProxy`] behavior (or one
 //! degradation edge case) with a pinned required outcome, enumerated in
 //! [`NetFault::CATALOG`] and driven by [`run_netfault_catalog`], mirroring
-//! `authdb_core::adversary`.
+//! [`crate::adversary`].
 //!
-//! The scenario is always the same: a 4-shard deployment over keys
+//! The scenario is always the same [`ChaosSystem`] — the fixture the chaos
+//! and partial-answer tests build too: a 4-shard deployment over keys
 //! 0..=390 behind one TCP server, fronted by four chaos proxies (one per
-//! shard endpoint), queried over the full range by a [`ShardFanout`]
-//! under tight test deadlines. The fault targets shard 1's endpoint; the
-//! other three stay honest.
+//! shard endpoint), queried over the full range by a [`ShardFanout`] under
+//! tight test deadlines ([`fast_config`]). The fault targets shard 1's
+//! endpoint; the other three stay honest.
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::adversary::{run_sharded_timeline, sharded_system};
-use authdb_core::shard::ShardedAggregator;
+use authdb_core::da::SigningMode;
+use authdb_core::shard::{ShardedAggregator, ShardedSelectionAnswer};
 use authdb_core::verify::{EpochView, PartialVerdict, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
+use authdb_net::{ClientConfig, NetError, QsServer, QsServerOptions, RetryPolicy, ShardFanout};
 
-use crate::fanout::ShardFanout;
+use crate::adversary::run_sharded_timeline;
+use crate::deploy::{config, Deployment};
 use crate::fault::{ChaosProxy, Fault, FaultPlan};
-use crate::retry::ClientConfig;
-use crate::server::{QsServer, QsServerOptions};
 use crate::tamper::WireTamper;
-use crate::NetError;
 
 /// One way the transport can misbehave, with a pinned required outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,47 +185,65 @@ impl NetFaultConformance {
 /// The shard whose endpoint each strategy attacks.
 const TARGET_SHARD: usize = 1;
 
-struct ChaosSystem {
-    sa: ShardedAggregator,
-    /// Held to keep the upstream serving; the proxies talk to its address.
-    _server: QsServer,
-    proxies: Vec<ChaosProxy>,
-    verifier: Verifier,
-    view: EpochView,
-    config: ClientConfig,
+/// A tight-deadline client profile for tests: sub-second timeouts so a
+/// deliberately stalled peer costs milliseconds, not CI minutes.
+pub fn fast_config() -> ClientConfig {
+    ClientConfig {
+        connect_timeout: Duration::from_millis(300),
+        read_timeout: Duration::from_millis(300),
+        write_timeout: Duration::from_millis(300),
+        retry: RetryPolicy {
+            max_retries: 2,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(40),
+            jitter_seed: 7,
+        },
+    }
+}
+
+/// 4 shards over keys 0..=390 ([`Deployment::catalog`], 40 records) behind
+/// one [`QsServer`], one chaos proxy per shard endpoint (all initially
+/// healthy), and a [`fast_config`] client profile. No timeline has run:
+/// each caller drives its own through `server.with_server`.
+pub struct ChaosSystem {
+    pub sa: ShardedAggregator,
+    /// The upstream the proxies relay to.
+    pub server: QsServer,
+    pub proxies: Vec<ChaosProxy>,
+    pub v: Verifier,
+    pub view: EpochView,
+    pub config: ClientConfig,
 }
 
 impl ChaosSystem {
-    /// 4 shards over keys 0..=390, the shared three-period timeline, one
-    /// chaos proxy per shard endpoint (all initially healthy), and tight
-    /// test deadlines.
-    fn build(scheme: SchemeKind, n: i64) -> Self {
-        let (mut sa, sqs, verifier, view) = sharded_system(scheme, 4, n);
+    pub fn new(scheme: SchemeKind) -> Self {
+        let Deployment {
+            sa, sqs, v, view, ..
+        } = Deployment::catalog(config(scheme, SigningMode::Chained), 4, 40);
         let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-        server.with_server(|sqs| run_sharded_timeline(&mut sa, sqs));
-
-        let proxies: Vec<ChaosProxy> = (0..sa.map().shard_count())
+        let proxies = (0..sa.map().shard_count())
             .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
             .collect();
         ChaosSystem {
             sa,
-            _server: server,
+            server,
             proxies,
-            verifier,
+            v,
             view,
-            config: ClientConfig::fast(),
+            config: fast_config(),
         }
     }
 
-    fn fanout(&self) -> ShardFanout {
+    /// A fan-out over the proxies under the current map and profile.
+    pub fn fanout(&self) -> ShardFanout {
         let endpoints = self.proxies.iter().map(|p| p.addr().to_string()).collect();
         ShardFanout::new(self.sa.map().clone(), endpoints, self.config.clone())
     }
 
     /// Worst case for one whole fan-out: every shard burning its full
-    /// per-request deadline budget, plus slack for scheduling.
-    fn fanout_budget(&self) -> Duration {
-        self.config.deadline_budget() * self.sa.map().shard_count() as u32 + Duration::from_secs(1)
+    /// per-request deadline budget, plus `slack` for scheduling.
+    pub fn fanout_budget(&self, slack: Duration) -> Duration {
+        self.config.deadline_budget() * self.sa.map().shard_count() as u32 + slack
     }
 
     /// Run a fan-out over the full key range and verify whatever comes
@@ -239,11 +257,11 @@ impl ChaosSystem {
 
     fn judge(
         &self,
-        answer: &authdb_core::shard::ShardedSelectionAnswer,
+        answer: &ShardedSelectionAnswer,
         unreachable: &[usize],
         rng: &mut StdRng,
     ) -> NetOutcome {
-        match self.verifier.verify_partial_selection(
+        match self.v.verify_partial_selection(
             0,
             390,
             answer,
@@ -272,7 +290,9 @@ impl ChaosSystem {
 /// Run one catalog strategy against a fresh chaos system.
 fn netfault_scenario(scheme: SchemeKind, fault: NetFault) -> NetFaultConformance {
     let mut rng = StdRng::seed_from_u64(4242);
-    let sys = ChaosSystem::build(scheme, 40);
+    let mut sys = ChaosSystem::new(scheme);
+    sys.server
+        .with_server(|sqs| run_sharded_timeline(&mut sys.sa, sqs));
 
     // The 0%-fault gate: the resilient stack must accept honest answers.
     let honest_ok = matches!(sys.exchange(&mut rng), NetOutcome::Complete(_));
@@ -332,7 +352,7 @@ fn netfault_scenario(scheme: SchemeKind, fault: NetFault) -> NetFaultConformance
         honest_ok,
         outcome,
         target_attempts,
-        within_budget: elapsed <= sys.fanout_budget(),
+        within_budget: elapsed <= sys.fanout_budget(Duration::from_secs(1)),
         recovered,
     }
 }

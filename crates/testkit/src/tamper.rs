@@ -1,6 +1,6 @@
 //! The wire-tamper arm of the adversary catalog.
 //!
-//! The in-process catalogs (`authdb_core::adversary`) attack the *content*
+//! The in-process catalogs ([`crate::adversary`]) attack the *content*
 //! of answers; these strategies attack the *bytes*. Each entry corrupts an
 //! outgoing response frame the way a malicious server or a hostile network
 //! element could, and pins the typed error the client stack must surface —

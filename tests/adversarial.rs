@@ -2,14 +2,12 @@
 //! class of forgery the paper's correctness properties rule out, across
 //! all three signature schemes.
 
-mod common;
-
 use authdb::core::da::DaConfig;
 use authdb::core::verify::VerifyError;
 use authdb::crypto::signer::SchemeKind;
-use common::{part, OneShard};
+use authdb_testkit::deploy::{part, Deployment};
 
-fn system(scheme: SchemeKind) -> OneShard {
+fn system(scheme: SchemeKind) -> Deployment {
     let cfg = DaConfig {
         scheme,
         rho: 5,
@@ -17,7 +15,8 @@ fn system(scheme: SchemeKind) -> OneShard {
         buffer_pages: 1024,
         ..DaConfig::small()
     };
-    OneShard::new(cfg, (0..100).map(|i| vec![i * 5, i]).collect(), 99)
+    let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i * 5, i]).collect();
+    Deployment::new(cfg, &rows, vec![], 99)
 }
 
 fn schemes() -> Vec<SchemeKind> {

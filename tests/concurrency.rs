@@ -12,10 +12,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use authdb::core::da::DaConfig;
-use authdb::core::qs::QsOptions;
 use authdb::core::shard::{RebalancePlan, ShardedAggregator};
 use authdb::core::verify::{EpochView, Verifier, VerifyError};
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
+use authdb_testkit::deploy::Deployment;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,11 +30,9 @@ fn concurrent_queries_verify_during_update_stream() {
         buffer_pages: 2048,
         ..DaConfig::small()
     };
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut sa = ShardedAggregator::new(cfg, vec![], &mut rng);
-    let boots = sa.bootstrap((0..400).map(|i| vec![i, 0]).collect(), 2);
-    let sqs = &sa.replica(&boots, &QsOptions::default());
-    let (verifier, view) = (sa.verifier(), sa.epoch_view());
+    let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i, 0]).collect();
+    let mut d = Deployment::new(cfg, &rows, vec![], 7);
+    let (sqs, verifier, view) = (&d.sqs, &d.v, &d.view);
 
     let stop = Arc::new(AtomicU64::new(0));
     let verified = Arc::new(AtomicU64::new(0));
@@ -60,7 +58,7 @@ fn concurrent_queries_verify_during_update_stream() {
         // Writer: 200 updates through the DA, applied atomically.
         for step in 0..200 {
             let rid = (step * 7) % 400;
-            let (_, msgs) = sa.update_record(0, rid as u64, vec![rid, step]);
+            let (_, msgs) = d.sa.update_record(0, rid as u64, vec![rid, step]);
             sqs.apply_all(&msgs);
             std::thread::yield_now();
         }
@@ -91,14 +89,10 @@ fn spawn_two_shard_server() -> (ShardedAggregator, QsServer, Verifier, EpochView
         rho_prime: 1_000_000,
         ..DaConfig::small()
     };
-    let mut rng = StdRng::seed_from_u64(4040);
-    let mut sa = ShardedAggregator::new(cfg, vec![2000], &mut rng);
-    let boots = sa.bootstrap((0..400).map(|i| vec![i * 10, i]).collect(), 2);
-    let sqs = sa.replica(&boots, &QsOptions::default());
-    let verifier = sa.verifier();
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-    let view = sa.epoch_view();
-    (sa, server, verifier, view)
+    let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i * 10, i]).collect();
+    let d = Deployment::new(cfg, &rows, vec![2000], 4040);
+    let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
+    (d.sa, server, d.v, d.view)
 }
 
 /// Shared state between the reader threads and the orchestrating test.

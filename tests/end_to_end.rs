@@ -1,18 +1,16 @@
 //! Cross-crate integration: the full outsourced-database lifecycle with
 //! real BAS (BLS/BN254) cryptography, side by side with the EMB− baseline.
 
-mod common;
-
 use authdb::core::da::{DaConfig, SigningMode};
 use authdb::core::record::Schema;
 use authdb::crypto::signer::{Keypair, SchemeKind};
 use authdb::index::emb::DigestKind;
 use authdb::paper::embsys::{EmbAggregator, EmbServer, EmbVerifier};
-use common::{part, OneShard};
+use authdb_testkit::deploy::{part, Deployment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn bas_system(n: i64, scheme: SchemeKind, seed: u64) -> OneShard {
+fn bas_system(n: i64, scheme: SchemeKind, seed: u64) -> Deployment {
     let cfg = DaConfig {
         schema: Schema::new(3, 64),
         scheme,
@@ -21,8 +19,8 @@ fn bas_system(n: i64, scheme: SchemeKind, seed: u64) -> OneShard {
         buffer_pages: 2048,
         ..DaConfig::small()
     };
-    let rows = (0..n).map(|i| vec![i * 2, i, 1000 + i]).collect();
-    OneShard::new(cfg, rows, seed)
+    let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![i * 2, i, 1000 + i]).collect();
+    Deployment::new(cfg, &rows, vec![], seed)
 }
 
 #[test]
@@ -36,11 +34,8 @@ fn lifecycle_with_real_bas() {
     // A burst of updates, an insert and a delete, plus a summary cycle.
     s.sa.advance_clock(2);
     s.update(60, vec![120, 60, 9999]);
-    let (shard, msgs) = s.sa.insert(vec![121, 777, 1]);
-    for m in &msgs {
-        s.sqs.apply(shard, m);
-    }
-    s.sqs.apply_all(&s.sa.delete_record(0, 70));
+    s.insert(vec![121, 777, 1]);
+    s.delete(70);
     s.sa.advance_clock(5);
     s.publish();
 
@@ -91,7 +86,8 @@ fn update_stream_keeps_both_systems_consistent() {
         buffer_pages: 2048,
         ..DaConfig::small()
     };
-    let mut s = OneShard::new(cfg, (0..150).map(|i| vec![i, 0]).collect(), 4);
+    let rows: Vec<Vec<i64>> = (0..150).map(|i| vec![i, 0]).collect();
+    let mut s = Deployment::new(cfg, &rows, vec![], 4);
 
     let kp = Keypair::generate(SchemeKind::Mock, &mut rng);
     let mut eda = EmbAggregator::new(schema, DigestKind::Sha1, kp, 2048, 2.0 / 3.0);
@@ -110,7 +106,7 @@ fn update_stream_keeps_both_systems_consistent() {
         }
         let val = rng.gen_range(0..100);
         let key = rng.gen_range(0..200);
-        s.update(rid, vec![key, val]);
+        s.update(rid as usize, vec![key, val]);
         if let Some(up) = eda.update_record(rid, vec![key, val]) {
             eserver.apply(&up);
         }
@@ -146,8 +142,8 @@ fn projection_end_to_end() {
         buffer_pages: 1024,
         ..DaConfig::small()
     };
-    let rows = (0..40).map(|i| vec![i, i * 10, i * 100, -i]).collect();
-    let s = OneShard::new(cfg, rows, 5);
+    let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i, i * 10, i * 100, -i]).collect();
+    let s = Deployment::new(cfg, &rows, vec![], 5);
     // Project two non-contiguous attributes: VO is still one signature.
     let ans = s.sqs.project(5, 25, &[1, 3]).unwrap();
     assert_eq!(ans.rows.len(), 21);

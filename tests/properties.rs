@@ -1,7 +1,5 @@
 //! Property-based tests (proptest) on the workspace's core invariants.
 
-mod common;
-
 use proptest::prelude::*;
 
 use authdb::core::da::DaConfig;
@@ -12,7 +10,7 @@ use authdb::filters::bloom::BloomFilter;
 use authdb::index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
 use authdb::paper::sigcache::{distributions, select_cache, SigTreeAnalysis};
 use authdb::storage::{BufferPool, Disk};
-use common::{part, OneShard};
+use authdb_testkit::deploy::{part, Deployment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -139,7 +137,8 @@ proptest! {
             buffer_pages: 512,
             ..DaConfig::small()
         };
-        let s = OneShard::new(cfg, (0..200).map(|i| vec![i, i]).collect(), 42);
+        let rows: Vec<Vec<i64>> = (0..200).map(|i| vec![i, i]).collect();
+        let s = Deployment::new(cfg, &rows, vec![], 42);
         let ans = s.select(lo, hi);
         prop_assert!(s.verify(lo, hi, &ans).is_ok());
         let mut bad = ans.clone();
