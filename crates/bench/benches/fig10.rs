@@ -34,7 +34,7 @@ fn cardinality_probs(n: usize) -> Vec<f64> {
     // then amplifies the cache's service-time savings into the reported
     // response-time drops.
     let cap = (24 * (n / 1000)).clamp(1, n);
-    let mut probs = authdb_workload::cardinality::harmonic(cap);
+    let mut probs = authdb_paper::workload::cardinality::harmonic(cap);
     probs.resize(n, 0.0);
     probs
 }
@@ -58,7 +58,8 @@ fn run_point(
     // Identical arrival/query trace across every point: the comparison
     // isolates the cache effect, not Poisson noise.
     let mut rng = StdRng::seed_from_u64(1000);
-    let sampler = authdb_workload::cardinality::CardinalitySampler::new(&cardinality_probs(n));
+    let sampler =
+        authdb_paper::workload::cardinality::CardinalitySampler::new(&cardinality_probs(n));
 
     // Build the trace: per-transaction service times from real op counts.
     let mut specs = Vec::new();

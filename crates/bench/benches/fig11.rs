@@ -11,14 +11,14 @@ use std::time::Instant;
 
 use authdb_bench::{banner, csv_begin, csv_end, full_scale, replica_opts};
 use authdb_core::da::DaConfig;
-use authdb_core::join::{
-    execute_join, partition_certification_message, verify_join, viability, JoinMethod,
-};
 use authdb_core::record::Schema;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::{EpochView, Verifier};
-use authdb_filters::partitioned::PartitionedFilters;
-use authdb_workload::tpce;
+use authdb_paper::join::{
+    execute_join, partition_certification_message, verify_join, viability, JoinMethod,
+};
+use authdb_paper::partitioned::PartitionedFilters;
+use authdb_paper::workload::tpce;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -5,7 +5,7 @@
 //! thresholds `I_B/p ≥ 2.83` at `I_A/I_B = 1` and `≥ 6.29` at ratio 10.
 
 use authdb_bench::{banner, csv_begin, csv_end};
-use authdb_core::join::viability;
+use authdb_paper::join::viability;
 
 fn main() {
     banner("Figure 4", "Viability surface for BF join configuration");

@@ -10,11 +10,11 @@
 //! Figure 2's `⟨key, sn, rid⟩` leaves, no signature is stored here: each
 //! one ships in its [`UpdateMsg`] and the query server keeps it decoded by
 //! rid, so a query never decompresses a G1 point. Every certification signs
-//! the record content together with its timestamp; in **chained** mode the
-//! message additionally binds the left/right neighbours' indexed-attribute
-//! values (Section 3.3), so inserts and deletes re-certify up to two
-//! neighbours while plain value updates touch exactly one signature — the
-//! concurrency advantage over the MHT that the whole paper builds on.
+//! the record content together with its timestamp and chains it to the
+//! left/right neighbours' indexed-attribute values (Section 3.3), so
+//! inserts and deletes re-certify up to two neighbours while plain value
+//! updates touch exactly one signature — the concurrency advantage over
+//! the MHT that the whole paper builds on.
 //!
 //! Freshness machinery: per-period update marking, certified bitmap
 //! summaries every ρ ticks, the multiple-update re-certification rule, and
@@ -62,14 +62,16 @@ pub(crate) const KEY_RID_INDEX: TreeConfig = TreeConfig {
 };
 
 /// What the per-record signature binds (Section 3.2: "what exactly sn is
-/// computed on depends on the operations we want to support").
+/// computed on depends on the operations we want to support"). Serving
+/// deployments chain, always; the §3.4 per-attribute mode is reproduced
+/// in process by `authdb_paper::projection`. This one-variant enum and
+/// [`DaConfig::mode`] survive only because the pinned benchmark harness
+/// names them in its `DaConfig` literal; nothing reads them, and the
+/// benchmark change that un-pins that literal (ROADMAP 6(g)) deletes both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SigningMode {
-    /// Chained messages for selection/join completeness (Section 3.3).
+    /// Chained messages for selection completeness (Section 3.3).
     Chained,
-    /// Per-attribute signatures aggregated per record, for projection
-    /// (Section 3.4).
-    PerAttribute,
 }
 
 /// DA configuration.
@@ -79,7 +81,8 @@ pub struct DaConfig {
     pub schema: Schema,
     /// Signature scheme.
     pub scheme: SchemeKind,
-    /// Signing mode.
+    /// Signing mode: always [`SigningMode::Chained`], read by nothing (see
+    /// [`SigningMode`]).
     pub mode: SigningMode,
     /// Summary publication period ρ (ticks).
     pub rho: Tick,
@@ -93,7 +96,7 @@ pub struct DaConfig {
 
 impl DaConfig {
     /// The paper's Table 2 defaults: 512-byte records with 4 attributes,
-    /// BAS signatures, chained mode, ρ = 1 s, ρ′ = 900 s (1 tick = 1 s).
+    /// BAS signatures, ρ = 1 s, ρ′ = 900 s (1 tick = 1 s).
     pub fn paper_defaults() -> Self {
         DaConfig {
             schema: Schema::new(4, 512),
@@ -107,7 +110,7 @@ impl DaConfig {
     }
 
     /// A small relation for tests, scenarios and benches: 64-byte records
-    /// with 2 attributes, Mock signatures, chained mode, ρ = 10,
+    /// with 2 attributes, Mock signatures, ρ = 10,
     /// ρ′ = 10 000, a 256-page pool. Deviate by struct update:
     /// `DaConfig { scheme, ..DaConfig::small() }`.
     pub fn small() -> Self {
@@ -147,8 +150,6 @@ pub struct UpdateMsg {
     pub record: Record,
     /// Signature over the record's signing message.
     pub signature: Signature,
-    /// Per-attribute signatures (PerAttribute mode only).
-    pub attr_sigs: Vec<Signature>,
     /// The record's previous key if the indexed attribute changed.
     pub old_key: Option<i64>,
     /// Fresh empty-table proof, present only on a delete that emptied the
@@ -162,8 +163,6 @@ pub struct Bootstrap {
     pub records: Vec<Record>,
     /// Record signatures in rid order.
     pub sigs: Vec<Signature>,
-    /// Per-attribute signatures in rid order (PerAttribute mode).
-    pub attr_sigs: Vec<Vec<Signature>>,
     /// Empty-table proof when the bootstrap holds zero records.
     pub vacancy: Option<EmptyTableProof>,
 }
@@ -477,29 +476,8 @@ impl DataAggregator {
     // -- signing ----------------------------------------------------------
 
     fn sign_record(&self, record: &Record, left_key: i64, right_key: i64) -> Signature {
-        match self.cfg.mode {
-            SigningMode::Chained => {
-                self.keypair
-                    .sign(&record.chain_message(&self.cfg.schema, left_key, right_key))
-            }
-            SigningMode::PerAttribute => {
-                let pp = self.keypair.public_params();
-                let mut agg = pp.identity();
-                for i in 0..record.attrs.len() {
-                    agg = pp.aggregate(&agg, &self.keypair.sign(&record.attribute_message(i)));
-                }
-                agg
-            }
-        }
-    }
-
-    fn sign_attrs(&self, record: &Record) -> Vec<Signature> {
-        match self.cfg.mode {
-            SigningMode::Chained => Vec::new(),
-            SigningMode::PerAttribute => (0..record.attrs.len())
-                .map(|i| self.keypair.sign(&record.attribute_message(i)))
-                .collect(),
-        }
+        self.keypair
+            .sign(&record.chain_message(&self.cfg.schema, left_key, right_key))
     }
 
     /// Neighbour keys of position `(key, rid)` in the index. At the shard's
@@ -564,11 +542,9 @@ impl DataAggregator {
 
         // Sign in parallel: chunk the sorted sequence; neighbours are known
         // from the ordering.
-        let mode = self.cfg.mode;
         let n = order.len();
         let jobs = jobs.max(1).min(n.max(1));
         let mut sigs_by_rid: Vec<Option<Signature>> = vec![None; n];
-        let mut attr_by_rid: Vec<Vec<Signature>> = vec![Vec::new(); n];
         if n > 0 {
             let chunks: Vec<(usize, usize)> = {
                 let per = n.div_ceil(jobs);
@@ -577,7 +553,7 @@ impl DataAggregator {
                     .filter(|(a, b)| a < b)
                     .collect()
             };
-            let results: Vec<Vec<(usize, Signature, Vec<Signature>)>> = std::thread::scope(|s| {
+            let results: Vec<Vec<(usize, Signature)>> = std::thread::scope(|s| {
                 let handles: Vec<_> = chunks
                     .iter()
                     .map(|&(a, b)| {
@@ -589,27 +565,17 @@ impl DataAggregator {
                             for sorted_pos in a..b {
                                 let idx = order[sorted_pos];
                                 let rec = &records[idx];
-                                let (sig, attr_sigs) = match mode {
-                                    SigningMode::Chained => {
-                                        let left = if sorted_pos > 0 {
-                                            records[order[sorted_pos - 1]].key(&schema)
-                                        } else {
-                                            this.scope.left_fence
-                                        };
-                                        let right = if sorted_pos + 1 < n {
-                                            records[order[sorted_pos + 1]].key(&schema)
-                                        } else {
-                                            this.scope.right_fence
-                                        };
-                                        (this.sign_record(rec, left, right), Vec::new())
-                                    }
-                                    SigningMode::PerAttribute => {
-                                        let attrs = this.sign_attrs(rec);
-                                        let pp = this.keypair.public_params();
-                                        (pp.aggregate_all(&attrs), attrs)
-                                    }
+                                let left = if sorted_pos > 0 {
+                                    records[order[sorted_pos - 1]].key(&schema)
+                                } else {
+                                    this.scope.left_fence
                                 };
-                                out.push((idx, sig, attr_sigs));
+                                let right = if sorted_pos + 1 < n {
+                                    records[order[sorted_pos + 1]].key(&schema)
+                                } else {
+                                    this.scope.right_fence
+                                };
+                                out.push((idx, this.sign_record(rec, left, right)));
                             }
                             out
                         })
@@ -621,9 +587,8 @@ impl DataAggregator {
                     .collect()
             });
             for chunk in results {
-                for (idx, sig, attrs) in chunk {
+                for (idx, sig) in chunk {
                     sigs_by_rid[idx] = Some(sig);
-                    attr_by_rid[idx] = attrs;
                 }
             }
         }
@@ -661,7 +626,6 @@ impl DataAggregator {
         Bootstrap {
             records,
             sigs,
-            attr_sigs: attr_by_rid,
             vacancy,
         }
     }
@@ -673,19 +637,14 @@ impl DataAggregator {
     }
 
     fn certify(&mut self, record: &Record, kind: UpdateKind) -> UpdateMsg {
-        let (left, right) = match self.cfg.mode {
-            SigningMode::Chained => self.neighbor_keys(record.key(&self.cfg.schema), record.rid),
-            SigningMode::PerAttribute => (KEY_NEG_INF, KEY_POS_INF),
-        };
+        let (left, right) = self.neighbor_keys(record.key(&self.cfg.schema), record.rid);
         let sig = self.sign_record(record, left, right);
-        let attr_sigs = self.sign_attrs(record);
         self.cert_ts[record.rid as usize] = record.ts;
         self.mark_updated(record.rid);
         UpdateMsg {
             kind,
             record: record.clone(),
             signature: sig,
-            attr_sigs,
             old_key: None,
             vacancy: None,
         }
@@ -700,7 +659,7 @@ impl DataAggregator {
     }
 
     /// Insert a new record; returns the messages to forward to the QS
-    /// (the new record plus re-chained neighbours in chained mode).
+    /// (the new record plus its re-chained neighbours).
     ///
     /// # Panics
     /// Panics if the indexed key is one of the reserved ±∞ sentinels.
@@ -721,12 +680,10 @@ impl DataAggregator {
         let key = record.key(&schema);
         self.tree.insert(key, rid, Vec::new());
         let mut msgs = vec![self.certify(&record, UpdateKind::Insert)];
-        if self.cfg.mode == SigningMode::Chained {
-            let (left, right) = self.neighbor_entries(key, rid);
-            for e in [left, right].into_iter().flatten() {
-                if let Some(m) = self.recertify(e.rid) {
-                    msgs.push(m);
-                }
+        let (left, right) = self.neighbor_entries(key, rid);
+        for e in [left, right].into_iter().flatten() {
+            if let Some(m) = self.recertify(e.rid) {
+                msgs.push(m);
             }
         }
         msgs
@@ -765,22 +722,20 @@ impl DataAggregator {
         let mut main = self.certify(&record, UpdateKind::Modify);
         main.old_key = Some(old_key);
         msgs.push(main);
-        if self.cfg.mode == SigningMode::Chained {
-            let mut to_recert: Vec<u64> = Vec::new();
-            for e in [old_left, old_right].into_iter().flatten() {
-                to_recert.push(e.rid);
-            }
-            let (new_left, new_right) = self.neighbor_entries(new_key, rid);
-            for e in [new_left, new_right].into_iter().flatten() {
-                to_recert.push(e.rid);
-            }
-            to_recert.sort_unstable();
-            to_recert.dedup();
-            for r in to_recert {
-                if r != rid {
-                    if let Some(m) = self.recertify(r) {
-                        msgs.push(m);
-                    }
+        let mut to_recert: Vec<u64> = Vec::new();
+        for e in [old_left, old_right].into_iter().flatten() {
+            to_recert.push(e.rid);
+        }
+        let (new_left, new_right) = self.neighbor_entries(new_key, rid);
+        for e in [new_left, new_right].into_iter().flatten() {
+            to_recert.push(e.rid);
+        }
+        to_recert.sort_unstable();
+        to_recert.dedup();
+        for r in to_recert {
+            if r != rid {
+                if let Some(m) = self.recertify(r) {
+                    msgs.push(m);
                 }
             }
         }
@@ -794,12 +749,7 @@ impl DataAggregator {
             return Vec::new();
         };
         let key = record.key(&schema);
-        let neighbors = if self.cfg.mode == SigningMode::Chained {
-            let (l, r) = self.neighbor_entries(key, rid);
-            [l, r]
-        } else {
-            [None, None]
-        };
+        let (left, right) = self.neighbor_entries(key, rid);
         self.tree.delete(key, rid);
         self.heap.delete(rid);
         self.mark_updated(rid);
@@ -821,11 +771,10 @@ impl DataAggregator {
             kind: UpdateKind::Delete,
             record,
             signature: self.keypair.public_params().identity(),
-            attr_sigs: Vec::new(),
             old_key: None,
             vacancy,
         }];
-        for e in neighbors.into_iter().flatten() {
+        for e in [left, right].into_iter().flatten() {
             if let Some(m) = self.recertify(e.rid) {
                 msgs.push(m);
             }
@@ -1224,26 +1173,5 @@ mod tests {
     fn sentinel_key_refused_at_bootstrap() {
         let mut da = engine(small_cfg(), 5);
         da.bootstrap(vec![vec![KEY_NEG_INF, 0]], 1);
-    }
-
-    #[test]
-    fn per_attribute_mode_signs_attributes() {
-        let mut cfg = small_cfg();
-        cfg.mode = SigningMode::PerAttribute;
-        let mut da = engine(cfg, 6);
-        let boot = da.bootstrap((0..10).map(|i| vec![i, i * 2]).collect(), 1);
-        let pp = da.public_params();
-        for (rec, attrs) in boot.records.iter().zip(&boot.attr_sigs) {
-            assert_eq!(attrs.len(), 2);
-            for (i, s) in attrs.iter().enumerate() {
-                assert!(pp.verify(&rec.attribute_message(i), s));
-            }
-        }
-        // Record signature is the aggregate of its attribute signatures.
-        let msgs: Vec<Vec<u8>> = (0..2)
-            .map(|i| boot.records[3].attribute_message(i))
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        assert!(pp.verify_aggregate(&refs, &boot.sigs[3]));
     }
 }

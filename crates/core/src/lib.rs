@@ -22,9 +22,8 @@
 //!   fanned-out query server whose proofs the verifier stitches.
 //! * [`da`] — one shard's trusted signing engine: certification, chaining,
 //!   summaries, checkpoints, active renewal.
-//! * [`qs`] — one shard's untrusted proof-constructing engine: selections,
-//!   projections, and the ingest of what its DA engine emits.
-//! * [`join`] — authenticated equi-joins over two certified relations.
+//! * [`qs`] — one shard's untrusted proof-constructing engine: selections
+//!   and the ingest of what its DA engine emits.
 //! * [`verify`] — the client-side verifier (threat model documented there):
 //!   one epoch-gated stitch → fold → freshness pipeline behind the single,
 //!   partial and batched selection entry points.
@@ -37,7 +36,6 @@
 
 pub mod da;
 pub mod freshness;
-pub mod join;
 pub mod qs;
 pub mod record;
 pub mod shard;

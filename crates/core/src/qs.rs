@@ -13,8 +13,6 @@
 //!
 //! * **selection** (Section 3.3): matching records, one aggregate signature,
 //!   two boundary key values — VO size independent of selectivity;
-//! * **projection** (Section 3.4): projected values plus one aggregate of
-//!   the relevant attribute signatures;
 //! * empty answers carry a **gap proof**: one chained signature bracketing
 //!   the queried range.
 //!
@@ -40,7 +38,7 @@ use authdb_index::btree::NoAnnotation;
 use authdb_index::{BTree, LeafEntry, RangeEvent};
 use authdb_storage::{BufferPool, Disk, HeapFile, IoStats, PoolStats};
 
-use crate::da::{Bootstrap, SigningMode, UpdateKind, UpdateMsg, KEY_RID_INDEX};
+use crate::da::{Bootstrap, UpdateKind, UpdateMsg, KEY_RID_INDEX};
 use crate::freshness::{EmptyTableProof, ExposureTree, SummaryCheckpoint, UpdateSummary};
 use crate::record::{Record, Schema, Tick};
 use crate::shard::ShardScope;
@@ -51,28 +49,10 @@ use crate::shard::ShardScope;
 /// routing layer) instead of aborting the process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryError {
-    /// The query requires a signing mode the server was not built with
-    /// (range selections need [`SigningMode::Chained`], projections need
-    /// [`SigningMode::PerAttribute`]).
-    WrongSigningMode {
-        /// The mode the query needs.
-        required: SigningMode,
-        /// The mode the server runs in.
-        actual: SigningMode,
-    },
-    /// The operation is not available on this deployment. Three producers:
-    /// a multi-shard `ShardedQueryServer::project` (the verifier has no
-    /// cross-shard projection stitching), a join whose S side spans more
-    /// than one shard (`join::execute_join`), and a `Tagged` request nested
-    /// inside another that reaches the network server's dispatch.
+    /// The operation is not available on this deployment. One producer: a
+    /// `Tagged` request nested inside another that reaches the network
+    /// server's dispatch (wrappers do not nest).
     Unsupported,
-    /// A projection or join named an attribute index past the schema: the
-    /// attribute list is the caller's input, so this is a refusal, not a
-    /// panic.
-    AttributeOutOfSchema {
-        /// The offending attribute index.
-        index: usize,
-    },
     /// The constructed answer exceeds the wire format's frame cap, so the
     /// server refuses rather than ship a frame every client must reject
     /// (split the query range and retry).
@@ -96,15 +76,8 @@ pub enum QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::WrongSigningMode { required, actual } => write!(
-                f,
-                "query requires signing mode {required:?} but the server runs {actual:?}"
-            ),
             QueryError::Unsupported => {
                 write!(f, "operation not supported by this deployment")
-            }
-            QueryError::AttributeOutOfSchema { index } => {
-                write!(f, "attribute index {index} is outside the schema")
             }
             QueryError::AnswerTooLarge => {
                 write!(f, "answer exceeds the wire frame cap; narrow the query")
@@ -206,43 +179,6 @@ impl SelectionAnswer {
     }
 }
 
-/// One projected row.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProjectedRow {
-    /// Record identifier.
-    pub rid: u64,
-    /// Certification timestamp.
-    pub ts: Tick,
-    /// `(attribute index, value)` pairs for the projected attributes.
-    pub values: Vec<(usize, i64)>,
-}
-
-/// An authenticated projection answer (Section 3.4): one aggregate
-/// signature regardless of how many attributes were dropped.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProjectionAnswer {
-    /// Projected rows.
-    pub rows: Vec<ProjectedRow>,
-    /// Aggregate over the projected attributes' signatures.
-    pub agg: Signature,
-    /// Certified summaries published since the oldest projected row (the
-    /// latest one always included), for the client's freshness check.
-    /// Shared with the server's summary log by `Arc`.
-    pub summaries: Vec<Arc<UpdateSummary>>,
-    /// The DA's latest summary checkpoint, when the log has been compacted
-    /// — the anchor for a summary run that no longer reaches back to seq 0,
-    /// its exposure opened for the rids of `rows`, exactly as on a
-    /// [`SelectionAnswer`].
-    pub checkpoint: Option<SummaryCheckpoint>,
-}
-
-impl ProjectionAnswer {
-    /// VO wire size: exactly one aggregate signature.
-    pub fn vo_size(&self, pp: &PublicParams) -> usize {
-        pp.wire_len()
-    }
-}
-
 /// Proof-construction statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QsStats {
@@ -331,7 +267,6 @@ impl Default for QsOptions {
 pub struct QueryServer {
     pp: PublicParams,
     schema: Schema,
-    mode: SigningMode,
     heap: HeapFile,
     /// `⟨key, rid⟩` index over the heap. Figure 2 stores each signature in
     /// its leaf entry; this replica keeps them decoded by rid in `sigs`
@@ -340,8 +275,6 @@ pub struct QueryServer {
     tree: BTree<NoAnnotation>,
     /// Decoded record signatures by rid: the only copy either engine keeps.
     sigs: Vec<Signature>,
-    /// Per-attribute signatures by rid (PerAttribute mode).
-    attr_sigs: Vec<Vec<Signature>>,
     /// Certified summary log. Each entry is `Arc`-shared with every answer
     /// it is attached to, so `summaries_since` never deep-copies. After a
     /// checkpoint this holds only the retained suffix (`seq > through_seq`).
@@ -365,7 +298,6 @@ impl QueryServer {
     pub(crate) fn with_options(
         pp: PublicParams,
         schema: Schema,
-        mode: SigningMode,
         boot: &Bootstrap,
         scope: ShardScope,
         opts: &QsOptions,
@@ -391,11 +323,9 @@ impl QueryServer {
         QueryServer {
             pp,
             schema,
-            mode,
             heap,
             tree,
             sigs: boot.sigs.clone(),
-            attr_sigs: boot.attr_sigs.clone(),
             summaries: Vec::new(),
             checkpoint: None,
             vacancy: boot.vacancy.clone(),
@@ -450,16 +380,12 @@ impl QueryServer {
                 let appended = self.heap.append(&msg.record.to_bytes(&self.schema));
                 debug_assert_eq!(appended, rid);
                 self.sigs.push(msg.signature.clone());
-                self.attr_sigs.push(msg.attr_sigs.clone());
                 self.tree
                     .insert(msg.record.key(&self.schema), rid, Vec::new());
             }
             UpdateKind::Modify | UpdateKind::Recertify => {
                 self.heap.update(rid, &msg.record.to_bytes(&self.schema));
                 self.sigs[rid as usize] = msg.signature.clone();
-                if !msg.attr_sigs.is_empty() {
-                    self.attr_sigs[rid as usize] = msg.attr_sigs.clone();
-                }
                 if let Some(old_key) = msg.old_key {
                     self.tree.delete(old_key, rid);
                     self.tree
@@ -598,24 +524,16 @@ impl QueryServer {
         out
     }
 
-    /// Answer a range selection `lo <= Aind <= hi` (Section 3.3), or
-    /// [`QueryError::WrongSigningMode`] if the server cannot build chained
-    /// completeness proofs.
+    /// Answer a range selection `lo <= Aind <= hi` (Section 3.3).
     ///
     /// An inverted range (`lo > hi`) matches no key by definition, so the
     /// canonical answer is empty with the identity aggregate and **no**
     /// gap or vacancy proof — emptiness is vacuous, nothing needs to be
     /// certified, and the verifier accepts exactly this form.
-    pub fn select_range(&self, lo: i64, hi: i64) -> Result<SelectionAnswer, QueryError> {
-        if self.mode != SigningMode::Chained {
-            return Err(QueryError::WrongSigningMode {
-                required: SigningMode::Chained,
-                actual: self.mode,
-            });
-        }
+    pub fn select_range(&self, lo: i64, hi: i64) -> SelectionAnswer {
         StatCounters::bump(&self.stats.queries, 1);
         if lo > hi {
-            return Ok(SelectionAnswer {
+            return SelectionAnswer {
                 records: Vec::new(),
                 agg: self.pp.identity(),
                 left_key: self.scope.left_fence,
@@ -624,7 +542,7 @@ impl QueryServer {
                 vacancy: None,
                 summaries: Vec::new(),
                 checkpoint: None,
-            });
+            };
         }
         // Walk the range once through the visitor API: matching records are
         // decoded straight out of the borrowed leaf nodes — no intermediate
@@ -672,7 +590,7 @@ impl QueryServer {
                 (None, Some(v)) => self.summaries_since(v.ts),
                 (None, None) => Vec::new(),
             };
-            return Ok(SelectionAnswer {
+            return SelectionAnswer {
                 records: Vec::new(),
                 agg: self.pp.identity(),
                 left_key,
@@ -681,12 +599,12 @@ impl QueryServer {
                 checkpoint: self.checkpoint_for(gap.iter().map(|g| g.record.rid)),
                 gap,
                 vacancy,
-            });
+            };
         }
 
         let agg = self.aggregate_records(&records);
         let oldest = records.iter().map(|r| r.ts).min().unwrap_or(0);
-        Ok(SelectionAnswer {
+        SelectionAnswer {
             checkpoint: self.checkpoint_for(records.iter().map(|r| r.rid)),
             records,
             agg,
@@ -695,7 +613,7 @@ impl QueryServer {
             gap: None,
             vacancy: None,
             summaries: self.summaries_since(oldest),
-        })
+        }
     }
 
     /// Aggregate the matched records' signatures: one fold per record, run
@@ -714,57 +632,6 @@ impl QueryServer {
     fn neighbor_keys_of(&self, key: i64, rid: u64) -> (i64, i64) {
         self.scope.neighbor_keys_in(&self.tree.range(key, key), rid)
     }
-
-    /// Answer a projection `π_{attrs}(σ_{lo..hi}(R))` (Section 3.4): rows
-    /// carry only the projected attributes; the VO is a single aggregate of
-    /// the corresponding attribute signatures. Returns
-    /// [`QueryError::WrongSigningMode`] unless the server runs in
-    /// [`SigningMode::PerAttribute`].
-    pub fn project(
-        &self,
-        lo: i64,
-        hi: i64,
-        attrs: &[usize],
-    ) -> Result<ProjectionAnswer, QueryError> {
-        if self.mode != SigningMode::PerAttribute {
-            return Err(QueryError::WrongSigningMode {
-                required: SigningMode::PerAttribute,
-                actual: self.mode,
-            });
-        }
-        if let Some(&index) = attrs.iter().find(|&&i| i >= self.schema.num_attrs) {
-            return Err(QueryError::AttributeOutOfSchema { index });
-        }
-        StatCounters::bump(&self.stats.queries, 1);
-        // Single borrowed walk over the range: rows and the attribute
-        // aggregate are built directly from the cached leaf nodes.
-        let mut rows = Vec::new();
-        let mut agg = self.pp.identity();
-        let mut agg_ops = 0u64;
-        self.tree.for_each_in_range(lo, hi, |ev| {
-            if let RangeEvent::Match(e) = ev {
-                let rec = self.read_record(e.rid);
-                let values: Vec<(usize, i64)> = attrs.iter().map(|&i| (i, rec.attrs[i])).collect();
-                for &i in attrs {
-                    agg = self.pp.aggregate(&agg, &self.attr_sigs[e.rid as usize][i]);
-                    agg_ops += 1;
-                }
-                rows.push(ProjectedRow {
-                    rid: rec.rid,
-                    ts: rec.ts,
-                    values,
-                });
-            }
-        });
-        StatCounters::bump(&self.stats.agg_ops, agg_ops);
-        let oldest = rows.iter().map(|r| r.ts).min().unwrap_or(0);
-        Ok(ProjectionAnswer {
-            checkpoint: self.checkpoint_for(rows.iter().map(|r| r.rid)),
-            rows,
-            agg,
-            summaries: self.summaries_since(oldest),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -778,17 +645,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cfg(mode: SigningMode) -> DaConfig {
-        DaConfig {
-            mode,
-            ..DaConfig::small()
-        }
-    }
-
     /// A one-shard engine pair (epoch 1, fenced at ±∞) over `n` records
     /// with keys `i·10`, the replica built with default options.
-    fn system(n: i64, mode: SigningMode) -> (DataAggregator, QueryServer) {
-        let cfg = cfg(mode);
+    fn system(n: i64) -> (DataAggregator, QueryServer) {
+        let cfg = DaConfig::small();
         let keypair = Keypair::generate(cfg.scheme, &mut StdRng::seed_from_u64(11));
         let scope = ShardMap::create(&keypair, vec![]).scope(0);
         let mut da = DataAggregator::new(cfg, keypair, scope);
@@ -796,7 +656,6 @@ mod tests {
         let qs = QueryServer::with_options(
             da.public_params(),
             da.config().schema,
-            mode,
             &boot,
             scope,
             &QsOptions::default(),
@@ -806,8 +665,8 @@ mod tests {
 
     #[test]
     fn selection_answer_contains_expected_records() {
-        let (_, qs) = system(100, SigningMode::Chained);
-        let ans = qs.select_range(200, 300).unwrap();
+        let (_, qs) = system(100);
+        let ans = qs.select_range(200, 300);
         let keys: Vec<i64> = ans.records.iter().map(|r| r.attrs[0]).collect();
         assert_eq!(keys, (20..=30).map(|i| i * 10).collect::<Vec<_>>());
         assert_eq!(ans.left_key, 190);
@@ -817,18 +676,18 @@ mod tests {
 
     #[test]
     fn vo_size_independent_of_selectivity() {
-        let (_, qs) = system(1000, SigningMode::Chained);
+        let (_, qs) = system(1000);
         let pp = qs.public_params().clone();
-        let small = qs.select_range(0, 90).unwrap();
-        let large = qs.select_range(0, 9000).unwrap();
+        let small = qs.select_range(0, 90);
+        let large = qs.select_range(0, 9000);
         assert!(large.records.len() > 10 * small.records.len());
         assert_eq!(small.vo_size(&pp), large.vo_size(&pp));
     }
 
     #[test]
     fn empty_answer_has_gap_proof() {
-        let (_, qs) = system(100, SigningMode::Chained);
-        let ans = qs.select_range(201, 209).unwrap(); // keys are multiples of 10
+        let (_, qs) = system(100);
+        let ans = qs.select_range(201, 209); // keys are multiples of 10
         assert!(ans.records.is_empty());
         let gap = ans.gap.expect("gap proof");
         assert_eq!(gap.own_key(&Schema::new(2, 64)), 200);
@@ -838,8 +697,8 @@ mod tests {
 
     #[test]
     fn empty_table_answer_carries_vacancy_proof() {
-        let (_, qs) = system(0, SigningMode::Chained);
-        let ans = qs.select_range(0, 100).unwrap();
+        let (_, qs) = system(0);
+        let ans = qs.select_range(0, 100);
         assert!(ans.records.is_empty());
         assert!(ans.gap.is_none());
         let vac = ans.vacancy.expect("empty-table proof");
@@ -850,26 +709,26 @@ mod tests {
 
     #[test]
     fn vacancy_proof_tracks_delete_and_insert_transitions() {
-        let (mut da, mut qs) = system(1, SigningMode::Chained);
-        assert!(qs.select_range(0, 100).unwrap().vacancy.is_none());
+        let (mut da, mut qs) = system(1);
+        assert!(qs.select_range(0, 100).vacancy.is_none());
         da.advance_clock(3);
         qs.apply_all(&da.delete_record(0));
-        let ans = qs.select_range(0, 100).unwrap();
+        let ans = qs.select_range(0, 100);
         assert!(ans.gap.is_none());
         let vac = ans.vacancy.expect("delete emptied the table");
         assert_eq!(vac.ts, 3);
         da.advance_clock(1);
         qs.apply_all(&da.insert(vec![55, 9]));
-        assert!(qs.select_range(200, 300).unwrap().vacancy.is_none());
-        assert!(qs.select_range(200, 300).unwrap().gap.is_some());
+        assert!(qs.select_range(200, 300).vacancy.is_none());
+        assert!(qs.select_range(200, 300).gap.is_some());
     }
 
     #[test]
     fn updates_flow_to_answers() {
-        let (mut da, mut qs) = system(50, SigningMode::Chained);
+        let (mut da, mut qs) = system(50);
         da.advance_clock(5);
         qs.apply_all(&da.update_record(25, vec![250, 4242]));
-        let ans = qs.select_range(250, 250).unwrap();
+        let ans = qs.select_range(250, 250);
         assert_eq!(ans.records.len(), 1);
         assert_eq!(ans.records[0].attrs[1], 4242);
         assert_eq!(ans.records[0].ts, 5);
@@ -877,81 +736,51 @@ mod tests {
 
     #[test]
     fn inserts_and_deletes_flow() {
-        let (mut da, mut qs) = system(50, SigningMode::Chained);
+        let (mut da, mut qs) = system(50);
         da.advance_clock(1);
         qs.apply_all(&da.insert(vec![255, 1]));
-        let ans = qs.select_range(255, 255).unwrap();
+        let ans = qs.select_range(255, 255);
         assert_eq!(ans.records.len(), 1);
         qs.apply_all(&da.delete_record(ans.records[0].rid));
-        let ans = qs.select_range(255, 255).unwrap();
+        let ans = qs.select_range(255, 255);
         assert!(ans.records.is_empty());
     }
 
     #[test]
     fn summaries_attached_since_oldest_record() {
-        let (mut da, mut qs) = system(20, SigningMode::Chained);
+        let (mut da, mut qs) = system(20);
         da.advance_clock(15);
         qs.ingest(da.maybe_publish_summary().unwrap());
         da.advance_clock(3);
         qs.apply_all(&da.update_record(5, vec![50, 9]));
         da.advance_clock(10);
         qs.ingest(da.maybe_publish_summary().unwrap());
-        let ans = qs.select_range(0, 1000).unwrap();
+        let ans = qs.select_range(0, 1000);
         // Oldest record ts = 0, so both summaries attach.
         assert_eq!(ans.summaries.len(), 2);
     }
 
     #[test]
-    fn projection_carries_one_signature() {
-        let (_, qs) = system(30, SigningMode::PerAttribute);
-        let pp = qs.public_params().clone();
-        let ans = qs.project(0, 100, &[1]).unwrap();
-        assert_eq!(ans.rows.len(), 11);
-        assert!(ans.rows.iter().all(|r| r.values.len() == 1));
-        assert_eq!(ans.vo_size(&pp), pp.wire_len());
-    }
-
-    #[test]
-    fn wrong_mode_is_a_typed_error_not_a_panic() {
-        let (_, qs) = system(10, SigningMode::PerAttribute);
-        assert_eq!(
-            qs.select_range(0, 100).unwrap_err(),
-            QueryError::WrongSigningMode {
-                required: SigningMode::Chained,
-                actual: SigningMode::PerAttribute,
-            }
-        );
-        let (_, qs) = system(10, SigningMode::Chained);
-        assert_eq!(
-            qs.project(0, 100, &[1]).unwrap_err(),
-            QueryError::WrongSigningMode {
-                required: SigningMode::PerAttribute,
-                actual: SigningMode::Chained,
-            }
-        );
-    }
-
-    #[test]
     fn inverted_range_is_the_canonical_empty_answer() {
-        let (_, qs) = system(50, SigningMode::Chained);
-        let ans = qs.select_range(300, 200).unwrap();
+        let (_, qs) = system(50);
+        let ans = qs.select_range(300, 200);
         assert!(ans.records.is_empty());
         assert!(ans.gap.is_none() && ans.vacancy.is_none());
         assert!(ans.summaries.is_empty());
         assert_eq!(ans.agg, qs.public_params().identity());
         // Extreme inversion behaves identically.
-        let ans = qs.select_range(i64::MAX, i64::MIN).unwrap();
+        let ans = qs.select_range(i64::MAX, i64::MIN);
         assert!(ans.records.is_empty() && ans.gap.is_none());
     }
 
     #[test]
     fn stats_surface_node_cache_counters() {
-        let (_, qs) = system(2000, SigningMode::Chained);
+        let (_, qs) = system(2000);
         // First scan warms the decoded-node cache; the repeat scan must be
         // answered from it without decoding a single page.
-        let _ = qs.select_range(0, 5000).unwrap();
+        let _ = qs.select_range(0, 5000);
         let after_first = qs.stats();
-        let _ = qs.select_range(0, 5000).unwrap();
+        let _ = qs.select_range(0, 5000);
         let s = qs.stats();
         assert!(s.node_cache_hits > after_first.node_cache_hits, "{s:?}");
         assert_eq!(
@@ -964,7 +793,7 @@ mod tests {
         // answer nor an inverted range aggregates anything.
         for ((lo, hi), want) in [((200, 300), 11), ((201, 209), 0), ((300, 200), 0)] {
             let before = qs.stats().agg_ops;
-            let ans = qs.select_range(lo, hi).unwrap();
+            let ans = qs.select_range(lo, hi);
             assert_eq!(ans.records.len(), want, "range {lo}..{hi}");
             assert_eq!(qs.stats().agg_ops - before, want as u64, "range {lo}..{hi}");
         }
@@ -975,15 +804,15 @@ mod tests {
     /// page after its record is modified.
     #[test]
     fn same_key_update_keeps_the_node_cache_warm() {
-        let (mut da, mut qs) = system(2000, SigningMode::Chained);
-        let _ = qs.select_range(200, 300).unwrap();
+        let (mut da, mut qs) = system(2000);
+        let _ = qs.select_range(200, 300);
         let warm = qs.stats();
         da.advance_clock(1);
         let msgs = da.update_record(25, vec![250, 4242]);
         assert_eq!(msgs.len(), 1);
         assert_eq!((msgs[0].kind, msgs[0].old_key), (UpdateKind::Modify, None));
         qs.apply_all(&msgs);
-        let ans = qs.select_range(200, 300).unwrap();
+        let ans = qs.select_range(200, 300);
         assert_eq!(ans.records[5].attrs, [250, 4242]);
         assert_eq!(
             qs.stats().node_cache_misses,
@@ -998,7 +827,7 @@ mod tests {
     /// run (and the retained run must start exactly at the cut).
     #[test]
     fn gap_before_checkpoint_ships_the_checkpoint_anchor() {
-        let (mut da, mut qs) = system(100, SigningMode::Chained);
+        let (mut da, mut qs) = system(100);
         for _ in 0..3 {
             da.advance_clock(10);
             qs.ingest(da.maybe_publish_summary().unwrap());
@@ -1007,7 +836,7 @@ mod tests {
         qs.apply_checkpoint(ckpt.clone());
         // Keys are multiples of 10, so this range is empty; the bracketing
         // record was certified at bootstrap (ts 0), before the cut.
-        let ans = qs.select_range(201, 209).unwrap();
+        let ans = qs.select_range(201, 209);
         let gap = ans.gap.expect("gap proof");
         assert!(gap.record.ts <= ckpt.through_ts);
         // The DA's checkpoint, opened for the bracketing record alone.
@@ -1025,13 +854,13 @@ mod tests {
         );
         // The canonical inverted-range answer certifies nothing, so it
         // never carries the checkpoint either.
-        assert!(qs.select_range(300, 200).unwrap().checkpoint.is_none());
+        assert!(qs.select_range(300, 200).checkpoint.is_none());
     }
 
     /// Same for a standing vacancy proof minted before the cut.
     #[test]
     fn vacancy_before_checkpoint_ships_the_checkpoint_anchor() {
-        let (mut da, mut qs) = system(1, SigningMode::Chained);
+        let (mut da, mut qs) = system(1);
         da.advance_clock(3);
         qs.apply_all(&da.delete_record(0));
         for _ in 0..3 {
@@ -1040,7 +869,7 @@ mod tests {
         }
         let ckpt = da.checkpoint_summaries(1).expect("prefix to compact");
         qs.apply_checkpoint(ckpt.clone());
-        let ans = qs.select_range(0, 100).unwrap();
+        let ans = qs.select_range(0, 100);
         let vac = ans.vacancy.expect("vacancy proof");
         assert!(vac.ts <= ckpt.through_ts);
         // A vacancy is judged by the signed maximum: nothing is opened.
@@ -1053,11 +882,11 @@ mod tests {
 
     #[test]
     fn key_change_moves_record_in_index() {
-        let (mut da, mut qs) = system(50, SigningMode::Chained);
+        let (mut da, mut qs) = system(50);
         da.advance_clock(1);
         qs.apply_all(&da.update_record(10, vec![455, 10]));
-        assert!(qs.select_range(100, 100).unwrap().records.is_empty());
-        let ans = qs.select_range(455, 455).unwrap();
+        assert!(qs.select_range(100, 100).records.is_empty());
+        let ans = qs.select_range(455, 455);
         assert_eq!(ans.records.len(), 1);
         assert_eq!(ans.records[0].rid, 10);
     }

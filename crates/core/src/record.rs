@@ -5,14 +5,14 @@
 //! timestamp. Records serialize to a fixed `RecLen` bytes (Table 2 default:
 //! 512) so they slot into the heap file.
 //!
-//! Three message constructions feed the signature scheme:
+//! Two message constructions feed the signature scheme:
 //!
 //! * **tuple hash** — `h(rid | M | A1 | ... | AM | ts)`, the content digest;
 //! * **chained message** (Section 3.3) — binds the tuple hash, the record's
 //!   own indexed-attribute value, and its left/right neighbours' values, so
-//!   an aggregate over a contiguous run proves completeness;
-//! * **attribute message** (Section 3.4) — `h(rid | i | Ai | ts)` per
-//!   attribute, enabling projection proofs whose VO is one signature.
+//!   an aggregate over a contiguous run proves completeness.
+//!
+//! The §3.4 per-attribute message is `authdb_paper::projection`'s.
 
 use authdb_crypto::sha256::{sha256, Digest};
 
@@ -125,18 +125,6 @@ impl Record {
     pub fn chain_message(&self, schema: &Schema, left_key: i64, right_key: i64) -> Vec<u8> {
         chain_message_from_parts(&self.tuple_hash(), self.key(schema), left_key, right_key)
     }
-
-    /// The per-attribute signing message `h(rid | i | Ai | ts)` (Section 3.4).
-    pub fn attribute_message(&self, attr_idx: usize) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(40);
-        msg.extend_from_slice(b"attr:");
-        msg.extend_from_slice(&self.rid.to_be_bytes());
-        msg.extend_from_slice(&(attr_idx as u32).to_be_bytes());
-        // authdb-lint: allow(panic-free-decode): verify_projection bounds attr_idx against the schema and builds the probe with exactly attr_idx + 1 attributes; the DA side signs only schema-arity records
-        msg.extend_from_slice(&self.attrs[attr_idx].to_be_bytes());
-        msg.extend_from_slice(&self.ts.to_be_bytes());
-        msg
-    }
 }
 
 /// Build a chained message from its parts (used by verifiers that only hold
@@ -224,18 +212,6 @@ mod tests {
         let direct = r.chain_message(&s, KEY_NEG_INF, 500);
         let parts = chain_message_from_parts(&r.tuple_hash(), r.key(&s), KEY_NEG_INF, 500);
         assert_eq!(direct, parts);
-    }
-
-    #[test]
-    fn attribute_messages_distinct_per_position() {
-        let r = Record {
-            rid: 1,
-            attrs: vec![9, 9],
-            ts: 5,
-        };
-        // Same value in two positions must produce different messages
-        // (prevents attribute swapping, Section 3.4).
-        assert_ne!(r.attribute_message(0), r.attribute_message(1));
     }
 
     #[test]

@@ -114,7 +114,7 @@ use parking_lot::{Mutex, RwLock};
 use authdb_crypto::sha256::{sha256, Digest};
 use authdb_crypto::signer::{Keypair, PublicParams, Signature};
 
-use crate::da::{Bootstrap, DaConfig, DataAggregator, SigningMode, UpdateMsg};
+use crate::da::{Bootstrap, DaConfig, DataAggregator, UpdateMsg};
 use crate::freshness::{EmptyTableProof, SummaryCheckpoint, UpdateSummary};
 use crate::qs::{QsOptions, QueryError, QueryServer, SelectionAnswer};
 use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
@@ -712,7 +712,7 @@ impl ShardedAggregator {
     }
 
     /// The replica this aggregator's bootstrap output fits: built under its
-    /// public parameters, `schema`, `mode` and current map, exactly as
+    /// public parameters, `schema` and current map, exactly as
     /// [`ShardedQueryServer::from_bootstraps`] builds it. Pool, fill and
     /// caches come from `opts` ([`QsOptions::default`] unless a deployment
     /// deviates) — the [`DaConfig`]'s pool and fill are the DA's own.
@@ -882,15 +882,8 @@ impl ShardedAggregator {
     /// re-certifications.
     ///
     /// # Panics
-    /// Panics if the plan is invalid for the current map, or in
-    /// [`SigningMode::PerAttribute`] (rebalancing re-chains records, which
-    /// only chained mode certifies).
+    /// Panics if the plan is invalid for the current map.
     pub fn rebalance(&mut self, plan: RebalancePlan, jobs: usize) -> Rebalance {
-        assert_eq!(
-            self.config().mode,
-            SigningMode::Chained,
-            "rebalancing requires chained signing"
-        );
         let new_splits = plan
             .apply_to(self.map.splits())
             .expect("rebalance plan invalid for the current map");
@@ -1062,8 +1055,8 @@ struct EpochSnapshot {
 /// mechanisms order everything: the epoch snapshot pointer for readers and
 /// one writer gate (an `RwLock<()>`) for writers.
 ///
-/// * **Readers** ([`Self::select_range`], [`Self::select_shard`],
-///   [`Self::project`]) never touch the gate. They pin the current
+/// * **Readers** ([`Self::select_range`], [`Self::select_shard`]) never
+///   touch the gate. They pin the current
 ///   [`EpochSnapshot`] (one mutex lock to clone an `Arc`), build each
 ///   per-shard tile under that shard's read lock, and re-check the snapshot
 ///   pointer before returning. If an epoch transition landed mid-query the
@@ -1086,7 +1079,6 @@ struct EpochSnapshot {
 pub struct ShardedQueryServer {
     pp: PublicParams,
     schema: Schema,
-    mode: SigningMode,
     opts: QsOptions,
     snapshot: Mutex<Arc<EpochSnapshot>>,
     writers: RwLock<()>,
@@ -1114,7 +1106,6 @@ impl ShardedQueryServer {
                 ShardSlot::new(QueryServer::with_options(
                     pp.clone(),
                     cfg.schema,
-                    cfg.mode,
                     boot,
                     map.scope(i),
                     opts,
@@ -1124,7 +1115,6 @@ impl ShardedQueryServer {
         ShardedQueryServer {
             pp,
             schema: cfg.schema,
-            mode: cfg.mode,
             opts: opts.clone(),
             snapshot: Mutex::new(Arc::new(EpochSnapshot {
                 boot: EpochBootstrap {
@@ -1215,16 +1205,8 @@ impl ShardedQueryServer {
     /// server's aggregation on every query that touches it. Beyond that the
     /// package's shape is validated: anything hostile yields a typed
     /// [`QueryError::BadRebalance`] refusal, never a panic or a partial
-    /// mutation. Validation happens entirely before any state changes. A
-    /// [`SigningMode::PerAttribute`] server refuses every package with
-    /// [`QueryError::WrongSigningMode`]: a rebalance re-chains records.
+    /// mutation. Validation happens entirely before any state changes.
     pub fn apply_rebalance(&self, rb: &Rebalance) -> Result<(), QueryError> {
-        if self.mode != SigningMode::Chained {
-            return Err(QueryError::WrongSigningMode {
-                required: SigningMode::Chained,
-                actual: self.mode,
-            });
-        }
         // An epoch transition is the one whole-index writer: the gate held
         // exclusively drains in-flight per-shard writers and excludes new
         // ones until the new snapshot is published. Readers are not
@@ -1293,13 +1275,11 @@ impl ShardedQueryServer {
             let boot = Bootstrap {
                 records: h.records.clone(),
                 sigs: h.sigs.clone(),
-                attr_sigs: vec![Vec::new(); h.records.len()],
                 vacancy: h.vacancy.clone(),
             };
             let mut qs = QueryServer::with_options(
                 self.pp.clone(),
                 self.schema,
-                self.mode,
                 &boot,
                 rb.new_map.scope(h.shard),
                 &self.opts,
@@ -1389,23 +1369,6 @@ impl ShardedQueryServer {
             .collect()
     }
 
-    /// Answer a projection. Projections and joins are in-process, one-shard
-    /// reproductions of §3.4 and §3.5, out of scope for the network path
-    /// this round: the verifier has no cross-shard projection stitching, so
-    /// a multi-shard fan-out refuses with [`QueryError::Unsupported`]
-    /// instead of inventing an unverifiable answer shape.
-    pub fn project(
-        &self,
-        lo: i64,
-        hi: i64,
-        attrs: &[usize],
-    ) -> Result<crate::qs::ProjectionAnswer, QueryError> {
-        self.read_epoch(|snap| match snap.shards.as_slice() {
-            [only] => only.qs.read().project(lo, hi, attrs),
-            _ => Err(QueryError::Unsupported),
-        })
-    }
-
     /// Answer one shard's sub-range directly — the per-shard entry point a
     /// fan-out *client* uses when it computes the overlap decomposition
     /// itself and queries each shard endpoint independently (degrading to a
@@ -1419,7 +1382,7 @@ impl ShardedQueryServer {
         hi: i64,
     ) -> Result<SelectionAnswer, QueryError> {
         self.read_epoch(|snap| match snap.shards.get(shard) {
-            Some(slot) => slot.qs.read().select_range(lo, hi),
+            Some(slot) => Ok(slot.qs.read().select_range(lo, hi)),
             None => Err(QueryError::UnknownShard {
                 shard: shard as u64,
             }),
@@ -1427,8 +1390,8 @@ impl ShardedQueryServer {
     }
 
     /// Answer `lo <= Aind <= hi` by fanning out to every overlapping shard.
-    /// A shard's refusal (wrong signing mode) propagates instead of
-    /// panicking the fan-out.
+    /// Selections are never refused; the `Result` is the refusal channel
+    /// the network dispatch shares with [`Self::select_shard`].
     ///
     /// Each tile is built under its shard's read lock against the pinned
     /// epoch snapshot; if an epoch transition swaps the snapshot mid-query
@@ -1440,7 +1403,7 @@ impl ShardedQueryServer {
             for (shard, (sub_lo, sub_hi)) in snap.boot.map.overlapping(lo, hi) {
                 parts.push(ShardAnswer {
                     shard,
-                    answer: snap.shards[shard].qs.read().select_range(sub_lo, sub_hi)?,
+                    answer: snap.shards[shard].qs.read().select_range(sub_lo, sub_hi),
                 });
             }
             Ok(ShardedSelectionAnswer {
@@ -1454,7 +1417,6 @@ impl ShardedQueryServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::SigningMode;
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1700,19 +1662,5 @@ mod tests {
         let ans = sqs.select_range(120, 180).unwrap();
         assert_eq!(ans.parts.len(), 1);
         assert!(ans.parts[0].answer.vacancy.is_some());
-    }
-
-    #[test]
-    fn fanout_propagates_wrong_mode_instead_of_panicking() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut c = DaConfig::small();
-        c.mode = SigningMode::PerAttribute;
-        let mut sa = ShardedAggregator::new(c, vec![100], &mut rng);
-        let boots = sa.bootstrap((0..10).map(|i| vec![i * 20, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        assert!(matches!(
-            sqs.select_range(0, 100),
-            Err(QueryError::WrongSigningMode { .. })
-        ));
     }
 }

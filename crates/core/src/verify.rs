@@ -32,7 +32,7 @@
 //! | [`VerifyError::FreshnessIndeterminate`] | withholding or reordering summaries so staleness cannot be decided (the 2ρ-recency gate) |
 //! | [`VerifyError::StaleVacancy`] | replaying an empty-table proof after an insertion |
 //! | [`VerifyError::VacancyIndeterminate`] | withholding the summaries that would expose a stale vacancy claim |
-//! | [`VerifyError::MalformedRecord`] | a wire-decoded record or projected row whose shape disagrees with the schema (wrong attribute arity, out-of-schema attribute index) — reachable only through the network path, where the decoder cannot know the schema |
+//! | [`VerifyError::MalformedRecord`] | a wire-decoded record whose shape disagrees with the schema (wrong attribute arity) — reachable only through the network path, where the decoder cannot know the schema |
 //!
 //! Every selection arrives as a fan-out over the DA-certified partition
 //! ([`crate::shard`]; one part for a one-shard deployment), and the fan-out
@@ -112,8 +112,7 @@
 //! [`Verifier::verify_partial_selection`] (N = 1, something unreachable) and
 //! [`Verifier::verify_sharded_batch`] (N > 1) are its three forms. No entry
 //! point takes a bare per-shard tile: a part is only ever judged inside a
-//! fan-out, under the client's pinned [`EpochView`]. Projections and joins
-//! run the same phases over their own answer shapes. In order:
+//! fan-out, under the client's pinned [`EpochView`]. In order:
 //!
 //! 0. **Epoch gate** — the answer's map must be the pinned one, by epoch
 //!    and content hash.
@@ -167,17 +166,16 @@
 //! server has committed to every claim*. The entry points that take an
 //! `rng` — the three selection forms ([`Verifier::verify_sharded_selection`],
 //! [`Verifier::verify_partial_selection`],
-//! [`Verifier::verify_sharded_batch`]) and, for its R side,
-//! [`verify_join`](crate::join::verify_join) — draw them from it after the
+//! [`Verifier::verify_sharded_batch`]) — draw them from it after the
 //! answer has arrived; the caller owes an `rng` the server cannot predict.
-//! [`Verifier::verify_projection`] and [`EpochView::from_bootstrap`] have
-//! no `rng` and derive them from the claims themselves: SHA-256 over the
-//! complete transcript — every message and every signature of every claim,
-//! length-framed, in fold order — seeds a SHA-256 counter stream. Changing
-//! any byte of any claim re-draws every coefficient, so in the random-oracle
-//! model a server cannot choose a claim as a function of its coefficient;
-//! each transcript it tries offline succeeds with probability ≤ 2⁻¹²⁸. Either
-//! way the verifier keeps no state between answers: no cache, no seed.
+//! [`EpochView::from_bootstrap`] has no `rng` and derives them from the
+//! claims themselves: SHA-256 over the complete transcript — every message
+//! and every signature of every claim, length-framed, in fold order —
+//! seeds a SHA-256 counter stream. Changing any byte of any claim re-draws
+//! every coefficient, so in the random-oracle model a server cannot choose
+//! a claim as a function of its coefficient; each transcript it tries
+//! offline succeeds with probability ≤ 2⁻¹²⁸. Either way the verifier keeps
+//! no state between answers: no cache, no seed.
 //!
 //! Construct one [`Verifier`] and reuse it across queries; its
 //! [`PublicParams`] carry the DA key's precomputed pairing lines, shared by
@@ -191,8 +189,8 @@ use authdb_crypto::signer::{PublicParams, Signature};
 use crate::freshness::{
     DecodedSummaries, EmptyTableProof, Freshness, SummaryCheckpoint, Unopened, UpdateSummary,
 };
-use crate::qs::{ProjectionAnswer, SelectionAnswer};
-use crate::record::{Record, Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
+use crate::qs::SelectionAnswer;
+use crate::record::{Schema, Tick, KEY_NEG_INF, KEY_POS_INF};
 use crate::shard::{
     EpochBootstrap, EpochCheckpoint, EpochTransition, ShardMap, ShardedSelectionAnswer,
     GENESIS_EPOCH,
@@ -243,10 +241,9 @@ pub enum VerifyError {
     /// Not enough summaries to decide whether the empty-table proof is
     /// still current.
     VacancyIndeterminate,
-    /// A record (or projected row) does not fit the schema: wrong attribute
-    /// arity, or an attribute index past the schema. The wire codec is
-    /// schema-agnostic, so a malicious peer can ship such shapes; they must
-    /// be rejected before any schema-indexed access, never panic.
+    /// A record does not fit the schema: wrong attribute arity. The wire
+    /// codec is schema-agnostic, so a malicious peer can ship such shapes;
+    /// they must be rejected before any schema-indexed access, never panic.
     MalformedRecord {
         /// The offending rid.
         rid: u64,
@@ -1172,71 +1169,6 @@ impl Verifier {
         }
         Ok(tiles)
     }
-
-    /// Verify a projection answer (Section 3.4): every `(rid, attr, value,
-    /// ts)` quadruple must match the single aggregate, which also pins each
-    /// value to its record and attribute position. Freshness runs through
-    /// the same three phases as selections: the aggregate, the attached
-    /// summaries and the checkpoint anchoring them share one fold, then each
-    /// row's `(rid, ts)` is checked against the vouched artifacts at local
-    /// time `now`.
-    ///
-    /// A projection is served by a one-shard deployment only, so its
-    /// freshness artifacts must carry shard 0's tag in the epoch `view`
-    /// pins — another epoch's or another shard's genuinely signed stream
-    /// vouches for nothing here ([`VerifyError::EpochMismatch`] /
-    /// [`VerifyError::ShardMismatch`]). The fold's coefficients come from
-    /// the claim transcript (module docs, *Fold coefficients*).
-    pub fn verify_projection(
-        &self,
-        ans: &ProjectionAnswer,
-        view: &EpochView,
-        now: Tick,
-        check_fresh: bool,
-    ) -> Result<VerifyReport, VerifyError> {
-        domain_bound(
-            view.epoch(),
-            0,
-            ans.summaries.iter().map(|s| (s.epoch, s.shard)),
-        )?;
-        domain_bound(
-            view.epoch(),
-            0,
-            ans.checkpoint.iter().map(|c| (c.epoch, c.shard)),
-        )?;
-        let mut messages = Vec::new();
-        for row in &ans.rows {
-            for &(idx, value) in &row.values {
-                // A wire-decoded row can claim any attribute index; bound it
-                // by the schema before building the probe (an unchecked
-                // index would size the probe's attribute vector).
-                if idx >= self.schema.num_attrs {
-                    return Err(VerifyError::MalformedRecord { rid: row.rid });
-                }
-                // Rebuild the attribute message without the full record.
-                let probe = Record {
-                    rid: row.rid,
-                    attrs: {
-                        let mut a = vec![0i64; idx];
-                        a.push(value);
-                        a
-                    },
-                    ts: row.ts,
-                };
-                messages.push(probe.attribute_message(idx));
-            }
-        }
-        let fresh = check_fresh.then(|| FreshPlan {
-            subject: Subject::Versions(ans.rows.iter().map(|r| (r.rid, r.ts)).collect()),
-            summaries: &ans.summaries,
-            ckpt: ans.checkpoint.as_ref(),
-        });
-        let part = Analyzed::new(messages, &ans.agg, fresh, ans.rows.len());
-        let parts = std::slice::from_ref(&part);
-        self.fold_claims(parts, &mut transcript_rng(parts))
-            .map_err(|f| f.error)?;
-        self.vouched_report(&part, now)
-    }
 }
 
 /// The stitcher's input: a query `(lo, hi)`, the fan-out answering it, and
@@ -1251,8 +1183,7 @@ enum ClaimKind {
     Checkpoint,
     /// An attached [`UpdateSummary`].
     Summary { seq: u64 },
-    /// A part's chained aggregate, gap proof, vacancy proof or projection
-    /// aggregate.
+    /// A part's chained aggregate, gap proof or vacancy proof.
     Aggregate,
 }
 
@@ -1299,8 +1230,8 @@ struct FreshPlan<'a> {
     ckpt: Option<&'a SummaryCheckpoint>,
 }
 
-/// One structurally sound part (a selection answer, one shard's answer, or a
-/// projection) between phase 1 and phase 2: nothing signed is believed yet.
+/// One structurally sound part (a selection answer or one shard's answer)
+/// between phase 1 and phase 2: nothing signed is believed yet.
 struct Analyzed<'a> {
     /// The freshness artifacts' claims — the checkpoint first, then the
     /// summaries in run order; empty when freshness is off.
@@ -1310,7 +1241,7 @@ struct Analyzed<'a> {
     /// `None` when the caller disabled freshness or the part carries no
     /// freshness subject (inverted range).
     fresh: Option<FreshPlan<'a>>,
-    /// Records (or projected rows) the part returns.
+    /// Records the part returns.
     records: usize,
 }
 
@@ -1368,9 +1299,7 @@ fn claim_order<'p, 'a>(
 
 /// SHA-256 over a complete claim transcript: every message and every
 /// signature of `claims`, length-framed, in the order given.
-pub(crate) fn transcript_digest<'c>(
-    claims: impl Iterator<Item = (&'c [Vec<u8>], &'c Signature)>,
-) -> Digest {
+fn transcript_digest<'c>(claims: impl Iterator<Item = (&'c [Vec<u8>], &'c Signature)>) -> Digest {
     fn framed(h: &mut Sha256, bytes: &[u8]) {
         h.update(&(bytes.len() as u64).to_be_bytes());
         h.update(bytes);
@@ -1393,27 +1322,20 @@ pub(crate) fn transcript_digest<'c>(
 /// one of them (module docs, *Fold coefficients*). The transcript is hashed
 /// on the first draw — a fold that needs no coefficient (one claim, or a
 /// scheme verifying per claim) never pays for it.
-pub(crate) struct TranscriptRng<F> {
+struct TranscriptRng<F> {
     transcript: F,
     seed: Option<Digest>,
     counter: u64,
 }
 
 impl<F: Fn() -> Digest> TranscriptRng<F> {
-    pub(crate) fn new(transcript: F) -> Self {
+    fn new(transcript: F) -> Self {
         TranscriptRng {
             transcript,
             seed: None,
             counter: 0,
         }
     }
-}
-
-/// A [`TranscriptRng`] keyed by every claim of `parts`, in [`claim_order`].
-fn transcript_rng<'p>(parts: &'p [Analyzed<'_>]) -> TranscriptRng<impl Fn() -> Digest + 'p> {
-    TranscriptRng::new(move || {
-        transcript_digest(claim_order(parts).map(|(_, c)| (c.messages.as_slice(), c.sig)))
-    })
 }
 
 impl<F: Fn() -> Digest> rand::RngCore for TranscriptRng<F> {
@@ -1474,7 +1396,7 @@ fn domain_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::{DaConfig, SigningMode};
+    use crate::da::DaConfig;
     use crate::qs::{QsOptions, SelectionAnswer};
     use crate::shard::{RebalancePlan, ShardedAggregator, ShardedQueryServer};
     use authdb_crypto::signer::SchemeKind;
@@ -1486,14 +1408,12 @@ mod tests {
     /// `splits`, with the DA's honest replica, verifier and genesis view.
     fn deployment(
         scheme: SchemeKind,
-        mode: SigningMode,
         splits: Vec<i64>,
         n: i64,
     ) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
         let mut rng = StdRng::seed_from_u64(21);
         let cfg = DaConfig {
             scheme,
-            mode,
             ..DaConfig::small()
         };
         let mut sa = ShardedAggregator::new(cfg, splits, &mut rng);
@@ -1511,12 +1431,12 @@ mod tests {
         view: EpochView,
     }
 
-    fn system(n: i64, mode: SigningMode) -> System {
-        system_under(SchemeKind::Mock, n, mode)
+    fn system(n: i64) -> System {
+        system_under(SchemeKind::Mock, n)
     }
 
-    fn system_under(scheme: SchemeKind, n: i64, mode: SigningMode) -> System {
-        let (sa, sqs, v, view) = deployment(scheme, mode, vec![], n);
+    fn system_under(scheme: SchemeKind, n: i64) -> System {
+        let (sa, sqs, v, view) = deployment(scheme, vec![], n);
         System { sa, sqs, v, view }
     }
 
@@ -1535,14 +1455,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(22);
             self.v
                 .verify_sharded_selection(lo, hi, ans, &self.view, now, true, &mut rng)
-        }
-
-        fn verify_projection(
-            &self,
-            ans: &ProjectionAnswer,
-            now: Tick,
-        ) -> Result<VerifyReport, VerifyError> {
-            self.v.verify_projection(ans, &self.view, now, true)
         }
 
         /// Advance the clock and forward whatever summaries fall due.
@@ -1589,7 +1501,7 @@ mod tests {
 
     #[test]
     fn honest_selection_verifies() {
-        let s = system(200, SigningMode::Chained);
+        let s = system(200);
         let ans = s.select(500, 700);
         let rep = s.verify(500, 700, &ans, 0).expect("valid");
         assert_eq!(rep.records, 21);
@@ -1597,7 +1509,7 @@ mod tests {
 
     #[test]
     fn tampered_value_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let mut ans = s.select(100, 300);
         part(&mut ans).records[2].attrs[1] = 666;
         assert_eq!(s.verify(100, 300, &ans, 0), Err(VerifyError::BadAggregate));
@@ -1605,7 +1517,7 @@ mod tests {
 
     #[test]
     fn dropped_record_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let mut ans = s.select(100, 300);
         part(&mut ans).records.remove(3); // break the chain
         assert_eq!(s.verify(100, 300, &ans, 0), Err(VerifyError::BadAggregate));
@@ -1613,7 +1525,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_with_forged_boundary_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let mut ans = s.select(100, 300);
         // Server drops the tail and moves the right boundary inward.
         part(&mut ans).records.truncate(5);
@@ -1626,7 +1538,7 @@ mod tests {
 
     #[test]
     fn out_of_range_record_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let extra = part(&mut s.select(400, 400)).records[0].clone();
         let mut ans = s.select(100, 300);
         part(&mut ans).records.push(extra.clone());
@@ -1638,7 +1550,7 @@ mod tests {
 
     #[test]
     fn empty_answer_gap_proof_verifies() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let ans = s.select(101, 109);
         let rep = s.verify(101, 109, &ans, 0).expect("valid");
         assert_eq!(rep.records, 0);
@@ -1646,7 +1558,7 @@ mod tests {
 
     #[test]
     fn forged_gap_proof_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let mut ans = s.select(101, 109);
         // Claim a wider gap than certified.
         part(&mut ans).gap.as_mut().unwrap().right_key = 10_000;
@@ -1655,7 +1567,7 @@ mod tests {
 
     #[test]
     fn gap_proof_not_bracketing_rejected() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let ans = s.select(101, 109);
         // Replay the same (valid) proof against a different range it does
         // not bracket: rejected via the boundary check or the gap check.
@@ -1671,7 +1583,7 @@ mod tests {
         // artifact, so a forged one attached to an otherwise-honest answer
         // must be rejected, not delivered inside a verified result. (These
         // shapes are network-reachable: the wire codec accepts them.)
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let honest = s.select(100, 300);
         assert!(s.verify(100, 300, &honest, 0).is_ok());
 
@@ -1709,7 +1621,7 @@ mod tests {
 
     #[test]
     fn stale_record_detected_via_summaries() {
-        let mut s = system(50, SigningMode::Chained);
+        let mut s = system(50);
         // Capture the answer before an update...
         let stale_ans = s.select(200, 260);
         // ...then update record key=230 and publish the summary trail.
@@ -1737,11 +1649,11 @@ mod tests {
     /// the second period, and the prefix compacted into a checkpoint with
     /// `keep` summaries retained.
     fn checkpointed_system(keep: usize) -> System {
-        checkpointed_system_under(SchemeKind::Mock, SigningMode::Chained, keep)
+        checkpointed_system_under(SchemeKind::Mock, keep)
     }
 
-    fn checkpointed_system_under(scheme: SchemeKind, mode: SigningMode, keep: usize) -> System {
-        let mut s = system_under(scheme, 50, mode);
+    fn checkpointed_system_under(scheme: SchemeKind, keep: usize) -> System {
+        let mut s = system_under(scheme, 50);
         s.tick(12);
         s.sa.advance_clock(2);
         s.update(23, vec![230, 777]);
@@ -1753,7 +1665,7 @@ mod tests {
 
     #[test]
     fn checkpoint_anchored_answers_verify_and_exposure_keeps_stale_verdicts() {
-        let stale_ans = system(50, SigningMode::Chained).select(200, 260);
+        let stale_ans = system(50).select(200, 260);
         // Compact everything but the newest summary — including seq 1, the
         // summary that used to prove the replay stale.
         let s = checkpointed_system(1);
@@ -1851,7 +1763,7 @@ mod tests {
 
     #[test]
     fn vacancy_older_than_checkpoint_is_stale_by_exposure() {
-        let mut s = system(0, SigningMode::Chained);
+        let mut s = system(0);
         let mut stale = s.select(0, 100);
         assert!(part(&mut stale).vacancy.is_some());
         s.sa.advance_clock(3);
@@ -1879,7 +1791,7 @@ mod tests {
 
     #[test]
     fn tampered_summary_rejected() {
-        let mut s = system(20, SigningMode::Chained);
+        let mut s = system(20);
         s.tick(12);
         let mut ans = s.select(0, 50);
         Arc::make_mut(&mut part(&mut ans).summaries[0]).ts += 1; // tamper
@@ -1895,8 +1807,8 @@ mod tests {
             // Capture a pre-update answer, then the checkpointed timeline:
             // the cut covers seq 0, seqs 1 and 2 ride along, rid 23 moved
             // in seq 1's period.
-            let old = system_under(scheme, 50, SigningMode::Chained).select(200, 260);
-            let s = checkpointed_system_under(scheme, SigningMode::Chained, 2);
+            let old = system_under(scheme, 50).select(200, 260);
+            let s = checkpointed_system_under(scheme, 2);
             let now = s.now();
             let honest = s.select(200, 260);
             let honest_part = &honest.parts[0].answer;
@@ -2065,7 +1977,7 @@ mod tests {
 
     #[test]
     fn static_point_answer_is_a_single_claim() {
-        let s = system(100, SigningMode::Chained);
+        let s = system(100);
         let ans = s.select(500, 500);
         let rep = s.verify(500, 500, &ans, 0).expect("valid");
         assert_eq!((rep.records, rep.sig_claims), (1, 1));
@@ -2079,7 +1991,9 @@ mod tests {
         let draw = |ans: &SelectionAnswer| {
             let part = s.v.analyze_selection(200, 260, ans, true).unwrap();
             let parts = std::slice::from_ref(&part);
-            let mut rng = transcript_rng(parts);
+            let mut rng = TranscriptRng::new(|| {
+                transcript_digest(claim_order(parts).map(|(_, c)| (c.messages.as_slice(), c.sig)))
+            });
             [rng.next_u64(), rng.next_u64(), rng.next_u64()]
         };
         let base = draw(&ans);
@@ -2105,105 +2019,8 @@ mod tests {
     }
 
     #[test]
-    fn projection_verifies_and_rejects_swap() {
-        let s = system(50, SigningMode::PerAttribute);
-        let ans = s.sqs.project(0, 200, &[0, 1]).unwrap();
-        assert!(s.verify_projection(&ans, 0).is_ok());
-        // Swapping two values between records must fail (messages bind rid
-        // and attribute position).
-        let mut bad = ans.clone();
-        let tmp = bad.rows[0].values[1];
-        bad.rows[0].values[1] = bad.rows[1].values[1];
-        bad.rows[1].values[1] = tmp;
-        assert_eq!(s.verify_projection(&bad, 0), Err(VerifyError::BadAggregate));
-    }
-
-    #[test]
-    fn projection_rejects_forged_value() {
-        let s = system(50, SigningMode::PerAttribute);
-        let mut ans = s.sqs.project(0, 200, &[1]).unwrap();
-        ans.rows[3].values[0].1 += 1;
-        assert_eq!(s.verify_projection(&ans, 0), Err(VerifyError::BadAggregate));
-    }
-
-    #[test]
-    fn projection_detects_stale_row() {
-        let mut s = system(50, SigningMode::PerAttribute);
-        let stale = s.sqs.project(0, 200, &[1]).unwrap();
-        s.tick(12);
-        s.sa.advance_clock(2);
-        s.update(5, vec![50, 999]);
-        s.tick(10);
-        // Replaying the pre-update projection with the published summaries
-        // exposes row 5.
-        let mut replay = stale;
-        replay.summaries = s.summaries();
-        assert!(matches!(
-            s.verify_projection(&replay, 25),
-            Err(VerifyError::Stale { rid: 5, .. })
-        ));
-        // The honest fresh projection passes.
-        let fresh = s.sqs.project(0, 200, &[1]).unwrap();
-        assert!(s.verify_projection(&fresh, 25).is_ok());
-    }
-
-    /// Regression: a projection whose oldest row predates a summary
-    /// checkpoint shipped no anchor for its cut run and was rejected as
-    /// `FreshnessIndeterminate`. It now carries the checkpoint exactly as a
-    /// selection does, and the checkpoint is a claim like any other.
-    #[test]
-    fn projection_after_a_summary_checkpoint_verifies() {
-        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let s = checkpointed_system_under(scheme, SigningMode::PerAttribute, 1);
-            let ans = s.sqs.project(0, 200, &[0, 1]).unwrap();
-            assert!(ans.rows.iter().any(|r| r.ts == 0), "rows predate the cut");
-            assert!(ans.checkpoint.is_some());
-            let rep = s.verify_projection(&ans, s.now()).expect("anchored");
-            assert_eq!((rep.records, rep.sig_claims), (21, 3), "{scheme:?}");
-            // Without its anchor the cut run proves nothing about the
-            // prefix...
-            let mut bare = ans.clone();
-            bare.checkpoint = None;
-            assert_eq!(
-                s.verify_projection(&bare, s.now()),
-                Err(VerifyError::FreshnessIndeterminate { rid: 0 }),
-                "{scheme:?}"
-            );
-            // ...and the anchor is believed only under the DA's signature.
-            let mut forged = ans.clone();
-            let exposure = &mut forged.checkpoint.as_mut().unwrap().exposure;
-            assert_ne!(std::mem::take(exposure.entry_mut(23).unwrap()), 0);
-            assert_eq!(
-                s.verify_projection(&forged, s.now()),
-                Err(VerifyError::BadCheckpoint),
-                "{scheme:?}"
-            );
-        }
-    }
-
-    /// A projection's freshness artifacts are domain-bound like every other
-    /// part's: only shard 0's stream in the pinned epoch vouches for it.
-    #[test]
-    fn projection_artifacts_are_domain_bound() {
-        let s = checkpointed_system_under(SchemeKind::Mock, SigningMode::PerAttribute, 1);
-        let ans = s.sqs.project(0, 200, &[1]).unwrap();
-        let mut alien = ans.clone();
-        Arc::make_mut(&mut alien.summaries[0]).shard = 1;
-        assert_eq!(
-            s.verify_projection(&alien, s.now()),
-            Err(VerifyError::ShardMismatch { shard: 0 })
-        );
-        let mut alien = ans.clone();
-        alien.checkpoint.as_mut().unwrap().epoch += 1;
-        assert_eq!(
-            s.verify_projection(&alien, s.now()),
-            Err(VerifyError::EpochMismatch { shard: 0 })
-        );
-    }
-
-    #[test]
     fn empty_table_answer_verifies() {
-        let s = system(0, SigningMode::Chained);
+        let s = system(0);
         let mut ans = s.select(-500, 500);
         assert!(part(&mut ans).vacancy.is_some());
         let rep = s.verify(-500, 500, &ans, 0).expect("valid");
@@ -2212,7 +2029,7 @@ mod tests {
 
     #[test]
     fn empty_table_then_deletes_keep_verifying() {
-        let mut s = system(2, SigningMode::Chained);
+        let mut s = system(2);
         s.sa.advance_clock(2);
         for rid in 0..2 {
             s.sqs.apply_all(&s.sa.delete_record(0, rid));
@@ -2225,7 +2042,7 @@ mod tests {
 
     #[test]
     fn replayed_vacancy_proof_rejected_after_insert() {
-        let mut s = system(0, SigningMode::Chained);
+        let mut s = system(0);
         let mut stale = s.select(0, 100);
         assert!(part(&mut stale).vacancy.is_some());
         s.sa.advance_clock(3);
@@ -2250,7 +2067,7 @@ mod tests {
         // An empty result must certify its emptiness: stripping both the
         // gap proof and the vacancy certificate is the laziest possible
         // omission attack and must surface as MissingGapProof.
-        let s = system(50, SigningMode::Chained);
+        let s = system(50);
         let mut ans = s.select(231, 239);
         assert!(part(&mut ans).records.is_empty() && part(&mut ans).gap.is_some());
         part(&mut ans).gap = None;
@@ -2265,7 +2082,7 @@ mod tests {
         // A vacancy claim whose summary run withholds the middle summary
         // can hide the insertion that voids it; contiguity failure must
         // surface as VacancyIndeterminate, not as a fresh verdict.
-        let mut s = system(0, SigningMode::Chained);
+        let mut s = system(0);
         for _ in 0..3 {
             s.tick(12);
         }
@@ -2286,7 +2103,7 @@ mod tests {
     fn stale_gap_record_rejected() {
         // Satellite regression: the bracketing record of a gap proof must
         // go through the summary check like any returned record.
-        let mut s = system(50, SigningMode::Chained);
+        let mut s = system(50);
         let mut stale_empty = s.select(231, 239);
         assert_eq!(part(&mut stale_empty).gap.as_ref().unwrap().record.rid, 23);
         s.tick(12);
@@ -2308,7 +2125,7 @@ mod tests {
     fn withheld_summary_suffix_rejected() {
         // Satellite regression: stripping the newest summaries must yield
         // Indeterminate, not FreshWithin(rho).
-        let mut s = system(50, SigningMode::Chained);
+        let mut s = system(50);
         s.tick(12);
         s.sa.advance_clock(2);
         s.update(23, vec![230, 777]);
@@ -2342,7 +2159,7 @@ mod tests {
     #[test]
     fn batch_verifies_honest_answers() {
         let mut rng = StdRng::seed_from_u64(91);
-        let s = system(200, SigningMode::Chained);
+        let s = system(200);
         let queries: Vec<(i64, i64)> = (0..8).map(|i| (i * 200, i * 200 + 150)).collect();
         let answers = answer_all(&s, &queries);
         let reports =
@@ -2357,7 +2174,7 @@ mod tests {
     #[test]
     fn batch_localizes_tampered_answer() {
         let mut rng = StdRng::seed_from_u64(92);
-        let s = system(200, SigningMode::Chained);
+        let s = system(200);
         let queries: Vec<(i64, i64)> = (0..6).map(|i| (i * 300, i * 300 + 200)).collect();
         let mut answers = answer_all(&s, &queries);
         // Tamper answer 3's content: the batch check fails, and the
@@ -2387,12 +2204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(93);
         // Three shards, the middle one empty: a batch mixing a multi-part
         // answer, gap proofs, a vacancy claim and an inverted range.
-        let (_, sqs, v, view) = deployment(
-            SchemeKind::Mock,
-            SigningMode::Chained,
-            vec![1000, 2000],
-            100,
-        );
+        let (_, sqs, v, view) = deployment(SchemeKind::Mock, vec![1000, 2000], 100);
         let queries = [(100, 300), (101, 109), (900, 2100), (1200, 1300), (9, 1)];
         let answers: Vec<_> = queries
             .iter()
@@ -2423,7 +2235,7 @@ mod tests {
 
     #[test]
     fn batch_with_bas_scheme_verifies_and_localizes() {
-        let mut s = system_under(SchemeKind::Bas, 30, SigningMode::Chained);
+        let mut s = system_under(SchemeKind::Bas, 30);
         s.tick(12);
         let queries = [(0, 40), (50, 120), (201, 209)];
         let mut answers = answer_all(&s, &queries);
@@ -2451,7 +2263,7 @@ mod tests {
     #[test]
     fn end_to_end_with_bas_scheme() {
         // Full cryptographic path once (slow): BAS signatures.
-        let s = system_under(SchemeKind::Bas, 30, SigningMode::Chained);
+        let s = system_under(SchemeKind::Bas, 30);
         let ans = s.select(50, 120);
         let rep = s.verify(50, 120, &ans, 0).expect("valid");
         assert_eq!(rep.records, 8);
@@ -2477,8 +2289,7 @@ mod tests {
         let (lo, hi) = (0, 310);
         for shards in [1, 2, 4, 8] {
             let splits = (1..shards).map(|i| i * 320 / shards).collect();
-            let (mut sa, sqs, v, mut view) =
-                deployment(SchemeKind::Bas, SigningMode::Chained, splits, 32);
+            let (mut sa, sqs, v, mut view) = deployment(SchemeKind::Bas, splits, 32);
             let mut fold = |view: &EpochView, now| {
                 let ans = sqs.select_range(lo, hi).unwrap();
                 let (rep, checks) = pairing_checks_of(|| {
@@ -2502,7 +2313,7 @@ mod tests {
 
         // Six quiet periods, then all but the last four summaries compact
         // into a checkpoint.
-        let mut s = system_under(SchemeKind::Bas, 32, SigningMode::Chained);
+        let mut s = system_under(SchemeKind::Bas, 32);
         for _ in 0..6 {
             s.tick(12);
         }
@@ -2528,13 +2339,13 @@ mod tests {
     fn inverted_range_honest_answer_verifies() {
         // An inverted range overlaps no shard: the honest answer is the
         // empty fan-out, and nothing in it needs certifying.
-        let s = system(50, SigningMode::Chained);
+        let s = system(50);
         let ans = s.select(300, 200);
         assert!(ans.parts.is_empty());
         let rep = s.verify(300, 200, &ans, 0).expect("valid");
         assert_eq!((rep.records, rep.sig_claims), (0, 0));
         // Even on an empty table, and even with freshness on late clocks.
-        let e = system(0, SigningMode::Chained);
+        let e = system(0);
         let ans = e.select(10, -10);
         assert!(e.verify(10, -10, &ans, 500).is_ok());
     }
@@ -2572,7 +2383,7 @@ mod tests {
             splits: Vec<i64>,
             n: i64,
         ) -> (ShardedAggregator, ShardedQueryServer, Verifier, EpochView) {
-            deployment(SchemeKind::Mock, SigningMode::Chained, splits, n)
+            deployment(SchemeKind::Mock, splits, n)
         }
 
         #[test]

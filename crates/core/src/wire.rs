@@ -28,7 +28,7 @@
 //! | [`SummaryCheckpoint`] | `epoch:u64, shard:u64, through_seq:u64, through_ts:u64, exposure, signature` |
 //! | [`Exposure`] | `len:u64, max:u64, max_rid:u64, root:[32]B, chunks:vec<(index:u64, entries:[u64; 16])>, siblings:vec<[32]B>` (decode re-checks that chunk indices strictly increase) |
 //! | [`SelectionAnswer`] | `records:vec, agg, left:i64, right:i64, gap:opt, vacancy:opt, summaries:vec, checkpoint:opt` |
-//! | [`UpdateMsg`] | `kind:u8, record, signature, attr_sigs:vec, old_key:opt<i64>, vacancy:opt` |
+//! | [`UpdateMsg`] | `kind:u8, record, signature, old_key:opt<i64>, vacancy:opt` |
 //! | [`ShardMap`] | `epoch:u64, splits:vec<i64>, signature` (decode re-checks the split and epoch invariants) |
 //! | [`ShardedSelectionAnswer`] | `map, parts:vec<(shard:u64, answer)>` |
 //! | [`EpochTransition`] | `epoch:u64, parent_hash:[32]B, map_hash:[32]B, ts:u64, signature` |
@@ -39,7 +39,7 @@
 //! | [`ShardRebind`] | `shard:u64, summaries:vec, vacancy:opt, checkpoint:opt` |
 //! | [`Rebalance`] | `plan, new_map, transition, handoffs:vec, rebound:vec, checkpoint` |
 //! | [`QsStats`] | six `u64` counters (one set per shard in [`Response::ShardStats`]) |
-//! | [`Request`] / [`Response`] | one tag byte (retired tags listed at [`Request`]), then the variant's fields |
+//! | [`Request`] / [`Response`] / [`QueryError`] | one tag byte (retired tags listed at [`Request`]), then the variant's fields |
 //! | [`Request::Tagged`] / [`Response::Tagged`] | wrapper tag byte, `id:u64`, then exactly one *unwrapped* message (nesting is a typed `BadTag`, never recursion) |
 
 use std::sync::Arc;
@@ -294,20 +294,18 @@ impl WireEncode for UpdateMsg {
         self.kind.encode_into(out);
         self.record.encode_into(out);
         self.signature.encode_into(out);
-        self.attr_sigs.encode_into(out);
         self.old_key.encode_into(out);
         self.vacancy.encode_into(out);
     }
 }
 
 impl WireDecode for UpdateMsg {
-    const MIN_WIRE_LEN: usize = 1 + Record::MIN_WIRE_LEN + Signature::MIN_WIRE_LEN + 6;
+    const MIN_WIRE_LEN: usize = 1 + Record::MIN_WIRE_LEN + Signature::MIN_WIRE_LEN + 2;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(UpdateMsg {
             kind: UpdateKind::decode_from(r)?,
             record: Record::decode_from(r)?,
             signature: Signature::decode_from(r)?,
-            attr_sigs: Vec::<Signature>::decode_from(r)?,
             old_key: Option::<i64>::decode_from(r)?,
             vacancy: Option::<EmptyTableProof>::decode_from(r)?,
         })
@@ -591,16 +589,7 @@ impl WireDecode for QsStats {
 impl WireEncode for QueryError {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            QueryError::WrongSigningMode { required, actual } => {
-                out.push(0);
-                out.push(signing_mode_tag(*required));
-                out.push(signing_mode_tag(*actual));
-            }
             QueryError::Unsupported => out.push(1),
-            QueryError::AttributeOutOfSchema { index } => {
-                out.push(2);
-                (*index as u64).encode_into(out);
-            }
             QueryError::AnswerTooLarge => out.push(3),
             QueryError::BadRebalance => out.push(4),
             QueryError::UnknownShard { shard } => {
@@ -615,17 +604,7 @@ impl WireDecode for QueryError {
     const MIN_WIRE_LEN: usize = 1;
     fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(QueryError::WrongSigningMode {
-                required: signing_mode_from_tag(r.u8()?)?,
-                actual: signing_mode_from_tag(r.u8()?)?,
-            }),
             1 => Ok(QueryError::Unsupported),
-            2 => {
-                let index = usize::try_from(r.u64()?).map_err(|_| WireError::NonCanonical {
-                    what: "attribute index",
-                })?;
-                Ok(QueryError::AttributeOutOfSchema { index })
-            }
             3 => Ok(QueryError::AnswerTooLarge),
             4 => Ok(QueryError::BadRebalance),
             5 => Ok(QueryError::UnknownShard { shard: r.u64()? }),
@@ -634,24 +613,6 @@ impl WireDecode for QueryError {
                 tag,
             }),
         }
-    }
-}
-
-fn signing_mode_tag(mode: crate::da::SigningMode) -> u8 {
-    match mode {
-        crate::da::SigningMode::Chained => 0,
-        crate::da::SigningMode::PerAttribute => 1,
-    }
-}
-
-fn signing_mode_from_tag(tag: u8) -> Result<crate::da::SigningMode, WireError> {
-    match tag {
-        0 => Ok(crate::da::SigningMode::Chained),
-        1 => Ok(crate::da::SigningMode::PerAttribute),
-        tag => Err(WireError::BadTag {
-            what: "signing mode",
-            tag,
-        }),
     }
 }
 
@@ -668,7 +629,11 @@ fn signing_mode_from_tag(tag: u8) -> Result<crate::da::SigningMode, WireError> {
 ///   total, which is the sum of [`Request::ShardStats`];
 /// * request tag 4 and response tag 5 carried the from-genesis transition
 ///   chain, an answer that grew by one signed link per rebalance.
-///   [`Request::Checkpoint`] is the one epoch catch-up.
+///   [`Request::Checkpoint`] is the one epoch catch-up;
+/// * [`QueryError`] tags 0 (wrong signing mode) and 2 (attribute index
+///   outside the schema) were refusals only the per-attribute signing mode
+///   and in-process projections and joins produced; a serving deployment
+///   has one signing mode and serves neither.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe.
@@ -918,30 +883,24 @@ impl WireDecode for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::{DaConfig, SigningMode};
+    use crate::da::DaConfig;
     use crate::qs::QsOptions;
     use crate::shard::{ShardedAggregator, ShardedQueryServer};
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cfg(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
+    fn cfg(scheme: SchemeKind) -> DaConfig {
         DaConfig {
             scheme,
-            mode,
             ..DaConfig::small()
         }
     }
 
     /// A one-shard deployment of `n` records with keys `i·10`.
-    fn one_shard(
-        scheme: SchemeKind,
-        mode: SigningMode,
-        n: i64,
-        seed: u64,
-    ) -> (ShardedAggregator, ShardedQueryServer) {
+    fn one_shard(scheme: SchemeKind, n: i64, seed: u64) -> (ShardedAggregator, ShardedQueryServer) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sa = ShardedAggregator::new(cfg(scheme, mode), vec![], &mut rng);
+        let mut sa = ShardedAggregator::new(cfg(scheme), vec![], &mut rng);
         let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
         let sqs = sa.replica(&boots, &QsOptions::default());
         (sa, sqs)
@@ -958,7 +917,7 @@ mod tests {
     #[test]
     fn selection_answers_round_trip_all_shapes() {
         for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let (mut sa, sqs) = one_shard(scheme, SigningMode::Chained, 12, 17);
+            let (mut sa, sqs) = one_shard(scheme, 12, 17);
             sa.advance_clock(12);
             sqs.ingest(sa.maybe_publish_summaries());
             // Non-empty, gap-proof, and inverted shapes.
@@ -970,7 +929,7 @@ mod tests {
 
     #[test]
     fn vacancy_answer_round_trips() {
-        let (_, sqs) = one_shard(SchemeKind::Mock, SigningMode::Chained, 0, 18);
+        let (_, sqs) = one_shard(SchemeKind::Mock, 0, 18);
         let ans = sqs.select_shard(0, 0, 100).unwrap();
         assert!(ans.vacancy.is_some());
         assert_canonical(&ans);
@@ -978,7 +937,7 @@ mod tests {
 
     #[test]
     fn update_stream_round_trips() {
-        let (mut sa, _) = one_shard(SchemeKind::Mock, SigningMode::Chained, 6, 20);
+        let (mut sa, _) = one_shard(SchemeKind::Mock, 6, 20);
         sa.advance_clock(1);
         let mut msgs: Vec<UpdateMsg> = sa.insert(vec![35, 9]).1;
         let routed = |(_, m): (usize, UpdateMsg)| m;
@@ -1003,11 +962,7 @@ mod tests {
     #[test]
     fn sharded_answers_round_trip() {
         let mut rng = StdRng::seed_from_u64(21);
-        let mut sa = ShardedAggregator::new(
-            cfg(SchemeKind::Mock, SigningMode::Chained),
-            vec![100],
-            &mut rng,
-        );
+        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
         let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
         let sqs = sa.replica(&boots, &QsOptions::default());
         assert_canonical(sa.map());
@@ -1019,14 +974,7 @@ mod tests {
         assert_canonical(&Request::Ping);
         assert_canonical(&Request::Select { lo: -5, hi: 900 });
         assert_canonical(&Response::Pong);
-        assert_canonical(&Response::Refused(QueryError::WrongSigningMode {
-            required: SigningMode::Chained,
-            actual: SigningMode::PerAttribute,
-        }));
         assert_canonical(&Response::Refused(QueryError::Unsupported));
-        assert_canonical(&Response::Refused(QueryError::AttributeOutOfSchema {
-            index: 9,
-        }));
         assert_canonical(&Response::Refused(QueryError::AnswerTooLarge));
         assert_canonical(&Response::Refused(QueryError::BadRebalance));
         assert_canonical(&Response::Rebalanced);
@@ -1125,11 +1073,7 @@ mod tests {
     #[test]
     fn rebalance_package_round_trips() {
         let mut rng = StdRng::seed_from_u64(25);
-        let mut sa = ShardedAggregator::new(
-            cfg(SchemeKind::Mock, SigningMode::Chained),
-            vec![100],
-            &mut rng,
-        );
+        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
         sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
         sa.advance_clock(3);
         let rb = sa.rebalance(crate::shard::RebalancePlan::Split { shard: 1, at: 150 }, 2);
@@ -1156,7 +1100,7 @@ mod tests {
     #[test]
     fn summary_checkpoint_round_trips() {
         for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let (mut sa, _) = one_shard(scheme, SigningMode::Chained, 8, 26);
+            let (mut sa, _) = one_shard(scheme, 8, 26);
             for _ in 0..3 {
                 sa.advance_clock(10);
                 assert_eq!(sa.maybe_publish_summaries().len(), 1);
@@ -1221,11 +1165,7 @@ mod tests {
     #[test]
     fn sharded_stats_aggregate_across_shards() {
         let mut rng = StdRng::seed_from_u64(23);
-        let mut sa = ShardedAggregator::new(
-            cfg(SchemeKind::Mock, SigningMode::Chained),
-            vec![100],
-            &mut rng,
-        );
+        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
         let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
         let sqs = sa.replica(&boots, &QsOptions::default());
         sqs.select_range(50, 150).unwrap(); // touches both shards
@@ -1237,30 +1177,5 @@ mod tests {
             sqs.shard_stats().iter().map(|s| s.queries).sum::<u64>()
         );
         assert!(total.agg_ops > 0);
-    }
-
-    #[test]
-    fn sharded_projection_requires_single_shard() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut sa = ShardedAggregator::new(
-            cfg(SchemeKind::Mock, SigningMode::PerAttribute),
-            vec![100],
-            &mut rng,
-        );
-        let boots = sa.bootstrap((0..10).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        assert_eq!(
-            sqs.project(0, 50, &[1]).unwrap_err(),
-            QueryError::Unsupported
-        );
-
-        let mut sa = ShardedAggregator::new(
-            cfg(SchemeKind::Mock, SigningMode::PerAttribute),
-            Vec::new(),
-            &mut rng,
-        );
-        let boots = sa.bootstrap((0..10).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        assert_eq!(sqs.project(0, 50, &[1]).unwrap().rows.len(), 6);
     }
 }

@@ -19,7 +19,6 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use authdb_core::da::SigningMode;
 use authdb_core::shard::ShardedSelectionAnswer;
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
@@ -50,7 +49,7 @@ fn fixture(scheme: SchemeKind) -> &'static Fixture {
         _ => &MOCK,
     };
     cell.get_or_init(|| {
-        let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+        let mut d = Deployment::catalog(config(scheme), 2, 40);
         let pre_update = d.select(QUERY.0, QUERY.1);
         run_sharded_timeline(&mut d.sa, &d.sqs);
         for shard in 0..2 {

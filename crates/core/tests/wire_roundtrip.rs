@@ -9,8 +9,9 @@
 
 use proptest::prelude::*;
 
-use authdb_core::da::{DaConfig, SigningMode, UpdateMsg};
+use authdb_core::da::{DaConfig, UpdateMsg};
 use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint};
+use authdb_core::qs::QueryError;
 use authdb_core::record::Record;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::VerifyError;
@@ -35,15 +36,10 @@ fn assert_canonical<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(x:
 /// Run a workload against a one-shard deployment, round-tripping every
 /// update message and summary as it flows DA → QS, and return the system for
 /// answer-level checks.
-fn run_workload(
-    mode: SigningMode,
-    n0: usize,
-    key_span: i64,
-    ops: &[Op],
-) -> (ShardedAggregator, ShardedQueryServer) {
+fn run_workload(n0: usize, key_span: i64, ops: &[Op]) -> (ShardedAggregator, ShardedQueryServer) {
     let rows = initial_rows(n0, key_span);
     let Deployment { mut sa, sqs, .. } =
-        Deployment::new(config(SchemeKind::Mock, mode), &rows, vec![], 7);
+        Deployment::new(config(SchemeKind::Mock), &rows, vec![], 7);
     let apply_all = |msgs: Vec<(usize, UpdateMsg)>| {
         for (shard, m) in msgs {
             assert_canonical(&m);
@@ -89,7 +85,7 @@ proptest! {
         queries in prop::collection::vec((-50i64..50, -5i64..30), 1..6),
     ) {
         let ops = decode_ops(&raw_ops, 4);
-        let (_sa, sqs) = run_workload(SigningMode::Chained, n0, key_span, &ops);
+        let (_sa, sqs) = run_workload(n0, key_span, &ops);
         // Random ranges (negative widths give inverted queries) plus the
         // extremes, so every answer shape appears: records, gap proofs,
         // vacancy proofs, inverted-empty.
@@ -302,12 +298,9 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
     // The codec is schema-agnostic, so a malicious peer can ship records
     // whose arity disagrees with the schema; the verifier must reject them
     // with MalformedRecord before any schema-indexed access.
-    let one_shard = |mode, seed| {
-        let rows: Vec<Vec<i64>> = (0..10i64).map(|i| vec![i * 10, i]).collect();
-        let d = Deployment::new(config(SchemeKind::Mock, mode), &rows, vec![], seed);
-        (d.sqs, d.v, d.view)
-    };
-    let (sqs, v, view) = one_shard(SigningMode::Chained, 3);
+    let rows: Vec<Vec<i64>> = (0..10i64).map(|i| vec![i * 10, i]).collect();
+    let Deployment { sqs, v, view, .. } =
+        Deployment::new(config(SchemeKind::Mock), &rows, vec![], 3);
     let mut rng = StdRng::seed_from_u64(5);
 
     // A returned record with too few attributes.
@@ -333,15 +326,21 @@ fn malformed_record_shapes_are_typed_errors_not_panics() {
         v.verify_sharded_selection(21, 29, &gap_ans, &view, 0, true, &mut rng),
         Err(VerifyError::MalformedRecord { rid })
     );
+}
 
-    // A projected row naming an attribute index past the schema.
-    let (sqs, v, view) = one_shard(SigningMode::PerAttribute, 4);
-    let mut proj = sqs.project(0, 50, &[1]).unwrap();
-    proj.rows[0].values[0].0 = usize::MAX;
-    assert_eq!(
-        v.verify_projection(&proj, &view, 0, true),
-        Err(VerifyError::MalformedRecord {
-            rid: proj.rows[0].rid
-        })
-    );
+/// Query-error tags 0 (wrong signing mode) and 2 (attribute out of schema)
+/// are retired: each decodes as a typed `BadTag`, bare or followed by the
+/// payload it used to carry, and no later refusal may take either.
+#[test]
+fn retired_query_error_tags_are_bad_tags() {
+    let retired: [&[u8]; 4] = [&[0], &[0, 0, 1], &[2], &[2, 0, 0, 0, 0, 0, 0, 0, 9]];
+    for bytes in retired {
+        assert!(
+            matches!(
+                QueryError::decode(bytes),
+                Err(WireError::BadTag { what: "query error", tag }) if tag == bytes[0]
+            ),
+            "{bytes:?}"
+        );
+    }
 }

@@ -1,18 +1,12 @@
 #![forbid(unsafe_code)]
 //! # authdb-filters
 //!
-//! Probabilistic and bitmap data structures for the `authdb` workspace:
-//!
-//! * [`bloom`] — Bloom filters (paper Section 2.1, formula 1).
-//! * [`partitioned`] — partitioned certified Bloom filters for equi-join
-//!   verification (Section 3.5).
-//! * [`bitmap`] — growable bitmaps plus sparse compression for the freshness
-//!   protocol's periodic update summaries (Section 3.1).
+//! The bitmap behind the freshness protocol's periodic update summaries
+//! (Section 3.1): [`bitmap`] holds growable bitmaps plus the sparse
+//! compression a certified summary ships. The Bloom filters of the join
+//! reproduction (Sections 2.1 and 3.5) are `authdb_paper::{bloom,
+//! partitioned}`.
 
 pub mod bitmap;
-pub mod bloom;
-pub mod partitioned;
 
 pub use bitmap::Bitmap;
-pub use bloom::BloomFilter;
-pub use partitioned::{PartitionedFilters, Probe};

@@ -105,8 +105,10 @@ const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
 /// Crates inside which the call graph is expanded. Crypto is deliberately
 /// excluded: its fixed-limb field arithmetic indexes arrays pervasively
 /// and is covered by its own unit tests; decode entry points *into* crypto
-/// (e.g. signature `decode_from`) are still body-scanned.
-const CLOSURE_CRATES: [&str; 2] = ["wire", "core"];
+/// (e.g. signature `decode_from`) are still body-scanned. `paper` holds
+/// the in-process §3.4 and §3.5 verifiers, which judge server-built
+/// answers too.
+const CLOSURE_CRATES: [&str; 3] = ["wire", "core", "paper"];
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FnRef {
@@ -314,17 +316,19 @@ fn scan_decode_body(m: &FileModel, f: &FnItem, diags: &mut Vec<Diagnostic>) {
 }
 
 /// The verifier's claim pipeline outside `impl Verifier` (whose methods —
-/// the `stitch` pipeline and its three entry points, `verify_projection` —
-/// are all seeds): claim collection (`Analyzed`, `SigClaim`), fold order and
+/// the `stitch` pipeline and its three entry points — are all seeds):
+/// claim collection (`Analyzed`, `SigClaim`), fold order and
 /// localisation (`claim_order`, `ClaimKind`), the transcript coefficient
 /// source, the client's epoch pin (`EpochView`: `observe` and
 /// `from_bootstrap` judge a bundle an untrusted server sent, and no
 /// `Verifier` method calls them), a checkpoint's exposure opening
 /// (`Exposure`: its root recomputation and entry lookup run on chunks,
 /// indices and sibling digests the server chose, under a declared length of
-/// up to 2⁶⁴), and the join verifier (`verify_join`, a free function over a
-/// server-built `JoinAnswer`). Seeded by name so they stay covered even if a
-/// refactor detaches them from a `Verifier` method's call graph.
+/// up to 2⁶⁴), and the paper's two in-process verifiers in `authdb-paper`:
+/// the join's (`verify_join`, over a server-built `JoinAnswer`) and the
+/// projection's (`verify_projection`, over a `ProjectionAnswer`). Seeded by
+/// name so they stay covered even if a refactor detaches them from a
+/// `Verifier` method's call graph.
 const VERIFY_CLAIM_OWNERS: [&str; 6] = [
     "Analyzed",
     "SigClaim",
@@ -333,11 +337,12 @@ const VERIFY_CLAIM_OWNERS: [&str; 6] = [
     "EpochView",
     "Exposure",
 ];
-const VERIFY_CLAIM_FNS: [&str; 4] = [
+const VERIFY_CLAIM_FNS: [&str; 5] = [
     "analyze_selection",
     "claim_order",
     "transcript_digest",
     "verify_join",
+    "verify_projection",
 ];
 
 /// Rule 1 + closure part of rule 5: seed the decode/verify entry points,
@@ -372,7 +377,7 @@ fn rule_decode(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
                 || (m.crate_name == "core" && f.owner.as_deref() == Some("Verifier"))
                 // An owner's encoder runs on the process's own values, never
                 // on a peer's.
-                || (m.crate_name == "core"
+                || (matches!(m.crate_name.as_str(), "core" | "paper")
                     && f.trait_name.as_deref() != Some("WireEncode")
                     && (VERIFY_CLAIM_OWNERS.contains(&f.owner.as_deref().unwrap_or(""))
                         || VERIFY_CLAIM_FNS.contains(&f.name.as_str())));
@@ -832,6 +837,26 @@ fn helper(x: usize) {
             .diagnostics
             .iter()
             .any(|d| d.rule == RULE_DECODE && d.msg.contains("helper")));
+    }
+
+    /// The paper's in-process verifiers stay seeds after leaving `core`:
+    /// an unchecked index in the join verifier is flagged.
+    #[test]
+    fn paper_verifiers_are_seeds() {
+        let src = r#"
+pub fn verify_join(ans: &JoinAnswer) -> Result<(), VerifyError> {
+    let first = ans.runs[0].value;
+    Ok(())
+}
+"#;
+        let a = analyze(&one("crates/paper/src/join.rs", src));
+        assert!(
+            a.diagnostics
+                .iter()
+                .any(|d| d.rule == RULE_DECODE && d.msg.contains("verify_join")),
+            "{:?}",
+            a.diagnostics
+        );
     }
 
     #[test]

@@ -86,7 +86,8 @@
 //! the epoch bundle); `Rebalance` is never retried — [`ShardFanout`], the
 //! only client that retries, simply does not expose it, so the type system
 //! enforces the restriction. Projections and joins (§3.4, §3.5) have no
-//! network request at all: they are reproduced in process, one shard.
+//! network request at all: `authdb-paper` reproduces them in process, one
+//! shard.
 
 pub mod client;
 pub mod fanout;

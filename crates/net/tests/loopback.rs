@@ -10,9 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_core::da::DaConfig;
 use authdb_core::qs::QueryError;
-use authdb_core::shard::{RebalancePlan, ShardedAggregator, GENESIS_EPOCH};
+use authdb_core::shard::{RebalancePlan, ShardedAggregator};
 use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
@@ -26,7 +26,7 @@ use authdb_testkit::tamper::WireTamper;
 /// and run the shared timeline (summaries at t=12/24/34, one update at
 /// t=14) so answers carry summaries and freshness checks are live.
 fn serve(scheme: SchemeKind, n: i64) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 4, n);
+    let mut d = Deployment::catalog(config(scheme), 4, n);
     let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
     // The DA keeps certifying while the server answers queries: updates and
     // summaries flow into the serving replica through the handle.
@@ -347,38 +347,6 @@ fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
                 .unwrap_or_else(|e| panic!("{scheme:?} {what}: epoch-1 answer rejected: {e:?}"));
         }
     }
-}
-
-/// Rebalancing re-chains records, so a per-attribute deployment refuses
-/// every package by its mode — in process and over TCP — and stays at the
-/// epoch and map it had.
-#[test]
-fn per_attribute_server_refuses_a_rebalance_by_its_mode() {
-    let mut sa = Deployment::catalog(DaConfig::small(), 2, 40).sa;
-    let rb = sa.rebalance(RebalancePlan::Split { shard: 0, at: 100 }, 2);
-    let config = DaConfig {
-        mode: SigningMode::PerAttribute,
-        ..sa.config().clone()
-    };
-    let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i * 10, i]).collect();
-    let sqs = Deployment::new(config, &rows, vec![200], 13).sqs;
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
-    let before = server.with_server(|sqs| sqs.map());
-
-    let wrong_mode = QueryError::WrongSigningMode {
-        required: SigningMode::Chained,
-        actual: SigningMode::PerAttribute,
-    };
-    let refused = server.with_server(|sqs| sqs.apply_rebalance(&rb));
-    assert_eq!(refused, Err(wrong_mode));
-    let mut client = QsClient::connect(server.addr()).expect("connect");
-    match client.rebalance(&rb) {
-        Err(NetError::Refused(e)) if e == wrong_mode => {}
-        got => panic!("expected WrongSigningMode refusal, got {got:?}"),
-    }
-    let after = client.checkpoint().expect("bundle").map;
-    assert_eq!(after, before, "map unchanged");
-    assert_eq!(after.epoch(), GENESIS_EPOCH);
 }
 
 /// Flat epoch state: however many rebalances a deployment has been through,

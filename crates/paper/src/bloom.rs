@@ -65,9 +65,9 @@ impl BloomFilter {
         let mut h = Sha256::new();
         h.update(b"authdb-bloom:");
         h.update(key);
-        let d = h.finalize();
-        let h1 = u64::from_be_bytes(d[0..8].try_into().expect("8 bytes"));
-        let h2 = u64::from_be_bytes(d[8..16].try_into().expect("8 bytes"));
+        let [a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7, ..] = h.finalize();
+        let h1 = u64::from_be_bytes([a0, a1, a2, a3, a4, a5, a6, a7]);
+        let h2 = u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
         // Force h2 odd so the double-hash probe sequence cycles well.
         (h1, h2 | 1)
     }
@@ -82,12 +82,16 @@ impl BloomFilter {
     }
 
     /// Membership check: `false` means certainly absent; `true` means
-    /// present with probability `1 - FP`.
+    /// present with probability `1 - FP`. The join verifier probes filters
+    /// a server shipped, so a bit past the array reads as set: such a filter
+    /// can never prove an absence.
     pub fn contains(&self, key: &[u8]) -> bool {
         let (h1, h2) = self.index_pair(key);
         (0..self.k as u64).all(|i| {
             let idx = (h1.wrapping_add(i.wrapping_mul(h2)) % self.m as u64) as usize;
-            self.bits[idx / 64] >> (idx % 64) & 1 == 1
+            self.bits
+                .get(idx / 64)
+                .is_none_or(|w| w >> (idx % 64) & 1 == 1)
         })
     }
 

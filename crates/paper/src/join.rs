@@ -14,24 +14,52 @@
 //! The R side is an ordinary fanned-out selection (R may span any number of
 //! shards); the S side is probed value by value and its proofs are not
 //! stitched across seams, so S must be a one-shard relation
-//! ([`QueryError::Unsupported`] otherwise).
+//! ([`JoinRefusal::MultiShardS`] otherwise).
 //!
-//! Joins and projections are in-process, one-shard reproductions of §3.5
-//! and §3.4, out of scope for the network path this round: no wire request
-//! carries either.
+//! The join is an in-process, one-shard reproduction of §3.5 over the
+//! serving crates' public selection, record and verifier APIs: no wire
+//! request carries it.
 //!
 //! The [`viability`] module carries the analysis behind Figure 4.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
+use authdb_core::qs::GapProof;
+use authdb_core::record::{Record, Schema, Tick};
+use authdb_core::shard::{ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
+use authdb_core::verify::{EpochView, Verifier, VerifyError};
 use authdb_crypto::signer::{PublicParams, Signature};
-use authdb_filters::bloom::BloomFilter;
-use authdb_filters::partitioned::{PartitionedFilters, Probe};
 
-use crate::qs::{GapProof, QueryError};
-use crate::record::{Record, Schema, Tick};
-use crate::shard::{ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer};
-use crate::verify::{EpochView, Verifier, VerifyError};
+use crate::bloom::BloomFilter;
+use crate::partitioned::{PartitionedFilters, Probe};
+
+/// Why [`execute_join`] refuses to build an answer: the join's inputs are
+/// the caller's, so a mis-issued join is a refusal, not a panic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinRefusal {
+    /// S spans more than one shard: its point probes are not stitched
+    /// across seams.
+    MultiShardS,
+    /// `attr_a` is not an attribute of R's records.
+    AttributeOutOfSchema {
+        /// The offending attribute index.
+        index: usize,
+    },
+}
+
+impl fmt::Display for JoinRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JoinRefusal::MultiShardS => write!(f, "the join's S side must be one shard"),
+            JoinRefusal::AttributeOutOfSchema { index } => {
+                write!(f, "attribute index {index} is outside R's schema")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JoinRefusal {}
 
 /// Which absence-proof mechanism the server uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,8 +274,8 @@ impl JoinPublisher {
 
 /// Server-side join execution: combine an already-computed authenticated
 /// selection on R with the S server's index and the published filters.
-/// Refuses with [`QueryError::AttributeOutOfSchema`] when `attr_a` is not an
-/// attribute of R's records, and with [`QueryError::Unsupported`] unless S
+/// Refuses with [`JoinRefusal::AttributeOutOfSchema`] when `attr_a` is not an
+/// attribute of R's records, and with [`JoinRefusal::MultiShardS`] unless S
 /// is a one-shard deployment.
 pub fn execute_join(
     r_answer: ShardedSelectionAnswer,
@@ -256,15 +284,15 @@ pub fn execute_join(
     filters: &PartitionedFilters,
     partition_sigs: &[Signature],
     method: JoinMethod,
-) -> Result<JoinAnswer, QueryError> {
+) -> Result<JoinAnswer, JoinRefusal> {
     if s_qs.map().shard_count() != 1 {
-        return Err(QueryError::Unsupported);
+        return Err(JoinRefusal::MultiShardS);
     }
     let pp = s_qs.with_shard(0, |qs| qs.public_params().clone());
     let mut values = Vec::new();
     for r in r_answer.parts.iter().flat_map(|p| &p.answer.records) {
         let Some(&v) = r.attrs.get(attr_a) else {
-            return Err(QueryError::AttributeOutOfSchema { index: attr_a });
+            return Err(JoinRefusal::AttributeOutOfSchema { index: attr_a });
         };
         values.push(v);
     }
@@ -280,11 +308,7 @@ pub fn execute_join(
     let mut s_agg = pp.identity();
 
     for v in values {
-        // One shard, a point range: exactly one part.
-        let Some(part) = s_qs.select_range(v, v)?.parts.pop() else {
-            return Err(QueryError::Unsupported);
-        };
-        let ans = part.answer;
+        let ans = s_qs.with_shard(0, |qs| qs.select_range(v, v));
         if !ans.records.is_empty() {
             s_agg = pp.aggregate(&s_agg, &ans.agg);
             runs.push(MatchRun {
@@ -567,8 +591,8 @@ pub mod viability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::da::DaConfig;
-    use crate::qs::QsOptions;
+    use authdb_core::da::DaConfig;
+    use authdb_core::qs::QsOptions;
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -764,7 +788,7 @@ mod tests {
         );
         assert_eq!(
             refused.err(),
-            Some(QueryError::AttributeOutOfSchema { index: 99 })
+            Some(JoinRefusal::AttributeOutOfSchema { index: 99 })
         );
         let mut j = run_join(JoinMethod::BloomFilter);
         j.ans.attr_a = 99;
@@ -805,7 +829,7 @@ mod tests {
             publisher.partition_sigs(),
             JoinMethod::BoundaryValues,
         );
-        assert_eq!(refused.err(), Some(QueryError::Unsupported));
+        assert_eq!(refused.err(), Some(JoinRefusal::MultiShardS));
     }
 
     /// The R side's freshness is checked at the caller's `now`: an R server

@@ -178,7 +178,7 @@ impl PartitionedFilters {
     pub fn certification_message(&self, idx: usize) -> Vec<u8> {
         let p = &self.partitions[idx];
         let mut msg = Vec::with_capacity(24 + p.filter.byte_len());
-        // authdb-lint: allow(domain-binding): core::join::partition_certification_message is the verifier-side rebuild of this exact preimage — both encode the same logical partition certification, so the shared tag is intentional
+        // authdb-lint: allow(domain-binding): join::partition_certification_message is the verifier-side rebuild of this exact preimage — both encode the same logical partition certification, so the shared tag is intentional
         msg.extend_from_slice(b"authdb-partition:");
         msg.extend_from_slice(&(idx as u64).to_be_bytes());
         msg.extend_from_slice(&p.lo.to_be_bytes());

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-//! # authdb-workload
-//!
 //! Workload and data generators for the evaluation (Section 5.1):
 //!
 //! * [`uniform`] — the default relation: N uniformly generated records with

@@ -19,7 +19,7 @@
 //! verifier change is regression-checked against the full attack surface.
 //!
 //! * [`Tamper`] — doctoring one shard's selection (part 0 of a one-shard
-//!   fan-out) or a projection.
+//!   fan-out).
 //! * [`ShardTamper`] — attacking the fan-out itself: seam splice, shard
 //!   withholding, seam widening, stale-shard replay, cross-shard summary
 //!   swap.
@@ -27,8 +27,8 @@
 //!   once: stale-epoch replay, handoff forgery, split brain, broken
 //!   transition chain.
 //! * [`CheckpointTamper`] — history the verifier can no longer replay and
-//!   must trust to a signed cut: forged covered-window digest (on a
-//!   selection and on a projection), wrong-epoch map replay, gap-straddling
+//!   must trust to a signed cut: forged covered-window digest, wrong-epoch
+//!   map replay, gap-straddling
 //!   cut, chain-break bootstrap, bundle rollback, against both
 //!   checkpoint-anchored answers and client catch-up bundles — and the
 //!   opening of the cut's exposure map an answer carries: a forged entry, a
@@ -48,9 +48,8 @@ use rand::SeedableRng;
 
 use authdb_crypto::signer::{Keypair, SchemeKind, Signature};
 
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_core::da::DaConfig;
 use authdb_core::freshness::UpdateSummary;
-use authdb_core::qs::ProjectionAnswer;
 use authdb_core::record::{KEY_NEG_INF, KEY_POS_INF};
 use authdb_core::shard::{
     RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
@@ -122,10 +121,6 @@ pub enum Tamper {
     TruncateBitmap,
     /// Replay an empty-table proof from before an insertion.
     ReplayVacancy,
-    /// Flip one projected value.
-    ForgeProjectionValue,
-    /// Replay a superseded projection with current summaries.
-    StaleProjection,
 }
 
 impl Strategy for Tamper {
@@ -145,8 +140,6 @@ impl Strategy for Tamper {
         Tamper::ReorderSummaries,
         Tamper::TruncateBitmap,
         Tamper::ReplayVacancy,
-        Tamper::ForgeProjectionValue,
-        Tamper::StaleProjection,
     ];
 
     fn name(self) -> &'static str {
@@ -166,8 +159,6 @@ impl Strategy for Tamper {
             Tamper::ReorderSummaries => "reorder-summaries",
             Tamper::TruncateBitmap => "truncate-bitmap",
             Tamper::ReplayVacancy => "replay-vacancy",
-            Tamper::ForgeProjectionValue => "forge-projection-value",
-            Tamper::StaleProjection => "stale-projection",
         }
     }
 
@@ -178,14 +169,11 @@ impl Strategy for Tamper {
             | Tamper::InjectRecord
             | Tamper::ForeignSchemeAggregate
             | Tamper::WidenBoundary
-            | Tamper::ForgeGapKeys
-            | Tamper::ForgeProjectionValue => matches!(err, BadAggregate),
+            | Tamper::ForgeGapKeys => matches!(err, BadAggregate),
             Tamper::ReorderRecords => matches!(err, Unsorted),
             Tamper::TruncateTail => matches!(err, BadBoundary),
             Tamper::ReplayGapElsewhere => matches!(err, BadGapProof),
-            Tamper::StaleVersion | Tamper::StaleGapRecord | Tamper::StaleProjection => {
-                matches!(err, Stale { .. })
-            }
+            Tamper::StaleVersion | Tamper::StaleGapRecord => matches!(err, Stale { .. }),
             Tamper::WithholdSummarySuffix
             | Tamper::WithholdSummaryPrefix
             | Tamper::ReorderSummaries => {
@@ -198,9 +186,6 @@ impl Strategy for Tamper {
 
     fn run(self, scheme: SchemeKind) -> Conformance {
         match self {
-            Tamper::ForgeProjectionValue | Tamper::StaleProjection => {
-                projection_scenario(scheme, self)
-            }
             Tamper::ReplayVacancy => vacancy_scenario(scheme, self),
             _ => selection_scenario(scheme, self),
         }
@@ -210,14 +195,13 @@ impl Strategy for Tamper {
 /// A query server under adversarial control: forwards the DA's updates and
 /// summaries honestly (it must, to keep its replica usable) but doctors
 /// every answer according to its strategy `T` — a [`Tamper`] (part 0 of a
-/// one-shard fan-out, or a projection) or a [`ShardTamper`] (the fan-out
-/// itself). Replay strategies additionally hoard earlier honest answers via
-/// [`MaliciousServer::capture`] / [`MaliciousServer::capture_projection`].
+/// one-shard fan-out) or a [`ShardTamper`] (the fan-out itself). Replay
+/// strategies additionally hoard earlier honest answers via
+/// [`MaliciousServer::capture`].
 pub struct MaliciousServer<T> {
     inner: ShardedQueryServer,
     tamper: T,
     captured: Option<ShardedSelectionAnswer>,
-    captured_projection: Option<ProjectionAnswer>,
 }
 
 impl<T: Copy> MaliciousServer<T> {
@@ -227,7 +211,6 @@ impl<T: Copy> MaliciousServer<T> {
             inner,
             tamper,
             captured: None,
-            captured_projection: None,
         }
     }
 
@@ -238,7 +221,11 @@ impl<T: Copy> MaliciousServer<T> {
 
     /// Record the honest answer to `lo..=hi` now, for later replay.
     pub fn capture(&mut self, lo: i64, hi: i64) {
-        self.captured = Some(self.inner.select_range(lo, hi).expect("chained mode"));
+        self.captured = Some(
+            self.inner
+                .select_range(lo, hi)
+                .expect("selections are never refused"),
+        );
     }
 
     /// `shard`'s current summary stream — what a client fetches
@@ -249,15 +236,6 @@ impl<T: Copy> MaliciousServer<T> {
 }
 
 impl MaliciousServer<Tamper> {
-    /// Record the honest projection now, for later replay.
-    pub fn capture_projection(&mut self, lo: i64, hi: i64, attrs: &[usize]) {
-        self.captured_projection = Some(
-            self.inner
-                .project(lo, hi, attrs)
-                .expect("per-attribute mode"),
-        );
-    }
-
     /// Answer a range selection from a one-shard deployment, its single
     /// part doctored per the active strategy.
     pub fn select_range(&mut self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
@@ -274,7 +252,10 @@ impl MaliciousServer<Tamper> {
                 a.parts[0].answer.summaries = self.current_summaries(0);
                 a
             }
-            _ => self.inner.select_range(lo, hi).expect("chained mode"),
+            _ => self
+                .inner
+                .select_range(lo, hi)
+                .expect("selections are never refused"),
         };
         let ans = &mut fanout.parts[0].answer;
         match self.tamper {
@@ -347,36 +328,8 @@ impl MaliciousServer<Tamper> {
                 s.compressed.truncate(half);
             }
             Tamper::StaleVersion | Tamper::StaleGapRecord | Tamper::ReplayVacancy => {}
-            Tamper::ForgeProjectionValue | Tamper::StaleProjection => {
-                unreachable!("projection tampers do not answer selections")
-            }
         }
         fanout
-    }
-
-    /// Answer a projection, doctored per the active strategy.
-    pub fn project(&mut self, lo: i64, hi: i64, attrs: &[usize]) -> ProjectionAnswer {
-        let honest = || {
-            self.inner
-                .project(lo, hi, attrs)
-                .expect("per-attribute mode")
-        };
-        match self.tamper {
-            Tamper::ForgeProjectionValue => {
-                let mut ans = honest();
-                ans.rows[0].values[0].1 ^= 1;
-                ans
-            }
-            Tamper::StaleProjection => {
-                let mut a = self
-                    .captured_projection
-                    .clone()
-                    .expect("capture_projection before replay");
-                a.summaries = self.current_summaries(0);
-                a
-            }
-            _ => honest(),
-        }
     }
 }
 
@@ -433,7 +386,7 @@ fn judge(
 
 /// Run one selection-catalog scenario.
 fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, 40);
+    let mut d = Deployment::catalog(config(scheme), 1, 40);
     let mut mal = MaliciousServer::new(d.sqs, tamper);
     // The query each strategy answers (and is judged against).
     let range = match tamper {
@@ -467,7 +420,7 @@ fn insert_into_empty_table(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer)
 
 /// Run the empty-table replay scenario.
 fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, 0);
+    let mut d = Deployment::catalog(config(scheme), 1, 0);
     let mut mal = MaliciousServer::new(d.sqs, tamper);
     // Hoard the pre-insert vacancy answer...
     mal.capture(0, 100);
@@ -476,22 +429,6 @@ fn vacancy_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
     let tampered = mal.select_range(0, 100);
     let honest = mal.inner().select_range(0, 100).unwrap();
     judge((&d.v, &d.view, d.sa.now()), (0, 100), &tampered, &honest)
-}
-
-/// Run one projection-catalog scenario.
-fn projection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
-    let mut d = Deployment::catalog(config(scheme, SigningMode::PerAttribute), 1, 40);
-    let mut mal = MaliciousServer::new(d.sqs, tamper);
-    if tamper == Tamper::StaleProjection {
-        mal.capture_projection(100, 300, &[0, 1]);
-    }
-    run_timeline(&mut d.sa, mal.inner(), value_update());
-    let now = d.sa.now();
-    let tampered = mal.project(100, 300, &[0, 1]);
-    let outcome = d.v.verify_projection(&tampered, &d.view, now, true);
-    let honest = mal.inner().project(100, 300, &[0, 1]).unwrap();
-    let honest_ok = d.v.verify_projection(&honest, &d.view, now, true).is_ok();
-    Conformance { honest_ok, outcome }
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +498,10 @@ impl MaliciousServer<ShardTamper> {
     /// scripted scenario queries a range straddling the first seam, so the
     /// fan-out always has at least two parts.
     pub fn select_range(&mut self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
-        let mut ans = self.inner.select_range(lo, hi).expect("chained mode");
+        let mut ans = self
+            .inner
+            .select_range(lo, hi)
+            .expect("selections are never refused");
         match self.tamper {
             ShardTamper::SeamSplice => {
                 // The last record left of the seam crosses it: dropped from
@@ -626,7 +566,7 @@ impl MaliciousServer<ShardTamper> {
 /// straddling the seam, and the shared three-period timeline with an
 /// update landing in shard 1.
 fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance {
-    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+    let mut d = Deployment::catalog(config(scheme), 2, 40);
     let mut mal = MaliciousServer::new(d.sqs, tamper);
     let (lo, hi) = (150, 250);
     // Replays hoard the pre-update fan-out.
@@ -638,7 +578,10 @@ fn shard_scenario(scheme: SchemeKind, tamper: ShardTamper) -> Conformance {
     }
     run_sharded_timeline(&mut d.sa, mal.inner());
     let tampered = mal.select_range(lo, hi);
-    let honest = mal.inner().select_range(lo, hi).expect("chained mode");
+    let honest = mal
+        .inner()
+        .select_range(lo, hi)
+        .expect("selections are never refused");
     judge((&d.v, &d.view, d.sa.now()), (lo, hi), &tampered, &honest)
 }
 
@@ -712,7 +655,7 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         v,
         mut view,
         ..
-    } = Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+    } = Deployment::catalog(config(scheme), 2, 40);
     let pp = sa.public_params();
     // The shared timeline: summaries exist, an update lands in shard 1.
     run_sharded_timeline(&mut sa, &sqs);
@@ -770,7 +713,9 @@ fn rebalance_scenario(scheme: SchemeKind, tamper: RebalanceTamper) -> Conformanc
         }
         RebalanceTamper::TransitionBreak => unreachable!("handled above"),
     };
-    let honest = sqs.select_range(lo, hi).expect("chained mode");
+    let honest = sqs
+        .select_range(lo, hi)
+        .expect("selections are never refused");
     judge((&v, &view, now), (lo, hi), &tampered, &honest)
 }
 
@@ -788,9 +733,6 @@ pub enum CheckpointTamper {
     /// reaches one summary further than the DA certified, stretching it
     /// over history the attacker would rather not account for.
     ForgedDigest,
-    /// The same forgery on the checkpoint anchoring a *projection*'s
-    /// summary run.
-    ForgedProjectionCheckpoint,
     /// Vouch for a *different* genuinely-signed map with the live epoch
     /// checkpoint: a stale-map replay dressed with current certification.
     WrongEpochReplay,
@@ -828,7 +770,6 @@ pub enum CheckpointTamper {
 impl Strategy for CheckpointTamper {
     const CATALOG: &'static [CheckpointTamper] = &[
         CheckpointTamper::ForgedDigest,
-        CheckpointTamper::ForgedProjectionCheckpoint,
         CheckpointTamper::WrongEpochReplay,
         CheckpointTamper::GapStraddlingCut,
         CheckpointTamper::ChainBreakBootstrap,
@@ -844,7 +785,6 @@ impl Strategy for CheckpointTamper {
     fn name(self) -> &'static str {
         match self {
             CheckpointTamper::ForgedDigest => "forged-digest",
-            CheckpointTamper::ForgedProjectionCheckpoint => "forged-projection-checkpoint",
             CheckpointTamper::WrongEpochReplay => "wrong-epoch-replay",
             CheckpointTamper::GapStraddlingCut => "gap-straddling-cut",
             CheckpointTamper::ChainBreakBootstrap => "chain-break-bootstrap",
@@ -862,7 +802,6 @@ impl Strategy for CheckpointTamper {
         use VerifyError::*;
         match self {
             CheckpointTamper::ForgedDigest
-            | CheckpointTamper::ForgedProjectionCheckpoint
             | CheckpointTamper::WrongEpochReplay
             | CheckpointTamper::ChainBreakBootstrap
             | CheckpointTamper::ForgedOpenedEntry
@@ -894,7 +833,6 @@ impl Strategy for CheckpointTamper {
             CheckpointTamper::ForgedDigest | CheckpointTamper::GapStraddlingCut => {
                 checkpoint_answer_scenario(scheme, self)
             }
-            CheckpointTamper::ForgedProjectionCheckpoint => checkpoint_projection_scenario(scheme),
             CheckpointTamper::ForgedOpenedEntry
             | CheckpointTamper::ChunkAtWrongIndex
             | CheckpointTamper::OmittedOpening
@@ -908,8 +846,8 @@ impl Strategy for CheckpointTamper {
 /// A one-shard deployment after the shared three-period timeline, with
 /// everything but the last two summaries compacted (the cut covers seq 0;
 /// seqs 1 and 2 stay retained as the run the checkpoint anchors).
-fn checkpointed_system(scheme: SchemeKind, mode: SigningMode) -> Deployment {
-    let mut d = Deployment::catalog(config(scheme, mode), 1, 40);
+fn checkpointed_system(scheme: SchemeKind) -> Deployment {
+    let mut d = Deployment::catalog(config(scheme), 1, 40);
     run_timeline(&mut d.sa, &d.sqs, value_update());
     compact(&mut d.sa, &d.sqs, 2);
     d
@@ -953,7 +891,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
     } else {
         (40, (100, 300))
     };
-    let mut d = Deployment::catalog(config(scheme, SigningMode::Chained), 1, n);
+    let mut d = Deployment::catalog(config(scheme), 1, n);
     let old = d.select(lo, hi);
     if vacancy {
         insert_into_empty_table(&mut d.sa, &d.sqs);
@@ -997,7 +935,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
 
 /// Run one checkpoint-anchored-answer scenario.
 fn checkpoint_answer_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
-    let d = checkpointed_system(scheme, SigningMode::Chained);
+    let d = checkpointed_system(scheme);
     let honest = d.select(100, 300);
     let mut tampered = honest.clone();
     let part = &mut tampered.parts[0].answer;
@@ -1017,34 +955,13 @@ fn checkpoint_answer_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> C
     judge((&d.v, &d.view, d.sa.now()), (100, 300), &tampered, &honest)
 }
 
-/// Run the checkpoint-anchored-projection scenario: the oldest projected
-/// row predates the cut, so the honest answer verifies only through the
-/// checkpoint it ships — and a doctored one must not.
-fn checkpoint_projection_scenario(scheme: SchemeKind) -> Conformance {
-    let d = checkpointed_system(scheme, SigningMode::PerAttribute);
-    let now = d.sa.now();
-    let honest = d
-        .sqs
-        .project(100, 300, &[0, 1])
-        .expect("per-attribute mode");
-    let honest_ok = d.v.verify_projection(&honest, &d.view, now, true).is_ok();
-    let mut tampered = honest;
-    let c = tampered.checkpoint.as_mut().expect("checkpoint attached");
-    c.through_seq += 1;
-    Conformance {
-        honest_ok,
-        outcome: d.v.verify_projection(&tampered, &d.view, now, true),
-    }
-}
-
 /// Run one catch-up-bundle scenario: a 2-shard deployment (split at 200)
 /// rebalances twice (split at 300, then merge — epoch 1 → 3), and a fresh
 /// client pins the live epoch from the server's certified bundle. The
 /// strategy doctors the bundle — or, for the rollback, answers the
 /// now-pinned client's next catch-up with the epoch-2 bundle.
 fn checkpoint_bootstrap_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance {
-    let Deployment { mut sa, sqs, .. } =
-        Deployment::catalog(config(scheme, SigningMode::Chained), 2, 40);
+    let Deployment { mut sa, sqs, .. } = Deployment::catalog(config(scheme), 2, 40);
     let pp = sa.public_params();
     let genesis_map = sa.map().clone();
     let rb1 = sa.rebalance(RebalancePlan::Split { shard: 1, at: 300 }, 2);

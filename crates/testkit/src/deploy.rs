@@ -8,7 +8,7 @@
 //! model of the logical operations every deployment's answers are compared
 //! against; [`Op`] and its decoders turn proptest tuples into scripts.
 
-use authdb_core::da::{DaConfig, SigningMode};
+use authdb_core::da::DaConfig;
 use authdb_core::qs::{QsOptions, SelectionAnswer};
 use authdb_core::shard::{
     RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
@@ -18,11 +18,10 @@ use authdb_crypto::signer::SchemeKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// [`DaConfig::small`] under `scheme` and `mode`.
-pub fn config(scheme: SchemeKind, mode: SigningMode) -> DaConfig {
+/// [`DaConfig::small`] under `scheme`.
+pub fn config(scheme: SchemeKind) -> DaConfig {
     DaConfig {
         scheme,
-        mode,
         ..DaConfig::small()
     }
 }
@@ -292,7 +291,9 @@ impl Deployment {
 
     /// The honest answer to `lo..=hi`.
     pub fn select(&self, lo: i64, hi: i64) -> ShardedSelectionAnswer {
-        self.sqs.select_range(lo, hi).expect("chained mode")
+        self.sqs
+            .select_range(lo, hi)
+            .expect("selections are never refused")
     }
 
     /// Verify `ans` as the answer to `lo..=hi` under the pinned view at the

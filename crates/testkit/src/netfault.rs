@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use authdb_core::da::SigningMode;
 use authdb_core::shard::{ShardedAggregator, ShardedSelectionAnswer};
 use authdb_core::verify::{EpochView, PartialVerdict, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
@@ -219,7 +218,7 @@ impl ChaosSystem {
     pub fn new(scheme: SchemeKind) -> Self {
         let Deployment {
             sa, sqs, v, view, ..
-        } = Deployment::catalog(config(scheme, SigningMode::Chained), 4, 40);
+        } = Deployment::catalog(config(scheme), 4, 40);
         let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
         let proxies = (0..sa.map().shard_count())
             .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))

@@ -64,7 +64,7 @@
 //! *message kinds* (new enum tags) is allowed within a version because
 //! unknown tags already surface as typed [`WireError::BadTag`] errors.
 //!
-//! Version history: **2** — `ProjectionAnswer` gained a trailing
+//! Version history: **2** — the projection answer gained a trailing
 //! `checkpoint:opt` (the anchor for a summary run cut by compaction, as
 //! `SelectionAnswer` already carried); every other encoding is bit-identical
 //! to version 1. **3** — a `SummaryCheckpoint`'s `exposure` is no longer
@@ -81,7 +81,11 @@
 //! six `u64`s, 48 bytes instead of 64; every other encoding is
 //! bit-identical to version 3. Within version 4, request and response tags
 //! 2 (projection) and 3 (the stats total) were retired the same way: no
-//! bump.
+//! bump. **5** — `UpdateMsg` lost its vector of per-attribute signatures
+//! (a signing mode no deployment serves): 4 bytes less per update; every
+//! other encoding is bit-identical to version 4. Query-error tags 0 (wrong
+//! signing mode) and 2 (attribute out of schema) were retired with it and
+//! are never reused.
 //!
 //! ## Failure discipline
 //!
@@ -93,7 +97,7 @@
 use std::fmt;
 
 /// Current wire-format version, carried in every frame.
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 /// Default cap on a frame's declared body length (version byte + payload).
 /// Chosen far above any honest answer (a full-table selection of a million

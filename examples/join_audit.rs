@@ -11,13 +11,13 @@
 //! ```
 
 use authdb::core::da::DaConfig;
-use authdb::core::join::{
-    execute_join, partition_certification_message, verify_join, JoinMethod, JoinPublisher,
-};
 use authdb::core::qs::QsOptions;
 use authdb::core::record::Schema;
 use authdb::core::shard::ShardedAggregator;
-use authdb::workload::tpce;
+use authdb::paper::join::{
+    execute_join, partition_certification_message, verify_join, JoinMethod, JoinPublisher,
+};
+use authdb::paper::workload::tpce;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,4 +7,3 @@ pub use authdb_index as index;
 pub use authdb_paper as paper;
 pub use authdb_sim as sim;
 pub use authdb_storage as storage;
-pub use authdb_workload as workload;

@@ -1,11 +1,13 @@
 //! Cross-crate integration: the full outsourced-database lifecycle with
 //! real BAS (BLS/BN254) cryptography, side by side with the EMB− baseline.
 
-use authdb::core::da::{DaConfig, SigningMode};
+use authdb::core::da::DaConfig;
 use authdb::core::record::Schema;
+use authdb::core::shard::ShardedAggregator;
 use authdb::crypto::signer::{Keypair, SchemeKind};
 use authdb::index::emb::DigestKind;
 use authdb::paper::embsys::{EmbAggregator, EmbServer, EmbVerifier};
+use authdb::paper::projection::{verify_projection, ProjectionPublisher};
 use authdb_testkit::deploy::{part, Deployment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,19 +138,19 @@ fn projection_end_to_end() {
     let cfg = DaConfig {
         schema: Schema::new(4, 96),
         scheme: SchemeKind::Bas,
-        mode: SigningMode::PerAttribute,
         rho: 5,
         rho_prime: 500,
         buffer_pages: 1024,
         ..DaConfig::small()
     };
     let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i, i * 10, i * 100, -i]).collect();
-    let s = Deployment::new(cfg, &rows, vec![], 5);
+    let mut sa = ShardedAggregator::new(cfg.clone(), vec![], &mut StdRng::seed_from_u64(5));
+    sa.bootstrap(rows, 2);
+    let p = ProjectionPublisher::new(sa);
     // Project two non-contiguous attributes: VO is still one signature.
-    let ans = s.sqs.project(5, 25, &[1, 3]).unwrap();
+    let ans = p.project(5, 25, &[1, 3]).unwrap();
     assert_eq!(ans.rows.len(), 21);
-    let pp = s.sa.public_params();
+    let pp = p.sa.public_params();
     assert_eq!(ans.vo_size(&pp), pp.wire_len());
-    s.v.verify_projection(&ans, &s.view, s.sa.now(), true)
-        .expect("projection verifies");
+    verify_projection(&pp, &cfg.schema, cfg.rho, &ans, p.sa.now()).expect("projection verifies");
 }

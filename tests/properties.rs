@@ -6,8 +6,8 @@ use authdb::core::da::DaConfig;
 use authdb::crypto::bigint::BigUint;
 use authdb::crypto::signer::SchemeKind;
 use authdb::filters::bitmap::{compress, decompress, Bitmap};
-use authdb::filters::bloom::BloomFilter;
 use authdb::index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
+use authdb::paper::bloom::BloomFilter;
 use authdb::paper::sigcache::{distributions, select_cache, SigTreeAnalysis};
 use authdb::storage::{BufferPool, Disk};
 use authdb_testkit::deploy::{part, Deployment};
