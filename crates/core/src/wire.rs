@@ -880,130 +880,16 @@ impl WireDecode for Response {
     }
 }
 
+// Byte-layout and tag-space probes; the round trips are in `tests/wire_roundtrip.rs`.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::da::DaConfig;
     use crate::qs::QsOptions;
-    use crate::shard::{ShardedAggregator, ShardedQueryServer};
+    use crate::shard::ShardedAggregator;
     use authdb_crypto::signer::SchemeKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn cfg(scheme: SchemeKind) -> DaConfig {
-        DaConfig {
-            scheme,
-            ..DaConfig::small()
-        }
-    }
-
-    /// A one-shard deployment of `n` records with keys `i·10`.
-    fn one_shard(scheme: SchemeKind, n: i64, seed: u64) -> (ShardedAggregator, ShardedQueryServer) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sa = ShardedAggregator::new(cfg(scheme), vec![], &mut rng);
-        let boots = sa.bootstrap((0..n).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        (sa, sqs)
-    }
-
-    /// Round-trip plus the canonicality check every wire type must pass.
-    fn assert_canonical<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(x: &T) {
-        let enc = x.encode();
-        let dec = T::decode(&enc).expect("canonical bytes decode");
-        assert_eq!(&dec, x, "decode . encode = id");
-        assert_eq!(dec.encode(), enc, "re-encoding is bit-identical");
-    }
-
-    #[test]
-    fn selection_answers_round_trip_all_shapes() {
-        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let (mut sa, sqs) = one_shard(scheme, 12, 17);
-            sa.advance_clock(12);
-            sqs.ingest(sa.maybe_publish_summaries());
-            // Non-empty, gap-proof, and inverted shapes.
-            for (lo, hi) in [(20, 70), (21, 29), (70, 20)] {
-                assert_canonical(&sqs.select_shard(0, lo, hi).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn vacancy_answer_round_trips() {
-        let (_, sqs) = one_shard(SchemeKind::Mock, 0, 18);
-        let ans = sqs.select_shard(0, 0, 100).unwrap();
-        assert!(ans.vacancy.is_some());
-        assert_canonical(&ans);
-    }
-
-    #[test]
-    fn update_stream_round_trips() {
-        let (mut sa, _) = one_shard(SchemeKind::Mock, 6, 20);
-        sa.advance_clock(1);
-        let mut msgs: Vec<UpdateMsg> = sa.insert(vec![35, 9]).1;
-        let routed = |(_, m): (usize, UpdateMsg)| m;
-        msgs.extend(
-            sa.update_record(0, 2, vec![125, 0])
-                .1
-                .into_iter()
-                .map(routed),
-        ); // key move
-        msgs.extend(sa.delete_record(0, 0).into_iter().map(routed));
-        for m in &msgs {
-            assert_canonical(m);
-        }
-        // Empty out the table so a delete carries a vacancy proof.
-        for rid in 1..7u64 {
-            for (_, m) in sa.delete_record(0, rid) {
-                assert_canonical(&m);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_answers_round_trip() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
-        let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
-        let sqs = sa.replica(&boots, &QsOptions::default());
-        assert_canonical(sa.map());
-        assert_canonical(&sqs.select_range(50, 150).unwrap());
-    }
-
-    #[test]
-    fn protocol_messages_round_trip() {
-        assert_canonical(&Request::Ping);
-        assert_canonical(&Request::Select { lo: -5, hi: 900 });
-        assert_canonical(&Response::Pong);
-        assert_canonical(&Response::Refused(QueryError::Unsupported));
-        assert_canonical(&Response::Refused(QueryError::AnswerTooLarge));
-        assert_canonical(&Response::Refused(QueryError::BadRebalance));
-        assert_canonical(&Response::Rebalanced);
-        assert_canonical(&Request::ShardStats);
-        let shard_stats = Response::ShardStats(vec![
-            QsStats::default(),
-            QsStats {
-                agg_ops: 9,
-                queries: 8,
-                updates: 7,
-                node_cache_hits: 6,
-                node_cache_misses: 5,
-                node_cache_evictions: 4,
-            },
-        ]);
-        // Tag, count, then six u64 counters per shard.
-        assert_eq!(shard_stats.encode().len(), 1 + 4 + 2 * 48);
-        assert_canonical(&shard_stats);
-        assert_canonical(&Response::Busy);
-        assert_canonical(&Request::Checkpoint);
-        assert_canonical(&Request::Tagged {
-            id: u64::MAX,
-            inner: Box::new(Request::Select { lo: -5, hi: 900 }),
-        });
-        assert_canonical(&Response::Tagged {
-            id: 3,
-            inner: Box::new(Response::Busy),
-        });
-    }
 
     #[test]
     fn retired_epoch_tags_are_bad_tags() {
@@ -1071,49 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_package_round_trips() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
-        sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
-        sa.advance_clock(3);
-        let rb = sa.rebalance(crate::shard::RebalancePlan::Split { shard: 1, at: 150 }, 2);
-        assert_canonical(&rb.transition);
-        assert_canonical(&rb.plan);
-        assert_canonical(&rb);
-        assert_canonical(&Request::Rebalance(Box::new(rb.clone())));
-        // The epoch checkpoint minted with the package, and the bootstrap
-        // bundle a fresh client fetches, round-trip too.
-        assert_canonical(&rb.checkpoint);
-        let boot = crate::shard::EpochBootstrap {
-            map: rb.new_map.clone(),
-            transition: Some(rb.transition.clone()),
-            checkpoint: Some(rb.checkpoint.clone()),
-        };
-        assert_canonical(&boot);
-        assert_canonical(&Response::Checkpoint(Box::new(boot)));
-        // A merge package round-trips too (single handoff, two donors).
-        let rb2 = sa.rebalance(crate::shard::RebalancePlan::Merge { left: 1 }, 2);
-        assert_canonical(&rb2);
-        assert_canonical(&crate::shard::RebalancePlan::Merge { left: 1 });
-    }
-
-    #[test]
-    fn summary_checkpoint_round_trips() {
-        for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
-            let (mut sa, _) = one_shard(scheme, 8, 26);
-            for _ in 0..3 {
-                sa.advance_clock(10);
-                assert_eq!(sa.maybe_publish_summaries().len(), 1);
-            }
-            let ckpt = sa
-                .checkpoint_shard_summaries(0, 1)
-                .expect("prefix to compact");
-            assert!(ckpt.exposure.len > 0, "recertified rids are exposed");
-            assert_canonical(&ckpt);
-        }
-    }
-
-    #[test]
     fn malformed_shard_map_rejected_not_panicking() {
         let mut rng = StdRng::seed_from_u64(22);
         let kp = authdb_crypto::signer::Keypair::generate(SchemeKind::Mock, &mut rng);
@@ -1165,7 +1008,7 @@ mod tests {
     #[test]
     fn sharded_stats_aggregate_across_shards() {
         let mut rng = StdRng::seed_from_u64(23);
-        let mut sa = ShardedAggregator::new(cfg(SchemeKind::Mock), vec![100], &mut rng);
+        let mut sa = ShardedAggregator::new(DaConfig::small(), vec![100], &mut rng);
         let boots = sa.bootstrap((0..20).map(|i| vec![i * 10, i]).collect(), 2);
         let sqs = sa.replica(&boots, &QsOptions::default());
         sqs.select_range(50, 150).unwrap(); // touches both shards

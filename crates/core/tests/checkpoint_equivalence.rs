@@ -126,8 +126,7 @@ fn run_workload(
                     let side = &mut pair.ckptd;
                     let shard = sel as usize % side.sa.map().shard_count();
                     let keep = 1 + keep_raw as usize % 3;
-                    if let Some(c) = side.sa.checkpoint_shard_summaries(shard, keep) {
-                        side.sqs.apply_checkpoint(shard, c);
+                    if side.checkpoint(shard, keep).is_some() {
                         pair.checkpoints += 1;
                     }
                 }
@@ -159,9 +158,7 @@ fn summary_log_memory_stays_flat_under_checkpointing() {
         d.sa.advance_clock(8);
         d.publish();
         if period % 8 == 7 {
-            if let Some(c) = d.sa.checkpoint_shard_summaries(0, 4) {
-                d.sqs.apply_checkpoint(0, c);
-            }
+            d.checkpoint(0, 4);
         }
         let retained = d.sa.shard(0).summary_log().len();
         max_retained = max_retained.max(retained);

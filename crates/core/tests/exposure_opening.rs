@@ -146,8 +146,7 @@ fn attached_checkpoint(n: i64, first: i64) -> SummaryCheckpoint {
         d.sa.advance_clock(10);
         d.publish();
     }
-    let ckpt = d.sa.checkpoint_shard_summaries(0, 1).expect("compactable");
-    d.sqs.apply_checkpoint(0, ckpt);
+    d.checkpoint(0, 1).expect("compactable");
     let (lo, hi) = (first * 10, (first + 15) * 10);
     let mut ans = d.select(lo, hi);
     assert_eq!(d.verify(lo, hi, &ans).map(|r| r.records), Ok(16));

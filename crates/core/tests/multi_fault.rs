@@ -53,8 +53,7 @@ fn fixture(scheme: SchemeKind) -> &'static Fixture {
         let pre_update = d.select(QUERY.0, QUERY.1);
         run_sharded_timeline(&mut d.sa, &d.sqs);
         for shard in 0..2 {
-            let ckpt = d.sa.checkpoint_shard_summaries(shard, 2);
-            d.sqs.apply_checkpoint(shard, ckpt.expect("compactable"));
+            d.checkpoint(shard, 2).expect("compactable");
         }
         let honest = d.select(QUERY.0, QUERY.1);
         assert_eq!(honest.parts.len(), 2);

@@ -1,22 +1,27 @@
-//! Property tests: **the wire codec is canonical and total**.
+//! The wire codec's suite: **the codec is canonical and total**.
 //!
 //! Over the same random insert/update/delete/clock workloads the
 //! honest-conformance suite drives (duplicate keys, emptying tables,
 //! key moves, extreme ranges), every wire type must satisfy
 //! `decode(encode(x)) == x` with bit-identical re-encoding — the property
 //! the signatures' message-binding rests on — and decoding arbitrary
-//! mutated bytes must return a typed error, never panic.
+//! mutated bytes must return a typed error, never panic. Fixed cases pin
+//! the same contract once per message type — every answer shape, the
+//! update stream, rebalance packages and bundles, summary checkpoints and
+//! protocol messages — and retired query-error tags as typed errors; the
+//! byte-layout probes stay unit tests in `wire.rs`.
 
 use proptest::prelude::*;
 
 use authdb_core::da::{DaConfig, UpdateMsg};
 use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint};
-use authdb_core::qs::QueryError;
+use authdb_core::qs::{QsStats, QueryError};
 use authdb_core::record::Record;
 use authdb_core::shard::{ShardedAggregator, ShardedQueryServer};
 use authdb_core::verify::VerifyError;
 use authdb_core::wire::{Request, Response};
 use authdb_crypto::signer::SchemeKind;
+use authdb_testkit::adversary::tick_and_publish;
 use authdb_testkit::deploy::{config, decode_ops, initial_rows, Deployment, Op};
 use authdb_wire::{decode_frame, frame, WireDecode, WireEncode, WireError, DEFAULT_MAX_FRAME_LEN};
 use rand::rngs::StdRng;
@@ -275,8 +280,7 @@ proptest! {
             d.publish();
         }
         for shard in 0..2 {
-            let ckpt = d.sa.checkpoint_shard_summaries(shard, 1).expect("compactable");
-            d.sqs.apply_checkpoint(shard, ckpt);
+            d.checkpoint(shard, 1).expect("compactable");
         }
         let (lo, w) = seed_query;
         let ans = d.select(lo, lo + w);
@@ -342,5 +346,136 @@ fn retired_query_error_tags_are_bad_tags() {
             ),
             "{bytes:?}"
         );
+    }
+}
+
+#[test]
+fn selection_answers_round_trip_all_shapes() {
+    for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
+        let mut d = Deployment::catalog(config(scheme), 1, 12);
+        tick_and_publish(&mut d.sa, &d.sqs, 12);
+        // Non-empty, gap-proof, and inverted shapes.
+        for (lo, hi) in [(20, 70), (21, 29), (70, 20)] {
+            assert_canonical(&d.sqs.select_shard(0, lo, hi).unwrap());
+        }
+    }
+}
+
+#[test]
+fn vacancy_answer_round_trips() {
+    let Deployment { sqs, .. } = Deployment::catalog(config(SchemeKind::Mock), 1, 0);
+    let ans = sqs.select_shard(0, 0, 100).unwrap();
+    assert!(ans.vacancy.is_some());
+    assert_canonical(&ans);
+}
+
+#[test]
+fn update_stream_round_trips() {
+    let Deployment { mut sa, .. } = Deployment::catalog(config(SchemeKind::Mock), 1, 6);
+    sa.advance_clock(1);
+    let mut msgs: Vec<UpdateMsg> = sa.insert(vec![35, 9]).1;
+    let routed = |(_, m): (usize, UpdateMsg)| m;
+    msgs.extend(
+        sa.update_record(0, 2, vec![125, 0])
+            .1
+            .into_iter()
+            .map(routed),
+    ); // key move
+    msgs.extend(sa.delete_record(0, 0).into_iter().map(routed));
+    for m in &msgs {
+        assert_canonical(m);
+    }
+    // Empty out the table so a delete carries a vacancy proof.
+    for rid in 1..7u64 {
+        for (_, m) in sa.delete_record(0, rid) {
+            assert_canonical(&m);
+        }
+    }
+}
+
+#[test]
+fn sharded_answers_round_trip() {
+    let Deployment { sa, sqs, .. } = Deployment::catalog(config(SchemeKind::Mock), 2, 20);
+    assert_canonical(sa.map());
+    assert_canonical(&sqs.select_range(50, 150).unwrap());
+}
+
+#[test]
+fn protocol_messages_round_trip() {
+    assert_canonical(&Request::Ping);
+    assert_canonical(&Request::Select { lo: -5, hi: 900 });
+    assert_canonical(&Response::Pong);
+    assert_canonical(&Response::Refused(QueryError::Unsupported));
+    assert_canonical(&Response::Refused(QueryError::AnswerTooLarge));
+    assert_canonical(&Response::Refused(QueryError::BadRebalance));
+    assert_canonical(&Response::Rebalanced);
+    assert_canonical(&Request::ShardStats);
+    let shard_stats = Response::ShardStats(vec![
+        QsStats::default(),
+        QsStats {
+            agg_ops: 9,
+            queries: 8,
+            updates: 7,
+            node_cache_hits: 6,
+            node_cache_misses: 5,
+            node_cache_evictions: 4,
+        },
+    ]);
+    // Tag, count, then six u64 counters per shard.
+    assert_eq!(shard_stats.encode().len(), 1 + 4 + 2 * 48);
+    assert_canonical(&shard_stats);
+    assert_canonical(&Response::Busy);
+    assert_canonical(&Request::Checkpoint);
+    assert_canonical(&Request::Tagged {
+        id: u64::MAX,
+        inner: Box::new(Request::Select { lo: -5, hi: 900 }),
+    });
+    assert_canonical(&Response::Tagged {
+        id: 3,
+        inner: Box::new(Response::Busy),
+    });
+}
+
+#[test]
+fn rebalance_package_round_trips() {
+    let Deployment { mut sa, .. } = Deployment::catalog(config(SchemeKind::Mock), 2, 20);
+    sa.advance_clock(3);
+    let rb = sa.rebalance(
+        authdb_core::shard::RebalancePlan::Split { shard: 1, at: 150 },
+        2,
+    );
+    assert_canonical(&rb.transition);
+    assert_canonical(&rb.plan);
+    assert_canonical(&rb);
+    assert_canonical(&Request::Rebalance(Box::new(rb.clone())));
+    // The epoch checkpoint minted with the package, and the bootstrap
+    // bundle a fresh client fetches, round-trip too.
+    assert_canonical(&rb.checkpoint);
+    let boot = authdb_core::shard::EpochBootstrap {
+        map: rb.new_map.clone(),
+        transition: Some(rb.transition.clone()),
+        checkpoint: Some(rb.checkpoint.clone()),
+    };
+    assert_canonical(&boot);
+    assert_canonical(&Response::Checkpoint(Box::new(boot)));
+    // A merge package round-trips too (single handoff, two donors).
+    let rb2 = sa.rebalance(authdb_core::shard::RebalancePlan::Merge { left: 1 }, 2);
+    assert_canonical(&rb2);
+    assert_canonical(&authdb_core::shard::RebalancePlan::Merge { left: 1 });
+}
+
+#[test]
+fn summary_checkpoint_round_trips() {
+    for scheme in [SchemeKind::Mock, SchemeKind::Bas] {
+        let Deployment { mut sa, .. } = Deployment::catalog(config(scheme), 1, 8);
+        for _ in 0..3 {
+            sa.advance_clock(10);
+            assert_eq!(sa.maybe_publish_summaries().len(), 1);
+        }
+        let ckpt = sa
+            .checkpoint_shard_summaries(0, 1)
+            .expect("prefix to compact");
+        assert!(ckpt.exposure.len > 0, "recertified rids are exposed");
+        assert_canonical(&ckpt);
     }
 }

@@ -12,13 +12,13 @@ use rand::SeedableRng;
 use authdb_core::da::DaConfig;
 use authdb_core::wire::Request;
 use authdb_net::{QsClient, QsServer, QsServerOptions};
-use authdb_testkit::deploy::Deployment;
+use authdb_testkit::deploy::{serve, Deployment};
 use authdb_wire::frame;
 
 /// A small single-shard deployment, served with the given options.
-fn serve(opts: QsServerOptions) -> QsServer {
-    let sqs = Deployment::catalog(DaConfig::small(), 1, 8).sqs;
-    QsServer::spawn(sqs, opts).expect("bind loopback")
+fn serve_small(opts: QsServerOptions) -> QsServer {
+    let (_, server, ..) = serve(Deployment::catalog(DaConfig::small(), 1, 8), opts);
+    server
 }
 
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -34,7 +34,7 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn slow_loris_connection_is_dropped_by_read_deadline() {
-    let server = serve(QsServerOptions {
+    let server = serve_small(QsServerOptions {
         read_timeout: Duration::from_millis(200),
         ..QsServerOptions::default()
     });
@@ -61,7 +61,7 @@ fn slow_loris_connection_is_dropped_by_read_deadline() {
 
 #[test]
 fn connection_cap_sheds_load_without_wedging() {
-    let server = serve(QsServerOptions {
+    let server = serve_small(QsServerOptions {
         max_connections: 2,
         read_timeout: Duration::from_secs(5),
         ..QsServerOptions::default()
@@ -96,7 +96,7 @@ fn connection_cap_sheds_load_without_wedging() {
 
 #[test]
 fn shutdown_drains_and_returns_promptly() {
-    let server = serve(QsServerOptions {
+    let server = serve_small(QsServerOptions {
         drain_timeout: Duration::from_secs(2),
         read_timeout: Duration::from_millis(300),
         ..QsServerOptions::default()
@@ -121,15 +121,13 @@ fn shutdown_drains_and_returns_promptly() {
 fn a_stalled_reader_stalls_only_itself() {
     // Two shards over keys 0..=990, so `(0, 990)` answers with the whole
     // relation: 3.8 KB per 22-byte request.
-    let d = Deployment::catalog(DaConfig::small(), 2, 100);
-    let server = QsServer::spawn(
-        d.sqs,
+    let (sa, server, v, view) = serve(
+        Deployment::catalog(DaConfig::small(), 2, 100),
         QsServerOptions {
             write_timeout: Duration::from_millis(300),
             ..QsServerOptions::default()
         },
-    )
-    .expect("bind loopback");
+    );
 
     let mut a = TcpStream::connect(server.addr()).expect("connect");
     let mut b = QsClient::connect(server.addr()).expect("connect");
@@ -157,7 +155,7 @@ fn a_stalled_reader_stalls_only_itself() {
     let answer = b
         .select_range(120, 480)
         .expect("b's selection beside the flood");
-    d.v.verify_sharded_selection(120, 480, &answer, &d.view, d.sa.now(), true, &mut rng)
+    v.verify_sharded_selection(120, 480, &answer, &view, sa.now(), true, &mut rng)
         .expect("b's answer verifies");
     let mut served_beside_the_stall = 0;
     let end = Instant::now() + Duration::from_secs(10);
@@ -180,7 +178,7 @@ fn a_stalled_reader_stalls_only_itself() {
 
 #[test]
 fn every_way_a_connection_ends_frees_its_slot() {
-    let server = serve(QsServerOptions {
+    let server = serve_small(QsServerOptions {
         max_connections: 1,
         ..QsServerOptions::default()
     });

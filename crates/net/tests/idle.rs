@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use authdb_core::da::DaConfig;
-use authdb_net::{QsClient, QsServer, QsServerOptions};
-use authdb_testkit::deploy::Deployment;
+use authdb_net::{QsClient, QsServerOptions};
+use authdb_testkit::deploy::{serve, Deployment};
 
 /// Process CPU so far, user + system, in clock ticks (`/proc/self/stat`
 /// fields 14 and 15; the command name in field 2 may hold spaces, so
@@ -22,8 +22,8 @@ fn cpu_ticks() -> u64 {
 
 #[test]
 fn sixty_four_quiet_connections_cost_no_cpu() {
-    let sqs = Deployment::catalog(DaConfig::small(), 1, 8).sqs;
-    let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
+    let deployment = Deployment::catalog(DaConfig::small(), 1, 8);
+    let (_, server, ..) = serve(deployment, QsServerOptions::default());
     let mut clients: Vec<QsClient> = (0..64)
         .map(|_| QsClient::connect(server.addr()).expect("connect"))
         .collect();

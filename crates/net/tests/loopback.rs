@@ -18,26 +18,24 @@ use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
 use authdb_sim::cost::wire_model;
 use authdb_testkit::adversary::{run_sharded_timeline, tick_and_publish};
-use authdb_testkit::deploy::{config, Deployment};
+use authdb_testkit::deploy::{config, serve, Deployment};
 use authdb_testkit::fault::{ChaosProxy, Fault, FaultPlan};
 use authdb_testkit::tamper::WireTamper;
 
-/// Build a 4-shard system over keys 0..=390, serve it over loopback TCP,
-/// and run the shared timeline (summaries at t=12/24/34, one update at
-/// t=14) so answers carry summaries and freshness checks are live.
-fn serve(scheme: SchemeKind, n: i64) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let mut d = Deployment::catalog(config(scheme), 4, n);
-    let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
-    // The DA keeps certifying while the server answers queries: updates and
-    // summaries flow into the serving replica through the handle.
-    server.with_server(|sqs| run_sharded_timeline(&mut d.sa, sqs));
-    (d.sa, server, d.v, d.view)
+/// A 4-shard system over keys 0..=390, served over loopback TCP, after the
+/// shared timeline (summaries at t=12/24/34, one update at t=14) so answers
+/// carry summaries and freshness checks are live.
+fn serve_live(scheme: SchemeKind, n: i64) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
+    let deployment = Deployment::catalog(config(scheme), 4, n);
+    let (mut sa, server, v, view) = serve(deployment, QsServerOptions::default());
+    server.with_server(|sqs| run_sharded_timeline(&mut sa, sqs));
+    (sa, server, v, view)
 }
 
 #[test]
 fn honest_answers_over_tcp_verify() {
     let mut rng = StdRng::seed_from_u64(7);
-    let (sa, server, verifier, view) = serve(SchemeKind::Mock, 40);
+    let (sa, server, verifier, view) = serve_live(SchemeKind::Mock, 40);
     let now = sa.now();
     let mut client = QsClient::connect(server.addr()).expect("connect");
     client.ping().expect("ping");
@@ -74,15 +72,15 @@ fn honest_answers_over_tcp_verify() {
 #[test]
 fn bytes_on_wire_track_the_sim_wire_model() {
     for shards in [1, 8] {
-        let mut d = Deployment::catalog(DaConfig::small(), shards, 256);
-        let sig_len = d.v.public_params().wire_len();
-        let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
+        let deployment = Deployment::catalog(DaConfig::small(), shards, 256);
+        let (mut sa, server, v, _) = serve(deployment, QsServerOptions::default());
+        let sig_len = v.public_params().wire_len();
         let mut client = QsClient::connect(server.addr()).expect("connect");
         for summaries in [false, true] {
             if summaries {
                 server.with_server(|sqs| {
-                    tick_and_publish(&mut d.sa, sqs, 12);
-                    tick_and_publish(&mut d.sa, sqs, 10);
+                    tick_and_publish(&mut sa, sqs, 12);
+                    tick_and_publish(&mut sa, sqs, 10);
                 });
             }
             // Every seam at once, one mid-range slice, and a gap proof.
@@ -154,7 +152,7 @@ fn assert_tamper_rejected(
 #[test]
 fn wire_tamper_catalog_rejected_with_typed_errors() {
     let mut rng = StdRng::seed_from_u64(8);
-    let (sa, server, verifier, view) = serve(SchemeKind::Mock, 40);
+    let (sa, server, verifier, view) = serve_live(SchemeKind::Mock, 40);
     let now = sa.now();
     for tamper in WireTamper::CATALOG {
         assert_tamper_rejected(&server, &verifier, &view, tamper, now, &mut rng);
@@ -172,7 +170,7 @@ fn bas_spot_check_over_tcp() {
     // Full crypto end-to-end once: honest verification plus the two
     // strategies whose rejection path depends on the scheme's encoding.
     let mut rng = StdRng::seed_from_u64(9);
-    let (sa, server, verifier, view) = serve(SchemeKind::Bas, 16);
+    let (sa, server, verifier, view) = serve_live(SchemeKind::Bas, 16);
     let now = sa.now();
     let mut client = QsClient::connect(server.addr()).expect("connect");
     let answer = client.select_range(35, 125).expect("network answer");
@@ -188,7 +186,7 @@ fn bas_spot_check_over_tcp() {
 #[test]
 fn garbage_request_bytes_do_not_kill_the_server() {
     use std::io::{Read, Write};
-    let (_sa, server, _verifier, _view) = serve(SchemeKind::Mock, 40);
+    let (_sa, server, _verifier, _view) = serve_live(SchemeKind::Mock, 40);
 
     // A hostile client: a lying length prefix, then raw garbage.
     let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
@@ -212,7 +210,7 @@ fn live_rebalance_over_tcp_mid_query_stream() {
     // transition, after which epoch-1 replays are rejected as StaleEpoch
     // and the epoch-2 deployment keeps serving verifiable answers.
     let mut rng = StdRng::seed_from_u64(10);
-    let (mut sa, server, verifier, mut view) = serve(SchemeKind::Mock, 40);
+    let (mut sa, server, verifier, mut view) = serve_live(SchemeKind::Mock, 40);
     let now = sa.now();
     let mut client = QsClient::connect(server.addr()).expect("connect");
 
@@ -312,7 +310,7 @@ fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
         (SchemeKind::Bas, SchemeKind::Mock, 16),
     ] {
         let mut rng = StdRng::seed_from_u64(11);
-        let (mut sa, server, verifier, view) = serve(scheme, n);
+        let (mut sa, server, verifier, view) = serve_live(scheme, n);
         let plan = RebalancePlan::Split {
             shard: 0,
             at: sa.map().splits()[0] / 2,
@@ -355,7 +353,7 @@ fn rebalance_package_under_a_foreign_key_is_refused_over_tcp() {
 #[test]
 fn catch_up_after_many_rebalances_is_one_constant_size_exchange() {
     let mut rng = StdRng::seed_from_u64(12);
-    let (mut sa, server, verifier, mut view) = serve(SchemeKind::Mock, 40);
+    let (mut sa, server, verifier, mut view) = serve_live(SchemeKind::Mock, 40);
     let mut da = QsClient::connect(server.addr()).expect("DA connect");
     let mut client = QsClient::connect(server.addr()).expect("connect");
     let split = RebalancePlan::Split {

@@ -8,24 +8,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use authdb_core::da::DaConfig;
-use authdb_core::shard::ShardedAggregator;
-use authdb_core::verify::{EpochView, Verifier};
-use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
-use authdb_testkit::deploy::Deployment;
+use authdb_net::{NetError, QsClient, QsServerOptions};
+use authdb_testkit::deploy::{serve, Deployment};
 
-/// Two shards over keys 0..=990 (seam at 500), served over loopback TCP.
-/// The clock never advances, so no update summaries exist: the subject
-/// here is the transport.
-fn serve(opts: QsServerOptions) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let d = Deployment::catalog(DaConfig::small(), 2, 100);
-    let server = QsServer::spawn(d.sqs, opts).expect("bind loopback");
-    (d.sa, server, d.v, d.view)
+/// Two shards over keys 0..=990 (seam at 500). The clock never advances, so
+/// no update summaries exist: the subject here is the transport.
+fn two_shards() -> Deployment {
+    Deployment::catalog(DaConfig::small(), 2, 100)
 }
 
 #[test]
 fn pipelined_batch_matches_sequential_answers_and_verifies() {
     let mut rng = StdRng::seed_from_u64(1);
-    let (sa, server, verifier, view) = serve(QsServerOptions::default());
+    let (sa, server, verifier, view) = serve(two_shards(), QsServerOptions::default());
     let now = sa.now();
     // Seam-straddling, in-shard, beyond-the-data, and inverted ranges: the
     // whole answer taxonomy rides one multiplexed batch.
@@ -57,7 +52,7 @@ fn pipelined_batch_matches_sequential_answers_and_verifies() {
 
 #[test]
 fn shard_stats_over_the_wire_match_the_handle_and_attribute_load() {
-    let (_sa, server, _verifier, _view) = serve(QsServerOptions::default());
+    let (_sa, server, _verifier, _view) = serve(two_shards(), QsServerOptions::default());
     let mut client = QsClient::connect(server.addr()).expect("connect");
 
     // Skewed traffic: every query lands strictly in the high-key shard.
@@ -88,7 +83,7 @@ fn overload_sheds_with_typed_busy_and_retry_succeeds() {
         max_conn_queue: 0,
         ..QsServerOptions::default()
     };
-    let (_sa, server, _verifier, _view) = serve(opts);
+    let (_sa, server, _verifier, _view) = serve(two_shards(), opts);
     let mut client = QsClient::connect(server.addr()).expect("connect");
 
     let ranges = [(0, 990); 8];

@@ -849,15 +849,8 @@ impl Strategy for CheckpointTamper {
 fn checkpointed_system(scheme: SchemeKind) -> Deployment {
     let mut d = Deployment::catalog(config(scheme), 1, 40);
     run_timeline(&mut d.sa, &d.sqs, value_update());
-    compact(&mut d.sa, &d.sqs, 2);
+    d.checkpoint(0, 2).expect("compactable");
     d
-}
-
-/// Checkpoint shard 0's summary log on both sides, keeping the newest
-/// `keep` summaries.
-fn compact(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, keep: usize) {
-    let ckpt = sa.checkpoint_shard_summaries(0, keep).expect("compactable");
-    sqs.apply_checkpoint(0, ckpt);
 }
 
 /// `old`'s single part replayed the only way a client would look at it:
@@ -899,7 +892,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
     } else {
         run_timeline(&mut d.sa, &d.sqs, value_update());
     }
-    compact(&mut d.sa, &d.sqs, 1);
+    d.checkpoint(0, 1).expect("compactable");
     let honest = d.select(lo, hi);
     let mut tampered = replay_under(&old, &honest);
     let ckpt = tampered.parts[0].answer.checkpoint.as_mut();

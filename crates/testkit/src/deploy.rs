@@ -4,17 +4,22 @@
 //! A [`Deployment`] is the three parties of one deployment — DA, honest
 //! server, and a client (verifier plus pinned view) — addressed by
 //! *logical* record id, so one script drives deployments whose shard-local
-//! rids diverge and are reshuffled by every handoff. [`Model`] is the plain
+//! rids diverge and are reshuffled by every handoff. The verifier's suite,
+//! `crates/core/tests/verifier.rs`, runs on it too, and [`serve`] puts one
+//! behind a loopback [`QsServer`]. [`Model`] is the plain
 //! model of the logical operations every deployment's answers are compared
 //! against; [`Op`] and its decoders turn proptest tuples into scripts.
 
 use authdb_core::da::DaConfig;
+use authdb_core::freshness::SummaryCheckpoint;
 use authdb_core::qs::{QsOptions, SelectionAnswer};
+use authdb_core::record::Tick;
 use authdb_core::shard::{
     RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
 };
 use authdb_core::verify::{EpochView, Verifier, VerifyError, VerifyReport};
 use authdb_crypto::signer::SchemeKind;
+use authdb_net::{QsServer, QsServerOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,6 +34,18 @@ pub fn config(scheme: SchemeKind) -> DaConfig {
 /// The single part of a one-shard fan-out.
 pub fn part(ans: &mut ShardedSelectionAnswer) -> &mut SelectionAnswer {
     &mut ans.parts[0].answer
+}
+
+/// `d` behind a loopback [`QsServer`] started with `opts`: the DA, the
+/// running server, and the client's verifier and pinned view. The DA keeps
+/// certifying while the server answers; its updates and summaries reach the
+/// serving replica through `server.with_server`.
+pub fn serve(
+    d: Deployment,
+    opts: QsServerOptions,
+) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
+    let server = QsServer::spawn(d.sqs, opts).expect("bind loopback");
+    (d.sa, server, d.v, d.view)
 }
 
 /// One scripted operation over *logical* records.
@@ -304,10 +321,31 @@ impl Deployment {
         hi: i64,
         ans: &ShardedSelectionAnswer,
     ) -> Result<VerifyReport, VerifyError> {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let now = self.sa.now();
+        self.verify_at(lo, hi, ans, self.sa.now())
+    }
+
+    /// [`Deployment::verify`] with the client's clock at `now`.
+    pub fn verify_at(
+        &self,
+        lo: i64,
+        hi: i64,
+        ans: &ShardedSelectionAnswer,
+        now: Tick,
+    ) -> Result<VerifyReport, VerifyError> {
+        self.check(lo, hi, ans, now, &mut StdRng::seed_from_u64(0xC0FFEE))
+    }
+
+    /// The one verifier call: freshness on, coefficients from `rng`.
+    fn check(
+        &self,
+        lo: i64,
+        hi: i64,
+        ans: &ShardedSelectionAnswer,
+        now: Tick,
+        rng: &mut StdRng,
+    ) -> Result<VerifyReport, VerifyError> {
         self.v
-            .verify_sharded_selection(lo, hi, ans, &self.view, now, true, &mut rng)
+            .verify_sharded_selection(lo, hi, ans, &self.view, now, true, rng)
     }
 
     pub fn insert(&mut self, attrs: Vec<i64>) {
@@ -336,6 +374,15 @@ impl Deployment {
     /// Forward whatever summaries fall due.
     pub fn publish(&mut self) {
         self.sqs.ingest(self.sa.maybe_publish_summaries());
+    }
+
+    /// Compact all but the newest `keep` of `shard`'s summaries on the DA
+    /// and apply the checkpoint on the server; `None` (and nothing changed)
+    /// when there is no prefix to compact.
+    pub fn checkpoint(&mut self, shard: usize, keep: usize) -> Option<SummaryCheckpoint> {
+        let ckpt = self.sa.checkpoint_shard_summaries(shard, keep)?;
+        self.sqs.apply_checkpoint(shard, ckpt.clone());
+        Some(ckpt)
     }
 
     /// Cross one epoch transition on all three parties: the DA certifies
@@ -408,10 +455,7 @@ impl Deployment {
         rng: &mut StdRng,
     ) -> (Result<VerifyReport, VerifyError>, Vec<Vec<i64>>) {
         let ans = self.select(lo, hi);
-        let now = self.sa.now();
-        let verdict = self
-            .v
-            .verify_sharded_selection(lo, hi, &ans, &self.view, now, true, rng);
+        let verdict = self.check(lo, hi, &ans, self.sa.now(), rng);
         let records = ans.parts.iter().flat_map(|p| &p.answer.records);
         (verdict, records.map(|r| r.attrs.clone()).collect())
     }

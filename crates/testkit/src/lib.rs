@@ -9,8 +9,10 @@
 //!
 //! * [`deploy`] — the one deployment fixture ([`deploy::Deployment`]: DA,
 //!   honest server, verifier and pinned view, addressed by logical record
-//!   id), the scripted-workload vocabulary and the plain model the property
-//!   suites compare against.
+//!   id), [`deploy::serve`], which puts one behind a loopback `QsServer`,
+//!   the scripted-workload vocabulary and the plain model the property
+//!   suites compare against. The verifier's own suite,
+//!   `crates/core/tests/verifier.rs`, runs on it too.
 //! * [`adversary`] — the malicious-server conformance subsystem: the four
 //!   tamper catalogs every verifier change is regression-checked against,
 //!   and the shared timeline their scenarios play.
@@ -21,8 +23,8 @@
 //!   that applies them, and the transport faults, to an honest server's
 //!   responses.
 //! * [`netfault`] — the network-fault catalog, and the chaos fixture
-//!   ([`netfault::ChaosSystem`]) it shares with the chaos and
-//!   partial-answer tests.
+//!   ([`netfault::ChaosSystem`], built on [`deploy::serve`]) it shares with
+//!   the chaos and partial-answer tests.
 
 pub mod adversary;
 pub mod deploy;

@@ -29,7 +29,7 @@ use authdb_crypto::signer::SchemeKind;
 use authdb_net::{ClientConfig, NetError, QsServer, QsServerOptions, RetryPolicy, ShardFanout};
 
 use crate::adversary::run_sharded_timeline;
-use crate::deploy::{config, Deployment};
+use crate::deploy::{config, serve, Deployment};
 use crate::fault::{ChaosProxy, Fault, FaultPlan};
 use crate::tamper::WireTamper;
 
@@ -201,9 +201,10 @@ pub fn fast_config() -> ClientConfig {
 }
 
 /// 4 shards over keys 0..=390 ([`Deployment::catalog`], 40 records) behind
-/// one [`QsServer`], one chaos proxy per shard endpoint (all initially
-/// healthy), and a [`fast_config`] client profile. No timeline has run:
-/// each caller drives its own through `server.with_server`.
+/// one [`QsServer`] started by [`serve`], one chaos proxy per shard endpoint
+/// (all initially healthy), and a [`fast_config`] client profile. No
+/// timeline has run: each caller drives its own through
+/// `server.with_server`.
 pub struct ChaosSystem {
     pub sa: ShardedAggregator,
     /// The upstream the proxies relay to.
@@ -216,10 +217,8 @@ pub struct ChaosSystem {
 
 impl ChaosSystem {
     pub fn new(scheme: SchemeKind) -> Self {
-        let Deployment {
-            sa, sqs, v, view, ..
-        } = Deployment::catalog(config(scheme), 4, 40);
-        let server = QsServer::spawn(sqs, QsServerOptions::default()).expect("bind loopback");
+        let deployment = Deployment::catalog(config(scheme), 4, 40);
+        let (sa, server, v, view) = serve(deployment, QsServerOptions::default());
         let proxies = (0..sa.map().shard_count())
             .map(|_| ChaosProxy::spawn(server.addr(), FaultPlan::healthy()).expect("proxy"))
             .collect();

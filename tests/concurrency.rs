@@ -12,10 +12,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use authdb::core::da::DaConfig;
-use authdb::core::shard::{RebalancePlan, ShardedAggregator};
+use authdb::core::shard::RebalancePlan;
 use authdb::core::verify::{EpochView, Verifier, VerifyError};
-use authdb_net::{NetError, QsClient, QsServer, QsServerOptions};
-use authdb_testkit::deploy::Deployment;
+use authdb_net::{NetError, QsClient, QsServerOptions};
+use authdb_testkit::deploy::{serve, Deployment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,21 +79,6 @@ fn concurrent_queries_verify_during_update_stream() {
 // ---------------------------------------------------------------------------
 // Networked stress: snapshot-concurrent shards under live rebalancing.
 // ---------------------------------------------------------------------------
-
-/// Two shards over keys 0..=3990 (seam at 2000), served over loopback TCP.
-/// Huge ρ keeps update summaries out of these tests: freshness machinery is
-/// covered elsewhere, here the subject is epoch concurrency.
-fn spawn_two_shard_server() -> (ShardedAggregator, QsServer, Verifier, EpochView) {
-    let cfg = DaConfig {
-        rho: 1_000_000,
-        rho_prime: 1_000_000,
-        ..DaConfig::small()
-    };
-    let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i * 10, i]).collect();
-    let d = Deployment::new(cfg, &rows, vec![2000], 4040);
-    let server = QsServer::spawn(d.sqs, QsServerOptions::default()).expect("bind loopback");
-    (d.sa, server, d.v, d.view)
-}
 
 /// Shared state between the reader threads and the orchestrating test.
 struct ReaderBoard {
@@ -195,7 +180,18 @@ fn multiplexed_queries_race_live_certified_rebalances_over_tcp() {
     // and keeps inserting records. Every answer either verifies under the
     // epoch the reader has observed or is a StaleEpoch the protocol
     // resolves — zero honest answers rejected, every proof single-epoch.
-    let (mut sa, server, verifier, view) = spawn_two_shard_server();
+    //
+    // Two shards over keys 0..=3990 (seam at 2000), served over loopback
+    // TCP. Huge ρ keeps update summaries out: freshness machinery is
+    // covered elsewhere, here the subject is epoch concurrency.
+    let cfg = DaConfig {
+        rho: 1_000_000,
+        rho_prime: 1_000_000,
+        ..DaConfig::small()
+    };
+    let rows: Vec<Vec<i64>> = (0..400).map(|i| vec![i * 10, i]).collect();
+    let deployment = Deployment::new(cfg, &rows, vec![2000], 4040);
+    let (mut sa, server, verifier, view) = serve(deployment, QsServerOptions::default());
     let board = ReaderBoard::new(sa.now());
     let addr = server.addr();
     let ranges = [(0, 3990), (500, 2500), (1900, 2100), (3000, 3500)];
