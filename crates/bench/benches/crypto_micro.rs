@@ -190,7 +190,7 @@ mod naf_walk_baseline {
                     -1
                 };
                 naf.push(d);
-                n = n.shr(1);
+                n = n.divrem(&BigUint::from_u64(2)).0;
             }
             naf
         })

@@ -58,7 +58,7 @@ fn run_cell(n: usize, rho_seconds: f64, rho_prime_ratio: u64, upd_per_sec: f64) 
             }
         }
         da.background_renewal(renewal_budget);
-        for (_, summary, _recerts) in da.force_publish_summaries() {
+        for (_, summary, _recerts) in da.maybe_publish_summaries() {
             if period >= warm_periods {
                 bitmap_bytes += summary.compressed.len();
                 measured += 1;

@@ -89,7 +89,7 @@ fn main() {
         ["1.5 ms", "40.22 ms", "9.06 ms", "331.349 ms"],
         |m| kp.sign(m),
         |m, s| pp.verify(m, s),
-        |s| pp.aggregate_all(s),
+        |s| s.iter().fold(pp.identity(), |acc, s| pp.aggregate(&acc, s)),
         |m, a| pp.verify_aggregate(m, a),
     );
     // Condensed RSA is the paper's baseline, not a serving scheme: it is

@@ -27,7 +27,7 @@
 //! anchored-run rule forces servers to retain (and epoch transitions to
 //! re-sign) all of it. [`DataAggregator::checkpoint_summaries`] collapses a
 //! log prefix into one signed
-//! [`SummaryCheckpoint`](crate::freshness::SummaryCheckpoint) and drops the
+//! [`SummaryCheckpoint`] and drops the
 //! covered entries. The checkpoint is sound because it commits to the
 //! prefix's cumulative exposure map — per rid, the latest covered period
 //! start whose summary marked it — which is *exactly* what pass-1 staleness
@@ -113,6 +113,7 @@ impl DaConfig {
     /// with 2 attributes, Mock signatures, ρ = 10,
     /// ρ′ = 10 000, a 256-page pool. Deviate by struct update:
     /// `DaConfig { scheme, ..DaConfig::small() }`.
+    // authdb-lint: allow(serving-surface): the one test relation, read by this crate's unit tests, `authdb-testkit`, `authdb-paper`'s tests and the figure benches
     pub fn small() -> Self {
         DaConfig {
             schema: Schema::new(2, 64),
@@ -469,6 +470,7 @@ impl DataAggregator {
     }
 
     /// The retained (post-checkpoint) summary log, oldest first.
+    // authdb-lint: allow(serving-surface): read by `authdb_paper::projection` (its answers' summaries) and by `checkpoint_equivalence`'s DA-side memory bound
     pub fn summary_log(&self) -> &[Arc<UpdateSummary>] {
         &self.summary_log
     }
@@ -833,7 +835,7 @@ impl DataAggregator {
     }
 
     /// Close the current period unconditionally and publish its summary.
-    pub fn force_publish_summary(&mut self) -> (UpdateSummary, Vec<UpdateMsg>) {
+    fn force_publish_summary(&mut self) -> (UpdateSummary, Vec<UpdateMsg>) {
         let mut bitmap = Bitmap::new(self.heap.len() as usize);
         let mut multi: Vec<u64> = Vec::new();
         for (&rid, &count) in &self.current_updates {

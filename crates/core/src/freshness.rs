@@ -373,7 +373,7 @@ pub struct Exposure {
 
 impl Exposure {
     /// Commit to `map`, keeping all of it: the whole-map form.
-    pub fn commit(map: &[u64]) -> Exposure {
+    fn commit(map: &[u64]) -> Exposure {
         let chunks: Vec<(u64, ExposureChunk)> = map
             .chunks(EXPOSURE_CHUNK)
             .zip(0..)
@@ -450,14 +450,6 @@ impl Exposure {
             .and_then(|(_, chunk)| chunk.get((rid % EXPOSURE_CHUNK as u64) as usize))
             .copied()
             .ok_or(Unopened)
-    }
-
-    /// The opened slot holding `rid`'s entry, if the opening has it.
-    pub fn entry_mut(&mut self, rid: u64) -> Option<&mut u64> {
-        let at = rid / EXPOSURE_CHUNK as u64;
-        let held = self.chunks.binary_search_by_key(&at, |&(at, _)| at).ok();
-        held.and_then(|k| self.chunks.get_mut(k))
-            .and_then(|(_, chunk)| chunk.get_mut((rid % EXPOSURE_CHUNK as u64) as usize))
     }
 }
 
@@ -1127,7 +1119,7 @@ mod tests {
             |c: &mut SummaryCheckpoint| c.exposure.max_rid -= 1,
             |c: &mut SummaryCheckpoint| c.exposure.root[31] ^= 1,
             // The entries are bound through the root, not the signature.
-            |c: &mut SummaryCheckpoint| *c.exposure.entry_mut(1).unwrap() = 0,
+            |c: &mut SummaryCheckpoint| c.exposure.chunks[0].1[1] = 0,
             |c: &mut SummaryCheckpoint| c.exposure.chunks.push((1, [9; EXPOSURE_CHUNK])),
         ] {
             let mut forged = c.clone();

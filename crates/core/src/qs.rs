@@ -362,11 +362,6 @@ impl QueryServer {
         s
     }
 
-    /// Stored summaries (diagnostics).
-    pub fn summary_count(&self) -> usize {
-        self.summaries.len()
-    }
-
     /// Apply an update message from the DA. Only an insert, a delete or a
     /// key move touches the index; a same-key Modify/Recertify is a heap
     /// update plus the new decoded signature.

@@ -106,7 +106,7 @@ impl Record {
     }
 
     /// The content digest `h(rid | M | A1..AM | ts)`.
-    pub fn tuple_hash(&self) -> Digest {
+    fn tuple_hash(&self) -> Digest {
         let mut msg = Vec::with_capacity(24 + 8 * self.attrs.len());
         msg.extend_from_slice(b"tuple:");
         msg.extend_from_slice(&self.rid.to_be_bytes());
@@ -127,9 +127,8 @@ impl Record {
     }
 }
 
-/// Build a chained message from its parts (used by verifiers that only hold
-/// a boundary record's tuple hash, not its full content).
-pub fn chain_message_from_parts(
+/// Build a chained message from its parts.
+fn chain_message_from_parts(
     tuple_hash: &Digest,
     own_key: i64,
     left_key: i64,

@@ -147,7 +147,8 @@ pub struct ShardScope {
 
 impl ShardScope {
     /// Whether `key` falls inside this shard's responsibility.
-    pub fn owns(&self, key: i64) -> bool {
+    #[cfg(test)]
+    fn owns(&self, key: i64) -> bool {
         key > self.left_fence && key < self.right_fence
     }
 
@@ -231,7 +232,7 @@ impl ShardMap {
     /// # Panics
     /// Panics on the same structural violations as [`ShardMap::create`],
     /// or when `epoch` precedes [`GENESIS_EPOCH`].
-    pub fn create_at_epoch(keypair: &Keypair, splits: Vec<i64>, epoch: u64) -> Self {
+    pub(crate) fn create_at_epoch(keypair: &Keypair, splits: Vec<i64>, epoch: u64) -> Self {
         assert!(epoch >= GENESIS_EPOCH, "epochs start at GENESIS_EPOCH");
         assert!(
             splits.windows(2).all(|w| w[0] < w[1]),
@@ -304,7 +305,7 @@ impl ShardMap {
     }
 
     /// The shard owning `key`.
-    pub fn shard_of(&self, key: i64) -> usize {
+    fn shard_of(&self, key: i64) -> usize {
         self.splits.partition_point(|&s| s <= key)
     }
 
@@ -526,7 +527,7 @@ impl RebalancePlan {
     /// The epoch-N+1 split keys this plan produces from the epoch-N ones,
     /// or `None` when the plan is invalid for them (out-of-range shard
     /// index, split key outside the shard or colliding with a sentinel).
-    pub fn apply_to(&self, splits: &[i64]) -> Option<Vec<i64>> {
+    fn apply_to(&self, splits: &[i64]) -> Option<Vec<i64>> {
         match *self {
             RebalancePlan::Split { shard, at } => {
                 if shard > splits.len() {
@@ -554,7 +555,7 @@ impl RebalancePlan {
 
     /// The new-map indices of the shards this plan creates (the handed-off
     /// ones), in order.
-    pub fn created_shards(&self) -> Vec<usize> {
+    fn created_shards(&self) -> Vec<usize> {
         match *self {
             RebalancePlan::Split { shard, .. } => vec![shard, shard + 1],
             RebalancePlan::Merge { left } => vec![left],
@@ -563,7 +564,7 @@ impl RebalancePlan {
 
     /// Where old shard `old` lives in the new map, or `None` if the plan
     /// dissolves it (its records travel through a [`ShardHandoff`]).
-    pub fn survivor_index(&self, old: usize) -> Option<usize> {
+    fn survivor_index(&self, old: usize) -> Option<usize> {
         match *self {
             RebalancePlan::Split { shard, .. } => match old.cmp(&shard) {
                 std::cmp::Ordering::Less => Some(old),
@@ -630,7 +631,7 @@ pub struct Rebalance {
     /// The certified epoch-N+1 partition.
     pub new_map: ShardMap,
     /// The signed link `map_N → map_{N+1}` clients advance their
-    /// [`EpochView`](crate::verify::EpochView) through.
+    /// [`EpochView`] through.
     pub transition: EpochTransition,
     /// Fresh bootstraps for the shards the plan creates, in index order.
     pub handoffs: Vec<ShardHandoff>,
@@ -651,19 +652,12 @@ pub struct ShardedAggregator {
     map: ShardMap,
     shards: Vec<DataAggregator>,
     keypair: Keypair,
-    /// Checkpoint of the latest transition (`None` until a rebalance).
-    epoch_checkpoint: Option<EpochCheckpoint>,
 }
 
 impl ShardedAggregator {
     /// Create a DA with a fresh keypair.
     pub fn new(cfg: DaConfig, splits: Vec<i64>, rng: &mut impl rand::Rng) -> Self {
         let keypair = Keypair::generate(cfg.scheme, rng);
-        Self::with_keypair(cfg, splits, keypair)
-    }
-
-    /// Create with an existing keypair (tests pin keys for determinism).
-    pub fn with_keypair(cfg: DaConfig, splits: Vec<i64>, keypair: Keypair) -> Self {
         let map = ShardMap::create(&keypair, splits);
         let shards = (0..map.shard_count())
             .map(|i| DataAggregator::new(cfg.clone(), keypair.clone(), map.scope(i)))
@@ -672,21 +666,12 @@ impl ShardedAggregator {
             map,
             shards,
             keypair,
-            epoch_checkpoint: None,
         }
     }
 
     /// The certified partition.
     pub fn map(&self) -> &ShardMap {
         &self.map
-    }
-
-    /// The checkpoint of the latest epoch transition (`None` until the
-    /// first rebalance) — the only epoch history the DA keeps: each
-    /// rebalance replaces it, and a late-joining client pins the live epoch
-    /// from it in O(1) signatures.
-    pub fn epoch_checkpoint(&self) -> Option<&EpochCheckpoint> {
-        self.epoch_checkpoint.as_ref()
     }
 
     /// Checkpoint-compact one shard's summary log (see
@@ -763,6 +748,7 @@ impl ShardedAggregator {
 
     /// Sign an arbitrary message with the DA's key (partition filter
     /// certifications, Section 3.5).
+    // authdb-lint: allow(serving-surface): `authdb_paper::{projection, join}` sign the §3.4 attribute and §3.5 filter certifications with the DA key
     pub fn sign_raw(&self, msg: &[u8]) -> Signature {
         self.keypair.sign(msg)
     }
@@ -841,18 +827,6 @@ impl ShardedAggregator {
             }
         }
         out
-    }
-
-    /// Close every shard's period unconditionally and publish its summary
-    /// (see [`DataAggregator::force_publish_summary`]).
-    pub fn force_publish_summaries(&mut self) -> Vec<(usize, UpdateSummary, Vec<UpdateMsg>)> {
-        let shards = self.shards.iter_mut().enumerate();
-        shards
-            .map(|(i, shard)| {
-                let (s, recerts) = shard.force_publish_summary();
-                (i, s, recerts)
-            })
-            .collect()
     }
 
     /// Run every shard's background renewal scan over up to `budget`
@@ -945,7 +919,6 @@ impl ShardedAggregator {
         }
 
         self.map = new_map.clone();
-        self.epoch_checkpoint = Some(checkpoint.clone());
         Rebalance {
             plan,
             new_map,
@@ -1057,7 +1030,7 @@ struct EpochSnapshot {
 ///
 /// * **Readers** ([`Self::select_range`], [`Self::select_shard`]) never
 ///   touch the gate. They pin the current
-///   [`EpochSnapshot`] (one mutex lock to clone an `Arc`), build each
+///   `EpochSnapshot` (one mutex lock to clone an `Arc`), build each
 ///   per-shard tile under that shard's read lock, and re-check the snapshot
 ///   pointer before returning. If an epoch transition landed mid-query the
 ///   whole answer is rebuilt against the new snapshot — so a returned proof

@@ -379,7 +379,7 @@ impl TileStatus {
     }
 
     /// Whether the tile is certified.
-    pub fn is_certified(&self) -> bool {
+    fn is_certified(&self) -> bool {
         matches!(self, TileStatus::Certified { .. })
     }
 }
@@ -402,16 +402,7 @@ pub struct PartialVerdict {
 impl PartialVerdict {
     /// Whether every overlapping shard's tile was certified.
     pub fn is_complete(&self) -> bool {
-        self.tiles.iter().all(|t| t.is_certified())
-    }
-
-    /// The shards whose tiles are unavailable, in shard order.
-    pub fn unavailable_shards(&self) -> Vec<usize> {
-        self.tiles
-            .iter()
-            .filter(|t| !t.is_certified())
-            .map(|t| t.shard())
-            .collect()
+        self.tiles.iter().all(TileStatus::is_certified)
     }
 }
 
@@ -484,6 +475,7 @@ impl EpochView {
     /// verifies, its epoch is the pinned epoch + 1, and its parent hash is
     /// the pinned map hash. On success the view pins the transition's new
     /// map hash.
+    // authdb-lint: allow(serving-surface): the client's one-link epoch step: the testkit's rebalance catalog and `Deployment::rebalance` drive it until a library client does (ROADMAP item 20)
     pub fn advance(&mut self, t: &EpochTransition, pp: &PublicParams) -> Result<(), VerifyError> {
         if !t.verify(pp) || t.epoch != self.epoch.wrapping_add(1) || t.parent_hash != self.map_hash
         {
@@ -583,6 +575,7 @@ impl EpochView {
     /// different map hash is a second partition for an epoch the DA
     /// certifies once ([`VerifyError::BadShardMap`]); the pinned bundle
     /// again is a no-op. The view is untouched on every error.
+    // authdb-lint: allow(serving-surface): the client's epoch catch-up: the testkit's checkpoint catalog and the loopback tests drive it until a library client does (ROADMAP item 20)
     pub fn observe(&mut self, boot: &EpochBootstrap, pp: &PublicParams) -> Result<(), VerifyError> {
         let next = Self::from_bootstrap(boot, pp)?;
         if next.epoch < self.epoch {
@@ -969,6 +962,7 @@ impl Verifier {
     /// structural, freshness, or signature failure in a *present* part is a
     /// hard error, never a downgrade to "unavailable".
     #[allow(clippy::too_many_arguments)]
+    // authdb-lint: allow(serving-surface): the verdict on a `ShardFanout` partial answer: the testkit's network-fault catalog and `partial.rs` drive it until a library client does (ROADMAP item 20)
     pub fn verify_partial_selection(
         &self,
         lo: i64,
@@ -997,6 +991,7 @@ impl Verifier {
     /// [`Verifier::verify_sharded_selection`]. A failure — structural, a
     /// signature localized claim by claim after a failed fold, or freshness
     /// — names the index of the entry holding it.
+    // authdb-lint: allow(serving-surface): window verification, read by the verifier suite's batch tests until ROADMAP item 8 serves it
     pub fn verify_sharded_batch(
         &self,
         batch: &[(i64, i64, &ShardedSelectionAnswer)],
@@ -1401,6 +1396,7 @@ mod tests {
     //! drives the public API from `tests/verifier.rs`.
     use super::*;
     use crate::da::DaConfig;
+    use crate::freshness::EXPOSURE_CHUNK;
     use crate::qs::QsOptions;
     use crate::shard::ShardedAggregator;
     use authdb_crypto::signer::SchemeKind;
@@ -1502,7 +1498,12 @@ mod tests {
             (|a| exposure(a).root[0] ^= 1, VerifyError::BadCheckpoint),
             (|a| exposure(a).len = u64::MAX, VerifyError::BadCheckpoint),
             (
-                |a| *exposure(a).entry_mut(20).unwrap() ^= 1,
+                |a| {
+                    let at = 20 / EXPOSURE_CHUNK as u64;
+                    let chunks = &mut exposure(a).chunks;
+                    let (_, chunk) = chunks.iter_mut().find(|(i, _)| *i == at).unwrap();
+                    chunk[20 % EXPOSURE_CHUNK] ^= 1;
+                },
                 VerifyError::BadCheckpoint,
             ),
             (|a| exposure(a).chunks[0].0 = 2, VerifyError::BadCheckpoint),

@@ -162,7 +162,7 @@ fn summary_log_memory_stays_flat_under_checkpointing() {
         }
         let retained = d.sa.shard(0).summary_log().len();
         max_retained = max_retained.max(retained);
-        assert_eq!(retained, d.sqs.with_shard(0, |qs| qs.summary_count()));
+        assert_eq!(retained, d.sqs.with_shard(0, |qs| qs.summaries().len()));
     }
     // 200 periods of history; never more than interval + keep summaries
     // resident on either side.
@@ -235,7 +235,7 @@ proptest! {
         // than the full-history side.
         let retained = |sqs: &ShardedQueryServer| -> usize {
             (0..sqs.map().shard_count())
-                .map(|s| sqs.with_shard(s, |qs| qs.summary_count()))
+                .map(|s| sqs.with_shard(s, |qs| qs.summaries().len()))
                 .sum()
         };
         prop_assert!(retained(&pair.ckptd.sqs) <= retained(&pair.base.sqs));

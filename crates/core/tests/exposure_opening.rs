@@ -19,10 +19,19 @@ use proptest::prelude::*;
 
 use authdb_core::da::DaConfig;
 use authdb_core::freshness::{Exposure, ExposureTree, SummaryCheckpoint, Unopened, EXPOSURE_CHUNK};
+use authdb_crypto::signer::{Keypair, SchemeKind};
 use authdb_testkit::deploy::Deployment;
 use authdb_wire::WireEncode;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const CHUNK: u64 = EXPOSURE_CHUNK as u64;
+
+/// The whole-map form of `map`, as a checkpoint commits to it.
+fn commit(map: &[u64]) -> Exposure {
+    let kp = Keypair::generate(SchemeKind::Mock, &mut StdRng::seed_from_u64(0));
+    SummaryCheckpoint::create(&kp, 0, 0, 0, 0, map).exposure
+}
 
 /// A map of `len` entries, most of them unmarked, a few distinct periods.
 fn map_of(len: usize, seed: u64) -> Vec<u64> {
@@ -56,7 +65,7 @@ proptest! {
             (_, raw) => 100 + raw,
         };
         let map = map_of(len, seed);
-        let whole = Exposure::commit(&map);
+        let whole = commit(&map);
         let tree = ExposureTree::build(&whole.chunks);
         prop_assert!(whole.opens_to_root() && whole.siblings.is_empty());
         prop_assert_eq!(whole.root, tree.root());

@@ -20,8 +20,9 @@ use authdb_core::shard::{
 };
 use authdb_core::verify::{BatchFailure, EpochView, TileStatus, VerifyError};
 use authdb_crypto::signer::{Keypair, SchemeKind};
-use authdb_testkit::adversary::tick_and_publish;
-use authdb_testkit::deploy::{config, part, Deployment};
+use authdb_testkit::adversary::{entry_mut, tick_and_publish};
+use authdb_testkit::deploy::{config, part, timeline, Deployment};
+use authdb_testkit::netfault::unavailable_shards;
 
 /// The published summaries of `d`'s one shard — what a client fetches
 /// independently of any answer.
@@ -29,16 +30,12 @@ fn summaries(d: &Deployment) -> Vec<Arc<UpdateSummary>> {
     d.sqs.with_shard(0, |qs| qs.summaries().to_vec())
 }
 
-/// 50 records `[i·10, i]` on one shard under `scheme`, after three
-/// published summaries with an update to rid 23 in the second period, and
-/// the prefix compacted into a checkpoint with `keep` summaries retained.
+/// 50 records `[i·10, i]` on one shard under `scheme`, after the shared
+/// [`timeline`] (rid 23 takes `[230, 777]` in the second period), and the
+/// prefix compacted into a checkpoint with `keep` summaries retained.
 fn checkpointed(scheme: SchemeKind, keep: usize) -> Deployment {
     let mut d = Deployment::catalog(config(scheme), 1, 50);
-    tick_and_publish(&mut d.sa, &d.sqs, 12);
-    d.sa.advance_clock(2);
-    d.update(23, vec![230, 777]);
-    tick_and_publish(&mut d.sa, &d.sqs, 10);
-    tick_and_publish(&mut d.sa, &d.sqs, 10);
+    timeline(&mut d.sa, &d.sqs, (0, 23, vec![230, 777]));
     d.checkpoint(0, keep).expect("compactable");
     d
 }
@@ -341,7 +338,7 @@ fn signature_faults_outrank_freshness_and_keep_their_order() {
         };
         let bad_entry = |ans: &mut ShardedSelectionAnswer| {
             let exposure = &mut part(ans).checkpoint.as_mut().unwrap().exposure;
-            *exposure.entry_mut(23).expect("rid 23 opened") ^= 1;
+            *entry_mut(exposure, 23).expect("rid 23 opened") ^= 1;
         };
         let bad_summary = |ans: &mut ShardedSelectionAnswer, k: usize| {
             Arc::make_mut(&mut part(ans).summaries[k]).period_start ^= 1;
@@ -885,12 +882,24 @@ fn partial_verdict_certifies_reachable_tiles() {
         .verify_partial_selection(0, 390, &partial, &[2], &view, 0, true, &mut rng)
         .expect("sound partial verdict");
     assert!(!verdict.is_complete());
-    assert_eq!(verdict.unavailable_shards(), vec![2]);
+    assert_eq!(unavailable_shards(&verdict), vec![2]);
     assert_eq!(verdict.tiles.len(), 4);
-    assert_eq!(verdict.tiles.iter().filter(|t| t.is_certified()).count(), 3);
+    assert_eq!(
+        verdict
+            .tiles
+            .iter()
+            .filter(|t| matches!(t, TileStatus::Certified { .. }))
+            .count(),
+        3
+    );
     // The unavailable tile still names its sub-range, so a caller
     // knows exactly which keys the verdict does not cover.
-    match verdict.tiles.iter().find(|t| !t.is_certified()).unwrap() {
+    match verdict
+        .tiles
+        .iter()
+        .find(|t| !matches!(t, TileStatus::Certified { .. }))
+        .unwrap()
+    {
         TileStatus::ShardUnavailable {
             shard,
             sub_lo,
@@ -908,7 +917,7 @@ fn partial_verdict_certifies_reachable_tiles() {
         .verify_partial_selection(0, 390, &full, &[], &view, 0, true, &mut rng)
         .expect("complete answer verifies");
     assert!(verdict.is_complete());
-    assert_eq!(verdict.unavailable_shards(), Vec::<usize>::new());
+    assert_eq!(unavailable_shards(&verdict), Vec::<usize>::new());
 
     // ...and a missing part without transport evidence is
     // withholding, not unavailability.

@@ -171,7 +171,7 @@ proptest! {
                     continue;
                 }
                 authdb_core::shard::RebalancePlan::Split {
-                    shard: sa.map().shard_of(at_raw),
+                    shard: sa.map().splits().partition_point(|&s| s <= at_raw),
                     at: at_raw,
                 }
             };

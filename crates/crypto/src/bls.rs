@@ -48,6 +48,7 @@ thread_local! {
 /// How many pairing checks (one Miller loop and one final exponentiation
 /// each) the calling thread has run. It counts pairings, not time, so a
 /// test can pin a verifier's work exactly: read it before and after.
+// authdb-lint: allow(serving-surface): read by the exact pairing-count tests in `crates/core/tests/verifier.rs`
 pub fn pairing_checks() -> usize {
     PAIRING_CHECKS.with(|n| n.get())
 }
@@ -127,7 +128,8 @@ impl BlsPublicKey {
     }
 
     /// The cached Miller-loop preparation of this key.
-    pub fn prepared(&self) -> &G2Prepared {
+    #[cfg(test)]
+    fn prepared(&self) -> &G2Prepared {
         &self.prepared
     }
 

@@ -105,8 +105,8 @@ impl<C: CurveSpec> Point<C> {
         }
     }
 
-    /// Construct from affine coordinates (unchecked; see
-    /// [`Affine::is_on_curve`]).
+    /// Construct from affine coordinates, unchecked: the caller vouches for
+    /// the curve equation.
     pub fn from_affine_coords(x: C::F, y: C::F) -> Self {
         Point {
             x,
@@ -206,8 +206,8 @@ impl<C: CurveSpec> Point<C> {
     }
 
     /// Scalar multiplication by a little-endian limb scalar: the one-term
-    /// case of [`Point::multi_mul_scalar`]. Matches
-    /// [`Point::mul_scalar_binary`] bit-for-bit (property-tested).
+    /// case of [`Point::multi_mul_scalar`]. Matches a binary
+    /// double-and-add bit-for-bit (property-tested).
     pub fn mul_scalar(&self, k: &[u64]) -> Self {
         Self::multi_mul_scalar(&[(*self, k)])
     }
@@ -242,24 +242,6 @@ impl<C: CurveSpec> Point<C> {
                     d if d > 0 => acc = acc.add(&table[d as usize >> 1]),
                     d => acc = acc.add(&table[(-d) as usize >> 1].neg()),
                 }
-            }
-        }
-        acc
-    }
-
-    /// Reference binary double-and-add scalar multiplication (MSB first).
-    /// Kept as the oracle for wNAF property tests; prefer
-    /// [`Point::mul_scalar`].
-    pub fn mul_scalar_binary(&self, k: &[u64]) -> Self {
-        let mut acc = Self::infinity();
-        let mut started = false;
-        for i in (0..k.len() * 64).rev() {
-            if started {
-                acc = acc.double();
-            }
-            if (k[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-                started = true;
             }
         }
         acc
@@ -369,7 +351,8 @@ impl<C: CurveSpec> Affine<C> {
     }
 
     /// Check the curve equation `y² = x³ + b`.
-    pub fn is_on_curve(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_on_curve(&self) -> bool {
         match self {
             Affine::Infinity => true,
             Affine::Coords(x, y) => y.f_square() == x.f_square().f_mul(x).f_add(&C::b()),

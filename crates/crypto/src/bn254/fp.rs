@@ -160,7 +160,7 @@ impl<P: FieldParams> Field<P> {
     }
 
     /// Construct from canonical little-endian limbs (must be < modulus).
-    pub fn from_canonical(limbs: [u64; 4]) -> Self {
+    fn from_canonical(limbs: [u64; 4]) -> Self {
         debug_assert!(lt(&limbs, &P::MODULUS), "value not reduced");
         Field(limbs, PhantomData).mul(&Field(P::R2, PhantomData))
     }
@@ -201,7 +201,7 @@ impl<P: FieldParams> Field<P> {
     }
 
     /// Canonical value as a [`BigUint`].
-    pub fn to_biguint(&self) -> BigUint {
+    fn to_biguint(self) -> BigUint {
         BigUint::from_limbs(self.to_canonical().to_vec())
     }
 

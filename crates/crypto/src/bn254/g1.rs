@@ -2,7 +2,7 @@
 //! exactly (cofactor 1), so every finite point already has order r.
 
 use super::curve::{Affine, CurveSpec, Point};
-use super::fp::{FieldParams, Fp, FrParams};
+use super::fp::Fp;
 use crate::sha256::Sha256;
 
 /// Curve spec for G1.
@@ -110,14 +110,9 @@ fn with_parity(y: Fp, odd: bool) -> Fp {
     }
 }
 
-/// The group order r as little-endian limbs (the Fr modulus).
-pub fn group_order_limbs() -> [u64; 4] {
-    FrParams::MODULUS
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::fp::Fr;
+    use super::super::fp::{FieldParams, Fr, FrParams};
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -134,7 +129,7 @@ mod tests {
     #[test]
     fn generator_has_order_r() {
         let g = G1::generator();
-        assert!(g.mul_scalar(&group_order_limbs()).is_infinity());
+        assert!(g.mul_scalar(&FrParams::MODULUS).is_infinity());
         assert!(!g.mul_scalar(&[2]).is_infinity());
     }
 
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(g.mul_fr(&one), g);
         // r ≡ 0, so r+1 ≡ 1. Build r+1 through the reducing constructor —
         // r itself is not a canonical Fr value.
-        let r = crate::bigint::BigUint::from_limbs(group_order_limbs().to_vec());
+        let r = crate::bigint::BigUint::from_limbs(FrParams::MODULUS.to_vec());
         let r_plus_1 = Fr::from_biguint(&r).add(&one);
         assert_eq!(g.mul_fr(&r_plus_1), g);
     }

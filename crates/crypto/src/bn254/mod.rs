@@ -30,7 +30,7 @@
 //!
 //! The tower under it is Karatsuba at every level (3 / 6 / 18 Fp2-level
 //! products for Fp2 / Fp6 / Fp12) with a complex-method Fp12 square. See
-//! the [`pairing`] module docs for the derivations and references, and for
+//! the [`pairing`](mod@pairing) module docs for the derivations and references, and for
 //! why a `pairing()` value is only meaningful relative to another one.
 //!
 //! Scalar multiplication in G1/G2 uses width-4 wNAF with precomputed

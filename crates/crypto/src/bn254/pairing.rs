@@ -148,7 +148,7 @@ fn frobenius_p2_gammas() -> &'static [Fp2; 5] {
 /// The Frobenius `x ↦ x^p` on Fp12: Fp2 coefficients are conjugated and the
 /// basis element `v^i·w^j = w^(2i+j)` picks up `γ_(2i+j)`, since
 /// `w^(p−1) = ξ^((p−1)/6)`.
-pub fn frobenius_p(f: &Fp12) -> Fp12 {
+fn frobenius_p(f: &Fp12) -> Fp12 {
     let g = frobenius_p_gammas();
     let (a, b) = (&f.c0, &f.c1);
     Fp12 {
@@ -167,6 +167,7 @@ pub fn frobenius_p(f: &Fp12) -> Fp12 {
 
 /// The Frobenius power `x ↦ x^(p²)` on Fp12: Fp2 coefficients are fixed;
 /// the basis element `v^i·w^j = ξ^((2i+j)/6)` picks up `γ^(2i+j)`.
+// authdb-lint: allow(serving-surface): read by `crypto_micro`'s NAF-walk final-exponentiation baseline
 pub fn frobenius_p2(f: &Fp12) -> Fp12 {
     let g = frobenius_p2_gammas();
     Fp12 {
@@ -319,7 +320,7 @@ pub fn multi_miller_loop(terms: &[(&G1Affine, &G2Prepared)]) -> Fp12 {
 }
 
 /// The Miller value of one pair (unreduced pairing value).
-pub fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
+fn miller_loop(p: &G1Affine, q: &G2Affine) -> Fp12 {
     multi_miller_loop(&[(p, &G2Prepared::from_affine(q))])
 }
 

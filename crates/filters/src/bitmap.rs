@@ -37,7 +37,7 @@ impl Bitmap {
 
     /// Grow to at least `len` bits (appending zeros); used when records are
     /// inserted ("for inserted records, '1'-bits are appended").
-    pub fn grow(&mut self, len: usize) {
+    fn grow(&mut self, len: usize) {
         if len > self.len {
             self.len = len;
             self.words.resize(len.div_ceil(64), 0);
@@ -130,11 +130,11 @@ pub fn compress(bitmap: &Bitmap) -> Vec<u8> {
 /// deployment's honest summaries declare more — while a sparse header is a
 /// few bytes that would otherwise size an allocation of the sender's
 /// choosing.
-pub const MAX_SPARSE_BITS: usize = 8 * (64 << 20);
+const MAX_SPARSE_BITS: usize = 8 * (64 << 20);
 
 /// Decompress; `None` on malformed input. The declared length is validated
 /// before anything is allocated for it: raw mode must carry exactly
-/// `len.div_ceil(8)` payload bytes, sparse mode at most [`MAX_SPARSE_BITS`]
+/// `len.div_ceil(8)` payload bytes, sparse mode at most `MAX_SPARSE_BITS`
 /// bits.
 pub fn decompress(bytes: &[u8]) -> Option<Bitmap> {
     let (&mode, rest) = bytes.split_first()?;

@@ -22,7 +22,7 @@
 //! # Caching architecture
 //!
 //! Raw page bytes live in the shared [`BufferPool`]; decoding a page into a
-//! [`Node`] (one `Vec` per entry payload) dominates query cost, so every
+//! `Node` (one `Vec` per entry payload) dominates query cost, so every
 //! tree additionally keeps a **decoded-node cache**: an LRU map from
 //! [`PageId`] to immutable `Arc<Node>`. Reads (`descend`, range scans, VO
 //! construction) hit the cache first and share the same decoded node across

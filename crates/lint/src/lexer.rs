@@ -279,11 +279,13 @@ impl Lexer {
         while let Some(c) = self.peek(0) {
             // Good enough for scanning: digits, suffixes, `_`, hex, and
             // exponent signs glue into one Num token. `1..2` must not eat
-            // the dots, and `1.0` should stay one token.
+            // the dots, `1.0` should stay one token, and `s.0.len()` is a
+            // tuple field then a method call.
             let take = c.is_ascii_alphanumeric()
                 || c == '_'
                 || (c == '.'
                     && self.peek(1) != Some('.')
+                    && !self.peek(1).is_some_and(is_ident_start)
                     && text.as_bytes().last().is_some_and(u8::is_ascii_digit)
                     && !text.contains('.'));
             if take {
@@ -473,6 +475,13 @@ mod tests {
             .map(|(_, t)| t.as_str())
             .collect();
         assert_eq!(ps, vec!["::", "->", "=>", "..=", "..", "..."]);
+    }
+
+    #[test]
+    fn tuple_field_then_method_is_not_a_number() {
+        let ks = kinds("s.0.to_bytes(); 1.5");
+        assert!(ks.contains(&(TokKind::Ident, "to_bytes".to_string())));
+        assert!(ks.contains(&(TokKind::Num, "1.5".to_string())));
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The five soundness rules, the call-graph closure, and waiver handling.
+//! The seven rules, the call-graph closure, and waiver handling.
 //!
 //! See the crate docs ([`crate`]) for the rule reference. This module turns
-//! a set of [`FileModel`]s into an [`Analysis`]: surviving diagnostics,
-//! waived diagnostics (with their justifications), and the adversary-
-//! catalog coverage table.
+//! a set of [`FileModel`]s and [`Manifest`]s into an [`Analysis`]:
+//! surviving diagnostics, waived diagnostics (with their justifications),
+//! and the adversary-catalog coverage table.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crate::lexer::TokKind;
-use crate::scan::{FileKind, FileModel, FnItem};
+use crate::manifest::Manifest;
+use crate::scan::{FileKind, FileModel, FnItem, Waiver};
 
 /// Rule name: panic-free decoding and claim analysis.
 pub const RULE_DECODE: &str = "panic-free-decode";
@@ -20,16 +21,23 @@ pub const RULE_CATALOG: &str = "catalog-coverage";
 pub const RULE_DOMAIN: &str = "domain-binding";
 /// Rule name: no wall-clock reads in pure verification code.
 pub const RULE_CLOCK: &str = "no-wall-clock-in-verify";
+/// Rule name: no `pub` item in a serving crate that only tests, the
+/// paper or its own file name.
+pub const RULE_SURFACE: &str = "serving-surface";
+/// Rule name: every manifest dependency is named by the code it serves.
+pub const RULE_DEPS: &str = "unused-dependency";
 /// Pseudo-rule for malformed/stale waiver comments (not waivable).
 pub const RULE_WAIVER: &str = "waiver";
 
 /// All waivable rule names.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 7] = [
     RULE_DECODE,
     RULE_CASTS,
     RULE_CATALOG,
     RULE_DOMAIN,
     RULE_CLOCK,
+    RULE_SURFACE,
+    RULE_DEPS,
 ];
 
 /// Error enums whose variants must each be pinned by the adversary catalog
@@ -109,6 +117,11 @@ const CLOCK_TYPES: [&str; 2] = ["Instant", "SystemTime"];
 /// the in-process §3.4 and §3.5 verifiers, which judge server-built
 /// answers too.
 const CLOSURE_CRATES: [&str; 3] = ["wire", "core", "paper"];
+/// Limb arithmetic inside a closure crate, left out of the closure for the
+/// reason `crypto` is: the Condensed-RSA baseline's modular arithmetic,
+/// which no verifier runs but whose method names (`mul`, `new`) collide
+/// with ones a verifier calls.
+const CLOSURE_SKIP_FILES: [&str; 1] = ["crates/paper/src/bigint.rs"];
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FnRef {
@@ -138,7 +151,9 @@ impl<'a> Index<'a> {
             free_any: HashMap::new(),
         };
         for (fi, m) in models.iter().enumerate() {
-            if !CLOSURE_CRATES.contains(&m.crate_name.as_str()) {
+            if !CLOSURE_CRATES.contains(&m.crate_name.as_str())
+                || CLOSURE_SKIP_FILES.contains(&m.rel.as_str())
+            {
                 continue;
             }
             if !matches!(m.kind, FileKind::Src | FileKind::Catalog) {
@@ -705,29 +720,171 @@ fn rule_clock(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Run every rule and apply waivers.
-pub fn analyze(models: &[FileModel]) -> Analysis {
+/// Crates whose `pub` surface rule `serving-surface` audits.
+const SERVING_CRATES: [&str; 5] = ["wire", "crypto", "filters", "core", "net"];
+/// The pinned end-to-end ledger: every item it names is held in place.
+const LEDGER_DIR: &str = "crates/bench/src/bin/ledger/";
+
+/// Token-index ranges of `fn` bodies under `#[cfg(test)]` outside a test
+/// module (a lone `#[cfg(test)] fn`).
+fn test_fn_bodies(m: &FileModel) -> Vec<(usize, usize)> {
+    m.fns
+        .iter()
+        .filter(|f| f.in_test)
+        .filter_map(|f| f.body)
+        .collect()
+}
+
+/// Identifier tokens of `m`, with or without its test code.
+fn idents(m: &FileModel, tests: bool) -> impl Iterator<Item = &str> {
+    let bodies = if tests { Vec::new() } else { test_fn_bodies(m) };
+    m.tokens.iter().enumerate().filter_map(move |(i, t)| {
+        let test = m.in_test_region(t.line) || bodies.iter().any(|&(lo, hi)| lo <= i && i < hi);
+        (t.kind == TokKind::Ident && (tests || !test)).then_some(t.text.as_str())
+    })
+}
+
+/// Whether `m` is code a deployment runs or the pinned ledger holds:
+/// the serving crates and `authdb-sim` (non-test code), the facade's
+/// `src/`, `examples/` and the ledger (whole files).
+fn deployment_idents(m: &FileModel) -> Option<impl Iterator<Item = &str>> {
+    let serving = m.kind == FileKind::Src
+        && (SERVING_CRATES.contains(&m.crate_name.as_str()) || m.crate_name == "sim");
+    let whole = m.rel.starts_with(LEDGER_DIR);
+    (serving || whole || m.rel.starts_with("src/") || m.rel.starts_with("examples/"))
+        .then(|| idents(m, whole))
+}
+
+/// Rule 6: a `pub fn`/`pub const`/`pub static` outside test code in a
+/// serving crate whose name no *other* deployment file spells. Matching is
+/// by name alone, so a name that collides with anything counts as used.
+fn rule_surface(models: &[FileModel], diags: &mut Vec<Diagnostic>) {
+    let mut named: HashMap<&str, HashSet<usize>> = HashMap::new();
+    for (fi, m) in models.iter().enumerate() {
+        for name in deployment_idents(m).into_iter().flatten() {
+            named.entry(name).or_default().insert(fi);
+        }
+    }
+    for (fi, m) in models.iter().enumerate() {
+        if m.kind != FileKind::Src || !SERVING_CRATES.contains(&m.crate_name.as_str()) {
+            continue;
+        }
+        for item in &m.pub_items {
+            if item.in_test || m.in_test_region(item.line) {
+                continue;
+            }
+            let elsewhere = named
+                .get(item.name.as_str())
+                .is_some_and(|files| files.iter().any(|&f| f != fi));
+            if !elsewhere {
+                diags.push(Diagnostic {
+                    file: m.rel.clone(),
+                    line: item.line,
+                    rule: RULE_SURFACE,
+                    msg: format!(
+                        "`pub` item `{}` is named by no other serving file, `authdb-sim`, the facade, an example or the ledger; delete it, narrow it, or move it to its only caller",
+                        item.name
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Rule 7: every `[dependencies]` entry is named by the package's own
+/// code (`src/`, `benches/`, `examples/`, top-level files), and every
+/// `[dev-dependencies]` entry by its test code (`tests/`, `benches/`,
+/// `examples/` or `#[cfg(test)]`).
+fn rule_deps(models: &[FileModel], manifests: &[Manifest], diags: &mut Vec<Diagnostic>) {
+    for man in manifests {
+        let mut normal: HashSet<&str> = HashSet::new();
+        let mut dev: HashSet<&str> = HashSet::new();
+        for m in models {
+            let Some(rest) = m.rel.strip_prefix(man.dir.as_str()) else {
+                continue;
+            };
+            let top = rest.split('/').next().unwrap_or("");
+            let own_code = !rest.contains('/') || top == "src";
+            if matches!(top, "benches" | "examples") {
+                normal.extend(idents(m, true));
+                dev.extend(idents(m, true));
+            } else if top == "tests" {
+                dev.extend(idents(m, true));
+            } else if own_code {
+                let all: HashSet<&str> = idents(m, true).collect();
+                let live: HashSet<&str> = idents(m, false).collect();
+                dev.extend(all.difference(&live));
+                normal.extend(live);
+            }
+        }
+        for d in &man.deps {
+            let name = d.code_name();
+            let (seen, scope) = if d.dev {
+                (&dev, "its tests, benches or examples")
+            } else {
+                (&normal, "its `src/`, benches or examples")
+            };
+            if !seen.contains(name.as_str()) {
+                diags.push(Diagnostic {
+                    file: man.rel.clone(),
+                    line: d.line,
+                    rule: RULE_DEPS,
+                    msg: format!(
+                        "dependency `{}` is named nowhere in {scope}; remove it",
+                        d.name
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// A file that can carry waivers: its path, its waivers, and its
+/// malformed ones.
+type WaiverSource<'a> = (&'a str, &'a [Waiver], &'a [(u32, String)]);
+
+/// Run every rule over the source files and manifests, and apply waivers.
+pub fn analyze(models: &[FileModel], manifests: &[Manifest]) -> Analysis {
     let mut raw: Vec<Diagnostic> = Vec::new();
     rule_decode(models, &mut raw);
     rule_casts(models, &mut raw);
     let coverage = rule_catalog(models, &mut raw);
     rule_domain(models, &mut raw);
     rule_clock(models, &mut raw);
+    rule_surface(models, &mut raw);
+    rule_deps(models, manifests, &mut raw);
     raw.sort();
     raw.dedup();
 
+    let sources: Vec<WaiverSource> = models
+        .iter()
+        .map(|m| {
+            (
+                m.rel.as_str(),
+                m.waivers.as_slice(),
+                m.bad_waivers.as_slice(),
+            )
+        })
+        .chain(manifests.iter().map(|m| {
+            (
+                m.rel.as_str(),
+                m.waivers.as_slice(),
+                m.bad_waivers.as_slice(),
+            )
+        }))
+        .collect();
+
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let mut waived: Vec<(Diagnostic, String)> = Vec::new();
-    let mut used: HashSet<(usize, usize)> = HashSet::new(); // (model idx, waiver idx)
+    let mut used: HashSet<(usize, usize)> = HashSet::new(); // (source idx, waiver idx)
 
     for d in raw {
-        let m = models.iter().position(|m| m.rel == d.file);
         let mut justification = None;
-        if let Some(mi) = m {
-            for (wi, w) in models[mi].waivers.iter().enumerate() {
+        if let Some(si) = sources.iter().position(|s| s.0 == d.file) {
+            for (wi, w) in sources[si].1.iter().enumerate() {
                 if w.rule == d.rule && (w.line == d.line || w.line + 1 == d.line) {
                     justification = Some(w.justification.clone());
-                    used.insert((mi, wi));
+                    used.insert((si, wi));
                     break;
                 }
             }
@@ -740,26 +897,26 @@ pub fn analyze(models: &[FileModel]) -> Analysis {
 
     // Malformed waivers and stale (unused or unknown-rule) waivers are
     // diagnostics in their own right — and are not themselves waivable.
-    for (mi, m) in models.iter().enumerate() {
-        for (line, msg) in &m.bad_waivers {
+    for (si, (rel, waivers, bad)) in sources.iter().enumerate() {
+        for (line, msg) in *bad {
             diagnostics.push(Diagnostic {
-                file: m.rel.clone(),
+                file: rel.to_string(),
                 line: *line,
                 rule: RULE_WAIVER,
                 msg: msg.clone(),
             });
         }
-        for (wi, w) in m.waivers.iter().enumerate() {
+        for (wi, w) in waivers.iter().enumerate() {
             if !RULES.contains(&w.rule.as_str()) {
                 diagnostics.push(Diagnostic {
-                    file: m.rel.clone(),
+                    file: rel.to_string(),
                     line: w.line,
                     rule: RULE_WAIVER,
                     msg: format!("waiver names unknown rule `{}`", w.rule),
                 });
-            } else if !used.contains(&(mi, wi)) {
+            } else if !used.contains(&(si, wi)) {
                 diagnostics.push(Diagnostic {
-                    file: m.rel.clone(),
+                    file: rel.to_string(),
                     line: w.line,
                     rule: RULE_WAIVER,
                     msg: format!(
@@ -785,6 +942,10 @@ mod tests {
 
     fn one(rel: &str, src: &str) -> Vec<FileModel> {
         vec![FileModel::build(rel, src)]
+    }
+
+    fn analyze(models: &[FileModel]) -> Analysis {
+        super::analyze(models, &[])
     }
 
     #[test]

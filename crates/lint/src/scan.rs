@@ -73,6 +73,18 @@ pub struct EnumItem {
     pub lines: (u32, u32),
 }
 
+/// A `pub fn`, `pub const` or `pub static` item: plain `pub`, not
+/// `pub(crate)`/`pub(super)`, and not a trait's method.
+#[derive(Clone, Debug)]
+pub struct PubItem {
+    /// Item name.
+    pub name: String,
+    /// 1-based line of the name.
+    pub line: u32,
+    /// Whether the item lives under `#[cfg(test)]`.
+    pub in_test: bool,
+}
+
 /// An inline waiver comment.
 #[derive(Clone, Debug)]
 pub struct Waiver {
@@ -102,6 +114,8 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// All `enum` items.
     pub enums: Vec<EnumItem>,
+    /// Every `pub fn` / `pub const` / `pub static`, in impls and modules too.
+    pub pub_items: Vec<PubItem>,
     /// Enum names glob-imported anywhere in the file (`use …::Enum::*`).
     pub globs: Vec<String>,
     /// `#[cfg(test)]` line ranges (inclusive).
@@ -124,6 +138,7 @@ impl FileModel {
             comments: lexed.comments,
             fns: Vec::new(),
             enums: Vec::new(),
+            pub_items: Vec::new(),
             globs: Vec::new(),
             test_regions: Vec::new(),
             waivers: Vec::new(),
@@ -385,6 +400,22 @@ impl Parser<'_> {
                     pending_cfg_test = false;
                     i = self.parse_enum(i, hi);
                 }
+                "pub" if self.text(i + 1) == "(" => {
+                    // `pub(crate)` and kin: not part of the crate's surface.
+                    i = self.matching(i + 1, hi, "(", ")") + 1;
+                }
+                "pub" => {
+                    if trait_name.is_none() {
+                        if let Some((name, line)) = self.pub_item_name(i + 1) {
+                            self.m.pub_items.push(PubItem {
+                                name,
+                                line,
+                                in_test: in_test || pending_cfg_test,
+                            });
+                        }
+                    }
+                    i += 1;
+                }
                 kw if ITEM_KEYWORDS.contains(&kw) => {
                     pending_cfg_test = false;
                     i += 1;
@@ -392,6 +423,40 @@ impl Parser<'_> {
                 _ => i += 1,
             }
         }
+    }
+
+    /// Name and line of the `fn`/`const`/`static` item whose qualifiers
+    /// start at `j` (just after `pub`), or `None` for any other item.
+    fn pub_item_name(&self, mut j: usize) -> Option<(String, u32)> {
+        loop {
+            match self.text(j) {
+                "const" if matches!(self.text(j + 1), "fn" | "unsafe" | "async" | "extern") => {
+                    j += 1;
+                }
+                "unsafe" | "async" => j += 1,
+                "extern" => {
+                    j += 1;
+                    if self.tok(j).is_some_and(|t| t.kind == TokKind::Str) {
+                        j += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        match self.text(j) {
+            "fn" | "const" => j += 1,
+            "static" => {
+                j += 1;
+                if self.text(j) == "mut" {
+                    j += 1;
+                }
+            }
+            _ => return None,
+        }
+        let t = self
+            .tok(j)
+            .filter(|t| t.kind == TokKind::Ident && t.text != "_")?;
+        Some((t.text.clone(), t.line))
     }
 
     /// Parse a `fn` item starting at the `fn` keyword; returns the index
@@ -575,7 +640,7 @@ fn scan_waivers(m: &mut FileModel) {
     }
 }
 
-fn parse_waiver(rest: &str) -> Option<(String, String)> {
+pub(crate) fn parse_waiver(rest: &str) -> Option<(String, String)> {
     let rest = rest.trim_start().strip_prefix(':')?.trim_start();
     let rest = rest.strip_prefix("allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
@@ -679,6 +744,44 @@ fn f() {}
             w.rule == "panic-free-decode" && w.justification.starts_with("index bounded")
         }));
         assert_eq!(m.bad_waivers.len(), 2);
+    }
+
+    #[test]
+    fn pub_items_are_plain_pub_fns_consts_and_statics() {
+        let src = "\
+pub fn a() {}
+pub(crate) fn hidden() {}
+pub const fn b() -> u8 { 0 }
+pub const C: u8 = 0;
+pub static mut D: u8 = 0;
+pub struct S { pub field: u8 }
+impl S {
+    pub fn e(&self) {}
+    fn private(&self) {}
+}
+impl Clone for S {
+    fn clone(&self) -> Self { S { field: 0 } }
+}
+#[cfg(test)]
+pub fn f() {}
+";
+        let m = FileModel::build("crates/core/src/x.rs", src);
+        let items: Vec<(&str, bool)> = m
+            .pub_items
+            .iter()
+            .map(|p| (p.name.as_str(), p.in_test))
+            .collect();
+        assert_eq!(
+            items,
+            [
+                ("a", false),
+                ("b", false),
+                ("C", false),
+                ("D", false),
+                ("e", false),
+                ("f", true)
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 // Expected: exactly one panic-free-decode diagnostic (the index).
 
 impl Exposure {
-    pub fn opens_to_root(&self) -> bool {
+    fn opens_to_root(&self) -> bool {
         let first = self.chunks[0];
         leaf_digest(&first.1) == self.root
     }

@@ -1,7 +1,7 @@
 // Known-bad: a waiver with no justification is itself a diagnostic.
 // Expected: exactly one waiver diagnostic (line of the comment).
 
-pub fn helper(x: u64) -> u64 {
+fn helper(x: u64) -> u64 {
     // authdb-lint: allow(panic-free-decode)
     x + 1
 }

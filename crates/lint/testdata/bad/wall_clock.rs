@@ -2,7 +2,7 @@
 // under the verify.rs path). Expected: exactly one no-wall-clock-in-verify
 // diagnostic.
 
-pub fn freshness_of(ts: u64, rho: u64) -> bool {
+fn freshness_of(ts: u64, rho: u64) -> bool {
     let now = Instant::now();
     now.elapsed().as_secs() < rho
 }

@@ -2,7 +2,7 @@
 // epoch/shard reference, a unique byte-string tag, and a delegating
 // builder. Expected: clean.
 
-pub fn summary_message(epoch: u64, shard: u64, ts: u64) -> Vec<u8> {
+fn summary_message(epoch: u64, shard: u64, ts: u64) -> Vec<u8> {
     let mut msg = Vec::with_capacity(32);
     msg.extend_from_slice(b"fixture-summary:");
     msg.extend_from_slice(&epoch.to_be_bytes());
@@ -11,13 +11,13 @@ pub fn summary_message(epoch: u64, shard: u64, ts: u64) -> Vec<u8> {
     msg
 }
 
-pub fn root_message(digest: &[u8]) -> Vec<u8> {
+fn root_message(digest: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(24);
     msg.extend_from_slice(b"fixture-root:");
     msg.extend_from_slice(digest);
     msg
 }
 
-pub fn outer_message(digest: &[u8]) -> Vec<u8> {
+fn outer_message(digest: &[u8]) -> Vec<u8> {
     root_message(digest)
 }

@@ -24,7 +24,6 @@ use crate::{read_frame_body, NetError};
 pub struct QsClient {
     stream: TcpStream,
     bytes_received: u64,
-    last_response_bytes: usize,
 }
 
 impl QsClient {
@@ -37,7 +36,6 @@ impl QsClient {
         Ok(QsClient {
             stream,
             bytes_received: 0,
-            last_response_bytes: 0,
         })
     }
 
@@ -79,19 +77,12 @@ impl QsClient {
         Ok(QsClient {
             stream,
             bytes_received: 0,
-            last_response_bytes: 0,
         })
     }
 
     /// Total bytes read from the server (frame headers included).
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
-    }
-
-    /// Size of the most recent response, header included — the per-answer
-    /// bytes-on-wire measurement.
-    pub fn last_response_bytes(&self) -> usize {
-        self.last_response_bytes
     }
 
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
@@ -125,17 +116,8 @@ impl QsClient {
 
     fn read_response(&mut self) -> Result<Response, NetError> {
         let body = read_frame_body(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
-        self.last_response_bytes = 4 + body.len();
-        self.bytes_received += self.last_response_bytes as u64;
+        self.bytes_received += 4 + body.len() as u64;
         Ok(deframe(&body)?)
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), NetError> {
-        self.exchange(&Request::Ping, "expected Pong", |r| match r {
-            Response::Pong => Some(()),
-            _ => None,
-        })
     }
 
     /// Range selection `lo <= Aind <= hi`. The returned fan-out answer is

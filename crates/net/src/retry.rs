@@ -59,23 +59,6 @@ impl Default for ClientConfig {
     }
 }
 
-impl ClientConfig {
-    /// Worst-case wall-clock budget for one shard's request through
-    /// [`ShardFanout`](crate::ShardFanout): every attempt hitting its
-    /// connect + write + read deadlines, plus every backoff sleep at its
-    /// maximum. Chaos tests assert elapsed time never exceeds this — the
-    /// "never hangs" bound.
-    pub fn deadline_budget(&self) -> Duration {
-        let attempts = self.retry.max_retries as u32 + 1;
-        let per_attempt = self.connect_timeout + self.write_timeout + self.read_timeout;
-        let mut backoff = Duration::ZERO;
-        for k in 0..self.retry.max_retries {
-            backoff += self.retry.backoff_ceiling(k);
-        }
-        per_attempt * attempts + backoff
-    }
-}
-
 /// Bounded, jittered exponential backoff.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
@@ -103,7 +86,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The un-jittered ceiling for the sleep before retry `k` (0-based):
     /// `min(max_backoff, base_backoff * 2^k)`.
-    pub fn backoff_ceiling(&self, k: usize) -> Duration {
+    fn backoff_ceiling(&self, k: usize) -> Duration {
         let doubled = self
             .base_backoff
             .checked_mul(1u32 << k.min(20))
@@ -156,25 +139,6 @@ mod tests {
         assert_eq!(p.backoff_ceiling(1), Duration::from_millis(20));
         assert_eq!(p.backoff_ceiling(2), Duration::from_millis(40));
         assert_eq!(p.backoff_ceiling(3), Duration::from_millis(60));
-    }
-
-    #[test]
-    fn deadline_budget_covers_all_attempts() {
-        let c = ClientConfig {
-            connect_timeout: Duration::from_millis(300),
-            read_timeout: Duration::from_millis(300),
-            write_timeout: Duration::from_millis(300),
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(40),
-                jitter_seed: 7,
-            },
-        };
-        let budget = c.deadline_budget();
-        // 3 attempts * (300+300+300)ms + backoffs (10 + 20 capped at 40).
-        assert!(budget >= Duration::from_millis(2700));
-        assert!(budget <= Duration::from_millis(2700 + 60));
     }
 
     #[test]

@@ -153,6 +153,7 @@ impl QsServer {
     }
 
     /// Serve `server` on an explicit bind address.
+    // authdb-lint: allow(serving-surface): the deployment entry point for a client on another host; `spawn` is its loopback form
     pub fn bind(
         server: ShardedQueryServer,
         bind_addr: &str,
@@ -193,6 +194,7 @@ impl QsServer {
     }
 
     /// Connections currently being served.
+    // authdb-lint: allow(serving-surface): read by the `idle` and `hardening` suites in `crates/net/tests`
     pub fn active_connections(&self) -> usize {
         self.shared.conns.lock().len()
     }

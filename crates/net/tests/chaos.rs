@@ -27,7 +27,7 @@ use authdb_crypto::signer::SchemeKind;
 use authdb_net::NetError;
 use authdb_testkit::adversary::tick_and_publish;
 use authdb_testkit::fault::{Fault, FaultPlan};
-use authdb_testkit::netfault::ChaosSystem;
+use authdb_testkit::netfault::{unavailable_shards, ChaosSystem};
 use authdb_testkit::tamper::WireTamper;
 
 /// A random per-connection fault script. `chaos_pct` is the probability
@@ -156,7 +156,7 @@ proptest! {
                         Ok(verdict) => {
                             // Sound degradation: unavailable tiles are
                             // exactly the client's own outages.
-                            let mut unavailable = verdict.unavailable_shards();
+                            let mut unavailable = unavailable_shards(&verdict);
                             unavailable.sort_unstable();
                             let mut outages = unreachable.clone();
                             outages.sort_unstable();

@@ -56,7 +56,7 @@ fn slow_loris_connection_is_dropped_by_read_deadline() {
 
     // And the server is unharmed.
     let mut client = QsClient::connect(server.addr()).expect("connect");
-    client.ping().expect("server still alive after the loris");
+    client.stats().expect("server still alive after the loris");
 }
 
 #[test]
@@ -76,10 +76,10 @@ fn connection_cap_sheds_load_without_wedging() {
     );
 
     // A third connection is shed at accept: the socket may connect (the
-    // OS accepts), but the server closes it without serving — a ping
+    // OS accepts), but the server closes it without serving — a request
     // never gets an answer.
     let refused = QsClient::connect(server.addr())
-        .and_then(|mut c| c.ping())
+        .and_then(|mut c| c.stats())
         .is_err();
     assert!(refused, "over-cap connection must not be served");
 
@@ -91,7 +91,7 @@ fn connection_cap_sheds_load_without_wedging() {
         "slots are reclaimed when hogs leave"
     );
     let mut client = QsClient::connect(server.addr()).expect("connect");
-    client.ping().expect("service restored under the cap");
+    client.stats().expect("service restored under the cap");
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn shutdown_drains_and_returns_promptly() {
     // An in-flight client finishes its exchange; an idle one is abandoned
     // to its read deadline.
     let mut client = QsClient::connect(server.addr()).expect("connect");
-    client.ping().expect("ping");
+    client.stats().expect("served");
     let _idle = std::net::TcpStream::connect(server.addr()).expect("connect");
 
     let started = Instant::now();
@@ -131,7 +131,7 @@ fn a_stalled_reader_stalls_only_itself() {
 
     let mut a = TcpStream::connect(server.addr()).expect("connect");
     let mut b = QsClient::connect(server.addr()).expect("connect");
-    b.ping().expect("b is served");
+    b.stats().expect("b is served");
     assert!(
         wait_until(Duration::from_secs(1), || server.active_connections() == 2),
         "both admitted"
@@ -160,7 +160,7 @@ fn a_stalled_reader_stalls_only_itself() {
     let mut served_beside_the_stall = 0;
     let end = Instant::now() + Duration::from_secs(10);
     while server.active_connections() == 2 && Instant::now() < end {
-        b.ping().expect("b's ping beside the flood");
+        b.stats().expect("b served beside the flood");
         served_beside_the_stall += 1;
     }
     assert_eq!(
@@ -172,7 +172,7 @@ fn a_stalled_reader_stalls_only_itself() {
         served_beside_the_stall >= 10,
         "b got {served_beside_the_stall} answers while a was stalled"
     );
-    b.ping().expect("b outlives a");
+    b.stats().expect("b outlives a");
     drop(flooder.join().expect("flooder"));
 }
 
@@ -205,7 +205,7 @@ fn every_way_a_connection_ends_frees_its_slot() {
         // The cap is one: being served at all means the slot came back.
         let mut client = QsClient::connect(server.addr()).expect("connect");
         client
-            .ping()
+            .stats()
             .unwrap_or_else(|e| panic!("{way}: slot not reusable: {e}"));
         drop((client, held));
         assert!(

@@ -38,7 +38,7 @@ fn honest_answers_over_tcp_verify() {
     let (sa, server, verifier, view) = serve_live(SchemeKind::Mock, 40);
     let now = sa.now();
     let mut client = QsClient::connect(server.addr()).expect("connect");
-    client.ping().expect("ping");
+    client.stats().expect("served");
 
     for (lo, hi) in [
         (0, 390),     // all four shards
@@ -85,8 +85,9 @@ fn bytes_on_wire_track_the_sim_wire_model() {
             }
             // Every seam at once, one mid-range slice, and a gap proof.
             for (lo, hi) in [(0, 2550), (600, 1300), (1001, 1009)] {
+                let before = client.bytes_received();
                 let ans = client.select_range(lo, hi).expect("network answer");
-                let measured = client.last_response_bytes() as f64;
+                let measured = (client.bytes_received() - before) as f64;
                 let parts: Vec<wire_model::AnswerShape> = ans
                     .parts
                     .iter()
@@ -200,7 +201,7 @@ fn garbage_request_bytes_do_not_kill_the_server() {
 
     // And keeps serving honest clients.
     let mut client = QsClient::connect(server.addr()).expect("connect");
-    client.ping().expect("server still alive");
+    client.stats().expect("server still alive");
 }
 
 #[test]
@@ -362,8 +363,9 @@ fn catch_up_after_many_rebalances_is_one_constant_size_exchange() {
     };
 
     da.rebalance(&sa.rebalance(split, 2)).expect("first split");
+    let before = client.bytes_received();
     client.checkpoint().expect("epoch-2 bundle");
-    let after_one = client.last_response_bytes();
+    let after_one = client.bytes_received() - before;
 
     // 64 more, alternating merge / split: the deployment ends in the same
     // shape as after the first, 64 epochs later.
@@ -380,8 +382,9 @@ fn catch_up_after_many_rebalances_is_one_constant_size_exchange() {
     assert_eq!(sa.map().epoch(), 66);
 
     // The client never saw epochs 2..=65: one exchange, the same size.
+    let before = client.bytes_received();
     let bundle = client.checkpoint().expect("epoch-66 bundle");
-    assert_eq!(client.last_response_bytes(), after_one);
+    assert_eq!(client.bytes_received() - before, after_one);
     view.observe(&bundle, verifier.public_params())
         .expect("genesis-pinned client catches up");
     assert_eq!(view.epoch(), 66);

@@ -47,7 +47,7 @@ fn pipelined_batch_matches_sequential_answers_and_verifies() {
     }
 
     // The connection stays usable for classic exchanges afterwards.
-    client.ping().expect("plain call after a pipelined batch");
+    client.stats().expect("plain call after a pipelined batch");
 }
 
 #[test]

@@ -16,7 +16,7 @@ use authdb_core::verify::{TileStatus, VerifyError};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::RetryPolicy;
 use authdb_testkit::adversary::tick_and_publish;
-use authdb_testkit::netfault::ChaosSystem;
+use authdb_testkit::netfault::{unavailable_shards, ChaosSystem};
 
 #[test]
 fn partitioned_shard_degrades_soundly_and_fast() {
@@ -83,11 +83,11 @@ fn partitioned_shard_degrades_soundly_and_fast() {
         )
         .expect("sound partial verdict");
     assert!(!verdict.is_complete());
-    assert_eq!(verdict.unavailable_shards(), vec![2]);
+    assert_eq!(unavailable_shards(&verdict), vec![2]);
     let certified: Vec<usize> = verdict
         .tiles
         .iter()
-        .filter(|t| t.is_certified())
+        .filter(|t| matches!(t, TileStatus::Certified { .. }))
         .map(|t| t.shard())
         .collect();
     assert_eq!(certified, vec![0, 1, 3]);

@@ -11,6 +11,7 @@
 //! | module | reproduces | run by |
 //! |---|---|---|
 //! | [`rsa`] | Condensed RSA, Table 3 | `table3`, `crypto_micro` |
+//! | `bigint` (private) | RSA's modular arithmetic: `modexp`, `modinv`, Miller–Rabin, Montgomery | [`rsa`] |
 //! | [`embsys`] | the EMB− system, Table 4 | `table4`, `tests/end_to_end.rs` |
 //! | [`sigcache`] | Section 4 signature cache, Figs. 6 and 10 | `fig6`, `fig10`, the `sigcache_tuning` example, `tests/properties.rs` |
 //! | [`des`] | Section 5 event engine, Figs. 7, 9 and 10 | `fig7`, `fig9`, `fig10` |
@@ -29,12 +30,14 @@
 //! * `authdb_index::emb` — the EMB− tree reads the B+-tree's crate-private
 //!   node layout;
 //! * `authdb_crypto::sha1` — EMB's 160-bit digest;
-//! * `authdb_crypto::bigint` — BN254 derives its Frobenius constants with
-//!   it at runtime;
+//! * `authdb_crypto::bigint::BigUint` — BN254 derives its Frobenius
+//!   constants with it at runtime (its RSA-only arithmetic is already
+//!   here, in `bigint`);
 //! * `authdb-storage` and `authdb_index::btree` — the serving engines' page
 //!   store and index.
 
 pub mod asign;
+mod bigint;
 pub mod bloom;
 pub mod des;
 pub mod embsys;

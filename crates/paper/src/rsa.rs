@@ -12,8 +12,10 @@
 //! (MGF1-style) to one byte less than the modulus length, guaranteeing the
 //! encoded value is below `n`.
 
-use authdb_crypto::bigint::{BigUint, Montgomery};
+use authdb_crypto::bigint::BigUint;
 use authdb_crypto::sha256::Sha256;
+
+use crate::bigint::{gen_prime, modexp, modinv, mul_mod, sub_mod, Montgomery};
 
 /// RSA public key (modulus + public exponent).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,10 +53,10 @@ impl RsaPublicKey {
 
     /// Verify an individual signature.
     pub fn verify(&self, msg: &[u8], sig: &RsaSignature) -> bool {
-        if sig.0.cmp_to(&self.n) != std::cmp::Ordering::Less {
+        if sig.0 >= self.n {
             return false;
         }
-        sig.0.modexp(&self.e, &self.n) == self.fdh(msg)
+        modexp(&sig.0, &self.e, &self.n) == self.fdh(msg)
     }
 
     /// Verify a condensed signature over `msgs` (order-insensitive).
@@ -67,7 +69,7 @@ impl RsaPublicKey {
         for m in msgs {
             expected = mont.mul(&expected, &self.fdh(m));
         }
-        agg.0.modexp(&self.e, &self.n) == expected
+        modexp(&agg.0, &self.e, &self.n) == expected
     }
 }
 
@@ -80,8 +82,8 @@ impl RsaPrivateKey {
         assert!(bits >= 64, "RSA modulus must be at least 64 bits");
         let e = BigUint::from_u64(65537);
         loop {
-            let p = BigUint::gen_prime(bits / 2, rng);
-            let q = BigUint::gen_prime(bits - bits / 2, rng);
+            let p = gen_prime(bits / 2, rng);
+            let q = gen_prime(bits - bits / 2, rng);
             if p == q {
                 continue;
             }
@@ -93,10 +95,12 @@ impl RsaPrivateKey {
             let p1 = p.sub(&one);
             let q1 = q.sub(&one);
             let phi = p1.mul(&q1);
-            let Some(d) = e.modinv(&phi) else { continue };
+            let Some(d) = modinv(&e, &phi) else { continue };
             let d_p = d.rem(&p1);
             let d_q = d.rem(&q1);
-            let Some(q_inv) = q.modinv(&p) else { continue };
+            let Some(q_inv) = modinv(&q, &p) else {
+                continue;
+            };
             return RsaPrivateKey {
                 public: RsaPublicKey {
                     modulus_bytes: bits.div_ceil(8),
@@ -123,10 +127,10 @@ impl RsaPrivateKey {
         let h = self.public.fdh(msg);
         // CRT: m1 = h^dP mod p, m2 = h^dQ mod q,
         // sig = m2 + q * ((m1 - m2) * qInv mod p)
-        let m1 = h.rem(&self.p).modexp(&self.d_p, &self.p);
-        let m2 = h.rem(&self.q).modexp(&self.d_q, &self.q);
-        let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
-        let h_crt = diff.mul_mod(&self.q_inv, &self.p);
+        let m1 = modexp(&h.rem(&self.p), &self.d_p, &self.p);
+        let m2 = modexp(&h.rem(&self.q), &self.d_q, &self.q);
+        let diff = sub_mod(&m1, &m2.rem(&self.p), &self.p);
+        let h_crt = mul_mod(&diff, &self.q_inv, &self.p);
         let sig = m2.add(&self.q.mul(&h_crt));
         RsaSignature(sig)
     }
@@ -134,7 +138,7 @@ impl RsaPrivateKey {
     /// Slow reference signing without CRT (used in tests).
     pub fn sign_no_crt(&self, msg: &[u8]) -> RsaSignature {
         let h = self.public.fdh(msg);
-        RsaSignature(h.modexp(&self.d, &self.public.n))
+        RsaSignature(modexp(&h, &self.d, &self.public.n))
     }
 }
 
@@ -145,7 +149,7 @@ impl RsaPrivateKey {
 pub fn condense(pk: &RsaPublicKey, sigs: &[RsaSignature]) -> CondensedSignature {
     CondensedSignature(
         sigs.iter()
-            .fold(BigUint::one(), |acc, s| acc.mul_mod(&s.0, &pk.n)),
+            .fold(BigUint::one(), |acc, s| mul_mod(&acc, &s.0, &pk.n)),
     )
 }
 

@@ -49,14 +49,14 @@ use rand::SeedableRng;
 use authdb_crypto::signer::{Keypair, SchemeKind, Signature};
 
 use authdb_core::da::DaConfig;
-use authdb_core::freshness::UpdateSummary;
+use authdb_core::freshness::{Exposure, UpdateSummary, EXPOSURE_CHUNK};
 use authdb_core::record::{KEY_NEG_INF, KEY_POS_INF};
 use authdb_core::shard::{
     RebalancePlan, ShardedAggregator, ShardedQueryServer, ShardedSelectionAnswer,
 };
 use authdb_core::verify::{EpochView, Verifier, VerifyError, VerifyReport};
 
-use crate::deploy::{config, Deployment};
+use crate::deploy::{config, timeline, Deployment};
 
 /// One catalog of attack strategies: what each is called, which rejection
 /// pins it, and the scripted scenario that plays it against the verifier.
@@ -290,7 +290,10 @@ impl MaliciousServer<Tamper> {
                         kp.sign(&r.chain_message(&schema, left, right))
                     })
                     .collect();
-                ans.agg = kp.public_params().aggregate_all(&sigs);
+                let pp = kp.public_params();
+                ans.agg = sigs
+                    .iter()
+                    .fold(pp.identity(), |acc, s| pp.aggregate(&acc, s));
             }
             Tamper::ReorderRecords => ans.records.swap(0, 1),
             Tamper::WidenBoundary => {
@@ -333,25 +336,22 @@ impl MaliciousServer<Tamper> {
     }
 }
 
+/// The opened slot holding `rid`'s entry in a checkpoint's exposure
+/// opening, if the opening has it: where a forged entry goes.
+pub fn entry_mut(exposure: &mut Exposure, rid: u64) -> Option<&mut u64> {
+    let at = rid / EXPOSURE_CHUNK as u64;
+    let held = exposure
+        .chunks
+        .binary_search_by_key(&at, |&(at, _)| at)
+        .ok();
+    held.and_then(|k| exposure.chunks.get_mut(k))
+        .and_then(|(_, chunk)| chunk.get_mut((rid % EXPOSURE_CHUNK as u64) as usize))
+}
+
 /// Advance the DA by `dt` and forward whatever summaries fall due.
 pub fn tick_and_publish(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer, dt: u64) {
     sa.advance_clock(dt);
     sqs.ingest(sa.maybe_publish_summaries());
-}
-
-/// The shared three-period timeline: summaries at t=12; at t=14 record
-/// `rid` of `shard` takes `attrs`; summaries at t=24 and t=34.
-fn run_timeline(
-    sa: &mut ShardedAggregator,
-    sqs: &ShardedQueryServer,
-    (shard, rid, attrs): (usize, u64, Vec<i64>),
-) {
-    tick_and_publish(sa, sqs, 12);
-    sa.advance_clock(2);
-    let (_, msgs) = sa.update_record(shard, rid, attrs);
-    sqs.apply_all(&msgs);
-    tick_and_publish(sa, sqs, 10);
-    tick_and_publish(sa, sqs, 10);
 }
 
 /// The timeline's update in a one-shard deployment: rid 23 (key 230) takes
@@ -360,12 +360,12 @@ fn value_update() -> (usize, u64, Vec<i64>) {
     (0, 23, vec![230, 777])
 }
 
-/// The shared timeline on a multi-shard deployment: the update moves shard
+/// The shared [`timeline`] on a multi-shard deployment: the update moves shard
 /// 1's second record (local rid 1) five keys up — a key change inside the
 /// shard that re-chains its neighbours.
 pub fn run_sharded_timeline(sa: &mut ShardedAggregator, sqs: &ShardedQueryServer) {
     let moved = vec![sa.map().splits()[0] + 15, 777];
-    run_timeline(sa, sqs, (1, 1, moved));
+    timeline(sa, sqs, (1, 1, moved));
 }
 
 /// Judge a tampered answer to `lo..=hi` beside the honest one.
@@ -401,7 +401,7 @@ fn selection_scenario(scheme: SchemeKind, tamper: Tamper) -> Conformance {
         Tamper::ReplayGapElsewhere => mal.capture(101, 109),
         _ => {}
     }
-    run_timeline(&mut d.sa, mal.inner(), value_update());
+    timeline(&mut d.sa, mal.inner(), value_update());
     let tampered = mal.select_range(range.0, range.1);
     let honest = mal.inner().select_range(range.0, range.1).unwrap();
     judge((&d.v, &d.view, d.sa.now()), range, &tampered, &honest)
@@ -848,7 +848,7 @@ impl Strategy for CheckpointTamper {
 /// seqs 1 and 2 stay retained as the run the checkpoint anchors).
 fn checkpointed_system(scheme: SchemeKind) -> Deployment {
     let mut d = Deployment::catalog(config(scheme), 1, 40);
-    run_timeline(&mut d.sa, &d.sqs, value_update());
+    timeline(&mut d.sa, &d.sqs, value_update());
     d.checkpoint(0, 2).expect("compactable");
     d
 }
@@ -890,7 +890,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
         insert_into_empty_table(&mut d.sa, &d.sqs);
         tick_and_publish(&mut d.sa, &d.sqs, 10);
     } else {
-        run_timeline(&mut d.sa, &d.sqs, value_update());
+        timeline(&mut d.sa, &d.sqs, value_update());
     }
     d.checkpoint(0, 1).expect("compactable");
     let honest = d.select(lo, hi);
@@ -899,7 +899,7 @@ fn opening_scenario(scheme: SchemeKind, tamper: CheckpointTamper) -> Conformance
     let exposure = &mut ckpt.expect("checkpoint attached").exposure;
     match tamper {
         CheckpointTamper::ForgedOpenedEntry => {
-            let entry = exposure.entry_mut(23).expect("rid 23 opened");
+            let entry = entry_mut(exposure, 23).expect("rid 23 opened");
             assert_ne!(std::mem::take(entry), 0, "the cut exposes rid 23");
         }
         CheckpointTamper::ChunkAtWrongIndex => {

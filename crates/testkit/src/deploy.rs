@@ -23,6 +23,8 @@ use authdb_net::{QsServer, QsServerOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::adversary::tick_and_publish;
+
 /// [`DaConfig::small`] under `scheme`.
 pub fn config(scheme: SchemeKind) -> DaConfig {
     DaConfig {
@@ -46,6 +48,25 @@ pub fn serve(
 ) -> (ShardedAggregator, QsServer, Verifier, EpochView) {
     let server = QsServer::spawn(d.sqs, opts).expect("bind loopback");
     (d.sa, server, d.v, d.view)
+}
+
+/// The shared three-period timeline every catalog and checkpoint test
+/// starts from: summaries at t=12; at t=14 record `rid` of `shard` takes
+/// `attrs`; summaries at t=24 and t=34. It takes the DA and the replica
+/// apart rather than a [`Deployment`], because some callers drive a replica
+/// the deployment no longer owns (behind a `MaliciousServer` or a
+/// [`QsServer`]).
+pub fn timeline(
+    sa: &mut ShardedAggregator,
+    sqs: &ShardedQueryServer,
+    (shard, rid, attrs): (usize, u64, Vec<i64>),
+) {
+    tick_and_publish(sa, sqs, 12);
+    sa.advance_clock(2);
+    let (_, msgs) = sa.update_record(shard, rid, attrs);
+    sqs.apply_all(&msgs);
+    tick_and_publish(sa, sqs, 10);
+    tick_and_publish(sa, sqs, 10);
 }
 
 /// One scripted operation over *logical* records.
@@ -276,7 +297,7 @@ impl Deployment {
         let loc = rows
             .iter()
             .map(|row| {
-                let shard = sa.map().shard_of(row[0]);
+                let shard = sa.map().splits().partition_point(|&s| s <= row[0]);
                 let rid = next_rid[shard];
                 next_rid[shard] += 1;
                 Some((shard, rid))

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use authdb_core::shard::{ShardedAggregator, ShardedSelectionAnswer};
-use authdb_core::verify::{EpochView, PartialVerdict, Verifier, VerifyError};
+use authdb_core::verify::{EpochView, PartialVerdict, TileStatus, Verifier, VerifyError};
 use authdb_crypto::signer::SchemeKind;
 use authdb_net::{ClientConfig, NetError, QsServer, QsServerOptions, RetryPolicy, ShardFanout};
 
@@ -159,8 +159,12 @@ impl NetFaultConformance {
             }
             NetFault::StallTimeout | NetFault::Partition => match &self.outcome {
                 NetOutcome::Partial(v) => {
-                    v.unavailable_shards() == vec![TARGET_SHARD]
-                        && v.tiles.iter().filter(|t| t.is_certified()).count() == 3
+                    unavailable_shards(v) == vec![TARGET_SHARD]
+                        && v.tiles
+                            .iter()
+                            .filter(|t| matches!(t, TileStatus::Certified { .. }))
+                            .count()
+                            == 3
                 }
                 _ => false,
             },
@@ -183,6 +187,36 @@ impl NetFaultConformance {
 
 /// The shard whose endpoint each strategy attacks.
 const TARGET_SHARD: usize = 1;
+
+/// The shards whose tiles `v` leaves unavailable, in shard order.
+pub fn unavailable_shards(v: &PartialVerdict) -> Vec<usize> {
+    v.tiles
+        .iter()
+        .filter(|t| matches!(t, TileStatus::ShardUnavailable { .. }))
+        .map(TileStatus::shard)
+        .collect()
+}
+
+/// Worst-case wall-clock budget for one shard's request through
+/// [`ShardFanout`] under `config`: every attempt hitting its connect +
+/// write + read deadlines, plus every backoff sleep at its un-jittered
+/// ceiling `min(max_backoff, base_backoff * 2^k)` (the fan-out re-seeds the
+/// jitter per shard, so only the ceiling bounds every shard). The chaos
+/// tests assert elapsed time never exceeds it — the "never hangs" bound.
+fn deadline_budget(config: &ClientConfig) -> Duration {
+    let retry = &config.retry;
+    let attempts = retry.max_retries as u32 + 1;
+    let per_attempt = config.connect_timeout + config.write_timeout + config.read_timeout;
+    let backoff: Duration = (0..retry.max_retries)
+        .map(|k| {
+            retry
+                .base_backoff
+                .checked_mul(1u32 << k.min(20))
+                .map_or(retry.max_backoff, |d| d.min(retry.max_backoff))
+        })
+        .sum();
+    per_attempt * attempts + backoff
+}
 
 /// A tight-deadline client profile for tests: sub-second timeouts so a
 /// deliberately stalled peer costs milliseconds, not CI minutes.
@@ -241,7 +275,7 @@ impl ChaosSystem {
     /// Worst case for one whole fan-out: every shard burning its full
     /// per-request deadline budget, plus `slack` for scheduling.
     pub fn fanout_budget(&self, slack: Duration) -> Duration {
-        self.config.deadline_budget() * self.sa.map().shard_count() as u32 + slack
+        deadline_budget(&self.config) * self.sa.map().shard_count() as u32 + slack
     }
 
     /// Run a fan-out over the full key range and verify whatever comes
@@ -367,6 +401,25 @@ pub fn run_netfault_catalog(scheme: SchemeKind) -> Vec<NetFaultConformance> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deadline_budget_covers_all_attempts() {
+        let c = ClientConfig {
+            connect_timeout: Duration::from_millis(300),
+            read_timeout: Duration::from_millis(300),
+            write_timeout: Duration::from_millis(300),
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: Duration::from_millis(10),
+                max_backoff: Duration::from_millis(40),
+                jitter_seed: 7,
+            },
+        };
+        let budget = deadline_budget(&c);
+        // 3 attempts * (300+300+300)ms + backoff ceilings 10 + 20 (under
+        // the 40 cap).
+        assert_eq!(budget, Duration::from_millis(2700 + 30));
+    }
 
     #[test]
     fn netfault_catalog_conforms_mock() {

@@ -16,7 +16,7 @@
 //! (see the rule reference in `crates/lint/src/lib.rs`): decode paths are
 //! *panic-free* — adversarial bytes surface as [`WireError`], never as a
 //! panic (`panic-free-decode`) — and length prefixes are written through
-//! the checked [`wire_u32`]/[`put_count`] helpers rather than truncating
+//! the checked `wire_u32`/[`put_count`] helpers rather than truncating
 //! `as` casts (`checked-length-casts`). `cargo run -p authdb-lint --
 //! --workspace` fails the build on a violation.
 //!
@@ -32,7 +32,7 @@
 //!
 //! * `length` counts the version byte plus the payload, so a reader can
 //!   fetch exactly `length` bytes after the 4-byte header.
-//! * `ver` is the format-version byte, currently [`FORMAT_VERSION`].
+//! * `ver` is the format-version byte, currently `FORMAT_VERSION` (5).
 //!   Readers reject any other value with [`WireError::UnsupportedVersion`];
 //!   version negotiation is deliberately *not* silent — a downgraded frame
 //!   must surface, not be reinterpreted.
@@ -60,7 +60,7 @@
 //! ## Versioning rules
 //!
 //! The version byte covers the whole payload grammar. Any change to an
-//! existing type's encoding bumps [`FORMAT_VERSION`]; appending new
+//! existing type's encoding bumps `FORMAT_VERSION`; appending new
 //! *message kinds* (new enum tags) is allowed within a version because
 //! unknown tags already surface as typed [`WireError::BadTag`] errors.
 //!
@@ -97,7 +97,7 @@
 use std::fmt;
 
 /// Current wire-format version, carried in every frame.
-pub const FORMAT_VERSION: u8 = 5;
+const FORMAT_VERSION: u8 = 5;
 
 /// Default cap on a frame's declared body length (version byte + payload).
 /// Chosen far above any honest answer (a full-table selection of a million
@@ -207,7 +207,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len()
     }
 
@@ -268,7 +268,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Assert the input is fully consumed.
-    pub fn finish(&self) -> Result<(), WireError> {
+    fn finish(&self) -> Result<(), WireError> {
         if self.buf.is_empty() {
             Ok(())
         } else {
@@ -317,7 +317,7 @@ pub trait WireDecode: Sized {
 /// This is the one sanctioned route from `usize` to a wire count: a plain
 /// `as u32` cast would silently wrap past 4 GiB and the decoder would then
 /// misparse everything after the prefix.
-pub fn wire_u32(what: &'static str, len: usize) -> Result<u32, WireError> {
+fn wire_u32(what: &'static str, len: usize) -> Result<u32, WireError> {
     u32::try_from(len).map_err(|_| WireError::Oversize { what, len })
 }
 
@@ -325,8 +325,8 @@ pub fn wire_u32(what: &'static str, len: usize) -> Result<u32, WireError> {
 ///
 /// # Panics
 /// Panics if `len` exceeds `u32::MAX` — the value is unencodable, exactly
-/// the documented contract of [`frame`]. Fallible encoders should gate
-/// with [`wire_u32`] first.
+/// the documented contract of [`frame`], which gates with `wire_u32`
+/// first.
 pub fn put_count(out: &mut Vec<u8>, what: &'static str, len: usize) {
     let n = wire_u32(what, len).expect("collection length exceeds the u32 wire prefix");
     out.extend_from_slice(&n.to_be_bytes());

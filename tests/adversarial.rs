@@ -110,7 +110,7 @@ fn stale_version_with_valid_signature_rejected() {
         s.sa.advance_clock(3);
         s.update(25, vec![125, 4242]);
         s.sa.advance_clock(10);
-        s.sqs.ingest(s.sa.force_publish_summaries());
+        s.sqs.ingest(s.sa.maybe_publish_summaries());
         // The replayed answer is cryptographically intact but stale; the
         // client cross-checks against the summaries it fetched itself.
         let mut replay = stale.clone();

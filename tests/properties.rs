@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use authdb::core::da::DaConfig;
 use authdb::crypto::bigint::BigUint;
+use authdb::crypto::bn254::curve::{CurveSpec, Point};
 use authdb::crypto::signer::SchemeKind;
 use authdb::filters::bitmap::{compress, decompress, Bitmap};
 use authdb::index::btree::{BTree, LeafEntry, NoAnnotation, TreeConfig};
@@ -14,13 +15,17 @@ use authdb_testkit::deploy::{part, Deployment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+fn from_u128(v: u128) -> BigUint {
+    BigUint::from_limbs(vec![v as u64, (v >> 64) as u64])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn bigint_add_mul_roundtrips(a in any::<u128>(), b in any::<u128>()) {
-        let ba = BigUint::from_u128(a);
-        let bb = BigUint::from_u128(b);
+        let ba = from_u128(a);
+        let bb = from_u128(b);
         // a + b - b == a
         prop_assert_eq!(ba.add(&bb).sub(&bb), ba.clone());
         // (a * b) / b == a with remainder 0 (b != 0)
@@ -29,18 +34,17 @@ proptest! {
             prop_assert_eq!(q, ba.clone());
             prop_assert!(r.is_zero());
         }
-        // hex/dec round trips
-        prop_assert_eq!(BigUint::from_hex(&ba.to_hex()).unwrap(), ba.clone());
-        prop_assert_eq!(BigUint::from_dec(&ba.to_dec()).unwrap(), ba);
+        // decimal round trip
+        prop_assert_eq!(BigUint::from_dec(&ba.to_string()).unwrap(), ba);
     }
 
     #[test]
     fn bigint_divrem_invariant(a_hi in any::<u64>(), a_lo in any::<u64>(), b in 1u64..) {
-        let a = BigUint::from_u128(((a_hi as u128) << 64) | a_lo as u128);
+        let a = BigUint::from_limbs(vec![a_lo, a_hi]);
         let bb = BigUint::from_u64(b);
         let (q, r) = a.divrem(&bb);
         prop_assert_eq!(q.mul(&bb).add(&r), a);
-        prop_assert!(r.cmp_to(&bb) == std::cmp::Ordering::Less);
+        prop_assert!(r < bb);
     }
 
     #[test]
@@ -175,8 +179,8 @@ proptest! {
         use authdb::crypto::bn254::{G1, G2};
         let g1 = G1::generator();
         let g2 = G2::generator();
-        prop_assert_eq!(g1.mul_scalar(&limbs), g1.mul_scalar_binary(&limbs));
-        prop_assert_eq!(g2.mul_scalar(&limbs), g2.mul_scalar_binary(&limbs));
+        prop_assert_eq!(g1.mul_scalar(&limbs), mul_scalar_binary(&g1, &limbs));
+        prop_assert_eq!(g2.mul_scalar(&limbs), mul_scalar_binary(&g2, &limbs));
         prop_assert!(g1.mul_scalar(&[0, 0]).is_infinity());
     }
 
@@ -199,9 +203,22 @@ proptest! {
             .collect();
         let sum = terms
             .iter()
-            .fold(G1::infinity(), |acc, (p, k)| acc.add(&p.mul_scalar_binary(k)));
+            .fold(G1::infinity(), |acc, (p, k)| acc.add(&mul_scalar_binary(p, k)));
         prop_assert_eq!(G1::multi_mul_scalar(&terms), sum);
     }
+}
+
+/// Reference binary double-and-add scalar multiplication (MSB first): the
+/// oracle the wNAF paths are checked against.
+fn mul_scalar_binary<C: CurveSpec>(p: &Point<C>, k: &[u64]) -> Point<C> {
+    let mut acc = Point::infinity();
+    for i in (0..k.len() * 64).rev() {
+        acc = acc.double();
+        if (k[i / 64] >> (i % 64)) & 1 == 1 {
+            acc = acc.add(p);
+        }
+    }
+    acc
 }
 
 /// The G1 decoder as it was before it took one square root: reduce x, take
@@ -209,7 +226,7 @@ proptest! {
 /// inversion), then demand that the re-encode (another) equals the input.
 /// Kept only as the oracle for `g1_decoder_matches_reencode_oracle`.
 fn g1_decode_oracle(bytes: &[u8; 33]) -> Option<authdb::crypto::bn254::G1> {
-    use authdb::crypto::bn254::{Fp, G1};
+    use authdb::crypto::bn254::{Affine, Fp, G1};
     let p = match bytes[0] {
         0x00 => G1::infinity(),
         tag @ (0x02 | 0x03) => {
@@ -221,8 +238,9 @@ fn g1_decode_oracle(bytes: &[u8; 33]) -> Option<authdb::crypto::bn254::G1> {
                 y
             };
             let p = G1::from_affine_coords(x, y);
-            if !p.to_affine().is_on_curve() {
-                return None;
+            match p.to_affine() {
+                Affine::Coords(x, y) if y.square() == x.square().mul(&x).add(&Fp::from_u64(3)) => {}
+                _ => return None,
             }
             p
         }
@@ -258,7 +276,7 @@ proptest! {
         retagged[0] = tag;
         cases.push(retagged);
         let p = BigUint::from_limbs(FpParams::MODULUS.to_vec());
-        for x in [p.sub(&BigUint::one()), p.clone(), BigUint::one().shl(256).sub(&BigUint::one())] {
+        for x in [p.sub(&BigUint::one()), p.clone(), BigUint::from_limbs(vec![u64::MAX; 4])] {
             let x = x.to_bytes_be();
             for t in [0x02, 0x03] {
                 let mut enc = [0u8; 33];
