@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 use authdb_crypto::bls::BlsPrivateKey;
 use authdb_crypto::bn254::{
-    final_exponentiation, multi_miller_loop, pairing, Fp, Fr, G2Prepared, G1, G2,
+    final_exponentiation, multi_miller_loop, pairing, Fp, Fp12, Fp2, Fp6, Fr, G2Prepared, G1, G2,
 };
 use authdb_crypto::sha1::sha1;
 use authdb_crypto::sha256::sha256;
@@ -52,6 +53,34 @@ fn bench_bn254(c: &mut Criterion) {
     g.bench_function("fp_legendre", |b| b.iter(|| square.legendre()));
     let enc = p.mul_fr(&k).to_compressed();
     g.bench_function("g1_decompress", |b| b.iter(|| G1::from_compressed(&enc)));
+    g.finish();
+}
+
+/// The field tower's operations, one row each, so that a change to the
+/// tower is priced per operation: what the Miller loop folds
+/// (`fp12_mul_by_034`, two `fp6_mul_by_01`s each, and `fp12_square`) and
+/// what the final exponentiation chains (`fp12_mul` and
+/// `cyclotomic_square`, on an element of the cyclotomic subgroup).
+fn bench_tower(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut g = c.benchmark_group("tower");
+    let (x, y) = (Fp2::random(&mut rng), Fp2::random(&mut rng));
+    g.bench_function("fp2_mul", |b| b.iter(|| black_box(x).mul(&y)));
+    g.bench_function("fp2_square", |b| b.iter(|| black_box(x).square()));
+    let f6 = Fp6::random(&mut rng);
+    g.bench_function("fp6_mul_by_01", |b| {
+        b.iter(|| black_box(f6).mul_by_01(&x, &y))
+    });
+    let (f, h) = (Fp12::random(&mut rng), Fp12::random(&mut rng));
+    g.bench_function("fp12_mul", |b| b.iter(|| black_box(f).mul(&h)));
+    g.bench_function("fp12_square", |b| b.iter(|| black_box(f).square()));
+    g.bench_function("fp12_mul_by_034", |b| {
+        b.iter(|| black_box(f).mul_by_034(&x, &y))
+    });
+    let unitary = final_exponentiation(&f);
+    g.bench_function("cyclotomic_square", |b| {
+        b.iter(|| black_box(unitary).cyclotomic_square())
+    });
     g.finish();
 }
 
@@ -382,6 +411,7 @@ criterion_group!(
     benches,
     bench_hashing,
     bench_bn254,
+    bench_tower,
     bench_multi_pairing,
     bench_bls,
     bench_bls_batch,

@@ -622,6 +622,9 @@ impl WireDecode for QueryError {
 /// exactly one [`Response`] frame on the same connection.
 ///
 /// **Retired tags** (never reused; all decode as [`WireError::BadTag`]):
+/// * request tag 0 and response tag 0 were a liveness probe and its reply,
+///   which nothing sent once clients probed a server with
+///   [`Request::ShardStats`];
 /// * request tag 2 and response tag 2 carried a projection, which only a
 ///   one-shard deployment could answer; projections and joins (§3.4, §3.5)
 ///   are reproduced in process, off the network path;
@@ -636,8 +639,6 @@ impl WireDecode for QueryError {
 ///   has one signing mode and serves neither.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Liveness probe.
-    Ping,
     /// Range selection `lo <= Aind <= hi`, answered with a sharded fan-out
     /// the client stitches via `Verifier::verify_sharded_selection`.
     Select {
@@ -688,7 +689,6 @@ pub enum Request {
 impl WireEncode for Request {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Ping => out.push(0),
             Request::Select { lo, hi } => {
                 out.push(1);
                 lo.encode_into(out);
@@ -722,7 +722,6 @@ impl Request {
     /// typed decode error instead of unbounded recursion on hostile bytes.
     fn decode_untagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match tag {
-            0 => Ok(Request::Ping),
             1 => Ok(Request::Select {
                 lo: r.i64()?,
                 hi: r.i64()?,
@@ -766,8 +765,6 @@ impl WireDecode for Request {
 /// payload).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
-    /// Liveness reply.
-    Pong,
     /// A sharded selection answer.
     Selection(ShardedSelectionAnswer),
     /// The server refused to construct an answer.
@@ -806,7 +803,6 @@ pub enum Response {
 impl WireEncode for Response {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Pong => out.push(0),
             Response::Selection(a) => {
                 out.push(1);
                 a.encode_into(out);
@@ -843,7 +839,6 @@ impl Response {
     /// (the same no-nesting discipline as [`Request::decode_untagged`]).
     fn decode_untagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match tag {
-            0 => Ok(Response::Pong),
             1 => Ok(Response::Selection(ShardedSelectionAnswer::decode_from(r)?)),
             4 => Ok(Response::Refused(QueryError::decode_from(r)?)),
             6 => Ok(Response::Rebalanced),
@@ -919,7 +914,7 @@ mod tests {
             id: 1,
             inner: Box::new(Request::Tagged {
                 id: 2,
-                inner: Box::new(Request::Ping),
+                inner: Box::new(Request::ShardStats),
             }),
         }
         .encode();
@@ -934,7 +929,7 @@ mod tests {
             id: 1,
             inner: Box::new(Response::Tagged {
                 id: 2,
-                inner: Box::new(Response::Pong),
+                inner: Box::new(Response::Busy),
             }),
         }
         .encode();
@@ -952,7 +947,7 @@ mod tests {
             deep.push(8u8);
             deep.extend_from_slice(&1u64.to_be_bytes());
         }
-        deep.push(0);
+        deep.push(7);
         assert!(Request::decode(&deep).is_err());
     }
 

@@ -6,6 +6,19 @@
 //! `p = 36x^4 + 36x^3 + 24x^2 + 6x + 1`, `r = 36x^4 + 36x^3 + 18x^2 + 6x + 1`.
 //! A unit test re-derives every constant from scratch with [`crate::bigint`].
 //!
+//! A product is a 512-bit integer and a Montgomery reduction, kept apart
+//! so that the extension fields can add products before they reduce:
+//! [`Field::mul`] is one of each (20–26 ns on the benchmark host), an Fp2
+//! product three products and two reductions, and the Miller loop's sparse
+//! fold one reduction per output coefficient. An unreduced value stays
+//! below `p·2²⁵⁶`, the bound under which one reduction and one
+//! conditional subtraction give the canonical result, so every value is
+//! bit-identical to one reduced after each product. Multiplying by 9 (the
+//! ξ = 9 + u scaling) is one shift-and-add and one estimated subtraction
+//! of a multiple of p. Test builds count every product, reduction,
+//! modular addition and subtraction and inversion per thread, so a test
+//! pins the field work of a pairing check exactly.
+//!
 //! Powers are a width-5 sliding window ([`Field::pow`]). Inversion
 //! (`a^(p-2)`) and the square root (`a^((p+1)/4)`, for p ≡ 3 mod 4) are one
 //! such power each: about 310 products, where square-and-multiply took 360,
@@ -114,6 +127,93 @@ impl<P: FieldParams> fmt::Debug for Field<P> {
     }
 }
 
+/// Per-thread operation counts, compiled into test builds only: a test
+/// reads [`ops::snapshot`] before and after a computation and pins the
+/// difference. A count does not drift with the host the way a clock does.
+#[cfg(test)]
+pub(crate) mod ops {
+    use std::cell::Cell;
+
+    /// Field operations since the thread started.
+    #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+    pub(crate) struct Counts {
+        /// 256×256-bit products, whether reduced at once or later.
+        pub mul: u64,
+        /// Montgomery reductions.
+        pub red: u64,
+        /// Modular additions (doublings and `mul_by_9` included).
+        pub add: u64,
+        /// Modular subtractions.
+        pub sub: u64,
+        /// Additions and subtractions of unreduced 512-bit values.
+        pub wide: u64,
+        /// Inversions.
+        pub inv: u64,
+    }
+
+    impl std::ops::Sub for Counts {
+        type Output = Counts;
+        fn sub(self, o: Counts) -> Counts {
+            Counts {
+                mul: self.mul - o.mul,
+                red: self.red - o.red,
+                add: self.add - o.add,
+                sub: self.sub - o.sub,
+                wide: self.wide - o.wide,
+                inv: self.inv - o.inv,
+            }
+        }
+    }
+
+    impl std::ops::Add for Counts {
+        type Output = Counts;
+        fn add(self, o: Counts) -> Counts {
+            Counts {
+                mul: self.mul + o.mul,
+                red: self.red + o.red,
+                add: self.add + o.add,
+                sub: self.sub + o.sub,
+                wide: self.wide + o.wide,
+                inv: self.inv + o.inv,
+            }
+        }
+    }
+
+    thread_local! {
+        static COUNTS: Cell<Counts> = Cell::new(Counts::default());
+    }
+
+    pub(crate) fn bump(f: impl FnOnce(&mut Counts)) {
+        COUNTS.with(|c| {
+            let mut n = c.get();
+            f(&mut n);
+            c.set(n);
+        });
+    }
+
+    /// The calling thread's counts so far.
+    pub(crate) fn snapshot() -> Counts {
+        COUNTS.with(|c| c.get())
+    }
+
+    /// The counts `f` adds on this thread, and its result.
+    pub(crate) fn count<T>(f: impl FnOnce() -> T) -> (Counts, T) {
+        let before = snapshot();
+        let out = f();
+        (snapshot() - before, out)
+    }
+}
+
+/// Record one operation in the test-build counters; a no-op otherwise.
+macro_rules! count {
+    ($($field:ident),+) => {
+        #[cfg(test)]
+        ops::bump(|n| {
+            $(n.$field += 1;)+
+        });
+    };
+}
+
 #[inline(always)]
 fn adc(a: u64, b: u64, carry: &mut u64) -> u64 {
     let t = a as u128 + b as u128 + *carry as u128;
@@ -196,8 +296,8 @@ impl<P: FieldParams> Field<P> {
     /// Canonical (non-Montgomery) little-endian limbs.
     pub fn to_canonical(&self) -> [u64; 4] {
         // Montgomery reduction of the raw representation (multiply by 1).
-        let one = [1u64, 0, 0, 0];
-        mont_mul::<P>(&self.0, &one)
+        let a = &self.0;
+        mont_reduce::<P>(&[a[0], a[1], a[2], a[3], 0, 0, 0, 0])
     }
 
     /// Canonical value as a [`BigUint`].
@@ -233,6 +333,7 @@ impl<P: FieldParams> Field<P> {
     /// `self + other`.
     #[inline]
     pub fn add(&self, other: &Self) -> Self {
+        count!(add);
         let mut carry = 0u64;
         let mut out = [0u64; 4];
         for i in 0..4 {
@@ -251,6 +352,7 @@ impl<P: FieldParams> Field<P> {
     /// `self - other`.
     #[inline]
     pub fn sub(&self, other: &Self) -> Self {
+        count!(sub);
         let mut borrow = 0u64;
         let mut out = [0u64; 4];
         for i in 0..4 {
@@ -275,10 +377,97 @@ impl<P: FieldParams> Field<P> {
         }
     }
 
-    /// `self * other` (Montgomery CIOS).
+    /// `self * other`: a 512-bit product, then one Montgomery reduction.
     #[inline]
     pub fn mul(&self, other: &Self) -> Self {
-        Field(mont_mul::<P>(&self.0, &other.0), PhantomData)
+        self.mul_wide(other).reduce()
+    }
+
+    /// `self * other` left unreduced: the extension fields sum such
+    /// products and reduce once per output coefficient.
+    #[inline]
+    pub(crate) fn mul_wide(&self, other: &Self) -> Wide<P> {
+        count!(mul);
+        Wide(mul_limbs(&self.0, &other.0), PhantomData)
+    }
+
+    /// `(a0 + a1)·(b0 + b1)` left unreduced, the Karatsuba middle product.
+    /// The sums are plain 4-limb additions: each is below 2p, and
+    /// (2p)² < p·2²⁵⁶ because p < 2²⁵⁴, so the product is a valid
+    /// [`Wide`] without reducing either sum.
+    #[inline]
+    pub(crate) fn mul_sums_wide(a0: &Self, a1: &Self, b0: &Self, b1: &Self) -> Wide<P> {
+        const { assert!(P::MODULUS[3] < 1 << 62, "needs p < 2^254") };
+        count!(mul);
+        Wide(
+            mul_limbs(&add_limbs(&a0.0, &a1.0), &add_limbs(&b0.0, &b1.0)),
+            PhantomData,
+        )
+    }
+
+    /// `(a + b)·(a − b)` left unreduced, with `a − b` taken as
+    /// `a + p − b` (below 2p) so that no sum is reduced.
+    #[inline]
+    pub(crate) fn mul_sum_diff_wide(a: &Self, b: &Self) -> Wide<P> {
+        count!(mul);
+        let diff = sub_limbs(&add_limbs(&a.0, &P::MODULUS), &b.0);
+        Wide(mul_limbs(&add_limbs(&a.0, &b.0), &diff), PhantomData)
+    }
+
+    /// `2·a·b` left unreduced (the doubling is a plain addition: 2a < 2p).
+    #[inline]
+    pub(crate) fn mul_double_wide(a: &Self, b: &Self) -> Wide<P> {
+        count!(mul);
+        Wide(mul_limbs(&add_limbs(&a.0, &a.0), &b.0), PhantomData)
+    }
+
+    /// `9·self`, the scaling under every multiplication by ξ = 9 + u: the
+    /// five-limb integer `8a + a`, reduced by [`reduce_below_9p`].
+    #[inline]
+    pub(crate) fn mul_by_9(&self) -> Self {
+        count!(add);
+        Field(reduce_below_9p::<P>(&times_9(&self.0)), PhantomData)
+    }
+
+    /// `⌊p / 2²⁴⁸⌋ + 1`, [`reduce_below_9p`]'s quotient divisor.
+    const TOP_DIVISOR: u64 = (P::MODULUS[3] >> 56) + 1;
+
+    /// `k·p` for k = 0..=8 as five limbs, [`reduce_below_9p`]'s table.
+    const MODULUS_MULTIPLES: [[u64; 5]; 9] = {
+        let mut out = [[0u64; 5]; 9];
+        let mut k = 1;
+        while k < 9 {
+            let mut carry = 0u128;
+            let mut i = 0;
+            while i < 4 {
+                let v = P::MODULUS[i] as u128 * k as u128 + carry;
+                out[k][i] = v as u64;
+                carry = v >> 64;
+                i += 1;
+            }
+            out[k][4] = carry as u64;
+            k += 1;
+        }
+        out
+    };
+
+    /// Invert every element of `values` in place with one inversion and
+    /// `3(n − 1)` products (Montgomery's trick). `None`, with `values`
+    /// untouched, if any element is zero.
+    pub(crate) fn batch_invert(values: &mut [Self]) -> Option<()> {
+        let mut prefix = Vec::with_capacity(values.len());
+        let mut acc = Self::one();
+        for v in values.iter() {
+            prefix.push(acc);
+            acc = acc.mul(v);
+        }
+        let mut inv = acc.invert()?;
+        for (v, before) in values.iter_mut().zip(prefix).rev() {
+            let v_inv = inv.mul(&before);
+            inv = inv.mul(v);
+            *v = v_inv;
+        }
+        Some(())
     }
 
     /// `self^2`.
@@ -347,6 +536,7 @@ impl<P: FieldParams> Field<P> {
         if self.is_zero() {
             return None;
         }
+        count!(inv);
         Some(self.pow(&Self::INVERT_EXP))
     }
 
@@ -441,8 +631,144 @@ fn reduce_once<P: FieldParams>(out: &mut [u64; 4], overflow: bool) {
     }
 }
 
-/// 4-limb Montgomery multiplication (CIOS).
-#[inline]
+/// `a + b` on 4-limb values, unreduced; callers keep the sum below 2²⁵⁶.
+#[inline(always)]
+fn add_limbs(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut carry = 0u64;
+    let mut out = [0u64; 4];
+    for i in 0..4 {
+        out[i] = adc(a[i], b[i], &mut carry);
+    }
+    debug_assert_eq!(carry, 0, "unreduced sum overflowed 256 bits");
+    out
+}
+
+/// `9a` as five limbs: `8a + a`.
+#[inline(always)]
+fn times_9(a: &[u64; 4]) -> [u64; 5] {
+    let mut t = [0u64; 5];
+    let mut carry = 0u64;
+    for i in 0..4 {
+        let shifted = (a[i] << 3) | if i > 0 { a[i - 1] >> 61 } else { 0 };
+        t[i] = adc(shifted, a[i], &mut carry);
+    }
+    t[4] = (a[3] >> 61) + carry;
+    t
+}
+
+/// `t mod p` for `t < 9p`: less an estimate `q·p` of its multiple of p
+/// read off its top byte, then one conditional subtraction. Division by
+/// the constant divisor compiles to a multiply.
+#[inline(always)]
+fn reduce_below_9p<P: FieldParams>(t: &[u64; 5]) -> [u64; 4] {
+    // With D = ⌊p/2²⁴⁸⌋ + 1, q = ⌊(t >> 248)/D⌋ satisfies q·p ≤ t and
+    // t − q·p < 2p for every t < 9p (`mul_by_9_at_quotient_boundaries`
+    // checks both fields at every crossing).
+    let q = ((t[4] << 8) | (t[3] >> 56)) / Field::<P>::TOP_DIVISOR;
+    let m = &Field::<P>::MODULUS_MULTIPLES[q as usize];
+    let mut borrow = 0u64;
+    let mut out = [0u64; 4];
+    for i in 0..4 {
+        out[i] = sbb(t[i], m[i], &mut borrow);
+    }
+    let high = t[4].wrapping_sub(m[4]).wrapping_sub(borrow >> 63);
+    reduce_once::<P>(&mut out, high != 0);
+    out
+}
+
+/// The 512-bit product of two 4-limb values (schoolbook).
+#[inline(always)]
+fn mul_limbs(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+    let mut t = [0u64; 8];
+    for i in 0..4 {
+        let mut carry = 0u64;
+        for j in 0..4 {
+            t[i + j] = mac(t[i + j], a[i], b[j], &mut carry);
+        }
+        t[i + 4] = carry;
+    }
+    t
+}
+
+/// Montgomery reduction `t·2⁻²⁵⁶ mod p` of a 512-bit `t < p·2²⁵⁶`: the
+/// sum before the final subtraction is then below 2p.
+#[inline(always)]
+fn mont_reduce<P: FieldParams>(t: &[u64; 8]) -> [u64; 4] {
+    let n = &P::MODULUS;
+    let mut t = *t;
+    let mut high = 0u64;
+    for i in 0..4 {
+        let m = t[i].wrapping_mul(P::INV);
+        let mut carry = 0u64;
+        // (t[i] + m*n[0]) is divisible by 2^64; we only need the carry.
+        mac(t[i], m, n[0], &mut carry);
+        for j in 1..4 {
+            t[i + j] = mac(t[i + j], m, n[j], &mut carry);
+        }
+        let mut c = high;
+        t[i + 4] = adc(t[i + 4], carry, &mut c);
+        high = c;
+    }
+    let mut out = [t[4], t[5], t[6], t[7]];
+    reduce_once::<P>(&mut out, high != 0);
+    out
+}
+
+/// An unreduced 512-bit value `T < p·2²⁵⁶`: a product, or a sum or
+/// difference of products, awaiting one Montgomery reduction
+/// ([`Wide::reduce`]). [`Wide::add`] and [`Wide::sub`] keep the bound by
+/// folding `p·2²⁵⁶` (p on the high half) out of a sum that reaches it and
+/// into a difference that borrows, so any chain of them may be reduced.
+#[derive(Copy, Clone)]
+pub(crate) struct Wide<P: FieldParams>([u64; 8], PhantomData<P>);
+
+impl<P: FieldParams> Wide<P> {
+    /// `self + other` modulo `p·2²⁵⁶`.
+    #[inline]
+    pub(crate) fn add(&self, other: &Self) -> Self {
+        count!(wide);
+        let mut carry = 0u64;
+        let mut t = [0u64; 8];
+        for i in 0..8 {
+            t[i] = adc(self.0[i], other.0[i], &mut carry);
+        }
+        let high = [t[4], t[5], t[6], t[7]];
+        if !lt(&high, &P::MODULUS) {
+            t[4..].copy_from_slice(&sub_limbs(&high, &P::MODULUS));
+        }
+        Wide(t, PhantomData)
+    }
+
+    /// `self − other` modulo `p·2²⁵⁶`.
+    #[inline]
+    pub(crate) fn sub(&self, other: &Self) -> Self {
+        count!(wide);
+        let mut borrow = 0u64;
+        let mut t = [0u64; 8];
+        for i in 0..8 {
+            t[i] = sbb(self.0[i], other.0[i], &mut borrow);
+        }
+        if borrow != 0 {
+            let mut carry = 0u64;
+            for i in 0..4 {
+                t[i + 4] = adc(t[i + 4], P::MODULUS[i], &mut carry);
+            }
+        }
+        Wide(t, PhantomData)
+    }
+
+    /// The field element `self·2⁻²⁵⁶`: one Montgomery reduction.
+    #[inline]
+    pub(crate) fn reduce(&self) -> Field<P> {
+        count!(red);
+        Field(mont_reduce::<P>(&self.0), PhantomData)
+    }
+}
+
+/// 4-limb Montgomery multiplication (CIOS): the product and reduction
+/// interleaved, as `Field::mul` computed it before products were reduced
+/// lazily. The oracle for `mul_wide` and `reduce`.
+#[cfg(test)]
 fn mont_mul<P: FieldParams>(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
     let n = &P::MODULUS;
     let mut t = [0u64; 6];
@@ -475,6 +801,7 @@ fn mont_mul<P: FieldParams>(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -548,6 +875,179 @@ mod tests {
             assert_eq!(a.add(&a.neg()), Fp::zero());
             assert_eq!(a.sub(&b).add(&b), a);
         }
+    }
+
+    fn modulus() -> BigUint {
+        BigUint::from_limbs(FpParams::MODULUS.to_vec())
+    }
+
+    fn big(limbs: &[u64]) -> BigUint {
+        BigUint::from_limbs(limbs.to_vec())
+    }
+
+    fn raw(limbs: [u64; 4]) -> Fp {
+        Field(limbs, PhantomData)
+    }
+
+    /// Raw Montgomery limbs at the ends of the range: 0, 1, p − 1, and
+    /// random values.
+    fn edge_elements(r: &mut StdRng) -> Vec<Fp> {
+        let mut p_minus_1 = FpParams::MODULUS;
+        p_minus_1[0] -= 1;
+        let mut out = vec![raw([0; 4]), raw([1, 0, 0, 0]), raw(p_minus_1)];
+        out.extend((0..5).map(|_| Fp::random(r)));
+        out
+    }
+
+    /// A uniformly random valid [`Wide`] value (below `p·2²⁵⁶`).
+    fn random_wide(r: &mut StdRng) -> Wide<FpParams> {
+        use rand::Rng;
+        let high = Fp::random(r).0;
+        let t = [
+            r.gen(),
+            r.gen(),
+            r.gen(),
+            r.gen(),
+            high[0],
+            high[1],
+            high[2],
+            high[3],
+        ];
+        Wide(t, PhantomData)
+    }
+
+    /// `T·2⁻²⁵⁶ mod p` for a 512-bit `T`: the Montgomery reduction oracle.
+    fn redc_oracle(t: &[u64; 8]) -> BigUint {
+        let p = modulus();
+        let r_inv = Fp::from_biguint(&BigUint::one().shl(256).rem(&p))
+            .invert()
+            .expect("2^256 is a unit");
+        big(t).mul(&r_inv.to_biguint()).rem(&p)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn lazy_mul_matches_the_cios_oracle(seed in any::<u64>()) {
+            let elems = edge_elements(&mut StdRng::seed_from_u64(seed));
+            for a in &elems {
+                for b in &elems {
+                    prop_assert_eq!(a.mul(b).0, mont_mul::<FpParams>(&a.0, &b.0));
+                    let sums = Fp::mul_sums_wide(a, b, b, a).reduce();
+                    prop_assert_eq!(sums, a.add(b).mul(&b.add(a)));
+                    prop_assert_eq!(Fp::mul_sum_diff_wide(a, b).reduce(), a.add(b).mul(&a.sub(b)));
+                    prop_assert_eq!(Fp::mul_double_wide(a, b).reduce(), a.double().mul(b));
+                }
+            }
+        }
+
+        #[test]
+        fn wide_add_sub_reduce_match_biguint(seed in any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let bound = modulus().shl(256);
+            for _ in 0..8 {
+                let (x, y) = (random_wide(&mut r), random_wide(&mut r));
+                let sum = x.add(&y);
+                prop_assert_eq!(big(&sum.0), big(&x.0).add(&big(&y.0)).rem(&bound));
+                let diff = x.sub(&y);
+                prop_assert_eq!(
+                    big(&diff.0),
+                    big(&x.0).add(&bound).sub(&big(&y.0)).rem(&bound)
+                );
+                for w in [x, y, sum, diff] {
+                    prop_assert_eq!(big(&w.reduce().0), redc_oracle(&w.0));
+                }
+            }
+        }
+
+        #[test]
+        fn mul_by_9_matches_additions(seed in any::<u64>()) {
+            fn chain<P: FieldParams>(a: &Field<P>) -> Field<P> {
+                a.double().double().double().add(a)
+            }
+            let mut r = StdRng::seed_from_u64(seed);
+            for a in edge_elements(&mut r) {
+                prop_assert_eq!(a.mul_by_9(), chain(&a));
+            }
+            for _ in 0..8 {
+                let a = Fr::random(&mut r);
+                prop_assert_eq!(a.mul_by_9(), chain(&a));
+            }
+        }
+    }
+
+    #[test]
+    fn wide_fold_boundary() {
+        // x + y = p·2²⁵⁶ exactly folds to 0; one less is the largest valid
+        // value and stays; a difference that borrows unfolds to p·2²⁵⁶ − y.
+        let p = FpParams::MODULUS;
+        let mut p_minus_1 = p;
+        p_minus_1[0] -= 1;
+        let wide = |lo: [u64; 4], hi: [u64; 4]| {
+            Wide::<FpParams>(
+                [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]],
+                PhantomData,
+            )
+        };
+        let half = wide([0, 0, 0, 1 << 63], [0; 4]);
+        let rest = wide([0, 0, 0, 1 << 63], sub_limbs(&p, &[1, 0, 0, 0]));
+        let max = wide([u64::MAX; 4], p_minus_1);
+        assert_eq!(half.add(&rest).0, [0; 8]);
+        let one = wide([1, 0, 0, 0], [0; 4]);
+        let below = rest.sub(&one);
+        assert_eq!(half.add(&below).0, max.0);
+        assert_eq!(max.add(&one).0, [0; 8]);
+        assert_eq!(max.add(&max).0, max.sub(&one).0);
+        assert_eq!(wide([0; 4], [0; 4]).sub(&one).0, max.0);
+        assert_eq!(big(&max.reduce().0), redc_oracle(&max.0));
+        // Whole Karatsuba sums at their extremes: (2p − 2)² < p·2²⁵⁶.
+        let top = raw(p_minus_1);
+        let sums = Fp::mul_sums_wide(&top, &top, &top, &top);
+        assert!(lt(&[sums.0[4], sums.0[5], sums.0[6], sums.0[7]], &p));
+        assert_eq!(sums.reduce(), top.add(&top).mul(&top.add(&top)));
+    }
+
+    #[test]
+    fn mul_by_9_at_quotient_boundaries() {
+        // 9a crosses k·p at a = ⌈k·p/9⌉; both sides of each crossing, for
+        // both fields.
+        fn check<P: FieldParams>() {
+            let p = BigUint::from_limbs(P::MODULUS.to_vec());
+            let nine = BigUint::from_u64(9);
+            for k in 1..9u64 {
+                let (q, _) = p.mul(&BigUint::from_u64(k)).divrem(&nine);
+                for a in [q.clone(), q.add(&BigUint::one())] {
+                    let mut limbs = [0u64; 4];
+                    limbs[..a.limbs().len()].copy_from_slice(a.limbs());
+                    let x = Field::<P>(limbs, PhantomData);
+                    let expect = a.mul(&nine).rem(&p);
+                    let got = x.mul_by_9().0;
+                    assert_eq!(big(&got), expect, "{} k = {k}", P::NAME);
+                }
+            }
+        }
+        check::<FpParams>();
+        check::<FrParams>();
+    }
+
+    #[test]
+    fn batch_invert_matches_single_inversions() {
+        let mut r = rng();
+        for n in [0usize, 1, 2, 5] {
+            let values: Vec<Fp> = (0..n).map(|_| Fp::random(&mut r)).collect();
+            let mut inverted = values.clone();
+            let (counts, ok) = ops::count(|| Fp::batch_invert(&mut inverted));
+            assert_eq!(ok, Some(()));
+            assert_eq!(counts.inv, 1);
+            for (v, i) in values.iter().zip(&inverted) {
+                assert_eq!(v.invert(), Some(*i));
+            }
+        }
+        let mut with_zero = vec![Fp::one(), Fp::zero(), Fp::from_u64(3)];
+        let before = with_zero.clone();
+        assert_eq!(Fp::batch_invert(&mut with_zero), None);
+        assert_eq!(with_zero, before);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! pushed into the cyclotomic subgroup by the easy part of the final
 //! exponentiation.
 //!
-//! Operation counts, in Fp2 products (an Fp6 product is 6): [`Fp12::mul`]
-//! 18 (Karatsuba, 3 Fp6 products), [`Fp12::square`] 12 (complex method, 2
-//! Fp6 products), [`Fp12::mul_by_034`] 12 plus 6 half-price Fp scalings,
-//! [`Fp12::cyclotomic_square`] 9 Fp2 *squarings* (2 Fp products each,
-//! against 3 for an Fp2 product — about a third of a generic square).
+//! Operation counts, in Fp products and Montgomery reductions:
+//! [`Fp12::mul`] 54 and 36 (Karatsuba, 3 Fp6 products), [`Fp12::square`]
+//! 36 and 24 (complex method, 2 Fp6 products), [`Fp12::mul_by_034`] 36 and
+//! 12 (2 sparse Fp6 products; the line's Fp slot is one, so nothing is
+//! scaled), [`Fp12::cyclotomic_square`] 18 and 18 (9 Fp2 *squarings*,
+//! about half a generic square).
 
-use super::fp::Fp;
 use super::fp2::Fp2;
 use super::fp6::Fp6;
 
@@ -141,22 +141,20 @@ impl Fp12 {
         result
     }
 
-    /// Sparse multiplication by an ate line function of the shape
-    /// `a (in Fp, slot c0.c0) + b·w (slot c1.c0) + c·v·w (slot c1.c1)`
-    /// — what a twist line through multiples of Q evaluates to at a G1
-    /// point P. Exploiting the shape costs 2 sparse Fp6 products plus two
-    /// Fp scalings instead of a full Fp12 multiplication.
-    pub fn mul_by_034(&self, a: &Fp, b: &Fp2, c: &Fp2) -> Self {
-        // (f0 + f1·w)(a + (b + c·v)·w), using w² = v:
-        //   c0 = f0·a + f1·(b + c·v)·v
-        //   c1 = f0·(b + c·v) + f1·a
-        let f0a = self.c0.mul_fp(a);
+    /// Sparse multiplication by a unit-scaled ate line
+    /// `1 (slot c0.c0) + b·w (slot c1.c0) + c·v·w (slot c1.c1)` — what a
+    /// twist line through multiples of Q evaluates to at a G1 point P once
+    /// it is divided by `y_P`. Exploiting the shape costs 2 sparse Fp6
+    /// products instead of a full Fp12 multiplication.
+    pub fn mul_by_034(&self, b: &Fp2, c: &Fp2) -> Self {
+        // (f0 + f1·w)(1 + (b + c·v)·w), using w² = v:
+        //   c0 = f0 + f1·(b + c·v)·v
+        //   c1 = f0·(b + c·v) + f1
         let f1l = self.c1.mul_by_01(b, c);
         let f0l = self.c0.mul_by_01(b, c);
-        let f1a = self.c1.mul_fp(a);
         Fp12 {
-            c0: f0a.add(&f1l.mul_by_v()),
-            c1: f0l.add(&f1a),
+            c0: self.c0.add(&f1l.mul_by_v()),
+            c1: f0l.add(&self.c1),
         }
     }
 
@@ -237,6 +235,17 @@ mod tests {
             assert_eq!(a.mul(&b), b.mul(&a));
             assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
             assert_eq!(a.square(), a.mul(&a));
+        }
+    }
+
+    #[test]
+    fn line_fold_matches_full_mul() {
+        let mut r = rng();
+        for _ in 0..10 {
+            let f = Fp12::random(&mut r);
+            let (b, c) = (Fp2::random(&mut r), Fp2::random(&mut r));
+            let line = Fp12::new(Fp6::one(), Fp6::new(b, c, Fp2::zero()));
+            assert_eq!(f.mul_by_034(&b, &c), f.mul(&line));
         }
     }
 

@@ -1,6 +1,12 @@
 //! Quadratic extension `Fp2 = Fp[u]/(u² + 1)`.
+//!
+//! Costs, in Fp products and Montgomery reductions: [`Fp2::mul`] 3 and 2
+//! (Karatsuba, products summed unreduced, one reduction per coefficient),
+//! [`Fp2::square`] 2 and 2, [`Fp2::mul_fp`] 2 and 2; no product pays a
+//! modular addition. [`Fp2::mul_by_nonresidue`] is two `mul_by_9`s, an add
+//! and a sub.
 
-use super::fp::Fp;
+use super::fp::{Fp, FpParams, Wide};
 
 /// An element `c0 + c1·u` of Fp2.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -78,26 +84,30 @@ impl Fp2 {
         self.add(self)
     }
 
-    /// `self * other` (Karatsuba, 3 base-field multiplications).
+    /// `self * other` (Karatsuba, 3 Fp products), reduced once per
+    /// coefficient.
     pub fn mul(&self, other: &Self) -> Self {
-        let aa = self.c0.mul(&other.c0);
-        let bb = self.c1.mul(&other.c1);
-        let sum_a = self.c0.add(&self.c1);
-        let sum_b = other.c0.add(&other.c1);
-        Fp2 {
+        self.mul_wide(other).reduce()
+    }
+
+    /// `self * other` with unreduced coefficients (Karatsuba, 3 Fp
+    /// products): `a0b0 − a1b1` and `(a0 + a1)(b0 + b1) − a0b0 − a1b1`.
+    #[inline]
+    pub(crate) fn mul_wide(&self, other: &Self) -> Fp2Wide {
+        let aa = self.c0.mul_wide(&other.c0);
+        let bb = self.c1.mul_wide(&other.c1);
+        let sums = Fp::mul_sums_wide(&self.c0, &self.c1, &other.c0, &other.c1);
+        Fp2Wide {
             c0: aa.sub(&bb),
-            c1: sum_a.mul(&sum_b).sub(&aa).sub(&bb),
+            c1: sums.sub(&aa).sub(&bb),
         }
     }
 
-    /// `self²` ((a+b)(a-b), 2ab).
+    /// `self²`: `(a + b)(a − b) + 2ab·u`, two products and two reductions.
     pub fn square(&self) -> Self {
-        let p = self.c0.add(&self.c1);
-        let m = self.c0.sub(&self.c1);
-        let ab = self.c0.mul(&self.c1);
         Fp2 {
-            c0: p.mul(&m),
-            c1: ab.double(),
+            c0: Fp::mul_sum_diff_wide(&self.c0, &self.c1).reduce(),
+            c1: Fp::mul_double_wide(&self.c0, &self.c1).reduce(),
         }
     }
 
@@ -112,11 +122,9 @@ impl Fp2 {
     /// Multiply by the sextic non-residue ξ = 9 + u:
     /// `(9a0 - a1) + (a0 + 9a1)u`.
     pub fn mul_by_nonresidue(&self) -> Self {
-        let nine_a0 = mul_by_9(&self.c0);
-        let nine_a1 = mul_by_9(&self.c1);
         Fp2 {
-            c0: nine_a0.sub(&self.c1),
-            c1: self.c0.add(&nine_a1),
+            c0: self.c0.mul_by_9().sub(&self.c1),
+            c1: self.c0.add(&self.c1.mul_by_9()),
         }
     }
 
@@ -155,21 +163,80 @@ impl Fp2 {
     }
 }
 
-fn mul_by_9(a: &Fp) -> Fp {
-    let two = a.double();
-    let four = two.double();
-    let eight = four.double();
-    eight.add(a)
+/// An Fp2 value whose coefficients await their Montgomery reduction: the
+/// extension fields sum several [`Fp2::mul_wide`] products and reduce the
+/// sum once.
+#[derive(Copy, Clone)]
+pub(crate) struct Fp2Wide {
+    c0: Wide<FpParams>,
+    c1: Wide<FpParams>,
+}
+
+impl Fp2Wide {
+    /// `self + other`, still unreduced.
+    #[inline]
+    pub(crate) fn add(&self, other: &Self) -> Self {
+        Fp2Wide {
+            c0: self.c0.add(&other.c0),
+            c1: self.c1.add(&other.c1),
+        }
+    }
+
+    /// The reduced value: one Montgomery reduction per coefficient.
+    #[inline]
+    pub(crate) fn reduce(&self) -> Fp2 {
+        Fp2 {
+            c0: self.c0.reduce(),
+            c1: self.c1.reduce(),
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// `Field::mul`'s Karatsuba with a reduction per product, as `Fp2::mul`
+    /// computed it before products were summed unreduced: the oracle.
+    pub(crate) fn mul_oracle(a: &Fp2, b: &Fp2) -> Fp2 {
+        let aa = a.c0.mul(&b.c0);
+        let bb = a.c1.mul(&b.c1);
+        let sums = a.c0.add(&a.c1).mul(&b.c0.add(&b.c1));
+        Fp2::new(aa.sub(&bb), sums.sub(&aa).sub(&bb))
+    }
+
+    /// Elements with coefficients 0, 1 and p − 1 in every combination,
+    /// then random ones.
+    pub(crate) fn edge_elements(r: &mut StdRng) -> Vec<Fp2> {
+        let edges = [Fp::zero(), Fp::one(), Fp::one().neg()];
+        let mut out: Vec<Fp2> = edges
+            .iter()
+            .flat_map(|a| edges.iter().map(|b| Fp2::new(*a, *b)))
+            .collect();
+        out.extend((0..4).map(|_| Fp2::random(r)));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn lazy_mul_and_square_match_the_oracle(seed in any::<u64>()) {
+            let elems = edge_elements(&mut StdRng::seed_from_u64(seed));
+            for a in &elems {
+                for b in &elems {
+                    prop_assert_eq!(a.mul(b), mul_oracle(a, b));
+                }
+                prop_assert_eq!(a.square(), mul_oracle(a, a));
+            }
+        }
     }
 
     #[test]

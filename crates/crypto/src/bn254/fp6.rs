@@ -1,8 +1,10 @@
 //! Cubic extension `Fp6 = Fp2[v]/(v³ - ξ)`, ξ = 9 + u.
 //!
-//! Operation counts, in Fp2 products: [`Fp6::mul`] 6 (Karatsuba),
-//! [`Fp6::mul_by_01`] 6 (sparse operand), [`Fp6::mul_fp`] 3 half-price
-//! scalings; `mul_by_v` and additions are free of products.
+//! Operation counts: [`Fp6::mul`] is 6 Fp2 products (Karatsuba; 18 Fp
+//! products and 12 reductions). [`Fp6::mul_by_01`] multiplies by a sparse
+//! operand with 6 Fp2 products summed unreduced in pairs: 18 Fp products
+//! and 6 reductions, one per output coefficient. `mul_by_v` and additions
+//! are free of products.
 
 use super::fp2::Fp2;
 
@@ -116,23 +118,15 @@ impl Fp6 {
     /// only) — the Fp6 half of a Miller-loop line function.
     pub fn mul_by_01(&self, b0: &Fp2, b1: &Fp2) -> Self {
         // (c0 + c1 v + c2 v²)(b0 + b1 v)
-        //   = (c0·b0 + ξ·c2·b1) + (c0·b1 + c1·b0) v + (c1·b1 + c2·b0) v²
-        let a0 = self.c0.mul(b0);
-        let a1 = self.c1.mul(b0);
-        let a2 = self.c2.mul(b0);
+        //   = (c0·b0 + ξc2·b1) + (c0·b1 + c1·b0) v + (c1·b1 + c2·b0) v²:
+        // two unreduced products per coefficient, one reduction of their
+        // sum. ξ scales c2 while it is still reduced.
+        let xi_c2 = self.c2.mul_by_nonresidue();
+        let dot = |x: &Fp2, y: &Fp2, z: &Fp2, w: &Fp2| x.mul_wide(y).add(&z.mul_wide(w)).reduce();
         Fp6 {
-            c0: a0.add(&self.c2.mul(b1).mul_by_nonresidue()),
-            c1: a1.add(&self.c0.mul(b1)),
-            c2: a2.add(&self.c1.mul(b1)),
-        }
-    }
-
-    /// Scale every coefficient by a base-field element.
-    pub fn mul_fp(&self, k: &super::fp::Fp) -> Self {
-        Fp6 {
-            c0: self.c0.mul_fp(k),
-            c1: self.c1.mul_fp(k),
-            c2: self.c2.mul_fp(k),
+            c0: dot(&self.c0, b0, &xi_c2, b1),
+            c1: dot(&self.c0, b1, &self.c1, b0),
+            c2: dot(&self.c1, b1, &self.c2, b0),
         }
     }
 
@@ -163,7 +157,9 @@ impl Fp6 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::fp2::tests::{edge_elements, mul_oracle};
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,6 +205,32 @@ mod tests {
                 c2: cross(&a.c0, &b.c2, &a.c2, &b.c0).add(&a.c1.mul(&b.c1)),
             };
             assert_eq!(a.mul(&b), schoolbook);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn sparse_mul_matches_the_oracle(seed in any::<u64>()) {
+            // The six reduced products of `mul_by_01` before it summed them
+            // unreduced, and the full product with `b0 + b1·v`.
+            let mut r = StdRng::seed_from_u64(seed);
+            let edges = edge_elements(&mut r);
+            let a = Fp6::random(&mut r);
+            let corner = Fp6::new(edges[8], edges[8], edges[8]);
+            for f in [a, corner] {
+                for (b0, b1) in edges.iter().zip(edges.iter().rev()) {
+                    let oracle = Fp6 {
+                        c0: mul_oracle(&f.c0, b0).add(&mul_oracle(&f.c2, b1).mul_by_nonresidue()),
+                        c1: mul_oracle(&f.c1, b0).add(&mul_oracle(&f.c0, b1)),
+                        c2: mul_oracle(&f.c2, b0).add(&mul_oracle(&f.c1, b1)),
+                    };
+                    let sparse = f.mul_by_01(b0, b1);
+                    prop_assert_eq!(sparse, oracle);
+                    prop_assert_eq!(sparse, f.mul(&Fp6::new(*b0, *b1, Fp2::zero())));
+                }
+            }
         }
     }
 

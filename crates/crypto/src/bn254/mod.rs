@@ -29,8 +29,15 @@
 //!    `(p⁴-p²+1)/r` — not a walk over that 761-bit exponent.
 //!
 //! The tower under it is Karatsuba at every level (3 / 6 / 18 Fp2-level
-//! products for Fp2 / Fp6 / Fp12) with a complex-method Fp12 square. See
-//! the [`pairing`](mod@pairing) module docs for the derivations and references, and for
+//! products for Fp2 / Fp6 / Fp12) with a complex-method Fp12 square, and
+//! it reduces lazily: an Fp2 product is 3 Fp products and 2 Montgomery
+//! reductions, one per coefficient, and the Miller loop's sparse fold sums
+//! two unreduced Fp2 products per coefficient before its one reduction.
+//! Every line is divided by `y_P`, so a fold scales nothing by an Fp
+//! slot, and one batched inversion serves every G1 term of a check. One
+//! BLS verify is 18.7 k Fp products and 12.0 k reductions, pinned by a
+//! unit test in `bls`. See the
+//! [`pairing`](mod@pairing) module docs for the derivations and references, and for
 //! why a `pairing()` value is only meaningful relative to another one.
 //!
 //! Scalar multiplication in G1/G2 uses width-4 wNAF with precomputed

@@ -33,6 +33,12 @@
 //! Frobenius images are again points `ψ(twist point)` of G2, so the two
 //! closing chords have the same sparse shape as every other line.
 //!
+//! The loop uses the second freedom: it divides every line by `y_P`, so
+//! the line's Fp slot is one and a fold multiplies by nothing but its two
+//! Fp2 slots (`−λ·x_P/y_P` and `c/y_P`). For a Jacobian `P = (X : Y : Z)`
+//! those need only `1/Y` (`x/y = XZ/Y`, `1/y = Z³/Y`), so the loop never
+//! converts P to affine, and one batched inversion serves every term.
+//!
 //! # Final exponentiation
 //!
 //! Paid **once** per product instead of once per pairing, via
@@ -192,7 +198,7 @@ fn twist_frobenius_p2_neg(q: &(Fp2, Fp2)) -> (Fp2, Fp2) {
 /// One precomputed Miller-loop line for a fixed G2 point: `(-λ, λ·x_T -
 /// y_T)` with λ the twist slope at the step's loop point. Evaluated at a
 /// G1 point `(xp, yp)` the line is the sparse Fp12 element `yp + (-λ·xp)·w
-/// + (λ·x_T - y_T)·v·w`.
+/// + (λ·x_T - y_T)·v·w`, which the loop folds divided by `yp`.
 type LineCoeff = (Fp2, Fp2);
 
 /// A G2 point with its Miller-loop line coefficients precomputed.
@@ -286,22 +292,45 @@ fn chord_line(t: &mut (Fp2, Fp2), q: &(Fp2, Fp2)) -> LineCoeff {
 
 /// The product of optimal-ate Miller values `∏_i f_{6x+2,Q_i}(P_i)·(two
 /// Frobenius chords)` accumulated in a single Fp12 value with one shared
-/// squaring chain.
+/// squaring chain, each line divided by its `y_P` (see the module docs).
 ///
 /// Terms whose G1 point is infinity or whose prepared G2 point is infinity
 /// contribute the identity. The result still needs
 /// [`final_exponentiation`] — shared across all terms, which is the point:
 /// a k-term product pays one final exponentiation instead of k.
 pub fn multi_miller_loop(terms: &[(&G1Affine, &G2Prepared)]) -> Fp12 {
-    // Active terms: finite on both sides, with P's affine coordinates out.
-    let active: Vec<(Fp, Fp, &G2Prepared)> = terms
+    let points: Vec<G1> = terms.iter().map(|(p, _)| G1::from_affine(p)).collect();
+    let jacobian: Vec<(&G1, &G2Prepared)> = points
         .iter()
-        .filter_map(|(p, prep)| match p {
-            Affine::Coords(px, py) if !prep.infinity => Some((*px, *py, *prep)),
-            _ => None,
+        .zip(terms)
+        .map(|(p, (_, prep))| (p, *prep))
+        .collect();
+    multi_miller_loop_jacobian(&jacobian)
+}
+
+/// [`multi_miller_loop`] on Jacobian G1 points, which it never converts to
+/// affine: each line is divided by `y_P` (an `Fp*` factor, which the final
+/// exponentiation erases), so a line needs only `x_P/y_P = XZ/Y` and
+/// `1/y_P = Z³/Y`, and one batched inversion serves every term's `1/Y`. A
+/// finite G1 point has `Y ≠ 0`: a point with `y = 0` has order 2, and `r`
+/// is odd.
+pub(crate) fn multi_miller_loop_jacobian(terms: &[(&G1, &G2Prepared)]) -> Fp12 {
+    let active: Vec<(&G1, &G2Prepared)> = terms
+        .iter()
+        .filter(|(p, prep)| !p.is_infinity() && !prep.infinity)
+        .copied()
+        .collect();
+    let mut y_inv: Vec<Fp> = active.iter().map(|(p, _)| p.y).collect();
+    Fp::batch_invert(&mut y_inv).expect("a finite G1 point has y ≠ 0");
+    let scaled: Vec<(Fp, Fp, &G2Prepared)> = active
+        .iter()
+        .zip(&y_inv)
+        .map(|((p, prep), yi)| {
+            let z2 = p.z.square();
+            (p.x.mul(&p.z).mul(yi), z2.mul(&p.z).mul(yi), *prep)
         })
         .collect();
-    if active.is_empty() {
+    if scaled.is_empty() {
         return Fp12::one();
     }
 
@@ -311,9 +340,9 @@ pub fn multi_miller_loop(terms: &[(&G1Affine, &G2Prepared)]) -> Fp12 {
         if *line == Line::Tangent && i > 0 {
             f = f.square();
         }
-        for (px, py, prep) in &active {
+        for (x_over_y, y_inv, prep) in &scaled {
             let (neg_lambda, c) = &prep.coeffs[i];
-            f = f.mul_by_034(py, &neg_lambda.mul_fp(px), c);
+            f = f.mul_by_034(&neg_lambda.mul_fp(x_over_y), &c.mul_fp(y_inv));
         }
     }
     f
@@ -453,6 +482,60 @@ mod tests {
             let walked = cyclotomic_pow_naf(&easy_part(&f), hard_exponent_naf());
             prop_assert_eq!(final_exponentiation(&f), walked);
         }
+    }
+
+    /// SHA-256 over the canonical big-endian bytes of the twelve Fp
+    /// coefficients of each value, in `c0.c0.c0, c0.c0.c1, …, c1.c2.c1`
+    /// order.
+    fn gt_digest(values: &[Fp12]) -> String {
+        let mut h = crate::sha256::Sha256::new();
+        for f in values {
+            for c6 in [&f.c0, &f.c1] {
+                for c2 in [&c6.c0, &c6.c1, &c6.c2] {
+                    h.update(&c2.c0.to_bytes_be());
+                    h.update(&c2.c1.to_bytes_be());
+                }
+            }
+        }
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn gt_values_are_pinned() {
+        // Reduced pairings are what a check compares, so no change to the
+        // field tower or the Miller loop may move one by a bit. Both
+        // digests were taken before lazy reduction and unit-scaled lines
+        // went in.
+        let scalars: [([u64; 4], [u64; 4]); 5] = [
+            ([1, 0, 0, 0], [1, 0, 0, 0]),
+            ([2, 0, 0, 0], [3, 0, 0, 0]),
+            ([0xdead_beef, 0, 0, 0], [0xfeed_f00d, 0, 0, 0]),
+            ([u64::MAX, u64::MAX, 7, 0], [12345, 0, 0, 1 << 60]),
+            (
+                [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 0x1111, 0x0222],
+                [3, 1, 4, 1],
+            ),
+        ];
+        let pairings: Vec<Fp12> = scalars
+            .iter()
+            .map(|(a, b)| {
+                pairing(
+                    &G1::generator().mul_scalar(a),
+                    &G2::generator().mul_scalar(b),
+                )
+            })
+            .collect();
+        assert_eq!(
+            gt_digest(&pairings),
+            "f093b994ef9a1f7ea2f975e92f67a811ac7dc57ea4288e2c151ebb6af038478a"
+        );
+        let finals: Vec<Fp12> = (0..4)
+            .map(|seed| final_exponentiation(&Fp12::random(&mut StdRng::seed_from_u64(seed))))
+            .collect();
+        assert_eq!(
+            gt_digest(&finals),
+            "fa0ed3204c0f82b8b0e8527326e9a61c6723551693761f7c228791c52842923a"
+        );
     }
 
     #[test]
@@ -635,6 +718,38 @@ mod tests {
             }
             assert_eq!(batched, product, "k = {k}");
         }
+    }
+
+    #[test]
+    fn jacobian_loop_matches_the_affine_one_with_one_inversion() {
+        // Points straight out of scalar multiplication have Z ≠ 1; the
+        // Miller values differ by the Fp* factors 1/y, which the final
+        // exponentiation erases.
+        use super::super::fp::ops::count;
+        let g1 = G1::generator();
+        let points = [g1.mul_scalar(&[987_654_321]), g1.mul_scalar(&[5]).neg()];
+        assert!(points.iter().all(|p| p.z != Fp::one()));
+        let preps = [
+            G2Prepared::new(&G2::generator()),
+            G2Prepared::new(&G2::generator().mul_scalar(&[77])),
+        ];
+        let (counts, jacobian) = count(|| {
+            multi_miller_loop_jacobian(&[(&points[0], &preps[0]), (&points[1], &preps[1])])
+        });
+        assert_eq!(counts.inv, 1);
+        let affine = [points[0].to_affine(), points[1].to_affine()];
+        let reference = multi_miller_loop(&[(&affine[0], &preps[0]), (&affine[1], &preps[1])]);
+        assert_eq!(
+            final_exponentiation(&jacobian),
+            final_exponentiation(&reference)
+        );
+        let inf = G1::infinity();
+        let skipped = multi_miller_loop_jacobian(&[(&inf, &preps[0]), (&points[0], &preps[0])]);
+        assert_eq!(
+            skipped,
+            multi_miller_loop_jacobian(&[(&points[0], &preps[0])])
+        );
+        assert!(multi_miller_loop_jacobian(&[(&inf, &preps[1])]).is_one());
     }
 
     #[test]

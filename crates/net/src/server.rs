@@ -431,7 +431,6 @@ fn encode_response(response: Response) -> Vec<u8> {
 /// threads hold no lock here and run it concurrently.
 fn dispatch(server: &ShardedQueryServer, request: Request) -> Response {
     match request {
-        Request::Ping => Response::Pong,
         Request::Select { lo, hi } => match server.select_range(lo, hi) {
             Ok(answer) => Response::Selection(answer),
             Err(e) => Response::Refused(e),
