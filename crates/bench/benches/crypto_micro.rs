@@ -43,10 +43,10 @@ fn bench_bn254(c: &mut Criterion) {
             G1::hash_to_curve(&i.to_be_bytes())
         })
     });
-    // The base-field powers under hash-to-curve and point decoding: a
-    // residue's square root and an inversion are one windowed 254-bit
-    // power each, the Legendre symbol none; decoding a signature is one
-    // square root.
+    // The base-field operations under hash-to-curve, point decoding and
+    // the pairing: a residue's square root is one windowed 254-bit power,
+    // an inversion (binary extended Euclid) and the Legendre symbol
+    // (binary Jacobi) none; decoding a signature is one square root.
     let square = Fp::random(&mut rng).square();
     g.bench_function("fp_sqrt", |b| b.iter(|| square.sqrt()));
     g.bench_function("fp_invert", |b| b.iter(|| square.invert()));

@@ -422,8 +422,8 @@ mod tests {
             inv,
         };
         assert_eq!(h2c, counts(324, 324, 3, 0, 0, 0));
-        assert_eq!(miller, counts(9_671, 4_679, 8_304, 3_216, 10_752, 1));
-        assert_eq!(final_exp, counts(8_658, 7_019, 18_464, 9_037, 4_917, 1));
+        assert_eq!(miller, counts(9_360, 4_368, 8_304, 3_216, 10_752, 1));
+        assert_eq!(final_exp, counts(7_213, 4_812, 10_241, 3_892, 9_483, 1));
         assert_eq!(total, h2c + miller + final_exp);
     }
 

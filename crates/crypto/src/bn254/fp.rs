@@ -14,18 +14,27 @@
 //! below `p·2²⁵⁶`, the bound under which one reduction and one
 //! conditional subtraction give the canonical result, so every value is
 //! bit-identical to one reduced after each product. Multiplying by 9 (the
-//! ξ = 9 + u scaling) is one shift-and-add and one estimated subtraction
-//! of a multiple of p. Test builds count every product, reduction,
-//! modular addition and subtraction and inversion per thread, so a test
-//! pins the field work of a pairing check exactly.
+//! ξ = 9 + u scaling, on a reduced or a 512-bit value) is one
+//! shift-and-add and one estimated subtraction of a multiple of p, and so
+//! is the cyclotomic squaring's `3t ∓ 2z`. Test builds count every
+//! product, reduction, modular addition and subtraction and inversion per
+//! thread, so a test pins the field work of a pairing check exactly.
 //!
-//! Powers are a width-5 sliding window ([`Field::pow`]). Inversion
-//! (`a^(p-2)`) and the square root (`a^((p+1)/4)`, for p ≡ 3 mod 4) are one
-//! such power each: about 310 products, where square-and-multiply took 360,
-//! and 7–9 µs on the benchmark host. [`Field::legendre`] tells a residue from
-//! a non-residue without a power (the binary Jacobi algorithm, ≈ 1.5 µs), so
-//! a caller that rejects often, such as try-and-increment hashing, asks it
-//! before it pays for [`Field::sqrt`].
+//! Powers are a width-5 sliding window ([`Field::pow`]). The square root
+//! (`a^((p+1)/4)`, for p ≡ 3 mod 4) is one such power: about 310 products,
+//! 7–9 µs on the benchmark host. Neither inversion nor the quadratic
+//! character needs a power. [`Field::invert`] is the binary extended
+//! Euclidean algorithm on the stored limbs (shifts and subtractions, no
+//! product: 2.5–3 µs, where the Fermat power `a^(p−2)` took 7–9), and
+//! [`Field::legendre`] the binary Jacobi algorithm (1–1.5 µs), so a caller
+//! that rejects often, such as try-and-increment hashing, asks it before it
+//! pays for [`Field::sqrt`].
+//!
+//! **Timing.** Both binary algorithms branch on the bits of their input and
+//! run in variable time, as do the wNAF scalar multiplication that signs
+//! and the conditional subtraction in [`Field::add`] and [`Field::sub`].
+//! Nothing in this crate claims constant time; a branch-free add and sub
+//! cost a verify 14 %.
 #![allow(clippy::needless_range_loop)] // fixed 4-limb loops read better indexed
 
 use crate::bigint::BigUint;
@@ -141,11 +150,13 @@ pub(crate) mod ops {
         pub mul: u64,
         /// Montgomery reductions.
         pub red: u64,
-        /// Modular additions (doublings and `mul_by_9` included).
+        /// Modular additions (doublings, `mul_by_9` and the fused
+        /// `3t ∓ 2z` included).
         pub add: u64,
         /// Modular subtractions.
         pub sub: u64,
-        /// Additions and subtractions of unreduced 512-bit values.
+        /// Additions, subtractions and `mul_by_9`s of unreduced 512-bit
+        /// values.
         pub wide: u64,
         /// Inversions.
         pub inv: u64,
@@ -353,18 +364,7 @@ impl<P: FieldParams> Field<P> {
     #[inline]
     pub fn sub(&self, other: &Self) -> Self {
         count!(sub);
-        let mut borrow = 0u64;
-        let mut out = [0u64; 4];
-        for i in 0..4 {
-            out[i] = sbb(self.0[i], other.0[i], &mut borrow);
-        }
-        if borrow != 0 {
-            let mut carry = 0u64;
-            for i in 0..4 {
-                out[i] = adc(out[i], P::MODULUS[i], &mut carry);
-            }
-        }
-        Field(out, PhantomData)
+        Field(sub_mod::<P>(&self.0, &other.0), PhantomData)
     }
 
     /// `-self`.
@@ -427,6 +427,28 @@ impl<P: FieldParams> Field<P> {
     pub(crate) fn mul_by_9(&self) -> Self {
         count!(add);
         Field(reduce_below_9p::<P>(&times_9(&self.0)), PhantomData)
+    }
+
+    /// `3t − 2z`: the five-limb integer `t + 2(t + p − z)` (below 5p),
+    /// reduced by [`reduce_below_9p`].
+    #[inline]
+    pub(crate) fn triple_sub_double(t: &Self, z: &Self) -> Self {
+        count!(add);
+        let neg_z = sub_limbs(&P::MODULUS, &z.0);
+        Field(
+            reduce_below_9p::<P>(&three_t_two_z(&t.0, &neg_z)),
+            PhantomData,
+        )
+    }
+
+    /// `3t + 2z`, as [`Field::triple_sub_double`].
+    #[inline]
+    pub(crate) fn triple_add_double(t: &Self, z: &Self) -> Self {
+        count!(add);
+        Field(
+            reduce_below_9p::<P>(&three_t_two_z(&t.0, &z.0)),
+            PhantomData,
+        )
     }
 
     /// `⌊p / 2²⁴⁸⌋ + 1`, [`reduce_below_9p`]'s quotient divisor.
@@ -512,13 +534,6 @@ impl<P: FieldParams> Field<P> {
         acc
     }
 
-    /// `p - 2`, the Fermat inversion exponent (the low limb of either
-    /// modulus is far above 2, and const evaluation would reject a borrow).
-    const INVERT_EXP: [u64; 4] = {
-        let m = P::MODULUS;
-        [m[0] - 2, m[1], m[2], m[3]]
-    };
-
     /// `(p + 1) / 4 = ⌊p / 4⌋ + 1`, the square-root exponent when
     /// p ≡ 3 (mod 4).
     const SQRT_EXP: [u64; 4] = {
@@ -531,13 +546,23 @@ impl<P: FieldParams> Field<P> {
         ]
     };
 
-    /// Multiplicative inverse; `None` for zero. Uses Fermat: `a^(p-2)`.
+    /// Multiplicative inverse; `None` for zero.
+    ///
+    /// The binary extended Euclidean algorithm (Hankerson, Menezes and
+    /// Vanstone, *Guide to Elliptic Curve Cryptography*, Alg. 2.22) run on
+    /// the stored Montgomery limbs `aR`, with its cofactor seeded at `R²`
+    /// instead of 1: it ends at `R²·(aR)⁻¹ = a⁻¹R`, the Montgomery form of
+    /// the inverse, with no product at all. It branches on the bits of `a`,
+    /// so it runs in variable time (see the module docs).
     pub fn invert(&self) -> Option<Self> {
         if self.is_zero() {
             return None;
         }
         count!(inv);
-        Some(self.pow(&Self::INVERT_EXP))
+        Some(Field(
+            binary_euclid_inverse::<P>(&self.0, &P::R2),
+            PhantomData,
+        ))
     }
 
     /// Square root when the modulus is ≡ 3 (mod 4): `a^((p+1)/4)`.
@@ -615,6 +640,85 @@ fn sub_limbs(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
     out
 }
 
+/// `c·a⁻¹ mod p` for `0 < a < p` and `c < p`, by binary extended Euclid.
+/// The loop keeps `x1·a ≡ c·u` and `x2·a ≡ c·v` (mod p) while it shrinks
+/// `u` and `v` towards `gcd(a, p) = 1`: it halves whichever is even, with
+/// its cofactor, and subtracts the smaller odd one from the larger.
+fn binary_euclid_inverse<P: FieldParams>(a: &[u64; 4], c: &[u64; 4]) -> [u64; 4] {
+    const ONE: [u64; 4] = [1, 0, 0, 0];
+    let (mut u, mut v) = (*a, P::MODULUS);
+    let (mut x1, mut x2) = (*c, [0; 4]);
+    // The subtraction never reaches 0. After the halvings u and v are odd
+    // and coprime, so they are equal only if both are 1. But at the top
+    // of the loop at least one of them is odd (v = p starts odd, and each
+    // pass leaves the one it did not subtract from odd), that one is not
+    // 1, and the halvings leave it alone.
+    while u != ONE && v != ONE {
+        while u[0] & 1 == 0 {
+            u = shr1(&u, 0);
+            x1 = half_mod::<P>(&x1);
+        }
+        while v[0] & 1 == 0 {
+            v = shr1(&v, 0);
+            x2 = half_mod::<P>(&x2);
+        }
+        if lt(&u, &v) {
+            v = sub_limbs(&v, &u);
+            x2 = sub_mod::<P>(&x2, &x1);
+        } else {
+            u = sub_limbs(&u, &v);
+            x1 = sub_mod::<P>(&x1, &x2);
+        }
+    }
+    if u == ONE {
+        x1
+    } else {
+        x2
+    }
+}
+
+/// `(a + top·2²⁵⁶) >> 1` on 4-limb values.
+#[inline(always)]
+fn shr1(a: &[u64; 4], top: u64) -> [u64; 4] {
+    [
+        (a[0] >> 1) | (a[1] << 63),
+        (a[1] >> 1) | (a[2] << 63),
+        (a[2] >> 1) | (a[3] << 63),
+        (a[3] >> 1) | (top << 63),
+    ]
+}
+
+/// `a / 2 mod p` for `a < p`: `a >> 1` if `a` is even, else `(a + p) >> 1`.
+#[inline(always)]
+fn half_mod<P: FieldParams>(a: &[u64; 4]) -> [u64; 4] {
+    if a[0] & 1 == 0 {
+        return shr1(a, 0);
+    }
+    let mut carry = 0u64;
+    let mut sum = [0u64; 4];
+    for i in 0..4 {
+        sum[i] = adc(a[i], P::MODULUS[i], &mut carry);
+    }
+    shr1(&sum, carry)
+}
+
+/// `a − b mod p` for `a, b < p`.
+#[inline(always)]
+fn sub_mod<P: FieldParams>(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut borrow = 0u64;
+    let mut out = [0u64; 4];
+    for i in 0..4 {
+        out[i] = sbb(a[i], b[i], &mut borrow);
+    }
+    if borrow != 0 {
+        let mut carry = 0u64;
+        for i in 0..4 {
+            out[i] = adc(out[i], P::MODULUS[i], &mut carry);
+        }
+    }
+    out
+}
+
 /// 32 big-endian bytes as little-endian limbs.
 fn limbs_from_be(bytes: &[u8; 32]) -> [u64; 4] {
     let mut limbs = [0u64; 4];
@@ -654,6 +758,25 @@ fn times_9(a: &[u64; 4]) -> [u64; 5] {
     }
     t[4] = (a[3] >> 61) + carry;
     t
+}
+
+/// `3t + 2z = t + 2(t + z)` as five limbs, for `t < p` and `z ≤ p`.
+#[inline(always)]
+fn three_t_two_z(t: &[u64; 4], z: &[u64; 4]) -> [u64; 5] {
+    let s = add_limbs(t, z);
+    let d = [
+        s[0] << 1,
+        (s[1] << 1) | (s[0] >> 63),
+        (s[2] << 1) | (s[1] >> 63),
+        (s[3] << 1) | (s[2] >> 63),
+    ];
+    let mut out = [0u64; 5];
+    let mut carry = 0u64;
+    for i in 0..4 {
+        out[i] = adc(d[i], t[i], &mut carry);
+    }
+    out[4] = carry;
+    out
 }
 
 /// `t mod p` for `t < 9p`: less an estimate `q·p` of its multiple of p
@@ -755,6 +878,26 @@ impl<P: FieldParams> Wide<P> {
             }
         }
         Wide(t, PhantomData)
+    }
+
+    /// `9·self` modulo `p·2²⁵⁶`: the low half times 9 carries at most 8
+    /// into the high half times 9, and that sum, below 9p, is reduced by
+    /// [`reduce_below_9p`].
+    #[inline]
+    pub(crate) fn mul_by_9(&self) -> Self {
+        count!(wide);
+        let lo = times_9(&[self.0[0], self.0[1], self.0[2], self.0[3]]);
+        let mut hi = times_9(&[self.0[4], self.0[5], self.0[6], self.0[7]]);
+        let mut carry = 0u64;
+        hi[0] = adc(hi[0], lo[4], &mut carry);
+        for i in 1..5 {
+            hi[i] = adc(hi[i], 0, &mut carry);
+        }
+        let hi = reduce_below_9p::<P>(&hi);
+        Wide(
+            [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]],
+            PhantomData,
+        )
     }
 
     /// The field element `self·2⁻²⁵⁶`: one Montgomery reduction.
@@ -916,6 +1059,44 @@ mod tests {
         Wide(t, PhantomData)
     }
 
+    /// `p − 2`, Fermat's inversion exponent.
+    fn fermat_exp<P: FieldParams>() -> [u64; 4] {
+        let m = P::MODULUS;
+        [m[0] - 2, m[1], m[2], m[3]]
+    }
+
+    /// `a^(p−2)`: inversion as it was computed before binary Euclid, the
+    /// oracle for [`Field::invert`].
+    fn invert_fermat<P: FieldParams>(a: &Field<P>) -> Field<P> {
+        a.pow(&fermat_exp::<P>())
+    }
+
+    /// Inversion's awkward inputs, as canonical values and as stored
+    /// Montgomery limbs (the algorithm runs on the latter): 1, 2, p − 1,
+    /// (p + 1)/2, and powers of two up to 2²⁵³, whose runs of trailing zero
+    /// bits the algorithm strips one at a time; plus R mod p and R⁻¹ mod p
+    /// as values (stored as R² mod p and 1).
+    fn inversion_edges<P: FieldParams>() -> Vec<Field<P>> {
+        let p = BigUint::from_limbs(P::MODULUS.to_vec());
+        let one = BigUint::one();
+        let mut values = vec![
+            one.clone(),
+            BigUint::from_u64(2),
+            p.sub(&one),
+            p.add(&one).shr(1),
+        ];
+        values.extend([63, 64, 65, 128, 200, 253].map(|k| one.shl(k)));
+        let mut out: Vec<Field<P>> = values.iter().map(Field::from_biguint).collect();
+        out.extend(values.iter().map(|v| {
+            let mut limbs = [0u64; 4];
+            limbs[..v.limbs().len()].copy_from_slice(v.limbs());
+            Field(limbs, PhantomData)
+        }));
+        out.push(Field::from_biguint(&one.shl(256).rem(&p)));
+        out.push(Field([1, 0, 0, 0], PhantomData));
+        out
+    }
+
     /// `T·2⁻²⁵⁶ mod p` for a 512-bit `T`: the Montgomery reduction oracle.
     fn redc_oracle(t: &[u64; 8]) -> BigUint {
         let p = modulus();
@@ -958,6 +1139,46 @@ mod tests {
                 for w in [x, y, sum, diff] {
                     prop_assert_eq!(big(&w.reduce().0), redc_oracle(&w.0));
                 }
+            }
+        }
+
+        #[test]
+        fn invert_matches_the_fermat_oracle(seed in any::<u64>()) {
+            fn check<P: FieldParams>(r: &mut StdRng) -> Result<(), TestCaseError> {
+                let mut values = inversion_edges::<P>();
+                values.extend((0..8).map(|_| Field::<P>::random(r)));
+                for a in values {
+                    let inv = a.invert().expect("nonzero");
+                    prop_assert_eq!(inv, invert_fermat(&a));
+                    prop_assert_eq!(a.mul(&inv), Field::one());
+                }
+                Ok(())
+            }
+            let mut r = StdRng::seed_from_u64(seed);
+            check::<FpParams>(&mut r)?;
+            check::<FrParams>(&mut r)?;
+        }
+
+        #[test]
+        fn fused_tails_and_wide_mul_by_9_match_their_chains(seed in any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            for t in edge_elements(&mut r) {
+                for z in edge_elements(&mut r) {
+                    let t3 = t.double().add(&t);
+                    prop_assert_eq!(Fp::triple_sub_double(&t, &z), t3.sub(&z.double()));
+                    prop_assert_eq!(Fp::triple_add_double(&t, &z), t3.add(&z.double()));
+                }
+            }
+            let mut p_minus_1 = FpParams::MODULUS;
+            p_minus_1[0] -= 1;
+            let max = Wide::<FpParams>(
+                [u64::MAX, u64::MAX, u64::MAX, u64::MAX, p_minus_1[0], p_minus_1[1], p_minus_1[2], p_minus_1[3]],
+                PhantomData,
+            );
+            let zero = Wide::<FpParams>([0; 8], PhantomData);
+            for w in [max, zero, random_wide(&mut r), random_wide(&mut r)] {
+                let added = (0..8).fold(w, |acc, _| acc.add(&w));
+                prop_assert_eq!(w.mul_by_9().0, added.0);
             }
         }
 
@@ -1073,6 +1294,7 @@ mod tests {
             assert_eq!(a.mul(&a.invert().unwrap()), Fp::one());
         }
         assert!(Fp::zero().invert().is_none());
+        assert!(Fr::zero().invert().is_none());
     }
 
     #[test]
@@ -1112,7 +1334,7 @@ mod tests {
         let mut r = rng();
         let p = BigUint::from_limbs(FpParams::MODULUS.to_vec());
         let two = BigUint::from_u64(2);
-        assert_eq!(Fp::INVERT_EXP.to_vec(), p.sub(&two).limbs());
+        assert_eq!(fermat_exp::<FpParams>().to_vec(), p.sub(&two).limbs());
         assert_eq!(Fp::SQRT_EXP.to_vec(), p.add(&BigUint::one()).shr(2).limbs());
         let mut exps = vec![
             vec![0],
@@ -1120,7 +1342,7 @@ mod tests {
             vec![0, 0, 0],
             vec![u64::MAX; 4],
             vec![1 << 63, 0, 1],
-            Fp::INVERT_EXP.to_vec(),
+            fermat_exp::<FpParams>().to_vec(),
             Fp::SQRT_EXP.to_vec(),
         ];
         for len in 1..=6 {

@@ -12,8 +12,11 @@
 //! [`Fp12::mul`] 54 and 36 (Karatsuba, 3 Fp6 products), [`Fp12::square`]
 //! 36 and 24 (complex method, 2 Fp6 products), [`Fp12::mul_by_034`] 36 and
 //! 12 (2 sparse Fp6 products; the line's Fp slot is one, so nothing is
-//! scaled), [`Fp12::cyclotomic_square`] 18 and 18 (9 Fp2 *squarings*,
-//! about half a generic square).
+//! scaled), [`Fp12::cyclotomic_square`] 18 and 12 (9 unreduced Fp2
+//! *squarings* summed before they reduce, about half a generic square).
+//! The final exponentiation raises to the BN parameter `x` three times,
+//! each by an addition chain of 62 cyclotomic squarings and 17 products:
+//! 2 034 Fp products and 1 356 reductions a power.
 
 use super::fp2::Fp2;
 use super::fp6::Fp6;
@@ -166,7 +169,8 @@ impl Fp12 {
     pub fn cyclotomic_square(&self) -> Self {
         // Coefficients over the basis 1, v, v², w, vw, v²w, in the
         // SQR_CYC2345 arrangement of Granger–Scott 2010 (three Fp4
-        // squarings).
+        // squarings, then 3t ∓ 2z per coefficient, each one reduction of
+        // a value below 5p).
         let z0 = self.c0.c0;
         let z4 = self.c0.c1;
         let z3 = self.c0.c2;
@@ -175,18 +179,18 @@ impl Fp12 {
         let z5 = self.c1.c2;
 
         let (t0, t1) = fp4_square(&z0, &z1);
-        let z0 = t0.sub(&z0).double().add(&t0);
-        let z1 = t1.add(&z1).double().add(&t1);
+        let z0 = Fp2::triple_sub_double(&t0, &z0);
+        let z1 = Fp2::triple_add_double(&t1, &z1);
 
         let (t0, t1) = fp4_square(&z2, &z3);
         let (t2, t3) = fp4_square(&z4, &z5);
 
-        let z4 = t0.sub(&z4).double().add(&t0);
-        let z5 = t1.add(&z5).double().add(&t1);
+        let z4 = Fp2::triple_sub_double(&t0, &z4);
+        let z5 = Fp2::triple_add_double(&t1, &z5);
 
         let t0 = t3.mul_by_nonresidue();
-        let z2 = t0.add(&z2).double().add(&t0);
-        let z3 = t2.sub(&z3).double().add(&t2);
+        let z2 = Fp2::triple_add_double(&t0, &z2);
+        let z3 = Fp2::triple_sub_double(&t2, &z3);
 
         Fp12 {
             c0: Fp6::new(z0, z4, z3),
@@ -196,12 +200,14 @@ impl Fp12 {
 }
 
 /// Squaring in Fp4 = Fp2[w']/(w'² - v_like_nonresidue): returns
-/// `(a² + ξ·b², 2ab)` for the element `a + b·w'`.
+/// `(a² + ξ·b², 2ab)` for the element `a + b·w'`. The three Fp2 squares
+/// stay unreduced, `a² + ξ·b²` and `(a + b)² − a² − b²` are summed in 512
+/// bits, and each coefficient is reduced once: 6 products, 4 reductions.
 fn fp4_square(a: &Fp2, b: &Fp2) -> (Fp2, Fp2) {
-    let a2 = a.square();
-    let b2 = b.square();
-    let c0 = b2.mul_by_nonresidue().add(&a2);
-    let c1 = a.add(b).square().sub(&a2).sub(&b2);
+    let a2 = a.square_wide();
+    let b2 = b.square_wide();
+    let c0 = b2.mul_by_nonresidue().add(&a2).reduce();
+    let c1 = a.add(b).square_wide().sub(&a2).sub(&b2).reduce();
     (c0, c1)
 }
 

@@ -105,9 +105,33 @@ impl Fp2 {
 
     /// `self²`: `(a + b)(a − b) + 2ab·u`, two products and two reductions.
     pub fn square(&self) -> Self {
+        self.square_wide().reduce()
+    }
+
+    /// `self²` with unreduced coefficients.
+    #[inline]
+    pub(crate) fn square_wide(&self) -> Fp2Wide {
+        Fp2Wide {
+            c0: Fp::mul_sum_diff_wide(&self.c0, &self.c1),
+            c1: Fp::mul_double_wide(&self.c0, &self.c1),
+        }
+    }
+
+    /// `3t − 2z`, coefficient by coefficient.
+    #[inline]
+    pub(crate) fn triple_sub_double(t: &Self, z: &Self) -> Self {
         Fp2 {
-            c0: Fp::mul_sum_diff_wide(&self.c0, &self.c1).reduce(),
-            c1: Fp::mul_double_wide(&self.c0, &self.c1).reduce(),
+            c0: Fp::triple_sub_double(&t.c0, &z.c0),
+            c1: Fp::triple_sub_double(&t.c1, &z.c1),
+        }
+    }
+
+    /// `3t + 2z`, coefficient by coefficient.
+    #[inline]
+    pub(crate) fn triple_add_double(t: &Self, z: &Self) -> Self {
+        Fp2 {
+            c0: Fp::triple_add_double(&t.c0, &z.c0),
+            c1: Fp::triple_add_double(&t.c1, &z.c1),
         }
     }
 
@@ -182,6 +206,24 @@ impl Fp2Wide {
         }
     }
 
+    /// `self − other`, still unreduced.
+    #[inline]
+    pub(crate) fn sub(&self, other: &Self) -> Self {
+        Fp2Wide {
+            c0: self.c0.sub(&other.c0),
+            c1: self.c1.sub(&other.c1),
+        }
+    }
+
+    /// `ξ·self = (9c0 − c1) + (c0 + 9c1)u`, still unreduced.
+    #[inline]
+    pub(crate) fn mul_by_nonresidue(&self) -> Self {
+        Fp2Wide {
+            c0: self.c0.mul_by_9().sub(&self.c1),
+            c1: self.c0.add(&self.c1.mul_by_9()),
+        }
+    }
+
     /// The reduced value: one Montgomery reduction per coefficient.
     #[inline]
     pub(crate) fn reduce(&self) -> Fp2 {
@@ -235,6 +277,9 @@ pub(crate) mod tests {
                     prop_assert_eq!(a.mul(b), mul_oracle(a, b));
                 }
                 prop_assert_eq!(a.square(), mul_oracle(a, a));
+                let (a2, b2) = (a.square_wide(), elems[0].square_wide());
+                prop_assert_eq!(a2.mul_by_nonresidue().reduce(), a.square().mul_by_nonresidue());
+                prop_assert_eq!(a2.sub(&b2).reduce(), a.square().sub(&elems[0].square()));
             }
         }
     }

@@ -52,13 +52,14 @@
 //! (p⁴−p²+1)/r = p³ + (6x²+1)·p² − (36x³+18x²+12x−1)·p − (36x³+30x²+18x+2)
 //! ```
 //!
-//! evaluated as three powers by the 63-bit `x` (NAF weight 24, Granger–Scott
-//! cyclotomic squarings, inversion free by conjugation), the `p`, `p²`, `p³`
-//! Frobenius maps and their vectorial addition chain
-//! `y₀·y₁²·y₂⁶·y₃¹²·y₄¹⁸·y₅³⁰·y₆³⁶` — about 190 cyclotomic squarings and 90
-//! Fp12 products. The exponent is the whole `(p¹²−1)/r`, not a multiple of
-//! it, so the result is the same field element a digit-by-digit walk of the
-//! 761-bit hard exponent produces (a test keeps that walk as its oracle).
+//! evaluated as three powers by the 63-bit `x` (each an addition chain of 62
+//! Granger–Scott cyclotomic squarings and 17 products, inversion free by
+//! conjugation), the `p`, `p²`, `p³` Frobenius maps and their vectorial
+//! addition chain `y₀·y₁²·y₂⁶·y₃¹²·y₄¹⁸·y₅³⁰·y₆³⁶` — 190 cyclotomic squarings
+//! and 66 Fp12 products. The exponent is the whole `(p¹²−1)/r`, not a
+//! multiple of it, so the result is the same field element a digit-by-digit
+//! walk of the 761-bit hard exponent produces (a test keeps that walk as
+//! its oracle).
 //!
 //! # Values
 //!
@@ -388,38 +389,56 @@ pub fn final_exponentiation(f: &Fp12) -> Fp12 {
     t0.mul(&t1.mul(&y0))
 }
 
-/// `base^x` for a unitary, cyclotomic-subgroup `base` and the BN
-/// parameter `x`.
-fn cyclotomic_pow_x(base: &Fp12) -> Fp12 {
-    static NAF: OnceLock<Vec<i8>> = OnceLock::new();
-    // Width-2 wNAF is the plain signed NAF.
-    cyclotomic_pow_naf(base, NAF.get_or_init(|| wnaf_digits(&[BN_X], 2)))
+/// The two operations [`cyclotomic_pow_x`] is written in: for Fp12 the
+/// cyclotomic squaring, valid after the easy part of the final
+/// exponentiation, and the product. A test runs the chain on integers.
+trait ExpByX: Sized {
+    fn square(&self) -> Self;
+    fn mul(&self, other: &Self) -> Self;
 }
 
-/// `base^e` for a unitary, cyclotomic-subgroup `base`, with `e` given as
-/// little-endian NAF digits. The NAF has ~1/3 nonzero density versus ~1/2
-/// for binary, and a -1 digit costs only a conjugation.
-fn cyclotomic_pow_naf(base: &Fp12, naf: &[i8]) -> Fp12 {
-    let base_inv = base.conjugate();
-    let mut acc = Fp12::one();
-    let mut started = false;
-    for &d in naf.iter().rev() {
-        if started {
-            acc = acc.cyclotomic_square();
-        }
-        match d {
-            1 => {
-                acc = acc.mul(base);
-                started = true;
-            }
-            -1 => {
-                acc = acc.mul(&base_inv);
-                started = true;
-            }
-            _ => {}
-        }
+impl ExpByX for Fp12 {
+    fn square(&self) -> Self {
+        self.cyclotomic_square()
     }
-    acc
+
+    fn mul(&self, other: &Self) -> Self {
+        Fp12::mul(self, other)
+    }
+}
+
+/// `base^x` for a unitary, cyclotomic-subgroup `base` and the BN parameter
+/// x = 0x44E992B44A6909F1, by the addition chain gnark-crypto's BN254
+/// `Expt` uses: 62 Granger–Scott cyclotomic squarings and 17 Fp12
+/// products. A walk of x's signed NAF (weight 24) pays the same squarings
+/// and 24 products, the first of them `1·base`.
+///
+/// `bK` is `base^K` for the binary numeral K; `i27`, `i44` and `i70` keep
+/// the chain's published names for its long runs.
+fn cyclotomic_pow_x<T: ExpByX>(b1: &T) -> T {
+    let square_n = |mut a: T, k: u32| {
+        for _ in 0..k {
+            a = a.square();
+        }
+        a
+    };
+    let b10 = b1.square();
+    let b100 = b10.square();
+    let b1000 = b100.square();
+    let b10001 = b1000.square().mul(b1);
+    let b10011 = b10001.mul(&b10);
+    let b10100 = b10011.mul(b1);
+    let b11001 = b10001.mul(&b1000);
+    let b100010 = b10001.square();
+    let b100111 = b10011.mul(&b10100);
+    let b101001 = b100111.mul(&b10);
+    let i27 = square_n(square_n(b100010, 6).mul(&b100).mul(&b11001), 7).mul(&b11001);
+    let i44 = square_n(square_n(i27, 8).mul(&b101001).mul(&b10), 6).mul(&b10001);
+    let i70 = square_n(
+        square_n(square_n(i44, 8).mul(&b101001), 6).mul(&b101001),
+        10,
+    );
+    square_n(i70.mul(&b100111), 6).mul(&b101001).mul(&b1000)
 }
 
 /// The reduced optimal-ate pairing on affine inputs.
@@ -471,6 +490,33 @@ mod tests {
         frobenius_p2(&t0).mul(&t0)
     }
 
+    /// `base^e` for a unitary, cyclotomic-subgroup `base`, with `e` given
+    /// as little-endian NAF digits (a −1 digit multiplies by the
+    /// conjugate): how the engine powered by `x` before the addition
+    /// chain, and the oracle for it and for the whole hard part.
+    fn cyclotomic_pow_naf(base: &Fp12, naf: &[i8]) -> Fp12 {
+        let base_inv = base.conjugate();
+        let mut acc = Fp12::one();
+        let mut started = false;
+        for &d in naf.iter().rev() {
+            if started {
+                acc = acc.cyclotomic_square();
+            }
+            match d {
+                1 => {
+                    acc = acc.mul(base);
+                    started = true;
+                }
+                -1 => {
+                    acc = acc.mul(&base_inv);
+                    started = true;
+                }
+                _ => {}
+            }
+        }
+        acc
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -482,6 +528,50 @@ mod tests {
             let walked = cyclotomic_pow_naf(&easy_part(&f), hard_exponent_naf());
             prop_assert_eq!(final_exponentiation(&f), walked);
         }
+
+        #[test]
+        fn cyclotomic_pow_x_matches_the_naf_walk_and_pow(seed in any::<u64>()) {
+            let f = easy_part(&Fp12::random(&mut StdRng::seed_from_u64(seed)));
+            let fx = cyclotomic_pow_x(&f);
+            prop_assert_eq!(fx, cyclotomic_pow_naf(&f, &wnaf_digits(&[BN_X], 2)));
+            prop_assert_eq!(fx, f.pow(&[BN_X]));
+        }
+    }
+
+    #[test]
+    fn cyclotomic_pow_x_chain_is_x_in_62_squarings_and_17_products() {
+        // The chain on integers: squaring doubles the exponent, a product
+        // adds two. Each call counts itself.
+        use std::cell::Cell;
+        struct Exponent<'a> {
+            value: u64,
+            ops: &'a Cell<(u32, u32)>,
+        }
+        impl ExpByX for Exponent<'_> {
+            fn square(&self) -> Self {
+                let (s, m) = self.ops.get();
+                self.ops.set((s + 1, m));
+                Exponent {
+                    value: 2 * self.value,
+                    ops: self.ops,
+                }
+            }
+            fn mul(&self, other: &Self) -> Self {
+                let (s, m) = self.ops.get();
+                self.ops.set((s, m + 1));
+                Exponent {
+                    value: self.value + other.value,
+                    ops: self.ops,
+                }
+            }
+        }
+        let ops = Cell::new((0, 0));
+        let x = cyclotomic_pow_x(&Exponent {
+            value: 1,
+            ops: &ops,
+        });
+        assert_eq!(x.value, BN_X);
+        assert_eq!(ops.get(), (62, 17));
     }
 
     /// SHA-256 over the canonical big-endian bytes of the twelve Fp
